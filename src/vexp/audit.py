@@ -499,7 +499,7 @@ def run_vp_norm_bound(ctx: Context, case: AuditCase) -> list[AuditRow]:
             rows.append(make_row(
                 "vp_norm_bound", _case_id(m, sigma=s) + f";norm={tag}",
                 lhs=lhs, rhs=1.5 * nf, constant_used=1.5,
-                truncation_bounds={"tail_bound": getattr(j, "tail_bound", 0.0)}))
+                truncation_bounds={"tail_bound": j.tail_bound}))
     return rows
 
 

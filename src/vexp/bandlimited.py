@@ -48,12 +48,15 @@ def vp_kernel(x):
     """theta(x) = (2/pi) sin(x/2) sin(3x/2) / x^2, continuous at 0."""
     scalar = np.isscalar(x)
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, 1.0, x)
-    out = (2.0 / math.pi) * np.sin(xs / 2.0) * np.sin(3.0 * xs / 2.0) / (xs * xs)
-    # sin(x/2) sin(3x/2) = (3/4) x^2 (1 - (5/12) x^2) + O(x^6)
-    series = (3.0 / (2.0 * math.pi)) * (1.0 - (5.0 / 12.0) * x * x)
-    out = np.where(small, series, out)
+    xa = np.atleast_1d(x)
+    small = np.abs(xa) < 1e-4
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (2.0 / math.pi) * np.sin(xa / 2.0) * np.sin(3.0 * xa / 2.0) / (xa * xa)
+    if small.any():
+        # sin(x/2) sin(3x/2) = (3/4) x^2 (1 - (5/12) x^2) + O(x^6)
+        xs = xa[small]
+        out[small] = (3.0 / (2.0 * math.pi)) * (1.0 - (5.0 / 12.0) * xs * xs)
+    out = out.reshape(x.shape)
     return float(out) if scalar else out
 
 
@@ -132,6 +135,8 @@ def vp_operator(f, sigma: float, spec: QuadSpec = DEFAULT_SPEC,
     f = as_real_function(f)
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
+    if f.expr is not None and f.expr.constant is not None:
+        return f  # J reproduces constants exactly: the kernel has unit mass
     if x_span is None:
         from .norms import default_window
         x_span = default_window(f, spec)
@@ -141,18 +146,10 @@ def vp_operator(f, sigma: float, spec: QuadSpec = DEFAULT_SPEC,
         edges = _zero_aligned_panels(sigma, a, b, extra=f.breakpoints)
         nodes, wts = panel_rule(edges, 12)
         fvals = f(nodes) * wts
+        kernel = RealFunction(fn=lambda t: vp_kernel(sigma * t), name="theta")
 
         def ev(x):
-            x = np.asarray(x, dtype=float)
-            out = np.empty_like(x)
-            flat = x.ravel()
-            res = out.ravel()
-            block = max(1, (1 << 22) // max(nodes.size, 1))
-            for i0 in range(0, flat.size, block):
-                xi = flat[i0:i0 + block]
-                kern = vp_kernel(sigma * (xi[:, None] - nodes[None, :]))
-                res[i0:i0 + block] = sigma * (kern @ fvals)
-            return out
+            return sigma * outer_apply(kernel, x, -nodes, fvals)
 
         return RealFunction(fn=ev, name=f"J({f.name},{sigma:g})",
                             decay=Decay.power(2.0), osc_wavelength=2.0 * math.pi / (3.0 * sigma))
@@ -169,10 +166,9 @@ def vp_operator(f, sigma: float, spec: QuadSpec = DEFAULT_SPEC,
     def ev(x):
         return outer_apply(f, x, -nodes, kern)
 
-    out = RealFunction(fn=ev, name=f"J({f.name},{sigma:g})", decay=f.decay,
-                       osc_wavelength=min(f.osc_wavelength, 2.0 * math.pi / (3.0 * sigma)))
-    object.__setattr__(out, "tail_bound", tail)  # frozen dataclass, extra metadata
-    return out
+    return RealFunction(fn=ev, name=f"J({f.name},{sigma:g})", decay=f.decay,
+                        osc_wavelength=min(f.osc_wavelength, 2.0 * math.pi / (3.0 * sigma)),
+                        tail_bound=tail)
 
 
 def best_approx_surrogate(f, sigma: float, norm: NormSpec,
@@ -203,4 +199,4 @@ def best_approx_surrogate(f, sigma: float, norm: NormSpec,
     from dataclasses import replace as _replace
     value = norm_of(d, _replace(norm, window=win), spec)
     return BestApproxEstimate(sigma=sigma, value=value, method="vp_surrogate",
-                              window=win, tail_bound=getattr(j, "tail_bound", 0.0))
+                              window=win, tail_bound=j.tail_bound)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -319,9 +320,10 @@ def _const_value(node: Node, pos: int) -> float:
 
 
 def _contains_var(node: Node) -> bool:
-    if isinstance(node, Var):
+    """Whether node depends on x; the built-in leaves are functions of x."""
+    if isinstance(node, (Var, Gauss, Sinc, SincD, Indicator)):
         return True
-    if isinstance(node, (Num, Gauss, Sinc, SincD, Indicator)):
+    if isinstance(node, Num):
         return False
     if isinstance(node, (Add, Sub, Mul, Div)):
         return _contains_var(node.left) or _contains_var(node.right)
@@ -335,82 +337,134 @@ def _contains_var(node: Node) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Compilation
 # ---------------------------------------------------------------------------
+#
+# An AST compiles once into a tree of closures that runs the ufunc sequence
+# of a direct tree walk: every float operation is the same, so results match
+# bit for bit.  Subtrees without x fold to Python floats, computed by the same
+# numpy operation on a one-element array; an array combined with a float then
+# gives, element by element, what it gives combined with an array of that
+# float.  Compiled closures take arrays of at least one dimension.
 
 def _sinc(a: float, x: np.ndarray) -> np.ndarray:
     y = a * x
     small = np.abs(y) < 1e-6
-    ys = np.where(small, 1.0, y)  # avoid 0/0; replaced below
-    out = np.sin(ys) / ys
-    y2 = y * y
-    series = 1.0 - y2 / 6.0 * (1.0 - y2 / 20.0)
-    return np.where(small, series, out)
+    if not small.any():
+        return np.sin(y) / y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.sin(y) / y
+    ys = y[small]
+    y2 = ys * ys
+    out[small] = 1.0 - y2 / 6.0 * (1.0 - y2 / 20.0)
+    return out
 
 
 def _sincd(a: float, order: int, x: np.ndarray) -> np.ndarray:
     """n-th derivative of sin(ax)/(ax): a^n * d^n/dy^n [sin(y)/y] at y = ax."""
     y = a * x
     small = np.abs(y) < 0.5
-    ysafe = np.where(small, 1.0, y)
     # closed form: d^n/dy^n (sin y / y) = sum_j C(n,j) sin(y + j pi/2) *
     #   (-1)^(n-j) (n-j)! / y^(n-j+1)
     closed = np.zeros_like(y, dtype=float)
     n = order
-    for j in range(n + 1):
-        coeff = math.comb(n, j) * (-1.0) ** (n - j) * math.factorial(n - j)
-        closed += coeff * np.sin(ysafe + j * math.pi / 2.0) / ysafe ** (n - j + 1)
-    # Taylor: sin(y)/y = sum_m (-1)^m y^(2m) / (2m+1)!
-    series = np.zeros_like(y, dtype=float)
-    for m in range((n + 1) // 2, (n + 1) // 2 + 12):
-        if 2 * m < n:
-            continue
-        c = (-1.0) ** m * math.factorial(2 * m) / (
-            math.factorial(2 * m - n) * math.factorial(2 * m + 1))
-        series += c * y ** (2 * m - n)
-    return a ** n * np.where(small, series, closed)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(n + 1):
+            coeff = math.comb(n, j) * (-1.0) ** (n - j) * math.factorial(n - j)
+            closed += coeff * np.sin(y + j * math.pi / 2.0) / y ** (n - j + 1)
+    if small.any():
+        # Taylor: sin(y)/y = sum_m (-1)^m y^(2m) / (2m+1)!
+        ys = y[small]
+        series = np.zeros_like(ys)
+        for m in range((n + 1) // 2, (n + 1) // 2 + 12):
+            if 2 * m < n:
+                continue
+            c = (-1.0) ** m * math.factorial(2 * m) / (
+                math.factorial(2 * m - n) * math.factorial(2 * m + 1))
+            series += c * ys ** (2 * m - n)
+        closed[small] = series
+    return a ** n * closed
 
 
-def evaluate(node: Node, x: np.ndarray) -> np.ndarray:
+def _fold(op, *values: float) -> float:
+    return float(op(*(np.full(1, v) for v in values))[0])
+
+
+def _binary(op, left, right):
+    """Combine two compiled operands; a float stands for a constant."""
+    lc, rc = isinstance(left, float), isinstance(right, float)
+    if lc and rc:
+        return _fold(op, left, right)
+    if lc:
+        return lambda x: op(left, right(x))
+    if rc:
+        return lambda x: op(left(x), right)
+    return lambda x: op(left(x), right(x))
+
+
+def _unary(op, operand):
+    if isinstance(operand, float):
+        return _fold(op, operand)
+    return lambda x: op(operand(x))
+
+
+def _power(exponent: int):
+    if exponent >= 0:
+        return lambda b: b ** exponent
+    return lambda b: 1.0 / b ** (-exponent)
+
+
+_CALLS = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "abs": np.abs}
+_BINARY = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
+
+
+def _compile(node: Node):
+    """A closure x -> values for node, or a float when node has no x."""
     if isinstance(node, Num):
-        return np.full_like(x, node.value, dtype=float)
+        return float(node.value)
     if isinstance(node, Var):
-        return np.asarray(x, dtype=float)
-    if isinstance(node, Add):
-        return evaluate(node.left, x) + evaluate(node.right, x)
-    if isinstance(node, Sub):
-        return evaluate(node.left, x) - evaluate(node.right, x)
-    if isinstance(node, Mul):
-        return evaluate(node.left, x) * evaluate(node.right, x)
-    if isinstance(node, Div):
-        return evaluate(node.left, x) / evaluate(node.right, x)
+        return lambda x: x
+    op = _BINARY.get(type(node))
+    if op is not None:
+        return _binary(op, _compile(node.left), _compile(node.right))
     if isinstance(node, Pow):
-        base = evaluate(node.base, x)
-        if node.exponent >= 0:
-            return base ** node.exponent
-        return 1.0 / base ** (-node.exponent)
+        return _unary(_power(node.exponent), _compile(node.base))
     if isinstance(node, Neg):
-        return -evaluate(node.operand, x)
+        return _unary(np.negative, _compile(node.operand))
     if isinstance(node, Call):
-        arg = evaluate(node.arg, x)
-        if node.name == "exp":
-            return np.exp(arg)
-        if node.name == "sin":
-            return np.sin(arg)
-        if node.name == "cos":
-            return np.cos(arg)
-        return np.abs(arg)
+        return _unary(_CALLS[node.name], _compile(node.arg))
     if isinstance(node, Gauss):
-        xv = np.asarray(x, dtype=float)
-        return np.exp(-node.a * xv * xv)
+        neg_a = -node.a
+        return lambda x: np.exp(neg_a * x * x)
     if isinstance(node, Sinc):
-        return _sinc(node.a, np.asarray(x, dtype=float))
+        a = node.a
+        return lambda x: _sinc(a, x)
     if isinstance(node, SincD):
-        return _sincd(node.a, node.order, np.asarray(x, dtype=float))
+        a, order = node.a, node.order
+        return lambda x: _sincd(a, order, x)
     if isinstance(node, Indicator):
-        xv = np.asarray(x, dtype=float)
-        return ((xv >= node.a) & (xv <= node.b)).astype(float)
+        a, b = node.a, node.b
+        return lambda x: ((x >= a) & (x <= b)).astype(float)
     raise TypeError(node)
+
+
+def compile_expr(node: Node):
+    """Compile node into a function of a float array of at least 1 dimension."""
+    fn = _compile(node)
+    if isinstance(fn, float):
+        value = fn
+        return lambda x: np.full_like(x, value, dtype=float)
+    return fn
+
+
+def _apply(fn, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    return fn(x.reshape(1)).reshape(()) if x.ndim == 0 else fn(x)
+
+
+def evaluate(node: Node, x) -> np.ndarray:
+    """Compile node and evaluate it once at x."""
+    return _apply(compile_expr(node), x)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +662,7 @@ class FuncExpr:
     """A parsed test function: AST plus decay metadata.
 
     Values are immutable and evaluation is pure, so instances can be shared
-    freely across threads.
+    freely across threads.  The AST is compiled on the first call.
     """
 
     ast: Node
@@ -616,9 +670,18 @@ class FuncExpr:
     decay_class: Decay
     deriv_order_available: int
 
+    @cached_property
+    def _compiled(self):
+        return compile_expr(self.ast)
+
+    @cached_property
+    def constant(self) -> Optional[float]:
+        """The value of an expression without x; None when x occurs."""
+        return None if _contains_var(self.ast) else self(0.0)
+
     def __call__(self, x):
         scalar = np.isscalar(x)
-        out = evaluate(self.ast, np.asarray(x, dtype=float))
+        out = _apply(self._compiled, x)
         return float(out) if scalar else out
 
     def derivative(self, order: int = 1) -> "FuncExpr":
@@ -685,12 +748,6 @@ def estimate_log_holder(p: FuncExpr, window: float, samples: int,
     return c_local, c_decay, float(np.min(vals)), float(np.max(vals))
 
 
-def _is_constant(node: Node) -> Optional[float]:
-    if _contains_var(node):
-        return None
-    return float(evaluate(node, np.asarray(0.0)))
-
-
 @dataclass(frozen=True)
 class ExponentField:
     """An exponent p(.) with its range, asymptote and log-continuity data.
@@ -725,7 +782,7 @@ class ExponentField:
                   window: float = 50.0, samples: int = 801,
                   name: Optional[str] = None) -> "ExponentField":
         expr = src_or_expr if isinstance(src_or_expr, FuncExpr) else parse(src_or_expr)
-        const = _is_constant(expr.ast)
+        const = expr.constant
         if const is not None:
             if const < 1.0:
                 raise ExponentRangeError(f"constant exponent {const} < 1")

@@ -17,7 +17,8 @@ import numpy as np
 
 from .fnexpr import Decay, FuncExpr
 
-_CHUNK = 1 << 22  # max scratch elements for outer-product evaluations
+_CHUNK = 1 << 22  # max elements of one outer-product block (one gemv)
+_SUB_CHUNK = 1 << 15  # elements per f evaluation: its temporaries stay in L2
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,7 @@ class RealFunction:
     osc_wavelength: float = math.inf
     exact: Optional[object] = None  # exact Steklov engine, when available
     expr: Optional[FuncExpr] = None
+    tail_bound: float = 0.0  # truncation bound of a convolution that built fn
 
     def __call__(self, x):
         scalar = np.isscalar(x)
@@ -115,7 +117,12 @@ def shifted(f: RealFunction, shift: float, name: Optional[str] = None) -> RealFu
 
 def outer_apply(f: RealFunction, x: np.ndarray, offsets: np.ndarray,
                 weights: np.ndarray) -> np.ndarray:
-    """Compute sum_j w_j f(x_i + t_j) for all i, chunking the scratch array."""
+    """Compute sum_j w_j f(x_i + t_j) for all i.
+
+    Rows go to BLAS in blocks of _CHUNK // m, whatever the sub-block size:
+    gemv results depend on the row count of the call.  Each block is filled
+    by evaluating f on sub-blocks of about _SUB_CHUNK elements.
+    """
     x = np.asarray(x, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -123,9 +130,13 @@ def outer_apply(f: RealFunction, x: np.ndarray, offsets: np.ndarray,
     m = offsets.size
     out = np.empty(n, dtype=float)
     step = max(1, _CHUNK // max(m, 1))
+    sub = max(1, _SUB_CHUNK // max(m, 1))
     flat_x = x.ravel()
+    vals = np.empty((min(step, n), m), dtype=float)
     for i0 in range(0, n, step):
         block = flat_x[i0:i0 + step]
-        vals = f.fn(block[:, None] + offsets[None, :])
-        out[i0:i0 + step] = vals @ weights
+        rows = vals[:block.size]
+        for j0 in range(0, block.size, sub):
+            rows[j0:j0 + sub] = f.fn(block[j0:j0 + sub, None] + offsets[None, :])
+        out[i0:i0 + step] = rows @ weights
     return out.reshape(x.shape)

@@ -6,10 +6,12 @@ the CLI itself twice on the bundled configuration.
 
 Known red case: criterion 9 demands the first-order modulus of every corpus
 member at step 1e-4 to lie below 1e-3 in the Luxemburg norm.  For the plain
-indicator member the modulus scales like sqrt(2*delta/3) ~ 8.2e-3 (the jump
-contributes a full-height sliver of width delta), so the 1e-3 threshold at
-delta = 1e-4 is not attainable by any correct implementation; the case is
-asserted as stated and fails honestly.
+indicator 1_[0,1], (I - T_d)f is two ramps of height 1 and width d, one at
+each jump, so the modulus solves d/((p(0)+1) lam^p(0)) + d/((p(1)+1)
+lam^p(1)) = 1: sqrt(2*delta/3) ~ 8.2e-3 in p2, and 0.0311 in p_bump, where
+p(0) = 3 and p(1) = 2.5.  The 1e-3 threshold at delta = 1e-4 is not
+attainable by any correct implementation; the case is asserted as stated and
+fails honestly.
 """
 
 import math
@@ -296,7 +298,7 @@ def test_criterion_09_vanishing_modulus(member):
     report(9, ok, f"{member}: final modulus {worst_final:.3g} "
                   f"(tol 1e-3), non-increasing={mono_ok}")
     assert mono_ok
-    # the indicator's modulus scales like sqrt(2*delta/3) ~ 8.2e-3 here, so
+    # the indicator's modulus is 0.0311 here (p_bump; 8.2e-3 in p2), so
     # this assertion fails for the box member; asserted as stated
     assert worst_final < 1e-3
 

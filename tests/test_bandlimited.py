@@ -87,6 +87,18 @@ class TestSurrogate:
         est = best_approx_surrogate(zero, 4.0, NormSpec.vexp(p2))
         assert est.value == 0.0
 
+    @pytest.mark.parametrize("src, value", [("0", 0.0), ("3", 3.0)])
+    def test_constant_input_short_circuits(self, monkeypatch, src, value):
+        # J reproduces constants; the decay-less input must not reach the
+        # 1e7-wide convolution window
+        def refuse(*args):
+            raise AssertionError("outer_apply called for a constant input")
+        monkeypatch.setattr("vexp.bandlimited.outer_apply", refuse)
+        j = vp_operator(as_real_function(parse(src)), 2.0)
+        xs = np.linspace(-50.0, 50.0, 101)
+        assert np.all(j(xs) == value)
+        assert j.tail_bound == 0.0
+
     def test_reproduction_kills_the_surrogate(self, p2):
         f = as_real_function(parse("sinc(1)"), name="sinc1")
         est = best_approx_surrogate(f, 2.0, NormSpec.vexp(p2, window=20.0),

@@ -11,6 +11,47 @@ from vexp.fnexpr import (ExponentField, ExponentRangeError,
                          estimate_log_holder, parse)
 
 
+_LEAVES = st.one_of(
+    st.floats(-5, 5).map(lambda v: fnexpr.Num(round(v, 3))),
+    st.just(fnexpr.Var()),
+    st.floats(0.5, 4).map(lambda a: fnexpr.Gauss(round(a, 2))),
+    st.floats(0.5, 4).map(lambda a: fnexpr.Sinc(round(a, 2))),
+)
+
+
+def _nodes(kids):
+    return st.one_of(
+        st.tuples(kids, kids).map(lambda t: fnexpr.Add(*t)),
+        st.tuples(kids, kids).map(lambda t: fnexpr.Mul(*t)),
+        st.tuples(kids, st.integers(0, 3)).map(lambda t: fnexpr.Pow(*t)),
+        kids.map(fnexpr.Neg),
+        kids.map(lambda a: fnexpr.Call("sin", a)),
+        kids.map(lambda a: fnexpr.Call("exp", a)),
+    )
+
+
+RANDOM_AST = st.recursive(_LEAVES, _nodes, max_leaves=12)
+
+# every node type, for the compiler's bit-identity check
+ALL_NODES_AST = st.recursive(
+    st.one_of(
+        _LEAVES,
+        st.tuples(st.floats(0.5, 4), st.integers(1, 4)).map(
+            lambda t: fnexpr.SincD(round(t[0], 2), t[1])),
+        st.tuples(st.floats(-2, 0), st.floats(0.1, 2)).map(
+            lambda t: fnexpr.Indicator(round(t[0], 2), round(t[0] + t[1], 2))),
+    ),
+    lambda kids: st.one_of(
+        _nodes(kids),
+        st.tuples(kids, kids).map(lambda t: fnexpr.Sub(*t)),
+        st.tuples(kids, kids).map(lambda t: fnexpr.Div(*t)),
+        st.tuples(kids, st.integers(-3, -1)).map(lambda t: fnexpr.Pow(*t)),
+        kids.map(lambda a: fnexpr.Call("cos", a)),
+        kids.map(lambda a: fnexpr.Call("abs", a)),
+    ),
+    max_leaves=12)
+
+
 class TestParse:
     def test_gaussian(self):
         f = parse("exp(-x^2)")
@@ -66,22 +107,7 @@ class TestPrinterRoundTrip:
             assert parse(printed).ast == ast1
 
     @settings(max_examples=60, deadline=None)
-    @given(st.recursive(
-        st.one_of(
-            st.floats(-5, 5).map(lambda v: fnexpr.Num(round(v, 3))),
-            st.just(fnexpr.Var()),
-            st.floats(0.5, 4).map(lambda a: fnexpr.Gauss(round(a, 2))),
-            st.floats(0.5, 4).map(lambda a: fnexpr.Sinc(round(a, 2))),
-        ),
-        lambda kids: st.one_of(
-            st.tuples(kids, kids).map(lambda t: fnexpr.Add(*t)),
-            st.tuples(kids, kids).map(lambda t: fnexpr.Mul(*t)),
-            st.tuples(kids, st.integers(0, 3)).map(lambda t: fnexpr.Pow(*t)),
-            kids.map(fnexpr.Neg),
-            kids.map(lambda a: fnexpr.Call("sin", a)),
-            kids.map(lambda a: fnexpr.Call("exp", a)),
-        ),
-        max_leaves=12))
+    @given(RANDOM_AST)
     def test_idempotence_random_ast(self, ast):
         # parse(print(parse(src))) == parse(src) for any source text; random
         # trees are first pushed through one parse to reach canonical form
@@ -177,3 +203,129 @@ class TestLogHolder:
     def test_dual_requires_pminus_above_one(self):
         with pytest.raises(ExponentRangeError):
             ExponentField.from_expr("1").dual()
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation against a tree-walking reference
+# ---------------------------------------------------------------------------
+
+def _ref_sinc(a, x):
+    y = a * x
+    small = np.abs(y) < 1e-6
+    ys = np.where(small, 1.0, y)
+    out = np.sin(ys) / ys
+    y2 = y * y
+    series = 1.0 - y2 / 6.0 * (1.0 - y2 / 20.0)
+    return np.where(small, series, out)
+
+
+def _ref_sincd(a, n, x):
+    y = a * x
+    small = np.abs(y) < 0.5
+    ysafe = np.where(small, 1.0, y)
+    closed = np.zeros_like(y, dtype=float)
+    for j in range(n + 1):
+        coeff = math.comb(n, j) * (-1.0) ** (n - j) * math.factorial(n - j)
+        closed += coeff * np.sin(ysafe + j * math.pi / 2.0) / ysafe ** (n - j + 1)
+    series = np.zeros_like(y, dtype=float)
+    for m in range((n + 1) // 2, (n + 1) // 2 + 12):
+        if 2 * m < n:
+            continue
+        c = (-1.0) ** m * math.factorial(2 * m) / (
+            math.factorial(2 * m - n) * math.factorial(2 * m + 1))
+        series += c * y ** (2 * m - n)
+    return a ** n * np.where(small, series, closed)
+
+
+def reference_eval(node, x):
+    """Direct tree walk: one ufunc per node, literals as full arrays."""
+    ev = reference_eval
+    if isinstance(node, fnexpr.Num):
+        return np.full_like(x, node.value, dtype=float)
+    if isinstance(node, fnexpr.Var):
+        return x
+    if isinstance(node, fnexpr.Add):
+        return ev(node.left, x) + ev(node.right, x)
+    if isinstance(node, fnexpr.Sub):
+        return ev(node.left, x) - ev(node.right, x)
+    if isinstance(node, fnexpr.Mul):
+        return ev(node.left, x) * ev(node.right, x)
+    if isinstance(node, fnexpr.Div):
+        return ev(node.left, x) / ev(node.right, x)
+    if isinstance(node, fnexpr.Pow):
+        base = ev(node.base, x)
+        if node.exponent >= 0:
+            return base ** node.exponent
+        return 1.0 / base ** (-node.exponent)
+    if isinstance(node, fnexpr.Neg):
+        return -ev(node.operand, x)
+    if isinstance(node, fnexpr.Call):
+        ufunc = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "abs": np.abs}
+        return ufunc[node.name](ev(node.arg, x))
+    if isinstance(node, fnexpr.Gauss):
+        return np.exp(-node.a * x * x)
+    if isinstance(node, fnexpr.Sinc):
+        return _ref_sinc(node.a, x)
+    if isinstance(node, fnexpr.SincD):
+        return _ref_sincd(node.a, node.order, x)
+    if isinstance(node, fnexpr.Indicator):
+        return ((x >= node.a) & (x <= node.b)).astype(float)
+    raise TypeError(node)
+
+
+# zero, points inside every series window, indicator ends, wide values
+POINTS = np.unique(np.concatenate([
+    np.linspace(-30.0, 30.0, 601), np.linspace(-0.3, 0.3, 61),
+    [0.0, 1e-300, -1e-9, 1e-7, 3e-7, -2e-6, 0.125, -0.5, 1e5, -3e7],
+]))
+
+
+def assert_bit_identical(node):
+    with np.errstate(all="ignore"):
+        want = reference_eval(node, POINTS)
+        got = fnexpr.evaluate(node, POINTS)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestCompiler:
+    @settings(max_examples=200, deadline=None)
+    @given(ALL_NODES_AST)
+    def test_random_ast_bit_identical(self, ast):
+        assert_bit_identical(ast)
+
+    def test_corpus_and_derivatives_bit_identical(self):
+        from vexp.corpus import default_corpus
+        for member in default_corpus():
+            if member.expr is None:
+                continue
+            assert_bit_identical(member.expr.ast)
+            if member.smooth:
+                for order in (1, 2):
+                    assert_bit_identical(differentiate(member.expr, order).ast)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_sincd_bit_identical(self, order):
+        assert_bit_identical(fnexpr.SincD(1.7, order))
+
+    def test_exponent_fields_and_duals_bit_identical(self):
+        from vexp.corpus import default_exponents
+        fields = default_exponents()
+        assert len(fields) == 3
+        for p in fields:
+            assert_bit_identical(p.expr.ast)
+            if p.p_minus > 1.0:
+                assert_bit_identical(p.dual().expr.ast)
+
+    def test_constant_folding(self):
+        for src in ("2 * 3 - 1 + 0 * x", "gauss(2)", "sinc(1)", "indicator(0, 1)"):
+            assert parse(src).constant is None
+        assert parse("(2 + 1) ^ 2").constant == 9.0
+        out = parse("4")(np.zeros((2, 3)))
+        assert out.shape == (2, 3) and np.all(out == 4.0)
+
+    def test_scalar_and_zero_dim_inputs(self):
+        f = parse("sinc(2) + x")
+        assert f(0.0) == 1.0
+        assert isinstance(f(0.5), float)
+        assert f(np.asarray(0.5)).shape == ()
