@@ -22,9 +22,8 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -103,9 +102,8 @@ class AuditReport:
 class Context:
     """Resolved corpus objects plus caches shared across cases.
 
-    All cached values are computed from immutable inputs; the lock only
-    guards dictionary insertion, so concurrent case execution stays
-    deterministic.
+    All cached values are computed from immutable inputs, so the order in
+    which cases run does not change any result.
     """
 
     def __init__(self, spec: QuadSpec = DEFAULT_SPEC):
@@ -114,24 +112,20 @@ class Context:
         self._p_cache: dict[tuple, ExponentField] = {}
         self._norm_cache: dict = {}
         self._ahat_cache: dict = {}
-        self._lock = threading.Lock()
 
     def member(self, src: str) -> CorpusMember:
-        with self._lock:
-            if src not in self._fn_cache:
-                self._fn_cache[src] = resolve_function(src)
-            return self._fn_cache[src]
+        if src not in self._fn_cache:
+            self._fn_cache[src] = resolve_function(src)
+        return self._fn_cache[src]
 
     def exponent(self, src: str, p_infinity: Optional[float]) -> ExponentField:
         key = (src, p_infinity)
-        with self._lock:
-            if key not in self._p_cache:
-                self._p_cache[key] = resolve_exponent(src, p_infinity)
-            return self._p_cache[key]
+        if key not in self._p_cache:
+            self._p_cache[key] = resolve_exponent(src, p_infinity)
+        return self._p_cache[key]
 
-    def vexp_spec(self, m: CorpusMember, p: ExponentField,
-                  window: Optional[float] = None) -> NormSpec:
-        return NormSpec.vexp(p, window=window or m.norm_window,
+    def vexp_spec(self, m: CorpusMember, p: ExponentField) -> NormSpec:
+        return NormSpec.vexp(p, window=m.norm_window,
                              panels_per_unit=m.panels_per_unit)
 
     def sup_spec(self, m: CorpusMember) -> NormSpec:
@@ -139,13 +133,9 @@ class Context:
 
     def norm(self, m: CorpusMember, norm: NormSpec) -> float:
         key = ("norm", m.name, _norm_key(norm))
-        with self._lock:
-            if key in self._norm_cache:
-                return self._norm_cache[key]
-        val = norm_of(m.rf, norm, self.spec)
-        with self._lock:
-            self._norm_cache[key] = val
-        return val
+        if key not in self._norm_cache:
+            self._norm_cache[key] = norm_of(m.rf, norm, self.spec)
+        return self._norm_cache[key]
 
     def ahat(self, m: CorpusMember, norm: NormSpec, sigma: float,
              lhs_window: Optional[float] = None,
@@ -153,15 +143,11 @@ class Context:
         """Cached A_hat_sigma(f) = ||f - J(f, sigma/2)|| in the given norm."""
         tail = tail_target if tail_target is not None else 1e-8
         key = ("ahat", m.name, _norm_key(norm), round(sigma, 12), lhs_window, tail)
-        with self._lock:
-            if key in self._ahat_cache:
-                return self._ahat_cache[key]
-        norm_used = norm if lhs_window is None else replace(norm, window=lhs_window)
-        est = best_approx_surrogate(m.rf, sigma, norm_used, self.spec,
-                                    tail_target=tail)
-        with self._lock:
-            self._ahat_cache[key] = est.value
-        return est.value
+        if key not in self._ahat_cache:
+            norm_used = norm if lhs_window is None else replace(norm, window=lhs_window)
+            self._ahat_cache[key] = best_approx_surrogate(
+                m.rf, sigma, norm_used, self.spec, tail_target=tail).value
+        return self._ahat_cache[key]
 
     def a0(self, m: CorpusMember, norm: NormSpec) -> float:
         """Deviation from the type-0 class (bounded entire = constants).
@@ -199,19 +185,29 @@ def _case_id(m: CorpusMember, p: Optional[ExponentField] = None, **kv) -> str:
 def _omega(ctx: Context, m: CorpusMember, r: int, delta: float,
            norm: NormSpec) -> float:
     key = ("omega", m.name, _norm_key(norm), r, round(delta, 14))
-    with ctx._lock:
-        if key in ctx._norm_cache:
-            return ctx._norm_cache[key]
-    val = modulus(ModulusRequest(m.rf, r, delta, norm), ctx.spec)
-    with ctx._lock:
-        ctx._norm_cache[key] = val
-    return val
+    if key not in ctx._norm_cache:
+        ctx._norm_cache[key] = modulus(ModulusRequest(m.rf, r, delta, norm),
+                                       ctx.spec)
+    return ctx._norm_cache[key]
 
 
-def _require(case: AuditCase, **needs):
+def _resolve(ctx: Context, case: AuditCase, kind: str, **needs
+             ) -> tuple[CorpusMember, Optional[ExponentField], NormSpec]:
+    """Check the inputs a family needs; return (member, exponent, norm).
+
+    kind is the norm the family is stated in: "vexp" needs an exponent and
+    uses the member's Luxemburg norm, "sup" ignores any exponent.
+    """
+    if kind == "vexp":
+        needs["p_src"] = "exponent"
     for attr, why in needs.items():
         if not getattr(case, attr):
             raise ValueError(f"theorem {case.theorem!r} needs {attr} ({why})")
+    m = ctx.member(case.f_src)
+    if kind == "sup":
+        return m, None, ctx.sup_spec(m)
+    p = ctx.exponent(case.p_src, case.p_infinity)
+    return m, p, ctx.vexp_spec(m, p)
 
 
 def _deriv_member(m: CorpusMember, order: int) -> RealFunction:
@@ -223,15 +219,12 @@ def _deriv_member(m: CorpusMember, order: int) -> RealFunction:
 
 
 # ---------------------------------------------------------------------------
-# Theorem runners: variable-exponent families
+# Theorem runners: variable-exponent families, and twins that serve both norms
 # ---------------------------------------------------------------------------
 
 def run_steklov_bound(ctx: Context, case: AuditCase) -> list[AuditRow]:
     """||T_d f||_p <= c10 ||f||_p, uniformly in d."""
-    _require(case, deltas="Steklov step grid", p_src="exponent")
-    m = ctx.member(case.f_src)
-    p = ctx.exponent(case.p_src, case.p_infinity)
-    norm = ctx.vexp_spec(m, p)
+    m, p, norm = _resolve(ctx, case, "vexp", deltas="Steklov step grid")
     c10 = C.c10(p.p_plus, p.c3)
     nf = ctx.norm(m, norm)
     rows = []
@@ -247,68 +240,40 @@ def run_steklov_bound(ctx: Context, case: AuditCase) -> list[AuditRow]:
 
 
 def run_holder(ctx: Context, case: AuditCase) -> list[AuditRow]:
-    _require(case, g_src="second factor", p_src="exponent")
-    m = ctx.member(case.f_src)
+    m, p, _ = _resolve(ctx, case, "vexp", g_src="second factor")
     g = ctx.member(case.g_src)
-    p = ctx.exponent(case.p_src, case.p_infinity)
     win = max(m.norm_window, g.norm_window)
     ppu = max(m.panels_per_unit, g.panels_per_unit)
     return [holder_audit(m.rf, g.rf, p, ctx.spec, window=win, panels_per_unit=ppu)]
 
 
-def run_kfunc_equiv_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
-    """Two-sided equivalence of the modulus with the K-functional bound."""
-    _require(case, deltas="steps", p_src="exponent")
-    m = ctx.member(case.f_src)
-    p = ctx.exponent(case.p_src, case.p_infinity)
-    norm = ctx.vexp_spec(m, p)
+def run_kfunc_equiv(ctx: Context, case: AuditCase, kind: str,
+                    upper: Callable, lower: Callable) -> list[AuditRow]:
+    """Two-sided equivalence of the modulus with the K-functional bound:
+    K_hat <= upper * Omega_r(f, d) and Omega_r(f, d) <= lower * K_hat."""
+    m, p, norm = _resolve(ctx, case, kind, deltas="steps")
     r = case.r
-    up = C.kfunc_equiv_upper(r, p.p_plus, p.c3)
-    low = C.kfunc_equiv_lower(r, p.p_plus, p.c3)
+    up, low = upper(case, p), lower(case, p)
     rows = []
     for d in case.deltas:
         om = _omega(ctx, m, r, d, norm)
         kh = k_functional_upper(m.rf, r, d, norm, ctx.spec)
         rows.append(make_row(
-            "kfunc_equiv_vexp_upper", _case_id(m, p, r=r, delta=d),
+            f"{case.theorem}_upper", _case_id(m, p, r=r, delta=d),
             lhs=kh.value, rhs=up * om, constant_used=up,
             flags=("K_surrogate",),
             truncation_bounds={"f_minus_g": kh.f_minus_g_norm,
                                "g_deriv": kh.g_deriv_norm}))
         rows.append(make_row(
-            "kfunc_equiv_vexp_lower", _case_id(m, p, r=r, delta=d),
+            f"{case.theorem}_lower", _case_id(m, p, r=r, delta=d),
             lhs=om, rhs=low * kh.value, constant_used=low,
-            flags=("K_surrogate",)))
-    return rows
-
-
-def run_kfunc_equiv_sup(ctx: Context, case: AuditCase) -> list[AuditRow]:
-    """Sup-norm equivalence: K_hat <= c8_k(r) * modulus and modulus <= 2^r K_hat."""
-    _require(case, deltas="steps")
-    m = ctx.member(case.f_src)
-    norm = ctx.sup_spec(m)
-    r = case.r
-    c8 = C.c8_k(r)
-    rows = []
-    for d in case.deltas:
-        om = _omega(ctx, m, r, d, norm)
-        kh = k_functional_upper(m.rf, r, d, norm, ctx.spec)
-        rows.append(make_row(
-            "kfunc_equiv_sup_upper", _case_id(m, r=r, delta=d),
-            lhs=kh.value, rhs=c8 * om, constant_used=c8, flags=("K_surrogate",)))
-        rows.append(make_row(
-            "kfunc_equiv_sup_lower", _case_id(m, r=r, delta=d),
-            lhs=om, rhs=2.0 ** r * kh.value, constant_used=2.0 ** r,
             flags=("K_surrogate",)))
     return rows
 
 
 def run_jackson_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
     """||f - J(f, s)||_p <= c11 * Omega_r(f, 1/(2s))_p (the direct estimate)."""
-    _require(case, sigmas="type grid", p_src="exponent")
-    m = ctx.member(case.f_src)
-    p = ctx.exponent(case.p_src, case.p_infinity)
-    norm = ctx.vexp_spec(m, p)
+    m, p, norm = _resolve(ctx, case, "vexp", sigmas="type grid")
     r = case.r
     c11 = C.c11(r, p.p_plus, p.c3)
     rows = []
@@ -348,26 +313,25 @@ def _ahat_integral(ctx: Context, m: CorpusMember, norm: NormSpec,
     return total, {"sigma_grid": sorted(table), "n_segments": n_seg}
 
 
-def run_inverse_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
-    """Omega_r(f,d)_p <= c12 d^r (A_0 + int_{1/2}^{1/d} u^(r-1) A_hat(u/2) du)."""
-    _require(case, deltas="steps in (0,1)", p_src="exponent")
-    m = ctx.member(case.f_src)
-    p = ctx.exponent(case.p_src, case.p_infinity)
-    norm = ctx.vexp_spec(m, p)
+def run_inverse(ctx: Context, case: AuditCase, kind: str, constant: Callable,
+                sigma_scale: float) -> list[AuditRow]:
+    """Omega_r(f,d) <= c d^r (A_0 + int_{1/2}^{1/d} u^(r-1) A_hat(s u) du),
+    with s = sigma_scale."""
+    m, p, norm = _resolve(ctx, case, kind, deltas="steps in (0,1)")
     r = case.r
-    c12 = C.c12(r, p.p_plus, p.c3)
+    c = constant(case, p)
     a0 = ctx.a0(m, norm)
     rows = []
     for d in case.deltas:
         if not d < 1.0:
             raise ValueError("inverse estimate needs delta in (0, 1)")
         om = _omega(ctx, m, r, d, norm)
-        integral, info = _ahat_integral(ctx, m, norm, 0.5, 1.0 / d, r, 0.5,
-                                        case.lhs_window, case.vp_tail)
-        rhs = c12 * d ** r * (a0 + integral)
+        integral, info = _ahat_integral(ctx, m, norm, 0.5, 1.0 / d, r,
+                                        sigma_scale, case.lhs_window,
+                                        case.vp_tail)
         rows.append(make_row(
-            "inverse_vexp", _case_id(m, p, r=r, delta=d),
-            lhs=om, rhs=rhs, constant_used=c12,
+            case.theorem, _case_id(m, p, r=r, delta=d),
+            lhs=om, rhs=c * d ** r * (a0 + integral), constant_used=c,
             flags=("A_sigma_surrogate",),
             truncation_bounds={"a0": a0, **info}))
     return rows
@@ -375,10 +339,7 @@ def run_inverse_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
 
 def run_marchaud_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
     """Omega_r(f,t)_p <= c14 t^r int_t^1 Omega_{r+k}(f,u)/u^(r+1) du (no surrogates)."""
-    _require(case, t_grid="steps in (0, 1/2)", p_src="exponent")
-    m = ctx.member(case.f_src)
-    p = ctx.exponent(case.p_src, case.p_infinity)
-    norm = ctx.vexp_spec(m, p)
+    m, p, norm = _resolve(ctx, case, "vexp", t_grid="steps in (0, 1/2)")
     r, k = case.r, case.k
     c14 = C.c14_marchaud(r, k, p.p_plus, p.c3)
     rows = []
@@ -407,10 +368,7 @@ def _marchaud_integral(ctx: Context, m: CorpusMember, norm: NormSpec,
 
 def run_one_step_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
     """Omega_1(f,h)_p <= c8_transfer(72) * Omega_1(f,d)_p for h <= d."""
-    _require(case, deltas="at least two steps", p_src="exponent")
-    m = ctx.member(case.f_src)
-    p = ctx.exponent(case.p_src, case.p_infinity)
-    norm = ctx.vexp_spec(m, p)
+    m, p, norm = _resolve(ctx, case, "vexp", deltas="at least two steps")
     c = C.c8_transfer(72.0, p.p_plus, p.c3)
     rows = []
     for h, d in zip(case.deltas, case.deltas[1:]):
@@ -423,11 +381,8 @@ def run_one_step_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
 
 def run_scaling_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
     """Omega_r(f, lam*d) <= scaling_compare * (1+floor(lam))^r * Omega_r(f,d)."""
-    _require(case, deltas="steps in (0,1)", lambdas="scale factors in (0,1)",
-             p_src="exponent")
-    m = ctx.member(case.f_src)
-    p = ctx.exponent(case.p_src, case.p_infinity)
-    norm = ctx.vexp_spec(m, p)
+    m, p, norm = _resolve(ctx, case, "vexp", deltas="steps in (0,1)",
+                          lambdas="scale factors in (0,1)")
     r = case.r
     base_c = C.scaling_compare(r, p.p_plus, p.c3)
     rows = []
@@ -445,10 +400,7 @@ def run_scaling_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
 
 def run_smooth_bound_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
     """Omega_r(f,d)_p <= (c10/2)^r d^r ||f^(r)||_p for r-smooth f."""
-    _require(case, deltas="steps", p_src="exponent")
-    m = ctx.member(case.f_src)
-    p = ctx.exponent(case.p_src, case.p_infinity)
-    norm = ctx.vexp_spec(m, p)
+    m, p, norm = _resolve(ctx, case, "vexp", deltas="steps")
     r = case.r
     c = (C.c10(p.p_plus, p.c3) / 2.0) ** r
     fr = _deriv_member(m, r)
@@ -463,17 +415,11 @@ def run_smooth_bound_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
 
 
 def run_modulus_props(ctx: Context, case: AuditCase) -> list[AuditRow]:
-    """Structural modulus properties in the requested norm."""
-    _require(case, deltas="two steps", g_src="companion function")
-    m = ctx.member(case.f_src)
+    """Structural modulus properties, in L^p(.) when p is given, else sup."""
+    m, p, norm = _resolve(ctx, case, "vexp" if case.p_src else "sup",
+                          deltas="two steps", g_src="companion function")
     g = ctx.member(case.g_src)
-    if case.p_src:
-        p = ctx.exponent(case.p_src, case.p_infinity)
-        norm = ctx.vexp_spec(m, p)
-        c10 = C.c10(p.p_plus, p.c3)
-    else:
-        norm = ctx.sup_spec(m)
-        c10 = None
+    c10 = C.c10(p.p_plus, p.c3) if p is not None else None
     f_deriv = _deriv_member(m, case.r) if m.smooth else None
     d1, d2 = case.deltas[0], case.deltas[-1]
     return modulus_properties_audit(m.rf, g.rf, case.r, d1, d2, norm, ctx.spec,
@@ -482,10 +428,9 @@ def run_modulus_props(ctx: Context, case: AuditCase) -> list[AuditRow]:
 
 def run_vp_norm_bound(ctx: Context, case: AuditCase) -> list[AuditRow]:
     """||J(f,s)|| <= (3/2) ||f|| in the sup norm and for constant exponents."""
-    _require(case, sigmas="type grid")
-    m = ctx.member(case.f_src)
+    m, _, sup = _resolve(ctx, case, "sup", sigmas="type grid")
     rows = []
-    norms = [("sup", ctx.sup_spec(m))]
+    norms = [("sup", sup)]
     if case.p_src:
         p = ctx.exponent(case.p_src, case.p_infinity)
         if not p.is_constant:
@@ -510,9 +455,7 @@ def run_vp_norm_bound(ctx: Context, case: AuditCase) -> list[AuditRow]:
 def run_sup_suite(ctx: Context, case: AuditCase) -> list[AuditRow]:
     """The uniform-norm estimates: derivative bound, Taylor remainder,
     one-step comparison, order comparison, and the shift-modulus bracket."""
-    _require(case, deltas="steps")
-    m = ctx.member(case.f_src)
-    norm = ctx.sup_spec(m)
+    m, _, norm = _resolve(ctx, case, "sup", deltas="steps")
     W = norm.window
     r = case.r
     rows = []
@@ -590,9 +533,7 @@ def run_jackson_sup(ctx: Context, case: AuditCase) -> list[AuditRow]:
     the chain through the computable operator rather than the bare best
     approximation.
     """
-    _require(case, sigmas="type grid")
-    m = ctx.member(case.f_src)
-    norm = ctx.sup_spec(m)
+    m, _, norm = _resolve(ctx, case, "sup", sigmas="type grid")
     r = case.r
     c = C.jackson_sup(r)
     rows = []
@@ -605,41 +546,15 @@ def run_jackson_sup(ctx: Context, case: AuditCase) -> list[AuditRow]:
     return rows
 
 
-def run_inverse_sup(ctx: Context, case: AuditCase) -> list[AuditRow]:
-    _require(case, deltas="steps in (0,1)")
-    m = ctx.member(case.f_src)
-    norm = ctx.sup_spec(m)
-    r = case.r
-    c = C.inverse_sup_prefactor(r)
-    a0 = ctx.a0(m, norm)
-    rows = []
-    for d in case.deltas:
-        if not d < 1.0:
-            raise ValueError("inverse estimate needs delta in (0,1)")
-        integral, info = _ahat_integral(ctx, m, norm, 0.5, 1.0 / d, r, 1.0,
-                                        None, case.vp_tail)
-        rhs = c * d ** r * (a0 + integral)
-        rows.append(make_row(
-            "inverse_sup", _case_id(m, r=r, delta=d),
-            lhs=_omega(ctx, m, r, d, norm), rhs=rhs, constant_used=c,
-            flags=("A_sigma_surrogate",), truncation_bounds={"a0": a0, **info}))
-    return rows
-
-
 def run_marchaud_sup(ctx: Context, case: AuditCase) -> list[AuditRow]:
-    _require(case, t_grid="steps in (0, 1/2]")
-    m = ctx.member(case.f_src)
-    norm = ctx.sup_spec(m)
+    m, _, norm = _resolve(ctx, case, "sup", t_grid="steps in (0, 1/2]")
     r, k = case.r, case.k
     c9 = C.c9(r, k)
     rows = []
     for t in case.t_grid:
         if not t <= 0.5:
             raise ValueError("Marchaud estimate needs t in (0, 1/2]")
-        edges = np.geomspace(t, 1.0, 7)
-        nodes, wts = panel_rule(edges, 6)
-        vals = np.array([_omega(ctx, m, r + k, float(u), norm) for u in nodes])
-        integral = float(np.sum(wts * vals / nodes ** (r + 1)))
+        integral = _marchaud_integral(ctx, m, norm, t, r, k, panels=6)
         rows.append(make_row(
             "marchaud_sup", _case_id(m, r=r, k=k, t=t),
             lhs=_omega(ctx, m, r, t, norm), rhs=c9 * t ** r * integral,
@@ -651,9 +566,15 @@ def run_marchaud_sup(ctx: Context, case: AuditCase) -> list[AuditRow]:
 # Truncated-series audits
 # ---------------------------------------------------------------------------
 
-def _check_series_n(case: AuditCase) -> None:
+def _series_amplitudes(ctx: Context, m: CorpusMember, norm: NormSpec,
+                       case: AuditCase, sigma_scale: float) -> list[float]:
+    """[A_0, A_hat(sigma_scale * v) for v = 1..series_n]: the series terms' A."""
     if case.series_n < 8:
         raise ValueError("series audits need a cutoff of at least 8")
+    return [ctx.a0(m, norm)] + [
+        ctx.ahat(m, norm, nu * sigma_scale, lhs_window=case.lhs_window,
+                 tail_target=case.vp_tail)
+        for nu in range(1, case.series_n + 1)]
 
 
 def _series_tail(terms: list[float]) -> tuple[float, bool]:
@@ -679,48 +600,42 @@ def _series_tail(terms: list[float]) -> tuple[float, bool]:
     return tail, tail <= 1e-3 * partial
 
 
+def _series_row(case: AuditCase, case_id: str, lhs: float, c: float,
+                total: float, terms: list[float]) -> AuditRow:
+    tail, ok = _series_tail(terms)
+    return make_row(
+        case.theorem, case_id, lhs=lhs, rhs=c * total, constant_used=c,
+        flags=("A_sigma_surrogate", f"truncated_series({case.series_n})"),
+        truncation_bounds={"tail_estimate": tail}, inconclusive=not ok)
+
+
 def run_series_deriv_sup(ctx: Context, case: AuditCase) -> list[AuditRow]:
     """||f^(k)||_sup <= series_deriv_sup(k) * sum (v+1)^(r-1) A_hat_v."""
-    m = ctx.member(case.f_src)
-    norm = ctx.sup_spec(m)
+    m, _, norm = _resolve(ctx, case, "sup")
     r, k = case.r, case.k
     if k > r:
         raise ValueError("needs k <= r")
-    _check_series_n(case)
+    lhs = sup_norm(_deriv_member(m, k), norm.window)
+    amps = _series_amplitudes(ctx, m, norm, case, 1.0)
     c = C.series_deriv_sup(k)
-    fk = _deriv_member(m, k)
-    lhs = sup_norm(fk, norm.window)
-    terms = []
-    for nu in range(case.series_n + 1):
-        a = (ctx.a0(m, norm) if nu == 0
-             else ctx.ahat(m, norm, float(nu), tail_target=case.vp_tail))
-        terms.append((nu + 1.0) ** (r - 1) * a)
-    tail, ok = _series_tail(terms)
-    rhs = c * sum(terms)
-    return [make_row(
-        "series_deriv_sup", _case_id(m, r=r, k=k, n=case.series_n),
-        lhs=lhs, rhs=rhs, constant_used=c,
-        flags=("A_sigma_surrogate", f"truncated_series({case.series_n})"),
-        truncation_bounds={"tail_estimate": tail},
-        inconclusive=not ok)]
+    terms = [(nu + 1.0) ** (r - 1) * a for nu, a in enumerate(amps)]
+    return [_series_row(case, _case_id(m, r=r, k=k, n=case.series_n),
+                        lhs, c, sum(terms), terms)]
 
 
-def run_series_deriv_modulus_sup(ctx: Context, case: AuditCase) -> list[AuditRow]:
-    """Omega_r(f^(k), 1/s)_sup <= 2^(2k+r+1) (s^-r sum_low + sum_high)."""
-    _require(case, sigmas="type grid")
-    m = ctx.member(case.f_src)
-    norm = ctx.sup_spec(m)
+def run_series_modulus(ctx: Context, case: AuditCase, kind: str,
+                       constant: Callable, sigma_scale: float) -> list[AuditRow]:
+    """Omega_r(f^(k), 1/s) <= c (s^-r sum_low + sum_high), A_hat at v * sigma_scale."""
+    m, p, norm = _resolve(ctx, case, kind, sigmas="type grid")
     r, k = case.r, case.k
-    _check_series_n(case)
-    c = C.series_deriv_modulus_sup(r, k)
     fk = _deriv_member(m, k)
+    amps = _series_amplitudes(ctx, m, norm, case, sigma_scale)
+    c = constant(case, p)
     rows = []
     for s in case.sigmas:
         om = modulus(ModulusRequest(fk, r, 1.0 / s, norm), ctx.spec)
         low, high, terms = 0.0, 0.0, []
-        for nu in range(case.series_n + 1):
-            a = (ctx.a0(m, norm) if nu == 0
-                 else ctx.ahat(m, norm, float(nu), tail_target=case.vp_tail))
+        for nu, a in enumerate(amps):
             if nu <= math.floor(s):
                 t = (nu + 1.0) ** (r + k - 1) * a / s ** r
                 low += t
@@ -728,48 +643,8 @@ def run_series_deriv_modulus_sup(ctx: Context, case: AuditCase) -> list[AuditRow
                 t = float(nu) ** (k - 1) * a
                 high += t
             terms.append(t)
-        tail, ok = _series_tail(terms)
-        rows.append(make_row(
-            "series_deriv_modulus_sup", _case_id(m, r=r, k=k, sigma=s),
-            lhs=om, rhs=c * (low + high), constant_used=c,
-            flags=("A_sigma_surrogate", f"truncated_series({case.series_n})"),
-            truncation_bounds={"tail_estimate": tail},
-            inconclusive=not ok))
-    return rows
-
-
-def run_series_inverse_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
-    """Omega_r(f^(k), 1/s)_p <= c14_series (s^-r sum_low + sum_high), A at v/2."""
-    _require(case, sigmas="type grid", p_src="exponent")
-    m = ctx.member(case.f_src)
-    p = ctx.exponent(case.p_src, case.p_infinity)
-    norm = ctx.vexp_spec(m, p)
-    r, k = case.r, case.k
-    _check_series_n(case)
-    c = C.c14_series(r, k, p.p_plus, p.c3)
-    fk = _deriv_member(m, k)
-    rows = []
-    for s in case.sigmas:
-        om = modulus(ModulusRequest(fk, r, 1.0 / s, norm), ctx.spec)
-        low, high, terms = 0.0, 0.0, []
-        for nu in range(case.series_n + 1):
-            a = (ctx.a0(m, norm) if nu == 0
-                 else ctx.ahat(m, norm, nu / 2.0, lhs_window=case.lhs_window,
-                               tail_target=case.vp_tail))
-            if nu <= math.floor(s):
-                t = (nu + 1.0) ** (r + k - 1) * a / s ** r
-                low += t
-            else:
-                t = float(nu) ** (k - 1) * a
-                high += t
-            terms.append(t)
-        tail, ok = _series_tail(terms)
-        rows.append(make_row(
-            "series_inverse_vexp", _case_id(m, p, r=r, k=k, sigma=s),
-            lhs=om, rhs=c * (low + high), constant_used=c,
-            flags=("A_sigma_surrogate", f"truncated_series({case.series_n})"),
-            truncation_bounds={"tail_estimate": tail},
-            inconclusive=not ok))
+        rows.append(_series_row(case, _case_id(m, p, r=r, k=k, sigma=s),
+                                om, c, low + high, terms))
     return rows
 
 
@@ -777,13 +652,24 @@ def run_series_inverse_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
 # Registry, surrogate policy, suite runner
 # ---------------------------------------------------------------------------
 
+# Twin families state one estimate in L^p(.) and in the sup norm; an entry
+# gives the norm kind, the constant as a function of (case, exponent), and
+# the scale at which the series and integrals sample A_hat.
 THEOREM_RUNNERS: dict[str, Callable[[Context, AuditCase], list[AuditRow]]] = {
     "steklov_bound": run_steklov_bound,
     "holder": run_holder,
-    "kfunc_equiv_vexp": run_kfunc_equiv_vexp,
-    "kfunc_equiv_sup": run_kfunc_equiv_sup,
+    "kfunc_equiv_vexp": partial(
+        run_kfunc_equiv, kind="vexp",
+        upper=lambda case, p: C.kfunc_equiv_upper(case.r, p.p_plus, p.c3),
+        lower=lambda case, p: C.kfunc_equiv_lower(case.r, p.p_plus, p.c3)),
+    "kfunc_equiv_sup": partial(
+        run_kfunc_equiv, kind="sup",
+        upper=lambda case, p: C.c8_k(case.r),
+        lower=lambda case, p: 2.0 ** case.r),
     "jackson_vexp": run_jackson_vexp,
-    "inverse_vexp": run_inverse_vexp,
+    "inverse_vexp": partial(
+        run_inverse, kind="vexp", sigma_scale=0.5,
+        constant=lambda case, p: C.c12(case.r, p.p_plus, p.c3)),
     "marchaud_vexp": run_marchaud_vexp,
     "one_step_vexp": run_one_step_vexp,
     "scaling_vexp": run_scaling_vexp,
@@ -792,11 +678,17 @@ THEOREM_RUNNERS: dict[str, Callable[[Context, AuditCase], list[AuditRow]]] = {
     "vp_norm_bound": run_vp_norm_bound,
     "sup_suite": run_sup_suite,
     "jackson_sup": run_jackson_sup,
-    "inverse_sup": run_inverse_sup,
+    "inverse_sup": partial(
+        run_inverse, kind="sup", sigma_scale=1.0,
+        constant=lambda case, p: C.inverse_sup_prefactor(case.r)),
     "marchaud_sup": run_marchaud_sup,
     "series_deriv_sup": run_series_deriv_sup,
-    "series_deriv_modulus_sup": run_series_deriv_modulus_sup,
-    "series_inverse_vexp": run_series_inverse_vexp,
+    "series_deriv_modulus_sup": partial(
+        run_series_modulus, kind="sup", sigma_scale=1.0,
+        constant=lambda case, p: C.series_deriv_modulus_sup(case.r, case.k)),
+    "series_inverse_vexp": partial(
+        run_series_modulus, kind="vexp", sigma_scale=0.5,
+        constant=lambda case, p: C.c14_series(case.r, case.k, p.p_plus, p.c3)),
 }
 
 # Where surrogate quantities may appear for the row to remain a valid
@@ -820,7 +712,16 @@ SURROGATE_POLICY: dict[str, dict[str, str]] = {
 }
 
 
+_CASE_KEYS = ("theorem", "f", "g", "p", "p_infinity", "r", "k", "deltas",
+              "sigmas", "t_grid", "lambdas", "series_n", "lhs_window",
+              "vp_tail")
+
+
 def _case_from_dict(d: dict, defaults: dict) -> AuditCase:
+    for table, where in ((defaults, "[defaults]"), (d, "[[case]]")):
+        for key in table:
+            if key not in _CASE_KEYS:
+                raise ValueError(f"unknown key {key!r} in {where}")
     merged = {**defaults, **d}
     known = {
         "theorem": str(merged.get("theorem", "")),
@@ -872,7 +773,9 @@ def run_suite(config_text: str, out_dir: Optional[str] = None,
     """Run every case in the configuration; returns (report, exit_code).
 
     exit_code is 0 when no row fails (inconclusive rows do not fail).
-    Reports are written to out_dir when given.
+    Reports are written to out_dir when given.  Cases run serially; `jobs`
+    is accepted for compatibility and has no effect (threads gave no
+    speedup: the work is Python dispatch under the interpreter lock).
     """
     cfg = parse_config(config_text)
     defaults = cfg.get("defaults", {})
@@ -880,13 +783,7 @@ def run_suite(config_text: str, out_dir: Optional[str] = None,
     cases = [_case_from_dict(d, defaults) for d in case_dicts]
     ctx = Context(spec=spec)
     validate_cases(ctx, cases)
-
-    if jobs > 1 and len(cases) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(lambda c: run_case(ctx, c), cases))
-    else:
-        chunks = [run_case(ctx, c) for c in cases]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for c in cases for row in run_case(ctx, c)]
     rows.sort(key=lambda r: (r.theorem_id, r.case_id))
     report = AuditReport(rows=rows)
     if out_dir:

@@ -4,8 +4,7 @@ A small TOML-like subset, enough for nested tables of scalars and arrays:
 
     # comment
     [defaults]
-    jobs = 2
-    out_dir = "reports"
+    r = 2
 
     [[case]]
     theorem = "steklov_bound"

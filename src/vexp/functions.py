@@ -52,10 +52,6 @@ def as_real_function(obj, name: Optional[str] = None) -> RealFunction:
             breakpoints = (obj.decay_class.a, obj.decay_class.b)
         return RealFunction(fn=obj, name=name or obj.src, decay=obj.decay_class,
                             breakpoints=breakpoints, expr=obj)
-    if hasattr(obj, "samples") and hasattr(obj, "window"):  # GridFunction
-        w = float(obj.window)
-        return RealFunction(fn=obj, name=name or "grid", decay=Decay.compact(-w, w),
-                            breakpoints=(-w, w))
     if callable(obj):
         return RealFunction(fn=obj, name=name or getattr(obj, "__name__", "f"))
     raise TypeError(f"cannot interpret {type(obj).__name__} as a real function")

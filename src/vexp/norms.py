@@ -27,8 +27,8 @@ from .report import AuditRow, make_row
 from .steklov import sup_norm
 
 __all__ = [
-    "Modular", "VexpNorm", "NormSpec", "NotIntegrableError", "SampledModular",
-    "modular", "luxemburg_norm", "holder_audit", "norm_of", "default_window",
+    "VexpNorm", "NormSpec", "NotIntegrableError", "SampledModular",
+    "luxemburg_norm", "holder_audit", "norm_of", "default_window",
 ]
 
 _ETA_CAP = 1e12
@@ -36,13 +36,6 @@ _ETA_CAP = 1e12
 
 class NotIntegrableError(RuntimeError):
     """The modular stayed above 1 for every scale up to the cap."""
-
-
-@dataclass(frozen=True)
-class Modular:
-    value: float
-    truncation_window: float
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -147,16 +140,6 @@ class SampledModular:
         root = find_root_decreasing(lambda e: self.value(e) - 1.0, bracket)
         return VexpNorm(value=root, bracket_used=bracket,
                         modular_at_value=self.value(root))
-
-
-def modular(f, p: ExponentField, lam: float, spec: QuadSpec = DEFAULT_SPEC,
-            window: Optional[float] = None,
-            panels_per_unit: float = 4.0) -> Modular:
-    """I(f/lam) = int |f(y)/lam|^p(y) dy over the truncation window."""
-    f = as_real_function(f)
-    win = window if window is not None else default_window(f, spec)
-    sm = SampledModular(f, p, win, panels_per_unit)
-    return Modular(value=sm.value(lam), truncation_window=win, tol=spec.rel_tol)
 
 
 def luxemburg_norm(f, p: ExponentField, spec: QuadSpec = DEFAULT_SPEC,

@@ -2,10 +2,10 @@
 
 Every integral over the real line in this package is reduced to a finite
 window [a, b]; call sites pick the window from the integrand's decay and
-account for the discarded tail separately.  Two rules are available:
-globally adaptive Simpson (the default) and a composite Gauss-Legendre rule
-refined by panel doubling.  Root finding is plain bisection, which is all
-the Luxemburg norm needs because its defining modular is monotone.
+account for the discarded tail separately.  Integrals are fixed composite
+Gauss-Legendre rules on panels the call site chooses (`panel_rule`).  Root
+finding is plain bisection, which is all the Luxemburg norm needs because
+its defining modular is monotone.
 """
 
 from __future__ import annotations
@@ -16,37 +16,23 @@ from typing import Callable
 import numpy as np
 
 
-class QuadratureError(RuntimeError):
-    """Raised when a quadrature rule cannot meet its tolerance."""
-
-
 class BracketError(ValueError):
     """Raised when a root bracket does not contain a sign change."""
 
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Truncation window, tolerances and rule for integrals over R.
-
-    abs_tol/rel_tol bound the estimated error of `integrate`; max_depth
-    bounds adaptive subdivision (or panel doublings for the composite rule).
-    """
+    """Default truncation window for integrals over R, and the relative
+    tolerance of the Luxemburg root find."""
 
     window: float = 10.0
     rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_depth: int = 40
-    rule: str = "adaptive_simpson"
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0 and 0.0 < self.abs_tol < 1.0):
-            raise ValueError("tolerances must lie in (0, 1)")
-        if self.max_depth < 10:
-            raise ValueError("max_depth must be at least 10")
+        if not 0.0 < self.rel_tol < 1.0:
+            raise ValueError("rel_tol must lie in (0, 1)")
         if self.window <= 0.0:
             raise ValueError("window must be positive")
-        if self.rule not in ("adaptive_simpson", "gauss_legendre_composite"):
-            raise ValueError(f"unknown rule {self.rule!r}")
 
 
 @dataclass(frozen=True)
@@ -84,78 +70,6 @@ def panel_rule(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes = (lo[:, None] + width[:, None] * x0[None, :]).ravel()
     weights = (width[:, None] * w0[None, :]).ravel()
     return nodes, weights
-
-
-def _simpson(fa, fm, fb, h):
-    return h / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adaptive_simpson(g, a, b, spec):
-    fa, fb = g(a), g(b)
-    m = 0.5 * (a + b)
-    fm = g(m)
-    whole = _simpson(fa, fm, fb, b - a)
-    # stack entries: (a, fa, m, fm, b, fb, whole, depth)
-    stack = [(a, fa, m, fm, b, fb, whole, 0)]
-    total = 0.0
-    tol_abs = spec.abs_tol
-    while stack:
-        a0, fa0, m0, fm0, b0, fb0, s0, depth = stack.pop()
-        lm = 0.5 * (a0 + m0)
-        rm = 0.5 * (m0 + b0)
-        flm, frm = g(lm), g(rm)
-        left = _simpson(fa0, flm, fm0, m0 - a0)
-        right = _simpson(fm0, frm, fb0, b0 - m0)
-        err = (left + right - s0) / 15.0
-        local_tol = max(tol_abs * (b0 - a0) / (b - a), spec.rel_tol * abs(left + right))
-        if abs(err) <= local_tol or (b0 - a0) < 1e-14 * (abs(a0) + abs(b0) + 1.0):
-            total += left + right + err
-        elif depth >= spec.max_depth:
-            raise QuadratureError(
-                f"adaptive Simpson hit max_depth={spec.max_depth} on "
-                f"[{a0:.6g}, {b0:.6g}] with error estimate {abs(err):.3g}"
-            )
-        else:
-            stack.append((a0, fa0, lm, flm, m0, fm0, left, depth + 1))
-            stack.append((m0, fm0, rm, frm, b0, fb0, right, depth + 1))
-    return total
-
-
-def _gl_composite(g, a, b, spec):
-    gv = np.vectorize(g) if not _accepts_arrays(g) else g
-    panels = 8
-    prev = None
-    for _ in range(spec.max_depth):
-        edges = np.linspace(a, b, panels + 1)
-        nodes, weights = panel_rule(edges, 12)
-        val = float(np.asarray(gv(nodes), dtype=float) @ weights)
-        if prev is not None and abs(val - prev) <= max(spec.abs_tol, spec.rel_tol * abs(val)):
-            return val
-        prev = val
-        panels *= 2
-    raise QuadratureError(
-        f"composite Gauss-Legendre did not converge on [{a:.6g}, {b:.6g}]"
-    )
-
-
-def _accepts_arrays(g) -> bool:
-    try:
-        out = g(np.asarray([0.125, 0.25]))
-    except Exception:
-        return False
-    return np.shape(out) == (2,)
-
-
-def integrate(g: Callable[[float], float], a: float, b: float,
-              spec: QuadSpec = DEFAULT_SPEC) -> float:
-    """Integrate g over [a, b] with estimated error within spec tolerances."""
-    if a > b:
-        raise ValueError("integrate expects a <= b")
-    if a == b:
-        return 0.0
-    if spec.rule == "gauss_legendre_composite":
-        return _gl_composite(g, a, b, spec)
-    return _adaptive_simpson(g, a, b, spec)
 
 
 def find_root_decreasing(phi: Callable[[float], float], bracket: Bracket) -> float:

@@ -1,4 +1,4 @@
-"""Forward/centered Steklov averages, their iterates and differences.
+"""Forward Steklov averages, their iterates and differences.
 
 The k-th iterate of the forward average T_d f(x) = (1/d) * int_0^d f(x+t) dt
 is evaluated with a single quadrature against the order-k cardinal B-spline:
@@ -29,10 +29,9 @@ from .functions import (RealFunction, as_real_function, combine, outer_apply,
 from .quad import DEFAULT_SPEC, QuadSpec, gauss_rule, panel_rule
 
 __all__ = [
-    "GridFunction", "SteklovOp", "forward_steklov", "centered_steklov",
-    "iterated_steklov", "nested_steklov", "difference_power",
-    "steklov_derivative", "IndicatorSteklov", "bspline_value",
-    "bspline_cumulative", "materialize", "sup_norm",
+    "forward_steklov", "iterated_steklov", "nested_steklov",
+    "difference_power", "steklov_derivative", "IndicatorSteklov",
+    "bspline_value", "bspline_cumulative", "sup_norm",
 ]
 
 
@@ -172,70 +171,8 @@ class IndicatorSteklov:
 
 
 # ---------------------------------------------------------------------------
-# Grid functions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Uniform samples on [-window, window], extended by zero outside."""
-
-    samples: np.ndarray
-    origin: float
-    step: float
-    window: float
-
-    def __post_init__(self):
-        if self.step <= 0.0:
-            raise ValueError("step must be positive")
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self.origin + self.step * np.arange(len(self.samples))
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = np.abs(x) <= self.window
-        vals = np.interp(x, self.grid, self.samples, left=0.0, right=0.0)
-        return np.where(inside, vals, 0.0)
-
-
-def materialize(f, window: float, step: float) -> GridFunction:
-    f = as_real_function(f)
-    n = int(round(2.0 * window / step)) + 1
-    xs = -window + step * np.arange(n)
-    return GridFunction(samples=f(xs), origin=-window, step=step, window=window)
-
-
-# ---------------------------------------------------------------------------
 # Operators
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SteklovOp:
-    """Descriptor for T_d^k (forward) or S_d^k (centered); d = 0 is identity."""
-
-    delta: float
-    kind: str = "forward"
-    power: int = 1
-
-    def __post_init__(self):
-        if self.delta < 0.0:
-            raise ValueError("delta must be >= 0")
-        if self.power < 0:
-            raise ValueError("power must be >= 0")
-        if self.kind not in ("forward", "centered"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-
-    def apply(self, f, spec: QuadSpec = DEFAULT_SPEC) -> RealFunction:
-        f = as_real_function(f)
-        if self.delta == 0.0 or self.power == 0:
-            return f
-        out = iterated_steklov(f, self.delta, self.power, spec)
-        if self.kind == "centered":
-            out = shifted(out, -self.delta / 2.0 * self.power,
-                          name=f"S_{self.delta:g}^{self.power}[{f.name}]")
-        return out
-
 
 def _oscillation_subpanels(f: RealFunction, delta: float) -> int:
     # 12-point panels stay at machine accuracy up to ~6 radians of phase
@@ -304,15 +241,6 @@ def iterated_steklov(f, delta: float, k: int, spec: QuadSpec = DEFAULT_SPEC) -> 
 def forward_steklov(f, delta: float, spec: QuadSpec = DEFAULT_SPEC) -> RealFunction:
     """T_d f(x) = (1/d) int_0^d f(x+t) dt; exact for affine f."""
     return iterated_steklov(f, delta, 1, spec)
-
-
-def centered_steklov(f, delta: float, spec: QuadSpec = DEFAULT_SPEC) -> RealFunction:
-    """S_d f(x) = (1/d) int_{x-d/2}^{x+d/2} f = T_d f(x - d/2)."""
-    f = as_real_function(f)
-    if delta == 0.0:
-        return f
-    t = forward_steklov(f, delta, spec)
-    return shifted(t, -delta / 2.0, name=f"S_{delta:g}[{f.name}]")
 
 
 def nested_steklov(f, delta: float, k: int, spec: QuadSpec = DEFAULT_SPEC) -> RealFunction:

@@ -2,7 +2,7 @@
 
 Each criterion prints one pass/fail line (visible with `pytest -s`).  The
 checks drive the same library surface the audit CLI uses; criterion 11 runs
-the CLI itself twice on the bundled configuration.
+the CLI itself twice on the bundled configuration and pins its CSV hash.
 
 Known red case: criterion 9 demands the first-order modulus of every corpus
 member at step 1e-4 to lie below 1e-3 in the Luxemburg norm.  For the plain
@@ -14,6 +14,7 @@ attainable by any correct implementation; the case is asserted as stated and
 fails honestly.
 """
 
+import hashlib
 import math
 import subprocess
 import sys
@@ -328,6 +329,12 @@ def test_criterion_10_constants():
 # 11. determinism of the bundled audit
 # -------------------------------------------------------------------------
 
+# The bundled audit.csv: a change to it must be deliberate, and every row it
+# changes listed, so the hash is pinned here.
+BUNDLED_CSV_SHA256 = ("d386a63496befc25ec760560abc8ce1041349f09"
+                      "a44c82f3cb763e29ccb41d69")
+
+
 def test_criterion_11_determinism(tmp_path):
     outs = []
     codes = []
@@ -339,8 +346,11 @@ def test_criterion_11_determinism(tmp_path):
         codes.append(proc.returncode)
         outs.append((tmp_path / sub / "audit.csv").read_bytes())
     identical = outs[0] == outs[1]
-    ok = identical and codes == [0, 0]
+    digest = hashlib.sha256(outs[0]).hexdigest()
+    ok = identical and codes == [0, 0] and digest == BUNDLED_CSV_SHA256
     report(11, ok, f"two bundled runs: exit codes {codes}, byte-identical "
-                   f"CSV={identical} ({len(outs[0])} bytes)")
+                   f"CSV={identical} ({len(outs[0])} bytes, sha256 "
+                   f"{digest[:8]}...)")
     assert codes == [0, 0]
     assert identical
+    assert digest == BUNDLED_CSV_SHA256

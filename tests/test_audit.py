@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -7,6 +8,28 @@ from vexp.audit import (AuditCase, Context, SURROGATE_POLICY, THEOREM_RUNNERS,
 from vexp.config import ConfigError, parse_config
 from vexp.fnexpr import ExponentRangeError
 from vexp.report import make_row
+
+# the inputs each theorem family declares it needs
+REQUIRED = {
+    "steklov_bound": ("deltas", "p_src"),
+    "holder": ("g_src", "p_src"),
+    "kfunc_equiv_vexp": ("deltas", "p_src"),
+    "kfunc_equiv_sup": ("deltas",),
+    "jackson_vexp": ("sigmas", "p_src"),
+    "inverse_vexp": ("deltas", "p_src"),
+    "marchaud_vexp": ("t_grid", "p_src"),
+    "one_step_vexp": ("deltas", "p_src"),
+    "scaling_vexp": ("deltas", "lambdas", "p_src"),
+    "smooth_bound_vexp": ("deltas", "p_src"),
+    "modulus_props": ("deltas", "g_src"),
+    "vp_norm_bound": ("sigmas",),
+    "sup_suite": ("deltas",),
+    "jackson_sup": ("sigmas",),
+    "inverse_sup": ("deltas",),
+    "marchaud_sup": ("t_grid",),
+    "series_deriv_modulus_sup": ("sigmas",),
+    "series_inverse_vexp": ("sigmas", "p_src"),
+}
 
 SMALL_CONFIG = """
 # minimal suite
@@ -239,9 +262,30 @@ class TestCaseValidation:
                       deltas=(-1.0, 0.5))
 
     def test_missing_requirements_reported(self):
+        # one loop rather than a parametrization keeps this test's id; each
+        # family must name every input it needs, before any work is done
+        assert set(REQUIRED) | {"series_deriv_sup"} == set(THEOREM_RUNNERS)
+        for name in THEOREM_RUNNERS:
+            if name.endswith("_vexp"):
+                assert "p_src" in REQUIRED[name], name
         ctx = Context()
-        with pytest.raises(ValueError):
-            run_case(ctx, AuditCase(theorem="steklov_bound", f_src="@gauss"))
+        full = AuditCase(theorem="steklov_bound", f_src="@gauss",
+                         g_src="@gauss", p_src="@p2", deltas=(0.5,),
+                         sigmas=(2.0,), t_grid=(0.25,), lambdas=(0.5,))
+        for name, needs in REQUIRED.items():
+            for attr in needs:
+                case = replace(full, theorem=name,
+                               **{attr: None if attr.endswith("_src") else ()})
+                with pytest.raises(ValueError, match=attr):
+                    run_case(ctx, case)
+
+    def test_unknown_keys_rejected(self):
+        case = ('[[case]]\ntheorem = "jackson_vexp"\nf = "@sinc4"\n'
+                'p = "@p2"\nsigmas = [8.0]\n')
+        with pytest.raises(ValueError, match="lhs_windw"):
+            run_suite(case + "lhs_windw = 20\n")
+        with pytest.raises(ValueError, match="jobs"):
+            run_suite("[defaults]\njobs = 2\n" + case)
 
     def test_all_runners_registered(self):
         assert set(SURROGATE_POLICY) <= set(THEOREM_RUNNERS) | {

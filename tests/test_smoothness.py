@@ -106,15 +106,6 @@ class TestKFunctional:
         assert est.value <= c8_k(3) * om
 
 
-class TestGridFunctionInput:
-    def test_modulus_of_materialized_samples(self, p2):
-        from vexp.steklov import materialize
-        g = materialize(GAUSS, 12.0, 0.002)
-        val_grid = modulus(ModulusRequest(g, 1, 0.5, NormSpec.vexp(p2)))
-        val_exact = modulus(ModulusRequest(GAUSS, 1, 0.5, NormSpec.vexp(p2)))
-        assert val_grid == pytest.approx(val_exact, rel=1e-4)
-
-
 class TestPropertiesAudit:
     def test_zero_function_all_pass(self, p2):
         zero = as_real_function(parse("0"), name="zero")

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from vexp.fnexpr import Decay, differentiate, parse
-from vexp.functions import RealFunction, as_real_function
-from vexp.steklov import (GridFunction, IndicatorSteklov, SteklovOp,
-                          bspline_cumulative, bspline_value, centered_steklov,
+from vexp.functions import RealFunction, as_real_function, shifted
+from vexp.steklov import (IndicatorSteklov, bspline_cumulative, bspline_value,
                           difference_power, forward_steklov, iterated_steklov,
-                          materialize, nested_steklov, steklov_derivative,
-                          sup_norm)
+                          nested_steklov, steklov_derivative, sup_norm)
 
 XS = np.linspace(-3.0, 3.0, 25)
 
@@ -37,23 +35,6 @@ class TestForward:
     def test_delta_zero_is_identity(self):
         f = as_real_function(parse("exp(-x^2)"))
         assert forward_steklov(f, 0.0) is f
-
-
-class TestCentered:
-    def test_affine_invariant(self):
-        s = centered_steklov(as_real_function(parse("x")), 0.6)
-        assert np.max(np.abs(s(XS) - XS)) < 1e-13
-
-    def test_gaussian_value(self):
-        s = centered_steklov(as_real_function(parse("exp(-x^2)")), 2.0)
-        oracle = math.sqrt(math.pi) / 2.0 * math.erf(1.0)
-        assert s(np.array([0.0]))[0] == pytest.approx(oracle, abs=1e-12)
-
-    def test_relation_to_forward(self):
-        f = as_real_function(parse("cos(3*x)*exp(-x^2/4)"))
-        s = centered_steklov(f, 0.8)
-        t = forward_steklov(f, 0.8)
-        assert np.allclose(s(XS), t(XS - 0.4), atol=1e-13)
 
 
 class TestIterated:
@@ -148,10 +129,12 @@ class TestSteklovDerivative:
         assert np.max(np.abs(sd(pts) - oracle(pts))) < 1e-7
 
     def test_commutation_with_centered_average(self):
-        # (S_d f)' = S_d f' probed by a five-point stencil on the output
+        # (S_d f)' = S_d f' probed by a five-point stencil on the output,
+        # with the centered average S_d f = T_d f(. - d/2)
         f = parse("exp(-x^2)*sin(5*x)")
-        s = centered_steklov(as_real_function(f), 0.6)
-        s_of_deriv = centered_steklov(as_real_function(differentiate(f)), 0.6)
+        s = shifted(forward_steklov(as_real_function(f), 0.6), -0.3)
+        s_of_deriv = shifted(
+            forward_steklov(as_real_function(differentiate(f)), 0.6), -0.3)
         h = 1e-3
         stencil = (-s(XS + 2 * h) + 8 * s(XS + h) - 8 * s(XS - h)
                    + s(XS - 2 * h)) / (12 * h)
@@ -216,40 +199,6 @@ class TestBsplines:
         idx = np.round(ts / 3.0 * 300000).astype(int)
         oracle = [np.trapezoid(b[:i + 1], grid[:i + 1]) for i in idx]
         assert np.allclose(bspline_cumulative(3, ts), oracle, atol=1e-9)
-
-
-class TestSteklovOp:
-    def test_descriptor_validation(self):
-        with pytest.raises(ValueError):
-            SteklovOp(-0.5)
-        with pytest.raises(ValueError):
-            SteklovOp(0.5, kind="sideways")
-
-    def test_zero_delta_is_identity(self):
-        f = as_real_function(parse("exp(-x^2)"))
-        assert SteklovOp(0.0).apply(f) is f
-
-    def test_centered_power(self):
-        f = as_real_function(parse("x"))
-        out = SteklovOp(0.5, kind="centered", power=2).apply(f)
-        assert np.allclose(out(XS), XS, atol=1e-12)
-
-
-class TestGridFunction:
-    def test_zero_outside_window(self):
-        g = materialize(as_real_function(parse("1 + 0*x")), 2.0, 0.5)
-        assert g(np.array([2.5]))[0] == 0.0
-        assert g(np.array([-3.0]))[0] == 0.0
-        assert g(np.array([0.25]))[0] == pytest.approx(1.0)
-
-    def test_step_validation(self):
-        with pytest.raises(ValueError):
-            GridFunction(samples=np.zeros(3), origin=0.0, step=0.0, window=1.0)
-
-    def test_linear_interpolation(self):
-        g = materialize(as_real_function(parse("x")), 4.0, 0.25)
-        xs = np.linspace(-3.9, 3.9, 57)
-        assert np.max(np.abs(g(xs) - xs)) < 1e-12
 
 
 class TestSupNorm:
