@@ -22,9 +22,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Optional, get_type_hints
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .corpus import CorpusMember, resolve_exponent, resolve_function
 from .fnexpr import ExponentField, differentiate
 from .functions import RealFunction, combine, shifted
 from .norms import NormSpec, holder_audit, norm_of
-from .quad import DEFAULT_SPEC, QuadSpec, panel_rule
+from .quad import panel_rule
 from .report import AuditRow, make_row
 from .smoothness import (ModulusRequest, k_functional_upper, modulus,
                          modulus_properties_audit)
@@ -106,8 +106,7 @@ class Context:
     which cases run does not change any result.
     """
 
-    def __init__(self, spec: QuadSpec = DEFAULT_SPEC):
-        self.spec = spec
+    def __init__(self):
         self._fn_cache: dict[str, CorpusMember] = {}
         self._p_cache: dict[tuple, ExponentField] = {}
         self._norm_cache: dict = {}
@@ -134,7 +133,7 @@ class Context:
     def norm(self, m: CorpusMember, norm: NormSpec) -> float:
         key = ("norm", m.name, _norm_key(norm))
         if key not in self._norm_cache:
-            self._norm_cache[key] = norm_of(m.rf, norm, self.spec)
+            self._norm_cache[key] = norm_of(m.rf, norm)
         return self._norm_cache[key]
 
     def ahat(self, m: CorpusMember, norm: NormSpec, sigma: float,
@@ -146,7 +145,7 @@ class Context:
         if key not in self._ahat_cache:
             norm_used = norm if lhs_window is None else replace(norm, window=lhs_window)
             self._ahat_cache[key] = best_approx_surrogate(
-                m.rf, sigma, norm_used, self.spec, tail_target=tail).value
+                m.rf, sigma, norm_used, tail_target=tail).value
         return self._ahat_cache[key]
 
     def a0(self, m: CorpusMember, norm: NormSpec) -> float:
@@ -186,25 +185,19 @@ def _omega(ctx: Context, m: CorpusMember, r: int, delta: float,
            norm: NormSpec) -> float:
     key = ("omega", m.name, _norm_key(norm), r, round(delta, 14))
     if key not in ctx._norm_cache:
-        ctx._norm_cache[key] = modulus(ModulusRequest(m.rf, r, delta, norm),
-                                       ctx.spec)
+        ctx._norm_cache[key] = modulus(ModulusRequest(m.rf, r, delta, norm))
     return ctx._norm_cache[key]
 
 
-def _resolve(ctx: Context, case: AuditCase, kind: str, **needs
+def _resolve(ctx: Context, case: AuditCase
              ) -> tuple[CorpusMember, Optional[ExponentField], NormSpec]:
-    """Check the inputs a family needs; return (member, exponent, norm).
-
-    kind is the norm the family is stated in: "vexp" needs an exponent and
-    uses the member's Luxemburg norm, "sup" ignores any exponent.
-    """
-    if kind == "vexp":
-        needs["p_src"] = "exponent"
-    for attr, why in needs.items():
+    """Check the inputs the case's family needs; return (member, exponent, norm)."""
+    family = THEOREM_RUNNERS[case.theorem]
+    for attr, why in family.needs.items():
         if not getattr(case, attr):
             raise ValueError(f"theorem {case.theorem!r} needs {attr} ({why})")
     m = ctx.member(case.f_src)
-    if kind == "sup":
+    if family.kind == "sup" or not case.p_src:
         return m, None, ctx.sup_spec(m)
     p = ctx.exponent(case.p_src, case.p_infinity)
     return m, p, ctx.vexp_spec(m, p)
@@ -224,13 +217,13 @@ def _deriv_member(m: CorpusMember, order: int) -> RealFunction:
 
 def run_steklov_bound(ctx: Context, case: AuditCase) -> list[AuditRow]:
     """||T_d f||_p <= c10 ||f||_p, uniformly in d."""
-    m, p, norm = _resolve(ctx, case, "vexp", deltas="Steklov step grid")
+    m, p, norm = _resolve(ctx, case)
     c10 = C.c10(p.p_plus, p.c3)
     nf = ctx.norm(m, norm)
     rows = []
     for d in case.deltas:
-        tf = iterated_steklov(m.rf, d, 1, ctx.spec)
-        lhs = norm_of(tf, norm, ctx.spec)
+        tf = iterated_steklov(m.rf, d, 1)
+        lhs = norm_of(tf, norm)
         rows.append(make_row(
             "steklov_norm_bound", _case_id(m, p, delta=d),
             lhs=lhs, rhs=c10 * nf, constant_used=c10,
@@ -240,24 +233,24 @@ def run_steklov_bound(ctx: Context, case: AuditCase) -> list[AuditRow]:
 
 
 def run_holder(ctx: Context, case: AuditCase) -> list[AuditRow]:
-    m, p, _ = _resolve(ctx, case, "vexp", g_src="second factor")
+    m, p, _ = _resolve(ctx, case)
     g = ctx.member(case.g_src)
     win = max(m.norm_window, g.norm_window)
     ppu = max(m.panels_per_unit, g.panels_per_unit)
-    return [holder_audit(m.rf, g.rf, p, ctx.spec, window=win, panels_per_unit=ppu)]
+    return [holder_audit(m.rf, g.rf, p, window=win, panels_per_unit=ppu)]
 
 
-def run_kfunc_equiv(ctx: Context, case: AuditCase, kind: str,
-                    upper: Callable, lower: Callable) -> list[AuditRow]:
+def run_kfunc_equiv(ctx: Context, case: AuditCase, upper: Callable,
+                    lower: Callable) -> list[AuditRow]:
     """Two-sided equivalence of the modulus with the K-functional bound:
     K_hat <= upper * Omega_r(f, d) and Omega_r(f, d) <= lower * K_hat."""
-    m, p, norm = _resolve(ctx, case, kind, deltas="steps")
+    m, p, norm = _resolve(ctx, case)
     r = case.r
     up, low = upper(case, p), lower(case, p)
     rows = []
     for d in case.deltas:
         om = _omega(ctx, m, r, d, norm)
-        kh = k_functional_upper(m.rf, r, d, norm, ctx.spec)
+        kh = k_functional_upper(m.rf, r, d, norm)
         rows.append(make_row(
             f"{case.theorem}_upper", _case_id(m, p, r=r, delta=d),
             lhs=kh.value, rhs=up * om, constant_used=up,
@@ -273,7 +266,7 @@ def run_kfunc_equiv(ctx: Context, case: AuditCase, kind: str,
 
 def run_jackson_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
     """||f - J(f, s)||_p <= c11 * Omega_r(f, 1/(2s))_p (the direct estimate)."""
-    m, p, norm = _resolve(ctx, case, "vexp", sigmas="type grid")
+    m, p, norm = _resolve(ctx, case)
     r = case.r
     c11 = C.c11(r, p.p_plus, p.c3)
     rows = []
@@ -313,11 +306,11 @@ def _ahat_integral(ctx: Context, m: CorpusMember, norm: NormSpec,
     return total, {"sigma_grid": sorted(table), "n_segments": n_seg}
 
 
-def run_inverse(ctx: Context, case: AuditCase, kind: str, constant: Callable,
+def run_inverse(ctx: Context, case: AuditCase, constant: Callable,
                 sigma_scale: float) -> list[AuditRow]:
     """Omega_r(f,d) <= c d^r (A_0 + int_{1/2}^{1/d} u^(r-1) A_hat(s u) du),
     with s = sigma_scale."""
-    m, p, norm = _resolve(ctx, case, kind, deltas="steps in (0,1)")
+    m, p, norm = _resolve(ctx, case)
     r = case.r
     c = constant(case, p)
     a0 = ctx.a0(m, norm)
@@ -339,7 +332,7 @@ def run_inverse(ctx: Context, case: AuditCase, kind: str, constant: Callable,
 
 def run_marchaud_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
     """Omega_r(f,t)_p <= c14 t^r int_t^1 Omega_{r+k}(f,u)/u^(r+1) du (no surrogates)."""
-    m, p, norm = _resolve(ctx, case, "vexp", t_grid="steps in (0, 1/2)")
+    m, p, norm = _resolve(ctx, case)
     r, k = case.r, case.k
     c14 = C.c14_marchaud(r, k, p.p_plus, p.c3)
     rows = []
@@ -368,7 +361,7 @@ def _marchaud_integral(ctx: Context, m: CorpusMember, norm: NormSpec,
 
 def run_one_step_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
     """Omega_1(f,h)_p <= c8_transfer(72) * Omega_1(f,d)_p for h <= d."""
-    m, p, norm = _resolve(ctx, case, "vexp", deltas="at least two steps")
+    m, p, norm = _resolve(ctx, case)
     c = C.c8_transfer(72.0, p.p_plus, p.c3)
     rows = []
     for h, d in zip(case.deltas, case.deltas[1:]):
@@ -381,8 +374,7 @@ def run_one_step_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
 
 def run_scaling_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
     """Omega_r(f, lam*d) <= scaling_compare * (1+floor(lam))^r * Omega_r(f,d)."""
-    m, p, norm = _resolve(ctx, case, "vexp", deltas="steps in (0,1)",
-                          lambdas="scale factors in (0,1)")
+    m, p, norm = _resolve(ctx, case)
     r = case.r
     base_c = C.scaling_compare(r, p.p_plus, p.c3)
     rows = []
@@ -400,11 +392,11 @@ def run_scaling_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
 
 def run_smooth_bound_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
     """Omega_r(f,d)_p <= (c10/2)^r d^r ||f^(r)||_p for r-smooth f."""
-    m, p, norm = _resolve(ctx, case, "vexp", deltas="steps")
+    m, p, norm = _resolve(ctx, case)
     r = case.r
     c = (C.c10(p.p_plus, p.c3) / 2.0) ** r
     fr = _deriv_member(m, r)
-    nd = norm_of(fr, norm, ctx.spec)
+    nd = norm_of(fr, norm)
     rows = []
     for d in case.deltas:
         rows.append(make_row(
@@ -416,19 +408,18 @@ def run_smooth_bound_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
 
 def run_modulus_props(ctx: Context, case: AuditCase) -> list[AuditRow]:
     """Structural modulus properties, in L^p(.) when p is given, else sup."""
-    m, p, norm = _resolve(ctx, case, "vexp" if case.p_src else "sup",
-                          deltas="two steps", g_src="companion function")
+    m, p, norm = _resolve(ctx, case)
     g = ctx.member(case.g_src)
     c10 = C.c10(p.p_plus, p.c3) if p is not None else None
     f_deriv = _deriv_member(m, case.r) if m.smooth else None
     d1, d2 = case.deltas[0], case.deltas[-1]
-    return modulus_properties_audit(m.rf, g.rf, case.r, d1, d2, norm, ctx.spec,
+    return modulus_properties_audit(m.rf, g.rf, case.r, d1, d2, norm,
                                     c10=c10, f_deriv=f_deriv)
 
 
 def run_vp_norm_bound(ctx: Context, case: AuditCase) -> list[AuditRow]:
     """||J(f,s)|| <= (3/2) ||f|| in the sup norm and for constant exponents."""
-    m, _, sup = _resolve(ctx, case, "sup", sigmas="type grid")
+    m, _, sup = _resolve(ctx, case)
     rows = []
     norms = [("sup", sup)]
     if case.p_src:
@@ -437,9 +428,9 @@ def run_vp_norm_bound(ctx: Context, case: AuditCase) -> list[AuditRow]:
             raise ValueError("the 3/2 bound is audited for constant exponents only")
         norms.append((f"p={p.name}", ctx.vexp_spec(m, p)))
     for s in case.sigmas:
-        j = vp_operator(m.rf, s, ctx.spec, x_span=m.norm_window)
+        j = vp_operator(m.rf, s, x_span=m.norm_window)
         for tag, norm in norms:
-            lhs = norm_of(j, norm, ctx.spec)
+            lhs = norm_of(j, norm)
             nf = ctx.norm(m, norm)
             rows.append(make_row(
                 "vp_norm_bound", _case_id(m, sigma=s) + f";norm={tag}",
@@ -455,14 +446,14 @@ def run_vp_norm_bound(ctx: Context, case: AuditCase) -> list[AuditRow]:
 def run_sup_suite(ctx: Context, case: AuditCase) -> list[AuditRow]:
     """The uniform-norm estimates: derivative bound, Taylor remainder,
     one-step comparison, order comparison, and the shift-modulus bracket."""
-    m, _, norm = _resolve(ctx, case, "sup", deltas="steps")
+    m, _, norm = _resolve(ctx, case)
     W = norm.window
     r = case.r
     rows = []
     nf = ctx.norm(m, norm)
     for d in case.deltas:
         # ||(T_d f)'|| = ||(f(.+d) - f)/d|| <= (2/d) ||f||
-        tder = steklov_derivative(m.rf, d, 1, 1, ctx.spec)
+        tder = steklov_derivative(m.rf, d, 1, 1)
         rows.append(make_row(
             "steklov_deriv_bound_sup", _case_id(m, delta=d),
             lhs=sup_norm(tder, W), rhs=(2.0 / d) * nf, constant_used=2.0 / d))
@@ -470,7 +461,7 @@ def run_sup_suite(ctx: Context, case: AuditCase) -> list[AuditRow]:
         if m.smooth:
             g1 = _deriv_member(m, 1)
             g2 = _deriv_member(m, 2)
-            tg = iterated_steklov(m.rf, d, 1, ctx.spec)
+            tg = iterated_steklov(m.rf, d, 1)
             resid = combine([(1.0, m.rf), (-1.0, tg), (d / 2.0, g1)],
                             name="taylor_resid")
             rows.append(make_row(
@@ -533,7 +524,7 @@ def run_jackson_sup(ctx: Context, case: AuditCase) -> list[AuditRow]:
     the chain through the computable operator rather than the bare best
     approximation.
     """
-    m, _, norm = _resolve(ctx, case, "sup", sigmas="type grid")
+    m, _, norm = _resolve(ctx, case)
     r = case.r
     c = C.jackson_sup(r)
     rows = []
@@ -547,7 +538,7 @@ def run_jackson_sup(ctx: Context, case: AuditCase) -> list[AuditRow]:
 
 
 def run_marchaud_sup(ctx: Context, case: AuditCase) -> list[AuditRow]:
-    m, _, norm = _resolve(ctx, case, "sup", t_grid="steps in (0, 1/2]")
+    m, _, norm = _resolve(ctx, case)
     r, k = case.r, case.k
     c9 = C.c9(r, k)
     rows = []
@@ -611,7 +602,7 @@ def _series_row(case: AuditCase, case_id: str, lhs: float, c: float,
 
 def run_series_deriv_sup(ctx: Context, case: AuditCase) -> list[AuditRow]:
     """||f^(k)||_sup <= series_deriv_sup(k) * sum (v+1)^(r-1) A_hat_v."""
-    m, _, norm = _resolve(ctx, case, "sup")
+    m, _, norm = _resolve(ctx, case)
     r, k = case.r, case.k
     if k > r:
         raise ValueError("needs k <= r")
@@ -623,17 +614,17 @@ def run_series_deriv_sup(ctx: Context, case: AuditCase) -> list[AuditRow]:
                         lhs, c, sum(terms), terms)]
 
 
-def run_series_modulus(ctx: Context, case: AuditCase, kind: str,
-                       constant: Callable, sigma_scale: float) -> list[AuditRow]:
+def run_series_modulus(ctx: Context, case: AuditCase, constant: Callable,
+                       sigma_scale: float) -> list[AuditRow]:
     """Omega_r(f^(k), 1/s) <= c (s^-r sum_low + sum_high), A_hat at v * sigma_scale."""
-    m, p, norm = _resolve(ctx, case, kind, sigmas="type grid")
+    m, p, norm = _resolve(ctx, case)
     r, k = case.r, case.k
     fk = _deriv_member(m, k)
     amps = _series_amplitudes(ctx, m, norm, case, sigma_scale)
     c = constant(case, p)
     rows = []
     for s in case.sigmas:
-        om = modulus(ModulusRequest(fk, r, 1.0 / s, norm), ctx.spec)
+        om = modulus(ModulusRequest(fk, r, 1.0 / s, norm))
         low, high, terms = 0.0, 0.0, []
         for nu, a in enumerate(amps):
             if nu <= math.floor(s):
@@ -652,43 +643,76 @@ def run_series_modulus(ctx: Context, case: AuditCase, kind: str,
 # Registry, surrogate policy, suite runner
 # ---------------------------------------------------------------------------
 
-# Twin families state one estimate in L^p(.) and in the sup norm; an entry
-# gives the norm kind, the constant as a function of (case, exponent), and
-# the scale at which the series and integrals sample A_hat.
-THEOREM_RUNNERS: dict[str, Callable[[Context, AuditCase], list[AuditRow]]] = {
-    "steklov_bound": run_steklov_bound,
-    "holder": run_holder,
-    "kfunc_equiv_vexp": partial(
-        run_kfunc_equiv, kind="vexp",
+class Family:
+    """A theorem family: its runner and the case fields it reads.
+
+    kind is the norm the family is stated in: "vexp" needs p and uses the
+    member's Luxemburg norm, "sup" uses the member's sup window, and "either"
+    is L^p(.) when the case gives p and sup otherwise.  Each keyword names a
+    required field with the reason shown when it is missing; reads lists the
+    optional fields.  Every family reads theorem and f, and p and p_infinity
+    unless its kind is "sup".
+    """
+
+    def __init__(self, run: Callable[[Context, AuditCase], list[AuditRow]],
+                 kind: str, reads: tuple[str, ...] = (), **needs: str):
+        self.run, self.kind = run, kind
+        self.needs = {**needs, "p_src": "exponent"} if kind == "vexp" else needs
+        p = ("p_src", "p_infinity") if kind != "sup" else ()
+        self.accepts = {"theorem", "f_src", *self.needs, *reads, *p}
+
+
+_AHAT = ("lhs_window", "vp_tail")  # overrides of the A_hat window and tail
+_SERIES = ("r", "k", "series_n", *_AHAT)
+
+# Twin families state one estimate in L^p(.) and in the sup norm; their
+# runner takes the constant as a function of (case, exponent), and the scale
+# at which the series and integrals sample A_hat.
+THEOREM_RUNNERS: dict[str, Family] = {
+    "steklov_bound": Family(run_steklov_bound, "vexp", deltas="Steklov step grid"),
+    "holder": Family(run_holder, "vexp", g_src="second factor"),
+    "kfunc_equiv_vexp": Family(partial(
+        run_kfunc_equiv,
         upper=lambda case, p: C.kfunc_equiv_upper(case.r, p.p_plus, p.c3),
         lower=lambda case, p: C.kfunc_equiv_lower(case.r, p.p_plus, p.c3)),
-    "kfunc_equiv_sup": partial(
-        run_kfunc_equiv, kind="sup",
+        "vexp", ("r",), deltas="steps"),
+    "kfunc_equiv_sup": Family(partial(
+        run_kfunc_equiv,
         upper=lambda case, p: C.c8_k(case.r),
         lower=lambda case, p: 2.0 ** case.r),
-    "jackson_vexp": run_jackson_vexp,
-    "inverse_vexp": partial(
-        run_inverse, kind="vexp", sigma_scale=0.5,
+        "sup", ("r",), deltas="steps"),
+    "jackson_vexp": Family(run_jackson_vexp, "vexp", ("r", *_AHAT), sigmas="type grid"),
+    "inverse_vexp": Family(partial(
+        run_inverse, sigma_scale=0.5,
         constant=lambda case, p: C.c12(case.r, p.p_plus, p.c3)),
-    "marchaud_vexp": run_marchaud_vexp,
-    "one_step_vexp": run_one_step_vexp,
-    "scaling_vexp": run_scaling_vexp,
-    "smooth_bound_vexp": run_smooth_bound_vexp,
-    "modulus_props": run_modulus_props,
-    "vp_norm_bound": run_vp_norm_bound,
-    "sup_suite": run_sup_suite,
-    "jackson_sup": run_jackson_sup,
-    "inverse_sup": partial(
-        run_inverse, kind="sup", sigma_scale=1.0,
+        "vexp", ("r", *_AHAT), deltas="steps in (0,1)"),
+    "marchaud_vexp": Family(run_marchaud_vexp, "vexp", ("r", "k"),
+                            t_grid="steps in (0, 1/2)"),
+    "one_step_vexp": Family(run_one_step_vexp, "vexp", deltas="at least two steps"),
+    "scaling_vexp": Family(run_scaling_vexp, "vexp", ("r",), deltas="steps in (0,1)",
+                           lambdas="scale factors in (0,1)"),
+    "smooth_bound_vexp": Family(run_smooth_bound_vexp, "vexp", ("r",), deltas="steps"),
+    "modulus_props": Family(run_modulus_props, "either", ("r",), deltas="two steps",
+                            g_src="companion function"),
+    "vp_norm_bound": Family(run_vp_norm_bound, "sup", ("p_src", "p_infinity"),
+                            sigmas="type grid"),
+    "sup_suite": Family(run_sup_suite, "sup", ("r", "k"), deltas="steps"),
+    "jackson_sup": Family(run_jackson_sup, "sup", ("r", "vp_tail"), sigmas="type grid"),
+    "inverse_sup": Family(partial(
+        run_inverse, sigma_scale=1.0,
         constant=lambda case, p: C.inverse_sup_prefactor(case.r)),
-    "marchaud_sup": run_marchaud_sup,
-    "series_deriv_sup": run_series_deriv_sup,
-    "series_deriv_modulus_sup": partial(
-        run_series_modulus, kind="sup", sigma_scale=1.0,
+        "sup", ("r", *_AHAT), deltas="steps in (0,1)"),
+    "marchaud_sup": Family(run_marchaud_sup, "sup", ("r", "k"),
+                           t_grid="steps in (0, 1/2]"),
+    "series_deriv_sup": Family(run_series_deriv_sup, "sup", _SERIES),
+    "series_deriv_modulus_sup": Family(partial(
+        run_series_modulus, sigma_scale=1.0,
         constant=lambda case, p: C.series_deriv_modulus_sup(case.r, case.k)),
-    "series_inverse_vexp": partial(
-        run_series_modulus, kind="vexp", sigma_scale=0.5,
+        "sup", _SERIES, sigmas="type grid"),
+    "series_inverse_vexp": Family(partial(
+        run_series_modulus, sigma_scale=0.5,
         constant=lambda case, p: C.c14_series(case.r, case.k, p.p_plus, p.c3)),
+        "vexp", _SERIES, sigmas="type grid"),
 }
 
 # Where surrogate quantities may appear for the row to remain a valid
@@ -712,46 +736,40 @@ SURROGATE_POLICY: dict[str, dict[str, str]] = {
 }
 
 
-_CASE_KEYS = ("theorem", "f", "g", "p", "p_infinity", "r", "k", "deltas",
-              "sigmas", "t_grid", "lambdas", "series_n", "lhs_window",
-              "vp_tail")
+# config key -> AuditCase field: the sources f, g and p are f_src, g_src, p_src
+_FIELDS = {f.name.removesuffix("_src"): f.name for f in fields(AuditCase)}
+_CONVERT = {str: str, Optional[str]: str, int: int, Optional[float]: float,
+            tuple[float, ...]: lambda v: tuple(float(x) for x in v)}
+_FIELD_TYPES = get_type_hints(AuditCase)
 
 
 def _case_from_dict(d: dict, defaults: dict) -> AuditCase:
-    for table, where in ((defaults, "[defaults]"), (d, "[[case]]")):
-        for key in table:
-            if key not in _CASE_KEYS:
-                raise ValueError(f"unknown key {key!r} in {where}")
+    """One [[case]] table, with the [defaults] its family reads, as an AuditCase.
+
+    A [[case]] key that the case's family does not read raises; a
+    [defaults] key raises only when it is no case field at all.
+    """
+    for key in defaults:
+        if key not in _FIELDS:
+            raise ValueError(f"unknown key {key!r} in [defaults]")
     merged = {**defaults, **d}
-    known = {
-        "theorem": str(merged.get("theorem", "")),
-        "f_src": str(merged.get("f", "")),
-        "g_src": merged.get("g"),
-        "p_src": merged.get("p"),
-        "p_infinity": merged.get("p_infinity"),
-        "r": int(merged.get("r", 1)),
-        "k": int(merged.get("k", 1)),
-        "deltas": tuple(float(v) for v in merged.get("deltas", [])),
-        "sigmas": tuple(float(v) for v in merged.get("sigmas", [])),
-        "t_grid": tuple(float(v) for v in merged.get("t_grid", [])),
-        "lambdas": tuple(float(v) for v in merged.get("lambdas", [])),
-        "series_n": int(merged.get("series_n", 16)),
-        "lhs_window": (float(merged["lhs_window"])
-                       if merged.get("lhs_window") is not None else None),
-        "vp_tail": (float(merged["vp_tail"])
-                    if merged.get("vp_tail") is not None else None),
-    }
-    if not known["theorem"]:
+    theorem = str(merged.get("theorem", ""))
+    if not theorem:
         raise ValueError("case is missing 'theorem'")
-    if not known["f_src"]:
+    if not merged.get("f"):
         raise ValueError("case is missing 'f'")
-    if known["theorem"] not in THEOREM_RUNNERS:
-        raise ValueError(f"unknown theorem id {known['theorem']!r}")
-    return AuditCase(**known)
+    if theorem not in THEOREM_RUNNERS:
+        raise ValueError(f"unknown theorem id {theorem!r}")
+    accepts = THEOREM_RUNNERS[theorem].accepts
+    for key in d:
+        if _FIELDS.get(key) not in accepts:
+            raise ValueError(f"theorem {theorem!r} does not read key {key!r}")
+    return AuditCase(**{_FIELDS[k]: _CONVERT[_FIELD_TYPES[_FIELDS[k]]](v)
+                        for k, v in merged.items() if _FIELDS[k] in accepts})
 
 
 def run_case(ctx: Context, case: AuditCase) -> list[AuditRow]:
-    return THEOREM_RUNNERS[case.theorem](ctx, case)
+    return THEOREM_RUNNERS[case.theorem].run(ctx, case)
 
 
 def validate_cases(ctx: Context, cases: list[AuditCase]) -> None:
@@ -769,7 +787,7 @@ def validate_cases(ctx: Context, cases: list[AuditCase]) -> None:
 
 
 def run_suite(config_text: str, out_dir: Optional[str] = None,
-              jobs: int = 1, spec: QuadSpec = DEFAULT_SPEC) -> tuple[AuditReport, int]:
+              jobs: int = 1) -> tuple[AuditReport, int]:
     """Run every case in the configuration; returns (report, exit_code).
 
     exit_code is 0 when no row fails (inconclusive rows do not fail).
@@ -781,7 +799,7 @@ def run_suite(config_text: str, out_dir: Optional[str] = None,
     defaults = cfg.get("defaults", {})
     case_dicts = cfg.get("case", [])
     cases = [_case_from_dict(d, defaults) for d in case_dicts]
-    ctx = Context(spec=spec)
+    ctx = Context()
     validate_cases(ctx, cases)
     rows = [row for c in cases for row in run_case(ctx, c)]
     rows.sort(key=lambda r: (r.theorem_id, r.case_id))

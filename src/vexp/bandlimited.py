@@ -173,7 +173,6 @@ def vp_operator(f, sigma: float, spec: QuadSpec = DEFAULT_SPEC,
 
 def best_approx_surrogate(f, sigma: float, norm: NormSpec,
                           spec: QuadSpec = DEFAULT_SPEC,
-                          x_span: Optional[float] = None,
                           tail_target: float = 1e-8) -> BestApproxEstimate:
     """A_hat_sigma(f) = ||f - J(f, sigma/2)||, an upper bound for A_sigma(f).
 
@@ -187,7 +186,7 @@ def best_approx_surrogate(f, sigma: float, norm: NormSpec,
     if win is None:
         from .norms import default_window
         win = default_window(f, spec)
-    j = vp_operator(f, sigma / 2.0, spec, x_span=x_span or win,
+    j = vp_operator(f, sigma / 2.0, spec, x_span=win,
                     tail_target=tail_target)
 
     def diff(x):

@@ -14,7 +14,6 @@ import argparse
 import sys
 
 from .audit import run_suite
-from .config import ConfigError
 from .constants import constant_table
 from .corpus import resolve_exponent, resolve_function
 from .defaults import default_config_text
@@ -154,7 +153,7 @@ def main(argv=None) -> int:
             return _cmd_approx(args)
         if args.command == "constants":
             return _cmd_constants(args)
-    except (ParseError, ConfigError, ExponentRangeError, ValueError,
+    except (ParseError, ExponentRangeError, ValueError,
             KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -161,21 +161,20 @@ def norm_of(f, norm: NormSpec, spec: QuadSpec = DEFAULT_SPEC) -> float:
                           panels_per_unit=norm.panels_per_unit).value
 
 
-def holder_audit(f, g, p: ExponentField, spec: QuadSpec = DEFAULT_SPEC,
-                 window: Optional[float] = None,
+def holder_audit(f, g, p: ExponentField, window: Optional[float] = None,
                  panels_per_unit: float = 4.0) -> AuditRow:
     """Check int |f g| <= 2 ||f||_p ||g||_p' on the truncation window."""
     if p.p_minus <= 1.0:
         raise ValueError("the conjugate exponent is unbounded: need p_minus > 1")
     f = as_real_function(f)
     g = as_real_function(g)
-    win = window if window is not None else max(default_window(f, spec),
-                                                default_window(g, spec))
+    win = window if window is not None else max(default_window(f, DEFAULT_SPEC),
+                                                default_window(g, DEFAULT_SPEC))
     x, w = _nodes(win, panels_per_unit,
                   tuple(sorted({*f.breakpoints, *g.breakpoints})))
     lhs = float(np.sum(w * np.abs(f(x)) * np.abs(g(x))))
-    nf = luxemburg_norm(f, p, spec, window=win, panels_per_unit=panels_per_unit).value
-    ng = luxemburg_norm(g, p.dual(), spec, window=win,
+    nf = luxemburg_norm(f, p, window=win, panels_per_unit=panels_per_unit).value
+    ng = luxemburg_norm(g, p.dual(), window=win,
                         panels_per_unit=panels_per_unit).value
     rhs = 2.0 * nf * ng
     return make_row(

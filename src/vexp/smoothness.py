@@ -63,28 +63,26 @@ def modulus(req: ModulusRequest, spec: QuadSpec = DEFAULT_SPEC) -> float:
     """||(I - T_d)^r f|| in the requested norm; 0 at d = 0."""
     if req.delta == 0.0:
         return 0.0
-    h = difference_power(req.f, req.delta, req.r, spec)
+    h = difference_power(req.f, req.delta, req.r)
     return norm_of(h, req.norm, spec)
 
 
-def candidate_difference(f, r: int, delta: float,
-                         spec: QuadSpec = DEFAULT_SPEC) -> RealFunction:
+def candidate_difference(f, r: int, delta: float) -> RealFunction:
     """f - g for the iterate candidate, i.e. (I - T_d^(2r))^r f."""
     f = as_real_function(f)
     parts = [(float((-1) ** l) * math.comb(r, l),
-              iterated_steklov(f, delta, 2 * r * l, spec))
+              iterated_steklov(f, delta, 2 * r * l))
              for l in range(r + 1)]
     return combine(parts, name=f"(I-T^{2 * r})^{r}[{f.name}]")
 
 
-def candidate_derivative(f, r: int, delta: float,
-                         spec: QuadSpec = DEFAULT_SPEC) -> RealFunction:
+def candidate_derivative(f, r: int, delta: float) -> RealFunction:
     """r-th derivative of the candidate g, via difference identities."""
     f = as_real_function(f)
     parts = []
     for l in range(1, r + 1):
         coeff = float((-1) ** (l - 1)) * math.comb(r, l)
-        term = steklov_derivative(f, delta, 2 * r * l, r, spec)
+        term = steklov_derivative(f, delta, 2 * r * l, r)
         parts.append((coeff, term))
     return combine(parts, name=f"g^({r})[{f.name}]")
 
@@ -94,8 +92,8 @@ def k_functional_upper(f, r: int, delta: float, norm: NormSpec,
     """Upper bound for the order-r K-functional from the iterate candidate."""
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    fmg = norm_of(candidate_difference(f, r, delta, spec), norm, spec)
-    gder = norm_of(candidate_derivative(f, r, delta, spec), norm, spec)
+    fmg = norm_of(candidate_difference(f, r, delta), norm, spec)
+    gder = norm_of(candidate_derivative(f, r, delta), norm, spec)
     coeffs = {l: float((-1) ** (l - 1)) * math.comb(r, l) for l in range(1, r + 1)}
     return KFunctionalEstimate(
         value=fmg + delta ** r * gder,
@@ -104,6 +102,10 @@ def k_functional_upper(f, r: int, delta: float, norm: NormSpec,
         f_minus_g_norm=fmg,
         g_deriv_norm=gder,
     )
+
+
+# the decreasing steps along which the modulus must vanish, property (e)
+_VANISH_DELTAS = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
 def _size_bound_constant(r: int, norm: NormSpec, c10: Optional[float]) -> float:
@@ -117,11 +119,8 @@ def _size_bound_constant(r: int, norm: NormSpec, c10: Optional[float]) -> float:
 
 
 def modulus_properties_audit(f, g, r: int, delta1: float, delta2: float,
-                             norm: NormSpec, spec: QuadSpec = DEFAULT_SPEC,
-                             c10: Optional[float] = None,
-                             f_deriv=None,
-                             vanish_deltas: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4),
-                             ) -> list[AuditRow]:
+                             norm: NormSpec, c10: Optional[float] = None,
+                             f_deriv=None) -> list[AuditRow]:
     """Structural checks on the modulus; one row per property.
 
     (a) near-monotonicity in delta, (b) subadditivity in f, (c) the size
@@ -135,22 +134,22 @@ def modulus_properties_audit(f, g, r: int, delta1: float, delta2: float,
     tag = "sup" if norm.kind == "sup" else f"p={norm.p.name}"
     rows: list[AuditRow] = []
 
-    om_f_d1 = modulus(ModulusRequest(f, r, delta1, norm), spec)
-    om_f_d2 = modulus(ModulusRequest(f, r, delta2, norm), spec)
+    om_f_d1 = modulus(ModulusRequest(f, r, delta1, norm))
+    om_f_d2 = modulus(ModulusRequest(f, r, delta2, norm))
 
     rows.append(make_row(
         "modulus_monotone", f"f={f.name};{tag};r={r};d1={delta1:g};d2={delta2:g}",
         lhs=om_f_d1, rhs=om_f_d2, constant_used=1.0))
 
-    om_g = modulus(ModulusRequest(g, r, delta2, norm), spec)
+    om_g = modulus(ModulusRequest(g, r, delta2, norm))
     fg = combine([(1.0, f), (1.0, g)], name=f"{f.name}+{g.name}")
-    om_fg = modulus(ModulusRequest(fg, r, delta2, norm), spec)
+    om_fg = modulus(ModulusRequest(fg, r, delta2, norm))
     rows.append(make_row(
         "modulus_subadditive", f"f={f.name};g={g.name};{tag};r={r};d={delta2:g}",
         lhs=om_fg, rhs=om_f_d2 + om_g, constant_used=1.0))
 
     size_c = _size_bound_constant(r, norm, c10)
-    nf = norm_of(f, norm, spec)
+    nf = norm_of(f, norm)
     rows.append(make_row(
         "modulus_size_bound", f"f={f.name};{tag};r={r};d={delta2:g}",
         lhs=om_f_d2, rhs=size_c * nf, constant_used=size_c))
@@ -162,20 +161,20 @@ def modulus_properties_audit(f, g, r: int, delta1: float, delta2: float,
             if c10 is None:
                 raise ValueError("the Luxemburg derivative bound needs c10")
             smooth_c = c10 ** r * 2.0 ** (-r) * delta2 ** r
-        nd = norm_of(as_real_function(f_deriv), norm, spec)
+        nd = norm_of(as_real_function(f_deriv), norm)
         rows.append(make_row(
             "modulus_smooth_bound", f"f={f.name};{tag};r={r};d={delta2:g}",
             lhs=om_f_d2, rhs=smooth_c * nd, constant_used=smooth_c))
 
-    seq = [modulus(ModulusRequest(f, r, d, norm), spec)
-           for d in sorted(vanish_deltas, reverse=True)]
+    seq = [modulus(ModulusRequest(f, r, d, norm))
+           for d in _VANISH_DELTAS]
     nonincreasing = all(seq[i + 1] <= seq[i] * (1.0 + 1e-6) + 1e-12
                         for i in range(len(seq) - 1))
     row = make_row(
         "modulus_vanishing", f"f={f.name};{tag};r={r}",
         lhs=seq[-1], rhs=seq[0] if seq[0] > 0 else 0.0,
         constant_used=1.0,
-        truncation_bounds={"delta_sequence": list(sorted(vanish_deltas, reverse=True)),
+        truncation_bounds={"delta_sequence": list(_VANISH_DELTAS),
                            "values": seq})
     if not nonincreasing:
         row = replace(row, passed=False)

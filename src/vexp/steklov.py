@@ -26,7 +26,7 @@ import numpy as np
 from .fnexpr import Decay
 from .functions import (RealFunction, as_real_function, combine, outer_apply,
                         shifted, zero_function)
-from .quad import DEFAULT_SPEC, QuadSpec, gauss_rule, panel_rule
+from .quad import gauss_rule, panel_rule
 
 __all__ = [
     "forward_steklov", "iterated_steklov", "nested_steklov",
@@ -203,7 +203,7 @@ def _rough_average(f: RealFunction, delta: float, k: int) -> Callable:
     return ev
 
 
-def iterated_steklov(f, delta: float, k: int, spec: QuadSpec = DEFAULT_SPEC) -> RealFunction:
+def iterated_steklov(f, delta: float, k: int) -> RealFunction:
     """k-th iterate of the forward average, one kernel quadrature per point."""
     f = as_real_function(f)
     if k < 0:
@@ -238,12 +238,12 @@ def iterated_steklov(f, delta: float, k: int, spec: QuadSpec = DEFAULT_SPEC) -> 
                         osc_wavelength=f.osc_wavelength)
 
 
-def forward_steklov(f, delta: float, spec: QuadSpec = DEFAULT_SPEC) -> RealFunction:
+def forward_steklov(f, delta: float) -> RealFunction:
     """T_d f(x) = (1/d) int_0^d f(x+t) dt; exact for affine f."""
-    return iterated_steklov(f, delta, 1, spec)
+    return iterated_steklov(f, delta, 1)
 
 
-def nested_steklov(f, delta: float, k: int, spec: QuadSpec = DEFAULT_SPEC) -> RealFunction:
+def nested_steklov(f, delta: float, k: int) -> RealFunction:
     """k literal nested applications of T_d (independent of the kernel path).
 
     Work grows geometrically with k for smooth inputs (each level multiplies
@@ -270,20 +270,19 @@ def _single_nested(g: RealFunction, delta: float) -> RealFunction:
                         osc_wavelength=g.osc_wavelength)
 
 
-def difference_power(f, delta: float, r: int, spec: QuadSpec = DEFAULT_SPEC) -> RealFunction:
+def difference_power(f, delta: float, r: int) -> RealFunction:
     """(I - T_d)^r f expanded by the binomial theorem; zero when d = 0."""
     f = as_real_function(f)
     if r < 1:
         raise ValueError("r must be >= 1")
     if delta == 0.0:
         return zero_function(name=f"(I-T_0)^{r}[{f.name}]")
-    parts = [(float((-1) ** j) * math.comb(r, j), iterated_steklov(f, delta, j, spec))
+    parts = [(float((-1) ** j) * math.comb(r, j), iterated_steklov(f, delta, j))
              for j in range(r + 1)]
     return combine(parts, name=f"(I-T_{delta:g})^{r}[{f.name}]")
 
 
-def steklov_derivative(f, delta: float, m: int, r: int,
-                       spec: QuadSpec = DEFAULT_SPEC) -> RealFunction:
+def steklov_derivative(f, delta: float, m: int, r: int) -> RealFunction:
     """d^r/dx^r T_d^m f via forward differences of T_d^(m-r) f.
 
     Uses (d/dx) T_d g = (g(.+d) - g(.)) / d applied r times, so f itself is
@@ -292,7 +291,7 @@ def steklov_derivative(f, delta: float, m: int, r: int,
     f = as_real_function(f)
     if not 1 <= r <= m:
         raise ValueError("need 1 <= r <= m")
-    base = iterated_steklov(f, delta, m - r, spec)
+    base = iterated_steklov(f, delta, m - r)
     scale = delta ** (-r)
     parts = [(scale * float((-1) ** (r - j)) * math.comb(r, j),
               shifted(base, j * delta)) for j in range(r + 1)]
@@ -304,7 +303,7 @@ def steklov_derivative(f, delta: float, m: int, r: int,
 # ---------------------------------------------------------------------------
 
 def sup_norm(f, window: float, step: Optional[float] = None,
-             breakpoints: tuple[float, ...] = (), refine: bool = True) -> float:
+             refine: bool = True) -> float:
     """max |f| over [-window, window] on a grid, locally refined at the peaks."""
     f = as_real_function(f)
     if step is None:
@@ -312,7 +311,7 @@ def sup_norm(f, window: float, step: Optional[float] = None,
         step = max(step, 2.0 * window / 400_000)
     n = max(64, int(round(2.0 * window / step)) + 1)
     xs = np.linspace(-window, window, n)
-    extra = [b for b in (*f.breakpoints, *breakpoints) if abs(b) <= window]
+    extra = [b for b in f.breakpoints if abs(b) <= window]
     if extra:
         xs = np.unique(np.concatenate([xs, np.asarray(extra, dtype=float)]))
     vals = np.abs(f(xs))

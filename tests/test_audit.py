@@ -1,11 +1,12 @@
 import json
+import tomllib
 from dataclasses import replace
 
 import pytest
 
 from vexp.audit import (AuditCase, Context, SURROGATE_POLICY, THEOREM_RUNNERS,
                         report_csv, run_case, run_suite)
-from vexp.config import ConfigError, parse_config
+from vexp.config import parse_config
 from vexp.fnexpr import ExponentRangeError
 from vexp.report import make_row
 
@@ -70,12 +71,12 @@ class TestConfig:
         assert cfg["defaults"]["r"] == 2
 
     def test_error_has_position(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(tomllib.TOMLDecodeError) as err:
             parse_config("[[case]]\ntheorem == oops\n")
         assert "line 2" in str(err.value)
 
     def test_unterminated_array(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(tomllib.TOMLDecodeError):
             parse_config("a = [1, 2\n")
 
     def test_strings_and_bools(self):
@@ -286,6 +287,23 @@ class TestCaseValidation:
             run_suite(case + "lhs_windw = 20\n")
         with pytest.raises(ValueError, match="jobs"):
             run_suite("[defaults]\njobs = 2\n" + case)
+
+    def test_keys_a_family_does_not_read_rejected(self):
+        # jackson_sup takes A_hat on the sup window, so lhs_window changed
+        # nothing; lambdas belong to scaling_vexp alone
+        case = ('[[case]]\ntheorem = "jackson_sup"\nf = "@gauss"\n'
+                'r = 1\nsigmas = [2.0]\n')
+        for key in ("lhs_window = 1.0", "lambdas = [0.5]"):
+            name = key.split()[0]
+            with pytest.raises(ValueError, match=f"jackson_sup.*{name}"):
+                run_suite(case + key + "\n")
+
+    def test_defaults_apply_only_where_read(self):
+        # the README example: steklov_bound reads no r, the default skips it
+        text = ('[defaults]\nr = 1\n\n[[case]]\ntheorem = "steklov_bound"\n'
+                'f = "@gauss"\np = "@p_bump"\ndeltas = [0.5]\n')
+        report, code = run_suite(text)
+        assert code == 0 and len(report.rows) == 1
 
     def test_all_runners_registered(self):
         assert set(SURROGATE_POLICY) <= set(THEOREM_RUNNERS) | {
