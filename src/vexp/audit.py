@@ -443,12 +443,11 @@ def run_vp_norm_bound(ctx: Context, case: AuditCase) -> list[AuditRow]:
 # Theorem runners: sup-norm suite
 # ---------------------------------------------------------------------------
 
-def run_sup_suite(ctx: Context, case: AuditCase) -> list[AuditRow]:
-    """The uniform-norm estimates: derivative bound, Taylor remainder,
-    one-step comparison, order comparison, and the shift-modulus bracket."""
+def run_sup_steklov(ctx: Context, case: AuditCase) -> list[AuditRow]:
+    """The uniform-norm estimates free of r: derivative bound, Taylor
+    remainder and one-step comparison."""
     m, _, norm = _resolve(ctx, case)
     W = norm.window
-    r = case.r
     rows = []
     nf = ctx.norm(m, norm)
     for d in case.deltas:
@@ -469,6 +468,22 @@ def run_sup_suite(ctx: Context, case: AuditCase) -> list[AuditRow]:
                 lhs=sup_norm(resid, W), rhs=d * d / 6.0 * sup_norm(g2, W),
                 constant_used=d * d / 6.0))
 
+    for h, d in zip(case.deltas, case.deltas[1:]):
+        rows.append(make_row(
+            "one_step_compare_sup", _case_id(m, h=h, delta=d),
+            lhs=_omega(ctx, m, 1, h, norm), rhs=72.0 * _omega(ctx, m, 1, d, norm),
+            constant_used=72.0))
+    return rows
+
+
+def run_sup_suite(ctx: Context, case: AuditCase) -> list[AuditRow]:
+    """The uniform-norm estimates of order r: order comparison, the
+    shift-modulus bracket and the comparison across steps."""
+    m, _, norm = _resolve(ctx, case)
+    W = norm.window
+    r = case.r
+    rows = []
+    for d in case.deltas:
         om_r = _omega(ctx, m, r, d, norm)
         rows.append(make_row(
             "order_compare_sup", _case_id(m, r=r, k=case.k, delta=d),
@@ -491,10 +506,6 @@ def run_sup_suite(ctx: Context, case: AuditCase) -> list[AuditRow]:
             constant_used=C.shift_compare_upper(r), flags=("h_grid_sup",)))
 
     for h, d in zip(case.deltas, case.deltas[1:]):
-        rows.append(make_row(
-            "one_step_compare_sup", _case_id(m, h=h, delta=d),
-            lhs=_omega(ctx, m, 1, h, norm), rhs=72.0 * _omega(ctx, m, 1, d, norm),
-            constant_used=72.0))
         rows.append(make_row(
             "delta_compare_sup", _case_id(m, r=r, d1=h, d2=d),
             lhs=C.shift_compare_lower(r) * _omega(ctx, m, r, h, norm),
@@ -696,6 +707,7 @@ THEOREM_RUNNERS: dict[str, Family] = {
                             g_src="companion function"),
     "vp_norm_bound": Family(run_vp_norm_bound, "sup", ("p_src", "p_infinity"),
                             sigmas="type grid"),
+    "sup_steklov": Family(run_sup_steklov, "sup", deltas="steps"),
     "sup_suite": Family(run_sup_suite, "sup", ("r", "k"), deltas="steps"),
     "jackson_sup": Family(run_jackson_sup, "sup", ("r", "vp_tail"), sigmas="type grid"),
     "inverse_sup": Family(partial(
@@ -803,6 +815,9 @@ def run_suite(config_text: str, out_dir: Optional[str] = None,
     validate_cases(ctx, cases)
     rows = [row for c in cases for row in run_case(ctx, c)]
     rows.sort(key=lambda r: (r.theorem_id, r.case_id))
+    for a, b in zip(rows, rows[1:]):
+        if (a.theorem_id, a.case_id) == (b.theorem_id, b.case_id):
+            raise ValueError(f"row {a.theorem_id} {a.case_id} is produced twice")
     report = AuditReport(rows=rows)
     if out_dir:
         write_reports(report, out_dir)

@@ -110,6 +110,7 @@ def default_config_text() -> str:
 
     # uniform-norm suite
     for f in ("gauss", "gauss_osc", "box", "box_smooth", "cos_gauss", "lorentz"):
+        parts.append(_case("sup_steklov", f, deltas=[0.3, 0.6]))
         for r in (1, 2):
             parts.append(_case("sup_suite", f, r=r, k=1, deltas=[0.3, 0.6]))
     for f in ("gauss", "box", "lorentz2"):

@@ -24,6 +24,7 @@ REQUIRED = {
     "smooth_bound_vexp": ("deltas", "p_src"),
     "modulus_props": ("deltas", "g_src"),
     "vp_norm_bound": ("sigmas",),
+    "sup_steklov": ("deltas",),
     "sup_suite": ("deltas",),
     "jackson_sup": ("sigmas",),
     "inverse_sup": ("deltas",),
@@ -297,6 +298,12 @@ class TestCaseValidation:
             name = key.split()[0]
             with pytest.raises(ValueError, match=f"jackson_sup.*{name}"):
                 run_suite(case + key + "\n")
+
+    def test_repeated_rows_rejected(self):
+        case = ('[[case]]\ntheorem = "holder"\nf = "@box"\ng = "@box"\n'
+                'p = "@p2"\n')
+        with pytest.raises(ValueError, match="produced twice"):
+            run_suite(case + case)
 
     def test_defaults_apply_only_where_read(self):
         # the README example: steklov_bound reads no r, the default skips it
