@@ -127,9 +127,6 @@ class Context:
         return NormSpec.vexp(p, window=m.norm_window,
                              panels_per_unit=m.panels_per_unit)
 
-    def sup_spec(self, m: CorpusMember) -> NormSpec:
-        return NormSpec.sup(m.sup_window)
-
     def norm(self, m: CorpusMember, norm: NormSpec) -> float:
         key = ("norm", m.name, _norm_key(norm))
         if key not in self._norm_cache:
@@ -198,7 +195,7 @@ def _resolve(ctx: Context, case: AuditCase
             raise ValueError(f"theorem {case.theorem!r} needs {attr} ({why})")
     m = ctx.member(case.f_src)
     if family.kind == "sup" or not case.p_src:
-        return m, None, ctx.sup_spec(m)
+        return m, None, NormSpec.sup(m.sup_window)
     p = ctx.exponent(case.p_src, case.p_infinity)
     return m, p, ctx.vexp_spec(m, p)
 
@@ -657,12 +654,11 @@ def run_series_modulus(ctx: Context, case: AuditCase, constant: Callable,
 class Family:
     """A theorem family: its runner and the case fields it reads.
 
-    kind is the norm the family is stated in: "vexp" needs p and uses the
-    member's Luxemburg norm, "sup" uses the member's sup window, and "either"
-    is L^p(.) when the case gives p and sup otherwise.  Each keyword names a
-    required field with the reason shown when it is missing; reads lists the
-    optional fields.  Every family reads theorem and f, and p and p_infinity
-    unless its kind is "sup".
+    kind is the norm of the statement: "vexp" (needs p), "sup", or "either"
+    (L^p(.) when the case gives p, else sup).  Each keyword names a required
+    field and the reason shown when it is missing; reads lists the optional
+    fields.  Every family reads theorem and f, and p and p_infinity unless
+    its kind is "sup".
     """
 
     def __init__(self, run: Callable[[Context, AuditCase], list[AuditRow]],
