@@ -186,13 +186,19 @@ def _omega(ctx: Context, m: CorpusMember, r: int, delta: float,
     return ctx._norm_cache[key]
 
 
-def _resolve(ctx: Context, case: AuditCase
-             ) -> tuple[CorpusMember, Optional[ExponentField], NormSpec]:
-    """Check the inputs the case's family needs; return (member, exponent, norm)."""
+def _checked_family(case: AuditCase) -> Family:
+    """The case's family, once the case gives every input the family needs."""
     family = THEOREM_RUNNERS[case.theorem]
     for attr, why in family.needs.items():
         if not getattr(case, attr):
             raise ValueError(f"theorem {case.theorem!r} needs {attr} ({why})")
+    return family
+
+
+def _resolve(ctx: Context, case: AuditCase
+             ) -> tuple[CorpusMember, Optional[ExponentField], NormSpec]:
+    """Check the inputs the case's family needs; return (member, exponent, norm)."""
+    family = _checked_family(case)
     m = ctx.member(case.f_src)
     if family.kind == "sup" or not case.p_src:
         return m, None, NormSpec.sup(m.sup_window)
@@ -781,12 +787,14 @@ def run_case(ctx: Context, case: AuditCase) -> list[AuditRow]:
 
 
 def validate_cases(ctx: Context, cases: list[AuditCase]) -> None:
-    """Resolve all referenced functions and exponents before running anything.
+    """Check and resolve every case before running anything.
 
-    An exponent that dips below 1 raises here, so a bad configuration is
-    rejected before any case executes.
+    A missing required input, an unknown function or an exponent that dips
+    below 1 raises here, so a bad configuration is rejected before any case
+    executes.
     """
     for case in cases:
+        _checked_family(case)
         ctx.member(case.f_src)
         if case.g_src:
             ctx.member(case.g_src)

@@ -19,14 +19,14 @@ silently absorbed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .fnexpr import Decay
 from .functions import RealFunction, as_real_function, outer_apply
-from .norms import NormSpec, norm_of
+from .norms import NormSpec, default_window, norm_of
 from .quad import DEFAULT_SPEC, QuadSpec, panel_rule
 
 __all__ = ["vp_kernel", "vp_operator", "best_approx_surrogate",
@@ -39,7 +39,6 @@ _MAX_PANELS = 60_000
 class BestApproxEstimate:
     sigma: float
     value: float
-    method: str
     window: float
     tail_bound: float = 0.0
 
@@ -138,7 +137,6 @@ def vp_operator(f, sigma: float, spec: QuadSpec = DEFAULT_SPEC,
     if f.expr is not None and f.expr.constant is not None:
         return f  # J reproduces constants exactly: the kernel has unit mass
     if x_span is None:
-        from .norms import default_window
         x_span = default_window(f, spec)
 
     if f.decay.kind == "compact_support":
@@ -184,7 +182,6 @@ def best_approx_surrogate(f, sigma: float, norm: NormSpec,
         raise ValueError("sigma must be positive")
     win = norm.window
     if win is None:
-        from .norms import default_window
         win = default_window(f, spec)
     j = vp_operator(f, sigma / 2.0, spec, x_span=win,
                     tail_target=tail_target)
@@ -195,7 +192,6 @@ def best_approx_surrogate(f, sigma: float, norm: NormSpec,
     d = RealFunction(fn=diff, name=f"{f.name}-J", decay=f.decay,
                      breakpoints=f.breakpoints,
                      osc_wavelength=min(f.osc_wavelength, j.osc_wavelength))
-    from dataclasses import replace as _replace
-    value = norm_of(d, _replace(norm, window=win), spec)
-    return BestApproxEstimate(sigma=sigma, value=value, method="vp_surrogate",
-                              window=win, tail_bound=j.tail_bound)
+    value = norm_of(d, replace(norm, window=win), spec)
+    return BestApproxEstimate(sigma=sigma, value=value, window=win,
+                              tail_bound=j.tail_bound)

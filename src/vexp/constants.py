@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
-__all__ = ["constant", "constant_table", "ConstantTable", "CONSTANT_NAMES",
+__all__ = ["constant_table", "ConstantTable", "CONSTANT_NAMES",
            "MONOTONE_DIRECTIONS"]
 
 
@@ -155,22 +155,6 @@ CONSTANT_NAMES = tuple(_REGISTRY)
 # (it is a lower-band factor in (0, 1) by construction)
 MONOTONE_DIRECTIONS = {name: ("down" if name == "c4" else "up")
                        for name in CONSTANT_NAMES}
-
-
-def constant(name: str, r: Optional[int] = None, k: Optional[int] = None,
-             p_plus: Optional[float] = None, c3: Optional[float] = None,
-             c1: Optional[float] = None, m: Optional[float] = None) -> float:
-    """Evaluate a named constant; raises KeyError/ValueError appropriately."""
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown constant {name!r}")
-    params, fn, _ = _REGISTRY[name]
-    supplied = {"r": r, "k": k, "p_plus": p_plus, "c3": c3, "c1": c1, "m": m}
-    args = []
-    for p in params:
-        if supplied[p] is None:
-            raise ValueError(f"constant {name!r} needs parameter {p!r}")
-        args.append(supplied[p])
-    return fn(*args)
 
 
 @dataclass(frozen=True)

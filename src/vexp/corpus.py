@@ -19,8 +19,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .fnexpr import Decay, ExponentField, FuncExpr, parse
+from .fnexpr import Decay, ExponentField, FuncExpr, Indicator, parse
 from .functions import RealFunction
+from .norms import default_window
+from .quad import DEFAULT_SPEC
 from .steklov import IndicatorSteklov
 
 __all__ = ["CorpusMember", "default_corpus", "default_exponents",
@@ -125,7 +127,6 @@ def resolve_function(src: str) -> CorpusMember:
     if src.startswith("@"):
         return corpus_member(src[1:])
     e = parse(src)
-    from .fnexpr import Indicator
     if isinstance(e.ast, Indicator):
         eng = IndicatorSteklov(e.ast.a, e.ast.b)
         return _engine(src, e.src, eng,
@@ -134,8 +135,6 @@ def resolve_function(src: str) -> CorpusMember:
     rf = RealFunction(fn=e, name=e.src, decay=e.decay_class, expr=e,
                       breakpoints=((e.decay_class.a, e.decay_class.b)
                                    if e.decay_class.kind == "compact_support" else ()))
-    from .norms import default_window
-    from .quad import DEFAULT_SPEC
     w = default_window(rf, DEFAULT_SPEC)
     return CorpusMember(name=e.src, src=e.src, rf=rf, norm_window=w,
                         sup_window=min(w, 20.0), panels_per_unit=4.0,

@@ -684,9 +684,6 @@ class FuncExpr:
         out = _apply(self._compiled, x)
         return float(out) if scalar else out
 
-    def derivative(self, order: int = 1) -> "FuncExpr":
-        return differentiate(self, order)
-
     def __str__(self) -> str:
         return self.src
 

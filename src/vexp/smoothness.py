@@ -54,7 +54,6 @@ class ModulusRequest:
 @dataclass(frozen=True)
 class KFunctionalEstimate:
     value: float
-    candidate_g_description: dict
     f_minus_g_norm: float
     g_deriv_norm: float
 
@@ -94,11 +93,8 @@ def k_functional_upper(f, r: int, delta: float, norm: NormSpec,
         raise ValueError("delta must be positive")
     fmg = norm_of(candidate_difference(f, r, delta), norm, spec)
     gder = norm_of(candidate_derivative(f, r, delta), norm, spec)
-    coeffs = {l: float((-1) ** (l - 1)) * math.comb(r, l) for l in range(1, r + 1)}
     return KFunctionalEstimate(
         value=fmg + delta ** r * gder,
-        candidate_g_description={"r": r, "delta": delta, "coefficients": coeffs,
-                                 "iterate_powers": [2 * r * l for l in range(1, r + 1)]},
         f_minus_g_norm=fmg,
         g_deriv_norm=gder,
     )

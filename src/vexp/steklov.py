@@ -10,13 +10,18 @@ quadratures).  Derivatives of iterates never differentiate f: the identity
 (d/dx) T_d g = (g(. + d) - g(.)) / d turns d^r/dx^r T_d^m f into forward
 differences of T_d^(m-r) f.
 
-Indicator-built inputs get an exact engine based on cumulative B-splines, so
-rough corpus members go through every operator at machine precision instead
-of fighting quadrature with x-dependent discontinuities.
+Indicator-built inputs get an exact engine: T_d^k 1_[a,b](x) is
+CB_k((b - x)/d) - CB_k((a - x)/d), with CB_k(t) = int_0^t B_k, and a box
+pre-averaged once uses the integral of CB_k.  Both are polynomials on each
+unit piece (the pp form, de Boor, A Practical Guide to Splines, ch. IX), so
+they are evaluated by Horner from coefficients computed once per order in
+integer arithmetic; rough corpus members go through every operator at
+machine precision with no quadrature.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -26,12 +31,11 @@ import numpy as np
 from .fnexpr import Decay
 from .functions import (RealFunction, as_real_function, combine, outer_apply,
                         shifted, zero_function)
-from .quad import gauss_rule, panel_rule
+from .quad import panel_rule
 
 __all__ = [
-    "forward_steklov", "iterated_steklov", "nested_steklov",
-    "difference_power", "steklov_derivative", "IndicatorSteklov",
-    "bspline_value", "bspline_cumulative", "sup_norm",
+    "forward_steklov", "iterated_steklov", "difference_power",
+    "steklov_derivative", "IndicatorSteklov", "bspline_value", "sup_norm",
 ]
 
 
@@ -52,61 +56,38 @@ def bspline_value(k: int, t) -> np.ndarray:
     return vals[0]
 
 
-class _BsplineTables:
-    """Per-order prefix integrals for the cumulative B-spline and its integral."""
+@functools.cache
+def _pp_coefficients(k: int, n: int) -> np.ndarray:
+    """pp form of (1/n!) sum_i (-1)^i C(k,i) (t - i)_+^n on [0, k].
 
-    def __init__(self, k: int):
-        self.k = k
-        n1 = k // 2 + 1          # exact for the degree k-1 pieces of B_k
-        n2 = (k + 1) // 2 + 1    # exact for the degree k pieces of its integral
-        self.x1, self.w1 = gauss_rule(n1)
-        self.x2, self.w2 = gauss_rule(n2)
-        # prefix1[m] = int_0^m B_k ; prefix1[k] == 1
-        interval = np.array([
-            float(np.sum(self.w1 * bspline_value(k, m + self.x1))) for m in range(k)
-        ])
-        self.prefix1 = np.concatenate([[0.0], np.cumsum(interval)])
-        # prefix2[m] = int_0^m CB_k
-        interval2 = np.array([
-            float(np.sum(self.w2 * self._cb_at(m + self.x2))) for m in range(k)
-        ])
-        self.prefix2 = np.concatenate([[0.0], np.cumsum(interval2)])
-
-    def _cb_at(self, t: np.ndarray) -> np.ndarray:
-        tc = np.clip(t, 0.0, float(self.k))
-        m = np.minimum(np.floor(tc), self.k - 1)
-        frac = tc - m
-        nodes = m[..., None] + frac[..., None] * self.x1
-        partial = frac * (bspline_value(self.k, nodes) @ self.w1)
-        return self.prefix1[m.astype(int)] + partial
-
-    def cumulative(self, t) -> np.ndarray:
-        """CB_k(t) = int_0^max(t,0) B_k, saturating at 1 for t >= k."""
-        return self._cb_at(np.asarray(t, dtype=float))
-
-    def cumulative2(self, t) -> np.ndarray:
-        """Second antiderivative int_0^t CB_k; linear of slope 1 beyond k."""
-        t = np.asarray(t, dtype=float)
-        tc = np.clip(t, 0.0, float(self.k))
-        m = np.minimum(np.floor(tc), self.k - 1)
-        frac = tc - m
-        nodes = m[..., None] + frac[..., None] * self.x2
-        partial = frac * (self._cb_at(nodes) @ self.w2)
-        inside = self.prefix2[m.astype(int)] + partial
-        return inside + np.maximum(t - self.k, 0.0)
+    Row m holds the coefficients, lowest power first, of the polynomial in
+    s = t - m on the piece [m, m + 1].  n! times each coefficient is an
+    integer, so one int/int true division gives the correctly rounded float.
+    """
+    fact = math.factorial(n)
+    return np.array([
+        [math.comb(n, j) * sum((-1) ** i * math.comb(k, i) * (m - i) ** (n - j)
+                               for i in range(m + 1)) / fact
+         for j in range(n + 1)]
+        for m in range(k)])
 
 
-_TABLES: dict[int, _BsplineTables] = {}
+def _antiderivative(k: int, n: int, t) -> np.ndarray:
+    """(n-k)-fold antiderivative of B_k from 0, for n = k or k + 1.
 
-
-def _tables(k: int) -> _BsplineTables:
-    if k not in _TABLES:
-        _TABLES[k] = _BsplineTables(k)
-    return _TABLES[k]
-
-
-def bspline_cumulative(k: int, t) -> np.ndarray:
-    return _tables(k).cumulative(t)
+    n = k gives CB_k(t) = int_0^t B_k, which saturates at 1 for t >= k;
+    n = k + 1 gives int_0^t CB_k, which grows with slope 1 beyond k.
+    """
+    t = np.asarray(t, dtype=float)
+    tc = np.clip(t, 0.0, float(k))
+    m = np.minimum(np.floor(tc), k - 1)
+    s = tc - m
+    m = m.astype(int)
+    coef = _pp_coefficients(k, n)
+    acc = coef[m, n]
+    for j in range(n - 1, -1, -1):
+        acc = acc * s + coef[m, j]
+    return acc + (n - k) * np.maximum(t - k, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -147,22 +128,22 @@ class IndicatorSteklov:
     def iterated(self, delta: float, k: int) -> Callable[[np.ndarray], np.ndarray]:
         if k == 0 or delta == 0.0:
             return self.__call__
-        tab = _tables(k)
+        # one engine call per evaluation: the arrays are short, so the cost
+        # is numpy dispatch per Horner step, not arithmetic
         a, b = self.a, self.b
         if not self.pre:
             def ev(x):
                 x = np.asarray(x, dtype=float)
-                return tab.cumulative((b - x) / delta) - tab.cumulative((a - x) / delta)
+                cb = _antiderivative(k, k, np.stack([b - x, a - x]) / delta)
+                return cb[0] - cb[1]
             return ev
         g = self.pre[0]
 
         def ev(x):
             x = np.asarray(x, dtype=float)
-            hi = (tab.cumulative2((b - x) / delta)
-                  - tab.cumulative2((b - x - g) / delta))
-            lo = (tab.cumulative2((a - x) / delta)
-                  - tab.cumulative2((a - x - g) / delta))
-            return (delta / g) * (hi - lo)
+            icb = _antiderivative(k, k + 1, np.stack(
+                [b - x, b - x - g, a - x, a - x - g]) / delta)
+            return (delta / g) * ((icb[0] - icb[1]) - (icb[2] - icb[3]))
         return ev
 
     def breakpoints_after(self, delta: float, k: int) -> tuple[float, ...]:
@@ -241,33 +222,6 @@ def iterated_steklov(f, delta: float, k: int) -> RealFunction:
 def forward_steklov(f, delta: float) -> RealFunction:
     """T_d f(x) = (1/d) int_0^d f(x+t) dt; exact for affine f."""
     return iterated_steklov(f, delta, 1)
-
-
-def nested_steklov(f, delta: float, k: int) -> RealFunction:
-    """k literal nested applications of T_d (independent of the kernel path).
-
-    Work grows geometrically with k for smooth inputs (each level multiplies
-    the evaluation fan-out), so this is a test oracle, not a production path.
-    """
-    g = as_real_function(f)
-    for _ in range(k):
-        g = _single_nested(g, delta)
-    return g
-
-
-def _single_nested(g: RealFunction, delta: float) -> RealFunction:
-    if g.breakpoints:
-        inner = _rough_average(g, delta, 1)
-        breaks = tuple(sorted({s - j * delta for s in g.breakpoints for j in (0, 1)}))
-        return RealFunction(fn=inner, name=f"T_{delta:g}[{g.name}]",
-                            decay=g.decay, breakpoints=breaks)
-    x0, w0 = gauss_rule(24)
-
-    def ev(x):
-        return outer_apply(g, x, delta * x0, w0)
-
-    return RealFunction(fn=ev, name=f"T_{delta:g}[{g.name}]", decay=g.decay,
-                        osc_wavelength=g.osc_wavelength)
 
 
 def difference_power(f, delta: float, r: int) -> RealFunction:

@@ -31,7 +31,9 @@ from vexp.functions import as_real_function
 from vexp.norms import NormSpec, luxemburg_norm
 from vexp.smoothness import ModulusRequest, modulus
 from vexp.steklov import (difference_power, forward_steklov,
-                          iterated_steklov, nested_steklov, sup_norm)
+                          iterated_steklov, sup_norm)
+
+from steklov_oracles import nested_steklov
 
 CORPUS = default_corpus()
 P2, P_BUMP, P_OSC = default_exponents()

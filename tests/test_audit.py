@@ -281,6 +281,16 @@ class TestCaseValidation:
                 with pytest.raises(ValueError, match=attr):
                     run_case(ctx, case)
 
+    def test_missing_input_rejected_before_any_case_runs(self, monkeypatch):
+        def refuse(ctx, case):
+            raise AssertionError("a case ran before the configuration was checked")
+        monkeypatch.setattr("vexp.audit.run_case", refuse)
+        good = ('[[case]]\ntheorem = "steklov_bound"\nf = "@gauss"\n'
+                'p = "@p2"\ndeltas = [0.5]\n')
+        no_deltas = '[[case]]\ntheorem = "steklov_bound"\nf = "@box"\np = "@p2"\n'
+        with pytest.raises(ValueError, match="deltas"):
+            run_suite(good + no_deltas)
+
     def test_unknown_keys_rejected(self):
         case = ('[[case]]\ntheorem = "jackson_vexp"\nf = "@sinc4"\n'
                 'p = "@p2"\nsigmas = [8.0]\n')

@@ -46,18 +46,6 @@ class TestNameCollisions:
 
 
 class TestApi:
-    def test_constant_lookup(self):
-        assert C.constant("c8_k", r=2) == 4640.0
-        assert C.constant("c5", p_plus=1.0, c3=0.0) == 192.0
-
-    def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            C.constant("c99")
-
-    def test_missing_parameter(self):
-        with pytest.raises(ValueError):
-            C.constant("c11", r=1)
-
     def test_table_is_deterministic(self):
         t1 = C.constant_table(2, 1, 2.5, 0.4)
         t2 = C.constant_table(2, 1, 2.5, 0.4)

@@ -1,13 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from vexp.fnexpr import Decay, differentiate, parse
 from vexp.functions import RealFunction, as_real_function, shifted
-from vexp.steklov import (IndicatorSteklov, bspline_cumulative, bspline_value,
+from vexp.steklov import (IndicatorSteklov, _antiderivative, bspline_value,
                           difference_power, forward_steklov, iterated_steklov,
-                          nested_steklov, steklov_derivative, sup_norm)
+                          steklov_derivative, sup_norm)
+
+from steklov_oracles import (bspline_cumulative_quad, nested_steklov,
+                             truncated_power_sum)
 
 XS = np.linspace(-3.0, 3.0, 25)
 
@@ -185,7 +189,7 @@ class TestBsplines:
             ts = np.linspace(0.0, k, 101)[:-1]
             total = sum(bspline_value(k, ts - i) for i in range(-k, k + 1))
             assert np.allclose(total, 1.0, atol=1e-12)
-            assert bspline_cumulative(k, np.array([float(k)]))[0] == \
+            assert bspline_cumulative_quad(k, np.array([float(k)]))[0] == \
                 pytest.approx(1.0, abs=1e-13)
 
     def test_hat_function(self):
@@ -198,7 +202,44 @@ class TestBsplines:
         b = bspline_value(3, grid)
         idx = np.round(ts / 3.0 * 300000).astype(int)
         oracle = [np.trapezoid(b[:i + 1], grid[:i + 1]) for i in idx]
-        assert np.allclose(bspline_cumulative(3, ts), oracle, atol=1e-9)
+        assert np.allclose(bspline_cumulative_quad(3, ts), oracle, atol=1e-9)
+        assert np.allclose(_antiderivative(3, 3, ts), oracle, atol=1e-9)
+
+
+def _oracle(k, n, ts):
+    return np.array([float(truncated_power_sum(k, n, t)) for t in ts])
+
+
+class TestPiecewisePolynomialEngine:
+    # the pp form against the truncated-power sums evaluated at 30 digits
+    @pytest.mark.parametrize("k", list(range(1, 13)) + [18])
+    def test_antiderivatives_match_truncated_powers(self, k):
+        rng = np.random.default_rng(k)
+        ts = np.concatenate([np.arange(-1.0, k + 2.0),
+                             rng.uniform(-1.0, k + 1.0, 40)])
+        for n in (k, k + 1):
+            err = np.abs(_antiderivative(k, n, ts) - _oracle(k, n, ts))
+            assert np.max(err) < 1e-14, (k, n)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_indicator_iterates_match_truncated_powers(self, k):
+        # T_d^k 1_[0,1] = CB_k((1-x)/d) - CB_k(-x/d); for T_g 1_[0,1], the
+        # same with CB_k replaced by differences of int CB_k across g/d,
+        # times d/g
+        d, g = 0.35, 0.1
+        xs = np.linspace(-3.5, 1.5, 41)
+        box = IndicatorSteklov(0.0, 1.0).iterated(d, k)(xs)
+        smooth = IndicatorSteklov(0.0, 1.0, pre=(g,)).iterated(d, k)(xs)
+        with mpmath.workdps(30):
+            md, mg = mpmath.mpf(d), mpmath.mpf(g)
+            for x, v, w in zip(xs, box, smooth):
+                u = (1 - mpmath.mpf(x)) / md, -mpmath.mpf(x) / md
+                cb = truncated_power_sum(k, k, u[0]) - truncated_power_sum(k, k, u[1])
+                icb = sum(sign * (truncated_power_sum(k, k + 1, t)
+                                  - truncated_power_sum(k, k + 1, t - mg / md))
+                          for sign, t in zip((1, -1), u))
+                assert abs(v - cb) < 1e-14, x
+                assert abs(w - md / mg * icb) < 1e-14, x
 
 
 class TestSupNorm:
