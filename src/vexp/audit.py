@@ -23,8 +23,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields, replace
-from functools import partial
-from typing import Callable, Optional, get_type_hints
+from typing import Callable, Iterator, Optional, get_type_hints
 
 import numpy as np
 
@@ -34,11 +33,10 @@ from .config import parse_config
 from .corpus import CorpusMember, resolve_exponent, resolve_function
 from .fnexpr import ExponentField, differentiate
 from .functions import RealFunction, combine, shifted
-from .norms import NormSpec, holder_audit, norm_of
+from .norms import NormSpec, luxemburg_norm, norm_of, window_nodes
 from .quad import panel_rule
 from .report import AuditRow, make_row
-from .smoothness import (ModulusRequest, k_functional_upper, modulus,
-                         modulus_properties_audit)
+from .smoothness import ModulusRequest, k_functional_upper, modulus
 from .steklov import iterated_steklov, steklov_derivative, sup_norm
 
 __all__ = ["AuditCase", "AuditReport", "Context", "run_suite", "run_case",
@@ -107,31 +105,24 @@ class Context:
     """
 
     def __init__(self):
-        self._fn_cache: dict[str, CorpusMember] = {}
-        self._p_cache: dict[tuple, ExponentField] = {}
-        self._norm_cache: dict = {}
-        self._ahat_cache: dict = {}
+        self._cache: dict[tuple, object] = {}
+
+    def cached(self, key: tuple, compute: Callable[[], object]):
+        """The value stored under key, computed on the first lookup."""
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
 
     def member(self, src: str) -> CorpusMember:
-        if src not in self._fn_cache:
-            self._fn_cache[src] = resolve_function(src)
-        return self._fn_cache[src]
+        return self.cached(("member", src), lambda: resolve_function(src))
 
     def exponent(self, src: str, p_infinity: Optional[float]) -> ExponentField:
-        key = (src, p_infinity)
-        if key not in self._p_cache:
-            self._p_cache[key] = resolve_exponent(src, p_infinity)
-        return self._p_cache[key]
-
-    def vexp_spec(self, m: CorpusMember, p: ExponentField) -> NormSpec:
-        return NormSpec.vexp(p, window=m.norm_window,
-                             panels_per_unit=m.panels_per_unit)
+        return self.cached(("exponent", src, p_infinity),
+                           lambda: resolve_exponent(src, p_infinity))
 
     def norm(self, m: CorpusMember, norm: NormSpec) -> float:
-        key = ("norm", m.name, _norm_key(norm))
-        if key not in self._norm_cache:
-            self._norm_cache[key] = norm_of(m.rf, norm)
-        return self._norm_cache[key]
+        return self.cached(("norm", m.name, _norm_key(norm)),
+                           lambda: norm_of(m.rf, norm))
 
     def ahat(self, m: CorpusMember, norm: NormSpec, sigma: float,
              lhs_window: Optional[float] = None,
@@ -139,11 +130,9 @@ class Context:
         """Cached A_hat_sigma(f) = ||f - J(f, sigma/2)|| in the given norm."""
         tail = tail_target if tail_target is not None else 1e-8
         key = ("ahat", m.name, _norm_key(norm), round(sigma, 12), lhs_window, tail)
-        if key not in self._ahat_cache:
-            norm_used = norm if lhs_window is None else replace(norm, window=lhs_window)
-            self._ahat_cache[key] = best_approx_surrogate(
-                m.rf, sigma, norm_used, tail_target=tail).value
-        return self._ahat_cache[key]
+        norm_used = norm if lhs_window is None else replace(norm, window=lhs_window)
+        return self.cached(key, lambda: best_approx_surrogate(
+            m.rf, sigma, norm_used, tail_target=tail).value)
 
     def a0(self, m: CorpusMember, norm: NormSpec) -> float:
         """Deviation from the type-0 class (bounded entire = constants).
@@ -180,35 +169,27 @@ def _case_id(m: CorpusMember, p: Optional[ExponentField] = None, **kv) -> str:
 
 def _omega(ctx: Context, m: CorpusMember, r: int, delta: float,
            norm: NormSpec) -> float:
-    key = ("omega", m.name, _norm_key(norm), r, round(delta, 14))
-    if key not in ctx._norm_cache:
-        ctx._norm_cache[key] = modulus(ModulusRequest(m.rf, r, delta, norm))
-    return ctx._norm_cache[key]
+    return ctx.cached(("omega", m.name, _norm_key(norm), r, round(delta, 14)),
+                      lambda: modulus(ModulusRequest(m.rf, r, delta, norm)))
 
 
-def _checked_family(case: AuditCase) -> Family:
-    """The case's family, once the case gives every input the family needs."""
+def _checked(ctx: Context, case: AuditCase) -> tuple[Family, CorpusMember, NormSpec]:
+    """(family, member, norm) of a case that gives every input its family
+    needs and meets each of the family's preconditions."""
     family = THEOREM_RUNNERS[case.theorem]
     for attr, why in family.needs.items():
         if not getattr(case, attr):
             raise ValueError(f"theorem {case.theorem!r} needs {attr} ({why})")
-    return family
-
-
-def _resolve(ctx: Context, case: AuditCase
-             ) -> tuple[CorpusMember, Optional[ExponentField], NormSpec]:
-    """Check the inputs the case's family needs; return (member, exponent, norm)."""
-    family = _checked_family(case)
     m = ctx.member(case.f_src)
-    if family.kind == "sup" or not case.p_src:
-        return m, None, NormSpec.sup(m.sup_window)
-    p = ctx.exponent(case.p_src, case.p_infinity)
-    return m, p, ctx.vexp_spec(m, p)
+    p = (ctx.exponent(case.p_src, case.p_infinity)
+         if case.p_src and family.kind != "sup" else None)
+    for holds, what in family.checks:
+        if not holds(case, m, p):
+            raise ValueError(f"theorem {case.theorem!r} needs {what}")
+    return family, m, m.norm_spec(p)
 
 
 def _deriv_member(m: CorpusMember, order: int) -> RealFunction:
-    if not m.smooth or m.expr is None:
-        raise ValueError(f"{m.name} has no symbolic derivative")
     d = differentiate(m.expr, order)
     return RealFunction(fn=d, name=f"{m.name}^({order})", decay=m.rf.decay,
                         osc_wavelength=m.rf.osc_wavelength, expr=d)
@@ -216,142 +197,141 @@ def _deriv_member(m: CorpusMember, order: int) -> RealFunction:
 
 # ---------------------------------------------------------------------------
 # Theorem runners: variable-exponent families, and twins that serve both norms
+#
+# A runner takes the case with its family, and the member and norm that
+# run_case resolved (norm.p is the exponent, None in the sup norm); it yields
+# the case's rows.
 # ---------------------------------------------------------------------------
 
-def run_steklov_bound(ctx: Context, case: AuditCase) -> list[AuditRow]:
+def run_steklov_bound(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
+                      norm: NormSpec) -> Iterator[AuditRow]:
     """||T_d f||_p <= c10 ||f||_p, uniformly in d."""
-    m, p, norm = _resolve(ctx, case)
-    c10 = C.c10(p.p_plus, p.c3)
+    c10 = fam.constant(case, norm.p)
     nf = ctx.norm(m, norm)
-    rows = []
     for d in case.deltas:
         tf = iterated_steklov(m.rf, d, 1)
         lhs = norm_of(tf, norm)
-        rows.append(make_row(
-            "steklov_norm_bound", _case_id(m, p, delta=d),
+        yield make_row(
+            "steklov_norm_bound", _case_id(m, norm.p, delta=d),
             lhs=lhs, rhs=c10 * nf, constant_used=c10,
             truncation_bounds={"window": norm.window,
-                               "plain_ratio": lhs / nf if nf else 0.0}))
-    return rows
+                               "plain_ratio": lhs / nf if nf else 0.0})
 
 
-def run_holder(ctx: Context, case: AuditCase) -> list[AuditRow]:
-    m, p, _ = _resolve(ctx, case)
+def run_holder(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
+               norm: NormSpec) -> Iterator[AuditRow]:
+    """int |f g| <= 2 ||f||_p ||g||_p' on the wider window of the two."""
     g = ctx.member(case.g_src)
     win = max(m.norm_window, g.norm_window)
     ppu = max(m.panels_per_unit, g.panels_per_unit)
-    return [holder_audit(m.rf, g.rf, p, window=win, panels_per_unit=ppu)]
+    x, w = window_nodes(win, ppu,
+                        tuple(sorted({*m.rf.breakpoints, *g.rf.breakpoints})))
+    lhs = float(np.sum(w * np.abs(m.rf(x)) * np.abs(g.rf(x))))
+    nf = luxemburg_norm(m.rf, norm.p, window=win, panels_per_unit=ppu).value
+    ng = luxemburg_norm(g.rf, norm.p.dual(), window=win, panels_per_unit=ppu).value
+    c = fam.constant(case, norm.p)
+    yield make_row(
+        "holder_upper_bound", f"f={m.rf.name};g={g.rf.name};p={norm.p.name}",
+        lhs=lhs, rhs=c * nf * ng, constant_used=c,
+        truncation_bounds={"window": win})
 
 
-def run_kfunc_equiv(ctx: Context, case: AuditCase, upper: Callable,
-                    lower: Callable) -> list[AuditRow]:
+def run_kfunc_equiv(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
+                    norm: NormSpec) -> Iterator[AuditRow]:
     """Two-sided equivalence of the modulus with the K-functional bound:
     K_hat <= upper * Omega_r(f, d) and Omega_r(f, d) <= lower * K_hat."""
-    m, p, norm = _resolve(ctx, case)
     r = case.r
-    up, low = upper(case, p), lower(case, p)
-    rows = []
+    up, low = fam.constant(case, norm.p)
     for d in case.deltas:
         om = _omega(ctx, m, r, d, norm)
         kh = k_functional_upper(m.rf, r, d, norm)
-        rows.append(make_row(
-            f"{case.theorem}_upper", _case_id(m, p, r=r, delta=d),
+        yield make_row(
+            f"{case.theorem}_upper", _case_id(m, norm.p, r=r, delta=d),
             lhs=kh.value, rhs=up * om, constant_used=up,
             flags=("K_surrogate",),
             truncation_bounds={"f_minus_g": kh.f_minus_g_norm,
-                               "g_deriv": kh.g_deriv_norm}))
-        rows.append(make_row(
-            f"{case.theorem}_lower", _case_id(m, p, r=r, delta=d),
+                               "g_deriv": kh.g_deriv_norm})
+        yield make_row(
+            f"{case.theorem}_lower", _case_id(m, norm.p, r=r, delta=d),
             lhs=om, rhs=low * kh.value, constant_used=low,
-            flags=("K_surrogate",)))
-    return rows
+            flags=("K_surrogate",))
 
 
-def run_jackson_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
+def run_jackson_vexp(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
+                     norm: NormSpec) -> Iterator[AuditRow]:
     """||f - J(f, s)||_p <= c11 * Omega_r(f, 1/(2s))_p (the direct estimate)."""
-    m, p, norm = _resolve(ctx, case)
     r = case.r
-    c11 = C.c11(r, p.p_plus, p.c3)
-    rows = []
+    c11 = fam.constant(case, norm.p)
     for s in case.sigmas:
         lhs = ctx.ahat(m, norm, 2.0 * s, lhs_window=case.lhs_window,
                        tail_target=case.vp_tail)
         om = _omega(ctx, m, r, 1.0 / (2.0 * s), norm)
-        rows.append(make_row(
-            "jackson_vexp", _case_id(m, p, r=r, sigma=s),
+        yield make_row(
+            "jackson_vexp", _case_id(m, norm.p, r=r, sigma=s),
             lhs=lhs, rhs=c11 * om, constant_used=c11,
             truncation_bounds={"lhs_window": case.lhs_window or norm.window,
-                               "rhs_window": norm.window}))
-    return rows
+                               "rhs_window": norm.window})
 
 
-def _ahat_integral(ctx: Context, m: CorpusMember, norm: NormSpec,
-                   u_lo: float, u_hi: float, r: int, sigma_of_u: float,
-                   lhs_window: Optional[float],
-                   tail_target: Optional[float] = None) -> tuple[float, dict]:
-    """int_{u_lo}^{u_hi} u^(r-1) A_hat(sigma_of_u * u) du, step interpolation.
+def _ahat_integral(ctx: Context, case: AuditCase, m: CorpusMember, norm: NormSpec,
+                   u_hi: float, sigma_of_u: float) -> tuple[float, dict]:
+    """int_{1/2}^{u_hi} u^(r-1) A_hat(sigma_of_u * u) du, step interpolation.
 
     The surrogate table is sampled on a geometric grid; on each segment the
     left value bounds the non-increasing true deviation from above, so the
     computed integral can only exceed the exact right-hand side.
     """
-    n_seg = 12
-    ratio = (u_hi / u_lo) ** (1.0 / n_seg)
-    us = [u_lo * ratio ** i for i in range(n_seg + 1)]
+    n_seg, r = 12, case.r
+    ratio = (u_hi / 0.5) ** (1.0 / n_seg)
+    us = [0.5 * ratio ** i for i in range(n_seg + 1)]
     total = 0.0
     table = {}
     for i in range(n_seg):
         sig = sigma_of_u * us[i]
-        val = ctx.ahat(m, norm, sig, lhs_window=lhs_window,
-                       tail_target=tail_target)
+        val = ctx.ahat(m, norm, sig, lhs_window=case.lhs_window,
+                       tail_target=case.vp_tail)
         table[round(sig, 10)] = val
         total += val * (us[i + 1] ** r - us[i] ** r) / r
     return total, {"sigma_grid": sorted(table), "n_segments": n_seg}
 
 
-def run_inverse(ctx: Context, case: AuditCase, constant: Callable,
-                sigma_scale: float) -> list[AuditRow]:
+def run_inverse(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
+                norm: NormSpec) -> Iterator[AuditRow]:
     """Omega_r(f,d) <= c d^r (A_0 + int_{1/2}^{1/d} u^(r-1) A_hat(s u) du),
-    with s = sigma_scale."""
-    m, p, norm = _resolve(ctx, case)
+    with s the family's sigma_scale."""
     r = case.r
-    c = constant(case, p)
+    c = fam.constant(case, norm.p)
     a0 = ctx.a0(m, norm)
-    rows = []
     for d in case.deltas:
-        if not d < 1.0:
-            raise ValueError("inverse estimate needs delta in (0, 1)")
         om = _omega(ctx, m, r, d, norm)
-        integral, info = _ahat_integral(ctx, m, norm, 0.5, 1.0 / d, r,
-                                        sigma_scale, case.lhs_window,
-                                        case.vp_tail)
-        rows.append(make_row(
-            case.theorem, _case_id(m, p, r=r, delta=d),
+        integral, info = _ahat_integral(ctx, case, m, norm, 1.0 / d,
+                                        fam.sigma_scale)
+        yield make_row(
+            case.theorem, _case_id(m, norm.p, r=r, delta=d),
             lhs=om, rhs=c * d ** r * (a0 + integral), constant_used=c,
             flags=("A_sigma_surrogate",),
-            truncation_bounds={"a0": a0, **info}))
-    return rows
+            truncation_bounds={"a0": a0, **info})
 
 
-def run_marchaud_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
-    """Omega_r(f,t)_p <= c14 t^r int_t^1 Omega_{r+k}(f,u)/u^(r+1) du (no surrogates)."""
-    m, p, norm = _resolve(ctx, case)
+def run_marchaud(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
+                 norm: NormSpec) -> Iterator[AuditRow]:
+    """Omega_r(f,t) <= c t^r int_t^1 Omega_{r+k}(f,u)/u^(r+1) du (no surrogates).
+
+    The u-integral is taken with each of the family's panel counts; the last
+    one is used, and its change from the one before is recorded.
+    """
     r, k = case.r, case.k
-    c14 = C.c14_marchaud(r, k, p.p_plus, p.c3)
-    rows = []
+    c = fam.constant(case, norm.p)
     for t in case.t_grid:
-        if not t < 0.5:
-            raise ValueError("Marchaud estimate needs t in (0, 1/2)")
-        om = _omega(ctx, m, r, t, norm)
-        coarse = _marchaud_integral(ctx, m, norm, t, r, k, panels=4)
-        fine = _marchaud_integral(ctx, m, norm, t, r, k, panels=8)
-        rhs = c14 * t ** r * fine
-        rows.append(make_row(
-            "marchaud_vexp", _case_id(m, p, r=r, k=k, t=t),
-            lhs=om, rhs=rhs, constant_used=c14,
-            truncation_bounds={"u_quad_refinement": abs(fine - coarse),
-                               "u_integral": fine}))
-    return rows
+        *coarse, fine = [_marchaud_integral(ctx, m, norm, t, r, k, panels)
+                         for panels in fam.panels]
+        bounds = {"u_integral": fine}
+        if coarse:
+            bounds["u_quad_refinement"] = abs(fine - coarse[-1])
+        yield make_row(
+            case.theorem, _case_id(m, norm.p, r=r, k=k, t=t),
+            lhs=_omega(ctx, m, r, t, norm), rhs=c * t ** r * fine,
+            constant_used=c, truncation_bounds=bounds)
 
 
 def _marchaud_integral(ctx: Context, m: CorpusMember, norm: NormSpec,
@@ -362,103 +342,133 @@ def _marchaud_integral(ctx: Context, m: CorpusMember, norm: NormSpec,
     return float(np.sum(wts * vals / nodes ** (r + 1)))
 
 
-def run_one_step_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
-    """Omega_1(f,h)_p <= c8_transfer(72) * Omega_1(f,d)_p for h <= d."""
-    m, p, norm = _resolve(ctx, case)
-    c = C.c8_transfer(72.0, p.p_plus, p.c3)
-    rows = []
+def run_one_step(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
+                 norm: NormSpec) -> Iterator[AuditRow]:
+    """Omega_1(f,h) <= c * Omega_1(f,d) for consecutive steps h <= d."""
+    c = fam.constant(case, norm.p)
     for h, d in zip(case.deltas, case.deltas[1:]):
-        rows.append(make_row(
-            "one_step_compare_vexp", _case_id(m, p, h=h, delta=d),
+        yield make_row(
+            f"one_step_compare_{norm.kind}", _case_id(m, norm.p, h=h, delta=d),
             lhs=_omega(ctx, m, 1, h, norm), rhs=c * _omega(ctx, m, 1, d, norm),
-            constant_used=c))
-    return rows
+            constant_used=c)
 
 
-def run_scaling_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
-    """Omega_r(f, lam*d) <= scaling_compare * (1+floor(lam))^r * Omega_r(f,d)."""
-    m, p, norm = _resolve(ctx, case)
+def run_scaling_vexp(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
+                     norm: NormSpec) -> Iterator[AuditRow]:
+    """Omega_r(f, lam*d) <= scaling_compare * (1+floor(lam))^r * Omega_r(f,d);
+    lam < 1 makes the factor (1+floor(lam))^r equal to 1."""
     r = case.r
-    base_c = C.scaling_compare(r, p.p_plus, p.c3)
-    rows = []
+    c = fam.constant(case, norm.p)
     for d in case.deltas:
         for lam in case.lambdas:
-            if not (0.0 < lam < 1.0 and 0.0 < d < 1.0):
-                raise ValueError("scaling comparison needs lam, delta in (0,1)")
-            c = base_c * (1.0 + math.floor(lam)) ** r
-            rows.append(make_row(
-                "scaling_compare_vexp", _case_id(m, p, r=r, delta=d, lam=lam),
+            yield make_row(
+                "scaling_compare_vexp", _case_id(m, norm.p, r=r, delta=d, lam=lam),
                 lhs=_omega(ctx, m, r, lam * d, norm),
-                rhs=c * _omega(ctx, m, r, d, norm), constant_used=c))
-    return rows
+                rhs=c * _omega(ctx, m, r, d, norm), constant_used=c)
 
 
-def run_smooth_bound_vexp(ctx: Context, case: AuditCase) -> list[AuditRow]:
+def run_smooth_bound_vexp(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
+                          norm: NormSpec) -> Iterator[AuditRow]:
     """Omega_r(f,d)_p <= (c10/2)^r d^r ||f^(r)||_p for r-smooth f."""
-    m, p, norm = _resolve(ctx, case)
     r = case.r
-    c = (C.c10(p.p_plus, p.c3) / 2.0) ** r
-    fr = _deriv_member(m, r)
-    nd = norm_of(fr, norm)
-    rows = []
+    c = fam.constant(case, norm.p)
+    nd = norm_of(_deriv_member(m, r), norm)
     for d in case.deltas:
-        rows.append(make_row(
-            "smooth_modulus_bound_vexp", _case_id(m, p, r=r, delta=d),
+        yield make_row(
+            "smooth_modulus_bound_vexp", _case_id(m, norm.p, r=r, delta=d),
             lhs=_omega(ctx, m, r, d, norm), rhs=c * d ** r * nd,
-            constant_used=c))
-    return rows
+            constant_used=c)
 
 
-def run_modulus_props(ctx: Context, case: AuditCase) -> list[AuditRow]:
-    """Structural modulus properties, in L^p(.) when p is given, else sup."""
-    m, p, norm = _resolve(ctx, case)
-    g = ctx.member(case.g_src)
-    c10 = C.c10(p.p_plus, p.c3) if p is not None else None
-    f_deriv = _deriv_member(m, case.r) if m.smooth else None
-    d1, d2 = case.deltas[0], case.deltas[-1]
-    return modulus_properties_audit(m.rf, g.rf, case.r, d1, d2, norm,
-                                    c10=c10, f_deriv=f_deriv)
+# the decreasing steps along which the modulus must vanish, property (e)
+_VANISH_DELTAS = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
-def run_vp_norm_bound(ctx: Context, case: AuditCase) -> list[AuditRow]:
+def run_modulus_props(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
+                      norm: NormSpec) -> Iterator[AuditRow]:
+    """Structural modulus properties, in L^p(.) when p is given, else sup.
+
+    (a) near-monotonicity in delta, (b) subadditivity in f, (c) the size
+    bound against ||f||, (d) the derivative bound for smooth f, (e)
+    vanishing along delta -> 0.  The family's constant bounds T_d: 1 in
+    the sup norm, where averages contract, and c10 in L^p(.).
+    """
+    f, g, r = m.rf, ctx.member(case.g_src).rf, case.r
+    d1, d2 = case.deltas
+    t_bound = fam.constant(case, norm.p)
+    tag = "sup" if norm.p is None else f"p={norm.p.name}"
+
+    om_f_d1 = modulus(ModulusRequest(f, r, d1, norm))
+    om_f_d2 = modulus(ModulusRequest(f, r, d2, norm))
+    yield make_row(
+        "modulus_monotone", f"f={f.name};{tag};r={r};d1={d1:g};d2={d2:g}",
+        lhs=om_f_d1, rhs=om_f_d2, constant_used=1.0)
+
+    om_g = modulus(ModulusRequest(g, r, d2, norm))
+    fg = combine([(1.0, f), (1.0, g)], name=f"{f.name}+{g.name}")
+    om_fg = modulus(ModulusRequest(fg, r, d2, norm))
+    yield make_row(
+        "modulus_subadditive", f"f={f.name};g={g.name};{tag};r={r};d={d2:g}",
+        lhs=om_fg, rhs=om_f_d2 + om_g, constant_used=1.0)
+
+    size_c = (1.0 + t_bound) ** r
+    yield make_row(
+        "modulus_size_bound", f"f={f.name};{tag};r={r};d={d2:g}",
+        lhs=om_f_d2, rhs=size_c * norm_of(f, norm), constant_used=size_c)
+
+    if m.smooth:
+        smooth_c = t_bound ** r * 2.0 ** (-r) * d2 ** r
+        nd = norm_of(_deriv_member(m, r), norm)
+        yield make_row(
+            "modulus_smooth_bound", f"f={f.name};{tag};r={r};d={d2:g}",
+            lhs=om_f_d2, rhs=smooth_c * nd, constant_used=smooth_c)
+
+    seq = [modulus(ModulusRequest(f, r, d, norm)) for d in _VANISH_DELTAS]
+    row = make_row(
+        "modulus_vanishing", f"f={f.name};{tag};r={r}",
+        lhs=seq[-1], rhs=seq[0] if seq[0] > 0 else 0.0,
+        constant_used=1.0,
+        truncation_bounds={"delta_sequence": list(_VANISH_DELTAS),
+                           "values": seq})
+    if not all(b <= a * (1.0 + 1e-6) + 1e-12 for a, b in zip(seq, seq[1:])):
+        row = replace(row, passed=False)
+    yield row
+
+
+def run_vp_norm_bound(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
+                      norm: NormSpec) -> Iterator[AuditRow]:
     """||J(f,s)|| <= (3/2) ||f|| in the sup norm and for constant exponents."""
-    m, _, sup = _resolve(ctx, case)
-    rows = []
-    norms = [("sup", sup)]
-    if case.p_src:
-        p = ctx.exponent(case.p_src, case.p_infinity)
-        if not p.is_constant:
-            raise ValueError("the 3/2 bound is audited for constant exponents only")
-        norms.append((f"p={p.name}", ctx.vexp_spec(m, p)))
+    c = fam.constant(case, norm.p)
+    norms = [("sup", m.norm_spec())]
+    if norm.p is not None:
+        norms.append((f"p={norm.p.name}", norm))
     for s in case.sigmas:
         j = vp_operator(m.rf, s, x_span=m.norm_window)
-        for tag, norm in norms:
-            lhs = norm_of(j, norm)
-            nf = ctx.norm(m, norm)
-            rows.append(make_row(
+        for tag, spec in norms:
+            lhs = norm_of(j, spec)
+            nf = ctx.norm(m, spec)
+            yield make_row(
                 "vp_norm_bound", _case_id(m, sigma=s) + f";norm={tag}",
-                lhs=lhs, rhs=1.5 * nf, constant_used=1.5,
-                truncation_bounds={"tail_bound": j.tail_bound}))
-    return rows
+                lhs=lhs, rhs=c * nf, constant_used=c,
+                truncation_bounds={"tail_bound": j.tail_bound})
 
 
 # ---------------------------------------------------------------------------
 # Theorem runners: sup-norm suite
 # ---------------------------------------------------------------------------
 
-def run_sup_steklov(ctx: Context, case: AuditCase) -> list[AuditRow]:
+def run_sup_steklov(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
+                    norm: NormSpec) -> Iterator[AuditRow]:
     """The uniform-norm estimates free of r: derivative bound, Taylor
     remainder and one-step comparison."""
-    m, _, norm = _resolve(ctx, case)
     W = norm.window
-    rows = []
     nf = ctx.norm(m, norm)
     for d in case.deltas:
         # ||(T_d f)'|| = ||(f(.+d) - f)/d|| <= (2/d) ||f||
         tder = steklov_derivative(m.rf, d, 1, 1)
-        rows.append(make_row(
+        yield make_row(
             "steklov_deriv_bound_sup", _case_id(m, delta=d),
-            lhs=sup_norm(tder, W), rhs=(2.0 / d) * nf, constant_used=2.0 / d))
+            lhs=sup_norm(tder, W), rhs=(2.0 / d) * nf, constant_used=2.0 / d)
 
         if m.smooth:
             g1 = _deriv_member(m, 1)
@@ -466,64 +476,55 @@ def run_sup_steklov(ctx: Context, case: AuditCase) -> list[AuditRow]:
             tg = iterated_steklov(m.rf, d, 1)
             resid = combine([(1.0, m.rf), (-1.0, tg), (d / 2.0, g1)],
                             name="taylor_resid")
-            rows.append(make_row(
+            yield make_row(
                 "taylor_remainder_sup", _case_id(m, delta=d),
                 lhs=sup_norm(resid, W), rhs=d * d / 6.0 * sup_norm(g2, W),
-                constant_used=d * d / 6.0))
+                constant_used=d * d / 6.0)
 
-    for h, d in zip(case.deltas, case.deltas[1:]):
-        rows.append(make_row(
-            "one_step_compare_sup", _case_id(m, h=h, delta=d),
-            lhs=_omega(ctx, m, 1, h, norm), rhs=72.0 * _omega(ctx, m, 1, d, norm),
-            constant_used=72.0))
-    return rows
+    yield from run_one_step(ctx, case, fam, m, norm)
 
 
-def run_sup_suite(ctx: Context, case: AuditCase) -> list[AuditRow]:
+def run_sup_suite(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
+                  norm: NormSpec) -> Iterator[AuditRow]:
     """The uniform-norm estimates of order r: order comparison, the
     shift-modulus bracket and the comparison across steps."""
-    m, _, norm = _resolve(ctx, case)
     W = norm.window
     r = case.r
-    rows = []
     for d in case.deltas:
         om_r = _omega(ctx, m, r, d, norm)
-        rows.append(make_row(
+        yield make_row(
             "order_compare_sup", _case_id(m, r=r, k=case.k, delta=d),
             lhs=_omega(ctx, m, r + case.k, d, norm),
-            rhs=2.0 ** case.k * om_r, constant_used=2.0 ** case.k))
+            rhs=2.0 ** case.k * om_r, constant_used=2.0 ** case.k)
 
         sup_shift = _shift_modulus(m, r, d, W)
         if m.smooth:
             # the stated lower constant is refuted by jump functions (both
             # sides equal 1 for an indicator), so the one-sided check is
             # only asserted on the smooth members
-            rows.append(make_row(
+            yield make_row(
                 "shift_modulus_sup_lower", _case_id(m, r=r, delta=d),
                 lhs=C.shift_compare_lower(r) * om_r, rhs=sup_shift,
                 constant_used=C.shift_compare_lower(r),
-                flags=("h_grid_sup", "one_sided")))
-        rows.append(make_row(
+                flags=("h_grid_sup", "one_sided"))
+        yield make_row(
             "shift_modulus_sup_upper", _case_id(m, r=r, delta=d),
             lhs=sup_shift, rhs=C.shift_compare_upper(r) * om_r,
-            constant_used=C.shift_compare_upper(r), flags=("h_grid_sup",)))
+            constant_used=C.shift_compare_upper(r), flags=("h_grid_sup",))
 
     for h, d in zip(case.deltas, case.deltas[1:]):
-        rows.append(make_row(
+        yield make_row(
             "delta_compare_sup", _case_id(m, r=r, d1=h, d2=d),
             lhs=C.shift_compare_lower(r) * _omega(ctx, m, r, h, norm),
             rhs=C.shift_compare_upper(r) * _omega(ctx, m, r, d, norm),
-            constant_used=C.shift_compare_upper(r) / C.shift_compare_lower(r)))
-    return rows
+            constant_used=C.shift_compare_upper(r) / C.shift_compare_lower(r))
 
 
-def _shift_modulus(m: CorpusMember, r: int, delta: float, window: float,
-                   n_h: int = 64) -> float:
-    """max over an h-grid of ||(I - shift_h)^r f||_sup (underestimates the sup)."""
+def _shift_modulus(m: CorpusMember, r: int, delta: float, window: float) -> float:
+    """max over 64 shifts |h| <= delta of ||(I - shift_h)^r f||_sup
+    (underestimates the sup; an even count of points never puts h at 0)."""
     best = 0.0
-    for h in np.linspace(-delta, delta, n_h):
-        if h == 0.0:
-            continue
+    for h in np.linspace(-delta, delta, 64):
         parts = [(float((-1) ** j) * math.comb(r, j), shifted(m.rf, j * h))
                  for j in range(r + 1)]
         diff = combine(parts, name="shift_diff")
@@ -531,40 +532,22 @@ def _shift_modulus(m: CorpusMember, r: int, delta: float, window: float,
     return best
 
 
-def run_jackson_sup(ctx: Context, case: AuditCase) -> list[AuditRow]:
+def run_jackson_sup(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
+                    norm: NormSpec) -> Iterator[AuditRow]:
     """A_hat_s(f)_sup <= 5 pi 4^(r-1) c8_k(r) Omega_r(f, 1/s)_sup.
 
     The surrogate sits on the small side, so the row is one-sided: it checks
     the chain through the computable operator rather than the bare best
     approximation.
     """
-    m, _, norm = _resolve(ctx, case)
     r = case.r
-    c = C.jackson_sup(r)
-    rows = []
+    c = fam.constant(case, norm.p)
     for s in case.sigmas:
         lhs = ctx.ahat(m, norm, s, tail_target=case.vp_tail)
-        rows.append(make_row(
+        yield make_row(
             "jackson_sup", _case_id(m, r=r, sigma=s),
             lhs=lhs, rhs=c * _omega(ctx, m, r, 1.0 / s, norm), constant_used=c,
-            flags=("A_sigma_surrogate", "one_sided")))
-    return rows
-
-
-def run_marchaud_sup(ctx: Context, case: AuditCase) -> list[AuditRow]:
-    m, _, norm = _resolve(ctx, case)
-    r, k = case.r, case.k
-    c9 = C.c9(r, k)
-    rows = []
-    for t in case.t_grid:
-        if not t <= 0.5:
-            raise ValueError("Marchaud estimate needs t in (0, 1/2]")
-        integral = _marchaud_integral(ctx, m, norm, t, r, k, panels=6)
-        rows.append(make_row(
-            "marchaud_sup", _case_id(m, r=r, k=k, t=t),
-            lhs=_omega(ctx, m, r, t, norm), rhs=c9 * t ** r * integral,
-            constant_used=c9, truncation_bounds={"u_integral": integral}))
-    return rows
+            flags=("A_sigma_surrogate", "one_sided"))
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +557,6 @@ def run_marchaud_sup(ctx: Context, case: AuditCase) -> list[AuditRow]:
 def _series_amplitudes(ctx: Context, m: CorpusMember, norm: NormSpec,
                        case: AuditCase, sigma_scale: float) -> list[float]:
     """[A_0, A_hat(sigma_scale * v) for v = 1..series_n]: the series terms' A."""
-    if case.series_n < 8:
-        raise ValueError("series audits need a cutoff of at least 8")
     return [ctx.a0(m, norm)] + [
         ctx.ahat(m, norm, nu * sigma_scale, lhs_window=case.lhs_window,
                  tail_target=case.vp_tail)
@@ -591,11 +572,10 @@ def _series_tail(terms: list[float]) -> tuple[float, bool]:
     partial = sum(terms)
     if partial <= 0.0:
         return 0.0, True
-    recent = [t for t in terms[-5:]]
-    if max(recent) <= 1e-8 * partial:
+    if max(terms[-5:]) <= 1e-8 * partial:
         return 0.0, True
     t_last = terms[-1]
-    t_prev = terms[-5] if len(terms) >= 5 else terms[0]
+    t_prev = terms[-5]  # a cutoff of at least 8 gives at least 9 terms
     if t_prev <= 0.0 or t_last <= 0.0:
         return 0.0, True
     rho = (t_last / t_prev) ** 0.25
@@ -614,29 +594,24 @@ def _series_row(case: AuditCase, case_id: str, lhs: float, c: float,
         truncation_bounds={"tail_estimate": tail}, inconclusive=not ok)
 
 
-def run_series_deriv_sup(ctx: Context, case: AuditCase) -> list[AuditRow]:
+def run_series_deriv_sup(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
+                         norm: NormSpec) -> Iterator[AuditRow]:
     """||f^(k)||_sup <= series_deriv_sup(k) * sum (v+1)^(r-1) A_hat_v."""
-    m, _, norm = _resolve(ctx, case)
     r, k = case.r, case.k
-    if k > r:
-        raise ValueError("needs k <= r")
     lhs = sup_norm(_deriv_member(m, k), norm.window)
-    amps = _series_amplitudes(ctx, m, norm, case, 1.0)
-    c = C.series_deriv_sup(k)
+    amps = _series_amplitudes(ctx, m, norm, case, fam.sigma_scale)
     terms = [(nu + 1.0) ** (r - 1) * a for nu, a in enumerate(amps)]
-    return [_series_row(case, _case_id(m, r=r, k=k, n=case.series_n),
-                        lhs, c, sum(terms), terms)]
+    yield _series_row(case, _case_id(m, r=r, k=k, n=case.series_n),
+                      lhs, fam.constant(case, norm.p), sum(terms), terms)
 
 
-def run_series_modulus(ctx: Context, case: AuditCase, constant: Callable,
-                       sigma_scale: float) -> list[AuditRow]:
+def run_series_modulus(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
+                       norm: NormSpec) -> Iterator[AuditRow]:
     """Omega_r(f^(k), 1/s) <= c (s^-r sum_low + sum_high), A_hat at v * sigma_scale."""
-    m, p, norm = _resolve(ctx, case)
     r, k = case.r, case.k
     fk = _deriv_member(m, k)
-    amps = _series_amplitudes(ctx, m, norm, case, sigma_scale)
-    c = constant(case, p)
-    rows = []
+    amps = _series_amplitudes(ctx, m, norm, case, fam.sigma_scale)
+    c = fam.constant(case, norm.p)
     for s in case.sigmas:
         om = modulus(ModulusRequest(fk, r, 1.0 / s, norm))
         low, high, terms = 0.0, 0.0, []
@@ -648,9 +623,8 @@ def run_series_modulus(ctx: Context, case: AuditCase, constant: Callable,
                 t = float(nu) ** (k - 1) * a
                 high += t
             terms.append(t)
-        rows.append(_series_row(case, _case_id(m, p, r=r, k=k, sigma=s),
-                                om, c, low + high, terms))
-    return rows
+        yield _series_row(case, _case_id(m, norm.p, r=r, k=k, sigma=s),
+                          om, c, low + high, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -658,18 +632,26 @@ def run_series_modulus(ctx: Context, case: AuditCase, constant: Callable,
 # ---------------------------------------------------------------------------
 
 class Family:
-    """A theorem family: its runner and the case fields it reads.
+    """A theorem family: its runner, the case fields it reads, and the data
+    of its statement.
 
     kind is the norm of the statement: "vexp" (needs p), "sup", or "either"
     (L^p(.) when the case gives p, else sup).  Each keyword names a required
     field and the reason shown when it is missing; reads lists the optional
     fields.  Every family reads theorem and f, and p and p_infinity unless
-    its kind is "sup".
+    its kind is "sup".  constant(case, p) is the statement's constant (p is
+    None in the sup norm).  checks are its preconditions, pairs of
+    holds(case, member, p) and what the statement needs, tested before any
+    case runs.  sigma_scale is where its series and integrals sample A_hat,
+    and panels are the u-quadrature panel counts of a Marchaud integral.
     """
 
-    def __init__(self, run: Callable[[Context, AuditCase], list[AuditRow]],
-                 kind: str, reads: tuple[str, ...] = (), **needs: str):
-        self.run, self.kind = run, kind
+    def __init__(self, run: Callable[..., Iterator[AuditRow]], kind: str,
+                 reads: tuple[str, ...] = (), constant: Optional[Callable] = None,
+                 checks: tuple = (), sigma_scale: float = 1.0,
+                 panels: tuple[int, ...] = (), **needs: str):
+        self.run, self.kind, self.constant, self.checks = run, kind, constant, checks
+        self.sigma_scale, self.panels = sigma_scale, panels
         self.needs = {**needs, "p_src": "exponent"} if kind == "vexp" else needs
         p = ("p_src", "p_infinity") if kind != "sup" else ()
         self.accepts = {"theorem", "f_src", *self.needs, *reads, *p}
@@ -678,55 +660,92 @@ class Family:
 _AHAT = ("lhs_window", "vp_tail")  # overrides of the A_hat window and tail
 _SERIES = ("r", "k", "series_n", *_AHAT)
 
-# Twin families state one estimate in L^p(.) and in the sup norm; their
-# runner takes the constant as a function of (case, exponent), and the scale
-# at which the series and integrals sample A_hat.
+# preconditions several statements share; grids are sorted, so a grid's
+# last entry is its largest
+_STEPS_BELOW_1 = (lambda case, m, p: case.deltas[-1] < 1.0, "delta in (0, 1)")
+_SYMBOLIC = (lambda case, m, p: m.smooth, "f with a symbolic derivative")
+_CUTOFF = (lambda case, m, p: case.series_n >= 8, "a series cutoff of at least 8")
+
+# Twin families state one estimate in L^p(.) and in the sup norm and share a
+# runner; their entries differ only in data.
 THEOREM_RUNNERS: dict[str, Family] = {
-    "steklov_bound": Family(run_steklov_bound, "vexp", deltas="Steklov step grid"),
-    "holder": Family(run_holder, "vexp", g_src="second factor"),
-    "kfunc_equiv_vexp": Family(partial(
-        run_kfunc_equiv,
-        upper=lambda case, p: C.kfunc_equiv_upper(case.r, p.p_plus, p.c3),
-        lower=lambda case, p: C.kfunc_equiv_lower(case.r, p.p_plus, p.c3)),
-        "vexp", ("r",), deltas="steps"),
-    "kfunc_equiv_sup": Family(partial(
-        run_kfunc_equiv,
-        upper=lambda case, p: C.c8_k(case.r),
-        lower=lambda case, p: 2.0 ** case.r),
-        "sup", ("r",), deltas="steps"),
-    "jackson_vexp": Family(run_jackson_vexp, "vexp", ("r", *_AHAT), sigmas="type grid"),
-    "inverse_vexp": Family(partial(
-        run_inverse, sigma_scale=0.5,
-        constant=lambda case, p: C.c12(case.r, p.p_plus, p.c3)),
-        "vexp", ("r", *_AHAT), deltas="steps in (0,1)"),
-    "marchaud_vexp": Family(run_marchaud_vexp, "vexp", ("r", "k"),
-                            t_grid="steps in (0, 1/2)"),
-    "one_step_vexp": Family(run_one_step_vexp, "vexp", deltas="at least two steps"),
-    "scaling_vexp": Family(run_scaling_vexp, "vexp", ("r",), deltas="steps in (0,1)",
-                           lambdas="scale factors in (0,1)"),
-    "smooth_bound_vexp": Family(run_smooth_bound_vexp, "vexp", ("r",), deltas="steps"),
-    "modulus_props": Family(run_modulus_props, "either", ("r",), deltas="two steps",
-                            g_src="companion function"),
-    "vp_norm_bound": Family(run_vp_norm_bound, "sup", ("p_src", "p_infinity"),
-                            sigmas="type grid"),
-    "sup_steklov": Family(run_sup_steklov, "sup", deltas="steps"),
+    "steklov_bound": Family(
+        run_steklov_bound, "vexp", deltas="Steklov step grid",
+        constant=lambda case, p: C.c10(p.p_plus, p.c3)),
+    "holder": Family(
+        run_holder, "vexp", g_src="second factor", constant=lambda case, p: 2.0,
+        checks=((lambda case, m, p: p.p_minus > 1.0,
+                 "p_minus > 1, or the conjugate exponent is unbounded"),)),
+    "kfunc_equiv_vexp": Family(
+        run_kfunc_equiv, "vexp", ("r",), deltas="steps",
+        constant=lambda case, p: (C.kfunc_equiv_upper(case.r, p.p_plus, p.c3),
+                                  C.kfunc_equiv_lower(case.r, p.p_plus, p.c3))),
+    "kfunc_equiv_sup": Family(
+        run_kfunc_equiv, "sup", ("r",), deltas="steps",
+        constant=lambda case, p: (C.c8_k(case.r), 2.0 ** case.r)),
+    "jackson_vexp": Family(
+        run_jackson_vexp, "vexp", ("r", *_AHAT), sigmas="type grid",
+        constant=lambda case, p: C.c11(case.r, p.p_plus, p.c3)),
+    "inverse_vexp": Family(
+        run_inverse, "vexp", ("r", *_AHAT), deltas="steps in (0,1)",
+        constant=lambda case, p: C.c12(case.r, p.p_plus, p.c3),
+        checks=(_STEPS_BELOW_1,), sigma_scale=0.5),
+    "marchaud_vexp": Family(
+        run_marchaud, "vexp", ("r", "k"), t_grid="steps in (0, 1/2)",
+        constant=lambda case, p: C.c14_marchaud(case.r, case.k, p.p_plus, p.c3),
+        checks=((lambda case, m, p: case.t_grid[-1] < 0.5, "t in (0, 1/2)"),),
+        panels=(4, 8)),
+    "one_step_vexp": Family(
+        run_one_step, "vexp", deltas="at least two steps",
+        constant=lambda case, p: C.c8_transfer(72.0, p.p_plus, p.c3),
+        checks=((lambda case, m, p: len(case.deltas) >= 2, "at least two steps"),)),
+    "scaling_vexp": Family(
+        run_scaling_vexp, "vexp", ("r",), deltas="steps in (0,1)",
+        lambdas="scale factors in (0,1)",
+        constant=lambda case, p: C.scaling_compare(case.r, p.p_plus, p.c3),
+        checks=(_STEPS_BELOW_1,
+                (lambda case, m, p: case.lambdas[-1] < 1.0, "lam in (0, 1)"))),
+    "smooth_bound_vexp": Family(
+        run_smooth_bound_vexp, "vexp", ("r",), deltas="steps",
+        constant=lambda case, p: (C.c10(p.p_plus, p.c3) / 2.0) ** case.r,
+        checks=(_SYMBOLIC,)),
+    "modulus_props": Family(
+        run_modulus_props, "either", ("r",), deltas="two steps",
+        g_src="companion function",
+        constant=lambda case, p: 1.0 if p is None else C.c10(p.p_plus, p.c3),
+        checks=((lambda case, m, p: len(case.deltas) == 2, "exactly two steps"),)),
+    "vp_norm_bound": Family(
+        run_vp_norm_bound, "either", sigmas="type grid",
+        constant=lambda case, p: 1.5,
+        checks=((lambda case, m, p: p is None or p.is_constant,
+                 "a constant exponent: the 3/2 bound is audited for those only"),)),
+    "sup_steklov": Family(run_sup_steklov, "sup", deltas="steps",
+                          constant=lambda case, p: 72.0),  # the one-step constant
     "sup_suite": Family(run_sup_suite, "sup", ("r", "k"), deltas="steps"),
-    "jackson_sup": Family(run_jackson_sup, "sup", ("r", "vp_tail"), sigmas="type grid"),
-    "inverse_sup": Family(partial(
-        run_inverse, sigma_scale=1.0,
-        constant=lambda case, p: C.inverse_sup_prefactor(case.r)),
-        "sup", ("r", *_AHAT), deltas="steps in (0,1)"),
-    "marchaud_sup": Family(run_marchaud_sup, "sup", ("r", "k"),
-                           t_grid="steps in (0, 1/2]"),
-    "series_deriv_sup": Family(run_series_deriv_sup, "sup", _SERIES),
-    "series_deriv_modulus_sup": Family(partial(
-        run_series_modulus, sigma_scale=1.0,
-        constant=lambda case, p: C.series_deriv_modulus_sup(case.r, case.k)),
-        "sup", _SERIES, sigmas="type grid"),
-    "series_inverse_vexp": Family(partial(
-        run_series_modulus, sigma_scale=0.5,
-        constant=lambda case, p: C.c14_series(case.r, case.k, p.p_plus, p.c3)),
-        "vexp", _SERIES, sigmas="type grid"),
+    "jackson_sup": Family(
+        run_jackson_sup, "sup", ("r", "vp_tail"), sigmas="type grid",
+        constant=lambda case, p: C.jackson_sup(case.r)),
+    "inverse_sup": Family(
+        run_inverse, "sup", ("r", *_AHAT), deltas="steps in (0,1)",
+        constant=lambda case, p: C.inverse_sup_prefactor(case.r),
+        checks=(_STEPS_BELOW_1,)),
+    "marchaud_sup": Family(
+        run_marchaud, "sup", ("r", "k"), t_grid="steps in (0, 1/2]",
+        constant=lambda case, p: C.c9(case.r, case.k),
+        checks=((lambda case, m, p: case.t_grid[-1] <= 0.5, "t in (0, 1/2]"),),
+        panels=(6,)),
+    "series_deriv_sup": Family(
+        run_series_deriv_sup, "sup", _SERIES,
+        constant=lambda case, p: C.series_deriv_sup(case.k),
+        checks=(_SYMBOLIC, _CUTOFF, (lambda case, m, p: case.k <= case.r, "k <= r"))),
+    "series_deriv_modulus_sup": Family(
+        run_series_modulus, "sup", _SERIES, sigmas="type grid",
+        constant=lambda case, p: C.series_deriv_modulus_sup(case.r, case.k),
+        checks=(_SYMBOLIC, _CUTOFF)),
+    "series_inverse_vexp": Family(
+        run_series_modulus, "vexp", _SERIES, sigmas="type grid",
+        constant=lambda case, p: C.c14_series(case.r, case.k, p.p_plus, p.c3),
+        checks=(_SYMBOLIC, _CUTOFF), sigma_scale=0.5),
 }
 
 # Where surrogate quantities may appear for the row to remain a valid
@@ -783,23 +802,21 @@ def _case_from_dict(d: dict, defaults: dict) -> AuditCase:
 
 
 def run_case(ctx: Context, case: AuditCase) -> list[AuditRow]:
-    return THEOREM_RUNNERS[case.theorem].run(ctx, case)
+    family, m, norm = _checked(ctx, case)
+    return list(family.run(ctx, case, family, m, norm))
 
 
 def validate_cases(ctx: Context, cases: list[AuditCase]) -> None:
     """Check and resolve every case before running anything.
 
-    A missing required input, an unknown function or an exponent that dips
-    below 1 raises here, so a bad configuration is rejected before any case
-    executes.
+    A missing required input, an unmet precondition of the family's
+    statement, an unknown function or an exponent that dips below 1 raises
+    here, so a bad configuration is rejected before any case executes.
     """
     for case in cases:
-        _checked_family(case)
-        ctx.member(case.f_src)
+        _checked(ctx, case)
         if case.g_src:
             ctx.member(case.g_src)
-        if case.p_src:
-            ctx.exponent(case.p_src, case.p_infinity)
 
 
 def run_suite(config_text: str, out_dir: Optional[str] = None,

@@ -18,8 +18,7 @@ from .constants import constant_table
 from .corpus import resolve_exponent, resolve_function
 from .defaults import default_config_text
 from .fnexpr import ExponentRangeError, ParseError
-from .norms import NormSpec, luxemburg_norm
-from .quad import DEFAULT_SPEC
+from .norms import norm_of
 from .smoothness import ModulusRequest, modulus
 from .bandlimited import best_approx_surrogate
 
@@ -69,11 +68,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _warn_estimates(p) -> None:
+def _exponent(args):
+    """The --p exponent; warns when its log-continuity constants are estimates."""
+    p = resolve_exponent(args.p, args.p_infinity)
     if not p.is_constant:
         print("note: log-continuity constants are grid estimates "
               f"(c_local={p.c_log_local:.6g}, c_decay={p.c_log_decay:.6g})",
               file=sys.stderr)
+    return p
 
 
 def _cmd_audit(args) -> int:
@@ -94,39 +96,24 @@ def _cmd_audit(args) -> int:
 
 def _cmd_norm(args) -> int:
     m = resolve_function(args.f)
-    p = resolve_exponent(args.p, args.p_infinity)
-    _warn_estimates(p)
-    res = luxemburg_norm(m.rf, p, DEFAULT_SPEC,
-                         window=args.window or m.norm_window,
-                         panels_per_unit=m.panels_per_unit)
-    print(f"{res.value:.12g}")
+    p = _exponent(args)
+    print(f"{norm_of(m.rf, m.norm_spec(p, args.window)):.12g}")
     return 0
 
 
 def _cmd_modulus(args) -> int:
     m = resolve_function(args.f)
-    if args.p is None:
-        norm = NormSpec.sup(args.window or m.sup_window)
-    else:
-        p = resolve_exponent(args.p, args.p_infinity)
-        _warn_estimates(p)
-        norm = NormSpec.vexp(p, window=args.window or m.norm_window,
-                             panels_per_unit=m.panels_per_unit)
-    val = modulus(ModulusRequest(m.rf, args.r, args.delta, norm), DEFAULT_SPEC)
+    p = None if args.p is None else _exponent(args)
+    val = modulus(ModulusRequest(m.rf, args.r, args.delta,
+                                 m.norm_spec(p, args.window)))
     print(f"{val:.12g}")
     return 0
 
 
 def _cmd_approx(args) -> int:
     m = resolve_function(args.f)
-    if args.norm == "sup":
-        norm = NormSpec.sup(args.window or m.sup_window)
-    else:
-        p = resolve_exponent(args.p, args.p_infinity)
-        _warn_estimates(p)
-        norm = NormSpec.vexp(p, window=args.window or m.norm_window,
-                             panels_per_unit=m.panels_per_unit)
-    est = best_approx_surrogate(m.rf, args.sigma, norm, DEFAULT_SPEC)
+    p = None if args.norm == "sup" else _exponent(args)
+    est = best_approx_surrogate(m.rf, args.sigma, m.norm_spec(p, args.window))
     print(f"{est.value:.12g}")
     if est.tail_bound:
         print(f"note: convolution tail bound {est.tail_bound:.3g}",

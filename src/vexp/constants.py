@@ -180,11 +180,10 @@ class ConstantTable:
         return "\n".join(lines) + "\n"
 
 
-def constant_table(r: int, k: int, p_plus: float, c3: float,
-                   m: float = 2.0, c1: float = 72.0) -> ConstantTable:
-    """Evaluate the full table; m and c1 default to the values the bounds use."""
+def constant_table(r: int, k: int, p_plus: float, c3: float) -> ConstantTable:
+    """Evaluate the full table, at m = 2 and c1 = 72 as the bounds use them."""
     entries = []
-    supplied = {"r": r, "k": k, "p_plus": p_plus, "c3": c3, "c1": c1, "m": m}
+    supplied = {"r": r, "k": k, "p_plus": p_plus, "c3": c3, "c1": 72.0, "m": 2.0}
     for name, (params, fn, formula) in _REGISTRY.items():
         args = [supplied[p] for p in params]
         entries.append((name, float(fn(*args)), formula))

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .fnexpr import Decay, ExponentField, FuncExpr, Indicator, parse
 from .functions import RealFunction
-from .norms import default_window
+from .norms import NormSpec, default_window
 from .quad import DEFAULT_SPEC
 from .steklov import IndicatorSteklov
 
@@ -42,6 +42,16 @@ class CorpusMember:
     @property
     def expr(self) -> Optional[FuncExpr]:
         return self.rf.expr
+
+    def norm_spec(self, p: Optional[ExponentField] = None,
+                  window: Optional[float] = None) -> NormSpec:
+        """The sup norm on the member's sup window when p is None, else the
+        Luxemburg norm of p on its norm window at its panel density; a given
+        window replaces the member's."""
+        if p is None:
+            return NormSpec.sup(window or self.sup_window)
+        return NormSpec.vexp(p, window=window or self.norm_window,
+                             panels_per_unit=self.panels_per_unit)
 
 
 def _smooth(name, src, norm_window, sup_window, ppu=4.0, osc=math.inf,

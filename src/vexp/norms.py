@@ -1,4 +1,4 @@
-"""The modular, the Luxemburg norm, and the Holder-inequality audit.
+"""The modular and the Luxemburg norm.
 
 The modular of f at scale lam is int |f(y)/lam|^p(y) dy over a truncation
 window; the Luxemburg norm is the scale eta at which the modular equals 1,
@@ -23,12 +23,11 @@ import numpy as np
 from .fnexpr import ExponentField
 from .functions import RealFunction, as_real_function
 from .quad import DEFAULT_SPEC, Bracket, QuadSpec, find_root_decreasing, panel_rule
-from .report import AuditRow, make_row
 from .steklov import sup_norm
 
 __all__ = [
     "VexpNorm", "NormSpec", "NotIntegrableError", "SampledModular",
-    "luxemburg_norm", "holder_audit", "norm_of", "default_window",
+    "luxemburg_norm", "norm_of", "default_window", "window_nodes",
 ]
 
 _ETA_CAP = 1e12
@@ -82,8 +81,9 @@ def default_window(f: RealFunction, spec: QuadSpec) -> float:
     return spec.window
 
 
-def _nodes(window: float, panels_per_unit: float,
-           breakpoints: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+def window_nodes(window: float, panels_per_unit: float,
+                 breakpoints: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-window, window], split at breakpoints."""
     n_panels = max(16, int(math.ceil(2.0 * window * panels_per_unit)))
     edges = np.linspace(-window, window, n_panels + 1)
     inner = [b for b in breakpoints if -window < b < window]
@@ -98,8 +98,7 @@ class SampledModular:
     def __init__(self, f, p: ExponentField, window: float,
                  panels_per_unit: float = 4.0):
         f = as_real_function(f)
-        x, w = _nodes(window, panels_per_unit, f.breakpoints)
-        self.window = float(window)
+        x, w = window_nodes(window, panels_per_unit, f.breakpoints)
         self.weights = w
         self.samples = np.abs(f(x))
         self.p_vals = p(x) if not p.is_constant else np.full_like(x, p.p_minus)
@@ -160,25 +159,3 @@ def norm_of(f, norm: NormSpec, spec: QuadSpec = DEFAULT_SPEC) -> float:
     return luxemburg_norm(f, norm.p, spec, window=norm.window,
                           panels_per_unit=norm.panels_per_unit).value
 
-
-def holder_audit(f, g, p: ExponentField, window: Optional[float] = None,
-                 panels_per_unit: float = 4.0) -> AuditRow:
-    """Check int |f g| <= 2 ||f||_p ||g||_p' on the truncation window."""
-    if p.p_minus <= 1.0:
-        raise ValueError("the conjugate exponent is unbounded: need p_minus > 1")
-    f = as_real_function(f)
-    g = as_real_function(g)
-    win = window if window is not None else max(default_window(f, DEFAULT_SPEC),
-                                                default_window(g, DEFAULT_SPEC))
-    x, w = _nodes(win, panels_per_unit,
-                  tuple(sorted({*f.breakpoints, *g.breakpoints})))
-    lhs = float(np.sum(w * np.abs(f(x)) * np.abs(g(x))))
-    nf = luxemburg_norm(f, p, window=win, panels_per_unit=panels_per_unit).value
-    ng = luxemburg_norm(g, p.dual(), window=win,
-                        panels_per_unit=panels_per_unit).value
-    rhs = 2.0 * nf * ng
-    return make_row(
-        "holder_upper_bound", f"f={f.name};g={g.name};p={p.name}",
-        lhs=lhs, rhs=rhs, constant_used=2.0,
-        truncation_bounds={"window": win},
-    )

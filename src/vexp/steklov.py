@@ -34,7 +34,7 @@ from .functions import (RealFunction, as_real_function, combine, outer_apply,
 from .quad import panel_rule
 
 __all__ = [
-    "forward_steklov", "iterated_steklov", "difference_power",
+    "iterated_steklov", "difference_power",
     "steklov_derivative", "IndicatorSteklov", "bspline_value", "sup_norm",
 ]
 
@@ -217,11 +217,6 @@ def iterated_steklov(f, delta: float, k: int) -> RealFunction:
 
     return RealFunction(fn=ev, name=name, decay=decay,
                         osc_wavelength=f.osc_wavelength)
-
-
-def forward_steklov(f, delta: float) -> RealFunction:
-    """T_d f(x) = (1/d) int_0^d f(x+t) dt; exact for affine f."""
-    return iterated_steklov(f, delta, 1)
 
 
 def difference_power(f, delta: float, r: int) -> RealFunction:

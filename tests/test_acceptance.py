@@ -30,8 +30,7 @@ from vexp.fnexpr import ExponentField, differentiate, parse
 from vexp.functions import as_real_function
 from vexp.norms import NormSpec, luxemburg_norm
 from vexp.smoothness import ModulusRequest, modulus
-from vexp.steklov import (difference_power, forward_steklov,
-                          iterated_steklov, sup_norm)
+from vexp.steklov import difference_power, iterated_steklov, sup_norm
 
 from steklov_oracles import nested_steklov
 
@@ -77,7 +76,7 @@ def test_criterion_02_steklov_exactness():
     lin = as_real_function(parse("x"))
     worst_affine = 0.0
     for d in (0.1, 0.7, 2.0):
-        t = forward_steklov(lin, d)
+        t = iterated_steklov(lin, d, 1)
         worst_affine = max(worst_affine, float(np.max(np.abs(t(GRID) - (GRID + d / 2.0)))))
     worst_annih = 0.0
     for src, r in (("1", 1), ("x", 2), ("2*x - 1", 2), ("x^2", 3)):

@@ -60,6 +60,52 @@ r = 1
 deltas = [0.3, 0.6]
 """
 
+# a valid case, placed ahead of each bad one below
+GOOD_CASE = ('[[case]]\ntheorem = "steklov_bound"\nf = "@gauss"\n'
+             'p = "@p2"\ndeltas = [0.5]\n')
+
+# one case per precondition a family states, each with the reason it fails
+UNMET_PRECONDITIONS = {
+    "inverse_delta": ('theorem = "inverse_vexp"\nf = "@sinc1"\np = "@p2"\n'
+                      'deltas = [0.5, 1.5]', r"delta in \(0, 1\)"),
+    "inverse_sup_delta": ('theorem = "inverse_sup"\nf = "@gauss"\n'
+                          'deltas = [0.5, 1.0]', r"delta in \(0, 1\)"),
+    "scaling_delta": ('theorem = "scaling_vexp"\nf = "@gauss"\np = "@p2"\n'
+                      'deltas = [1.5]\nlambdas = [0.5]', r"delta in \(0, 1\)"),
+    "scaling_lambda": ('theorem = "scaling_vexp"\nf = "@gauss"\np = "@p2"\n'
+                       'deltas = [0.5]\nlambdas = [0.5, 1.0]', r"lam in \(0, 1\)"),
+    "marchaud_t": ('theorem = "marchaud_vexp"\nf = "@gauss"\np = "@p2"\n'
+                   't_grid = [0.25, 0.5]', r"t in \(0, 1/2\)"),
+    "marchaud_sup_t": ('theorem = "marchaud_sup"\nf = "@gauss"\n'
+                       't_grid = [0.75]', r"t in \(0, 1/2\]"),
+    "series_k_above_r": ('theorem = "series_deriv_sup"\nf = "@gauss"\n'
+                         'r = 1\nk = 2', "k <= r"),
+    "series_cutoff": ('theorem = "series_inverse_vexp"\nf = "@gauss"\n'
+                      'p = "@p2"\nsigmas = [2.0]\nseries_n = 4', "cutoff of at least 8"),
+    "vp_variable_exponent": ('theorem = "vp_norm_bound"\nf = "@gauss"\n'
+                             'p = "@p_bump"\nsigmas = [2.0]', "constant exponent"),
+    "holder_p_minus_one": ('theorem = "holder"\nf = "@gauss"\ng = "@gauss"\n'
+                           'p = "1"', "p_minus > 1"),
+    "smooth_bound_rough": ('theorem = "smooth_bound_vexp"\nf = "@box"\n'
+                           'p = "@p2"\ndeltas = [0.5]', "symbolic derivative"),
+    "series_rough": ('theorem = "series_deriv_modulus_sup"\nf = "@box"\n'
+                     'sigmas = [2.0]', "symbolic derivative"),
+    "one_step_single_delta": ('theorem = "one_step_vexp"\nf = "@gauss"\n'
+                              'p = "@p2"\ndeltas = [0.5]', "at least two steps"),
+    "props_one_delta": ('theorem = "modulus_props"\nf = "@gauss"\n'
+                        'g = "@gauss"\ndeltas = [0.6]', "exactly two steps"),
+    "props_three_deltas": ('theorem = "modulus_props"\nf = "@gauss"\n'
+                           'g = "@gauss"\ndeltas = [0.2, 0.4, 0.6]', "exactly two steps"),
+}
+
+
+@pytest.fixture
+def no_case_runs(monkeypatch):
+    """Make run_suite fail if it runs any case."""
+    def refuse(ctx, case):
+        raise AssertionError("a case ran before the configuration was checked")
+    monkeypatch.setattr("vexp.audit.run_case", refuse)
+
 
 class TestConfig:
     def test_nested_tables(self):
@@ -225,14 +271,14 @@ class TestRowWiring:
     def test_steklov_bound_row(self):
         import vexp.constants as C
         from vexp.norms import luxemburg_norm
-        from vexp.steklov import forward_steklov
+        from vexp.steklov import iterated_steklov
         ctx = Context()
         row = run_case(ctx, AuditCase(theorem="steklov_bound", f_src="@gauss",
                                       p_src="@p_bump", deltas=(0.5,)))[0]
         m = ctx.member("@gauss")
         p = ctx.exponent("@p_bump", None)
         nf = luxemburg_norm(m.rf, p, window=m.norm_window).value
-        tf = luxemburg_norm(forward_steklov(m.rf, 0.5), p,
+        tf = luxemburg_norm(iterated_steklov(m.rf, 0.5, 1), p,
                             window=m.norm_window).value
         assert row.lhs == pytest.approx(tf, rel=1e-12)
         assert row.rhs == pytest.approx(C.c10(p.p_plus, p.c3) * nf, rel=1e-12)
@@ -281,15 +327,17 @@ class TestCaseValidation:
                 with pytest.raises(ValueError, match=attr):
                     run_case(ctx, case)
 
-    def test_missing_input_rejected_before_any_case_runs(self, monkeypatch):
-        def refuse(ctx, case):
-            raise AssertionError("a case ran before the configuration was checked")
-        monkeypatch.setattr("vexp.audit.run_case", refuse)
-        good = ('[[case]]\ntheorem = "steklov_bound"\nf = "@gauss"\n'
-                'p = "@p2"\ndeltas = [0.5]\n')
+    def test_missing_input_rejected_before_any_case_runs(self, no_case_runs):
         no_deltas = '[[case]]\ntheorem = "steklov_bound"\nf = "@box"\np = "@p2"\n'
         with pytest.raises(ValueError, match="deltas"):
-            run_suite(good + no_deltas)
+            run_suite(GOOD_CASE + no_deltas)
+
+    @pytest.mark.parametrize("name", UNMET_PRECONDITIONS)
+    def test_unmet_precondition_rejected_before_any_case_runs(self, no_case_runs,
+                                                              name):
+        case, reason = UNMET_PRECONDITIONS[name]
+        with pytest.raises(ValueError, match=reason):
+            run_suite(GOOD_CASE + "[[case]]\n" + case + "\n")
 
     def test_unknown_keys_rejected(self):
         case = ('[[case]]\ntheorem = "jackson_vexp"\nf = "@sinc4"\n'

@@ -99,6 +99,16 @@ p = "@p2"
         assert code == 2
         assert "error" in err
 
+    def test_out_of_range_grid_rejected_before_reports(self, tmp_path):
+        cfg = tmp_path / "bad_grid.cfg"
+        cfg.write_text('[[case]]\ntheorem = "inverse_sup"\nf = "@gauss"\n'
+                       'deltas = [0.5, 1.5]\n')
+        out_dir = tmp_path / "r"
+        code, _, err = run_cli("audit", "--config", str(cfg), "--out", str(out_dir))
+        assert code == 2
+        assert "delta in (0, 1)" in err
+        assert not out_dir.exists()
+
 
 def test_main_entrypoint_in_process(capsys):
     assert main(["constants", "--r", "1"]) == 0

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vexp.audit import AuditCase, Context, run_case
 from vexp.fnexpr import Decay, ExponentField, parse
 from vexp.functions import RealFunction, as_real_function, combine
 from vexp.norms import (NormSpec, NotIntegrableError, SampledModular,
-                        holder_audit, luxemburg_norm, norm_of)
+                        luxemburg_norm, norm_of)
 from vexp.steklov import IndicatorSteklov
 
 GAUSS = as_real_function(parse("exp(-x^2)"), name="gauss")
@@ -107,27 +108,33 @@ class TestLuxemburg:
             luxemburg_norm(grower, p2, window=10.0)
 
 
+def holder_row(f: str, p: str):
+    """The audit's Holder row for the pair (f, f)."""
+    case = AuditCase(theorem="holder", f_src=f, g_src=f, p_src=p)
+    return run_case(Context(), case)[0]
+
+
 class TestHolder:
-    def test_box_pair(self, p2):
-        row = holder_audit(box(), box(), p2)
+    def test_box_pair(self):
+        row = holder_row("@box", "@p2")
         assert row.lhs == pytest.approx(1.0, abs=1e-12)
         assert row.rhs == pytest.approx(2.0, abs=1e-9)
         assert row.ratio == pytest.approx(0.5, abs=1e-9)
         assert row.passed
 
-    def test_gaussian_pair(self, p2):
-        row = holder_audit(GAUSS, GAUSS, p2)
+    def test_gaussian_pair(self):
+        row = holder_row("@gauss", "@p2")
         assert row.lhs == pytest.approx(math.sqrt(math.pi / 2.0), abs=1e-9)
         assert row.rhs == pytest.approx(2.0 * math.sqrt(math.pi / 2.0), abs=1e-6)
         assert row.ratio == pytest.approx(0.5, abs=1e-6)
 
-    def test_variable_exponent_passes(self, p_bump):
-        row = holder_audit(box(), box(), p_bump)
+    def test_variable_exponent_passes(self):
+        row = holder_row("@box", "@p_bump")
         assert row.passed and row.ratio <= 1.0
 
-    def test_rejects_pminus_one(self, p1):
+    def test_rejects_pminus_one(self):
         with pytest.raises(ValueError):
-            holder_audit(GAUSS, GAUSS, p1)
+            holder_row("@gauss", "1")
 
 
 class TestNormSpec:

@@ -3,24 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from vexp.constants import c10
-from vexp.fnexpr import Decay, differentiate, parse
+from vexp.audit import AuditCase, Context, run_case
+from vexp.fnexpr import parse
 from vexp.functions import RealFunction, as_real_function
 from vexp.norms import NormSpec, SampledModular
-from vexp.smoothness import (ModulusRequest, k_functional_upper, modulus,
-                             modulus_properties_audit)
-from vexp.steklov import IndicatorSteklov
+from vexp.smoothness import ModulusRequest, k_functional_upper, modulus
 
 from steklov_oracles import nested_steklov
 
 GAUSS = as_real_function(parse("exp(-x^2)"), name="gauss")
 SUP5 = NormSpec.sup(5.0)
-
-
-def box():
-    eng = IndicatorSteklov(0.0, 1.0)
-    return RealFunction(fn=eng, name="box", decay=Decay.compact(0, 1),
-                        breakpoints=(0.0, 1.0), exact=eng)
 
 
 class TestModulus:
@@ -107,33 +99,36 @@ class TestKFunctional:
         assert est.value <= c8_k(3) * om
 
 
+def properties_rows(f: str, p=None, r: int = 1):
+    """The audit's modulus_props rows for f (f its own companion) at the
+    steps 0.2 and 0.5, in L^p(.) when p is given, else sup."""
+    case = AuditCase(theorem="modulus_props", f_src=f, g_src=f, p_src=p, r=r,
+                     deltas=(0.2, 0.5))
+    return run_case(Context(), case)
+
+
 class TestPropertiesAudit:
-    def test_zero_function_all_pass(self, p2):
-        zero = as_real_function(parse("0"), name="zero")
-        rows = modulus_properties_audit(zero, zero, 1, 0.2, 0.5,
-                                        NormSpec.vexp(p2), c10=c10(2.0, 0.0))
+    def test_zero_function_all_pass(self):
+        rows = properties_rows("0", "@p2")
         assert all(r.passed for r in rows)
         assert all(r.lhs == 0.0 for r in rows)
 
     def test_gaussian_sup_with_derivative_bound(self):
-        f2 = as_real_function(differentiate(parse("exp(-x^2)"), 2), name="g2")
-        rows = modulus_properties_audit(GAUSS, GAUSS, 2, 0.2, 0.5, SUP5,
-                                        f_deriv=f2)
+        rows = properties_rows("@gauss", r=2)
         by_id = {r.theorem_id: r for r in rows}
         assert by_id["modulus_size_bound"].passed
         assert by_id["modulus_smooth_bound"].passed
         # measured ratios are recorded and meaningful
         assert 0.0 < by_id["modulus_smooth_bound"].ratio <= 1.0
 
-    def test_box_vanishing_sequence(self, p2):
-        rows = modulus_properties_audit(box(), box(), 1, 0.2, 0.5,
-                                        NormSpec.vexp(p2), c10=c10(2.0, 0.0))
+    def test_box_vanishing_sequence(self):
+        rows = properties_rows("@box", "@p2")
         vanish = [r for r in rows if r.theorem_id == "modulus_vanishing"][0]
         seq = vanish.truncation_bounds["values"]
         assert all(b <= a * (1 + 1e-6) + 1e-12 for a, b in zip(seq, seq[1:]))
         assert vanish.passed
 
-    def test_delta_order_validated(self, p2):
+    def test_delta_order_validated(self):
         with pytest.raises(ValueError):
-            modulus_properties_audit(GAUSS, GAUSS, 1, 0.5, 0.2,
-                                     NormSpec.vexp(p2), c10=1.0)
+            AuditCase(theorem="modulus_props", f_src="@gauss", g_src="@gauss",
+                      p_src="@p2", deltas=(0.5, 0.2))

@@ -7,7 +7,7 @@ import pytest
 from vexp.fnexpr import Decay, differentiate, parse
 from vexp.functions import RealFunction, as_real_function, shifted
 from vexp.steklov import (IndicatorSteklov, _antiderivative, bspline_value,
-                          difference_power, forward_steklov, iterated_steklov,
+                          difference_power, iterated_steklov,
                           steklov_derivative, sup_norm)
 
 from steklov_oracles import (bspline_cumulative_quad, nested_steklov,
@@ -24,28 +24,28 @@ def box_member():
 
 class TestForward:
     def test_constant_fixed_point(self):
-        t = forward_steklov(as_real_function(parse("3")), 0.7)
+        t = iterated_steklov(as_real_function(parse("3")), 0.7, 1)
         assert np.allclose(t(XS), 3.0, atol=1e-14)
 
     def test_affine_exact(self):
-        t = forward_steklov(as_real_function(parse("x")), 0.4)
+        t = iterated_steklov(as_real_function(parse("x")), 0.4, 1)
         assert np.max(np.abs(t(XS) - (XS + 0.2))) < 1e-13
 
     def test_gaussian_against_erf(self):
-        t = forward_steklov(as_real_function(parse("exp(-x^2)")), 1.0)
+        t = iterated_steklov(as_real_function(parse("exp(-x^2)")), 1.0, 1)
         oracle = math.sqrt(math.pi) / 2.0 * math.erf(1.0)
         assert t(np.array([0.0]))[0] == pytest.approx(oracle, abs=1e-12)
 
     def test_delta_zero_is_identity(self):
         f = as_real_function(parse("exp(-x^2)"))
-        assert forward_steklov(f, 0.0) is f
+        assert iterated_steklov(f, 0.0, 1) is f
 
 
 class TestIterated:
     def test_power_one_reduces_to_forward(self):
         f = as_real_function(parse("exp(-x^2)"))
         t1 = iterated_steklov(f, 0.5, 1)
-        tf = forward_steklov(f, 0.5)
+        tf = nested_steklov(f, 0.5, 1)
         assert np.allclose(t1(XS), tf(XS), atol=1e-14)
 
     def test_affine_double_shift(self):
@@ -136,9 +136,9 @@ class TestSteklovDerivative:
         # (S_d f)' = S_d f' probed by a five-point stencil on the output,
         # with the centered average S_d f = T_d f(. - d/2)
         f = parse("exp(-x^2)*sin(5*x)")
-        s = shifted(forward_steklov(as_real_function(f), 0.6), -0.3)
+        s = shifted(iterated_steklov(as_real_function(f), 0.6, 1), -0.3)
         s_of_deriv = shifted(
-            forward_steklov(as_real_function(differentiate(f)), 0.6), -0.3)
+            iterated_steklov(as_real_function(differentiate(f)), 0.6, 1), -0.3)
         h = 1e-3
         stencil = (-s(XS + 2 * h) + 8 * s(XS + h) - 8 * s(XS - h)
                    + s(XS - 2 * h)) / (12 * h)
