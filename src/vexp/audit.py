@@ -32,12 +32,13 @@ from .bandlimited import best_approx_surrogate, vp_operator
 from .config import parse_config
 from .corpus import CorpusMember, resolve_exponent, resolve_function
 from .fnexpr import ExponentField, differentiate
-from .functions import RealFunction, combine, shifted
+from .functions import RealFunction, combine
 from .norms import NormSpec, luxemburg_norm, norm_of, window_nodes
 from .quad import panel_rule
 from .report import AuditRow, make_row
 from .smoothness import ModulusRequest, k_functional_upper, modulus
-from .steklov import iterated_steklov, steklov_derivative, sup_norm
+from .steklov import (iterated_steklov, steklov_combination, steklov_derivative,
+                      sup_norm)
 
 __all__ = ["AuditCase", "AuditReport", "Context", "run_suite", "run_case",
            "THEOREM_RUNNERS", "SURROGATE_POLICY", "write_reports"]
@@ -524,10 +525,9 @@ def _shift_modulus(m: CorpusMember, r: int, delta: float, window: float) -> floa
     """max over 64 shifts |h| <= delta of ||(I - shift_h)^r f||_sup
     (underestimates the sup; an even count of points never puts h at 0)."""
     best = 0.0
+    terms = {(0, j): float((-1) ** j) * math.comb(r, j) for j in range(r + 1)}
     for h in np.linspace(-delta, delta, 64):
-        parts = [(float((-1) ** j) * math.comb(r, j), shifted(m.rf, j * h))
-                 for j in range(r + 1)]
-        diff = combine(parts, name="shift_diff")
+        diff = steklov_combination(m.rf, h, terms, "shift_diff")
         best = max(best, sup_norm(diff, window, refine=False))
     return best
 

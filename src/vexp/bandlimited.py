@@ -104,6 +104,7 @@ def _zero_aligned_panels(sigma: float, lo: float, hi: float,
 
     Every zero of both sine factors lands on a panel edge.  Panels are
     subdivided when the integrand varies faster than the kernel (max_width).
+    More than _MAX_PANELS panels raise: wider panels would miss the zeros.
     """
     w = 2.0 * math.pi / (3.0 * sigma)
     if math.isfinite(max_width) and w > max_width:
@@ -111,10 +112,9 @@ def _zero_aligned_panels(sigma: float, lo: float, hi: float,
     n_lo = math.floor(lo / w)
     n_hi = math.ceil(hi / w)
     if n_hi - n_lo > _MAX_PANELS:
-        w = (hi - lo) / _MAX_PANELS
-        edges = lo + w * np.arange(_MAX_PANELS + 1)
-    else:
-        edges = w * np.arange(n_lo, n_hi + 1)
+        raise ValueError(f"the convolution needs {n_hi - n_lo} panels on the u-window "
+                         f"[{lo:.6g}, {hi:.6g}], more than the cap of {_MAX_PANELS}")
+    edges = w * np.arange(n_lo, n_hi + 1)
     inner = [b for b in extra if edges[0] < b < edges[-1]]
     if inner:
         edges = np.unique(np.concatenate([edges, np.asarray(inner, dtype=float)]))

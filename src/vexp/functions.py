@@ -96,21 +96,6 @@ def combine(parts: list[tuple[float, RealFunction]], name: str) -> RealFunction:
                         breakpoints=breakpoints, osc_wavelength=osc)
 
 
-def shifted(f: RealFunction, shift: float, name: Optional[str] = None) -> RealFunction:
-    """x -> f(x + shift)."""
-    base = f.fn
-
-    def ev(x):
-        return base(x + shift)
-
-    decay = f.decay
-    if decay.kind == "compact_support":
-        decay = Decay.compact(decay.a - shift, decay.b - shift)
-    return RealFunction(fn=ev, name=name or f"{f.name}(.+{shift:g})", decay=decay,
-                        breakpoints=tuple(b - shift for b in f.breakpoints),
-                        osc_wavelength=f.osc_wavelength)
-
-
 def outer_apply(f: RealFunction, x: np.ndarray, offsets: np.ndarray,
                 weights: np.ndarray) -> np.ndarray:
     """Compute sum_j w_j f(x_i + t_j) for all i.

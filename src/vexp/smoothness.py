@@ -24,15 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .functions import RealFunction, as_real_function, combine
+from .functions import as_real_function
 from .norms import NormSpec, norm_of
 from .quad import DEFAULT_SPEC, QuadSpec
-from .steklov import difference_power, iterated_steklov, steklov_derivative
+from .steklov import difference_power, derivative_terms, steklov_combination
 
-__all__ = [
-    "ModulusRequest", "KFunctionalEstimate", "modulus", "k_functional_upper",
-    "candidate_difference", "candidate_derivative",
-]
+__all__ = ["ModulusRequest", "KFunctionalEstimate", "modulus", "k_functional_upper"]
 
 
 @dataclass(frozen=True)
@@ -64,33 +61,21 @@ def modulus(req: ModulusRequest, spec: QuadSpec = DEFAULT_SPEC) -> float:
     return norm_of(h, req.norm, spec)
 
 
-def candidate_difference(f, r: int, delta: float) -> RealFunction:
-    """f - g for the iterate candidate, i.e. (I - T_d^(2r))^r f."""
-    f = as_real_function(f)
-    parts = [(float((-1) ** l) * math.comb(r, l),
-              iterated_steklov(f, delta, 2 * r * l))
-             for l in range(r + 1)]
-    return combine(parts, name=f"(I-T^{2 * r})^{r}[{f.name}]")
-
-
-def candidate_derivative(f, r: int, delta: float) -> RealFunction:
-    """r-th derivative of the candidate g, via difference identities."""
-    f = as_real_function(f)
-    parts = []
-    for l in range(1, r + 1):
-        coeff = float((-1) ** (l - 1)) * math.comb(r, l)
-        term = steklov_derivative(f, delta, 2 * r * l, r)
-        parts.append((coeff, term))
-    return combine(parts, name=f"g^({r})[{f.name}]")
-
-
 def k_functional_upper(f, r: int, delta: float, norm: NormSpec,
                        spec: QuadSpec = DEFAULT_SPEC) -> KFunctionalEstimate:
     """Upper bound for the order-r K-functional from the iterate candidate."""
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    fmg = norm_of(candidate_difference(f, r, delta), norm, spec)
-    gder = norm_of(candidate_derivative(f, r, delta), norm, spec)
+    f = as_real_function(f)
+    # f - g = (I - T_d^(2r))^r f, and g^(r) through difference identities
+    diff = {(2 * r * l, 0): float((-1) ** l) * math.comb(r, l) for l in range(r + 1)}
+    deriv = {key: float((-1) ** (l - 1)) * math.comb(r, l) * c
+             for l in range(1, r + 1)
+             for key, c in derivative_terms(delta, 2 * r * l, r).items()}
+    fmg = norm_of(steklov_combination(f, delta, diff, f"(I-T^{2 * r})^{r}[{f.name}]"),
+                  norm, spec)
+    gder = norm_of(steklov_combination(f, delta, deriv, f"g^({r})[{f.name}]"),
+                   norm, spec)
     return KFunctionalEstimate(
         value=fmg + delta ** r * gder,
         f_minus_g_norm=fmg,

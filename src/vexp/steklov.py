@@ -10,6 +10,13 @@ quadratures).  Derivatives of iterates never differentiate f: the identity
 (d/dx) T_d g = (g(. + d) - g(.)) / d turns d^r/dx^r T_d^m f into forward
 differences of T_d^(m-r) f.
 
+Every operator here is a combination sum c * T_d^k f(. + j*d) of shifted
+iterates, and `steklov_combination` is the one place such a sum is
+evaluated.  For smooth f each term is the kernel B_k(u - j) on the unit
+panels of [0, max(k + j)], so the weights of all terms add up on one
+Gauss-Legendre lattice (k = 0 terms are point columns) and one outer product
+f(x_i + d*u_j) evaluates the whole sum.
+
 Indicator-built inputs get an exact engine: T_d^k 1_[a,b](x) is
 CB_k((b - x)/d) - CB_k((a - x)/d), with CB_k(t) = int_0^t B_k, and a box
 pre-averaged once uses the integral of CB_k.  Both are polynomials on each
@@ -29,13 +36,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fnexpr import Decay
-from .functions import (RealFunction, as_real_function, combine, outer_apply,
-                        shifted, zero_function)
+from .functions import RealFunction, as_real_function, outer_apply, zero_function
 from .quad import panel_rule
 
 __all__ = [
-    "iterated_steklov", "difference_power",
-    "steklov_derivative", "IndicatorSteklov", "bspline_value", "sup_norm",
+    "steklov_combination", "iterated_steklov", "difference_power",
+    "derivative_terms", "steklov_derivative", "IndicatorSteklov",
+    "bspline_value", "sup_norm",
 ]
 
 
@@ -146,10 +153,6 @@ class IndicatorSteklov:
             return (delta / g) * ((icb[0] - icb[1]) - (icb[2] - icb[3]))
         return ev
 
-    def breakpoints_after(self, delta: float, k: int) -> tuple[float, ...]:
-        pts = {s - j * delta for s in self.base_breakpoints() for j in range(k + 1)}
-        return tuple(sorted(pts))
-
 
 # ---------------------------------------------------------------------------
 # Operators
@@ -184,6 +187,53 @@ def _rough_average(f: RealFunction, delta: float, k: int) -> Callable:
     return ev
 
 
+def steklov_combination(f, delta: float, terms: dict[tuple[int, int], float],
+                        name: str) -> RealFunction:
+    """sum of c * T_d^k f(x + j*d) over terms {(k, j): c}, with j >= 0.
+
+    Smooth f: the weights c * B_k(u - j) of all terms with k >= 1 add up on
+    one lattice of unit panels, the k = 0 terms are point columns at j, and
+    one outer product evaluates the sum.  Engine-backed and rough f evaluate
+    each term in closed form or by `_rough_average`.
+    """
+    f = as_real_function(f)
+    decay = f.decay
+    if decay.kind == "compact_support":
+        ends = [(decay.a - i * delta - j * delta, decay.b - i * delta - j * delta)
+                for k, j in terms for i in (0, k)]
+        decay = Decay.compact(min(a for a, _ in ends), max(b for _, b in ends))
+    breakpoints = tuple(sorted({s - i * delta - j * delta for s in f.breakpoints
+                                for k, j in terms for i in range(k + 1)}))
+
+    if f.exact is not None or f.breakpoints:
+        parts = [(c, j * delta, f.fn if k == 0 else
+                  f.exact.iterated(delta, k) if f.exact is not None else
+                  _rough_average(f, delta, k)) for (k, j), c in terms.items()]
+
+        def ev(x):
+            acc = np.zeros_like(x, dtype=float)
+            for c, shift, term in parts:
+                acc += c * term(x + shift)
+            return acc
+    else:
+        top = max((k + j for k, j in terms if k > 0), default=0)
+        edges = np.linspace(0.0, float(top), top * _oscillation_subpanels(f, delta) + 1)
+        nodes, wts = panel_rule(edges, 12)
+        kern = np.zeros_like(nodes)
+        for (k, j), c in terms.items():
+            if k > 0:
+                kern += c * wts * bspline_value(k, nodes - j)
+        points = {j: c for (k, j), c in terms.items() if k == 0}
+        offsets = delta * np.concatenate([nodes, list(points)])
+        weights = np.concatenate([kern, list(points.values())])
+
+        def ev(x):
+            return outer_apply(f, x, offsets, weights)
+
+    return RealFunction(fn=ev, name=name, decay=decay, breakpoints=breakpoints,
+                        osc_wavelength=f.osc_wavelength)
+
+
 def iterated_steklov(f, delta: float, k: int) -> RealFunction:
     """k-th iterate of the forward average, one kernel quadrature per point."""
     f = as_real_function(f)
@@ -191,32 +241,7 @@ def iterated_steklov(f, delta: float, k: int) -> RealFunction:
         raise ValueError("power must be >= 0")
     if k == 0 or delta == 0.0:
         return f
-    name = f"T_{delta:g}^{k}[{f.name}]"
-    decay = f.decay
-    if decay.kind == "compact_support":
-        decay = Decay.compact(decay.a - k * delta, decay.b)
-
-    if f.exact is not None:
-        ev = f.exact.iterated(delta, k)
-        return RealFunction(fn=ev, name=name, decay=decay,
-                            breakpoints=f.exact.breakpoints_after(delta, k))
-
-    if f.breakpoints:
-        return RealFunction(fn=_rough_average(f, delta, k), name=name, decay=decay,
-                            breakpoints=tuple(sorted(
-                                {s - j * delta for s in f.breakpoints
-                                 for j in range(k + 1)})))
-
-    sub = _oscillation_subpanels(f, delta)
-    edges = np.linspace(0.0, float(k), k * sub + 1)
-    nodes, wts = panel_rule(edges, 12)
-    kern = wts * bspline_value(k, nodes)
-
-    def ev(x):
-        return outer_apply(f, x, delta * nodes, kern)
-
-    return RealFunction(fn=ev, name=name, decay=decay,
-                        osc_wavelength=f.osc_wavelength)
+    return steklov_combination(f, delta, {(k, 0): 1.0}, f"T_{delta:g}^{k}[{f.name}]")
 
 
 def difference_power(f, delta: float, r: int) -> RealFunction:
@@ -226,25 +251,28 @@ def difference_power(f, delta: float, r: int) -> RealFunction:
         raise ValueError("r must be >= 1")
     if delta == 0.0:
         return zero_function(name=f"(I-T_0)^{r}[{f.name}]")
-    parts = [(float((-1) ** j) * math.comb(r, j), iterated_steklov(f, delta, j))
-             for j in range(r + 1)]
-    return combine(parts, name=f"(I-T_{delta:g})^{r}[{f.name}]")
+    terms = {(j, 0): float((-1) ** j) * math.comb(r, j) for j in range(r + 1)}
+    return steklov_combination(f, delta, terms, f"(I-T_{delta:g})^{r}[{f.name}]")
 
 
-def steklov_derivative(f, delta: float, m: int, r: int) -> RealFunction:
-    """d^r/dx^r T_d^m f via forward differences of T_d^(m-r) f.
+def derivative_terms(delta: float, m: int, r: int) -> dict[tuple[int, int], float]:
+    """Terms of d^r/dx^r T_d^m f as forward differences of T_d^(m-r) f.
 
     Uses (d/dx) T_d g = (g(.+d) - g(.)) / d applied r times, so f itself is
     never differentiated.  Requires 1 <= r <= m.
     """
-    f = as_real_function(f)
     if not 1 <= r <= m:
         raise ValueError("need 1 <= r <= m")
-    base = iterated_steklov(f, delta, m - r)
     scale = delta ** (-r)
-    parts = [(scale * float((-1) ** (r - j)) * math.comb(r, j),
-              shifted(base, j * delta)) for j in range(r + 1)]
-    return combine(parts, name=f"d^{r} T_{delta:g}^{m}[{f.name}]")
+    return {(m - r, j): scale * float((-1) ** (r - j)) * math.comb(r, j)
+            for j in range(r + 1)}
+
+
+def steklov_derivative(f, delta: float, m: int, r: int) -> RealFunction:
+    """d^r/dx^r T_d^m f; see `derivative_terms`."""
+    f = as_real_function(f)
+    return steklov_combination(f, delta, derivative_terms(delta, m, r),
+                               f"d^{r} T_{delta:g}^{m}[{f.name}]")
 
 
 # ---------------------------------------------------------------------------

@@ -126,10 +126,21 @@ class TestSurrogate:
         assert vals[-1] < 1e-12
 
     def test_tail_bound_recorded_for_slow_decay(self):
-        f = as_real_function(parse("1/(1+x^2)"), name="lorentz")
+        # the 1/x^2 decay class is given: the raw expression is classed
+        # "none" and refused (test_panel_cap_raises_instead_of_coarsening)
+        f = RealFunction(fn=parse("1/(1+x^2)"), name="lorentz",
+                         decay=Decay.power(2.0))
         est = best_approx_surrogate(f, 4.0, NormSpec.sup(20.0), tail_target=1e-6)
         assert est.tail_bound > 0.0
         assert est.tail_bound <= 1e-6
+
+    def test_panel_cap_raises_instead_of_coarsening(self):
+        # decay "none" puts the u-window at 1.2e7: 4.6e7 zero-aligned
+        # panels.  Panels widened to the cap gave 0.9995 here, where the
+        # 1/x^2 decay class gives 0.0585
+        f = as_real_function(parse("1/(1+x^2)"), name="lorentz")
+        with pytest.raises(ValueError, match="46143412 panels on the u-window"):
+            best_approx_surrogate(f, 4.0, NormSpec.sup(20.0))
 
 
 def test_kernel_tail_bound_formula():

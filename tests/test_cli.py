@@ -71,6 +71,15 @@ class TestApproxCommand:
         assert code == 0
         assert float(out.strip()) == pytest.approx(5.995e-2, rel=1e-2)
 
+    def test_panel_cap_exits_with_error(self):
+        # the raw Lorentzian has no decay class; its convolution window
+        # would need more panels than the cap allows
+        code, out, err = run_cli("approx", "--f", "1/(1+x^2)", "--sigma", "4",
+                                 "--window", "20")
+        assert code == 2
+        assert out == ""
+        assert "panels on the u-window" in err
+
 
 class TestAuditCommand:
     def test_small_config(self, tmp_path):

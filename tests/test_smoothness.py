@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from vexp import steklov
 from vexp.audit import AuditCase, Context, run_case
+from vexp.corpus import corpus_member
 from vexp.fnexpr import parse
 from vexp.functions import RealFunction, as_real_function
 from vexp.norms import NormSpec, SampledModular
@@ -97,6 +99,31 @@ class TestKFunctional:
         om = modulus(ModulusRequest(GAUSS, 3, 0.4, SUP5))
         assert om <= 2.0 ** 3 * est.value
         assert est.value <= c8_k(3) * om
+
+
+class TestOneSamplingPath:
+    # every Steklov combination is one weighted lattice: sampling it on a
+    # norm's grid is one outer product, whatever the number of terms
+    @pytest.fixture
+    def outer_calls(self, monkeypatch):
+        calls = []
+        real = steklov.outer_apply
+
+        def counting(f, x, offsets, weights):
+            calls.append(np.size(x))
+            return real(f, x, offsets, weights)
+        monkeypatch.setattr(steklov, "outer_apply", counting)
+        return calls
+
+    def test_modulus_is_one_outer_product(self, outer_calls, p2):
+        m = corpus_member("gauss")
+        modulus(ModulusRequest(m.rf, 2, 0.5, m.norm_spec(p2)))
+        assert len(outer_calls) == 1
+
+    def test_each_khat_norm_is_one_outer_product(self, outer_calls, p2):
+        m = corpus_member("gauss")
+        k_functional_upper(m.rf, 2, 0.5, m.norm_spec(p2))
+        assert len(outer_calls) == 2
 
 
 def properties_rows(f: str, p=None, r: int = 1):

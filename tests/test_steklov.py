@@ -4,11 +4,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from vexp.corpus import corpus_member
 from vexp.fnexpr import Decay, differentiate, parse
-from vexp.functions import RealFunction, as_real_function, shifted
-from vexp.steklov import (IndicatorSteklov, _antiderivative, bspline_value,
+from vexp.functions import RealFunction, as_real_function, combine
+from vexp.steklov import (IndicatorSteklov, _antiderivative,
+                          _oscillation_subpanels, bspline_value,
                           difference_power, iterated_steklov,
-                          steklov_derivative, sup_norm)
+                          steklov_combination, steklov_derivative, sup_norm)
 
 from steklov_oracles import (bspline_cumulative_quad, nested_steklov,
                              truncated_power_sum)
@@ -136,9 +138,10 @@ class TestSteklovDerivative:
         # (S_d f)' = S_d f' probed by a five-point stencil on the output,
         # with the centered average S_d f = T_d f(. - d/2)
         f = parse("exp(-x^2)*sin(5*x)")
-        s = shifted(iterated_steklov(as_real_function(f), 0.6, 1), -0.3)
-        s_of_deriv = shifted(
-            iterated_steklov(as_real_function(differentiate(f)), 0.6, 1), -0.3)
+        t = iterated_steklov(as_real_function(f), 0.6, 1)
+        t_of_deriv = iterated_steklov(as_real_function(differentiate(f)), 0.6, 1)
+        s = lambda x: t(x - 0.3)  # noqa: E731
+        s_of_deriv = lambda x: t_of_deriv(x - 0.3)  # noqa: E731
         h = 1e-3
         stencil = (-s(XS + 2 * h) + 8 * s(XS + h) - 8 * s(XS - h)
                    + s(XS - 2 * h)) / (12 * h)
@@ -147,6 +150,43 @@ class TestSteklovDerivative:
     def test_requires_r_at_most_m(self):
         with pytest.raises(ValueError):
             steklov_derivative(as_real_function(parse("x")), 0.5, 1, 2)
+
+
+def _member(name):
+    if name == "box+xgauss":
+        # rough and not engine-backed: every iterate is a per-point quadrature
+        return combine([(1.0, corpus_member("box").rf),
+                        (1.0, corpus_member("xgauss").rf)], name)
+    return corpus_member(name).rf
+
+
+# shifted iterates, a k = 0 point term and a shifted point term
+TERMS = {(0, 0): 1.0, (0, 2): -0.5, (1, 0): -2.0, (2, 1): 1.5, (3, 0): 0.75,
+         (1, 3): -1.25}
+
+
+class TestCombination:
+    @pytest.mark.parametrize("name, d", [("gauss_osc", 1.5), ("box", 0.4),
+                                         ("box_smooth", 0.35), ("box+xgauss", 0.3)])
+    def test_matches_terms_one_at_a_time(self, name, d):
+        f = _member(name)
+        xs = np.linspace(-2.5, 2.0, 19)
+        got = steklov_combination(f, d, TERMS, "comb")(xs)
+        want = sum(c * iterated_steklov(f, d, k)(xs + j * d)
+                   for (k, j), c in TERMS.items())
+        f_max = np.max(np.abs(f(np.linspace(-4.0, 4.0, 8001))))
+        scale = sum(map(abs, TERMS.values())) * f_max
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    def test_smooth_lattice_has_subpanels(self):
+        # the case above puts several panels on each unit of the lattice
+        assert _oscillation_subpanels(_member("gauss_osc"), 1.5) > 1
+
+    def test_breakpoints_and_support_of_shifted_iterates(self):
+        f = _member("box")
+        comb = steklov_combination(f, 0.5, {(0, 1): 1.0, (2, 0): 1.0}, "comb")
+        assert comb.breakpoints == (-1.0, -0.5, 0.0, 0.5, 1.0)
+        assert (comb.decay.a, comb.decay.b) == (-1.0, 1.0)
 
 
 class TestIndicatorEngine:
