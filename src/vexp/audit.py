@@ -41,7 +41,7 @@ from .steklov import (iterated_steklov, steklov_combination, steklov_derivative,
                       sup_norm)
 
 __all__ = ["AuditCase", "AuditReport", "Context", "run_suite", "run_case",
-           "THEOREM_RUNNERS", "SURROGATE_POLICY", "write_reports"]
+           "THEOREM_RUNNERS", "write_reports"]
 
 
 # ---------------------------------------------------------------------------
@@ -747,27 +747,6 @@ THEOREM_RUNNERS: dict[str, Family] = {
         constant=lambda case, p: C.c14_series(case.r, case.k, p.p_plus, p.c3),
         checks=(_SYMBOLIC, _CUTOFF), sigma_scale=0.5),
 }
-
-# Where surrogate quantities may appear for the row to remain a valid
-# implication of the audited statement.  "rhs" means the surrogate only
-# enlarges the right-hand side (valid); "lhs_one_sided" marks rows whose
-# left side uses a surrogate or grid supremum, which must carry "one_sided".
-SURROGATE_POLICY: dict[str, dict[str, str]] = {
-    "jackson_sup": {"A_sigma_surrogate": "lhs_one_sided"},
-    "jackson_vexp": {},  # the audited chain bounds the operator error itself
-    "inverse_vexp": {"A_sigma_surrogate": "rhs"},
-    "inverse_sup": {"A_sigma_surrogate": "rhs"},
-    "series_deriv_sup": {"A_sigma_surrogate": "rhs"},
-    "series_deriv_modulus_sup": {"A_sigma_surrogate": "rhs"},
-    "series_inverse_vexp": {"A_sigma_surrogate": "rhs"},
-    "kfunc_equiv_vexp_upper": {"K_surrogate": "rhs"},
-    "kfunc_equiv_vexp_lower": {"K_surrogate": "rhs"},
-    "kfunc_equiv_sup_upper": {"K_surrogate": "rhs"},
-    "kfunc_equiv_sup_lower": {"K_surrogate": "rhs"},
-    "shift_modulus_sup_lower": {"h_grid_sup": "lhs_one_sided"},
-    "shift_modulus_sup_upper": {"h_grid_sup": "rhs"},
-}
-
 
 # config key -> AuditCase field: the sources f, g and p are f_src, g_src, p_src
 _FIELDS = {f.name.removesuffix("_src"): f.name for f in fields(AuditCase)}

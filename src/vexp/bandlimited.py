@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .fnexpr import Decay
-from .functions import RealFunction, as_real_function, outer_apply
+from .functions import RealFunction, as_real_function, combine, outer_apply
 from .norms import NormSpec, default_window, norm_of
 from .quad import DEFAULT_SPEC, QuadSpec, panel_rule
 
@@ -186,12 +186,7 @@ def best_approx_surrogate(f, sigma: float, norm: NormSpec,
     j = vp_operator(f, sigma / 2.0, spec, x_span=win,
                     tail_target=tail_target)
 
-    def diff(x):
-        return f.fn(np.asarray(x, dtype=float)) - j.fn(np.asarray(x, dtype=float))
-
-    d = RealFunction(fn=diff, name=f"{f.name}-J", decay=f.decay,
-                     breakpoints=f.breakpoints,
-                     osc_wavelength=min(f.osc_wavelength, j.osc_wavelength))
+    d = combine([(1.0, f), (-1.0, j)], name=f"{f.name}-J")
     value = norm_of(d, replace(norm, window=win), spec)
     return BestApproxEstimate(sigma=sigma, value=value, window=win,
                               tail_bound=j.tail_bound)

@@ -18,8 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-__all__ = ["constant_table", "ConstantTable", "CONSTANT_NAMES",
-           "MONOTONE_DIRECTIONS"]
+__all__ = ["constant_table", "ConstantTable"]
 
 
 def c4(m: float, c3: float) -> float:
@@ -149,13 +148,6 @@ _REGISTRY: dict[str, tuple[tuple[str, ...], Callable, str]] = {
     "shift_compare_upper": (("r",), shift_compare_upper, "2^r c8_k(r)"),
 }
 
-CONSTANT_NAMES = tuple(_REGISTRY)
-
-# per-entry direction of monotonicity in c3: c4 is the only decreasing one
-# (it is a lower-band factor in (0, 1) by construction)
-MONOTONE_DIRECTIONS = {name: ("down" if name == "c4" else "up")
-                       for name in CONSTANT_NAMES}
-
 
 @dataclass(frozen=True)
 class ConstantTable:
@@ -166,12 +158,6 @@ class ConstantTable:
     p_plus: float
     c3: float
     entries: tuple[tuple[str, float, str], ...]
-
-    def value(self, name: str) -> float:
-        for n, v, _ in self.entries:
-            if n == name:
-                return v
-        raise KeyError(name)
 
     def as_csv(self) -> str:
         lines = ["name,value,formula"]

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .fnexpr import Decay, ExponentField, FuncExpr, Indicator, parse
-from .functions import RealFunction
+from .functions import RealFunction, as_real_function
 from .norms import NormSpec, default_window
 from .quad import DEFAULT_SPEC
 from .steklov import IndicatorSteklov
@@ -142,9 +142,7 @@ def resolve_function(src: str) -> CorpusMember:
         return _engine(src, e.src, eng,
                        norm_window=max(12.0, abs(e.ast.a) + 2, abs(e.ast.b) + 2),
                        sup_window=max(6.0, abs(e.ast.a) + 2, abs(e.ast.b) + 2))
-    rf = RealFunction(fn=e, name=e.src, decay=e.decay_class, expr=e,
-                      breakpoints=((e.decay_class.a, e.decay_class.b)
-                                   if e.decay_class.kind == "compact_support" else ()))
+    rf = as_real_function(e)
     w = default_window(rf, DEFAULT_SPEC)
     return CorpusMember(name=e.src, src=e.src, rf=rf, norm_window=w,
                         sup_window=min(w, 20.0), panels_per_unit=4.0,

@@ -11,7 +11,6 @@ from __future__ import annotations
 _CORPUS = ("gauss", "gauss_osc", "sinc1", "sinc4", "box", "box_smooth",
            "xgauss", "cos_gauss", "gauss_wide", "x2gauss", "lorentz", "lorentz2")
 _EXPONENTS = ("p2", "p_bump", "p_osc")
-_SMOOTH = ("gauss", "gauss_osc", "xgauss", "cos_gauss", "gauss_wide", "x2gauss")
 
 
 def _case(theorem: str, f: str, **kv) -> str:

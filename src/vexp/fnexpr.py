@@ -311,29 +311,10 @@ class _Parser:
 
 
 def _const_value(node: Node, pos: int) -> float:
-    if _contains_var(node):
+    value = _compile(node)  # a float exactly when node has no x
+    if not isinstance(value, float):
         raise ParseError("argument must be a constant expression", pos)
-    try:
-        return float(evaluate(node, np.asarray(0.0)))
-    except Exception:
-        raise ParseError("argument must be a constant expression", pos) from None
-
-
-def _contains_var(node: Node) -> bool:
-    """Whether node depends on x; the built-in leaves are functions of x."""
-    if isinstance(node, (Var, Gauss, Sinc, SincD, Indicator)):
-        return True
-    if isinstance(node, Num):
-        return False
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        return _contains_var(node.left) or _contains_var(node.right)
-    if isinstance(node, Pow):
-        return _contains_var(node.base)
-    if isinstance(node, Neg):
-        return _contains_var(node.operand)
-    if isinstance(node, Call):
-        return _contains_var(node.arg)
-    raise TypeError(node)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +658,8 @@ class FuncExpr:
     @cached_property
     def constant(self) -> Optional[float]:
         """The value of an expression without x; None when x occurs."""
-        return None if _contains_var(self.ast) else self(0.0)
+        value = _compile(self.ast)
+        return value if isinstance(value, float) else None
 
     def __call__(self, x):
         scalar = np.isscalar(x)

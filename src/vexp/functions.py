@@ -17,8 +17,7 @@ import numpy as np
 
 from .fnexpr import Decay, FuncExpr
 
-_CHUNK = 1 << 22  # max elements of one outer-product block (one gemv)
-_SUB_CHUNK = 1 << 15  # elements per f evaluation: its temporaries stay in L2
+_SUB_CHUNK = 1 << 15  # elements per outer-product block: f's temporaries stay in L2
 
 
 @dataclass(frozen=True)
@@ -100,24 +99,18 @@ def outer_apply(f: RealFunction, x: np.ndarray, offsets: np.ndarray,
                 weights: np.ndarray) -> np.ndarray:
     """Compute sum_j w_j f(x_i + t_j) for all i.
 
-    Rows go to BLAS in blocks of _CHUNK // m, whatever the sub-block size:
-    gemv results depend on the row count of the call.  Each block is filled
-    by evaluating f on sub-blocks of about _SUB_CHUNK elements.
+    Rows go in blocks of _SUB_CHUNK // m (at least one): each block is one
+    f evaluation, whose temporaries stay in L2, and one gemv written straight
+    into the result.  gemv results depend on the row count of a call, so
+    they can differ in the last bit from one product over all rows.
     """
     x = np.asarray(x, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    n = x.size
-    m = offsets.size
-    out = np.empty(n, dtype=float)
-    step = max(1, _CHUNK // max(m, 1))
-    sub = max(1, _SUB_CHUNK // max(m, 1))
     flat_x = x.ravel()
-    vals = np.empty((min(step, n), m), dtype=float)
-    for i0 in range(0, n, step):
-        block = flat_x[i0:i0 + step]
-        rows = vals[:block.size]
-        for j0 in range(0, block.size, sub):
-            rows[j0:j0 + sub] = f.fn(block[j0:j0 + sub, None] + offsets[None, :])
-        out[i0:i0 + step] = rows @ weights
+    out = np.empty(flat_x.size, dtype=float)
+    step = max(1, _SUB_CHUNK // max(offsets.size, 1))
+    for i0 in range(0, flat_x.size, step):
+        np.matmul(f.fn(flat_x[i0:i0 + step, None] + offsets[None, :]), weights,
+                  out=out[i0:i0 + step])
     return out.reshape(x.shape)

@@ -50,19 +50,6 @@ __all__ = [
 # Cardinal B-splines
 # ---------------------------------------------------------------------------
 
-def bspline_value(k: int, t) -> np.ndarray:
-    """Order-k cardinal B-spline on [0, k] (k-fold convolution of 1_[0,1))."""
-    t = np.asarray(t, dtype=float)
-    vals = [((t - i >= 0.0) & (t - i < 1.0)).astype(float) for i in range(k)]
-    for j in range(2, k + 1):
-        nxt = []
-        for i in range(k - j + 1):
-            u = t - i
-            nxt.append((u * vals[i] + (j - u) * vals[i + 1]) / (j - 1))
-        vals = nxt
-    return vals[0]
-
-
 @functools.cache
 def _pp_coefficients(k: int, n: int) -> np.ndarray:
     """pp form of (1/n!) sum_i (-1)^i C(k,i) (t - i)_+^n on [0, k].
@@ -70,6 +57,7 @@ def _pp_coefficients(k: int, n: int) -> np.ndarray:
     Row m holds the coefficients, lowest power first, of the polynomial in
     s = t - m on the piece [m, m + 1].  n! times each coefficient is an
     integer, so one int/int true division gives the correctly rounded float.
+    n = k - 1 is B_k, n = k is CB_k and n = k + 1 its integral.
     """
     fact = math.factorial(n)
     return np.array([
@@ -79,13 +67,8 @@ def _pp_coefficients(k: int, n: int) -> np.ndarray:
         for m in range(k)])
 
 
-def _antiderivative(k: int, n: int, t) -> np.ndarray:
-    """(n-k)-fold antiderivative of B_k from 0, for n = k or k + 1.
-
-    n = k gives CB_k(t) = int_0^t B_k, which saturates at 1 for t >= k;
-    n = k + 1 gives int_0^t CB_k, which grows with slope 1 beyond k.
-    """
-    t = np.asarray(t, dtype=float)
+def _horner(k: int, n: int, t: np.ndarray) -> np.ndarray:
+    """The pp form of `_pp_coefficients(k, n)` at t clipped to [0, k]."""
     tc = np.clip(t, 0.0, float(k))
     m = np.minimum(np.floor(tc), k - 1)
     s = tc - m
@@ -94,7 +77,23 @@ def _antiderivative(k: int, n: int, t) -> np.ndarray:
     acc = coef[m, n]
     for j in range(n - 1, -1, -1):
         acc = acc * s + coef[m, j]
-    return acc + (n - k) * np.maximum(t - k, 0.0)
+    return acc
+
+
+def bspline_value(k: int, t) -> np.ndarray:
+    """Order-k cardinal B-spline (k-fold convolution of 1_[0,1)), 0 outside [0, k)."""
+    t = np.asarray(t, dtype=float)
+    return np.where((t >= 0.0) & (t < k), _horner(k, k - 1, t), 0.0)
+
+
+def _antiderivative(k: int, n: int, t) -> np.ndarray:
+    """(n-k)-fold antiderivative of B_k from 0, for n = k or k + 1.
+
+    n = k gives CB_k(t) = int_0^t B_k, which saturates at 1 for t >= k;
+    n = k + 1 gives int_0^t CB_k, which grows with slope 1 beyond k.
+    """
+    t = np.asarray(t, dtype=float)
+    return _horner(k, n, t) + (n - k) * np.maximum(t - k, 0.0)
 
 
 # ---------------------------------------------------------------------------

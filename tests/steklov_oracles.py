@@ -1,6 +1,7 @@
 """Test-only oracles for the Steklov operators, independent of the fast paths.
 
 - `nested_steklov`: k literal nested applications of T_d.
+- `bspline_cox_de_boor`: B_k by the Cox-de Boor recursion.
 - `bspline_cumulative_quad`: CB_k(t) = int_0^t B_k by Gauss-Legendre
   quadrature of the Cox-de Boor values on the unit pieces.
 - `truncated_power_sum`: (1/n!) sum_i (-1)^i C(k,i) (t - i)_+^n in mpmath at
@@ -14,7 +15,7 @@ import numpy as np
 
 from vexp.functions import RealFunction, as_real_function, outer_apply
 from vexp.quad import gauss_rule, panel_rule
-from vexp.steklov import _rough_average, bspline_value
+from vexp.steklov import _rough_average
 
 
 def nested_steklov(f, delta: float, k: int) -> RealFunction:
@@ -44,6 +45,19 @@ def _single_nested(g: RealFunction, delta: float) -> RealFunction:
                         osc_wavelength=g.osc_wavelength)
 
 
+def bspline_cox_de_boor(k: int, t) -> np.ndarray:
+    """Order-k cardinal B-spline on [0, k) by the Cox-de Boor recursion."""
+    t = np.asarray(t, dtype=float)
+    vals = [((t - i >= 0.0) & (t - i < 1.0)).astype(float) for i in range(k)]
+    for j in range(2, k + 1):
+        nxt = []
+        for i in range(k - j + 1):
+            u = t - i
+            nxt.append((u * vals[i] + (j - u) * vals[i + 1]) / (j - 1))
+        vals = nxt
+    return vals[0]
+
+
 def bspline_cumulative_quad(k: int, t) -> np.ndarray:
     """CB_k(t) by quadrature; exact for the degree k-1 pieces of B_k."""
     t = np.asarray(t, dtype=float)
@@ -55,7 +69,7 @@ def bspline_cumulative_quad(k: int, t) -> np.ndarray:
             out[i] = 0.0
             continue
         nodes, wts = panel_rule(edges, k // 2 + 1)
-        out[i] = np.sum(wts * bspline_value(k, nodes))
+        out[i] = np.sum(wts * bspline_cox_de_boor(k, nodes))
     return out
 
 

@@ -314,9 +314,11 @@ def test_criterion_10_constants():
              and C.c7(0.0) == 2.0 and C.c5(1.0, 0.0) == 192.0)
     mono = True
     grid = (0.0, 0.2, 0.5, 1.0)
-    for name in C.CONSTANT_NAMES:
-        vals = [C.constant_table(2, 1, 2.5, c).value(name) for c in grid]
-        if C.MONOTONE_DIRECTIONS[name] == "up":
+    tables = [{n: v for n, v, _ in C.constant_table(2, 1, 2.5, c).entries}
+              for c in grid]
+    for name in tables[0]:
+        vals = [t[name] for t in tables]
+        if name != "c4":
             mono &= all(b >= a for a, b in zip(vals, vals[1:]))
         else:  # c4 = exp(-4 m c3) decreases by construction
             mono &= all(b <= a for a, b in zip(vals, vals[1:]))
@@ -332,8 +334,8 @@ def test_criterion_10_constants():
 
 # The bundled audit.csv: a change to it must be deliberate, and every row it
 # changes listed, so the hash is pinned here.
-BUNDLED_CSV_SHA256 = ("5562116e73c0b8de1e1630aa193b008b8cc46255"
-                      "0e18af63575df1ceb7528435")
+BUNDLED_CSV_SHA256 = ("266168779ef3e16d0197bfd9c2c81fed893d89cd"
+                      "ec3f019275b3d3903ebabdd4")
 
 
 def test_criterion_11_determinism(tmp_path):

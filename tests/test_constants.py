@@ -5,6 +5,13 @@ import pytest
 from vexp import constants as C
 
 
+def values(table):
+    return {name: v for name, v, _ in table.entries}
+
+
+CONSTANT_NAMES = tuple(values(C.constant_table(1, 1, 2.0, 0.0)))
+
+
 class TestExactValues:
     def test_kfunc_constant(self):
         assert C.c8_k(1) == 36.0
@@ -51,30 +58,30 @@ class TestApi:
         t2 = C.constant_table(2, 1, 2.5, 0.4)
         assert t1.entries == t2.entries
         assert t1.as_csv() == t2.as_csv()
-        assert t1.value("c8_k") == 4640.0
+        assert values(t1)["c8_k"] == 4640.0
 
     def test_csv_shape(self):
         lines = C.constant_table(1, 1, 2.0, 0.0).as_csv().strip().splitlines()
         assert lines[0] == "name,value,formula"
-        assert len(lines) == 1 + len(C.CONSTANT_NAMES)
+        assert len(lines) == 1 + len(CONSTANT_NAMES)
 
 
 class TestMonotonicity:
-    @pytest.mark.parametrize("name", C.CONSTANT_NAMES)
+    @pytest.mark.parametrize("name", CONSTANT_NAMES)
     def test_direction_in_c3(self, name):
         grid = [0.0, 0.25, 0.5, 1.0]
-        vals = [C.constant_table(2, 1, 2.5, c).value(name) for c in grid]
-        if C.MONOTONE_DIRECTIONS[name] == "up":
+        vals = [values(C.constant_table(2, 1, 2.5, c))[name] for c in grid]
+        if name != "c4":
             assert all(b >= a for a, b in zip(vals, vals[1:]))
-        else:
+        else:  # a lower-band factor in (0, 1): exp(-4 m c3) decreases
             assert all(b <= a for a, b in zip(vals, vals[1:]))
 
     def test_nondecreasing_in_p_plus_r_k(self):
         for name in ("c5", "c10", "c11", "c12", "c13"):
-            vals = [C.constant_table(1, 1, pp, 0.3).value(name)
+            vals = [values(C.constant_table(1, 1, pp, 0.3))[name]
                     for pp in (1.5, 2.0, 3.0)]
             assert vals[0] <= vals[1] <= vals[2]
         for name in ("c8_k", "C9", "c11", "c14_marchaud", "c14_series"):
-            vals = [C.constant_table(r, 2, 2.0, 0.3).value(name)
+            vals = [values(C.constant_table(r, 2, 2.0, 0.3))[name]
                     for r in (1, 2, 3)]
             assert vals[0] <= vals[1] <= vals[2]

@@ -321,6 +321,9 @@ class TestCompiler:
         for src in ("2 * 3 - 1 + 0 * x", "gauss(2)", "sinc(1)", "indicator(0, 1)"):
             assert parse(src).constant is None
         assert parse("(2 + 1) ^ 2").constant == 9.0
+        for src in ("gauss(sinc(1))", "indicator(0, x)"):
+            with pytest.raises(ParseError):
+                parse(src)
         out = parse("4")(np.zeros((2, 3)))
         assert out.shape == (2, 3) and np.all(out == 4.0)
 

@@ -12,8 +12,8 @@ from vexp.steklov import (IndicatorSteklov, _antiderivative,
                           difference_power, iterated_steklov,
                           steklov_combination, steklov_derivative, sup_norm)
 
-from steklov_oracles import (bspline_cumulative_quad, nested_steklov,
-                             truncated_power_sum)
+from steklov_oracles import (bspline_cox_de_boor, bspline_cumulative_quad,
+                             nested_steklov, truncated_power_sum)
 
 XS = np.linspace(-3.0, 3.0, 25)
 
@@ -231,6 +231,16 @@ class TestBsplines:
             assert np.allclose(total, 1.0, atol=1e-12)
             assert bspline_cumulative_quad(k, np.array([float(k)]))[0] == \
                 pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("k", range(1, 19))
+    def test_pp_form_matches_cox_de_boor(self, k):
+        rng = np.random.default_rng(k)
+        ts = np.concatenate([np.arange(-1.0, k + 1.5, 0.25),
+                             rng.uniform(-1.0, k + 1.0, 2000)])
+        got = bspline_value(k, ts)
+        assert np.max(np.abs(got - bspline_cox_de_boor(k, ts))) <= 4e-16
+        outside = (ts < 0.0) | (ts >= k)
+        assert np.all(got[outside] == 0.0)
 
     def test_hat_function(self):
         ts = np.array([0.5, 1.0, 1.5])
