@@ -37,9 +37,7 @@ _MAX_PANELS = 60_000
 
 @dataclass(frozen=True)
 class BestApproxEstimate:
-    sigma: float
     value: float
-    window: float
     tail_bound: float = 0.0
 
 
@@ -70,8 +68,6 @@ def kernel_tail_bound(sigma: float, u_cut: float, f_sup_beyond: float) -> float:
 
 def _f_envelope_beyond(f: RealFunction, radius: float) -> float:
     d = f.decay
-    if d.kind == "compact_support":
-        return 0.0
     if d.kind == "gaussian":
         return math.exp(-min(radius * radius, 700.0))
     if d.kind == "power" and d.alpha > 0:
@@ -82,11 +78,7 @@ def _f_envelope_beyond(f: RealFunction, radius: float) -> float:
 def _u_window(f: RealFunction, sigma: float, x_span: float,
               target: float) -> float:
     """Smallest window with kernel_tail_bound(...) <= target, by decay class."""
-    d = f.decay
-    if d.kind == "compact_support":
-        # f(x - u) vanishes unless u is within the support shifted by x
-        return x_span + max(abs(d.a), abs(d.b)) + 1.0
-    if d.kind == "gaussian":
+    if f.decay.kind == "gaussian":
         return x_span + 14.0
     lo = x_span + 8.0
     for _ in range(80):
@@ -121,8 +113,7 @@ def _zero_aligned_panels(sigma: float, lo: float, hi: float,
     return edges
 
 
-def vp_operator(f, sigma: float, spec: QuadSpec = DEFAULT_SPEC,
-                x_span: Optional[float] = None,
+def vp_operator(f, sigma: float, x_span: Optional[float] = None,
                 tail_target: float = 1e-8) -> RealFunction:
     """J(f, sigma)(x) = sigma * int f(x - u) theta(sigma u) du, truncated.
 
@@ -137,7 +128,7 @@ def vp_operator(f, sigma: float, spec: QuadSpec = DEFAULT_SPEC,
     if f.expr is not None and f.expr.constant is not None:
         return f  # J reproduces constants exactly: the kernel has unit mass
     if x_span is None:
-        x_span = default_window(f, spec)
+        x_span = default_window(f)
 
     if f.decay.kind == "compact_support":
         a, b = f.decay.a, f.decay.b
@@ -182,11 +173,9 @@ def best_approx_surrogate(f, sigma: float, norm: NormSpec,
         raise ValueError("sigma must be positive")
     win = norm.window
     if win is None:
-        win = default_window(f, spec)
-    j = vp_operator(f, sigma / 2.0, spec, x_span=win,
-                    tail_target=tail_target)
+        win = default_window(f)
+    j = vp_operator(f, sigma / 2.0, x_span=win, tail_target=tail_target)
 
     d = combine([(1.0, f), (-1.0, j)], name=f"{f.name}-J")
     value = norm_of(d, replace(norm, window=win), spec)
-    return BestApproxEstimate(sigma=sigma, value=value, window=win,
-                              tail_bound=j.tail_bound)
+    return BestApproxEstimate(value=value, tail_bound=j.tail_bound)

@@ -15,14 +15,13 @@ definition used here evaluates the same function in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
 from .fnexpr import Decay, ExponentField, FuncExpr, Indicator, parse
 from .functions import RealFunction, as_real_function
 from .norms import NormSpec, default_window
-from .quad import DEFAULT_SPEC
 from .steklov import IndicatorSteklov
 
 __all__ = ["CorpusMember", "default_corpus", "default_exponents",
@@ -54,13 +53,10 @@ class CorpusMember:
                              panels_per_unit=self.panels_per_unit)
 
 
-def _smooth(name, src, norm_window, sup_window, ppu=4.0, osc=math.inf,
-            decay=None):
-    e = parse(src) if decay is None else parse(src, decay=decay)
-    rf = RealFunction(fn=e, name=name, decay=e.decay_class,
-                      osc_wavelength=osc, expr=e)
+def _parsed(name, e: FuncExpr, norm_window, sup_window, ppu=4.0, osc=math.inf):
+    rf = replace(as_real_function(e, name), osc_wavelength=osc)
     return CorpusMember(name=name, src=e.src, rf=rf, norm_window=norm_window,
-                        sup_window=sup_window, panels_per_unit=ppu, smooth=True)
+                        sup_window=sup_window, panels_per_unit=ppu, smooth=e.smooth)
 
 
 def _engine(name, src, engine: IndicatorSteklov, norm_window, sup_window, ppu=4.0):
@@ -82,25 +78,21 @@ _BOX_SMOOTH_SRC = ("((1.1 - abs(x - 0.9) - abs(x))/2"
 @lru_cache(maxsize=1)
 def default_corpus() -> tuple[CorpusMember, ...]:
     return (
-        _smooth("gauss", "exp(-x^2)", 14.0, 8.0),
-        _smooth("gauss_osc", "exp(-x^2)*sin(5*x)", 14.0, 8.0,
+        _parsed("gauss", parse("exp(-x^2)"), 14.0, 8.0),
+        _parsed("gauss_osc", parse("exp(-x^2)*sin(5*x)"), 14.0, 8.0,
                 osc=2.0 * math.pi / 5.0),
-        _smooth("sinc1", "sinc(1)", 200.0, 20.0, ppu=2.0, osc=math.pi,
-                decay=Decay.power(1.0)),
-        _smooth("sinc4", "sinc(4)", 150.0, 20.0, ppu=2.0, osc=math.pi / 4.0,
-                decay=Decay.power(1.0)),
+        _parsed("sinc1", parse("sinc(1)"), 200.0, 20.0, ppu=2.0, osc=math.pi),
+        _parsed("sinc4", parse("sinc(4)"), 150.0, 20.0, ppu=2.0, osc=math.pi / 4.0),
         _engine("box", "indicator(0, 1)", IndicatorSteklov(0.0, 1.0), 12.0, 6.0),
         _engine("box_smooth", _BOX_SMOOTH_SRC,
                 IndicatorSteklov(0.0, 1.0, pre=(0.1,)), 12.0, 6.0),
-        _smooth("xgauss", "x*exp(-x^2)", 14.0, 8.0),
-        _smooth("cos_gauss", "cos(3*x)*exp(-x^2/4)", 20.0, 8.0,
+        _parsed("xgauss", parse("x*exp(-x^2)"), 14.0, 8.0),
+        _parsed("cos_gauss", parse("cos(3*x)*exp(-x^2/4)"), 20.0, 8.0,
                 osc=2.0 * math.pi / 3.0),
-        _smooth("gauss_wide", "exp(-x^2/9)", 32.0, 10.0),
-        _smooth("x2gauss", "x^2*exp(-x^2)", 14.0, 8.0),
-        _smooth("lorentz", "1/(1+x^2)", 250.0, 20.0, ppu=2.0,
-                decay=Decay.power(2.0)),
-        _smooth("lorentz2", "1/(1+x^2)^2", 60.0, 20.0, ppu=2.0,
-                decay=Decay.power(4.0)),
+        _parsed("gauss_wide", parse("exp(-x^2/9)"), 32.0, 10.0),
+        _parsed("x2gauss", parse("x^2*exp(-x^2)"), 14.0, 8.0),
+        _parsed("lorentz", parse("1/(1+x^2)"), 250.0, 20.0, ppu=2.0),
+        _parsed("lorentz2", parse("1/(1+x^2)^2"), 60.0, 20.0, ppu=2.0),
     )
 
 
@@ -137,16 +129,12 @@ def resolve_function(src: str) -> CorpusMember:
     if src.startswith("@"):
         return corpus_member(src[1:])
     e = parse(src)
+    w = default_window(as_real_function(e))
     if isinstance(e.ast, Indicator):
-        eng = IndicatorSteklov(e.ast.a, e.ast.b)
-        return _engine(src, e.src, eng,
-                       norm_window=max(12.0, abs(e.ast.a) + 2, abs(e.ast.b) + 2),
-                       sup_window=max(6.0, abs(e.ast.a) + 2, abs(e.ast.b) + 2))
-    rf = as_real_function(e)
-    w = default_window(rf, DEFAULT_SPEC)
-    return CorpusMember(name=e.src, src=e.src, rf=rf, norm_window=w,
-                        sup_window=min(w, 20.0), panels_per_unit=4.0,
-                        smooth=e.deriv_order_available > 0)
+        a, b = e.ast.a, e.ast.b
+        return _engine(src, e.src, IndicatorSteklov(a, b), norm_window=w,
+                       sup_window=max(6.0, abs(a) + 2, abs(b) + 2))
+    return _parsed(e.src, e, w, min(w, 20.0))
 
 
 def resolve_exponent(src: str, p_infinity: Optional[float] = None) -> ExponentField:

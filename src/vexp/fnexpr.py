@@ -24,9 +24,10 @@ defined names, no piecewise syntax beyond `indicator`.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -66,25 +67,8 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Div:
+class BinOp:
+    op: str  # + | - | * | /
     left: "Node"
     right: "Node"
 
@@ -128,7 +112,7 @@ class Indicator:
     b: float
 
 
-Node = Union[Num, Var, Add, Sub, Mul, Div, Pow, Neg, Call, Gauss, Sinc, SincD, Indicator]
+Node = Union[Num, Var, BinOp, Pow, Neg, Call, Gauss, Sinc, SincD, Indicator]
 
 _UNARY_CALLS = ("exp", "sin", "cos", "abs")
 
@@ -144,41 +128,20 @@ class _Tok:
     pos: int
 
 
+# ASCII numbers, names and operators; a character that starts none of them is
+# an error.  `\s` keeps str.isspace's whitespace.
+_TOKEN = re.compile(r"(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+                    r"|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^(),])|(?P<space>\s+)|.",
+                    re.DOTALL)
+
+
 def _tokenize(src: str) -> list[_Tok]:
     toks = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or src[j] == "."
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    while k < n and src[k].isdigit():
-                        k += 1
-                    j = k
-            toks.append(_Tok("num", src[i:j], i))
-            i = j
-        elif c.isalpha():
-            j = i
-            while j < n and src[j].isalnum():
-                j += 1
-            toks.append(_Tok("name", src[i:j], i))
-            i = j
-        elif c in "+-*/^(),":
-            toks.append(_Tok("op", c, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
+    for m in _TOKEN.finditer(src):
+        if m.lastgroup is None:
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if m.lastgroup != "space":
+            toks.append(_Tok(m.lastgroup, m.group(), m.start()))
     return toks
 
 
@@ -210,25 +173,19 @@ class _Parser:
             raise ParseError(f"trailing input {tok.text!r}", tok.pos)
         return node
 
-    def _expr(self) -> Node:
-        node = self._term()
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind != "op" or tok.text not in "+-":
-                return node
+    def _chain(self, ops: str, operand) -> Node:
+        """Left-associative operand { op operand } for single-character ops."""
+        node = operand()
+        while (tok := self._peek()) is not None and tok.kind == "op" and tok.text in ops:
             self._next()
-            rhs = self._term()
-            node = Add(node, rhs) if tok.text == "+" else Sub(node, rhs)
+            node = BinOp(tok.text, node, operand())
+        return node
+
+    def _expr(self) -> Node:
+        return self._chain("+-", self._term)
 
     def _term(self) -> Node:
-        node = self._unary()
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind != "op" or tok.text not in "*/":
-                return node
-            self._next()
-            rhs = self._unary()
-            node = Mul(node, rhs) if tok.text == "*" else Div(node, rhs)
+        return self._chain("*/", self._unary)
 
     def _unary(self) -> Node:
         tok = self._peek()
@@ -396,7 +353,7 @@ def _power(exponent: int):
 
 
 _CALLS = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "abs": np.abs}
-_BINARY = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 
 def _compile(node: Node):
@@ -405,9 +362,8 @@ def _compile(node: Node):
         return float(node.value)
     if isinstance(node, Var):
         return lambda x: x
-    op = _BINARY.get(type(node))
-    if op is not None:
-        return _binary(op, _compile(node.left), _compile(node.right))
+    if isinstance(node, BinOp):
+        return _binary(_BINARY[node.op], _compile(node.left), _compile(node.right))
     if isinstance(node, Pow):
         return _unary(_power(node.exponent), _compile(node.base))
     if isinstance(node, Neg):
@@ -460,14 +416,8 @@ def to_source(node: Node) -> str:
         return f"{node.value:.17g}"
     if isinstance(node, Var):
         return "x"
-    if isinstance(node, Add):
-        return f"({to_source(node.left)} + {to_source(node.right)})"
-    if isinstance(node, Sub):
-        return f"({to_source(node.left)} - {to_source(node.right)})"
-    if isinstance(node, Mul):
-        return f"({to_source(node.left)} * {to_source(node.right)})"
-    if isinstance(node, Div):
-        return f"({to_source(node.left)} / {to_source(node.right)})"
+    if isinstance(node, BinOp):
+        return f"({to_source(node.left)} {node.op} {to_source(node.right)})"
     if isinstance(node, Pow):
         if node.exponent < 0:
             return f"({to_source(node.base)}^-{-node.exponent})"
@@ -496,34 +446,34 @@ def _diff(node: Node) -> Node:
         return Num(0.0)
     if isinstance(node, Var):
         return Num(1.0)
-    if isinstance(node, Add):
-        return Add(_diff(node.left), _diff(node.right))
-    if isinstance(node, Sub):
-        return Sub(_diff(node.left), _diff(node.right))
-    if isinstance(node, Mul):
-        return Add(Mul(_diff(node.left), node.right), Mul(node.left, _diff(node.right)))
-    if isinstance(node, Div):
-        num = Sub(Mul(_diff(node.left), node.right), Mul(node.left, _diff(node.right)))
-        return Div(num, Pow(node.right, 2))
+    if isinstance(node, BinOp):
+        dl, dr = _diff(node.left), _diff(node.right)
+        if node.op in "+-":
+            return BinOp(node.op, dl, dr)
+        terms = BinOp("*", dl, node.right), BinOp("*", node.left, dr)
+        if node.op == "*":
+            return BinOp("+", *terms)
+        return BinOp("/", BinOp("-", *terms), Pow(node.right, 2))
     if isinstance(node, Pow):
         if node.exponent == 0:
             return Num(0.0)
         inner = _diff(node.base)
-        return Mul(Mul(Num(float(node.exponent)), Pow(node.base, node.exponent - 1)), inner)
+        return BinOp("*", BinOp("*", Num(float(node.exponent)),
+                                Pow(node.base, node.exponent - 1)), inner)
     if isinstance(node, Neg):
         return Neg(_diff(node.operand))
     if isinstance(node, Call):
         inner = _diff(node.arg)
         if node.name == "exp":
-            return Mul(Call("exp", node.arg), inner)
+            return BinOp("*", Call("exp", node.arg), inner)
         if node.name == "sin":
-            return Mul(Call("cos", node.arg), inner)
+            return BinOp("*", Call("cos", node.arg), inner)
         if node.name == "cos":
-            return Neg(Mul(Call("sin", node.arg), inner))
+            return Neg(BinOp("*", Call("sin", node.arg), inner))
         raise NonDifferentiableError("abs(.) has no classical derivative at 0")
     if isinstance(node, Gauss):
         # d/dx exp(-a x^2) = -2 a x exp(-a x^2)
-        return Mul(Mul(Num(-2.0 * node.a), Var()), Gauss(node.a))
+        return BinOp("*", BinOp("*", Num(-2.0 * node.a), Var()), Gauss(node.a))
     if isinstance(node, Sinc):
         return SincD(node.a, 1)
     if isinstance(node, SincD):
@@ -567,71 +517,97 @@ class Decay:
         return Decay("none")
 
 
-def _mul_factors(node: Node) -> list[Node]:
-    if isinstance(node, Mul):
-        return _mul_factors(node.left) + _mul_factors(node.right)
+class _Tail(NamedTuple):
+    """A subtree as |x| -> oo: |f| = O(|x|^growth), and f ~ coef * x^growth
+    when coef is finite and nonzero (0 after cancellation, nan when unknown);
+    f vanishes off support when that is known.  growth is -inf for Gaussian
+    decay and compact support, +inf when no power bounds f."""
+
+    growth: float
+    coef: float = math.nan
+    support: Optional[tuple[float, float]] = None
+
+
+def _sum(l: _Tail, r: _Tail) -> _Tail:
+    g = max(l.growth, r.growth)
+    coef = (l.coef if l.growth == g else 0.0) + (r.coef if r.growth == g else 0.0)
+    hull = l.support and r.support and (min(l.support[0], r.support[0]),
+                                        max(l.support[1], r.support[1]))
+    return _Tail(g, coef if math.isfinite(g) else math.nan, hull or None)
+
+
+def _product(l: _Tail, r: _Tail) -> _Tail:
+    support = l.support or r.support
+    if support:
+        return _Tail(-math.inf, support=support)
+    if math.inf in (l.growth, r.growth):
+        return _Tail(math.inf)
+    return _Tail(l.growth + r.growth, l.coef * r.coef)
+
+
+def _power_tail(t: _Tail, n: int) -> _Tail:
+    if n == 0:
+        return _Tail(0.0, 1.0)
+    if n < 0 and not (math.isfinite(t.coef) and t.coef != 0.0):
+        return _Tail(math.inf)  # 1/f is bounded only by f's exact leading term
+    return _Tail(n * t.growth, t.coef ** n, t.support if n > 0 else None)
+
+
+def _tail(node: Node) -> _Tail:
+    # coefficients are numpy scalars, which overflow to inf instead of raising
+    if isinstance(node, Num):
+        return _Tail(0.0, np.float64(node.value))
+    if isinstance(node, Var):
+        return _Tail(1.0, np.float64(1.0))
+    if isinstance(node, Indicator):
+        return _Tail(-math.inf, support=(node.a, node.b))
+    if isinstance(node, Gauss):
+        return _Tail(-math.inf if node.a > 0 else math.inf)
+    if isinstance(node, (Sinc, SincD)):
+        return _Tail(-1.0)
     if isinstance(node, Neg):
-        return _mul_factors(node.operand)
-    return [node]
-
-
-def _is_neg_quadratic_exp(node: Node) -> bool:
-    """exp(u) where u is numerically ~ -c x^2 for some c > 0."""
-    if not (isinstance(node, Call) and node.name == "exp"):
-        return False
-    u = node.arg
-    probe = np.asarray([8.0, -8.0, 16.0, -16.0])
-    try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vals = evaluate(u, probe)
-    except Exception:
-        return False
-    if not np.all(vals < -1.0):
-        return False
-    # quadratic growth: u(16)/u(8) close to 4
-    r1 = vals[2] / vals[0]
-    r2 = vals[3] / vals[1]
-    return 3.0 < r1 < 5.0 and 3.0 < r2 < 5.0
+        t = _tail(node.operand)
+        return t._replace(coef=-t.coef)
+    if isinstance(node, Pow):
+        return _power_tail(_tail(node.base), node.exponent)
+    if isinstance(node, Call):
+        value = _compile(node)
+        if isinstance(value, float):
+            return _Tail(0.0, np.float64(value))
+        u = _tail(node.arg)
+        if node.name == "abs":
+            return u._replace(coef=abs(u.coef) if u.growth % 2 == 0 else math.nan)
+        if node.name != "exp":
+            return _Tail(0.0)
+        if u.growth == 2 and 64.0 * u.coef < -1.0:
+            return _Tail(-math.inf)  # exp(c x^2) with c < -1/64
+        bounded = u.growth <= 0 or (u.coef < 0 and u.growth % 2 == 0)  # u bounded above
+        return _Tail(0.0 if bounded else math.inf)
+    l, r = _tail(node.left), _tail(node.right)
+    if node.op in "+-":
+        return _sum(l, r if node.op == "+" else r._replace(coef=-r.coef))
+    return _product(l, r if node.op == "*" else _power_tail(r, -1))
 
 
 def classify_decay(node: Node) -> Decay:
-    if isinstance(node, Indicator):
-        return Decay.compact(node.a, node.b)
-    if isinstance(node, Gauss) and node.a > 0:
+    """The decay class read off the tree: compact support from indicator
+    factors, Gaussian from gauss(a > 0) and exp(c x^2 + ...) with 64c < -1,
+    power decay from a negative growth bound, else none."""
+    with np.errstate(all="ignore"):
+        t = _tail(node)
+    if t.support:
+        return Decay.compact(*t.support)
+    if t.growth == -math.inf:
         return Decay.gaussian()
-    if isinstance(node, (Sinc, SincD)):
-        return Decay.power(1.0)
-    factors = _mul_factors(node)
-    if len(factors) > 1:
-        for f in factors:
-            d = classify_decay(f)
-            if d.kind == "compact_support":
-                return d
-        for f in factors:
-            d = classify_decay(f)
-            if d.kind == "gaussian":
-                return d
-    if _is_neg_quadratic_exp(node):
-        return Decay.gaussian()
-    return Decay.none_()
+    return Decay.power(-t.growth) if t.growth < 0 else Decay.none_()
 
 
-def _max_deriv_order(node: Node) -> int:
-    if isinstance(node, (Indicator,)):
-        return 0
-    if isinstance(node, Call) and node.name == "abs":
-        return 0
-    if isinstance(node, (Num, Var, Gauss, Sinc, SincD)):
-        return 99
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        return min(_max_deriv_order(node.left), _max_deriv_order(node.right))
-    if isinstance(node, Pow):
-        return _max_deriv_order(node.base)
-    if isinstance(node, Neg):
-        return _max_deriv_order(node.operand)
-    if isinstance(node, Call):
-        return _max_deriv_order(node.arg)
-    raise TypeError(node)
+def _is_smooth(node: Node) -> bool:
+    """False exactly when an abs or indicator node occurs."""
+    if isinstance(node, Indicator) or (isinstance(node, Call) and node.name == "abs"):
+        return False
+    return all(_is_smooth(v) for v in vars(node).values()
+               if not isinstance(v, (int, float, str)))
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +625,7 @@ class FuncExpr:
     ast: Node
     src: str
     decay_class: Decay
-    deriv_order_available: int
+    smooth: bool  # no abs or indicator: symbolic derivatives exist
 
     @cached_property
     def _compiled(self):
@@ -670,13 +646,11 @@ class FuncExpr:
         return self.src
 
 
-def parse(src: str, decay: Optional[Decay] = None) -> FuncExpr:
+def parse(src: str) -> FuncExpr:
     """Parse a source string into a FuncExpr (canonical-printer round trip)."""
     ast = _Parser(src).parse()
-    if decay is None:
-        decay = classify_decay(ast)
-    return FuncExpr(ast=ast, src=to_source(ast), decay_class=decay,
-                    deriv_order_available=_max_deriv_order(ast))
+    return FuncExpr(ast=ast, src=to_source(ast), decay_class=classify_decay(ast),
+                    smooth=_is_smooth(ast))
 
 
 def differentiate(f: FuncExpr, order: int = 1) -> FuncExpr:
@@ -687,7 +661,7 @@ def differentiate(f: FuncExpr, order: int = 1) -> FuncExpr:
     for _ in range(order):
         node = _diff(node)
     return FuncExpr(ast=node, src=to_source(node), decay_class=f.decay_class,
-                    deriv_order_available=max(0, f.deriv_order_available - order))
+                    smooth=f.smooth)
 
 
 # ---------------------------------------------------------------------------
@@ -768,9 +742,9 @@ class ExponentField:
             return cls(expr=expr, p_minus=const, p_plus=const,
                        p_infinity=const, c_log_local=0.0, c_log_decay=0.0,
                        name=name or expr.src)
-        c1, c2, pmin, pmax = estimate_log_holder(expr, window, samples, p_infinity)
         if p_infinity is None:
             p_infinity = 0.5 * float(expr(10.0 * window) + expr(-10.0 * window))
+        c1, c2, pmin, pmax = estimate_log_holder(expr, window, samples, p_infinity)
         # the essential range over R includes the asymptote
         return cls(expr=expr, p_minus=min(pmin, p_infinity),
                    p_plus=max(pmax, p_infinity), p_infinity=p_infinity,
@@ -780,10 +754,9 @@ class ExponentField:
         """Pointwise conjugate exponent p/(p-1); requires p_minus > 1."""
         if self.p_minus <= 1.0:
             raise ExponentRangeError("dual exponent unbounded: p_minus must exceed 1")
-        dual_ast = Div(self.expr.ast, Sub(self.expr.ast, Num(1.0)))
+        dual_ast = BinOp("/", self.expr.ast, BinOp("-", self.expr.ast, Num(1.0)))
         dual_expr = FuncExpr(ast=dual_ast, src=to_source(dual_ast),
-                             decay_class=Decay.none_(),
-                             deriv_order_available=self.expr.deriv_order_available)
+                             decay_class=Decay.none_(), smooth=self.expr.smooth)
         return ExponentField(
             expr=dual_expr,
             p_minus=self.p_plus / (self.p_plus - 1.0),

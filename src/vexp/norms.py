@@ -70,15 +70,12 @@ class NormSpec:
                         panels_per_unit=panels_per_unit)
 
 
-def default_window(f: RealFunction, spec: QuadSpec) -> float:
+def default_window(f: RealFunction) -> float:
+    """The truncation window f's decay class calls for."""
     d = f.decay
-    if d.kind == "gaussian":
-        return max(spec.window, 12.0)
     if d.kind == "compact_support":
         return max(12.0, abs(d.a) + 2.0, abs(d.b) + 2.0)
-    if d.kind == "power":
-        return 200.0
-    return spec.window
+    return {"gaussian": 12.0, "power": 200.0}.get(d.kind, 10.0)
 
 
 def window_nodes(window: float, panels_per_unit: float,
@@ -146,7 +143,7 @@ def luxemburg_norm(f, p: ExponentField, spec: QuadSpec = DEFAULT_SPEC,
                    panels_per_unit: float = 4.0) -> VexpNorm:
     """The Luxemburg norm: the scale at which the modular crosses 1."""
     f = as_real_function(f)
-    win = window if window is not None else default_window(f, spec)
+    win = window if window is not None else default_window(f)
     sm = SampledModular(f, p, win, panels_per_unit)
     return sm.luxemburg(rel_tol=spec.rel_tol)
 
@@ -154,7 +151,7 @@ def luxemburg_norm(f, p: ExponentField, spec: QuadSpec = DEFAULT_SPEC,
 def norm_of(f, norm: NormSpec, spec: QuadSpec = DEFAULT_SPEC) -> float:
     f = as_real_function(f)
     if norm.kind == "sup":
-        win = norm.window if norm.window is not None else default_window(f, spec)
+        win = norm.window if norm.window is not None else default_window(f)
         return sup_norm(f, win)
     return luxemburg_norm(f, norm.p, spec, window=norm.window,
                           panels_per_unit=norm.panels_per_unit).value

@@ -22,17 +22,13 @@ class BracketError(ValueError):
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Default truncation window for integrals over R, and the relative
-    tolerance of the Luxemburg root find."""
+    """The relative tolerance of the Luxemburg root find."""
 
-    window: float = 10.0
     rel_tol: float = 1e-9
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError("rel_tol must lie in (0, 1)")
-        if self.window <= 0.0:
-            raise ValueError("window must be positive")
 
 
 @dataclass(frozen=True)

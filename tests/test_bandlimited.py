@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from vexp.bandlimited import (best_approx_surrogate, kernel_tail_bound,
                               vp_kernel, vp_operator)
+from vexp.corpus import resolve_function
 from vexp.fnexpr import Decay, differentiate, parse
 from vexp.functions import RealFunction, as_real_function
 from vexp.norms import NormSpec
@@ -126,19 +127,23 @@ class TestSurrogate:
         assert vals[-1] < 1e-12
 
     def test_tail_bound_recorded_for_slow_decay(self):
-        # the 1/x^2 decay class is given: the raw expression is classed
-        # "none" and refused (test_panel_cap_raises_instead_of_coarsening)
-        f = RealFunction(fn=parse("1/(1+x^2)"), name="lorentz",
-                         decay=Decay.power(2.0))
+        # the 1/x^2 decay class is read off the raw expression
+        f = as_real_function(parse("1/(1+x^2)"), name="lorentz")
         est = best_approx_surrogate(f, 4.0, NormSpec.sup(20.0), tail_target=1e-6)
         assert est.tail_bound > 0.0
         assert est.tail_bound <= 1e-6
 
+    def test_raw_lorentzian_matches_bundled(self):
+        raw, bundled = resolve_function("1/(1+x^2)"), resolve_function("@lorentz")
+        assert raw.rf.decay == bundled.rf.decay == Decay.power(2.0)
+        got = best_approx_surrogate(raw.rf, 4.0, raw.norm_spec()).value
+        assert got == best_approx_surrogate(bundled.rf, 4.0, bundled.norm_spec()).value
+
     def test_panel_cap_raises_instead_of_coarsening(self):
-        # decay "none" puts the u-window at 1.2e7: 4.6e7 zero-aligned
-        # panels.  Panels widened to the cap gave 0.9995 here, where the
-        # 1/x^2 decay class gives 0.0585
-        f = as_real_function(parse("1/(1+x^2)"), name="lorentz")
+        # exp(-|x|) has no decay class, which puts the u-window at 1.2e7:
+        # 4.6e7 zero-aligned panels.  Panels widened to the cap gave 0.9995
+        # on the Lorentzian when it had no class, where 1/x^2 decay gives 0.0585
+        f = as_real_function(parse("exp(-abs(x))"), name="laplace")
         with pytest.raises(ValueError, match="46143412 panels on the u-window"):
             best_approx_surrogate(f, 4.0, NormSpec.sup(20.0))
 

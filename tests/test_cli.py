@@ -72,9 +72,9 @@ class TestApproxCommand:
         assert float(out.strip()) == pytest.approx(5.995e-2, rel=1e-2)
 
     def test_panel_cap_exits_with_error(self):
-        # the raw Lorentzian has no decay class; its convolution window
-        # would need more panels than the cap allows
-        code, out, err = run_cli("approx", "--f", "1/(1+x^2)", "--sigma", "4",
+        # exp(-|x|) has no decay class; its convolution window would need
+        # more panels than the cap allows
+        code, out, err = run_cli("approx", "--f", "exp(-abs(x))", "--sigma", "4",
                                  "--window", "20")
         assert code == 2
         assert out == ""

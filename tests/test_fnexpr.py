@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vexp import fnexpr
-from vexp.fnexpr import (ExponentField, ExponentRangeError,
+from vexp.fnexpr import (Decay, ExponentField, ExponentRangeError,
                          NonDifferentiableError, ParseError, differentiate,
                          estimate_log_holder, parse)
 
@@ -21,8 +21,7 @@ _LEAVES = st.one_of(
 
 def _nodes(kids):
     return st.one_of(
-        st.tuples(kids, kids).map(lambda t: fnexpr.Add(*t)),
-        st.tuples(kids, kids).map(lambda t: fnexpr.Mul(*t)),
+        st.tuples(st.sampled_from("+*"), kids, kids).map(lambda t: fnexpr.BinOp(*t)),
         st.tuples(kids, st.integers(0, 3)).map(lambda t: fnexpr.Pow(*t)),
         kids.map(fnexpr.Neg),
         kids.map(lambda a: fnexpr.Call("sin", a)),
@@ -43,8 +42,7 @@ ALL_NODES_AST = st.recursive(
     ),
     lambda kids: st.one_of(
         _nodes(kids),
-        st.tuples(kids, kids).map(lambda t: fnexpr.Sub(*t)),
-        st.tuples(kids, kids).map(lambda t: fnexpr.Div(*t)),
+        st.tuples(st.sampled_from("-/"), kids, kids).map(lambda t: fnexpr.BinOp(*t)),
         st.tuples(kids, st.integers(-3, -1)).map(lambda t: fnexpr.Pow(*t)),
         kids.map(lambda a: fnexpr.Call("cos", a)),
         kids.map(lambda a: fnexpr.Call("abs", a)),
@@ -96,6 +94,59 @@ class TestParse:
         f = parse("gauss(2)")
         assert f(1.0) == pytest.approx(math.exp(-2.0))
         assert f.decay_class.kind == "gaussian"
+
+
+    def test_non_ascii_digits_rejected(self):
+        with pytest.raises(ParseError) as err:
+            parse("\u0663*x")  # ARABIC-INDIC DIGIT THREE
+        assert err.value.pos == 0
+
+    def test_ascii_error_columns(self):
+        for src, col in (("2 + * 3", 5), ("x $ 1", 3), ("2e", 2), ("1.2.3", 4)):
+            with pytest.raises(ParseError) as err:
+                parse(src)
+            assert str(err.value).endswith(f"(at column {col})")
+
+
+class TestDecay:
+    @pytest.mark.parametrize("src, kind, alpha", [
+        ("1/(1+x^2)", "power", 2.0),
+        ("1/(1+x^2)^2", "power", 4.0),
+        ("sin(x)/x", "power", 1.0),
+        ("cos(3*x)/(1+x^2)^2", "power", 4.0),
+        ("sinc(1)*x/(1+x^2)", "power", 2.0),
+        ("x*indicator(0, 1)", "compact_support", 0.0),
+        ("exp(-x^2)", "gaussian", 0.0),
+        ("cos(3*x)*exp(-x^2/4)", "gaussian", 0.0),
+        ("exp(-x^2)*exp(x^2)", "none", 0.0),  # growth cancels the Gaussian
+        ("x^2 - x^2 + 1/x", "none", 0.0),  # the leading terms cancel
+        ("exp(-x^2/100)", "none", 0.0),  # too slow: exp(c x^2) needs 64c < -1
+        ("exp(-abs(x))", "none", 0.0),
+        ("(1e200*x)^2", "none", 0.0),  # coefficients overflow without raising
+    ])
+    def test_raw_sources(self, src, kind, alpha):
+        d = parse(src).decay_class
+        assert (d.kind, d.alpha) == (kind, alpha)
+
+    def test_compact_support_bounds(self):
+        d = parse("x*indicator(0, 1) + indicator(2, 3)").decay_class
+        assert (d.kind, d.a, d.b) == ("compact_support", 0.0, 3.0)
+
+    def test_bundled_members_keep_their_class(self):
+        from vexp.corpus import default_corpus
+        want = {"gauss": Decay.gaussian(), "gauss_osc": Decay.gaussian(),
+                "sinc1": Decay.power(1.0), "sinc4": Decay.power(1.0),
+                "box": Decay.compact(0.0, 1.0), "box_smooth": Decay.compact(-0.1, 1.0),
+                "xgauss": Decay.gaussian(), "cos_gauss": Decay.gaussian(),
+                "gauss_wide": Decay.gaussian(), "x2gauss": Decay.gaussian(),
+                "lorentz": Decay.power(2.0), "lorentz2": Decay.power(4.0)}
+        assert {m.name: m.rf.decay for m in default_corpus()} == want
+
+    def test_smooth_flag(self):
+        assert parse("sinc(2)*exp(-x^2)/(1+x^2)").smooth
+        assert not parse("1 + abs(x)").smooth
+        assert not parse("x*indicator(0, 1)").smooth
+        assert differentiate(parse("sin(x)"), 3).smooth
 
 
 class TestPrinterRoundTrip:
@@ -244,14 +295,15 @@ def reference_eval(node, x):
         return np.full_like(x, node.value, dtype=float)
     if isinstance(node, fnexpr.Var):
         return x
-    if isinstance(node, fnexpr.Add):
-        return ev(node.left, x) + ev(node.right, x)
-    if isinstance(node, fnexpr.Sub):
-        return ev(node.left, x) - ev(node.right, x)
-    if isinstance(node, fnexpr.Mul):
-        return ev(node.left, x) * ev(node.right, x)
-    if isinstance(node, fnexpr.Div):
-        return ev(node.left, x) / ev(node.right, x)
+    if isinstance(node, fnexpr.BinOp):
+        left, right = ev(node.left, x), ev(node.right, x)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        return left / right
     if isinstance(node, fnexpr.Pow):
         base = ev(node.base, x)
         if node.exponent >= 0:
