@@ -1,15 +1,12 @@
 """The modular and the Luxemburg norm.
 
 The modular of f at scale lam is int |f(y)/lam|^p(y) dy over a truncation
-window; the Luxemburg norm is the scale eta at which the modular equals 1,
-found by bisection (the modular is strictly decreasing in eta wherever f is
-not identically zero on the grid).  For constant p this reproduces the
-classical L_p norm.
-
-All norm evaluations sample the integrand once on a composite Gauss-Legendre
-grid (panel edges split at known breakpoints of the integrand) and then
-rescale those samples during bisection, so a full norm costs one function
-materialization plus cheap vector arithmetic.
+window; the Luxemburg norm is the scale eta at which it equals 1.  The
+integrand is sampled once on a composite Gauss-Legendre grid (panel edges
+split at its known breakpoints).  In log-log scale the modular is affine for
+constant p and convex with slope in [-p+, -p-] otherwise, so its root has a
+closed bracket and a secant solver reaches float resolution in a few passes
+over the samples.
 """
 
 from __future__ import annotations
@@ -31,14 +28,19 @@ __all__ = [
 ]
 
 _ETA_CAP = 1e12
+_T_TOL = 2.0 ** -50  # the root's tolerance in log(eta): 4 ulps of 1
+_T_PAD = 2.0 ** -44  # the bracket's pad, far above the rounding of log(modular)
 
 
 class NotIntegrableError(RuntimeError):
-    """The modular stayed above 1 for every scale up to the cap."""
+    """The Luxemburg norm's closed bracket starts above the cap."""
 
 
 @dataclass(frozen=True)
 class VexpNorm:
+    """bracket_used is the closed bracket in eta that held the root (None for
+    f = 0), with tol = rel_tol * value; the root is at float resolution."""
+
     value: float
     bracket_used: Optional[Bracket]
     modular_at_value: float
@@ -84,56 +86,46 @@ def window_nodes(window: float, panels_per_unit: float,
     n_panels = max(16, int(math.ceil(2.0 * window * panels_per_unit)))
     edges = np.linspace(-window, window, n_panels + 1)
     inner = [b for b in breakpoints if -window < b < window]
-    if inner:
-        edges = np.unique(np.concatenate([edges, np.asarray(inner, dtype=float)]))
+    edges = np.unique(np.concatenate([edges, np.asarray(inner, dtype=float)]))
     return panel_rule(edges, 12)
 
 
 class SampledModular:
-    """|f| and p sampled once on the quadrature grid; rescaling is then free."""
+    """log(w_i |f_i|^p_i) at the positive samples of |f| (zero samples add
+    nothing for p >= 1), so the modular at any scale is one exp pass."""
 
     def __init__(self, f, p: ExponentField, window: float,
                  panels_per_unit: float = 4.0):
         f = as_real_function(f)
         x, w = window_nodes(window, panels_per_unit, f.breakpoints)
-        self.weights = w
-        self.samples = np.abs(f(x))
-        self.p_vals = p(x) if not p.is_constant else np.full_like(x, p.p_minus)
-        self.s_max = float(np.max(self.samples)) if self.samples.size else 0.0
+        samples = np.abs(f(x))
+        self.s_max = float(np.max(samples)) if samples.size else 0.0
+        pos = samples > 0.0
+        self.p = p.p_minus if p.is_constant else p(x[pos])
+        self.log_terms = np.log(w[pos]) + self.p * np.log(samples[pos])
 
     def value(self, lam: float) -> float:
         if lam <= 0.0:
             raise ValueError("lam must be positive")
-        with np.errstate(over="ignore", under="ignore", divide="ignore",
-                         invalid="ignore"):
-            # zero samples contribute nothing for any exponent >= 1
-            terms = np.where(self.samples > 0.0,
-                             (self.samples / lam) ** self.p_vals, 0.0)
-            out = float(np.sum(self.weights * terms))
-        return out
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            return float(np.sum(np.exp(self.log_terms - self.p * math.log(lam))))
 
     def luxemburg(self, rel_tol: float = 1e-9) -> VexpNorm:
         if self.s_max <= 0.0:
             return VexpNorm(value=0.0, bracket_used=None, modular_at_value=0.0)
-        if self.value(_ETA_CAP) >= 1.0:
-            raise NotIntegrableError(
-                "modular stays above 1 up to eta = 1e12; "
-                "the function is numerically outside the space")
-        # expand a bracket [lo, hi] with modular(lo) >= 1 >= modular(hi)
-        hi = min(self.s_max, _ETA_CAP)
-        for _ in range(200):
-            if self.value(hi) < 1.0:
-                break
-            hi *= 4.0
-        lo = hi
-        for _ in range(2000):
-            cand = lo / 4.0
-            if self.value(cand) >= 1.0 or cand < 1e-280:
-                lo = cand
-                break
-            lo = cand
-        bracket = Bracket(lo=lo, hi=hi, tol=max(rel_tol * hi, 5e-300))
-        root = find_root_decreasing(lambda e: self.value(e) - 1.0, bracket)
+        # g(t) = log value(s_max e^t) has slope in [-p+, -p-]: a root in [g0/p+, g0/p-]
+        g0 = math.log(self.value(self.s_max))
+        lo, hi = sorted((g0 / float(np.max(self.p)), g0 / float(np.min(self.p))))
+        lo, hi = lo - _T_PAD, hi + _T_PAD
+        if not self.s_max * math.exp(lo) <= _ETA_CAP:
+            raise NotIntegrableError("the modular stays above 1 up to eta = 1e12; "
+                                     "the function is numerically outside the space")
+        t = find_root_decreasing(
+            lambda t: math.log(self.value(self.s_max * math.exp(t))),
+            Bracket(lo, hi, _T_TOL))
+        root = self.s_max * math.exp(t)
+        bracket = Bracket(lo=self.s_max * math.exp(lo),
+                          hi=self.s_max * math.exp(hi), tol=rel_tol * root)
         return VexpNorm(value=root, bracket_used=bracket,
                         modular_at_value=self.value(root))
 
@@ -144,15 +136,13 @@ def luxemburg_norm(f, p: ExponentField, spec: QuadSpec = DEFAULT_SPEC,
     """The Luxemburg norm: the scale at which the modular crosses 1."""
     f = as_real_function(f)
     win = window if window is not None else default_window(f)
-    sm = SampledModular(f, p, win, panels_per_unit)
-    return sm.luxemburg(rel_tol=spec.rel_tol)
+    return SampledModular(f, p, win, panels_per_unit).luxemburg(spec.rel_tol)
 
 
 def norm_of(f, norm: NormSpec, spec: QuadSpec = DEFAULT_SPEC) -> float:
     f = as_real_function(f)
     if norm.kind == "sup":
-        win = norm.window if norm.window is not None else default_window(f)
-        return sup_norm(f, win)
+        return sup_norm(f, norm.window if norm.window is not None else default_window(f))
     return luxemburg_norm(f, norm.p, spec, window=norm.window,
                           panels_per_unit=norm.panels_per_unit).value
 

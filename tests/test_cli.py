@@ -32,6 +32,11 @@ class TestNormCommand:
         assert float(out.strip()) == pytest.approx((math.pi / 2) ** 0.25,
                                                    abs=1e-6)
 
+    def test_bundled_gaussian_l2_in_every_digit(self):
+        code, out, _ = run_cli("norm", "--f", "@gauss", "--p", "2")
+        assert code == 0
+        assert out.strip() == f"{(math.pi / 2) ** 0.25:.12g}"
+
     def test_warns_on_variable_exponent(self):
         code, out, err = run_cli("norm", "--f", "exp(-x^2)",
                                  "--p", "2 + 1/(1+x^2)", "--p-infinity", "2")

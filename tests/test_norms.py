@@ -1,10 +1,13 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vexp.audit import AuditCase, Context, run_case
+from vexp.corpus import (corpus_member, default_corpus, exponent_field,
+                         resolve_exponent)
 from vexp.fnexpr import Decay, ExponentField, parse
 from vexp.functions import RealFunction, as_real_function, combine
 from vexp.norms import (NormSpec, NotIntegrableError, SampledModular,
@@ -61,6 +64,12 @@ class TestLuxemburg:
             assert luxemburg_norm(GAUSS, p).value == \
                 pytest.approx(oracles[q], abs=1e-6)
 
+    def test_constant_exponent_closed_form(self, p1, p2):
+        # int exp(-q x^2) dx = sqrt(pi/q), so ||gauss||_q = (pi/q)^(1/(2q))
+        for p, q in ((p1, 1), (p2, 2), (ExponentField.from_expr("3"), 3)):
+            assert luxemburg_norm(GAUSS, p).value == \
+                pytest.approx((math.pi / q) ** (0.5 / q), rel=1e-14)
+
     def test_scaled_box_variable_exponent_root(self):
         # f = 2 * box and p(x) = 2 + x on the support: the modular of f/eta
         # is int_0^1 (2/eta)^(2+x) dx, identically 1 at eta = 2
@@ -106,6 +115,63 @@ class TestLuxemburg:
         grower = as_real_function(parse("exp(x^2)"), name="grower")
         with pytest.raises(NotIntegrableError):
             luxemburg_norm(grower, p2, window=10.0)
+
+
+@pytest.mark.parametrize("p, most", [
+    ("@p2", 6), ("1", 6), ("3", 6), ("@p_bump", 12), ("@p_osc", 12),
+])
+def test_modular_evaluations_per_root(monkeypatch, p, most):
+    calls = []
+    value = SampledModular.value
+
+    def counted(self, lam):
+        calls[-1] += 1
+        return value(self, lam)
+    monkeypatch.setattr(SampledModular, "value", counted)
+    field = resolve_exponent(p)
+    for m in default_corpus():
+        calls.append(0)
+        spec = m.norm_spec(field)
+        luxemburg_norm(m.rf, field, window=spec.window,
+                       panels_per_unit=spec.panels_per_unit)
+    assert max(calls) <= most
+
+
+# The bundled members and exponents below are even, so the modular is twice
+# the integral over [0, window].
+ORACLE_F = {"gauss": lambda x: -x * x,
+            "lorentz2": lambda x: -2 * mpmath.log(1 + x * x)}  # log f
+ORACLE_P = {"p_bump": lambda x: 2 + 1 / (1 + x * x),
+            "p_osc": lambda x: mpmath.mpf(3) / 2 + mpmath.sin(x) ** 2 / (1 + x * x)}
+
+
+def oracle_norm(log_f, p, window: float, start: float):
+    """The Luxemburg norm on [-window, window] at 30 digits, by Newton's method
+    in u = log(eta) from start.  One complex quadrature per step gives the
+    modular m(u) (real part) and -m'(u) (imaginary part)."""
+    with mpmath.workdps(30):
+        cuts = [0, 1, 2, 4, 8] + list(range(16, int(window), 8)) + [window]
+        u = mpmath.log(start)
+        for _ in range(3):  # from 1e-6: 1e-12, 1e-24, then 30 digits
+            def integrand(x):
+                px = p(x)
+                return mpmath.exp(px * (log_f(x) - u)) * mpmath.mpc(1, px)
+            m = 2 * mpmath.quad(integrand, cuts)
+            step = (m.real - 1) / m.imag
+            u += step
+        assert abs(step) < 1e-20
+        return mpmath.exp(u)
+
+
+@pytest.mark.parametrize("f", ["gauss", "lorentz2"])
+@pytest.mark.parametrize("p", ["p_bump", "p_osc"])
+def test_variable_exponent_norm_against_mpmath(f, p):
+    m, field = corpus_member(f), exponent_field(p)
+    spec = m.norm_spec(field)
+    got = luxemburg_norm(m.rf, field, window=spec.window,
+                         panels_per_unit=spec.panels_per_unit).value
+    exact = oracle_norm(ORACLE_F[f], ORACLE_P[p], spec.window, float(f"{got:.6g}"))
+    assert abs(got - exact) <= 1e-11 * exact
 
 
 def holder_row(f: str, p: str):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,41 @@ def test_root_independent_of_bracket(lo, hi):
 def test_no_sign_change_raises():
     with pytest.raises(BracketError):
         find_root_decreasing(lambda e: -1.0, Bracket(0.1, 1.0, 1e-10))
+
+
+def counted(phi):
+    """phi, and the list of points it has been called at."""
+    calls = []
+
+    def wrapped(e):
+        calls.append(e)
+        return phi(e)
+    return wrapped, calls
+
+
+def test_affine_root_takes_one_interior_evaluation():
+    phi, calls = counted(lambda e: 0.7 * (1.3 - e))
+    root = find_root_decreasing(phi, Bracket(0.1, 5.0, 1e-15))
+    assert len(calls) == 3  # the two ends and one secant step
+    assert abs(root - 1.3) <= 4 * math.ulp(1.3)
+
+
+def test_convex_root_on_a_wide_bracket():
+    # on a convex phi every secant lands right of the root, so plain regula
+    # falsi never moves lo; halving its value (and bisection) moves it
+    phi, calls = counted(lambda e: 1.0 / (e * e) - 1.0)
+    root = find_root_decreasing(phi, Bracket(0.01, 100.0, 1e-15))
+    assert abs(root - 1.0) <= 2 * math.ulp(1.0)
+    assert len(calls) < 40  # bisection alone needs about 57
+
+
+def test_flat_then_steep_root():
+    # phi is flat near lo and steep near hi, so each secant step barely moves
+    # lo: Illinois halving alone needs 72 evaluations, with bisection 23
+    phi, calls = counted(lambda e: 1.0 - math.exp(20.0 * (e - 1.3)))
+    root = find_root_decreasing(phi, Bracket(0.0, 3.0, 1e-15))
+    assert abs(root - 1.3) <= 2 * math.ulp(1.3)
+    assert len(calls) <= 30
 
 
 def test_quadspec_validation():

@@ -5,7 +5,7 @@ import pytest
 
 from vexp import steklov
 from vexp.audit import AuditCase, Context, run_case
-from vexp.corpus import corpus_member
+from vexp.corpus import corpus_member, exponent_field
 from vexp.fnexpr import parse
 from vexp.functions import RealFunction, as_real_function
 from vexp.norms import NormSpec, SampledModular
@@ -18,6 +18,14 @@ SUP5 = NormSpec.sup(5.0)
 
 
 class TestModulus:
+    @pytest.mark.parametrize("d", [1e-4, 0.1])
+    def test_box_first_modulus_closed_form(self, d):
+        # (I - T_d) 1_[0,1] is two ramps of height 1 and width d, so its L_2
+        # norm is sqrt(2d/3)
+        m = corpus_member("box")
+        val = modulus(ModulusRequest(m.rf, 1, d, m.norm_spec(exponent_field("p2"))))
+        assert val == pytest.approx(math.sqrt(2.0 * d / 3.0), rel=1e-13)
+
     def test_constant_is_fixed_point(self):
         c = as_real_function(parse("4"), name="const")
         for r in (1, 2):
