@@ -32,7 +32,7 @@ from .bandlimited import best_approx_surrogate, vp_operator
 from .config import parse_config
 from .corpus import CorpusMember, resolve_exponent, resolve_function
 from .fnexpr import ExponentField, differentiate
-from .functions import RealFunction, combine
+from .functions import RealFunction, as_real_function, combine
 from .norms import NormSpec, luxemburg_norm, norm_of, window_nodes
 from .quad import panel_rule
 from .report import AuditRow, make_row
@@ -191,9 +191,7 @@ def _checked(ctx: Context, case: AuditCase) -> tuple[Family, CorpusMember, NormS
 
 
 def _deriv_member(m: CorpusMember, order: int) -> RealFunction:
-    d = differentiate(m.expr, order)
-    return RealFunction(fn=d, name=f"{m.name}^({order})", decay=m.rf.decay,
-                        osc_wavelength=m.rf.osc_wavelength, expr=d)
+    return as_real_function(differentiate(m.expr, order), f"{m.name}^({order})")
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--config", default=None,
                          help="configuration file (default: bundled suite)")
     p_audit.add_argument("--out", default="reports", help="report directory")
-    p_audit.add_argument("--jobs", type=int, default=1,
-                         help="kept for compatibility; cases run serially, "
-                              "because threads gave no speedup and cost "
-                              "about 18%% more CPU time")
 
     p_norm = sub.add_parser("norm", help="Luxemburg norm of an expression")
     p_norm.add_argument("--f", required=True, help="function expression or @member")
@@ -84,7 +80,7 @@ def _cmd_audit(args) -> int:
             text = fh.read()
     else:
         text = default_config_text()
-    report, code = run_suite(text, out_dir=args.out, jobs=args.jobs)
+    report, code = run_suite(text, out_dir=args.out)
     print(f"pass={report.n_pass} fail={report.n_fail} "
           f"inconclusive={report.n_inconclusive}")
     for row in report.failed_rows():

@@ -30,11 +30,12 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 __all__ = [
     "FuncExpr", "ExponentField", "ParseError", "NonDifferentiableError",
     "ExponentRangeError", "parse", "differentiate", "estimate_log_holder",
-    "Decay",
+    "Decay", "rough_spots", "truncated_powers",
 ]
 
 
@@ -518,22 +519,26 @@ class Decay:
 
 
 class _Tail(NamedTuple):
-    """A subtree as |x| -> oo: |f| = O(|x|^growth), and f ~ coef * x^growth
-    when coef is finite and nonzero (0 after cancellation, nan when unknown);
-    f vanishes off support when that is known.  growth is -inf for Gaussian
-    decay and compact support, +inf when no power bounds f."""
+    """A subtree as |x| -> oo: |f| = O(|x|^growth), and f ~ coef * |x|^growth
+    times sign(x) when odd, when coef is finite and nonzero (0 after
+    cancellation, nan when unknown); f vanishes off support when that is
+    known.  growth is -inf for Gaussian decay and compact support, +inf when
+    no power bounds f."""
 
     growth: float
     coef: float = math.nan
     support: Optional[tuple[float, float]] = None
+    odd: bool = False
 
 
 def _sum(l: _Tail, r: _Tail) -> _Tail:
     g = max(l.growth, r.growth)
-    coef = (l.coef if l.growth == g else 0.0) + (r.coef if r.growth == g else 0.0)
+    top = [t for t in (l, r) if t.growth == g]
+    # x^g and |x|^g leading terms of different parity do not add up
+    coef = sum(t.coef for t in top) if len({t.odd for t in top}) == 1 else math.nan
     hull = l.support and r.support and (min(l.support[0], r.support[0]),
                                         max(l.support[1], r.support[1]))
-    return _Tail(g, coef if math.isfinite(g) else math.nan, hull or None)
+    return _Tail(g, coef if math.isfinite(g) else math.nan, hull or None, top[0].odd)
 
 
 def _product(l: _Tail, r: _Tail) -> _Tail:
@@ -542,7 +547,7 @@ def _product(l: _Tail, r: _Tail) -> _Tail:
         return _Tail(-math.inf, support=support)
     if math.inf in (l.growth, r.growth):
         return _Tail(math.inf)
-    return _Tail(l.growth + r.growth, l.coef * r.coef)
+    return _Tail(l.growth + r.growth, l.coef * r.coef, odd=l.odd != r.odd)
 
 
 def _power_tail(t: _Tail, n: int) -> _Tail:
@@ -550,7 +555,8 @@ def _power_tail(t: _Tail, n: int) -> _Tail:
         return _Tail(0.0, 1.0)
     if n < 0 and not (math.isfinite(t.coef) and t.coef != 0.0):
         return _Tail(math.inf)  # 1/f is bounded only by f's exact leading term
-    return _Tail(n * t.growth, t.coef ** n, t.support if n > 0 else None)
+    return _Tail(n * t.growth, t.coef ** n, t.support if n > 0 else None,
+                 t.odd and n % 2 == 1)
 
 
 def _tail(node: Node) -> _Tail:
@@ -558,7 +564,7 @@ def _tail(node: Node) -> _Tail:
     if isinstance(node, Num):
         return _Tail(0.0, np.float64(node.value))
     if isinstance(node, Var):
-        return _Tail(1.0, np.float64(1.0))
+        return _Tail(1.0, np.float64(1.0), odd=True)
     if isinstance(node, Indicator):
         return _Tail(-math.inf, support=(node.a, node.b))
     if isinstance(node, Gauss):
@@ -576,12 +582,12 @@ def _tail(node: Node) -> _Tail:
             return _Tail(0.0, np.float64(value))
         u = _tail(node.arg)
         if node.name == "abs":
-            return u._replace(coef=abs(u.coef) if u.growth % 2 == 0 else math.nan)
+            return u._replace(coef=abs(u.coef), odd=False)
         if node.name != "exp":
             return _Tail(0.0)
-        if u.growth == 2 and 64.0 * u.coef < -1.0:
+        if u.growth == 2 and not u.odd and 64.0 * u.coef < -1.0:
             return _Tail(-math.inf)  # exp(c x^2) with c < -1/64
-        bounded = u.growth <= 0 or (u.coef < 0 and u.growth % 2 == 0)  # u bounded above
+        bounded = u.growth <= 0 or (u.coef < 0 and not u.odd)  # u bounded above
         return _Tail(0.0 if bounded else math.inf)
     l, r = _tail(node.left), _tail(node.right)
     if node.op in "+-":
@@ -591,9 +597,12 @@ def _tail(node: Node) -> _Tail:
 
 def classify_decay(node: Node) -> Decay:
     """The decay class read off the tree: compact support from indicator
-    factors, Gaussian from gauss(a > 0) and exp(c x^2 + ...) with 64c < -1,
-    power decay from a negative growth bound, else none."""
+    factors or a compactly supported piecewise polynomial, Gaussian from
+    gauss(a > 0) and exp(c x^2 + ...) with 64c < -1, power decay from a
+    negative growth bound, else none."""
     with np.errstate(all="ignore"):
+        if terms := truncated_powers(node):
+            return Decay.compact(min(b for _, b, _ in terms), max(b for _, b, _ in terms))
         t = _tail(node)
     if t.support:
         return Decay.compact(*t.support)
@@ -608,6 +617,120 @@ def _is_smooth(node: Node) -> bool:
         return False
     return all(_is_smooth(v) for v in vars(node).values()
                if not isinstance(v, (int, float, str)))
+
+
+# ---------------------------------------------------------------------------
+# Piecewise polynomials, jumps and kinks
+# ---------------------------------------------------------------------------
+#
+# Numbers, x, + - *, division by a constant, powers 0..16 (numpy's polypow
+# limit), indicator and abs of a piecewise-affine argument make a piecewise
+# polynomial.  Its knots, the zeros of abs arguments included, are located
+# exactly, not resolved (Pachon, Platte & Trefethen, IMA J. Numer. Anal. 30,
+# 2010).
+
+_POLY_OPS = {"+": P.polyadd, "-": P.polysub, "*": P.polymul, "/": lambda p, c: p / c[0]}
+
+
+def _insides(knots: list[float]) -> list[float]:
+    """A point inside each interval that the sorted knots cut from the line."""
+    if not knots:
+        return [0.0]
+    return [knots[0] - 1.0, *((a + b) / 2.0 for a, b in zip(knots, knots[1:])), knots[-1] + 1.0]
+
+
+def _knots(node: Node) -> Optional[set[float]]:
+    """node's knots as a piecewise polynomial, None outside the subset."""
+    if isinstance(node, (Num, Var)):
+        return set()
+    if isinstance(node, Indicator):
+        return {node.a, node.b}
+    if isinstance(node, BinOp):
+        l, r = _knots(node.left), _knots(node.right)
+        if l is None or r is None or (node.op == "/" and not isinstance(_compile(node.right), float)):
+            return None
+        return l | r
+    if isinstance(node, Neg) or (isinstance(node, Pow) and 0 <= node.exponent <= 16):
+        return _knots(node.operand if isinstance(node, Neg) else node.base)
+    knots = _knots(node.arg) if isinstance(node, Call) and node.name == "abs" else None
+    if knots is None:
+        return set() if isinstance(_compile(node), float) else None
+    ends = [-math.inf, *sorted(knots), math.inf]
+    zeros = set()
+    for lo, hi, x in zip(ends, ends[1:], _insides(ends[1:-1])):
+        p = _poly_at(node.arg, x)
+        if len(p) > 2:
+            return None
+        if len(p) == 2 and lo < -p[0] / p[1] < hi:
+            zeros.add(float(-p[0] / p[1]) + 0.0)  # + 0.0: no -0.0
+    return knots | zeros
+
+
+def _poly_at(node: Node, x: float) -> np.ndarray:
+    """The polynomial, coefficients lowest first, that node equals near x, a
+    point off the knots of node, which lies in the subset."""
+    if isinstance(node, Var):
+        return np.array([0.0, 1.0])
+    if isinstance(node, Indicator):
+        return np.array([float(node.a < x < node.b)])
+    if isinstance(node, BinOp):
+        return _POLY_OPS[node.op](_poly_at(node.left, x), _poly_at(node.right, x))
+    if isinstance(node, Neg):
+        return -_poly_at(node.operand, x)
+    value = _compile(node)
+    if isinstance(value, float):
+        return np.array([value])
+    if isinstance(node, Pow):
+        return P.polypow(_poly_at(node.base, x), node.exponent)
+    p = _poly_at(node.arg, x)
+    return -p if P.polyval(x, p) < 0.0 else p
+
+
+def truncated_powers(node: Node) -> Optional[tuple[tuple[float, float, int], ...]]:
+    """node as the sum of c (b - x)_+^n / n! over its terms (c, b, n), or None
+    when it is no piecewise polynomial that vanishes off [min b, max b].
+
+    At each knot b, c = (-1)^n (left - right)^(n)(b) for the pieces on
+    either side.  A jump below the rounding error of evaluating the pieces
+    at b, as the rounded zero of an abs argument leaves, is none.
+    """
+    knots = _knots(node)
+    if not knots:
+        return None
+    knots = sorted(knots)
+    polys = [_poly_at(node, x) for x in _insides(knots)]
+    if polys[0].any() or polys[-1].any():
+        return None
+    terms = []
+    for b, left, right in zip(knots, polys, polys[1:]):
+        for n in range(max(len(left), len(right))):
+            dl, dr = P.polyder(left, n), P.polyder(right, n)
+            jump = P.polyval(b, dl) - P.polyval(b, dr)
+            noise = P.polyval(abs(b), np.abs(dl)) + P.polyval(abs(b), np.abs(dr))
+            if abs(jump) > 8.0 * np.finfo(float).eps * noise:
+                terms.append((float((-1) ** n * jump), b, n))
+    return tuple(terms)
+
+
+def rough_spots(node: Node) -> tuple[tuple[float, ...], float]:
+    """(breakpoints, wavelength) read off the tree: the knots of its
+    piecewise-polynomial subtrees (ValueError for an abs outside the subset,
+    as in abs(sin(x))), and 2 pi / a for the largest frequency a of sin or
+    cos of an affine argument, sinc(a) and sincd(a, n); inf without one."""
+    if isinstance(node, (Sinc, SincD)):
+        return (), 2.0 * math.pi / abs(node.a)
+    knots = _knots(node)
+    if knots is not None:
+        return tuple(sorted(knots)), math.inf
+    if isinstance(node, Call) and node.name == "abs":
+        raise ValueError(f"cannot locate the kinks of {to_source(node)}")
+    parts = [rough_spots(v) for v in vars(node).values()
+             if not isinstance(v, (int, float, str))]
+    waves = [w for _, w in parts]
+    if isinstance(node, Call) and node.name in ("sin", "cos") and _knots(node.arg) == set():
+        if len(p := _poly_at(node.arg, 0.0)) == 2:
+            waves.append(2.0 * math.pi / abs(float(p[1])))
+    return tuple(sorted({b for p, _ in parts for b in p})), min(waves, default=math.inf)
 
 
 # ---------------------------------------------------------------------------

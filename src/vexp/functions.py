@@ -4,7 +4,8 @@ Operators consume and produce `RealFunction` values: a vectorized callable
 plus the metadata the numerics need (decay class for window selection,
 breakpoints for quadrature panel splitting, the shortest oscillation
 wavelength for panel density, and an optional exact-averaging engine for
-indicator-built inputs).
+compactly supported piecewise polynomials).  `as_real_function` is the one
+place an expression becomes a RealFunction.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fnexpr import Decay, FuncExpr
+from .fnexpr import Decay, FuncExpr, rough_spots, truncated_powers
 
 _SUB_CHUNK = 1 << 15  # elements per outer-product block: f's temporaries stay in L2
 
@@ -43,14 +44,19 @@ class RealFunction:
 
 
 def as_real_function(obj, name: Optional[str] = None) -> RealFunction:
+    """obj as a RealFunction.  An expression's breakpoints, wavelength and
+    exact engine are read off its tree; ValueError when it has a kink that
+    cannot be located."""
     if isinstance(obj, RealFunction):
         return obj if name is None else obj.renamed(name)
     if isinstance(obj, FuncExpr):
-        breakpoints = ()
-        if obj.decay_class.kind == "compact_support":
-            breakpoints = (obj.decay_class.a, obj.decay_class.b)
+        from .steklov import IndicatorSteklov  # steklov builds on this module
+        breakpoints, wavelength = rough_spots(obj.ast)
+        terms = truncated_powers(obj.ast)
         return RealFunction(fn=obj, name=name or obj.src, decay=obj.decay_class,
-                            breakpoints=breakpoints, expr=obj)
+                            breakpoints=breakpoints, osc_wavelength=wavelength,
+                            exact=IndicatorSteklov(obj, terms) if terms else None,
+                            expr=obj)
     if callable(obj):
         return RealFunction(fn=obj, name=name or getattr(obj, "__name__", "f"))
     raise TypeError(f"cannot interpret {type(obj).__name__} as a real function")

@@ -60,6 +60,8 @@ class NormSpec:
             raise ValueError(f"unknown norm kind {self.kind!r}")
         if self.kind == "vexp" and self.p is None:
             raise ValueError("vexp norm needs an exponent field")
+        if self.window is not None and not self.window > 0.0:
+            raise ValueError(f"window must be positive, got {self.window:g}")
 
     @staticmethod
     def sup(window: float) -> "NormSpec":

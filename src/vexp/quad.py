@@ -57,14 +57,13 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def panel_rule(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights for the given panel edges."""
+    """Composite Gauss-Legendre nodes/weights for the panel edges along the
+    last axis (one rule per row of stacked edges)."""
     edges = np.asarray(edges, dtype=float)
     x0, w0 = gauss_rule(n)
-    lo = edges[:-1]
-    width = np.diff(edges)
-    nodes = (lo[:, None] + width[:, None] * x0[None, :]).ravel()
-    weights = (width[:, None] * w0[None, :]).ravel()
-    return nodes, weights
+    width = np.diff(edges)[..., None]
+    shape = (*edges.shape[:-1], -1)
+    return (edges[..., :-1, None] + width * x0).reshape(shape), (width * w0).reshape(shape)
 
 
 def find_root_decreasing(phi: Callable[[float], float], bracket: Bracket) -> float:

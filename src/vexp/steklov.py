@@ -17,13 +17,14 @@ panels of [0, max(k + j)], so the weights of all terms add up on one
 Gauss-Legendre lattice (k = 0 terms are point columns) and one outer product
 f(x_i + d*u_j) evaluates the whole sum.
 
-Indicator-built inputs get an exact engine: T_d^k 1_[a,b](x) is
-CB_k((b - x)/d) - CB_k((a - x)/d), with CB_k(t) = int_0^t B_k, and a box
-pre-averaged once uses the integral of CB_k.  Both are polynomials on each
-unit piece (the pp form, de Boor, A Practical Guide to Splines, ch. IX), so
-they are evaluated by Horner from coefficients computed once per order in
-integer arithmetic; rough corpus members go through every operator at
-machine precision with no quadrature.
+Compactly supported piecewise polynomials, read off the expression tree as
+sums of truncated powers c (b - x)_+^n / n!, get an exact engine: T_d^k of
+each term is c d^n times a polynomial on each unit piece of (b - x)/d (the
+pp form, de Boor, A Practical Guide to Splines, ch. IX), evaluated by Horner
+from coefficients computed once per order in integer arithmetic.  So the
+indicator and the smoothed box go through every operator at machine
+precision with no quadrature.  Other inputs with breakpoints get a
+quadrature whose panels are split at them.
 """
 
 from __future__ import annotations
@@ -52,25 +53,27 @@ __all__ = [
 
 @functools.cache
 def _pp_coefficients(k: int, n: int) -> np.ndarray:
-    """pp form of (1/n!) sum_i (-1)^i C(k,i) (t - i)_+^n on [0, k].
+    """pp form of (1/n!) sum_i (-1)^i C(k,i) (t - i)_+^n on [0, oo).
 
     Row m holds the coefficients, lowest power first, of the polynomial in
-    s = t - m on the piece [m, m + 1].  n! times each coefficient is an
-    integer, so one int/int true division gives the correctly rounded float.
-    n = k - 1 is B_k, n = k is CB_k and n = k + 1 its integral.
+    s = t - m on the piece [m, m + 1], and row k the one on [k, oo), where
+    all k + 1 powers are active (degree n - k, zero for n < k).  n! times
+    each coefficient is an integer, so one int/int true division gives the
+    correctly rounded float.  n = k - 1 is B_k, n = k is CB_k = int_0^t B_k.
     """
     fact = math.factorial(n)
     return np.array([
         [math.comb(n, j) * sum((-1) ** i * math.comb(k, i) * (m - i) ** (n - j)
                                for i in range(m + 1)) / fact
          for j in range(n + 1)]
-        for m in range(k)])
+        for m in range(k + 1)])
 
 
 def _horner(k: int, n: int, t: np.ndarray) -> np.ndarray:
-    """The pp form of `_pp_coefficients(k, n)` at t clipped to [0, k]."""
-    tc = np.clip(t, 0.0, float(k))
-    m = np.minimum(np.floor(tc), k - 1)
+    """The pp form of `_pp_coefficients(k, n)` at t, held at its value at 0
+    (which is 0 for n >= 1) for t < 0."""
+    tc = np.maximum(t, 0.0)
+    m = np.minimum(np.floor(tc), k)
     s = tc - m
     m = m.astype(int)
     coef = _pp_coefficients(k, n)
@@ -86,70 +89,45 @@ def bspline_value(k: int, t) -> np.ndarray:
     return np.where((t >= 0.0) & (t < k), _horner(k, k - 1, t), 0.0)
 
 
-def _antiderivative(k: int, n: int, t) -> np.ndarray:
-    """(n-k)-fold antiderivative of B_k from 0, for n = k or k + 1.
-
-    n = k gives CB_k(t) = int_0^t B_k, which saturates at 1 for t >= k;
-    n = k + 1 gives int_0^t CB_k, which grows with slope 1 beyond k.
-    """
-    t = np.asarray(t, dtype=float)
-    return _horner(k, n, t) + (n - k) * np.maximum(t - k, 0.0)
-
-
 # ---------------------------------------------------------------------------
-# Exact averaging of indicators
+# Exact averaging of piecewise polynomials
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class IndicatorSteklov:
-    """Closed-form Steklov averages of 1_[a,b], optionally pre-averaged once.
+    """Closed-form Steklov iterates of a compactly supported piecewise
+    polynomial f = sum c (b - x)_+^n / n! over its terms (c, b, n).
 
-    `pre` holds at most one earlier averaging width g, representing
-    T_g 1_[a,b]; iterates T_d^k of either function reduce to cumulative
-    B-splines evaluated at (b - x)/d and (a - x)/d, with no cancellation.
+    T_d^k of a term is c d^n A_{k,n}((b - x)/d), where A_{k,n}(t) = int
+    B_k(u) (t - u)_+^n / n! du is the pp form of `_pp_coefficients(k, k + n)`.
+    The iterates vanish off [min b - k d, max b].  k = 0 evaluates fn, f
+    itself, which keeps its values at the breakpoints.
     """
 
-    a: float
-    b: float
-    pre: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if len(self.pre) > 1:
-            raise ValueError("at most one pre-averaging width is supported")
-
-    def base_breakpoints(self) -> tuple[float, ...]:
-        if not self.pre:
-            return (self.a, self.b)
-        g = self.pre[0]
-        return tuple(sorted({self.a - g, self.a, self.b - g, self.b}))
+    fn: Callable[[np.ndarray], np.ndarray]
+    terms: tuple[tuple[float, float, int], ...]
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if not self.pre:
-            return ((x >= self.a) & (x <= self.b)).astype(float)
-        g = self.pre[0]
-        return (np.clip((self.b - x) / g, 0.0, 1.0)
-                - np.clip((self.a - x) / g, 0.0, 1.0))
+        return self.fn(x)
 
     def iterated(self, delta: float, k: int) -> Callable[[np.ndarray], np.ndarray]:
         if k == 0 or delta == 0.0:
             return self.__call__
-        # one engine call per evaluation: the arrays are short, so the cost
-        # is numpy dispatch per Horner step, not arithmetic
-        a, b = self.a, self.b
-        if not self.pre:
-            def ev(x):
-                x = np.asarray(x, dtype=float)
-                cb = _antiderivative(k, k, np.stack([b - x, a - x]) / delta)
-                return cb[0] - cb[1]
-            return ev
-        g = self.pre[0]
+        groups: dict[int, list[tuple[float, float]]] = {}
+        for c, b, n in self.terms:
+            groups.setdefault(n, []).append((c * delta ** n, b))
+        lo = min(b for _, b, _ in self.terms) - k * delta
 
+        # one Horner pass per power n on the stacked arguments of its terms;
+        # right of max b every argument is <= 0, where the pp form is 0
         def ev(x):
             x = np.asarray(x, dtype=float)
-            icb = _antiderivative(k, k + 1, np.stack(
-                [b - x, b - x - g, a - x, a - x - g]) / delta)
-            return (delta / g) * ((icb[0] - icb[1]) - (icb[2] - icb[3]))
+            acc = np.zeros_like(x)
+            for n, cb in groups.items():
+                vals = _horner(k, k + n, np.stack([b - x for _, b in cb]) / delta)
+                for (c, _), v in zip(cb, vals):
+                    acc += c * v
+            return np.where(x > lo, acc, 0.0)
         return ev
 
 
@@ -166,23 +144,19 @@ def _oscillation_subpanels(f: RealFunction, delta: float) -> int:
 
 
 def _rough_average(f: RealFunction, delta: float, k: int) -> Callable:
-    """Per-point quadrature with panels split where f jumps (slow fallback)."""
-    breaks = np.asarray(sorted(set(f.breakpoints)), dtype=float)
+    """T_d^k f by quadrature against B_k, each point's unit panels of [0, k]
+    split where f jumps or kinks; one f call for all points."""
+    breaks = np.asarray(f.breakpoints, dtype=float)
 
     def ev(x):
         x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        flat = x.ravel()
-        res = out.ravel()
-        for i, xi in enumerate(flat):
-            u_breaks = (breaks - xi) / delta
-            edges = np.unique(np.concatenate([
-                np.arange(0.0, k + 1.0),
-                u_breaks[(u_breaks > 0.0) & (u_breaks < k)],
-            ]))
-            nodes, wts = panel_rule(edges, 12)
-            res[i] = np.sum(wts * bspline_value(k, nodes) * f.fn(xi + delta * nodes))
-        return out
+        flat = x.reshape(-1, 1)
+        cuts = np.clip((breaks - flat) / delta, 0.0, float(k))
+        units = np.broadcast_to(np.arange(k + 1.0), (flat.shape[0], k + 1))
+        # clipped and repeated cuts give zero-width panels, which weigh nothing
+        nodes, wts = panel_rule(np.sort(np.concatenate([units, cuts], axis=1)), 12)
+        vals = f.fn(flat + delta * nodes)
+        return np.sum(wts * bspline_value(k, nodes) * vals, axis=1).reshape(x.shape)
     return ev
 
 

@@ -1,6 +1,7 @@
 """Test-only oracles for the Steklov operators, independent of the fast paths.
 
-- `nested_steklov`: k literal nested applications of T_d.
+- `nested_steklov`: k literal nested applications of T_d, each a
+  per-point quadrature split at the breakpoints when there are any.
 - `bspline_cox_de_boor`: B_k by the Cox-de Boor recursion.
 - `bspline_cumulative_quad`: CB_k(t) = int_0^t B_k by Gauss-Legendre
   quadrature of the Cox-de Boor values on the unit pieces.
@@ -15,7 +16,6 @@ import numpy as np
 
 from vexp.functions import RealFunction, as_real_function, outer_apply
 from vexp.quad import gauss_rule, panel_rule
-from vexp.steklov import _rough_average
 
 
 def nested_steklov(f, delta: float, k: int) -> RealFunction:
@@ -32,10 +32,10 @@ def nested_steklov(f, delta: float, k: int) -> RealFunction:
 
 def _single_nested(g: RealFunction, delta: float) -> RealFunction:
     if g.breakpoints:
-        inner = _rough_average(g, delta, 1)
         breaks = tuple(sorted({s - j * delta for s in g.breakpoints for j in (0, 1)}))
-        return RealFunction(fn=inner, name=f"T_{delta:g}[{g.name}]",
-                            decay=g.decay, breakpoints=breaks)
+        return RealFunction(fn=lambda x: _split_average(g, delta, x),
+                            name=f"T_{delta:g}[{g.name}]", decay=g.decay,
+                            breakpoints=breaks)
     x0, w0 = gauss_rule(24)
 
     def ev(x):
@@ -43,6 +43,20 @@ def _single_nested(g: RealFunction, delta: float) -> RealFunction:
 
     return RealFunction(fn=ev, name=f"T_{delta:g}[{g.name}]", decay=g.decay,
                         osc_wavelength=g.osc_wavelength)
+
+
+def _split_average(g: RealFunction, delta: float, x) -> np.ndarray:
+    """(1/d) int_0^d g(x + t) dt, one point at a time, on [0, 1] in units of
+    d split where g breaks."""
+    x = np.asarray(x, dtype=float)
+    breaks = np.asarray(g.breakpoints, dtype=float)
+    out = np.empty(x.size)
+    for i, xi in enumerate(x.ravel()):
+        u = (breaks - xi) / delta
+        edges = np.unique(np.concatenate([[0.0, 1.0], u[(u > 0.0) & (u < 1.0)]]))
+        nodes, wts = panel_rule(edges, 12)
+        out[i] = np.sum(wts * g.fn(xi + delta * nodes))
+    return out.reshape(x.shape)
 
 
 def bspline_cox_de_boor(k: int, t) -> np.ndarray:

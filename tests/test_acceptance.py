@@ -344,7 +344,7 @@ def test_criterion_11_determinism(tmp_path):
     for sub in ("run1", "run2"):
         proc = subprocess.run(
             [sys.executable, "-m", "vexp.cli", "audit",
-             "--out", str(tmp_path / sub), "--jobs", "2"],
+             "--out", str(tmp_path / sub)],
             capture_output=True, text=True, timeout=1200)
         codes.append(proc.returncode)
         outs.append((tmp_path / sub / "audit.csv").read_bytes())

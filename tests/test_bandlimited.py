@@ -12,7 +12,7 @@ from vexp.fnexpr import Decay, differentiate, parse
 from vexp.functions import RealFunction, as_real_function
 from vexp.norms import NormSpec
 from vexp.quad import panel_rule
-from vexp.steklov import IndicatorSteklov, sup_norm
+from vexp.steklov import sup_norm
 
 GAUSS = as_real_function(parse("exp(-x^2)"), name="gauss")
 
@@ -69,9 +69,7 @@ class TestOperator:
         assert np.max(np.abs(stencil - jf1(xs))) < 1e-6
 
     def test_compact_support_convolution_form(self):
-        eng = IndicatorSteklov(0.0, 1.0)
-        f = RealFunction(fn=eng, name="box", decay=Decay.compact(0, 1),
-                         breakpoints=(0.0, 1.0), exact=eng)
+        f = as_real_function(parse("indicator(0, 1)"), name="box")
         j = vp_operator(f, 4.0)
         assert sup_norm(j, 6.0) <= 1.5 + 1e-8
         # away from the support the output decays like the kernel

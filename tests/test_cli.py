@@ -43,6 +43,14 @@ class TestNormCommand:
         assert code == 0
         assert "grid estimates" in err
 
+    @pytest.mark.parametrize("window", ["0", "-5"])
+    def test_nonpositive_window_exit_code(self, window):
+        code, out, err = run_cli("norm", "--f", "@gauss", "--p", "2",
+                                 "--window", window)
+        assert code == 2
+        assert out == ""
+        assert "window must be positive" in err
+
     def test_parse_error_exit_code(self):
         code, _, err = run_cli("norm", "--f", "exp(-x^", "--p", "2")
         assert code == 2
@@ -55,6 +63,14 @@ class TestModulusCommand:
                                "--delta", "0.2", "--window", "5")
         assert code == 0
         assert float(out.strip()) == pytest.approx(0.1, abs=1e-10)
+
+    def test_unlocatable_kink_refused(self):
+        # the smooth lattice would average straight across the kinks
+        code, out, err = run_cli("modulus", "--f", "abs(sin(x))", "--r", "1",
+                                 "--delta", "0.1")
+        assert code == 2
+        assert out == ""
+        assert "cannot locate the kinks of abs(sin(x))" in err
 
     def test_vexp(self):
         code, out, _ = run_cli("modulus", "--f", "@gauss", "--p", "@p2",

@@ -122,6 +122,8 @@ class TestDecay:
         ("x^2 - x^2 + 1/x", "none", 0.0),  # the leading terms cancel
         ("exp(-x^2/100)", "none", 0.0),  # too slow: exp(c x^2) needs 64c < -1
         ("exp(-abs(x))", "none", 0.0),
+        ("exp(-abs(x)^2)", "gaussian", 0.0),  # |c x|^2 keeps its coefficient
+        ("abs(x)*indicator(-1, 2) - abs(x - 1)*indicator(3, 4)", "compact_support", 0.0),
         ("(1e200*x)^2", "none", 0.0),  # coefficients overflow without raising
     ])
     def test_raw_sources(self, src, kind, alpha):
@@ -136,7 +138,9 @@ class TestDecay:
         from vexp.corpus import default_corpus
         want = {"gauss": Decay.gaussian(), "gauss_osc": Decay.gaussian(),
                 "sinc1": Decay.power(1.0), "sinc4": Decay.power(1.0),
-                "box": Decay.compact(0.0, 1.0), "box_smooth": Decay.compact(-0.1, 1.0),
+                # the smoothed box starts at the rounded zero of (1.1 - 0.9)/2 + x
+                "box": Decay.compact(0.0, 1.0),
+                "box_smooth": Decay.compact((0.9 - 1.1) / 2, 1.0),
                 "xgauss": Decay.gaussian(), "cos_gauss": Decay.gaussian(),
                 "gauss_wide": Decay.gaussian(), "x2gauss": Decay.gaussian(),
                 "lorentz": Decay.power(2.0), "lorentz2": Decay.power(4.0)}

@@ -8,19 +8,16 @@ from hypothesis import strategies as st
 from vexp.audit import AuditCase, Context, run_case
 from vexp.corpus import (corpus_member, default_corpus, exponent_field,
                          resolve_exponent)
-from vexp.fnexpr import Decay, ExponentField, parse
+from vexp.fnexpr import ExponentField, parse
 from vexp.functions import RealFunction, as_real_function, combine
 from vexp.norms import (NormSpec, NotIntegrableError, SampledModular,
                         luxemburg_norm, norm_of)
-from vexp.steklov import IndicatorSteklov
 
 GAUSS = as_real_function(parse("exp(-x^2)"), name="gauss")
 
 
 def box():
-    eng = IndicatorSteklov(0.0, 1.0)
-    return RealFunction(fn=eng, name="box", decay=Decay.compact(0, 1),
-                        breakpoints=(0.0, 1.0), exact=eng)
+    return as_real_function(parse("indicator(0, 1)"), name="box")
 
 
 class TestModular:
@@ -73,9 +70,7 @@ class TestLuxemburg:
     def test_scaled_box_variable_exponent_root(self):
         # f = 2 * box and p(x) = 2 + x on the support: the modular of f/eta
         # is int_0^1 (2/eta)^(2+x) dx, identically 1 at eta = 2
-        eng = IndicatorSteklov(0.0, 1.0)
-        f2 = RealFunction(fn=lambda x: 2.0 * eng(x), name="2box",
-                          decay=Decay.compact(0, 1), breakpoints=(0.0, 1.0))
+        f2 = as_real_function(parse("2*indicator(0, 1)"), name="2box")
         p = ExponentField(expr=parse("2 + x"), p_minus=2.0, p_plus=3.0,
                           p_infinity=2.0, c_log_local=0.0, c_log_decay=0.0,
                           name="2+x")
@@ -209,6 +204,16 @@ class TestNormSpec:
             NormSpec(kind="lp")
         with pytest.raises(ValueError):
             NormSpec(kind="vexp")
+
+    @pytest.mark.parametrize("window", [0.0, -5.0, math.nan])
+    def test_nonpositive_window_rejected(self, p2, window):
+        # window 0 used to fall back to the member's window, and -5 to
+        # integrate over [-5, 5]
+        for make in (lambda: NormSpec.sup(window), lambda: NormSpec.vexp(p2, window),
+                     lambda: corpus_member("gauss").norm_spec(p2, window),
+                     lambda: corpus_member("gauss").norm_spec(None, window)):
+            with pytest.raises(ValueError, match="window must be positive"):
+                make()
 
     def test_sup_dispatch(self):
         val = norm_of(GAUSS, NormSpec.sup(6.0))

@@ -4,11 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from vexp.corpus import corpus_member
-from vexp.fnexpr import Decay, differentiate, parse
-from vexp.functions import RealFunction, as_real_function, combine
-from vexp.steklov import (IndicatorSteklov, _antiderivative,
-                          _oscillation_subpanels, bspline_value,
+from vexp.corpus import corpus_member, resolve_function
+from vexp.fnexpr import differentiate, parse
+from vexp.functions import as_real_function, combine
+from vexp.steklov import (_horner, _oscillation_subpanels, bspline_value,
                           difference_power, iterated_steklov,
                           steklov_combination, steklov_derivative, sup_norm)
 
@@ -19,9 +18,7 @@ XS = np.linspace(-3.0, 3.0, 25)
 
 
 def box_member():
-    eng = IndicatorSteklov(0.0, 1.0)
-    return RealFunction(fn=eng, name="box", decay=Decay.compact(0, 1),
-                        breakpoints=(0.0, 1.0), exact=eng)
+    return as_real_function(parse("indicator(0, 1)"), name="box")
 
 
 class TestForward:
@@ -191,29 +188,46 @@ class TestCombination:
 
 class TestIndicatorEngine:
     def test_base_values(self):
-        eng = IndicatorSteklov(0.0, 1.0, pre=(0.1,))
+        f = corpus_member("box_smooth").rf
         xs = np.array([-0.2, -0.05, 0.5, 0.95, 1.0, 1.2])
-        assert np.allclose(eng(xs), [0.0, 0.5, 1.0, 0.5, 0.0, 0.0], atol=1e-14)
+        assert np.allclose(f.exact(xs), [0.0, 0.5, 1.0, 0.5, 0.0, 0.0], atol=1e-14)
 
     def test_matches_textual_abs_form(self):
-        # the grammar form of the once-averaged box evaluates identically
-        src = ("((1.1 - abs(x - 0.9) - abs(x))/2"
-               " + abs((1.1 - abs(x - 0.9) - abs(x))/2)) / 0.2")
-        textual = parse(src)
-        eng = IndicatorSteklov(0.0, 1.0, pre=(0.1,))
+        # the grammar form of the once-averaged box is T_0.1 of the box
+        textual = parse(corpus_member("box_smooth").src)
         xs = np.linspace(-0.5, 1.5, 401)
-        assert np.max(np.abs(textual(xs) - eng(xs))) < 1e-13
+        closed = np.clip((1.0 - xs) / 0.1, 0.0, 1.0) - np.clip(-xs / 0.1, 0.0, 1.0)
+        assert np.max(np.abs(textual(xs) - closed)) < 1e-13
+
+    def test_smoothed_box_terms(self):
+        # T_0.1 1_[0,1] = 10 ((-0.1 - x)_+ - (0 - x)_+ - (0.9 - x)_+ + (1 - x)_+)
+        terms = corpus_member("box_smooth").rf.exact.terms
+        want = [(10.0, -0.1, 1), (-10.0, 0.0, 1), (-10.0, 0.9, 1), (10.0, 1.0, 1)]
+        assert [n for *_, n in terms] == [n for *_, n in want]
+        assert np.allclose([t[:2] for t in terms], [t[:2] for t in want],
+                           rtol=1e-15, atol=1e-16)
 
     def test_iterates_match_nesting(self):
-        eng = IndicatorSteklov(0.0, 1.0, pre=(0.1,))
-        f = RealFunction(fn=eng, name="box_smooth",
-                         decay=Decay.compact(-0.1, 1.0),
-                         breakpoints=eng.base_breakpoints(), exact=eng)
+        f = corpus_member("box_smooth").rf
         pts = np.linspace(-1.5, 1.5, 13)
         for k in (1, 2, 3):
             kern = iterated_steklov(f, 0.35, k)
             nest = nested_steklov(f, 0.35, k)
             assert np.max(np.abs(kern(pts) - nest(pts))) < 1e-11
+
+    @pytest.mark.parametrize("name", ["box", "box_smooth"])
+    def test_iterates_vanish_off_the_support(self, name):
+        eng = corpus_member(name).rf.exact
+        lo, hi = min(b for _, b, _ in eng.terms), max(b for _, b, _ in eng.terms)
+        d, k = 0.3, 5
+        xs = np.concatenate([np.linspace(lo - k * d - 40.0, lo - k * d, 50),
+                             np.linspace(hi, hi + 40.0, 50)])
+        assert np.all(eng.iterated(d, k)(xs) == 0.0)
+
+    def test_zeroth_iterate_is_the_expression(self):
+        # the closed interval: the box is 1 at both ends
+        eng = box_member().exact
+        assert np.array_equal(eng.iterated(0.5, 0)(np.array([0.0, 1.0])), [1.0, 1.0])
 
     def test_mass_preserved(self):
         # averaging preserves the integral: int T_d^k box = 1
@@ -221,6 +235,44 @@ class TestIndicatorEngine:
         t = iterated_steklov(f, 0.5, 4)
         xs = np.linspace(-4, 2, 600001)
         assert np.trapezoid(t(xs), xs) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestRawRoughSources:
+    # a raw source's jumps and kinks are read off its tree, so the quadrature
+    # splits its panels there; these answers were off by 0.050 and 5.7e-4
+    # while the tree gave no breakpoints
+    def test_jump_plus_smooth_matches_its_parts(self):
+        f = resolve_function("indicator(0,1)+x*exp(-x^2)").rf
+        xs = np.linspace(-2.0, 3.0, 501)
+        for d in (0.05, 0.3):
+            want = (iterated_steklov(corpus_member("box").rf, d, 1)(xs)
+                    + iterated_steklov(corpus_member("xgauss").rf, d, 1)(xs))
+            assert np.max(np.abs(iterated_steklov(f, d, 1)(xs) - want)) <= 1e-12
+
+    def test_kink_matches_closed_form(self):
+        f = resolve_function("exp(-abs(x))").rf
+        d = 0.5
+        xs = np.linspace(-3.0, 3.0, 601)
+        prim = lambda y: np.where(y < 0.0, np.exp(y), 2.0 - np.exp(-y))  # noqa: E731
+        want = (prim(xs + d) - prim(xs)) / d
+        assert np.max(np.abs(iterated_steklov(f, d, 1)(xs) - want)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_iterates_match_nesting(self, k):
+        f = resolve_function("indicator(0,1)+x*exp(-x^2)").rf
+        pts = np.linspace(-1.5, 1.5, 13)
+        got = iterated_steklov(f, 0.3, k)(pts)
+        assert np.max(np.abs(got - nested_steklov(f, 0.3, k)(pts))) < 1e-12
+
+    def test_smoothed_box_source_is_the_bundled_member(self):
+        # the raw source's sup-norm modulus read 0.138813 against 0.138071
+        from vexp.norms import NormSpec
+        from vexp.smoothness import ModulusRequest, modulus
+        raw = resolve_function(corpus_member("box_smooth").src).rf
+        bundled = corpus_member("box_smooth").rf
+        vals = [modulus(ModulusRequest(f, 2, 0.05, NormSpec.sup(6.0))) for f in (raw, bundled)]
+        assert vals[0] == pytest.approx(vals[1], rel=1e-12)
+        assert vals[1] == pytest.approx(0.138071187457699, rel=1e-12)
 
 
 class TestBsplines:
@@ -253,7 +305,7 @@ class TestBsplines:
         idx = np.round(ts / 3.0 * 300000).astype(int)
         oracle = [np.trapezoid(b[:i + 1], grid[:i + 1]) for i in idx]
         assert np.allclose(bspline_cumulative_quad(3, ts), oracle, atol=1e-9)
-        assert np.allclose(_antiderivative(3, 3, ts), oracle, atol=1e-9)
+        assert np.allclose(_horner(3, 3, ts), oracle, atol=1e-9)
 
 
 def _oracle(k, n, ts):
@@ -268,28 +320,24 @@ class TestPiecewisePolynomialEngine:
         ts = np.concatenate([np.arange(-1.0, k + 2.0),
                              rng.uniform(-1.0, k + 1.0, 40)])
         for n in (k, k + 1):
-            err = np.abs(_antiderivative(k, n, ts) - _oracle(k, n, ts))
+            err = np.abs(_horner(k, n, ts) - _oracle(k, n, ts))
             assert np.max(err) < 1e-14, (k, n)
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_indicator_iterates_match_truncated_powers(self, k):
-        # T_d^k 1_[0,1] = CB_k((1-x)/d) - CB_k(-x/d); for T_g 1_[0,1], the
-        # same with CB_k replaced by differences of int CB_k across g/d,
-        # times d/g
-        d, g = 0.35, 0.1
+        # T_d^k of c (b - x)_+^n / n! is c d^n A_{k,n}((b - x)/d), and
+        # A_{k,n} is the truncated-power sum of degree k + n
+        d = 0.35
         xs = np.linspace(-3.5, 1.5, 41)
-        box = IndicatorSteklov(0.0, 1.0).iterated(d, k)(xs)
-        smooth = IndicatorSteklov(0.0, 1.0, pre=(g,)).iterated(d, k)(xs)
-        with mpmath.workdps(30):
-            md, mg = mpmath.mpf(d), mpmath.mpf(g)
-            for x, v, w in zip(xs, box, smooth):
-                u = (1 - mpmath.mpf(x)) / md, -mpmath.mpf(x) / md
-                cb = truncated_power_sum(k, k, u[0]) - truncated_power_sum(k, k, u[1])
-                icb = sum(sign * (truncated_power_sum(k, k + 1, t)
-                                  - truncated_power_sum(k, k + 1, t - mg / md))
-                          for sign, t in zip((1, -1), u))
-                assert abs(v - cb) < 1e-14, x
-                assert abs(w - md / mg * icb) < 1e-14, x
+        for name in ("box", "box_smooth"):
+            eng = corpus_member(name).rf.exact
+            got = eng.iterated(d, k)(xs)
+            with mpmath.workdps(30):
+                md = mpmath.mpf(d)
+                for x, v in zip(xs, got):
+                    want = sum(c * md ** n * truncated_power_sum(
+                        k, k + n, (b - mpmath.mpf(x)) / md) for c, b, n in eng.terms)
+                    assert abs(v - want) < 1e-14, (name, x)
 
 
 class TestSupNorm:
@@ -327,4 +375,5 @@ class TestCombineMetadata:
         assert combine([(1.0, sinc), (1.0, gauss)], "sg").decay.kind == "power"
         hull = combine([(1.0, box), (1.0, corpus_member("box_smooth").rf)], "bb")
         assert hull.decay.kind == "compact_support"
-        assert hull.decay.a == -0.1 and hull.decay.b == 1.0
+        # the smoothed box starts at the rounded zero of (1.1 - 0.9)/2 + x
+        assert hull.decay.a == (0.9 - 1.1) / 2 and hull.decay.b == 1.0
