@@ -37,8 +37,8 @@ from .norms import NormSpec, luxemburg_norm, norm_of, window_nodes
 from .quad import panel_rule
 from .report import AuditRow, make_row
 from .smoothness import ModulusRequest, k_functional_upper, modulus
-from .steklov import (iterated_steklov, steklov_combination, steklov_derivative,
-                      sup_norm)
+from .steklov import (_grid_maxima, iterated_steklov, steklov_combination,
+                      steklov_derivative, sup_norm)
 
 __all__ = ["AuditCase", "AuditReport", "Context", "run_suite", "run_case",
            "THEOREM_RUNNERS", "write_reports"]
@@ -140,13 +140,13 @@ class Context:
 
         In the Luxemburg norm on R no nonzero constant lies in the space, so
         the deviation equals ||f||; in the sup norm the best constant is the
-        midrange, giving (max f - min f) / 2.
+        midrange, giving (max f - min f) / 2, from the sup norm's grid and
+        refinement.
         """
         if norm.kind == "vexp":
             return self.norm(m, norm)
-        xs = np.linspace(-norm.window, norm.window, 4001)
-        vals = m.rf(xs)
-        return 0.5 * float(np.max(vals) - np.min(vals))
+        top, bottom = _grid_maxima(m.rf, norm.window, signed=True)
+        return 0.5 * (top + bottom)
 
 
 def _norm_key(norm: NormSpec):

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 
+from vexp.bandlimited import vp_operator
 from vexp.corpus import corpus_member, resolve_function
 from vexp.fnexpr import differentiate, parse
 from vexp.functions import as_real_function, combine
@@ -340,13 +342,54 @@ class TestPiecewisePolynomialEngine:
                     assert abs(v - want) < 1e-14, (name, x)
 
 
+def counted(f):
+    """f with a log of the sizes of its calls."""
+    sizes = []
+
+    def fn(x):
+        sizes.append(np.size(x))
+        return f.fn(x)
+    return replace(f, fn=fn), sizes
+
+
 class TestSupNorm:
     def test_refines_to_true_max(self):
         # max of x*exp(-x^2) is at x = 1/sqrt(2)
         f = as_real_function(parse("x*exp(-x^2)"))
         val = sup_norm(f, 4.0)
         oracle = math.sqrt(0.5) * math.exp(-0.5)
-        assert val == pytest.approx(oracle, abs=1e-10)
+        assert val == pytest.approx(oracle, abs=1e-13)
+
+    def test_finds_the_peak_between_grid_points(self):
+        # seven peaks of height 1 sit on the grid (step 0.02); the peaks of
+        # height 1.001 sit halfway between grid points, where the samples read
+        # 0.99886, so the largest samples all lie on the lower peaks
+        a = 6.544984694978736
+        f = as_real_function(parse(
+            f"cos({a}*x)*(1-indicator(2,4)) + 1.001*cos({a}*(x-0.01))*indicator(2,4)"))
+        assert sup_norm(f, 4.0) == pytest.approx(1.001, abs=1e-12)
+
+    @pytest.mark.parametrize("delta, exact", [
+        (0.6, 19.0 / 18.0),  # order_compare_sup's lhs, r = 1, k = 1
+        (1.0, 1.5),          # the supremum is the limit at the jump 0-
+    ])
+    def test_box_modulus_to_the_kink(self, delta, exact):
+        f = difference_power(box_member(), delta, 2)
+        assert sup_norm(f, 6.0) == pytest.approx(exact, abs=1e-13)
+
+    @pytest.mark.parametrize("build", [
+        lambda: as_real_function(parse("x*exp(-x^2)")),
+        lambda: difference_power(box_member(), 0.6, 1),
+        lambda: combine([(1.0, corpus_member("gauss").rf),
+                         (-1.0, vp_operator(corpus_member("gauss").rf, 1.0,
+                                            x_span=8.0))], "gauss-J"),
+    ], ids=["xgauss", "box_difference", "gauss_minus_J"])
+    def test_refinement_budget(self, build):
+        f, sizes = counted(build())
+        sup_norm(f, 8.0)
+        refinement = sizes[1:]  # sizes[0] is the grid
+        assert 1 <= len(refinement) <= 16
+        assert sum(refinement) <= 388
 
     def test_grid_refinement_stability(self):
         f = as_real_function(parse("cos(3*x)*exp(-x^2/4)"))
