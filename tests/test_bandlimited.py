@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 
 from vexp.bandlimited import (best_approx_surrogate, kernel_tail_bound,
                               vp_kernel, vp_operator)
-from vexp.corpus import resolve_function
+from vexp.corpus import corpus_member, default_corpus, resolve_function
 from vexp.fnexpr import Decay, differentiate, parse
 from vexp.functions import RealFunction, as_real_function
-from vexp.norms import NormSpec
+from vexp.norms import NormSpec, window_nodes
 from vexp.quad import panel_rule
 from vexp.steklov import sup_norm
 
+from bandlimited_reference import vp_fourier, vp_operator_direct
+
 GAUSS = as_real_function(parse("exp(-x^2)"), name="gauss")
+DECAYING = [m.name for m in default_corpus() if m.rf.decay.kind != "compact_support"]
 
 
 class TestKernel:
@@ -78,6 +81,52 @@ class TestOperator:
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
             vp_operator(GAUSS, 0.0)
+
+    def test_refuses_x_beyond_the_lattice(self):
+        j = vp_operator(GAUSS, 4.0, x_span=8.0)
+        assert np.all(np.isfinite(j(np.array([-8.0, 0.0, 8.0]))))
+        for x in (9.0, -9.0, 1e3):
+            with pytest.raises(ValueError, match="J is sampled for"):
+                j(np.array([0.0, x]))
+
+    def test_refuses_decaying_input_with_breakpoints(self):
+        # the trapezoid sum is only exponentially accurate for smooth f.
+        # Over 2,001 points of [-11, 11], J of this sum missed J(box) +
+        # J(xgauss) by 3.4e-2 (sigma = 1) and 5.2e-2 (sigma = 4) on the
+        # Gauss-Legendre panels, and by 2.2e-2 and 6.2e-2 on the lattice
+        f = as_real_function(parse("indicator(0,1)+x*exp(-x^2)"))
+        assert f.decay.kind == "gaussian" and f.breakpoints == (0.0, 1.0)
+        for sigma in (1.0, 4.0):
+            with pytest.raises(ValueError, match="breakpoints"):
+                vp_operator(f, sigma)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 4.0, 8.0])
+@pytest.mark.parametrize("name", DECAYING)
+def test_lattice_matches_gauss_legendre_reference(name, sigma):
+    m = corpus_member(name)
+    w = m.norm_window
+    nodes = window_nodes(w, m.panels_per_unit, ())[0]
+    rng = np.random.default_rng(14)
+    xs = np.concatenate([nodes[::max(1, nodes.size // 60)],
+                         rng.uniform(-w, w, 20), [-w, w]])
+    j = vp_operator(m.rf, sigma, x_span=w)
+    ref = vp_operator_direct(m.rf, sigma, x_span=w)
+    assert np.max(np.abs(j(xs) - ref(xs))) <= max(j.tail_bound, ref.tail_bound) + 1e-13
+
+
+@pytest.mark.parametrize("sigma", [1.0, 4.0])
+@pytest.mark.parametrize("name", ["gauss", "lorentz", "lorentz2"])
+def test_lattice_matches_fourier_oracle(name, sigma):
+    m = corpus_member(name)
+    w = m.norm_window
+    xs = np.array([0.0, 0.3, -1.7, 5.0, -11.0, w - 1.0, 1.0 - w])
+    j = vp_operator(m.rf, sigma, x_span=w)
+    exact = {x: vp_fourier(name, sigma, x) for x in set(np.abs(xs))}  # f is even
+    exact = np.array([exact[abs(x)] for x in xs])
+    # J of gauss is untruncated to float precision (tail bounds below 1e-90)
+    tol = 2e-15 if name == "gauss" else j.tail_bound
+    assert np.max(np.abs(j(xs) - exact)) <= tol
 
 
 class TestSurrogate:

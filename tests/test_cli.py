@@ -101,6 +101,15 @@ class TestApproxCommand:
         assert out == ""
         assert "panels on the u-window" in err
 
+    def test_decaying_input_with_breakpoints_exits_with_error(self):
+        # Gaussian decay with jumps at 0 and 1: the lattice convolution
+        # refuses it rather than print a J that is off by 2e-2 or more
+        code, out, err = run_cli("approx", "--f", "indicator(0,1)+x*exp(-x^2)",
+                                 "--sigma", "4")
+        assert code == 2
+        assert out == ""
+        assert "breakpoints [0.0, 1.0]" in err
+
 
 class TestAuditCommand:
     def test_small_config(self, tmp_path):
