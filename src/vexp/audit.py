@@ -392,18 +392,19 @@ def run_modulus_props(ctx: Context, case: AuditCase, fam: Family, m: CorpusMembe
     vanishing along delta -> 0.  The family's constant bounds T_d: 1 in
     the sup norm, where averages contract, and c10 in L^p(.).
     """
-    f, g, r = m.rf, ctx.member(case.g_src).rf, case.r
+    gm = ctx.member(case.g_src)
+    f, g, r = m.rf, gm.rf, case.r
     d1, d2 = case.deltas
     t_bound = fam.constant(case, norm.p)
     tag = "sup" if norm.p is None else f"p={norm.p.name}"
 
-    om_f_d1 = modulus(ModulusRequest(f, r, d1, norm))
-    om_f_d2 = modulus(ModulusRequest(f, r, d2, norm))
+    om_f_d1 = _omega(ctx, m, r, d1, norm)
+    om_f_d2 = _omega(ctx, m, r, d2, norm)
     yield make_row(
         "modulus_monotone", f"f={f.name};{tag};r={r};d1={d1:g};d2={d2:g}",
         lhs=om_f_d1, rhs=om_f_d2, constant_used=1.0)
 
-    om_g = modulus(ModulusRequest(g, r, d2, norm))
+    om_g = _omega(ctx, gm, r, d2, norm)
     fg = combine([(1.0, f), (1.0, g)], name=f"{f.name}+{g.name}")
     om_fg = modulus(ModulusRequest(fg, r, d2, norm))
     yield make_row(
@@ -413,7 +414,7 @@ def run_modulus_props(ctx: Context, case: AuditCase, fam: Family, m: CorpusMembe
     size_c = (1.0 + t_bound) ** r
     yield make_row(
         "modulus_size_bound", f"f={f.name};{tag};r={r};d={d2:g}",
-        lhs=om_f_d2, rhs=size_c * norm_of(f, norm), constant_used=size_c)
+        lhs=om_f_d2, rhs=size_c * ctx.norm(m, norm), constant_used=size_c)
 
     if m.smooth:
         smooth_c = t_bound ** r * 2.0 ** (-r) * d2 ** r
@@ -422,7 +423,7 @@ def run_modulus_props(ctx: Context, case: AuditCase, fam: Family, m: CorpusMembe
             "modulus_smooth_bound", f"f={f.name};{tag};r={r};d={d2:g}",
             lhs=om_f_d2, rhs=smooth_c * nd, constant_used=smooth_c)
 
-    seq = [modulus(ModulusRequest(f, r, d, norm)) for d in _VANISH_DELTAS]
+    seq = [_omega(ctx, m, r, d, norm) for d in _VANISH_DELTAS]
     row = make_row(
         "modulus_vanishing", f"f={f.name};{tag};r={r}",
         lhs=seq[-1], rhs=seq[0] if seq[0] > 0 else 0.0,

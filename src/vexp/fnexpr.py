@@ -791,8 +791,7 @@ def differentiate(f: FuncExpr, order: int = 1) -> FuncExpr:
 # Exponent fields
 # ---------------------------------------------------------------------------
 
-def estimate_log_holder(p: FuncExpr, window: float, samples: int,
-                        p_infinity: Optional[float] = None):
+def estimate_log_holder(p: FuncExpr, window: float, samples: int, p_infinity: float):
     """Grid estimates of the two log-continuity constants of an exponent.
 
     Returns (c_log_local, c_log_decay, p_minus, p_plus).  These are maxima
@@ -807,8 +806,6 @@ def estimate_log_holder(p: FuncExpr, window: float, samples: int,
     if np.min(vals) < 1.0 - 1e-12:
         bad = xs[int(np.argmin(vals))]
         raise ExponentRangeError(f"p({bad:.6g}) = {np.min(vals):.6g} < 1")
-    if p_infinity is None:
-        p_infinity = 0.5 * float(p(10.0 * window) + p(-10.0 * window))
 
     c_local = 0.0
     block = 512
@@ -822,6 +819,11 @@ def estimate_log_holder(p: FuncExpr, window: float, samples: int,
         c_local = max(c_local, float(np.max(q)))
     c_decay = float(np.max(np.abs(vals - p_infinity) * np.log(np.e + np.abs(xs))))
     return c_local, c_decay, float(np.min(vals)), float(np.max(vals))
+
+
+# the grid of `ExponentField.from_expr`'s range and log-continuity estimates
+_P_WINDOW = 50.0
+_P_SAMPLES = 801
 
 
 @dataclass(frozen=True)
@@ -855,7 +857,6 @@ class ExponentField:
 
     @classmethod
     def from_expr(cls, src_or_expr, p_infinity: Optional[float] = None,
-                  window: float = 50.0, samples: int = 801,
                   name: Optional[str] = None) -> "ExponentField":
         expr = src_or_expr if isinstance(src_or_expr, FuncExpr) else parse(src_or_expr)
         const = expr.constant
@@ -866,8 +867,8 @@ class ExponentField:
                        p_infinity=const, c_log_local=0.0, c_log_decay=0.0,
                        name=name or expr.src)
         if p_infinity is None:
-            p_infinity = 0.5 * float(expr(10.0 * window) + expr(-10.0 * window))
-        c1, c2, pmin, pmax = estimate_log_holder(expr, window, samples, p_infinity)
+            p_infinity = 0.5 * float(expr(10.0 * _P_WINDOW) + expr(-10.0 * _P_WINDOW))
+        c1, c2, pmin, pmax = estimate_log_holder(expr, _P_WINDOW, _P_SAMPLES, p_infinity)
         # the essential range over R includes the asymptote
         return cls(expr=expr, p_minus=min(pmin, p_infinity),
                    p_plus=max(pmax, p_infinity), p_infinity=p_infinity,

@@ -48,30 +48,29 @@ class VexpNorm:
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Which norm an operation should use: sup on a window, or Luxemburg."""
+    """Which norm an operation should use: sup on a window (p is None), or
+    Luxemburg in L^p(.)."""
 
-    kind: str  # "sup" | "vexp"
     p: Optional[ExponentField] = None
     window: Optional[float] = None
     panels_per_unit: float = 4.0
 
     def __post_init__(self):
-        if self.kind not in ("sup", "vexp"):
-            raise ValueError(f"unknown norm kind {self.kind!r}")
-        if self.kind == "vexp" and self.p is None:
-            raise ValueError("vexp norm needs an exponent field")
         if self.window is not None and not self.window > 0.0:
             raise ValueError(f"window must be positive, got {self.window:g}")
 
+    @property
+    def kind(self) -> str:
+        return "sup" if self.p is None else "vexp"
+
     @staticmethod
     def sup(window: float) -> "NormSpec":
-        return NormSpec(kind="sup", window=window)
+        return NormSpec(window=window)
 
     @staticmethod
     def vexp(p: ExponentField, window: Optional[float] = None,
              panels_per_unit: float = 4.0) -> "NormSpec":
-        return NormSpec(kind="vexp", p=p, window=window,
-                        panels_per_unit=panels_per_unit)
+        return NormSpec(p=p, window=window, panels_per_unit=panels_per_unit)
 
 
 def default_window(f: RealFunction) -> float:

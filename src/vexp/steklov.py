@@ -12,10 +12,13 @@ differences of T_d^(m-r) f.
 
 Every operator here is a combination sum c * T_d^k f(. + j*d) of shifted
 iterates, and `steklov_combination` is the one place such a sum is
-evaluated.  For smooth f each term is the kernel B_k(u - j) on the unit
-panels of [0, max(k + j)], so the weights of all terms add up on one
-Gauss-Legendre lattice (k = 0 terms are point columns) and one outer product
-f(x_i + d*u_j) evaluates the whole sum.
+evaluated.  Each term is the kernel B_k(u - j) on the unit panels of [0, top],
+top = max(k + j), subdivided where f oscillates, so the weights of all terms
+add up on one Gauss-Legendre lattice (k = 0 terms are point columns) and one
+outer product f(x_i + d*u_j) evaluates the whole sum.  A point whose window
+(x, x + top*d) holds a breakpoint b of f takes the same lattice with its
+panels split at (b - x)/d; the points away from every breakpoint, all of
+them for smooth f, do not.
 
 Compactly supported piecewise polynomials, read off the expression tree as
 sums of truncated powers c (b - x)_+^n / n!, get an exact engine: T_d^k of
@@ -23,8 +26,7 @@ each term is c d^n times a polynomial on each unit piece of (b - x)/d (the
 pp form, de Boor, A Practical Guide to Splines, ch. IX), evaluated by Horner
 from coefficients computed once per order in integer arithmetic.  So the
 indicator and the smoothed box go through every operator at machine
-precision with no quadrature.  Other inputs with breakpoints get a
-quadrature whose panels are split at them.
+precision with no quadrature.
 
 The sup norm samples f on a grid of step min(0.02, wavelength/48) plus the
 breakpoints, then refines every distinct local maximum of the samples whose
@@ -52,7 +54,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fnexpr import Decay
-from .functions import RealFunction, as_real_function, outer_apply, zero_function
+from .functions import _SUB_CHUNK, RealFunction, as_real_function, outer_apply, zero_function
 from .quad import panel_rule
 
 __all__ = [
@@ -158,32 +160,10 @@ def _oscillation_subpanels(f: RealFunction, delta: float) -> int:
     return min(16, max(1, math.ceil(phase_per_unit / 6.0)))
 
 
-def _rough_average(f: RealFunction, delta: float, k: int) -> Callable:
-    """T_d^k f by quadrature against B_k, each point's unit panels of [0, k]
-    split where f jumps or kinks; one f call for all points."""
-    breaks = np.asarray(f.breakpoints, dtype=float)
-
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        flat = x.reshape(-1, 1)
-        cuts = np.clip((breaks - flat) / delta, 0.0, float(k))
-        units = np.broadcast_to(np.arange(k + 1.0), (flat.shape[0], k + 1))
-        # clipped and repeated cuts give zero-width panels, which weigh nothing
-        nodes, wts = panel_rule(np.sort(np.concatenate([units, cuts], axis=1)), 12)
-        vals = f.fn(flat + delta * nodes)
-        return np.sum(wts * bspline_value(k, nodes) * vals, axis=1).reshape(x.shape)
-    return ev
-
-
 def steklov_combination(f, delta: float, terms: dict[tuple[int, int], float],
                         name: str) -> RealFunction:
-    """sum of c * T_d^k f(x + j*d) over terms {(k, j): c}, with j >= 0.
-
-    Smooth f: the weights c * B_k(u - j) of all terms with k >= 1 add up on
-    one lattice of unit panels, the k = 0 terms are point columns at j, and
-    one outer product evaluates the sum.  Engine-backed and rough f evaluate
-    each term in closed form or by `_rough_average`.
-    """
+    """sum of c * T_d^k f(x + j*d) over terms {(k, j): c}, with j >= 0: term by
+    term for engine-backed f, else on one weighted lattice (module docstring)."""
     f = as_real_function(f)
     decay = f.decay
     if decay.kind == "compact_support":
@@ -193,10 +173,8 @@ def steklov_combination(f, delta: float, terms: dict[tuple[int, int], float],
     breakpoints = tuple(sorted({s - i * delta - j * delta for s in f.breakpoints
                                 for k, j in terms for i in range(k + 1)}))
 
-    if f.exact is not None or f.breakpoints:
-        parts = [(c, j * delta, f.fn if k == 0 else
-                  f.exact.iterated(delta, k) if f.exact is not None else
-                  _rough_average(f, delta, k)) for (k, j), c in terms.items()]
+    if f.exact is not None:
+        parts = [(c, j * delta, f.exact.iterated(delta, k)) for (k, j), c in terms.items()]
 
         def ev(x):
             acc = np.zeros_like(x, dtype=float)
@@ -205,18 +183,38 @@ def steklov_combination(f, delta: float, terms: dict[tuple[int, int], float],
             return acc
     else:
         top = max((k + j for k, j in terms if k > 0), default=0)
-        edges = np.linspace(0.0, float(top), top * _oscillation_subpanels(f, delta) + 1)
-        nodes, wts = panel_rule(edges, 12)
-        kern = np.zeros_like(nodes)
-        for (k, j), c in terms.items():
-            if k > 0:
-                kern += c * wts * bspline_value(k, nodes - j)
+        unit = np.linspace(0.0, float(top), top * _oscillation_subpanels(f, delta) + 1)
         points = {j: c for (k, j), c in terms.items() if k == 0}
-        offsets = delta * np.concatenate([nodes, list(points)])
-        weights = np.concatenate([kern, list(points.values())])
+
+        def lattice(edges):
+            # offsets and weights of the whole sum, one row per row of edges
+            nodes, wts = panel_rule(edges, 12)
+            kern = sum((c * wts * bspline_value(k, nodes - j) for (k, j), c in terms.items()
+                        if k > 0), np.zeros_like(nodes))
+            cols = (*nodes.shape[:-1], len(points))
+            return (delta * np.concatenate([nodes, np.broadcast_to(list(points), cols)], -1),
+                    np.concatenate([kern, np.broadcast_to(list(points.values()), cols)], -1))
+
+        offsets, weights = lattice(unit)
+        breaks = np.asarray(f.breakpoints, dtype=float)
+        step = max(1, _SUB_CHUNK // (offsets.size + 12 * breaks.size))
 
         def ev(x):
-            return outer_apply(f, x, offsets, weights)
+            flat = np.asarray(x, dtype=float).ravel()
+            cuts = (breaks - flat[:, None]) / delta
+            near = np.any((cuts > 0.0) & (cuts < top), axis=1)
+            if not near.any():
+                return outer_apply(f, x, offsets, weights)
+            out = np.empty_like(flat)
+            out[~near] = outer_apply(f, flat[~near], offsets, weights)
+            rows = np.flatnonzero(near)
+            for i in (rows[i0:i0 + step] for i0 in range(0, rows.size, step)):
+                # clipped and repeated cuts give zero-width panels, which weigh nothing
+                edges = np.concatenate([np.broadcast_to(unit, (i.size, unit.size)),
+                                        np.clip(cuts[i], 0.0, top)], axis=1)
+                off, w = lattice(np.sort(edges, axis=1))
+                out[i] = np.sum(f.fn(flat[i, None] + off) * w, axis=1)
+            return out.reshape(np.shape(x))
 
     return RealFunction(fn=ev, name=name, decay=decay, breakpoints=breakpoints,
                         osc_wavelength=f.osc_wavelength)

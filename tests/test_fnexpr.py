@@ -244,7 +244,7 @@ class TestLogHolder:
 
     def test_exponent_below_one_rejected(self):
         with pytest.raises(ExponentRangeError):
-            estimate_log_holder(parse("1 + sin(x)"), 10.0, 101)
+            estimate_log_holder(parse("1 + sin(x)"), 10.0, 101, p_infinity=1.0)
 
     def test_exponent_field_dual(self):
         p = ExponentField.from_expr("2 + 1/(1+x^2)", p_infinity=2.0)

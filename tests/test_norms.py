@@ -199,12 +199,6 @@ class TestHolder:
 
 
 class TestNormSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NormSpec(kind="lp")
-        with pytest.raises(ValueError):
-            NormSpec(kind="vexp")
-
     @pytest.mark.parametrize("window", [0.0, -5.0, math.nan])
     def test_nonpositive_window_rejected(self, p2, window):
         # window 0 used to fall back to the member's window, and -5 to

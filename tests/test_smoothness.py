@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from vexp import steklov
+from vexp import smoothness, steklov
 from vexp.audit import AuditCase, Context, run_case
 from vexp.corpus import corpus_member, exponent_field
 from vexp.fnexpr import parse
-from vexp.functions import RealFunction, as_real_function
+from vexp.functions import RealFunction, as_real_function, combine
 from vexp.norms import NormSpec, SampledModular
 from vexp.smoothness import ModulusRequest, k_functional_upper, modulus
 
@@ -132,6 +132,23 @@ class TestOneSamplingPath:
         m = corpus_member("gauss")
         k_functional_upper(m.rf, 2, 0.5, m.norm_spec(p2))
         assert len(outer_calls) == 2
+
+    def test_khat_of_a_rough_input_matches_its_parts(self, monkeypatch, p2):
+        # no engine for the sum: K-hat against engine part plus lattice part,
+        # by linearity of each combination (4.714168616 against 4.714962413
+        # while the panels near the jump had no oscillation subpanels)
+        f = as_real_function(parse("indicator(0, 1) + sin(40*x)/(1+x^2)"))
+        parts = [as_real_function(parse(s))
+                 for s in ("indicator(0, 1)", "sin(40*x)/(1+x^2)")]
+        assert f.exact is None and parts[0].exact is not None
+        norm = NormSpec.vexp(p2)
+        got = k_functional_upper(f, 2, 1.0, norm).value
+
+        def split(g, delta, terms, name):
+            return combine([(1.0, steklov.steklov_combination(q, delta, terms, name))
+                            for q in parts], name)
+        monkeypatch.setattr(smoothness, "steklov_combination", split)
+        assert got == pytest.approx(k_functional_upper(f, 2, 1.0, norm).value, rel=1e-12)
 
 
 def properties_rows(f: str, p=None, r: int = 1):

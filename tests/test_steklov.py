@@ -266,6 +266,32 @@ class TestRawRoughSources:
         got = iterated_steklov(f, 0.3, k)(pts)
         assert np.max(np.abs(got - nested_steklov(f, 0.3, k)(pts))) < 1e-12
 
+    def test_oscillating_jump_matches_closed_form(self):
+        # points near a jump keep the oscillation subpanels; on bare unit
+        # panels this was off by 3.8e-2
+        f = resolve_function("indicator(-1, 1)*sin(40*x)").rf
+        d = 1.0
+        xs = np.linspace(-3.0, 2.0, 501)
+        a, b = np.clip(xs, -1.0, 1.0), np.clip(xs + d, -1.0, 1.0)
+        want = (np.cos(40.0 * a) - np.cos(40.0 * b)) / (40.0 * d)
+        assert np.max(np.abs(iterated_steklov(f, d, 1)(xs) - want)) <= 1e-13
+
+    def test_one_f_call_per_evaluation(self):
+        # all terms share one lattice, near the jumps and away from them;
+        # one call per term made three
+        rf = resolve_function("indicator(0,1)+x*exp(-x^2)").rf
+        assert rf.exact is None and rf.breakpoints
+        calls = []
+
+        def counting(y):
+            calls.append(np.size(y))
+            return rf.fn(y)
+        op = difference_power(replace(rf, fn=counting), 0.3, 2)
+        for xs in (np.linspace(-3.0, -2.0, 11), np.linspace(-0.5, -0.1, 11)):
+            calls.clear()
+            op(xs)
+            assert len(calls) == 1
+
     def test_smoothed_box_source_is_the_bundled_member(self):
         # the raw source's sup-norm modulus read 0.138813 against 0.138071
         from vexp.norms import NormSpec
