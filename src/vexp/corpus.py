@@ -26,7 +26,6 @@ __all__ = ["CorpusMember", "default_corpus", "default_exponents",
 @dataclass(frozen=True)
 class CorpusMember:
     name: str
-    src: str                      # expression-grammar source
     rf: RealFunction
     norm_window: float
     sup_window: float
@@ -54,8 +53,7 @@ class CorpusMember:
 
 def _member(name: str, src: str, norm_window: float, sup_window: float,
             ppu: float = 4.0) -> CorpusMember:
-    e = parse(src)
-    return CorpusMember(name=name, src=e.src, rf=as_real_function(e, name),
+    return CorpusMember(name=name, rf=as_real_function(parse(src), name),
                         norm_window=norm_window, sup_window=sup_window,
                         panels_per_unit=ppu)
 
@@ -116,7 +114,7 @@ def resolve_function(src: str) -> CorpusMember:
     e = parse(src)
     rf = as_real_function(e)
     w = default_window(rf)
-    return CorpusMember(name=e.src, src=e.src, rf=rf, norm_window=w,
+    return CorpusMember(name=e.src, rf=rf, norm_window=w,
                         sup_window=min(w, 20.0), panels_per_unit=4.0)
 
 

@@ -15,7 +15,8 @@ Grammar (EBNF):
 value 1 at x = 0; both take constant arguments, as does `indicator(a, b)`
 (value 1 on [a, b] including the endpoints).  `sincd(a, n)` is the n-th
 derivative of sinc(a); it appears in differentiated expressions so that
-removable singularities stay evaluable and is accepted back by the parser.
+removable singularities stay evaluable and is accepted back by the parser
+for n >= 1.  In the tree sinc(a) is the node `SincD(a, 0)`.
 
 Exponents in `^` must be integer literals.  The grammar is closed: no user
 defined names, no piecewise syntax beyond `indicator`.
@@ -97,11 +98,6 @@ class Gauss:
 
 
 @dataclass(frozen=True)
-class Sinc:
-    a: float
-
-
-@dataclass(frozen=True)
 class SincD:
     a: float
     order: int
@@ -113,7 +109,7 @@ class Indicator:
     b: float
 
 
-Node = Union[Num, Var, BinOp, Pow, Neg, Call, Gauss, Sinc, SincD, Indicator]
+Node = Union[Num, Var, BinOp, Pow, Neg, Call, Gauss, SincD, Indicator]
 
 _UNARY_CALLS = ("exp", "sin", "cos", "abs")
 
@@ -248,7 +244,7 @@ class _Parser:
             if len(args) != 1:
                 raise ParseError(f"{name} takes one constant argument", name_tok.pos)
             a = _const_value(args[0], name_tok.pos)
-            return Gauss(a) if name == "gauss" else Sinc(a)
+            return Gauss(a) if name == "gauss" else SincD(a, 0)
         if name == "sincd":
             if len(args) != 2:
                 raise ParseError("sincd takes (a, order)", name_tok.pos)
@@ -374,11 +370,10 @@ def _compile(node: Node):
     if isinstance(node, Gauss):
         neg_a = -node.a
         return lambda x: np.exp(neg_a * x * x)
-    if isinstance(node, Sinc):
-        a = node.a
-        return lambda x: _sinc(a, x)
     if isinstance(node, SincD):
         a, order = node.a, node.order
+        if order == 0:
+            return lambda x: _sinc(a, x)
         return lambda x: _sincd(a, order, x)
     if isinstance(node, Indicator):
         a, b = node.a, node.b
@@ -429,9 +424,9 @@ def to_source(node: Node) -> str:
         return f"{node.name}({to_source(node.arg)})"
     if isinstance(node, Gauss):
         return f"gauss({node.a:.17g})"
-    if isinstance(node, Sinc):
-        return f"sinc({node.a:.17g})"
     if isinstance(node, SincD):
+        if node.order == 0:
+            return f"sinc({node.a:.17g})"
         return f"sincd({node.a:.17g}, {node.order})"
     if isinstance(node, Indicator):
         return f"indicator({node.a:.17g}, {node.b:.17g})"
@@ -475,8 +470,6 @@ def _diff(node: Node) -> Node:
     if isinstance(node, Gauss):
         # d/dx exp(-a x^2) = -2 a x exp(-a x^2)
         return BinOp("*", BinOp("*", Num(-2.0 * node.a), Var()), Gauss(node.a))
-    if isinstance(node, Sinc):
-        return SincD(node.a, 1)
     if isinstance(node, SincD):
         return SincD(node.a, node.order + 1)
     if isinstance(node, Indicator):
@@ -569,7 +562,7 @@ def _tail(node: Node) -> _Tail:
         return _Tail(-math.inf, support=(node.a, node.b))
     if isinstance(node, Gauss):
         return _Tail(-math.inf if node.a > 0 else math.inf)
-    if isinstance(node, (Sinc, SincD)):
+    if isinstance(node, SincD):
         return _Tail(-1.0)
     if isinstance(node, Neg):
         t = _tail(node.operand)
@@ -717,7 +710,7 @@ def rough_spots(node: Node) -> tuple[tuple[float, ...], float]:
     piecewise-polynomial subtrees (ValueError for an abs outside the subset,
     as in abs(sin(x))), and 2 pi / a for the largest frequency a of sin or
     cos of an affine argument, sinc(a) and sincd(a, n); inf without one."""
-    if isinstance(node, (Sinc, SincD)):
+    if isinstance(node, SincD):
         return (), 2.0 * math.pi / abs(node.a)
     knots = _knots(node)
     if knots is not None:
@@ -739,16 +732,27 @@ def rough_spots(node: Node) -> tuple[tuple[float, ...], float]:
 
 @dataclass(frozen=True)
 class FuncExpr:
-    """A parsed test function: AST plus decay metadata.
+    """A parsed test function: its AST, and what is read off it.
 
     Values are immutable and evaluation is pure, so instances can be shared
-    freely across threads.  The AST is compiled on the first call.
+    freely across threads.  The AST is compiled on the first call; the
+    source, decay class and smoothness are read off it on first use.
     """
 
     ast: Node
-    src: str
-    decay_class: Decay
-    smooth: bool  # no abs or indicator: symbolic derivatives exist
+
+    @cached_property
+    def src(self) -> str:
+        return to_source(self.ast)
+
+    @cached_property
+    def decay_class(self) -> Decay:
+        return classify_decay(self.ast)
+
+    @cached_property
+    def smooth(self) -> bool:
+        """No abs or indicator: symbolic derivatives exist."""
+        return _is_smooth(self.ast)
 
     @cached_property
     def _compiled(self):
@@ -771,9 +775,7 @@ class FuncExpr:
 
 def parse(src: str) -> FuncExpr:
     """Parse a source string into a FuncExpr (canonical-printer round trip)."""
-    ast = _Parser(src).parse()
-    return FuncExpr(ast=ast, src=to_source(ast), decay_class=classify_decay(ast),
-                    smooth=_is_smooth(ast))
+    return FuncExpr(_Parser(src).parse())
 
 
 def differentiate(f: FuncExpr, order: int = 1) -> FuncExpr:
@@ -783,8 +785,7 @@ def differentiate(f: FuncExpr, order: int = 1) -> FuncExpr:
     node = f.ast
     for _ in range(order):
         node = _diff(node)
-    return FuncExpr(ast=node, src=to_source(node), decay_class=f.decay_class,
-                    smooth=f.smooth)
+    return FuncExpr(node)
 
 
 # ---------------------------------------------------------------------------
@@ -856,9 +857,9 @@ class ExponentField:
         return self.expr(x)
 
     @classmethod
-    def from_expr(cls, src_or_expr, p_infinity: Optional[float] = None,
+    def from_expr(cls, src: str, p_infinity: Optional[float] = None,
                   name: Optional[str] = None) -> "ExponentField":
-        expr = src_or_expr if isinstance(src_or_expr, FuncExpr) else parse(src_or_expr)
+        expr = parse(src)
         const = expr.constant
         if const is not None:
             if const < 1.0:
@@ -878,11 +879,9 @@ class ExponentField:
         """Pointwise conjugate exponent p/(p-1); requires p_minus > 1."""
         if self.p_minus <= 1.0:
             raise ExponentRangeError("dual exponent unbounded: p_minus must exceed 1")
-        dual_ast = BinOp("/", self.expr.ast, BinOp("-", self.expr.ast, Num(1.0)))
-        dual_expr = FuncExpr(ast=dual_ast, src=to_source(dual_ast),
-                             decay_class=Decay.none_(), smooth=self.expr.smooth)
+        ast = self.expr.ast
         return ExponentField(
-            expr=dual_expr,
+            expr=FuncExpr(BinOp("/", ast, BinOp("-", ast, Num(1.0)))),
             p_minus=self.p_plus / (self.p_plus - 1.0),
             p_plus=self.p_minus / (self.p_minus - 1.0),
             p_infinity=self.p_infinity / (self.p_infinity - 1.0),

@@ -21,7 +21,7 @@ def _answers(f, spec):
 
 @pytest.mark.parametrize("member", default_corpus(), ids=lambda m: m.name)
 def test_raw_source_is_its_bundled_twin(member):
-    raw = resolve_function(member.src)
+    raw = resolve_function(member.expr.src)
     assert raw.rf.decay == member.rf.decay
     for p in NORMS:
         spec = member.norm_spec(p)

@@ -15,7 +15,7 @@ _LEAVES = st.one_of(
     st.floats(-5, 5).map(lambda v: fnexpr.Num(round(v, 3))),
     st.just(fnexpr.Var()),
     st.floats(0.5, 4).map(lambda a: fnexpr.Gauss(round(a, 2))),
-    st.floats(0.5, 4).map(lambda a: fnexpr.Sinc(round(a, 2))),
+    st.floats(0.5, 4).map(lambda a: fnexpr.SincD(round(a, 2), 0)),
 )
 
 
@@ -320,7 +320,7 @@ def reference_eval(node, x):
         return ufunc[node.name](ev(node.arg, x))
     if isinstance(node, fnexpr.Gauss):
         return np.exp(-node.a * x * x)
-    if isinstance(node, fnexpr.Sinc):
+    if isinstance(node, fnexpr.SincD) and node.order == 0:
         return _ref_sinc(node.a, x)
     if isinstance(node, fnexpr.SincD):
         return _ref_sincd(node.a, node.order, x)

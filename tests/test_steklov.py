@@ -196,7 +196,7 @@ class TestIndicatorEngine:
 
     def test_matches_textual_abs_form(self):
         # the grammar form of the once-averaged box is T_0.1 of the box
-        textual = parse(corpus_member("box_smooth").src)
+        textual = parse(corpus_member("box_smooth").expr.src)
         xs = np.linspace(-0.5, 1.5, 401)
         closed = np.clip((1.0 - xs) / 0.1, 0.0, 1.0) - np.clip(-xs / 0.1, 0.0, 1.0)
         assert np.max(np.abs(textual(xs) - closed)) < 1e-13
@@ -296,7 +296,7 @@ class TestRawRoughSources:
         # the raw source's sup-norm modulus read 0.138813 against 0.138071
         from vexp.norms import NormSpec
         from vexp.smoothness import ModulusRequest, modulus
-        raw = resolve_function(corpus_member("box_smooth").src).rf
+        raw = resolve_function(corpus_member("box_smooth").expr.src).rf
         bundled = corpus_member("box_smooth").rf
         vals = [modulus(ModulusRequest(f, 2, 0.05, NormSpec.sup(6.0))) for f in (raw, bundled)]
         assert vals[0] == pytest.approx(vals[1], rel=1e-12)
