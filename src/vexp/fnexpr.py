@@ -706,24 +706,34 @@ def truncated_powers(node: Node) -> Optional[tuple[tuple[float, float, int], ...
 
 
 def rough_spots(node: Node) -> tuple[tuple[float, ...], float]:
-    """(breakpoints, wavelength) read off the tree: the knots of its
-    piecewise-polynomial subtrees (ValueError for an abs outside the subset,
-    as in abs(sin(x))), and 2 pi / a for the largest frequency a of sin or
-    cos of an affine argument, sinc(a) and sincd(a, n); inf without one."""
+    """(breakpoints, frequency) read off the tree: the knots of its
+    piecewise-polynomial subtrees, and a bound on its frequencies: |a| for
+    sinc(a) and sincd(a, n), the largest |slope| over the pieces of the
+    argument of sin and cos, the sum over the factors of a product, n times
+    the base's for a power n >= 1, else the largest of the children's.
+    ValueError for an abs outside the subset, as in abs(sin(x)), and for sin
+    or cos of an argument that is not piecewise affine, as in sin(x^2)."""
     if isinstance(node, SincD):
-        return (), 2.0 * math.pi / abs(node.a)
+        return (), abs(node.a)
     knots = _knots(node)
     if knots is not None:
-        return tuple(sorted(knots)), math.inf
+        return tuple(sorted(knots)), 0.0
     if isinstance(node, Call) and node.name == "abs":
         raise ValueError(f"cannot locate the kinks of {to_source(node)}")
     parts = [rough_spots(v) for v in vars(node).values()
              if not isinstance(v, (int, float, str))]
-    waves = [w for _, w in parts]
-    if isinstance(node, Call) and node.name in ("sin", "cos") and _knots(node.arg) == set():
-        if len(p := _poly_at(node.arg, 0.0)) == 2:
-            waves.append(2.0 * math.pi / abs(float(p[1])))
-    return tuple(sorted({b for p, _ in parts for b in p})), min(waves, default=math.inf)
+    freqs = [w for _, w in parts]
+    if isinstance(node, Call) and node.name in ("sin", "cos"):
+        knots = _knots(node.arg)
+        pieces = [] if knots is None else [_poly_at(node.arg, x) for x in _insides(sorted(knots))]
+        if knots is None or any(len(p) > 2 for p in pieces):
+            raise ValueError(f"cannot bound the frequency of {to_source(node)}")
+        freqs = [abs(float(p[1])) for p in pieces if len(p) == 2]
+    elif isinstance(node, BinOp) and node.op == "*":
+        freqs = [sum(freqs)]
+    elif isinstance(node, Pow) and node.exponent >= 1:
+        freqs = [node.exponent * freqs[0]]
+    return tuple(sorted({b for p, _ in parts for b in p})), max(freqs, default=0.0)
 
 
 # ---------------------------------------------------------------------------

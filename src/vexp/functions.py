@@ -46,15 +46,16 @@ class RealFunction:
 def as_real_function(obj, name: Optional[str] = None) -> RealFunction:
     """obj as a RealFunction.  An expression's breakpoints, wavelength and
     exact engine are read off its tree; ValueError when it has a kink that
-    cannot be located."""
+    cannot be located or a frequency that cannot be bounded."""
     if isinstance(obj, RealFunction):
         return obj if name is None else obj.renamed(name)
     if isinstance(obj, FuncExpr):
         from .steklov import IndicatorSteklov  # steklov builds on this module
-        breakpoints, wavelength = rough_spots(obj.ast)
+        breakpoints, freq = rough_spots(obj.ast)
         terms = truncated_powers(obj.ast)
         return RealFunction(fn=obj, name=name or obj.src, decay=obj.decay_class,
-                            breakpoints=breakpoints, osc_wavelength=wavelength,
+                            breakpoints=breakpoints,
+                            osc_wavelength=2.0 * math.pi / freq if freq else math.inf,
                             exact=IndicatorSteklov(obj, terms) if terms else None,
                             expr=obj)
     if callable(obj):

@@ -265,26 +265,24 @@ def steklov_derivative(f, delta: float, m: int, r: int) -> RealFunction:
 # Sup norm on a window
 # ---------------------------------------------------------------------------
 
+_GRID_STEP = 0.02  # the sup grid's step where f does not oscillate faster
 _LOCAL = 12  # local grid points per bracket and round; even, so none sits on the centre
 _MAX_ROUNDS = 16
 _MAX_POINTS = 388
 _EPS = float(np.finfo(float).eps)
 
 
-def sup_norm(f, window: float, step: Optional[float] = None,
-             refine: bool = True) -> float:
+def sup_norm(f, window: float, refine: bool = True) -> float:
     """max |f| over [-window, window] on a grid, refined at its peaks."""
-    return _grid_maxima(f, window, step, refine)[0]
+    return _grid_maxima(f, window, refine)[0]
 
 
-def _grid_maxima(f, window: float, step: Optional[float] = None,
-                 refine: bool = True, signed: bool = False) -> list[float]:
+def _grid_maxima(f, window: float, refine: bool = True,
+                 signed: bool = False) -> list[float]:
     """[max |f|], or [max f, max -f] when signed, over [-window, window]: the
     grid values, refined by `_refine_peaks` unless refine is False."""
     f = as_real_function(f)
-    if step is None:
-        step = min(0.02, f.osc_wavelength / 48.0)
-        step = max(step, 2.0 * window / 400_000)
+    step = max(min(_GRID_STEP, f.osc_wavelength / 48.0), 2.0 * window / 400_000)
     n = max(64, int(round(2.0 * window / step)) + 1)
     xs = np.linspace(-window, window, n)
     extra = [b for b in f.breakpoints if abs(b) <= window]

@@ -72,6 +72,13 @@ class TestModulusCommand:
         assert out == ""
         assert "cannot locate the kinks of abs(sin(x))" in err
 
+    def test_unbounded_frequency_refused(self):
+        code, out, err = run_cli("modulus", "--f", "sin(x^2)", "--r", "1",
+                                 "--delta", "0.1")
+        assert code == 2
+        assert out == ""
+        assert "cannot bound the frequency of sin((x^2))" in err
+
     def test_vexp(self):
         code, out, _ = run_cli("modulus", "--f", "@gauss", "--p", "@p2",
                                "--r", "1", "--delta", "0.5")

@@ -153,6 +153,27 @@ class TestDecay:
         assert differentiate(parse("sin(x)"), 3).smooth
 
 
+class TestRoughSpots:
+    # one row per rule of the frequency bound; the wavelength used to come
+    # from single sin, cos and sinc nodes
+    @pytest.mark.parametrize("src, breakpoints, freq", [
+        ("sin(3*x)*cos(4*x)", (), 7.0),  # a product sums its factors
+        ("sin(2*x)^3", (), 6.0),  # a power n multiplies its base's by n
+        ("sin(5*abs(x-1))", (1.0,), 5.0),  # the slopes of the pieces count
+        ("sincd(4, 2)", (), 4.0),
+        ("exp(sin(2*x))/(1+x^2)", (), 2.0),  # other nodes: the largest child
+    ])
+    def test_frequency_rule(self, src, breakpoints, freq):
+        from vexp.functions import as_real_function
+        f = as_real_function(parse(src))
+        assert (f.breakpoints, f.osc_wavelength) == (breakpoints, 2.0 * math.pi / freq)
+
+    @pytest.mark.parametrize("src", ["sin(exp(x))", "cos(x^2)"])
+    def test_argument_not_piecewise_affine_refused(self, src):
+        with pytest.raises(ValueError, match="cannot bound the frequency"):
+            fnexpr.rough_spots(parse(src).ast)
+
+
 class TestPrinterRoundTrip:
     def test_idempotence_simple(self):
         for src in ("2 + 1/(1+x^2)", "exp(-x^2)*sin(5*x)", "sinc(4)",

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from vexp import steklov
 from vexp.bandlimited import vp_operator
 from vexp.corpus import corpus_member, resolve_function
 from vexp.fnexpr import differentiate, parse
@@ -276,6 +277,20 @@ class TestRawRoughSources:
         want = (np.cos(40.0 * a) - np.cos(40.0 * b)) / (40.0 * d)
         assert np.max(np.abs(iterated_steklov(f, d, 1)(xs) - want)) <= 1e-13
 
+    @pytest.mark.parametrize("src, k", [("sin(20*x)^8", 1), ("sin(30*abs(x))", 3)])
+    def test_oscillation_matches_quad(self, src, k):
+        # the lattice's subpanels follow the frequency bound of the whole
+        # tree; read off single sin nodes, these were off by 8.0e-5 and 4.5e-4
+        from scipy.integrate import quad
+        from scipy.interpolate import BSpline
+        f = resolve_function(src).rf
+        kernel = BSpline.basis_element(np.arange(k + 1.0), extrapolate=False)
+        xs = np.linspace(-3.0, 2.0, 41)
+        want = [quad(lambda u: f(x + u) * kernel(u), 0.0, k, epsabs=1e-14, epsrel=1e-14,
+                     limit=500, points=[u for u in (*range(1, k), -x) if 0.0 < u < k] or None)[0]
+                for x in xs]
+        assert np.max(np.abs(iterated_steklov(f, 1.0, k)(xs) - want)) <= 1e-12
+
     def test_one_f_call_per_evaluation(self):
         # all terms share one lattice, near the jumps and away from them;
         # one call per term made three
@@ -417,19 +432,23 @@ class TestSupNorm:
         assert 1 <= len(refinement) <= 16
         assert sum(refinement) <= 388
 
-    def test_grid_refinement_stability(self):
+    def test_grid_refinement_stability(self, monkeypatch):
         f = as_real_function(parse("cos(3*x)*exp(-x^2/4)"))
-        v1 = sup_norm(f, 6.0, step=0.02)
-        v2 = sup_norm(f, 6.0, step=0.01)
+        v1 = sup_norm(f, 6.0)
+        monkeypatch.setattr(steklov, "_GRID_STEP", 0.01)
+        v2 = sup_norm(f, 6.0)
         assert abs(v1 - v2) < 1e-8
 
-    def test_grid_refinement_stability_corpus(self):
+    def test_grid_refinement_stability_corpus(self, monkeypatch):
         # grid adequacy is validated, not assumed: halving the step moves
-        # the reported maximum by < 1e-8 on every bundled member
+        # the reported maximum by < 1e-8 on every bundled member (each
+        # wavelength / 48 exceeds 0.02, so both grids take the base step)
         from vexp.corpus import default_corpus
         for m in default_corpus():
-            v1 = sup_norm(m.rf, m.sup_window, step=0.02)
-            v2 = sup_norm(m.rf, m.sup_window, step=0.01)
+            v1 = sup_norm(m.rf, m.sup_window)
+            with monkeypatch.context() as mp:
+                mp.setattr(steklov, "_GRID_STEP", 0.01)
+                v2 = sup_norm(m.rf, m.sup_window)
             assert abs(v1 - v2) < 1e-8, m.name
 
 
