@@ -191,7 +191,7 @@ def _checked(ctx: Context, case: AuditCase) -> tuple[Family, CorpusMember, NormS
 
 
 def _deriv_member(m: CorpusMember, order: int) -> RealFunction:
-    return as_real_function(differentiate(m.expr, order), f"{m.name}^({order})")
+    return as_real_function(differentiate(m.expr, order))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +230,7 @@ def run_holder(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
     ng = luxemburg_norm(g.rf, norm.p.dual(), window=win, panels_per_unit=ppu).value
     c = fam.constant(case, norm.p)
     yield make_row(
-        "holder_upper_bound", f"f={m.rf.name};g={g.rf.name};p={norm.p.name}",
+        "holder_upper_bound", f"f={m.name};g={g.name};p={norm.p.name}",
         lhs=lhs, rhs=c * nf * ng, constant_used=c,
         truncation_bounds={"window": win})
 
@@ -393,7 +393,7 @@ def run_modulus_props(ctx: Context, case: AuditCase, fam: Family, m: CorpusMembe
     the sup norm, where averages contract, and c10 in L^p(.).
     """
     gm = ctx.member(case.g_src)
-    f, g, r = m.rf, gm.rf, case.r
+    r = case.r
     d1, d2 = case.deltas
     t_bound = fam.constant(case, norm.p)
     tag = "sup" if norm.p is None else f"p={norm.p.name}"
@@ -401,31 +401,31 @@ def run_modulus_props(ctx: Context, case: AuditCase, fam: Family, m: CorpusMembe
     om_f_d1 = _omega(ctx, m, r, d1, norm)
     om_f_d2 = _omega(ctx, m, r, d2, norm)
     yield make_row(
-        "modulus_monotone", f"f={f.name};{tag};r={r};d1={d1:g};d2={d2:g}",
+        "modulus_monotone", f"f={m.name};{tag};r={r};d1={d1:g};d2={d2:g}",
         lhs=om_f_d1, rhs=om_f_d2, constant_used=1.0)
 
     om_g = _omega(ctx, gm, r, d2, norm)
-    fg = combine([(1.0, f), (1.0, g)], name=f"{f.name}+{g.name}")
+    fg = combine([(1.0, m.rf), (1.0, gm.rf)])
     om_fg = modulus(ModulusRequest(fg, r, d2, norm))
     yield make_row(
-        "modulus_subadditive", f"f={f.name};g={g.name};{tag};r={r};d={d2:g}",
+        "modulus_subadditive", f"f={m.name};g={gm.name};{tag};r={r};d={d2:g}",
         lhs=om_fg, rhs=om_f_d2 + om_g, constant_used=1.0)
 
     size_c = (1.0 + t_bound) ** r
     yield make_row(
-        "modulus_size_bound", f"f={f.name};{tag};r={r};d={d2:g}",
+        "modulus_size_bound", f"f={m.name};{tag};r={r};d={d2:g}",
         lhs=om_f_d2, rhs=size_c * ctx.norm(m, norm), constant_used=size_c)
 
     if m.smooth:
         smooth_c = t_bound ** r * 2.0 ** (-r) * d2 ** r
         nd = norm_of(_deriv_member(m, r), norm)
         yield make_row(
-            "modulus_smooth_bound", f"f={f.name};{tag};r={r};d={d2:g}",
+            "modulus_smooth_bound", f"f={m.name};{tag};r={r};d={d2:g}",
             lhs=om_f_d2, rhs=smooth_c * nd, constant_used=smooth_c)
 
     seq = [_omega(ctx, m, r, d, norm) for d in _VANISH_DELTAS]
     row = make_row(
-        "modulus_vanishing", f"f={f.name};{tag};r={r}",
+        "modulus_vanishing", f"f={m.name};{tag};r={r}",
         lhs=seq[-1], rhs=seq[0] if seq[0] > 0 else 0.0,
         constant_used=1.0,
         truncation_bounds={"delta_sequence": list(_VANISH_DELTAS),
@@ -474,8 +474,7 @@ def run_sup_steklov(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
             g1 = _deriv_member(m, 1)
             g2 = _deriv_member(m, 2)
             tg = iterated_steklov(m.rf, d, 1)
-            resid = combine([(1.0, m.rf), (-1.0, tg), (d / 2.0, g1)],
-                            name="taylor_resid")
+            resid = combine([(1.0, m.rf), (-1.0, tg), (d / 2.0, g1)])
             yield make_row(
                 "taylor_remainder_sup", _case_id(m, delta=d),
                 lhs=sup_norm(resid, W), rhs=d * d / 6.0 * sup_norm(g2, W),
@@ -526,7 +525,7 @@ def _shift_modulus(m: CorpusMember, r: int, delta: float, window: float) -> floa
     best = 0.0
     terms = {(0, j): float((-1) ** j) * math.comb(r, j) for j in range(r + 1)}
     for h in np.linspace(-delta, delta, 64):
-        diff = steklov_combination(m.rf, h, terms, "shift_diff")
+        diff = steklov_combination(m.rf, h, terms)
         best = max(best, sup_norm(diff, window, refine=False))
     return best
 

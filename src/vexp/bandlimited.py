@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .fnexpr import Decay
-from .functions import RealFunction, as_real_function, combine, outer_apply
+from .functions import RealFunction, combine, outer_apply
 from .norms import NormSpec, default_window, norm_of
 from .quad import DEFAULT_SPEC, QuadSpec, panel_rule
 
@@ -76,8 +76,7 @@ def kernel_tail_bound(sigma: float, u_cut: float, f_sup_beyond: float) -> float:
     return (4.0 / math.pi) / (sigma * u_cut) * f_sup_beyond
 
 
-def _f_envelope_beyond(f: RealFunction, radius: float) -> float:
-    d = f.decay
+def _f_envelope_beyond(d: Decay, radius: float) -> float:
     if d.kind == "gaussian":
         return math.exp(-min(radius * radius, 700.0))
     if d.kind == "power" and d.alpha > 0:
@@ -85,14 +84,14 @@ def _f_envelope_beyond(f: RealFunction, radius: float) -> float:
     return 1.0
 
 
-def _u_window(f: RealFunction, sigma: float, x_span: float,
+def _u_window(decay: Decay, sigma: float, x_span: float,
               target: float) -> float:
     """Smallest window with kernel_tail_bound(...) <= target, by decay class."""
-    if f.decay.kind == "gaussian":
+    if decay.kind == "gaussian":
         return x_span + 14.0
     lo = x_span + 8.0
     for _ in range(80):
-        env = _f_envelope_beyond(f, max(lo - x_span, 1.0))
+        env = _f_envelope_beyond(decay, max(lo - x_span, 1.0))
         if kernel_tail_bound(sigma, lo, env) <= target or lo > 1e7:
             return lo
         lo *= 1.5
@@ -167,7 +166,7 @@ def _lattice_convolution(f: RealFunction, sigma: float, h: float, n_u: int,
     return ev
 
 
-def vp_operator(f, sigma: float, x_span: Optional[float] = None,
+def vp_operator(f: RealFunction, sigma: float, x_span: Optional[float] = None,
                 tail_target: float = 1e-8) -> RealFunction:
     """J(f, sigma)(x) = sigma * int f(x - u) theta(sigma u) du, truncated.
 
@@ -177,28 +176,28 @@ def vp_operator(f, sigma: float, x_span: Optional[float] = None,
     and J can be evaluated for |x| up to x_span (default: the window
     suggested by f's decay) plus the stencil; further out it raises.
     """
-    f = as_real_function(f)
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    if f.expr is not None and f.expr.constant is not None:
+    if f.expr is None:
+        raise ValueError("the convolution's window needs f's expression")
+    if f.expr.constant is not None:
         return f  # J reproduces constants exactly: the kernel has unit mass
     if x_span is None:
         x_span = default_window(f)
 
-    if f.decay.kind == "compact_support":
-        a, b = f.decay.a, f.decay.b
-        edges = _zero_aligned_panels(sigma, a, b, extra=f.breakpoints)
+    decay = f.expr.decay_class
+    if decay.kind == "compact_support":
+        edges = _zero_aligned_panels(sigma, decay.a, decay.b, extra=f.breakpoints)
         nodes, wts = panel_rule(edges, 12)
         fvals = f(nodes) * wts
-        kernel = RealFunction(fn=lambda t: vp_kernel(sigma * t), name="theta")
+        kernel = RealFunction(fn=lambda t: vp_kernel(sigma * t))
 
         def ev(x):
             return sigma * outer_apply(kernel, x, -nodes, fvals)
 
-        return RealFunction(fn=ev, name=f"J({f.name},{sigma:g})",
-                            decay=Decay.power(2.0), osc_wavelength=2.0 * math.pi / (3.0 * sigma))
+        return RealFunction(fn=ev, osc_wavelength=2.0 * math.pi / (3.0 * sigma))
 
-    u_cut = _u_window(f, sigma, x_span, tail_target)
+    u_cut = _u_window(decay, sigma, x_span, tail_target)
     # the lattice must also resolve f's own variation (oscillation scale, or
     # ~1 for smooth non-oscillatory decay); an integer subdivision of the
     # zero-aligned panel keeps the sine zeros on the lattice
@@ -207,21 +206,20 @@ def vp_operator(f, sigma: float, x_span: Optional[float] = None,
     sub = math.ceil(w / cap) if w > cap else 1
     _panel_span(w / sub, -u_cut, u_cut)  # the panel cap, before any allocation
     if f.breakpoints:
-        raise ValueError(f"{f.name} has breakpoints {list(f.breakpoints)} but no "
+        raise ValueError(f"{f.expr.src} has breakpoints {list(f.breakpoints)} but no "
                          "compact support: the lattice convolution needs a smooth f")
     # cut the kernel at the first multiple of 2*pi/sigma, a double zero of
     # theta, at or beyond u_cut: 24 * sub lattice steps per multiple
     n_u = 24 * sub * math.ceil(u_cut * sigma / (2.0 * math.pi))
     h = w / sub / 8.0
     tail = kernel_tail_bound(sigma, n_u * h,
-                             _f_envelope_beyond(f, max(n_u * h - x_span, 1.0)))
+                             _f_envelope_beyond(decay, max(n_u * h - x_span, 1.0)))
     return RealFunction(fn=_lattice_convolution(f, sigma, h, n_u, x_span),
-                        name=f"J({f.name},{sigma:g})", decay=f.decay,
                         osc_wavelength=min(f.osc_wavelength, 2.0 * math.pi / (3.0 * sigma)),
                         tail_bound=tail)
 
 
-def best_approx_surrogate(f, sigma: float, norm: NormSpec,
+def best_approx_surrogate(f: RealFunction, sigma: float, norm: NormSpec,
                           spec: QuadSpec = DEFAULT_SPEC,
                           tail_target: float = 1e-8) -> BestApproxEstimate:
     """A_hat_sigma(f) = ||f - J(f, sigma/2)||, an upper bound for A_sigma(f).
@@ -229,7 +227,6 @@ def best_approx_surrogate(f, sigma: float, norm: NormSpec,
     J(f, sigma/2) has exponential type sigma, so the distance to it can only
     exceed the true deviation from the type-sigma class.
     """
-    f = as_real_function(f)
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     win = norm.window
@@ -237,6 +234,6 @@ def best_approx_surrogate(f, sigma: float, norm: NormSpec,
         win = default_window(f)
     j = vp_operator(f, sigma / 2.0, x_span=win, tail_target=tail_target)
 
-    d = combine([(1.0, f), (-1.0, j)], name=f"{f.name}-J")
+    d = combine([(1.0, f), (-1.0, j)])
     value = norm_of(d, replace(norm, window=win), spec)
     return BestApproxEstimate(value=value, tail_bound=j.tail_bound)

@@ -53,7 +53,7 @@ class CorpusMember:
 
 def _member(name: str, src: str, norm_window: float, sup_window: float,
             ppu: float = 4.0) -> CorpusMember:
-    return CorpusMember(name=name, rf=as_real_function(parse(src), name),
+    return CorpusMember(name=name, rf=as_real_function(parse(src)),
                         norm_window=norm_window, sup_window=sup_window,
                         panels_per_unit=ppu)
 

@@ -588,14 +588,14 @@ def _tail(node: Node) -> _Tail:
     return _product(l, r if node.op == "*" else _power_tail(r, -1))
 
 
-def classify_decay(node: Node) -> Decay:
+def classify_decay(node: Node, terms) -> Decay:
     """The decay class read off the tree: compact support from indicator
-    factors or a compactly supported piecewise polynomial, Gaussian from
-    gauss(a > 0) and exp(c x^2 + ...) with 64c < -1, power decay from a
-    negative growth bound, else none."""
+    factors or a compactly supported piecewise polynomial (node's
+    `truncated_powers` terms), Gaussian from gauss(a > 0) and exp(c x^2 + ...)
+    with 64c < -1, power decay from a negative growth bound, else none."""
+    if terms:
+        return Decay.compact(min(b for _, b, _ in terms), max(b for _, b, _ in terms))
     with np.errstate(all="ignore"):
-        if terms := truncated_powers(node):
-            return Decay.compact(min(b for _, b, _ in terms), max(b for _, b, _ in terms))
         t = _tail(node)
     if t.support:
         return Decay.compact(*t.support)
@@ -756,8 +756,13 @@ class FuncExpr:
         return to_source(self.ast)
 
     @cached_property
+    def terms(self) -> Optional[tuple[tuple[float, float, int], ...]]:
+        """`truncated_powers` of the tree, read once."""
+        return truncated_powers(self.ast)
+
+    @cached_property
     def decay_class(self) -> Decay:
-        return classify_decay(self.ast)
+        return classify_decay(self.ast, self.terms)
 
     @cached_property
     def smooth(self) -> bool:

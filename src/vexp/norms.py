@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .fnexpr import ExponentField
-from .functions import RealFunction, as_real_function
+from .functions import RealFunction
 from .quad import DEFAULT_SPEC, Bracket, QuadSpec, find_root_decreasing, panel_rule
 from .steklov import sup_norm
 
@@ -74,8 +74,12 @@ class NormSpec:
 
 
 def default_window(f: RealFunction) -> float:
-    """The truncation window f's decay class calls for."""
-    d = f.decay
+    """The truncation window the decay class of f's expression calls for;
+    ValueError for a function without one, which needs a given window."""
+    if f.expr is None:
+        raise ValueError("a function without an expression has no decay class: "
+                         "give its norm a window")
+    d = f.expr.decay_class
     if d.kind == "compact_support":
         return max(12.0, abs(d.a) + 2.0, abs(d.b) + 2.0)
     return {"gaussian": 12.0, "power": 200.0}.get(d.kind, 10.0)
@@ -95,9 +99,8 @@ class SampledModular:
     """log(w_i |f_i|^p_i) at the positive samples of |f| (zero samples add
     nothing for p >= 1), so the modular at any scale is one exp pass."""
 
-    def __init__(self, f, p: ExponentField, window: float,
+    def __init__(self, f: RealFunction, p: ExponentField, window: float,
                  panels_per_unit: float = 4.0):
-        f = as_real_function(f)
         x, w = window_nodes(window, panels_per_unit, f.breakpoints)
         samples = np.abs(f(x))
         self.s_max = float(np.max(samples)) if samples.size else 0.0
@@ -131,17 +134,15 @@ class SampledModular:
                         modular_at_value=self.value(root))
 
 
-def luxemburg_norm(f, p: ExponentField, spec: QuadSpec = DEFAULT_SPEC,
+def luxemburg_norm(f: RealFunction, p: ExponentField, spec: QuadSpec = DEFAULT_SPEC,
                    window: Optional[float] = None,
                    panels_per_unit: float = 4.0) -> VexpNorm:
     """The Luxemburg norm: the scale at which the modular crosses 1."""
-    f = as_real_function(f)
     win = window if window is not None else default_window(f)
     return SampledModular(f, p, win, panels_per_unit).luxemburg(spec.rel_tol)
 
 
-def norm_of(f, norm: NormSpec, spec: QuadSpec = DEFAULT_SPEC) -> float:
-    f = as_real_function(f)
+def norm_of(f: RealFunction, norm: NormSpec, spec: QuadSpec = DEFAULT_SPEC) -> float:
     if norm.kind == "sup":
         return sup_norm(f, norm.window if norm.window is not None else default_window(f))
     return luxemburg_norm(f, norm.p, spec, window=norm.window,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .functions import as_real_function
+from .functions import RealFunction
 from .norms import NormSpec, norm_of
 from .quad import DEFAULT_SPEC, QuadSpec
 from .steklov import difference_power, derivative_terms, steklov_combination
@@ -34,7 +34,7 @@ __all__ = ["ModulusRequest", "KFunctionalEstimate", "modulus", "k_functional_upp
 
 @dataclass(frozen=True)
 class ModulusRequest:
-    f: object
+    f: RealFunction
     r: int
     delta: float
     norm: NormSpec
@@ -61,21 +61,18 @@ def modulus(req: ModulusRequest, spec: QuadSpec = DEFAULT_SPEC) -> float:
     return norm_of(h, req.norm, spec)
 
 
-def k_functional_upper(f, r: int, delta: float, norm: NormSpec,
+def k_functional_upper(f: RealFunction, r: int, delta: float, norm: NormSpec,
                        spec: QuadSpec = DEFAULT_SPEC) -> KFunctionalEstimate:
     """Upper bound for the order-r K-functional from the iterate candidate."""
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    f = as_real_function(f)
     # f - g = (I - T_d^(2r))^r f, and g^(r) through difference identities
     diff = {(2 * r * l, 0): float((-1) ** l) * math.comb(r, l) for l in range(r + 1)}
     deriv = {key: float((-1) ** (l - 1)) * math.comb(r, l) * c
              for l in range(1, r + 1)
              for key, c in derivative_terms(delta, 2 * r * l, r).items()}
-    fmg = norm_of(steklov_combination(f, delta, diff, f"(I-T^{2 * r})^{r}[{f.name}]"),
-                  norm, spec)
-    gder = norm_of(steklov_combination(f, delta, deriv, f"g^({r})[{f.name}]"),
-                   norm, spec)
+    fmg = norm_of(steklov_combination(f, delta, diff), norm, spec)
+    gder = norm_of(steklov_combination(f, delta, deriv), norm, spec)
     return KFunctionalEstimate(
         value=fmg + delta ** r * gder,
         f_minus_g_norm=fmg,

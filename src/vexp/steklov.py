@@ -53,8 +53,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fnexpr import Decay
-from .functions import _SUB_CHUNK, RealFunction, as_real_function, outer_apply, zero_function
+from .functions import _SUB_CHUNK, RealFunction, outer_apply, zero_function
 from .quad import panel_rule
 
 __all__ = [
@@ -160,16 +159,10 @@ def _oscillation_subpanels(f: RealFunction, delta: float) -> int:
     return min(16, max(1, math.ceil(phase_per_unit / 6.0)))
 
 
-def steklov_combination(f, delta: float, terms: dict[tuple[int, int], float],
-                        name: str) -> RealFunction:
+def steklov_combination(f: RealFunction, delta: float,
+                        terms: dict[tuple[int, int], float]) -> RealFunction:
     """sum of c * T_d^k f(x + j*d) over terms {(k, j): c}, with j >= 0: term by
     term for engine-backed f, else on one weighted lattice (module docstring)."""
-    f = as_real_function(f)
-    decay = f.decay
-    if decay.kind == "compact_support":
-        ends = [(decay.a - i * delta - j * delta, decay.b - i * delta - j * delta)
-                for k, j in terms for i in (0, k)]
-        decay = Decay.compact(min(a for a, _ in ends), max(b for _, b in ends))
     breakpoints = tuple(sorted({s - i * delta - j * delta for s in f.breakpoints
                                 for k, j in terms for i in range(k + 1)}))
 
@@ -216,29 +209,26 @@ def steklov_combination(f, delta: float, terms: dict[tuple[int, int], float],
                 out[i] = np.sum(f.fn(flat[i, None] + off) * w, axis=1)
             return out.reshape(np.shape(x))
 
-    return RealFunction(fn=ev, name=name, decay=decay, breakpoints=breakpoints,
-                        osc_wavelength=f.osc_wavelength)
+    return RealFunction(fn=ev, breakpoints=breakpoints, osc_wavelength=f.osc_wavelength)
 
 
-def iterated_steklov(f, delta: float, k: int) -> RealFunction:
+def iterated_steklov(f: RealFunction, delta: float, k: int) -> RealFunction:
     """k-th iterate of the forward average, one kernel quadrature per point."""
-    f = as_real_function(f)
     if k < 0:
         raise ValueError("power must be >= 0")
     if k == 0 or delta == 0.0:
         return f
-    return steklov_combination(f, delta, {(k, 0): 1.0}, f"T_{delta:g}^{k}[{f.name}]")
+    return steklov_combination(f, delta, {(k, 0): 1.0})
 
 
-def difference_power(f, delta: float, r: int) -> RealFunction:
+def difference_power(f: RealFunction, delta: float, r: int) -> RealFunction:
     """(I - T_d)^r f expanded by the binomial theorem; zero when d = 0."""
-    f = as_real_function(f)
     if r < 1:
         raise ValueError("r must be >= 1")
     if delta == 0.0:
-        return zero_function(name=f"(I-T_0)^{r}[{f.name}]")
+        return zero_function()
     terms = {(j, 0): float((-1) ** j) * math.comb(r, j) for j in range(r + 1)}
-    return steklov_combination(f, delta, terms, f"(I-T_{delta:g})^{r}[{f.name}]")
+    return steklov_combination(f, delta, terms)
 
 
 def derivative_terms(delta: float, m: int, r: int) -> dict[tuple[int, int], float]:
@@ -254,11 +244,9 @@ def derivative_terms(delta: float, m: int, r: int) -> dict[tuple[int, int], floa
             for j in range(r + 1)}
 
 
-def steklov_derivative(f, delta: float, m: int, r: int) -> RealFunction:
+def steklov_derivative(f: RealFunction, delta: float, m: int, r: int) -> RealFunction:
     """d^r/dx^r T_d^m f; see `derivative_terms`."""
-    f = as_real_function(f)
-    return steklov_combination(f, delta, derivative_terms(delta, m, r),
-                               f"d^{r} T_{delta:g}^{m}[{f.name}]")
+    return steklov_combination(f, delta, derivative_terms(delta, m, r))
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +260,15 @@ _MAX_POINTS = 388
 _EPS = float(np.finfo(float).eps)
 
 
-def sup_norm(f, window: float, refine: bool = True) -> float:
+def sup_norm(f: RealFunction, window: float, refine: bool = True) -> float:
     """max |f| over [-window, window] on a grid, refined at its peaks."""
     return _grid_maxima(f, window, refine)[0]
 
 
-def _grid_maxima(f, window: float, refine: bool = True,
+def _grid_maxima(f: RealFunction, window: float, refine: bool = True,
                  signed: bool = False) -> list[float]:
     """[max |f|], or [max f, max -f] when signed, over [-window, window]: the
     grid values, refined by `_refine_peaks` unless refine is False."""
-    f = as_real_function(f)
     step = max(min(_GRID_STEP, f.osc_wavelength / 48.0), 2.0 * window / 400_000)
     n = max(64, int(round(2.0 * window / step)) + 1)
     xs = np.linspace(-window, window, n)

@@ -17,7 +17,7 @@ import numpy as np
 
 from vexp.bandlimited import (_f_envelope_beyond, _MAX_PANELS, _u_window,
                               kernel_tail_bound, vp_kernel)
-from vexp.functions import RealFunction, as_real_function, outer_apply
+from vexp.functions import RealFunction, outer_apply
 from vexp.quad import panel_rule
 
 
@@ -45,25 +45,24 @@ def _zero_aligned_panels(sigma: float, lo: float, hi: float,
     return edges
 
 
-def vp_operator_direct(f, sigma: float, x_span: float,
+def vp_operator_direct(f: RealFunction, sigma: float, x_span: float,
                        tail_target: float = 1e-8) -> RealFunction:
     """J(f, sigma) for decaying f by 10-point Gauss-Legendre panels on the
     u-window of `_u_window`, with its tail bound."""
-    f = as_real_function(f)
-    u_cut = _u_window(f, sigma, x_span, tail_target)
+    decay = f.expr.decay_class
+    u_cut = _u_window(decay, sigma, x_span, tail_target)
     # panels must also resolve f's own variation (oscillation scale, or ~1
     # for smooth non-oscillatory decay)
     cap = f.osc_wavelength / 2.0 if math.isfinite(f.osc_wavelength) else 1.0
     edges = _zero_aligned_panels(sigma, -u_cut, u_cut, max_width=cap)
     nodes, wts = panel_rule(edges, 10)
     kern = sigma * vp_kernel(sigma * nodes) * wts
-    tail = kernel_tail_bound(sigma, u_cut, _f_envelope_beyond(f, max(u_cut - x_span, 1.0)))
+    tail = kernel_tail_bound(sigma, u_cut, _f_envelope_beyond(decay, max(u_cut - x_span, 1.0)))
 
     def ev(x):
         return outer_apply(f, x, -nodes, kern)
 
-    return RealFunction(fn=ev, name=f"J({f.name},{sigma:g})", decay=f.decay,
-                        osc_wavelength=min(f.osc_wavelength, 2.0 * math.pi / (3.0 * sigma)),
+    return RealFunction(fn=ev, osc_wavelength=min(f.osc_wavelength, 2.0 * math.pi / (3.0 * sigma)),
                         tail_bound=tail)
 
 

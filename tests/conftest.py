@@ -22,7 +22,7 @@ def p_bump():
 
 @pytest.fixture(scope="session")
 def gauss():
-    return as_real_function(parse("exp(-x^2)"), name="gauss")
+    return as_real_function(parse("exp(-x^2)"))
 
 
 def grid(lo, hi, n):

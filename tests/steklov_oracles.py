@@ -14,17 +14,17 @@ import math
 import mpmath
 import numpy as np
 
-from vexp.functions import RealFunction, as_real_function, outer_apply
+from vexp.functions import RealFunction, outer_apply
 from vexp.quad import gauss_rule, panel_rule
 
 
-def nested_steklov(f, delta: float, k: int) -> RealFunction:
+def nested_steklov(f: RealFunction, delta: float, k: int) -> RealFunction:
     """k literal nested applications of T_d (independent of the kernel path).
 
     Work grows geometrically with k for smooth inputs (each level multiplies
     the evaluation fan-out), so this is a test oracle, not a production path.
     """
-    g = as_real_function(f)
+    g = f
     for _ in range(k):
         g = _single_nested(g, delta)
     return g
@@ -33,16 +33,13 @@ def nested_steklov(f, delta: float, k: int) -> RealFunction:
 def _single_nested(g: RealFunction, delta: float) -> RealFunction:
     if g.breakpoints:
         breaks = tuple(sorted({s - j * delta for s in g.breakpoints for j in (0, 1)}))
-        return RealFunction(fn=lambda x: _split_average(g, delta, x),
-                            name=f"T_{delta:g}[{g.name}]", decay=g.decay,
-                            breakpoints=breaks)
+        return RealFunction(fn=lambda x: _split_average(g, delta, x), breakpoints=breaks)
     x0, w0 = gauss_rule(24)
 
     def ev(x):
         return outer_apply(g, x, delta * x0, w0)
 
-    return RealFunction(fn=ev, name=f"T_{delta:g}[{g.name}]", decay=g.decay,
-                        osc_wavelength=g.osc_wavelength)
+    return RealFunction(fn=ev, osc_wavelength=g.osc_wavelength)
 
 
 def _split_average(g: RealFunction, delta: float, x) -> np.ndarray:

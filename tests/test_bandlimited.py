@@ -16,8 +16,8 @@ from vexp.steklov import sup_norm
 
 from bandlimited_reference import vp_fourier, vp_operator_direct
 
-GAUSS = as_real_function(parse("exp(-x^2)"), name="gauss")
-DECAYING = [m.name for m in default_corpus() if m.rf.decay.kind != "compact_support"]
+GAUSS = as_real_function(parse("exp(-x^2)"))
+DECAYING = [m.name for m in default_corpus() if m.expr.decay_class.kind != "compact_support"]
 
 
 class TestKernel:
@@ -72,7 +72,7 @@ class TestOperator:
         assert np.max(np.abs(stencil - jf1(xs))) < 1e-6
 
     def test_compact_support_convolution_form(self):
-        f = as_real_function(parse("indicator(0, 1)"), name="box")
+        f = as_real_function(parse("indicator(0, 1)"))
         j = vp_operator(f, 4.0)
         assert sup_norm(j, 6.0) <= 1.5 + 1e-8
         # away from the support the output decays like the kernel
@@ -95,10 +95,15 @@ class TestOperator:
         # J(xgauss) by 3.4e-2 (sigma = 1) and 5.2e-2 (sigma = 4) on the
         # Gauss-Legendre panels, and by 2.2e-2 and 6.2e-2 on the lattice
         f = as_real_function(parse("indicator(0,1)+x*exp(-x^2)"))
-        assert f.decay.kind == "gaussian" and f.breakpoints == (0.0, 1.0)
+        assert f.expr.decay_class.kind == "gaussian" and f.breakpoints == (0.0, 1.0)
         for sigma in (1.0, 4.0):
             with pytest.raises(ValueError, match="breakpoints"):
                 vp_operator(f, sigma)
+
+    def test_refuses_input_without_expression(self):
+        # no decay class, so no u-window (it raised the panel cap before)
+        with pytest.raises(ValueError, match="expression"):
+            vp_operator(RealFunction(fn=np.cos), 1.0)
 
 
 @pytest.mark.parametrize("sigma", [1.0, 4.0, 8.0])
@@ -131,7 +136,7 @@ def test_lattice_matches_fourier_oracle(name, sigma):
 
 class TestSurrogate:
     def test_zero_function(self, p2):
-        zero = as_real_function(parse("0"), name="zero")
+        zero = as_real_function(parse("0"))
         est = best_approx_surrogate(zero, 4.0, NormSpec.vexp(p2))
         assert est.value == 0.0
 
@@ -148,7 +153,7 @@ class TestSurrogate:
         assert j.tail_bound == 0.0
 
     def test_reproduction_kills_the_surrogate(self, p2):
-        f = as_real_function(parse("sinc(1)"), name="sinc1")
+        f = as_real_function(parse("sinc(1)"))
         est = best_approx_surrogate(f, 2.0, NormSpec.vexp(p2, window=20.0),
                                     tail_target=1e-5)
         assert est.value <= 1e-6
@@ -156,9 +161,7 @@ class TestSurrogate:
     def test_reproduction_boundary_type(self, p2):
         # the surrogate convolves at half the requested type, so the
         # reproduction threshold for type-a inputs is sigma/2 >= a
-        f = as_real_function(parse("sinc(4)"), name="sinc4")
-        f = RealFunction(fn=f.fn, name="sinc4", decay=Decay.power(1.0),
-                         osc_wavelength=math.pi / 4.0)
+        f = as_real_function(parse("sinc(4)"))
         at_boundary = best_approx_surrogate(
             f, 8.0, NormSpec.vexp(p2, window=20.0), tail_target=1e-5)
         below = best_approx_surrogate(
@@ -175,14 +178,14 @@ class TestSurrogate:
 
     def test_tail_bound_recorded_for_slow_decay(self):
         # the 1/x^2 decay class is read off the raw expression
-        f = as_real_function(parse("1/(1+x^2)"), name="lorentz")
+        f = as_real_function(parse("1/(1+x^2)"))
         est = best_approx_surrogate(f, 4.0, NormSpec.sup(20.0), tail_target=1e-6)
         assert est.tail_bound > 0.0
         assert est.tail_bound <= 1e-6
 
     def test_raw_lorentzian_matches_bundled(self):
         raw, bundled = resolve_function("1/(1+x^2)"), resolve_function("@lorentz")
-        assert raw.rf.decay == bundled.rf.decay == Decay.power(2.0)
+        assert raw.expr.decay_class == bundled.expr.decay_class == Decay.power(2.0)
         got = best_approx_surrogate(raw.rf, 4.0, raw.norm_spec()).value
         assert got == best_approx_surrogate(bundled.rf, 4.0, bundled.norm_spec()).value
 
@@ -190,7 +193,7 @@ class TestSurrogate:
         # exp(-|x|) has no decay class, which puts the u-window at 1.2e7:
         # 4.6e7 zero-aligned panels.  Panels widened to the cap gave 0.9995
         # on the Lorentzian when it had no class, where 1/x^2 decay gives 0.0585
-        f = as_real_function(parse("exp(-abs(x))"), name="laplace")
+        f = as_real_function(parse("exp(-abs(x))"))
         with pytest.raises(ValueError, match="46143412 panels on the u-window"):
             best_approx_surrogate(f, 4.0, NormSpec.sup(20.0))
 

@@ -22,7 +22,7 @@ def _answers(f, spec):
 @pytest.mark.parametrize("member", default_corpus(), ids=lambda m: m.name)
 def test_raw_source_is_its_bundled_twin(member):
     raw = resolve_function(member.expr.src)
-    assert raw.rf.decay == member.rf.decay
+    assert raw.expr.decay_class == member.expr.decay_class
     for p in NORMS:
         spec = member.norm_spec(p)
         got, want = _answers(raw.rf, spec), _answers(member.rf, spec)

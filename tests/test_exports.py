@@ -10,6 +10,7 @@ import vexp
 
 MODULES = ["vexp"] + [f"vexp.{m.name}" for m in pkgutil.iter_modules(vexp.__path__)]
 REPO = Path(__file__).resolve().parents[1]
+SOURCES = sorted((REPO / "src" / "vexp").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -41,3 +42,21 @@ def test_every_export_is_read_outside_tests(name):
     # an export only tests read belongs in the tests
     exports = getattr(importlib.import_module(name), "__all__", ())
     assert [n for n in exports if n not in names_read_outside_tests()] == []
+
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    # an import nothing reads is left over from code that moved or went;
+    # a name listed in __all__ is read by the importers of the module
+    nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+    imported = {(alias.asname or alias.name).split(".")[0] for node in nodes
+                if isinstance(node, ast.Import)
+                or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+                for alias in node.names}
+    read = {node.id for node in nodes
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = {elt.value for node in nodes if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for elt in node.value.elts}
+    assert sorted(imported - read - exported) == []

@@ -144,7 +144,20 @@ class TestDecay:
                 "xgauss": Decay.gaussian(), "cos_gauss": Decay.gaussian(),
                 "gauss_wide": Decay.gaussian(), "x2gauss": Decay.gaussian(),
                 "lorentz": Decay.power(2.0), "lorentz2": Decay.power(4.0)}
-        assert {m.name: m.rf.decay for m in default_corpus()} == want
+        assert {m.name: m.expr.decay_class for m in default_corpus()} == want
+
+    def test_truncated_powers_read_once(self, monkeypatch):
+        # the exact engine and the decay class share the expression's terms;
+        # each walk of the tree recompiles its subtrees
+        from vexp import functions
+        calls = []
+        read = fnexpr.truncated_powers
+        for module in (fnexpr, functions):  # wherever it is looked up
+            monkeypatch.setattr(module, "truncated_powers",
+                                lambda node: calls.append(node) or read(node), raising=False)
+        f = functions.as_real_function(parse("indicator(0, 1)"))
+        assert f.expr.decay_class == Decay.compact(0.0, 1.0)
+        assert len(calls) == 1
 
     def test_smooth_flag(self):
         assert parse("sinc(2)*exp(-x^2)/(1+x^2)").smooth

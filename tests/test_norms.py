@@ -12,17 +12,18 @@ from vexp.fnexpr import ExponentField, parse
 from vexp.functions import RealFunction, as_real_function, combine
 from vexp.norms import (NormSpec, NotIntegrableError, SampledModular,
                         luxemburg_norm, norm_of)
+from vexp.steklov import iterated_steklov
 
-GAUSS = as_real_function(parse("exp(-x^2)"), name="gauss")
+GAUSS = as_real_function(parse("exp(-x^2)"))
 
 
 def box():
-    return as_real_function(parse("indicator(0, 1)"), name="box")
+    return as_real_function(parse("indicator(0, 1)"))
 
 
 class TestModular:
     def test_zero_function(self, p2):
-        zero = as_real_function(parse("0"), name="zero")
+        zero = as_real_function(parse("0"))
         assert SampledModular(zero, p2, 12.0).value(1.0) == 0.0
 
     def test_box_mass(self, p2):
@@ -43,7 +44,7 @@ class TestModular:
 
 class TestLuxemburg:
     def test_zero_function(self, p2):
-        zero = as_real_function(parse("0"), name="zero")
+        zero = as_real_function(parse("0"))
         res = luxemburg_norm(zero, p2)
         assert res.value == 0.0 and res.bracket_used is None
 
@@ -70,7 +71,7 @@ class TestLuxemburg:
     def test_scaled_box_variable_exponent_root(self):
         # f = 2 * box and p(x) = 2 + x on the support: the modular of f/eta
         # is int_0^1 (2/eta)^(2+x) dx, identically 1 at eta = 2
-        f2 = as_real_function(parse("2*indicator(0, 1)"), name="2box")
+        f2 = as_real_function(parse("2*indicator(0, 1)"))
         p = ExponentField(expr=parse("2 + x"), p_minus=2.0, p_plus=3.0,
                           p_infinity=2.0, c_log_local=0.0, c_log_decay=0.0,
                           name="2+x")
@@ -85,9 +86,8 @@ class TestLuxemburg:
     @pytest.mark.parametrize("c", [2.0, 1.0 / 3.0, 10.0])
     def test_homogeneity(self, p_bump, c):
         base = luxemburg_norm(GAUSS, p_bump).value
-        scaled = RealFunction(fn=lambda x, c=c: c * GAUSS.fn(x), name="cg",
-                              decay=GAUSS.decay)
-        val = luxemburg_norm(scaled, p_bump).value
+        scaled = RealFunction(fn=lambda x, c=c: c * GAUSS.fn(x))
+        val = luxemburg_norm(scaled, p_bump, window=12.0).value
         assert abs(val - c * base) <= 1e-8 * c * base
 
     @pytest.mark.parametrize("pair", [
@@ -100,16 +100,21 @@ class TestLuxemburg:
         b = corpus_member(pair[1])
         win = max(a.norm_window, b.norm_window)
         ppu = max(a.panels_per_unit, b.panels_per_unit)
-        s = combine([(1.0, a.rf), (1.0, b.rf)], name="sum")
+        s = combine([(1.0, a.rf), (1.0, b.rf)])
         lhs = luxemburg_norm(s, p_bump, window=win, panels_per_unit=ppu).value
         rhs = (luxemburg_norm(a.rf, p_bump, window=win, panels_per_unit=ppu).value
                + luxemburg_norm(b.rf, p_bump, window=win, panels_per_unit=ppu).value)
         assert lhs <= rhs + 1e-9
 
     def test_not_integrable_signalled(self, p2):
-        grower = as_real_function(parse("exp(x^2)"), name="grower")
+        grower = as_real_function(parse("exp(x^2)"))
         with pytest.raises(NotIntegrableError):
             luxemburg_norm(grower, p2, window=10.0)
+
+    def test_operator_output_needs_a_window(self, gauss, p2):
+        # an operator's output has no expression, so no decay class
+        with pytest.raises(ValueError, match="window"):
+            norm_of(iterated_steklov(gauss, 0.5, 1), NormSpec.vexp(p2))
 
 
 @pytest.mark.parametrize("p, most", [

@@ -21,7 +21,7 @@ XS = np.linspace(-3.0, 3.0, 25)
 
 
 def box_member():
-    return as_real_function(parse("indicator(0, 1)"), name="box")
+    return as_real_function(parse("indicator(0, 1)"))
 
 
 class TestForward:
@@ -71,8 +71,7 @@ class TestIterated:
 
     def test_induction_chain_high_powers(self):
         # T^k == T(T^(k-1)) checked with independent single-step quadrature
-        f = as_real_function(parse("exp(-x^2)*sin(5*x)"),
-                             name="osc")
+        f = as_real_function(parse("exp(-x^2)*sin(5*x)"))
         pts = np.linspace(-2, 2, 9)
         for k in range(2, 9):
             prev = iterated_steklov(f, 0.4, k - 1)
@@ -156,7 +155,7 @@ def _member(name):
     if name == "box+xgauss":
         # rough and not engine-backed: every iterate is a per-point quadrature
         return combine([(1.0, corpus_member("box").rf),
-                        (1.0, corpus_member("xgauss").rf)], name)
+                        (1.0, corpus_member("xgauss").rf)])
     return corpus_member(name).rf
 
 
@@ -171,7 +170,7 @@ class TestCombination:
     def test_matches_terms_one_at_a_time(self, name, d):
         f = _member(name)
         xs = np.linspace(-2.5, 2.0, 19)
-        got = steklov_combination(f, d, TERMS, "comb")(xs)
+        got = steklov_combination(f, d, TERMS)(xs)
         want = sum(c * iterated_steklov(f, d, k)(xs + j * d)
                    for (k, j), c in TERMS.items())
         f_max = np.max(np.abs(f(np.linspace(-4.0, 4.0, 8001))))
@@ -182,11 +181,10 @@ class TestCombination:
         # the case above puts several panels on each unit of the lattice
         assert _oscillation_subpanels(_member("gauss_osc"), 1.5) > 1
 
-    def test_breakpoints_and_support_of_shifted_iterates(self):
+    def test_breakpoints_of_shifted_iterates(self):
         f = _member("box")
-        comb = steklov_combination(f, 0.5, {(0, 1): 1.0, (2, 0): 1.0}, "comb")
+        comb = steklov_combination(f, 0.5, {(0, 1): 1.0, (2, 0): 1.0})
         assert comb.breakpoints == (-1.0, -0.5, 0.0, 0.5, 1.0)
-        assert (comb.decay.a, comb.decay.b) == (-1.0, 1.0)
 
 
 class TestIndicatorEngine:
@@ -423,7 +421,7 @@ class TestSupNorm:
         lambda: difference_power(box_member(), 0.6, 1),
         lambda: combine([(1.0, corpus_member("gauss").rf),
                          (-1.0, vp_operator(corpus_member("gauss").rf, 1.0,
-                                            x_span=8.0))], "gauss-J"),
+                                            x_span=8.0))]),
     ], ids=["xgauss", "box_difference", "gauss_minus_J"])
     def test_refinement_budget(self, build):
         f, sizes = counted(build())
@@ -451,17 +449,3 @@ class TestSupNorm:
                 v2 = sup_norm(m.rf, m.sup_window)
             assert abs(v1 - v2) < 1e-8, m.name
 
-
-class TestCombineMetadata:
-    def test_sum_decay_is_weakest_class(self):
-        from vexp.functions import combine
-        from vexp.corpus import corpus_member
-        box = corpus_member("box").rf
-        gauss = corpus_member("gauss").rf
-        sinc = corpus_member("sinc1").rf
-        assert combine([(1.0, box), (1.0, gauss)], "bg").decay.kind == "gaussian"
-        assert combine([(1.0, sinc), (1.0, gauss)], "sg").decay.kind == "power"
-        hull = combine([(1.0, box), (1.0, corpus_member("box_smooth").rf)], "bb")
-        assert hull.decay.kind == "compact_support"
-        # the smoothed box starts at the rounded zero of (1.1 - 0.9)/2 + x
-        assert hull.decay.a == (0.9 - 1.1) / 2 and hull.decay.b == 1.0
