@@ -711,8 +711,10 @@ def rough_spots(node: Node) -> tuple[tuple[float, ...], float]:
     sinc(a) and sincd(a, n), the largest |slope| over the pieces of the
     argument of sin and cos, the sum over the factors of a product, n times
     the base's for a power n >= 1, else the largest of the children's.
-    ValueError for an abs outside the subset, as in abs(sin(x)), and for sin
-    or cos of an argument that is not piecewise affine, as in sin(x^2)."""
+    ValueError for an abs outside the subset, as in abs(sin(x)), for sin or
+    cos of an argument that is not piecewise affine, as in sin(x^2), and for
+    a divisor, an exp argument or the base of a negative power that
+    oscillates, as in exp(sin(x)), whose spectra no such sum bounds."""
     if isinstance(node, SincD):
         return (), abs(node.a)
     knots = _knots(node)
@@ -723,6 +725,11 @@ def rough_spots(node: Node) -> tuple[tuple[float, ...], float]:
     parts = [rough_spots(v) for v in vars(node).values()
              if not isinstance(v, (int, float, str))]
     freqs = [w for _, w in parts]
+    # the last child is the exp argument, the divisor or the negative power's base
+    if freqs and freqs[-1] and ((isinstance(node, Call) and node.name == "exp")
+                                or (isinstance(node, BinOp) and node.op == "/")
+                                or (isinstance(node, Pow) and node.exponent < 0)):
+        raise ValueError(f"cannot bound the frequency of {to_source(node)}")
     if isinstance(node, Call) and node.name in ("sin", "cos"):
         knots = _knots(node.arg)
         pieces = [] if knots is None else [_poly_at(node.arg, x) for x in _insides(sorted(knots))]

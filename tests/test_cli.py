@@ -79,6 +79,13 @@ class TestModulusCommand:
         assert out == ""
         assert "cannot bound the frequency of sin((x^2))" in err
 
+    @pytest.mark.parametrize("src", ["exp(4*sin(20*x))", "1/(1.1+sin(20*x))",
+                                     "sin(3*x)^-2"])
+    def test_oscillating_exp_divisor_or_negative_power_refused(self, capsys, src):
+        # these printed 42.25, 7.697 and inf
+        assert main(["modulus", "--f", src, "--r", "1", "--delta", "1"]) == 2
+        assert "cannot bound the frequency" in capsys.readouterr().err
+
     def test_vexp(self):
         code, out, _ = run_cli("modulus", "--f", "@gauss", "--p", "@p2",
                                "--r", "1", "--delta", "0.5")
