@@ -588,7 +588,7 @@ def _tail(node: Node) -> _Tail:
     return _product(l, r if node.op == "*" else _power_tail(r, -1))
 
 
-def classify_decay(node: Node, terms) -> Decay:
+def classify_decay(node: Node, terms: Optional[tuple]) -> Decay:
     """The decay class read off the tree: compact support from indicator
     factors or a compactly supported piecewise polynomial (node's
     `truncated_powers` terms), Gaussian from gauss(a > 0) and exp(c x^2 + ...)
