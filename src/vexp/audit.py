@@ -122,15 +122,14 @@ class Context:
                            lambda: resolve_exponent(src, p_infinity))
 
     def norm(self, m: CorpusMember, norm: NormSpec) -> float:
-        return self.cached(("norm", m.name, _norm_key(norm)),
-                           lambda: norm_of(m.rf, norm))
+        return self.cached(("norm", m.name, norm), lambda: norm_of(m.rf, norm))
 
     def ahat(self, m: CorpusMember, norm: NormSpec, sigma: float,
              lhs_window: Optional[float] = None,
              tail_target: Optional[float] = None) -> float:
         """Cached A_hat_sigma(f) = ||f - J(f, sigma/2)|| in the given norm."""
         tail = tail_target if tail_target is not None else 1e-8
-        key = ("ahat", m.name, _norm_key(norm), round(sigma, 12), lhs_window, tail)
+        key = ("ahat", m.name, norm, round(sigma, 12), lhs_window, tail)
         norm_used = norm if lhs_window is None else replace(norm, window=lhs_window)
         return self.cached(key, lambda: best_approx_surrogate(
             m.rf, sigma, norm_used, tail_target=tail).value)
@@ -149,12 +148,6 @@ class Context:
         return 0.5 * (top + bottom)
 
 
-def _norm_key(norm: NormSpec):
-    if norm.kind == "sup":
-        return ("sup", norm.window)
-    return ("vexp", norm.p.name, norm.window, norm.panels_per_unit)
-
-
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
@@ -170,7 +163,7 @@ def _case_id(m: CorpusMember, p: Optional[ExponentField] = None, **kv) -> str:
 
 def _omega(ctx: Context, m: CorpusMember, r: int, delta: float,
            norm: NormSpec) -> float:
-    return ctx.cached(("omega", m.name, _norm_key(norm), r, round(delta, 14)),
+    return ctx.cached(("omega", m.name, norm, r, round(delta, 14)),
                       lambda: modulus(ModulusRequest(m.rf, r, delta, norm)))
 
 

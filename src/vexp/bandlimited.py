@@ -24,14 +24,13 @@ than silently absorbed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fnexpr import Decay
 from .functions import RealFunction, combine, outer_apply
-from .norms import NormSpec, default_window, norm_of
+from .norms import NormSpec, norm_of
 from .quad import DEFAULT_SPEC, QuadSpec, panel_rule
 
 __all__ = ["vp_kernel", "vp_operator", "best_approx_surrogate",
@@ -166,15 +165,15 @@ def _lattice_convolution(f: RealFunction, sigma: float, h: float, n_u: int,
     return ev
 
 
-def vp_operator(f: RealFunction, sigma: float, x_span: Optional[float] = None,
+def vp_operator(f: RealFunction, sigma: float, x_span: float,
                 tail_target: float = 1e-8) -> RealFunction:
     """J(f, sigma)(x) = sigma * int f(x - u) theta(sigma u) du, truncated.
 
     For compactly supported f the convolution is written over the support,
     which makes the truncation exact.  Otherwise the u-window comes from the
     decay class and the recorded tail bound, f must be free of breakpoints,
-    and J can be evaluated for |x| up to x_span (default: the window
-    suggested by f's decay) plus the stencil; further out it raises.
+    and J can be evaluated for |x| up to the given x_span plus the stencil;
+    further out it raises.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
@@ -182,8 +181,6 @@ def vp_operator(f: RealFunction, sigma: float, x_span: Optional[float] = None,
         raise ValueError("the convolution's window needs f's expression")
     if f.expr.constant is not None:
         return f  # J reproduces constants exactly: the kernel has unit mass
-    if x_span is None:
-        x_span = default_window(f)
 
     decay = f.expr.decay_class
     if decay.kind == "compact_support":
@@ -225,15 +222,13 @@ def best_approx_surrogate(f: RealFunction, sigma: float, norm: NormSpec,
     """A_hat_sigma(f) = ||f - J(f, sigma/2)||, an upper bound for A_sigma(f).
 
     J(f, sigma/2) has exponential type sigma, so the distance to it can only
-    exceed the true deviation from the type-sigma class.
+    exceed the true deviation from the type-sigma class.  J is sampled on the
+    norm's window.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    win = norm.window
-    if win is None:
-        win = default_window(f)
-    j = vp_operator(f, sigma / 2.0, x_span=win, tail_target=tail_target)
+    j = vp_operator(f, sigma / 2.0, x_span=norm.window, tail_target=tail_target)
 
     d = combine([(1.0, f), (-1.0, j)])
-    value = norm_of(d, replace(norm, window=win), spec)
+    value = norm_of(d, norm, spec)
     return BestApproxEstimate(value=value, tail_bound=j.tail_bound)

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .fnexpr import ExponentField, FuncExpr, parse
 from .functions import RealFunction, as_real_function
-from .norms import NormSpec, default_window
+from .norms import NormSpec
 
 __all__ = ["CorpusMember", "default_corpus", "default_exponents",
            "corpus_member", "exponent_field", "resolve_function"]
@@ -112,9 +112,12 @@ def resolve_function(src: str) -> CorpusMember:
     if src.startswith("@"):
         return corpus_member(src[1:])
     e = parse(src)
-    rf = as_real_function(e)
-    w = default_window(rf)
-    return CorpusMember(name=e.src, rf=rf, norm_window=w,
+    d = e.decay_class
+    if d.kind == "compact_support":
+        w = max(12.0, abs(d.a) + 2.0, abs(d.b) + 2.0)
+    else:
+        w = {"gaussian": 12.0, "power": 200.0}.get(d.kind, 10.0)
+    return CorpusMember(name=e.src, rf=as_real_function(e), norm_window=w,
                         sup_window=min(w, 20.0), panels_per_unit=4.0)
 
 

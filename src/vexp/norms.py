@@ -1,7 +1,8 @@
 """The modular and the Luxemburg norm.
 
 The modular of f at scale lam is int |f(y)/lam|^p(y) dy over a truncation
-window; the Luxemburg norm is the scale eta at which it equals 1.  The
+window; the Luxemburg norm is the scale eta at which it equals 1.  Every
+norm is given its window: the corpus chooses one per input.  The
 integrand is sampled once on a composite Gauss-Legendre grid (panel edges
 split at its known breakpoints).  In log-log scale the modular is affine for
 constant p and convex with slope in [-p+, -p-] otherwise, so its root has a
@@ -24,7 +25,7 @@ from .steklov import sup_norm
 
 __all__ = [
     "VexpNorm", "NormSpec", "NotIntegrableError", "SampledModular",
-    "luxemburg_norm", "norm_of", "default_window", "window_nodes",
+    "luxemburg_norm", "norm_of", "window_nodes",
 ]
 
 _ETA_CAP = 1e12
@@ -48,15 +49,15 @@ class VexpNorm:
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Which norm an operation should use: sup on a window (p is None), or
-    Luxemburg in L^p(.)."""
+    """Which norm an operation should use, on which window: sup (p is None),
+    or Luxemburg in L^p(.)."""
 
+    window: float
     p: Optional[ExponentField] = None
-    window: Optional[float] = None
     panels_per_unit: float = 4.0
 
     def __post_init__(self):
-        if self.window is not None and not self.window > 0.0:
+        if not self.window > 0.0:
             raise ValueError(f"window must be positive, got {self.window:g}")
 
     @property
@@ -68,21 +69,9 @@ class NormSpec:
         return NormSpec(window=window)
 
     @staticmethod
-    def vexp(p: ExponentField, window: Optional[float] = None,
+    def vexp(p: ExponentField, window: float,
              panels_per_unit: float = 4.0) -> "NormSpec":
         return NormSpec(p=p, window=window, panels_per_unit=panels_per_unit)
-
-
-def default_window(f: RealFunction) -> float:
-    """The truncation window the decay class of f's expression calls for;
-    ValueError for a function without one, which needs a given window."""
-    if f.expr is None:
-        raise ValueError("a function without an expression has no decay class: "
-                         "give its norm a window")
-    d = f.expr.decay_class
-    if d.kind == "compact_support":
-        return max(12.0, abs(d.a) + 2.0, abs(d.b) + 2.0)
-    return {"gaussian": 12.0, "power": 200.0}.get(d.kind, 10.0)
 
 
 def window_nodes(window: float, panels_per_unit: float,
@@ -135,16 +124,15 @@ class SampledModular:
 
 
 def luxemburg_norm(f: RealFunction, p: ExponentField, spec: QuadSpec = DEFAULT_SPEC,
-                   window: Optional[float] = None,
-                   panels_per_unit: float = 4.0) -> VexpNorm:
-    """The Luxemburg norm: the scale at which the modular crosses 1."""
-    win = window if window is not None else default_window(f)
-    return SampledModular(f, p, win, panels_per_unit).luxemburg(spec.rel_tol)
+                   *, window: float, panels_per_unit: float = 4.0) -> VexpNorm:
+    """The Luxemburg norm on [-window, window]: the scale at which the
+    modular crosses 1."""
+    return SampledModular(f, p, window, panels_per_unit).luxemburg(spec.rel_tol)
 
 
 def norm_of(f: RealFunction, norm: NormSpec, spec: QuadSpec = DEFAULT_SPEC) -> float:
     if norm.kind == "sup":
-        return sup_norm(f, norm.window if norm.window is not None else default_window(f))
+        return sup_norm(f, norm.window)
     return luxemburg_norm(f, norm.p, spec, window=norm.window,
                           panels_per_unit=norm.panels_per_unit).value
 

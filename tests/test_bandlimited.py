@@ -57,14 +57,14 @@ class TestOperator:
 
     def test_sup_norm_bound(self):
         for sigma in (2.0, 8.0):
-            j = vp_operator(GAUSS, sigma)
+            j = vp_operator(GAUSS, sigma, x_span=12.0)
             assert sup_norm(j, 8.0) <= 1.5 * 1.0 + 1e-8
 
     def test_derivative_commutation(self):
         # (J f)' via a five-point stencil vs J(f') via the symbolic derivative
         f1 = as_real_function(differentiate(parse("exp(-x^2)")))
-        jf = vp_operator(GAUSS, 4.0)
-        jf1 = vp_operator(f1, 4.0)
+        jf = vp_operator(GAUSS, 4.0, x_span=12.0)
+        jf1 = vp_operator(f1, 4.0, x_span=12.0)
         xs = np.linspace(-6, 6, 121)
         h = 1e-3
         stencil = (-jf(xs + 2 * h) + 8 * jf(xs + h) - 8 * jf(xs - h)
@@ -73,14 +73,14 @@ class TestOperator:
 
     def test_compact_support_convolution_form(self):
         f = as_real_function(parse("indicator(0, 1)"))
-        j = vp_operator(f, 4.0)
+        j = vp_operator(f, 4.0, x_span=12.0)
         assert sup_norm(j, 6.0) <= 1.5 + 1e-8
         # away from the support the output decays like the kernel
         assert abs(j(np.array([30.0]))[0]) < 1e-2
 
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
-            vp_operator(GAUSS, 0.0)
+            vp_operator(GAUSS, 0.0, x_span=12.0)
 
     def test_refuses_x_beyond_the_lattice(self):
         j = vp_operator(GAUSS, 4.0, x_span=8.0)
@@ -98,12 +98,12 @@ class TestOperator:
         assert f.expr.decay_class.kind == "gaussian" and f.breakpoints == (0.0, 1.0)
         for sigma in (1.0, 4.0):
             with pytest.raises(ValueError, match="breakpoints"):
-                vp_operator(f, sigma)
+                vp_operator(f, sigma, x_span=12.0)
 
     def test_refuses_input_without_expression(self):
         # no decay class, so no u-window (it raised the panel cap before)
         with pytest.raises(ValueError, match="expression"):
-            vp_operator(RealFunction(fn=np.cos), 1.0)
+            vp_operator(RealFunction(fn=np.cos), 1.0, x_span=10.0)
 
 
 @pytest.mark.parametrize("sigma", [1.0, 4.0, 8.0])
@@ -137,7 +137,7 @@ def test_lattice_matches_fourier_oracle(name, sigma):
 class TestSurrogate:
     def test_zero_function(self, p2):
         zero = as_real_function(parse("0"))
-        est = best_approx_surrogate(zero, 4.0, NormSpec.vexp(p2))
+        est = best_approx_surrogate(zero, 4.0, NormSpec.vexp(p2, window=10.0))
         assert est.value == 0.0
 
     @pytest.mark.parametrize("src, value", [("0", 0.0), ("3", 3.0)])
@@ -147,7 +147,7 @@ class TestSurrogate:
         def refuse(*args):
             raise AssertionError("outer_apply called for a constant input")
         monkeypatch.setattr("vexp.bandlimited.outer_apply", refuse)
-        j = vp_operator(as_real_function(parse(src)), 2.0)
+        j = vp_operator(as_real_function(parse(src)), 2.0, x_span=10.0)
         xs = np.linspace(-50.0, 50.0, 101)
         assert np.all(j(xs) == value)
         assert j.tail_bound == 0.0

@@ -12,7 +12,6 @@ from vexp.fnexpr import ExponentField, parse
 from vexp.functions import RealFunction, as_real_function, combine
 from vexp.norms import (NormSpec, NotIntegrableError, SampledModular,
                         luxemburg_norm, norm_of)
-from vexp.steklov import iterated_steklov
 
 GAUSS = as_real_function(parse("exp(-x^2)"))
 
@@ -45,12 +44,13 @@ class TestModular:
 class TestLuxemburg:
     def test_zero_function(self, p2):
         zero = as_real_function(parse("0"))
-        res = luxemburg_norm(zero, p2)
+        res = luxemburg_norm(zero, p2, window=10.0)
         assert res.value == 0.0 and res.bracket_used is None
 
     def test_box_is_one_in_any_exponent(self, p2, p_bump):
         for p in (p2, p_bump):
-            assert luxemburg_norm(box(), p).value == pytest.approx(1.0, abs=1e-10)
+            assert luxemburg_norm(box(), p, window=12.0).value == \
+                pytest.approx(1.0, abs=1e-10)
 
     def test_constant_exponent_reduction(self, p1, p2):
         # matches classical L_q norms of the Gaussian
@@ -59,13 +59,13 @@ class TestLuxemburg:
                    2: (math.pi / 2.0) ** 0.25,
                    3: math.sqrt(math.pi / 3.0) ** (1.0 / 3.0)}
         for p, q in ((p1, 1), (p2, 2), (p3, 3)):
-            assert luxemburg_norm(GAUSS, p).value == \
+            assert luxemburg_norm(GAUSS, p, window=12.0).value == \
                 pytest.approx(oracles[q], abs=1e-6)
 
     def test_constant_exponent_closed_form(self, p1, p2):
         # int exp(-q x^2) dx = sqrt(pi/q), so ||gauss||_q = (pi/q)^(1/(2q))
         for p, q in ((p1, 1), (p2, 2), (ExponentField.from_expr("3"), 3)):
-            assert luxemburg_norm(GAUSS, p).value == \
+            assert luxemburg_norm(GAUSS, p, window=12.0).value == \
                 pytest.approx((math.pi / q) ** (0.5 / q), rel=1e-14)
 
     def test_scaled_box_variable_exponent_root(self):
@@ -80,12 +80,12 @@ class TestLuxemburg:
         assert res.modular_at_value == pytest.approx(1.0, abs=1e-6)
 
     def test_modular_at_root_is_one(self, p_bump):
-        res = luxemburg_norm(GAUSS, p_bump)
+        res = luxemburg_norm(GAUSS, p_bump, window=12.0)
         assert res.modular_at_value == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("c", [2.0, 1.0 / 3.0, 10.0])
     def test_homogeneity(self, p_bump, c):
-        base = luxemburg_norm(GAUSS, p_bump).value
+        base = luxemburg_norm(GAUSS, p_bump, window=12.0).value
         scaled = RealFunction(fn=lambda x, c=c: c * GAUSS.fn(x))
         val = luxemburg_norm(scaled, p_bump, window=12.0).value
         assert abs(val - c * base) <= 1e-8 * c * base
@@ -111,10 +111,10 @@ class TestLuxemburg:
         with pytest.raises(NotIntegrableError):
             luxemburg_norm(grower, p2, window=10.0)
 
-    def test_operator_output_needs_a_window(self, gauss, p2):
-        # an operator's output has no expression, so no decay class
-        with pytest.raises(ValueError, match="window"):
-            norm_of(iterated_steklov(gauss, 0.5, 1), NormSpec.vexp(p2))
+    def test_operator_output_needs_a_window(self, p2):
+        # every norm is given its window: there is no default to fall back on
+        with pytest.raises(TypeError):
+            NormSpec.vexp(p2)
 
 
 @pytest.mark.parametrize("p, most", [

@@ -38,7 +38,7 @@ class TestModulus:
         assert val == pytest.approx(0.1, abs=1e-12)
 
     def test_zero_step(self, p2):
-        assert modulus(ModulusRequest(GAUSS, 2, 0.0, NormSpec.vexp(p2))) == 0.0
+        assert modulus(ModulusRequest(GAUSS, 2, 0.0, NormSpec.vexp(p2, window=12.0))) == 0.0
 
     def test_vexp_against_nested_oracle(self, p2):
         # brute-force oracle: binomial expansion with literally nested
