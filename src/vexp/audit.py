@@ -124,6 +124,11 @@ class Context:
     def norm(self, m: CorpusMember, norm: NormSpec) -> float:
         return self.cached(("norm", m.name, norm), lambda: norm_of(m.rf, norm))
 
+    def derivative(self, m: CorpusMember, order: int) -> RealFunction:
+        """The member's symbolic derivative of the given order."""
+        return self.cached(("derivative", m.name, order),
+                           lambda: as_real_function(differentiate(m.expr, order)))
+
     def ahat(self, m: CorpusMember, norm: NormSpec, sigma: float,
              lhs_window: Optional[float] = None,
              tail_target: Optional[float] = None) -> float:
@@ -181,10 +186,6 @@ def _checked(ctx: Context, case: AuditCase) -> tuple[Family, CorpusMember, NormS
         if not holds(case, m, p):
             raise ValueError(f"theorem {case.theorem!r} needs {what}")
     return family, m, m.norm_spec(p)
-
-
-def _deriv_member(m: CorpusMember, order: int) -> RealFunction:
-    return as_real_function(differentiate(m.expr, order))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +365,7 @@ def run_smooth_bound_vexp(ctx: Context, case: AuditCase, fam: Family, m: CorpusM
     """Omega_r(f,d)_p <= (c10/2)^r d^r ||f^(r)||_p for r-smooth f."""
     r = case.r
     c = fam.constant(case, norm.p)
-    nd = norm_of(_deriv_member(m, r), norm)
+    nd = norm_of(ctx.derivative(m, r), norm)
     for d in case.deltas:
         yield make_row(
             "smooth_modulus_bound_vexp", _case_id(m, norm.p, r=r, delta=d),
@@ -411,7 +412,7 @@ def run_modulus_props(ctx: Context, case: AuditCase, fam: Family, m: CorpusMembe
 
     if m.smooth:
         smooth_c = t_bound ** r * 2.0 ** (-r) * d2 ** r
-        nd = norm_of(_deriv_member(m, r), norm)
+        nd = norm_of(ctx.derivative(m, r), norm)
         yield make_row(
             "modulus_smooth_bound", f"f={m.name};{tag};r={r};d={d2:g}",
             lhs=om_f_d2, rhs=smooth_c * nd, constant_used=smooth_c)
@@ -464,8 +465,8 @@ def run_sup_steklov(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
             lhs=sup_norm(tder, W), rhs=(2.0 / d) * nf, constant_used=2.0 / d)
 
         if m.smooth:
-            g1 = _deriv_member(m, 1)
-            g2 = _deriv_member(m, 2)
+            g1 = ctx.derivative(m, 1)
+            g2 = ctx.derivative(m, 2)
             tg = iterated_steklov(m.rf, d, 1)
             resid = combine([(1.0, m.rf), (-1.0, tg), (d / 2.0, g1)])
             yield make_row(
@@ -589,7 +590,7 @@ def run_series_deriv_sup(ctx: Context, case: AuditCase, fam: Family, m: CorpusMe
                          norm: NormSpec) -> Iterator[AuditRow]:
     """||f^(k)||_sup <= series_deriv_sup(k) * sum (v+1)^(r-1) A_hat_v."""
     r, k = case.r, case.k
-    lhs = sup_norm(_deriv_member(m, k), norm.window)
+    lhs = sup_norm(ctx.derivative(m, k), norm.window)
     amps = _series_amplitudes(ctx, m, norm, case, fam.sigma_scale)
     terms = [(nu + 1.0) ** (r - 1) * a for nu, a in enumerate(amps)]
     yield _series_row(case, _case_id(m, r=r, k=k, n=case.series_n),
@@ -600,7 +601,7 @@ def run_series_modulus(ctx: Context, case: AuditCase, fam: Family, m: CorpusMemb
                        norm: NormSpec) -> Iterator[AuditRow]:
     """Omega_r(f^(k), 1/s) <= c (s^-r sum_low + sum_high), A_hat at v * sigma_scale."""
     r, k = case.r, case.k
-    fk = _deriv_member(m, k)
+    fk = ctx.derivative(m, k)
     amps = _series_amplitudes(ctx, m, norm, case, fam.sigma_scale)
     c = fam.constant(case, norm.p)
     for s in case.sigmas:

@@ -284,6 +284,22 @@ class TestTrivialCases:
                                        p_src="@p2", sigmas=(2.0, 8.0)))
         assert all(r.passed and r.ratio <= 1.0 for r in rows)
 
+    def test_derivatives_built_once_per_member_and_order(self, monkeypatch):
+        # sup_steklov reads f' and f'' at every step, smooth_bound_vexp reads
+        # f'; each derivative is built once (7 builds when each row rebuilt)
+        import vexp.audit as audit
+        calls = []
+        build = audit.as_real_function
+        monkeypatch.setattr(audit, "as_real_function",
+                            lambda e: calls.append(e.src) or build(e))
+        ctx = Context()
+        for case in (AuditCase(theorem="sup_steklov", f_src="@gauss",
+                               deltas=(0.3, 0.6, 0.9)),
+                     AuditCase(theorem="smooth_bound_vexp", f_src="@gauss",
+                               p_src="@p2", deltas=(0.5,))):
+            run_case(ctx, case)
+        assert len(calls) == 2
+
 
 class TestRowWiring:
     """Recompute both sides of representative rows from library primitives."""
