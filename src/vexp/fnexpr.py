@@ -437,35 +437,51 @@ def to_source(node: Node) -> str:
 # Differentiation
 # ---------------------------------------------------------------------------
 
+_ZERO, _ONE = Num(0.0), Num(1.0)
+
+
+def _op(op: str, left: Node, right: Node) -> Node:
+    """BinOp(op, left, right) without its terms 0 and factors 1."""
+    if op == "*" and _ZERO in (left, right):
+        return _ZERO
+    if (op == "*" and left == _ONE) or (op == "+" and left == _ZERO):
+        return right
+    if (op in "*/" and right == _ONE) or (op in "+-" and right == _ZERO):
+        return left
+    if op == "-" and left == _ZERO:
+        return Neg(right)
+    return BinOp(op, left, right)
+
+
 def _diff(node: Node) -> Node:
     if isinstance(node, Num):
-        return Num(0.0)
+        return _ZERO
     if isinstance(node, Var):
-        return Num(1.0)
+        return _ONE
     if isinstance(node, BinOp):
         dl, dr = _diff(node.left), _diff(node.right)
         if node.op in "+-":
-            return BinOp(node.op, dl, dr)
-        terms = BinOp("*", dl, node.right), BinOp("*", node.left, dr)
+            return _op(node.op, dl, dr)
+        terms = _op("*", dl, node.right), _op("*", node.left, dr)
         if node.op == "*":
-            return BinOp("+", *terms)
-        return BinOp("/", BinOp("-", *terms), Pow(node.right, 2))
+            return _op("+", *terms)
+        return _op("/", _op("-", *terms), Pow(node.right, 2))
     if isinstance(node, Pow):
         if node.exponent == 0:
-            return Num(0.0)
-        inner = _diff(node.base)
-        return BinOp("*", BinOp("*", Num(float(node.exponent)),
-                                Pow(node.base, node.exponent - 1)), inner)
+            return _ZERO
+        n = node.exponent - 1
+        power = node.base if n == 1 else Pow(node.base, n)
+        return _op("*", _op("*", Num(float(node.exponent)), power), _diff(node.base))
     if isinstance(node, Neg):
         return Neg(_diff(node.operand))
     if isinstance(node, Call):
         inner = _diff(node.arg)
         if node.name == "exp":
-            return BinOp("*", Call("exp", node.arg), inner)
+            return _op("*", Call("exp", node.arg), inner)
         if node.name == "sin":
-            return BinOp("*", Call("cos", node.arg), inner)
+            return _op("*", Call("cos", node.arg), inner)
         if node.name == "cos":
-            return Neg(BinOp("*", Call("sin", node.arg), inner))
+            return Neg(_op("*", Call("sin", node.arg), inner))
         raise NonDifferentiableError("abs(.) has no classical derivative at 0")
     if isinstance(node, Gauss):
         # d/dx exp(-a x^2) = -2 a x exp(-a x^2)

@@ -225,6 +225,22 @@ class TestDifferentiate:
         assert d(0.0) == pytest.approx(0.0, abs=1e-15)
         assert d(1e-4) == pytest.approx(-1e-4 / 3.0, rel=1e-6)
 
+    @pytest.mark.parametrize("src, order, want", [
+        ("x^2", 1, "(2 * x)"),
+        ("3*x - 1", 1, "3"),
+        ("1 - x", 1, "(-1)"),
+        ("x/2", 1, "(2 / (2^2))"),
+        ("exp(2*x)", 1, "(exp((2 * x)) * 2)"),
+    ])
+    def test_reduced_tree(self, src, order, want):
+        # no term 0, no factor 1 and no power 1 is left in a derivative
+        assert differentiate(parse(src), order).src == want
+
+    def test_second_derivative_stays_short(self):
+        # 851 characters when terms 0 and factors 1 were kept
+        d2 = differentiate(parse("cos(3*x)*exp(-x^2/4)"), 2)
+        assert len(d2.src) <= 400
+
     def test_indicator_rejected(self):
         with pytest.raises(NonDifferentiableError):
             differentiate(parse("indicator(0,1)"))
