@@ -415,9 +415,10 @@ def to_source(node: Node) -> str:
     if isinstance(node, BinOp):
         return f"({to_source(node.left)} {node.op} {to_source(node.right)})"
     if isinstance(node, Pow):
-        if node.exponent < 0:
-            return f"({to_source(node.base)}^-{-node.exponent})"
-        return f"({to_source(node.base)}^{node.exponent})"
+        base = to_source(node.base)
+        if isinstance(node.base, Num) and node.base.value < 0.0:
+            base = f"({base})"  # -2^2 reads as -(2^2)
+        return f"({base}^{node.exponent})"
     if isinstance(node, Neg):
         return f"(-{to_source(node.operand)})"
     if isinstance(node, Call):

@@ -193,7 +193,7 @@ class TestRoughSpots:
 class TestPrinterRoundTrip:
     def test_idempotence_simple(self):
         for src in ("2 + 1/(1+x^2)", "exp(-x^2)*sin(5*x)", "sinc(4)",
-                    "indicator(0,1)", "-x^3 + 2*x", "abs(x - 0.5)"):
+                    "indicator(0,1)", "-x^3 + 2*x", "abs(x - 0.5)", "(-2)^2*x"):
             ast1 = parse(src).ast
             printed = fnexpr.to_source(ast1)
             assert parse(printed).ast == ast1
