@@ -153,10 +153,6 @@ _REGISTRY: dict[str, tuple[tuple[str, ...], Callable, str]] = {
 class ConstantTable:
     """All entries evaluated at one (r, k, p_plus, c3) parameter point."""
 
-    r: int
-    k: int
-    p_plus: float
-    c3: float
     entries: tuple[tuple[str, float, str], ...]
 
     def as_csv(self) -> str:
@@ -173,4 +169,4 @@ def constant_table(r: int, k: int, p_plus: float, c3: float) -> ConstantTable:
     for name, (params, fn, formula) in _REGISTRY.items():
         args = [supplied[p] for p in params]
         entries.append((name, float(fn(*args)), formula))
-    return ConstantTable(r=r, k=k, p_plus=p_plus, c3=c3, entries=tuple(entries))
+    return ConstantTable(entries=tuple(entries))

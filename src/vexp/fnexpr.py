@@ -158,6 +158,15 @@ class _Parser:
         self.i += 1
         return tok
 
+    def _accept(self, ops: str) -> Optional[_Tok]:
+        """Consume and return the next token if it is one of the
+        single-character ops; None otherwise."""
+        tok = self._peek()
+        if tok is None or tok.kind != "op" or tok.text not in ops:
+            return None
+        self.i += 1
+        return tok
+
     def _expect(self, text: str):
         tok = self._next()
         if tok.kind != "op" or tok.text != text:
@@ -173,8 +182,7 @@ class _Parser:
     def _chain(self, ops: str, operand) -> Node:
         """Left-associative operand { op operand } for single-character ops."""
         node = operand()
-        while (tok := self._peek()) is not None and tok.kind == "op" and tok.text in ops:
-            self._next()
+        while (tok := self._accept(ops)) is not None:
             node = BinOp(tok.text, node, operand())
         return node
 
@@ -185,9 +193,7 @@ class _Parser:
         return self._chain("*/", self._unary)
 
     def _unary(self) -> Node:
-        tok = self._peek()
-        if tok is not None and tok.kind == "op" and tok.text == "-":
-            self._next()
+        if self._accept("-"):
             node = self._unary()
             if isinstance(node, Num):  # fold literal sign for canonical form
                 return Num(-node.value)
@@ -196,15 +202,9 @@ class _Parser:
 
     def _power(self) -> Node:
         base = self._atom()
-        tok = self._peek()
-        if tok is None or tok.kind != "op" or tok.text != "^":
+        if not self._accept("^"):
             return base
-        self._next()
-        sign = 1
-        tok = self._peek()
-        if tok is not None and tok.kind == "op" and tok.text == "-":
-            self._next()
-            sign = -1
+        sign = -1 if self._accept("-") else 1
         tok = self._next()
         if tok.kind != "num" or any(c in tok.text for c in ".eE"):
             raise ParseError("exponent after '^' must be an integer literal", tok.pos)
@@ -228,13 +228,8 @@ class _Parser:
         name = name_tok.text
         self._expect("(")
         args = [self._expr()]
-        while True:
-            tok = self._peek()
-            if tok is not None and tok.kind == "op" and tok.text == ",":
-                self._next()
-                args.append(self._expr())
-            else:
-                break
+        while self._accept(","):
+            args.append(self._expr())
         self._expect(")")
         if name in _UNARY_CALLS:
             if len(args) != 1:
