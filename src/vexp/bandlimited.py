@@ -7,7 +7,8 @@ reproduces every type-sigma function, so
 
     A_hat_sigma(f) = || f - J(f, sigma/2) ||
 
-is a computable upper bound for the distance from f to the type-sigma class.
+is a computable upper bound for the distance from f to the type-sigma class,
+with J sampled on the norm's window: every convolution is given its window.
 
 For compactly supported f the convolution runs over the support on
 Gauss-Legendre panels aligned with the sine zeros (width 2*pi/(3*sigma)).
@@ -222,8 +223,7 @@ def best_approx_surrogate(f: RealFunction, sigma: float, norm: NormSpec,
     """A_hat_sigma(f) = ||f - J(f, sigma/2)||, an upper bound for A_sigma(f).
 
     J(f, sigma/2) has exponential type sigma, so the distance to it can only
-    exceed the true deviation from the type-sigma class.  J is sampled on the
-    norm's window.
+    exceed the true deviation from the type-sigma class.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
