@@ -17,7 +17,6 @@ from .audit import run_suite
 from .constants import constant_table
 from .corpus import resolve_exponent, resolve_function
 from .defaults import default_config_text
-from .fnexpr import ExponentRangeError, ParseError
 from .norms import norm_of
 from .smoothness import ModulusRequest, modulus
 from .bandlimited import best_approx_surrogate
@@ -123,24 +122,17 @@ def _cmd_constants(args) -> int:
     return 0
 
 
+_COMMANDS = {"audit": _cmd_audit, "norm": _cmd_norm, "modulus": _cmd_modulus,
+             "approx": _cmd_approx, "constants": _cmd_constants}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "audit":
-            return _cmd_audit(args)
-        if args.command == "norm":
-            return _cmd_norm(args)
-        if args.command == "modulus":
-            return _cmd_modulus(args)
-        if args.command == "approx":
-            return _cmd_approx(args)
-        if args.command == "constants":
-            return _cmd_constants(args)
-    except (ParseError, ExponentRangeError, ValueError,
-            KeyError, OSError) as exc:
+        return _COMMANDS[args.command](args)
+    except (ValueError, KeyError, OSError) as exc:  # every refusal of an input
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

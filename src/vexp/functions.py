@@ -23,7 +23,7 @@ _SUB_CHUNK = 1 << 15  # elements per outer-product block: f's temporaries stay i
 
 @dataclass(frozen=True)
 class RealFunction:
-    """A function R -> R evaluable on numpy arrays."""
+    """A function R -> R evaluable on numpy arrays, or a stack of them (rows)."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     breakpoints: tuple[float, ...] = ()
@@ -56,35 +56,32 @@ def zero_function() -> RealFunction:
 
 def combine(parts: list[tuple[float, RealFunction]]) -> RealFunction:
     """Pointwise linear combination sum(c_i * f_i)."""
-    fns = [(c, f) for c, f in parts]
-
     def ev(x):
-        acc = np.zeros_like(x, dtype=float)
-        for c, f in fns:
-            acc += c * f.fn(x)
-        return acc
+        return sum((c * f.fn(x) for c, f in parts), np.zeros_like(x, dtype=float))
 
-    breakpoints = tuple(sorted({b for _, f in fns for b in f.breakpoints}))
-    osc = min((f.osc_wavelength for _, f in fns), default=math.inf)
+    breakpoints = tuple(sorted({b for _, f in parts for b in f.breakpoints}))
+    osc = min((f.osc_wavelength for _, f in parts), default=math.inf)
     return RealFunction(fn=ev, breakpoints=breakpoints, osc_wavelength=osc)
 
 
 def outer_apply(f: RealFunction, x: np.ndarray, offsets: np.ndarray,
                 weights: np.ndarray) -> np.ndarray:
-    """Compute sum_j w_j f(x_i + t_j) for all i.
+    """Compute sum_j w_j f(x_i + t_j) for all i, once per row w of weights.
 
-    Rows go in blocks of _SUB_CHUNK // m (at least one): each block is one
-    f evaluation, whose temporaries stay in L2, and one gemv written straight
-    into the result.  gemv results depend on the row count of a call, so
-    they can differ in the last bit from one product over all rows.
+    Rows go in blocks of _SUB_CHUNK // m (at least one): each block is one f
+    evaluation, whose temporaries stay in L2, and one gemv per row of weights
+    written straight into the result.  gemv results depend on the row count
+    of a call, so they can differ in the last bit from one product over all.
     """
     x = np.asarray(x, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
     weights = np.asarray(weights, dtype=float)
     flat_x = x.ravel()
-    out = np.empty(flat_x.size, dtype=float)
+    rows = weights.reshape(-1, weights.shape[-1])
+    out = np.empty((rows.shape[0], flat_x.size))
     step = max(1, _SUB_CHUNK // max(offsets.size, 1))
     for i0 in range(0, flat_x.size, step):
-        np.matmul(f.fn(flat_x[i0:i0 + step, None] + offsets[None, :]), weights,
-                  out=out[i0:i0 + step])
-    return out.reshape(x.shape)
+        vals = f.fn(flat_x[i0:i0 + step, None] + offsets[None, :])
+        for w, o in zip(rows, out):
+            np.matmul(vals, w, out=o[i0:i0 + step])
+    return out.reshape(weights.shape[:-1] + x.shape)

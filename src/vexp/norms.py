@@ -33,7 +33,7 @@ _T_TOL = 2.0 ** -50  # the root's tolerance in log(eta): 4 ulps of 1
 _T_PAD = 2.0 ** -44  # the bracket's pad, far above the rounding of log(modular)
 
 
-class NotIntegrableError(RuntimeError):
+class NotIntegrableError(ValueError):
     """The Luxemburg norm's closed bracket starts above the cap."""
 
 
@@ -86,41 +86,44 @@ def window_nodes(window: float, panels_per_unit: float,
 
 class SampledModular:
     """log(w_i |f_i|^p_i) at the positive samples of |f| (zero samples add
-    nothing for p >= 1), so the modular at any scale is one exp pass."""
+    nothing for p >= 1), so the modular at any scale is one exp pass.  A
+    stacked f is sampled in one pass, and `row` picks one output's modular."""
 
     def __init__(self, f: RealFunction, p: ExponentField, window: float,
                  panels_per_unit: float = 4.0):
         x, w = window_nodes(window, panels_per_unit, f.breakpoints)
-        samples = np.abs(f(x))
-        self.s_max = float(np.max(samples)) if samples.size else 0.0
+        samples = np.abs(f(x)).reshape(-1, x.size)
+        self.s_max = np.max(samples, axis=1).tolist()
         pos = samples > 0.0
-        self.p = p.p_minus if p.is_constant else p(x[pos])
-        self.log_terms = np.log(w[pos]) + self.p * np.log(samples[pos])
+        self.p = [p.p_minus if p.is_constant else p(x[q]) for q in pos]
+        self.log_terms = [np.log(w[q]) + pq * np.log(s[q])
+                          for s, q, pq in zip(samples, pos, self.p)]
 
-    def value(self, lam: float) -> float:
+    def value(self, lam: float, row: int = 0) -> float:
         if lam <= 0.0:
             raise ValueError("lam must be positive")
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            return float(np.sum(np.exp(self.log_terms - self.p * math.log(lam))))
+            return float(np.sum(np.exp(self.log_terms[row] - self.p[row] * math.log(lam))))
 
-    def luxemburg(self, rel_tol: float = 1e-9) -> VexpNorm:
-        if self.s_max <= 0.0:
+    def luxemburg(self, rel_tol: float = 1e-9, row: int = 0) -> VexpNorm:
+        s_max, p = self.s_max[row], self.p[row]
+        if s_max <= 0.0:
             return VexpNorm(value=0.0, bracket_used=None, modular_at_value=0.0)
         # g(t) = log value(s_max e^t) has slope in [-p+, -p-]: a root in [g0/p+, g0/p-]
-        g0 = math.log(self.value(self.s_max))
-        lo, hi = sorted((g0 / float(np.max(self.p)), g0 / float(np.min(self.p))))
+        g0 = math.log(self.value(s_max, row))
+        lo, hi = sorted((g0 / float(np.max(p)), g0 / float(np.min(p))))
         lo, hi = lo - _T_PAD, hi + _T_PAD
-        if not self.s_max * math.exp(lo) <= _ETA_CAP:
+        if not s_max * math.exp(lo) <= _ETA_CAP:
             raise NotIntegrableError("the modular stays above 1 up to eta = 1e12; "
                                      "the function is numerically outside the space")
         t = find_root_decreasing(
-            lambda t: math.log(self.value(self.s_max * math.exp(t))),
+            lambda t: math.log(self.value(s_max * math.exp(t), row)),
             Bracket(lo, hi, _T_TOL))
-        root = self.s_max * math.exp(t)
-        bracket = Bracket(lo=self.s_max * math.exp(lo),
-                          hi=self.s_max * math.exp(hi), tol=rel_tol * root)
+        root = s_max * math.exp(t)
+        bracket = Bracket(lo=s_max * math.exp(lo),
+                          hi=s_max * math.exp(hi), tol=rel_tol * root)
         return VexpNorm(value=root, bracket_used=bracket,
-                        modular_at_value=self.value(root))
+                        modular_at_value=self.value(root, row))
 
 
 def luxemburg_norm(f: RealFunction, p: ExponentField, spec: QuadSpec = DEFAULT_SPEC,
@@ -130,9 +133,10 @@ def luxemburg_norm(f: RealFunction, p: ExponentField, spec: QuadSpec = DEFAULT_S
     return SampledModular(f, p, window, panels_per_unit).luxemburg(spec.rel_tol)
 
 
-def norm_of(f: RealFunction, norm: NormSpec, spec: QuadSpec = DEFAULT_SPEC) -> float:
+def norm_of(f: RealFunction, norm: NormSpec, spec: QuadSpec = DEFAULT_SPEC):
+    """The norm of f, or the tuple of a stacked f's, from one sample pass."""
     if norm.kind == "sup":
         return sup_norm(f, norm.window)
-    return luxemburg_norm(f, norm.p, spec, window=norm.window,
-                          panels_per_unit=norm.panels_per_unit).value
-
+    sm = SampledModular(f, norm.p, norm.window, norm.panels_per_unit)
+    values = tuple(sm.luxemburg(spec.rel_tol, i).value for i in range(len(sm.s_max)))
+    return values[0] if len(values) == 1 else values

@@ -15,10 +15,10 @@ iterates, and `steklov_combination` is the one place such a sum is
 evaluated.  Each term is the kernel B_k(u - j) on the unit panels of [0, top],
 top = max(k + j), subdivided where f oscillates, so the weights of all terms
 add up on one Gauss-Legendre lattice (k = 0 terms are point columns) and one
-outer product f(x_i + d*u_j) evaluates the whole sum.  A point whose window
-(x, x + top*d) holds a breakpoint b of f takes the same lattice with its
-panels split at (b - x)/d; the points away from every breakpoint, all of
-them for smooth f, do not.
+outer product f(x_i + d*u_j) evaluates the whole sum.  Sums with one top stack
+on one lattice: each keeps its own row of weights, and one pass over f serves
+them all.  A point whose window (x, x + top*d) holds a breakpoint b of f
+takes the same lattice with its panels split at (b - x)/d.
 
 Compactly supported piecewise polynomials, read off the expression tree as
 sums of truncated powers c (b - x)_+^n / n!, get an exact engine: T_d^k of
@@ -160,33 +160,36 @@ def _oscillation_subpanels(f: RealFunction, delta: float) -> int:
 
 
 def steklov_combination(f: RealFunction, delta: float,
-                        terms: dict[tuple[int, int], float]) -> RealFunction:
+                        *terms: dict[tuple[int, int], float]) -> RealFunction:
     """sum of c * T_d^k f(x + j*d) over terms {(k, j): c}, with j >= 0: term by
-    term for engine-backed f, else on one weighted lattice (module docstring)."""
-    breakpoints = tuple(sorted({s - i * delta - j * delta for s in f.breakpoints
-                                for k, j in terms for i in range(k + 1)}))
+    term for engine-backed f, else on one weighted lattice (module docstring).
+    Several term maps give a stacked function, one row per map."""
+    keys = {key for t in terms for key in t}
+    breakpoints = tuple(sorted({s - m * delta for s in f.breakpoints
+                                for k, j in keys for m in range(j, j + k + 1)}))
 
     if f.exact is not None:
-        parts = [(c, j * delta, f.exact.iterated(delta, k)) for (k, j), c in terms.items()]
+        parts = [[(c, j * delta, f.exact.iterated(delta, k)) for (k, j), c in t.items()]
+                 for t in terms]
 
         def ev(x):
-            acc = np.zeros_like(x, dtype=float)
-            for c, shift, term in parts:
-                acc += c * term(x + shift)
-            return acc
+            return np.stack([sum((c * term(x + shift) for c, shift, term in part),
+                                 np.zeros_like(x, dtype=float)) for part in parts])
     else:
-        top = max((k + j for k, j in terms if k > 0), default=0)
+        top = max((k + j for k, j in keys if k > 0), default=0)
         unit = np.linspace(0.0, float(top), top * _oscillation_subpanels(f, delta) + 1)
-        points = {j: c for (k, j), c in terms.items() if k == 0}
+        points = list(dict.fromkeys(j for t in terms for k, j in t if k == 0))
 
         def lattice(edges):
-            # offsets and weights of the whole sum, one row per row of edges
+            # offsets, and one row of weights per map, for each row of edges
             nodes, wts = panel_rule(edges, 12)
-            kern = sum((c * wts * bspline_value(k, nodes - j) for (k, j), c in terms.items()
-                        if k > 0), np.zeros_like(nodes))
+            spline = {(k, j): bspline_value(k, nodes - j) for k, j in keys if k > 0}
             cols = (*nodes.shape[:-1], len(points))
-            return (delta * np.concatenate([nodes, np.broadcast_to(list(points), cols)], -1),
-                    np.concatenate([kern, np.broadcast_to(list(points.values()), cols)], -1))
+            kern = [sum((c * wts * spline[k, j] for (k, j), c in t.items() if k > 0),
+                        np.zeros_like(nodes)) for t in terms]
+            pts = [np.broadcast_to([t.get((0, j), 0.0) for j in points], cols) for t in terms]
+            return (delta * np.concatenate([nodes, np.broadcast_to(points, cols)], -1),
+                    np.stack([np.concatenate(kp, -1) for kp in zip(kern, pts)]))
 
         offsets, weights = lattice(unit)
         breaks = np.asarray(f.breakpoints, dtype=float)
@@ -198,18 +201,19 @@ def steklov_combination(f: RealFunction, delta: float,
             near = np.any((cuts > 0.0) & (cuts < top), axis=1)
             if not near.any():
                 return outer_apply(f, x, offsets, weights)
-            out = np.empty_like(flat)
-            out[~near] = outer_apply(f, flat[~near], offsets, weights)
+            out = np.empty((len(terms), flat.size))
+            out[:, ~near] = outer_apply(f, flat[~near], offsets, weights)
             rows = np.flatnonzero(near)
             for i in (rows[i0:i0 + step] for i0 in range(0, rows.size, step)):
                 # clipped and repeated cuts give zero-width panels, which weigh nothing
                 edges = np.concatenate([np.broadcast_to(unit, (i.size, unit.size)),
                                         np.clip(cuts[i], 0.0, top)], axis=1)
                 off, w = lattice(np.sort(edges, axis=1))
-                out[i] = np.sum(f.fn(flat[i, None] + off) * w, axis=1)
-            return out.reshape(np.shape(x))
+                out[:, i] = np.sum(f.fn(flat[i, None] + off) * w, axis=-1)
+            return out.reshape(len(terms), *np.shape(x))
 
-    return RealFunction(fn=ev, breakpoints=breakpoints, osc_wavelength=f.osc_wavelength)
+    return RealFunction(fn=ev if len(terms) > 1 else lambda x: ev(x)[0],
+                        breakpoints=breakpoints, osc_wavelength=f.osc_wavelength)
 
 
 def iterated_steklov(f: RealFunction, delta: float, k: int) -> RealFunction:
@@ -260,15 +264,18 @@ _MAX_POINTS = 388
 _EPS = float(np.finfo(float).eps)
 
 
-def sup_norm(f: RealFunction, window: float, refine: bool = True) -> float:
-    """max |f| over [-window, window] on a grid, refined at its peaks."""
-    return _grid_maxima(f, window, refine)[0]
+def sup_norm(f: RealFunction, window: float, refine: bool = True):
+    """max |f| over [-window, window] on a grid, refined at its peaks; for a
+    stacked f, the tuple of its outputs' maxima from one grid pass."""
+    tops = _grid_maxima(f, window, refine)
+    return tops[0] if len(tops) == 1 else tuple(tops)
 
 
 def _grid_maxima(f: RealFunction, window: float, refine: bool = True,
                  signed: bool = False) -> list[float]:
-    """[max |f|], or [max f, max -f] when signed, over [-window, window]: the
-    grid values, refined by `_refine_peaks` unless refine is False."""
+    """[max |f|], or [max f, max -f] when signed, over [-window, window], per
+    output of f: the grid values (one f call for all outputs of a stacked f),
+    each refined on its own by `_refine_peaks` unless refine is False."""
     step = max(min(_GRID_STEP, f.osc_wavelength / 48.0), 2.0 * window / 400_000)
     n = max(64, int(round(2.0 * window / step)) + 1)
     xs = np.linspace(-window, window, n)
@@ -276,13 +283,14 @@ def _grid_maxima(f: RealFunction, window: float, refine: bool = True,
     if extra:
         xs = np.unique(np.concatenate([xs, np.asarray(extra, dtype=float)]))
     fx = f(xs)
-    if signed:
-        groups = [(fx, np.ones_like(fx)), (-fx, -np.ones_like(fx))]
-    else:
-        groups = [(np.abs(fx), np.where(fx < 0.0, -1.0, 1.0))]
-    if not refine:
-        return [float(np.max(v)) for v, _ in groups]
-    return _refine_peaks(f, xs, groups)
+    tops = []
+    for i, row in enumerate(fx.reshape(-1, xs.size)):
+        groups = ([(row, np.ones_like(row)), (-row, -np.ones_like(row))] if signed
+                  else [(np.abs(row), np.where(row < 0.0, -1.0, 1.0))])
+        row_f = f if fx.ndim == 1 else lambda x, i=i: f(x)[i]
+        tops += (_refine_peaks(row_f, xs, groups) if refine
+                 else [float(np.max(v)) for v, _ in groups])
+    return tops
 
 
 def _peaks(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -56,6 +56,15 @@ class TestNormCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["norm", "--f", "1e13*exp(-x^2)", "--p", "2"],
+        ["modulus", "--f", "1e14*exp(-x^2)", "--p", "2", "--r", "1", "--delta", "1"],
+    ])
+    def test_input_outside_the_space_exit_code(self, capsys, argv):
+        # the Luxemburg root lies above its cap of 1e12: this was a traceback
+        assert main(argv) == 2
+        assert "error: the modular stays above 1" in capsys.readouterr().err
+
 
 class TestModulusCommand:
     def test_affine_sup(self):

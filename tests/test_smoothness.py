@@ -5,10 +5,10 @@ import pytest
 
 from vexp import smoothness, steklov
 from vexp.audit import AuditCase, Context, run_case
-from vexp.corpus import corpus_member, exponent_field
+from vexp.corpus import corpus_member, default_corpus, exponent_field, resolve_function
 from vexp.fnexpr import parse
 from vexp.functions import RealFunction, as_real_function, combine
-from vexp.norms import NormSpec, SampledModular
+from vexp.norms import NormSpec, SampledModular, norm_of
 from vexp.smoothness import ModulusRequest, k_functional_upper, modulus
 
 from steklov_oracles import nested_steklov
@@ -128,10 +128,11 @@ class TestOneSamplingPath:
         modulus(ModulusRequest(m.rf, 2, 0.5, m.norm_spec(p2)))
         assert len(outer_calls) == 1
 
-    def test_each_khat_norm_is_one_outer_product(self, outer_calls, p2):
+    def test_khat_is_one_outer_product(self, outer_calls, p2):
+        # both halves of K-hat share the lattice and the norm's nodes
         m = corpus_member("gauss")
         k_functional_upper(m.rf, 2, 0.5, m.norm_spec(p2))
-        assert len(outer_calls) == 2
+        assert len(outer_calls) == 1
 
     def test_khat_of_a_rough_input_matches_its_parts(self, monkeypatch, p2):
         # no engine for the sum: K-hat against engine part plus lattice part,
@@ -144,11 +145,68 @@ class TestOneSamplingPath:
         norm = NormSpec.vexp(p2, window=200.0)  # the window of its 1/x^2 decay
         got = k_functional_upper(f, 2, 1.0, norm).value
 
-        def split(g, delta, terms):
-            return combine([(1.0, steklov.steklov_combination(q, delta, terms))
+        def split(g, delta, *terms):
+            return combine([(1.0, steklov.steklov_combination(q, delta, *terms))
                             for q in parts])
         monkeypatch.setattr(smoothness, "steklov_combination", split)
         assert got == pytest.approx(k_functional_upper(f, 2, 1.0, norm).value, rel=1e-12)
+
+
+def khat_terms(r: int, delta: float):
+    """The term maps of f - g and of g^(r) for K-hat's candidate g."""
+    diff = {(2 * r * l, 0): (-1.0) ** l * math.comb(r, l) for l in range(r + 1)}
+    deriv = {}
+    for l in range(1, r + 1):
+        for key, c in steklov.derivative_terms(delta, 2 * r * l, r).items():
+            deriv[key] = (-1.0) ** (l - 1) * math.comb(r, l) * c
+    return diff, deriv
+
+
+class TestOneSamplePass:
+    # K-hat samples f once for both of its norms; each part must be the norm
+    # of its own combination, as if built alone
+    NORMS = (None, "p2", "p_bump", "p_osc")
+
+    @staticmethod
+    def parts_alone(f, r, delta, norm):
+        return [norm_of(steklov.steklov_combination(f, delta, t), norm)
+                for t in khat_terms(r, delta)]
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("p", NORMS)
+    @pytest.mark.parametrize("src", ["@" + m.name for m in default_corpus()]
+                             + ["abs(x)*exp(-x^2)"])  # near its kink: cut panels
+    def test_parts_match_the_norms_built_alone(self, src, p, r):
+        m = resolve_function(src)
+        norm = m.norm_spec(None if p is None else exponent_field(p))
+        for delta in (0.1, 0.5):
+            est = k_functional_upper(m.rf, r, delta, norm)
+            fmg, gder = self.parts_alone(m.rf, r, delta, norm)
+            assert est.f_minus_g_norm == fmg
+            # the derivative's lattice gains f - g's point column, with weight 0
+            assert abs(est.g_deriv_norm - gder) <= 4.0 * np.spacing(gder)
+
+    def test_engine_parts_are_exact(self, p2):
+        m = corpus_member("box")
+        est = k_functional_upper(m.rf, 2, 0.1, m.norm_spec(p2))
+        assert [est.f_minus_g_norm, est.g_deriv_norm] == \
+            self.parts_alone(m.rf, 2, 0.1, m.norm_spec(p2))
+
+    @pytest.mark.parametrize("p", [None, "p2"])
+    def test_khat_takes_about_half_the_points(self, p):
+        m = corpus_member("gauss_osc")
+        norm = m.norm_spec(None if p is None else exponent_field(p))
+        points = []
+
+        def counted():
+            return RealFunction(fn=lambda x: points.append(x.size) or m.rf.fn(x),
+                                breakpoints=m.rf.breakpoints,
+                                osc_wavelength=m.rf.osc_wavelength)
+        k_functional_upper(counted(), 2, 0.25, norm)
+        stacked = sum(points)
+        points.clear()
+        self.parts_alone(counted(), 2, 0.25, norm)
+        assert stacked <= 0.55 * sum(points)
 
 
 def properties_rows(f: str, p=None, r: int = 1):
