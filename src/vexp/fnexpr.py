@@ -271,11 +271,12 @@ def _const_value(node: Node, pos: int) -> float:
 # ---------------------------------------------------------------------------
 #
 # An AST compiles once into a tree of closures that runs the ufunc sequence
-# of a direct tree walk: every float operation is the same, so results match
-# bit for bit.  Subtrees without x fold to Python floats, computed by the same
-# numpy operation on a one-element array; an array combined with a float then
-# gives, element by element, what it gives combined with an array of that
-# float.  Compiled closures take arrays of at least one dimension.
+# of a direct tree walk: every float operation is the same, so this plain form
+# matches the walk bit for bit (the outer form below does not).  Subtrees
+# without x fold to Python floats, computed by the same numpy operation on a
+# one-element array; an array combined with a float then gives, element by
+# element, what it gives combined with an array of that float.  Compiled
+# closures take arrays of at least one dimension.
 
 def _sinc(a: float, x: np.ndarray) -> np.ndarray:
     y = a * x
@@ -393,6 +394,84 @@ def _apply(fn, x) -> np.ndarray:
 def evaluate(node: Node, x) -> np.ndarray:
     """Compile node and evaluate it once at x."""
     return _apply(compile_expr(node), x)
+
+
+# The outer form samples a tree at every x_i + t_j.  sin and cos of c*x + b
+# go by the addition theorem, sin(u_i + v_j) = [sin u, cos u] @ [cos v; sin v]
+# with u = c*x + b and v = c*t: 2(N + M) transcendentals and a rank-2 matmul,
+# not N*M sines.  The exact rounding residuals e of u and v (TwoProduct and
+# TwoSum; Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 2005) correct both
+# factors to first order, sin(u + e) = sin u + e cos u, so the values are
+# those at the exact x_i + t_j to about an ulp, where the plain form, which
+# rounds x_i + t_j and c*(x_i + t_j), is off by about eps*|c*X|.  sinc(a) is
+# that sine over a*X.  Where |c*X| < 4 the plain form is as accurate (for
+# sinc, more), and the node keeps its compiled closure; so does every other
+# subtree, on X = x_i + t_j.
+
+def _split(a):
+    h = a * 134217729.0  # 2^27 + 1: Veltkamp's split into two 26-bit halves
+    hi = h - (h - a)
+    return hi, a - hi
+
+
+def _sin_cos(c: float, b: float, x: np.ndarray):
+    """sin and cos of c*x + b: of its rounded value, corrected by the residual."""
+    p = c * x
+    (ch, cl), (xh, xl) = _split(c), _split(x)
+    s = p + b
+    z = s - p
+    e = cl * xl - (((p - ch * xh) - cl * xh) - ch * xl) + ((p - (s - z)) + (b - z))
+    sin, cos = np.sin(s), np.cos(s)
+    return sin + e * cos, cos - e * sin
+
+
+def _trig(kind: str, c: float, b: float, plain):
+    """The outer form of sin or cos of c*x + b, or of sinc(c) (b = 0), whose
+    compiled closure is plain."""
+    def prep(x, t):
+        (su, cu), (sv, cv) = _sin_cos(c, b, x), _sin_cos(c, 0.0, t)
+        left, right = np.stack([cu, -su] if kind == "cos" else [su, cu], 1), np.stack([cv, sv])
+        reach = 8.0 / abs(c)  # rows beyond it hold no |c*X| < 4
+        near = (x + t.max(initial=-np.inf) > -reach) & (x + t.min(initial=np.inf) < reach)
+
+        def ev(rows, X):
+            out = left[rows] @ right
+            if kind == "sinc":
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    np.divide(out, np.multiply(c, X), out=out)
+            if near[rows].any():
+                small = np.abs(np.multiply(c, X)) < 4.0
+                out[small] = plain(X[small])
+            return out
+        return ev
+    return prep
+
+
+def _on_sum(fn):
+    """A compiled closure, or float, as an outer form: fn on X."""
+    return fn if isinstance(fn, float) else lambda x, t: lambda rows, X: fn(X)
+
+
+def _outer(node: Node):
+    """node's outer form, (x, t) -> ((rows, X) -> values at X = x[rows] + t),
+    or None when that is its compiled closure on X."""
+    if isinstance(node, SincD) and node.order == 0 and node.a != 0.0:
+        return _trig("sinc", node.a, 0.0, _compile(node))
+    if (isinstance(node, Call) and node.name in ("sin", "cos") and _knots(node.arg) == set()
+            and len(p := _poly_at(node.arg, 0.0)) == 2 and p[1] != 0.0):
+        return _trig(node.name, float(p[1]), float(p[0]), _compile(node))
+    kids = [v for v in vars(node).values() if not isinstance(v, (int, float, str))]
+    outers = [_outer(k) for k in kids]
+    if all(o is None for o in outers):
+        return None
+    op = (_BINARY[node.op] if isinstance(node, BinOp) else np.negative if isinstance(node, Neg)
+          else _CALLS[node.name] if isinstance(node, Call) else _power(node.exponent))
+    parts = [o or _on_sum(_compile(k)) for k, o in zip(kids, outers)]
+
+    def prep(x, t):
+        evs = [p if isinstance(p, float) else p(x, t) for p in parts]
+        return lambda rows, X: op(*(e if isinstance(e, float) else e(rows, X) for e in evs))
+    return prep
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +653,8 @@ def _tail(node: Node) -> _Tail:
         return _Tail(-math.inf, support=(node.a, node.b))
     if isinstance(node, Gauss):
         return _Tail(-math.inf if node.a > 0 else math.inf)
-    if isinstance(node, SincD):
-        return _Tail(-1.0)
+    if isinstance(node, SincD):  # sinc(0) is 1, and its derivatives vanish
+        return _Tail(-1.0) if node.a else _Tail(0.0, np.float64(node.order == 0))
     if isinstance(node, Neg):
         t = _tail(node.operand)
         return t._replace(coef=-t.coef)
@@ -797,6 +876,16 @@ class FuncExpr:
         """The value of an expression without x; None when x occurs."""
         value = _compile(self.ast)
         return value if isinstance(value, float) else None
+
+    @cached_property
+    def _outer_form(self):
+        return _outer(self.ast) or _on_sum(self._compiled)
+
+    def outer(self, x: np.ndarray, t: np.ndarray):
+        """rows -> the values at every x_i + t_j, i in the slice rows, for 1-D
+        x and t: the outer form (see `_outer`)."""
+        ev = self._outer_form(x, t)
+        return lambda rows: ev(rows, x[rows, None] + t)
 
     def __call__(self, x):
         scalar = np.isscalar(x)

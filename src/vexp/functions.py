@@ -68,10 +68,13 @@ def outer_apply(f: RealFunction, x: np.ndarray, offsets: np.ndarray,
                 weights: np.ndarray) -> np.ndarray:
     """Compute sum_j w_j f(x_i + t_j) for all i, once per row w of weights.
 
-    Rows go in blocks of _SUB_CHUNK // m (at least one): each block is one f
-    evaluation, whose temporaries stay in L2, and one gemv per row of weights
-    written straight into the result.  gemv results depend on the row count
-    of a call, so they can differ in the last bit from one product over all.
+    An expression-backed f is sampled by its outer form (`FuncExpr.outer`),
+    which takes sin, cos and sinc by the addition theorem; any other f is
+    called on the outer sum x_i + t_j.  Rows go in blocks of _SUB_CHUNK // m
+    (at least one): each block is one evaluation, whose temporaries stay in
+    L2, and one gemv per row of weights written straight into the result.
+    gemv results depend on the row count of a call, so they can differ in
+    the last bit from one product over all.
     """
     x = np.asarray(x, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
@@ -80,8 +83,10 @@ def outer_apply(f: RealFunction, x: np.ndarray, offsets: np.ndarray,
     rows = weights.reshape(-1, weights.shape[-1])
     out = np.empty((rows.shape[0], flat_x.size))
     step = max(1, _SUB_CHUNK // max(offsets.size, 1))
+    ev = (f.expr.outer(flat_x, offsets) if f.fn is f.expr
+          else lambda s: f.fn(flat_x[s, None] + offsets[None, :]))
     for i0 in range(0, flat_x.size, step):
-        vals = f.fn(flat_x[i0:i0 + step, None] + offsets[None, :])
+        vals = ev(slice(i0, i0 + step))
         for w, o in zip(rows, out):
             np.matmul(vals, w, out=o[i0:i0 + step])
     return out.reshape(weights.shape[:-1] + x.shape)

@@ -15,7 +15,9 @@ iterates, and `steklov_combination` is the one place such a sum is
 evaluated.  Each term is the kernel B_k(u - j) on the unit panels of [0, top],
 top = max(k + j), subdivided where f oscillates, so the weights of all terms
 add up on one Gauss-Legendre lattice (k = 0 terms are point columns) and one
-outer product f(x_i + d*u_j) evaluates the whole sum.  Sums with one top stack
+outer product f(x_i + d*u_j) evaluates the whole sum (`outer_apply`, which
+samples an expression's sin, cos and sinc nodes by the addition theorem, at
+the exact x_i + d*u_j to about an ulp).  Sums with one top stack
 on one lattice: each keeps its own row of weights, and one pass over f serves
 them all.  A point whose window (x, x + top*d) holds a breakpoint b of f
 takes the same lattice with its panels split at (b - x)/d.

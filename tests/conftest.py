@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from vexp.fnexpr import ExponentField, parse
 from vexp.functions import as_real_function
+
+# tier-1 runs draw the same examples every time and keep no example database;
+# `--hypothesis-profile=default` restores randomized runs
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

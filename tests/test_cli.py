@@ -43,6 +43,13 @@ class TestNormCommand:
         assert code == 0
         assert "grid estimates" in err
 
+    @pytest.mark.parametrize("src", ["1", "gauss(0)", "sinc(0)"])
+    def test_constant_one_in_every_spelling(self, src):
+        # sinc(0) read as power decay took window 200 and printed 20
+        code, out, _ = run_cli("norm", "--f", src, "--p", "2")
+        assert code == 0
+        assert out.strip() == "4.472135955"
+
     @pytest.mark.parametrize("window", ["0", "-5"])
     def test_nonpositive_window_exit_code(self, window):
         code, out, err = run_cli("norm", "--f", "@gauss", "--p", "2",
