@@ -54,7 +54,6 @@ class AuditCase:
     f_src: str
     g_src: Optional[str] = None
     p_src: Optional[str] = None
-    p_infinity: Optional[float] = None
     r: int = 1
     k: int = 1
     deltas: tuple[float, ...] = ()
@@ -117,9 +116,8 @@ class Context:
     def member(self, src: str) -> CorpusMember:
         return self.cached(("member", src), lambda: resolve_function(src))
 
-    def exponent(self, src: str, p_infinity: Optional[float]) -> ExponentField:
-        return self.cached(("exponent", src, p_infinity),
-                           lambda: resolve_exponent(src, p_infinity))
+    def exponent(self, src: str) -> ExponentField:
+        return self.cached(("exponent", src), lambda: resolve_exponent(src))
 
     def norm(self, m: CorpusMember, norm: NormSpec) -> float:
         return self.cached(("norm", m.name, norm), lambda: norm_of(m.rf, norm))
@@ -180,8 +178,7 @@ def _checked(ctx: Context, case: AuditCase) -> tuple[Family, CorpusMember, NormS
         if not getattr(case, attr):
             raise ValueError(f"theorem {case.theorem!r} needs {attr} ({why})")
     m = ctx.member(case.f_src)
-    p = (ctx.exponent(case.p_src, case.p_infinity)
-         if case.p_src and family.kind != "sup" else None)
+    p = ctx.exponent(case.p_src) if case.p_src and family.kind != "sup" else None
     for holds, what in family.checks:
         if not holds(case, m, p):
             raise ValueError(f"theorem {case.theorem!r} needs {what}")
@@ -630,12 +627,12 @@ class Family:
     kind is the norm of the statement: "vexp" (needs p), "sup", or "either"
     (L^p(.) when the case gives p, else sup).  Each keyword names a required
     field and the reason shown when it is missing; reads lists the optional
-    fields.  Every family reads theorem and f, and p and p_infinity unless
-    its kind is "sup".  constant(case, p) is the statement's constant (p is
-    None in the sup norm).  checks are its preconditions, pairs of
-    holds(case, member, p) and what the statement needs, tested before any
-    case runs.  sigma_scale is where its series and integrals sample A_hat,
-    and panels are the u-quadrature panel counts of a Marchaud integral.
+    fields.  Every family reads theorem and f, and p unless its kind is
+    "sup".  constant(case, p) is the statement's constant (p is None in the
+    sup norm).  checks are its preconditions, pairs of holds(case, member, p)
+    and what the statement needs, tested before any case runs.  sigma_scale
+    is where its series and integrals sample A_hat, and panels are the
+    u-quadrature panel counts of a Marchaud integral.
     """
 
     def __init__(self, run: Callable[..., Iterator[AuditRow]], kind: str,
@@ -645,7 +642,7 @@ class Family:
         self.run, self.kind, self.constant, self.checks = run, kind, constant, checks
         self.sigma_scale, self.panels = sigma_scale, panels
         self.needs = {**needs, "p_src": "exponent"} if kind == "vexp" else needs
-        p = ("p_src", "p_infinity") if kind != "sup" else ()
+        p = ("p_src",) if kind != "sup" else ()
         self.accepts = {"theorem", "f_src", *self.needs, *reads, *p}
 
 

@@ -36,13 +36,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_norm = sub.add_parser("norm", help="Luxemburg norm of an expression")
     p_norm.add_argument("--f", required=True, help="function expression or @member")
     p_norm.add_argument("--p", required=True, help="exponent expression or @name")
-    p_norm.add_argument("--p-infinity", type=float, default=None)
     p_norm.add_argument("--window", type=float, default=None)
 
     p_mod = sub.add_parser("modulus", help="smoothness modulus")
     p_mod.add_argument("--f", required=True)
     p_mod.add_argument("--p", default=None, help="exponent (omit for sup norm)")
-    p_mod.add_argument("--p-infinity", type=float, default=None)
     p_mod.add_argument("--r", type=int, required=True)
     p_mod.add_argument("--delta", type=float, required=True)
     p_mod.add_argument("--window", type=float, default=None)
@@ -52,7 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ap.add_argument("--sigma", type=float, required=True)
     p_ap.add_argument("--norm", choices=("sup", "vexp"), default="sup")
     p_ap.add_argument("--p", default="2", help="exponent for --norm vexp")
-    p_ap.add_argument("--p-infinity", type=float, default=None)
     p_ap.add_argument("--window", type=float, default=None)
 
     p_const = sub.add_parser("constants", help="dump the constant table as CSV")
@@ -65,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _exponent(args):
     """The --p exponent; warns when its log-continuity constants are estimates."""
-    p = resolve_exponent(args.p, args.p_infinity)
+    p = resolve_exponent(args.p)
     if not p.is_constant:
         print("note: log-continuity constants are grid estimates "
               f"(c_local={p.c_log_local:.6g}, c_decay={p.c_log_decay:.6g})",

@@ -3,7 +3,7 @@
 No canonical test set comes with the inequalities themselves, so this
 module fixes one: twelve functions spanning smooth/rough, bandlimited/
 non-bandlimited and fast/slow decay, plus three exponent fields (one
-constant, two variable with fixed asymptote).  A member is its name, its
+constant, two variable with a limit at infinity).  A member is its name, its
 expression source, its windows and its panel density; everything else
 (decay, breakpoints, wavelength, the exact engine of the rough members) is
 read off the expression, as for a raw source.
@@ -86,9 +86,8 @@ def default_corpus() -> tuple[CorpusMember, ...]:
 def default_exponents() -> tuple[ExponentField, ...]:
     return (
         ExponentField.from_expr("2", name="p2"),
-        ExponentField.from_expr("2 + 1/(1+x^2)", p_infinity=2.0, name="p_bump"),
-        ExponentField.from_expr("1.5 + sin(x)^2/(1+x^2)", p_infinity=1.5,
-                                name="p_osc"),
+        ExponentField.from_expr("2 + 1/(1+x^2)", name="p_bump"),
+        ExponentField.from_expr("1.5 + sin(x)^2/(1+x^2)", name="p_osc"),
     )
 
 
@@ -121,7 +120,7 @@ def resolve_function(src: str) -> CorpusMember:
                         sup_window=min(w, 20.0), panels_per_unit=4.0)
 
 
-def resolve_exponent(src: str, p_infinity: Optional[float] = None) -> ExponentField:
+def resolve_exponent(src: str) -> ExponentField:
     if src.startswith("@"):
         return exponent_field(src[1:])
-    return ExponentField.from_expr(src, p_infinity=p_infinity, name=src)
+    return ExponentField.from_expr(src, name=src)

@@ -51,7 +51,7 @@ class NonDifferentiableError(ValueError):
 
 
 class ExponentRangeError(ValueError):
-    """An exponent expression dipped below 1 on the sample grid."""
+    """An exponent below 1 or NaN on the grid, or without a limit >= 1 at oo."""
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +631,9 @@ def _product(l: _Tail, r: _Tail) -> _Tail:
         return _Tail(-math.inf, support=support)
     if math.inf in (l.growth, r.growth):
         return _Tail(math.inf)
-    return _Tail(l.growth + r.growth, l.coef * r.coef, odd=l.odd != r.odd)
+    # o(|x|^a) O(|x|^b) = o(|x|^(a+b)): a coefficient 0 survives any factor
+    coef = 0.0 if 0.0 in (l.coef, r.coef) else l.coef * r.coef
+    return _Tail(l.growth + r.growth, coef, odd=l.odd != r.odd)
 
 
 def _power_tail(t: _Tail, n: int) -> _Tail:
@@ -651,8 +653,8 @@ def _tail(node: Node) -> _Tail:
         return _Tail(1.0, np.float64(1.0), odd=True)
     if isinstance(node, Indicator):
         return _Tail(-math.inf, support=(node.a, node.b))
-    if isinstance(node, Gauss):
-        return _Tail(-math.inf if node.a > 0 else math.inf)
+    if isinstance(node, Gauss):  # gauss(0) is 1
+        return _Tail(math.copysign(math.inf, -node.a)) if node.a else _Tail(0.0, np.float64(1.0))
     if isinstance(node, SincD):  # sinc(0) is 1, and its derivatives vanish
         return _Tail(-1.0) if node.a else _Tail(0.0, np.float64(node.order == 0))
     if isinstance(node, Neg):
@@ -669,10 +671,11 @@ def _tail(node: Node) -> _Tail:
             return u._replace(coef=abs(u.coef), odd=False)
         if node.name != "exp":
             return _Tail(0.0)
-        if u.growth == 2 and not u.odd and 64.0 * u.coef < -1.0:
-            return _Tail(-math.inf)  # exp(c x^2) with c < -1/64
-        bounded = u.growth <= 0 or (u.coef < 0 and not u.odd)  # u bounded above
-        return _Tail(0.0 if bounded else math.inf)
+        if u.growth > 0 and u.coef < 0 and not u.odd:  # u -> -oo on both sides
+            if u.growth == 2 and 64.0 * u.coef < -1.0:
+                return _Tail(-math.inf)  # exp(c x^2) with c < -1/64
+            return _Tail(0.0, np.float64(0.0))
+        return _Tail(0.0 if u.growth <= 0 else math.inf)
     l, r = _tail(node.left), _tail(node.right)
     if node.op in "+-":
         return _sum(l, r if node.op == "+" else r._replace(coef=-r.coef))
@@ -927,9 +930,9 @@ def estimate_log_holder(p: FuncExpr, window: float, samples: int, p_infinity: fl
         raise ValueError("need at least 2 samples")
     xs = np.linspace(-window, window, samples)
     vals = p(xs)
-    if np.min(vals) < 1.0 - 1e-12:
-        bad = xs[int(np.argmin(vals))]
-        raise ExponentRangeError(f"p({bad:.6g}) = {np.min(vals):.6g} < 1")
+    i = int(np.argmin(vals))  # the first NaN, if there is one
+    if not vals[i] >= 1.0 - 1e-12:
+        raise ExponentRangeError(f"p({xs[i]:.6g}) = {vals[i]:.6g} is not >= 1")
 
     c_local = 0.0
     block = 512
@@ -945,19 +948,26 @@ def estimate_log_holder(p: FuncExpr, window: float, samples: int, p_infinity: fl
     return c_local, c_decay, float(np.min(vals)), float(np.max(vals))
 
 
-# the grid of `ExponentField.from_expr`'s range and log-continuity estimates
-_P_WINDOW = 50.0
-_P_SAMPLES = 801
+def _limit(node: Node) -> float:
+    """The limit of node's value as |x| -> oo, read off its tail."""
+    with np.errstate(all="ignore"):
+        t = _tail(node)
+    if t.growth < 0:
+        return 0.0
+    if t.growth == 0 and math.isfinite(t.coef) and not (t.odd and t.coef):
+        return float(t.coef)
+    raise ExponentRangeError(f"{to_source(node)} has no limit at infinity")
 
 
 @dataclass(frozen=True)
 class ExponentField:
-    """An exponent p(.) with its range, asymptote and log-continuity data.
+    """An exponent p(.) with its range, its limit p_infinity at infinity (read
+    off the tree; an exponent without one is refused) and log-continuity data.
 
-    The constants are grid estimates (lower bounds of the true suprema);
-    audits that feed them into explicit bound formulas therefore use
-    constants that are, if anything, too small, which keeps every check
-    conservative.
+    The range on [-50, 50] and the constants are grid estimates (lower bounds
+    of the true suprema); audits that feed them into explicit bound formulas
+    therefore use constants that are, if anything, too small, which keeps
+    every check conservative.
     """
 
     expr: FuncExpr
@@ -980,23 +990,20 @@ class ExponentField:
         return self.expr(x)
 
     @classmethod
-    def from_expr(cls, src: str, p_infinity: Optional[float] = None,
-                  name: Optional[str] = None) -> "ExponentField":
+    def from_expr(cls, src: str, name: Optional[str] = None) -> "ExponentField":
         expr = parse(src)
         const = expr.constant
+        limit = _limit(expr.ast) if const is None else const
+        if not limit >= 1.0:
+            raise ExponentRangeError(f"p = {limit:.6g} < 1 at infinity")
         if const is not None:
-            if const < 1.0:
-                raise ExponentRangeError(f"constant exponent {const} < 1")
-            return cls(expr=expr, p_minus=const, p_plus=const,
-                       p_infinity=const, c_log_local=0.0, c_log_decay=0.0,
-                       name=name or expr.src)
-        if p_infinity is None:
-            p_infinity = 0.5 * float(expr(10.0 * _P_WINDOW) + expr(-10.0 * _P_WINDOW))
-        c1, c2, pmin, pmax = estimate_log_holder(expr, _P_WINDOW, _P_SAMPLES, p_infinity)
-        # the essential range over R includes the asymptote
-        return cls(expr=expr, p_minus=min(pmin, p_infinity),
-                   p_plus=max(pmax, p_infinity), p_infinity=p_infinity,
-                   c_log_local=c1, c_log_decay=c2, name=name or expr.src)
+            return cls(expr=expr, p_minus=const, p_plus=const, p_infinity=const,
+                       c_log_local=0.0, c_log_decay=0.0, name=name or expr.src)
+        c1, c2, pmin, pmax = estimate_log_holder(expr, 50.0, 801, limit)
+        # the essential range over R includes the limit
+        return cls(expr=expr, p_minus=min(pmin, limit), p_plus=max(pmax, limit),
+                   p_infinity=limit, c_log_local=c1, c_log_decay=c2,
+                   name=name or expr.src)
 
     def dual(self) -> "ExponentField":
         """Pointwise conjugate exponent p/(p-1); requires p_minus > 1."""

@@ -23,7 +23,7 @@ def p1():
 
 @pytest.fixture(scope="session")
 def p_bump():
-    return ExponentField.from_expr("2 + 1/(1+x^2)", p_infinity=2.0, name="p_bump")
+    return ExponentField.from_expr("2 + 1/(1+x^2)", name="p_bump")
 
 
 @pytest.fixture(scope="session")

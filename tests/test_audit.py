@@ -312,7 +312,7 @@ class TestRowWiring:
         row = run_case(ctx, AuditCase(theorem="steklov_bound", f_src="@gauss",
                                       p_src="@p_bump", deltas=(0.5,)))[0]
         m = ctx.member("@gauss")
-        p = ctx.exponent("@p_bump", None)
+        p = ctx.exponent("@p_bump")
         nf = luxemburg_norm(m.rf, p, window=m.norm_window).value
         tf = luxemburg_norm(iterated_steklov(m.rf, 0.5, 1), p,
                             window=m.norm_window).value
@@ -327,7 +327,7 @@ class TestRowWiring:
         row = run_case(ctx, AuditCase(theorem="jackson_vexp", f_src="@gauss",
                                       p_src="@p2", r=2, sigmas=(4.0,)))[0]
         m = ctx.member("@gauss")
-        p = ctx.exponent("@p2", None)
+        p = ctx.exponent("@p2")
         norm = NormSpec.vexp(p, window=m.norm_window,
                              panels_per_unit=m.panels_per_unit)
         om = modulus(ModulusRequest(m.rf, 2, 1.0 / 8.0, norm))
@@ -382,6 +382,15 @@ class TestCaseValidation:
             run_suite(case + "lhs_windw = 20\n")
         with pytest.raises(ValueError, match="jobs"):
             run_suite("[defaults]\njobs = 2\n" + case)
+
+    def test_p_infinity_key_rejected(self):
+        # p_infinity is read off the exponent's tree; no key sets it
+        case = ('[[case]]\ntheorem = "steklov_bound"\nf = "@gauss"\n'
+                'p = "2 + 1/(1+x^2)"\ndeltas = [0.5]\n')
+        with pytest.raises(ValueError, match="does not read key 'p_infinity'"):
+            run_suite(case + "p_infinity = 2.0\n")
+        with pytest.raises(ValueError, match="unknown key 'p_infinity'"):
+            run_suite("[defaults]\np_infinity = 2.0\n" + case)
 
     def test_keys_a_family_does_not_read_rejected(self):
         # jackson_sup takes A_hat on the sup window, so lhs_window changed

@@ -38,10 +38,20 @@ class TestNormCommand:
         assert out.strip() == f"{(math.pi / 2) ** 0.25:.12g}"
 
     def test_warns_on_variable_exponent(self):
-        code, out, err = run_cli("norm", "--f", "exp(-x^2)",
-                                 "--p", "2 + 1/(1+x^2)", "--p-infinity", "2")
+        code, out, err = run_cli("norm", "--f", "exp(-x^2)", "--p", "2 + 1/(1+x^2)")
         assert code == 0
         assert "grid estimates" in err
+
+    @pytest.mark.parametrize("src", ["2 + sin(x)^2", "2 + x/(1+abs(x))", "2 + exp(-x)"])
+    def test_exponent_without_limit_exit_code(self, capsys, src):
+        # these were accepted with p_infinity the mean of p(+-500)
+        assert main(["norm", "--f", "exp(-x^2)", "--p", src]) == 2
+        assert "has no limit at infinity" in capsys.readouterr().err
+
+    def test_nan_exponent_exit_code(self, capsys):
+        # printed 1.01266867491 with c_decay=nan
+        assert main(["norm", "--f", "exp(-x^2)", "--p", "2+sin(x)/x"]) == 2
+        assert "error: p(0) = nan" in capsys.readouterr().err
 
     @pytest.mark.parametrize("src", ["1", "gauss(0)", "sinc(0)"])
     def test_constant_one_in_every_spelling(self, src):

@@ -123,6 +123,7 @@ class TestDecay:
         ("exp(-x^2/100)", "none", 0.0),  # too slow: exp(c x^2) needs 64c < -1
         ("exp(-abs(x))", "none", 0.0),
         ("exp(-abs(x)^2)", "gaussian", 0.0),  # |c x|^2 keeps its coefficient
+        ("exp(-x^2)/(1+exp(-abs(x)))", "gaussian", 0.0),  # the divisor tends to 1
         ("abs(x)*indicator(-1, 2) - abs(x - 1)*indicator(3, 4)", "compact_support", 0.0),
         ("(1e200*x)^2", "none", 0.0),  # coefficients overflow without raising
     ])
@@ -300,7 +301,7 @@ class TestLogHolder:
             estimate_log_holder(parse("1 + sin(x)"), 10.0, 101, p_infinity=1.0)
 
     def test_exponent_field_dual(self):
-        p = ExponentField.from_expr("2 + 1/(1+x^2)", p_infinity=2.0)
+        p = ExponentField.from_expr("2 + 1/(1+x^2)")
         q = p.dual()
         xs = np.linspace(-5, 5, 11)
         pv = p(xs)
@@ -311,6 +312,71 @@ class TestLogHolder:
     def test_dual_requires_pminus_above_one(self):
         with pytest.raises(ExponentRangeError):
             ExponentField.from_expr("1").dual()
+
+    def test_nan_exponent_rejected(self):
+        # sin(x)/x is 0/0 at the grid point 0, and a NaN passed `min < 1`
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ExponentRangeError, match=r"p\(0\) = nan"):
+            estimate_log_holder(parse("2 + sin(x)/x"), 10.0, 101, p_infinity=2.0)
+
+
+# the decaying g of the exponents c + a g, and the h of c + a h without a limit
+_DECAYING = st.one_of(
+    st.sampled_from(["1/(1+x^2)", "1/(1+abs(x))", "exp(-abs(x))"]),
+    st.floats(0.25, 4.0).map(lambda b: f"sinc({b!r})"),
+    st.tuples(st.floats(0.25, 4.0), st.floats(0.5, 5.0)).map(
+        lambda t: f"gauss({t[0]!r})*sin({t[1]!r}*x)"),
+)
+_NO_LIMIT = st.sampled_from(["sin(x)^2", "x/(1+abs(x))", "exp(-x)"])
+
+
+class TestLimitAtInfinity:
+    @pytest.mark.parametrize("src, limit", [
+        ("2 + 1/(1+x^2)", 2.0),
+        ("2 + 1/(1+abs(x))", 2.0),
+        ("(2*x^2+1)/(x^2+1)", 2.0),
+        ("sinc(1) + 2", 2.0),
+        ("2 + exp(-abs(x))", 2.0),
+        ("2 + exp(-abs(x))*sin(x)", 2.0),
+        ("1.5 + sin(x)^2/(1+x^2)", 1.5),
+    ])
+    def test_read_off_the_tree(self, src, limit):
+        assert ExponentField.from_expr(src).p_infinity == limit
+
+    def test_limit_is_the_range_end_it_touches(self):
+        # the mean of p(+-500) read p_infinity = p_minus = 2.001996, and
+        # p_infinity = p_plus = 1.999996
+        assert ExponentField.from_expr("2 + 1/(1+abs(x))").p_minus == 2.0
+        assert ExponentField.from_expr("(2*x^2+1)/(x^2+1)").p_plus == 2.0
+
+    def test_bundled_exponents(self):
+        from vexp.corpus import exponent_field
+        assert [exponent_field(n).p_infinity for n in ("p2", "p_bump", "p_osc")] == \
+            [2.0, 2.0, 1.5]
+
+    @pytest.mark.parametrize("src", ["2 + sin(x)^2", "2 + x/(1+abs(x))", "2 + exp(-x)"])
+    def test_no_limit_refused(self, src):
+        # accepted with p_infinity = 2.2188, 2 and 7.0e216
+        with pytest.raises(ExponentRangeError, match="no limit at infinity"):
+            ExponentField.from_expr(src)
+
+    def test_limit_below_one_refused(self):
+        # 1e6/(1+x^2) stays above 1 on [-50, 50] and tends to 0
+        with pytest.raises(ExponentRangeError, match="p = 0 < 1 at infinity"):
+            ExponentField.from_expr("1e6/(1+x^2)")
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(1.5, 4.0), st.floats(-0.9, 0.9), _DECAYING)
+    def test_generated_decaying_exponents_read_exactly(self, c, t, g):
+        a = t * (c - 1.0)
+        assert ExponentField.from_expr(f"{c!r} + ({a!r})*{g}").p_infinity == c
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(1.5, 4.0), st.floats(0.05, 0.9), st.booleans(), _NO_LIMIT)
+    def test_generated_exponents_without_limit_refused(self, c, a, negative, h):
+        a = -a if negative else a
+        with pytest.raises(ExponentRangeError, match="no limit at infinity"):
+            ExponentField.from_expr(f"{c!r} + ({a!r})*{h}")
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ class TestModular:
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.1, 4.0), st.floats(1.05, 3.0))
     def test_monotone_in_scale(self, lam, factor):
-        p = ExponentField.from_expr("2 + 1/(1+x^2)", p_infinity=2.0)
+        p = ExponentField.from_expr("2 + 1/(1+x^2)")
         sm = SampledModular(GAUSS, p, 12.0)
         assert sm.value(lam) >= sm.value(lam * factor) - 1e-12
 
