@@ -924,10 +924,8 @@ def estimate_log_holder(p: FuncExpr, window: float, samples: int, p_infinity: fl
     Returns (c_log_local, c_log_decay, p_minus, p_plus).  These are maxima
     over sample pairs / samples, hence lower estimates of the true constants;
     they never decrease when points are added to the grid.  Raises
-    ExponentRangeError if p drops below 1 anywhere on the grid.
+    ExponentRangeError if p drops below 1, or is NaN, anywhere on the grid.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
     xs = np.linspace(-window, window, samples)
     vals = p(xs)
     i = int(np.argmin(vals))  # the first NaN, if there is one

@@ -21,7 +21,7 @@ import numpy as np
 from .fnexpr import ExponentField
 from .functions import RealFunction
 from .quad import DEFAULT_SPEC, Bracket, QuadSpec, find_root_decreasing, panel_rule
-from .steklov import sup_norm
+from .steklov import _finite_samples, sup_norm
 
 __all__ = [
     "VexpNorm", "NormSpec", "NotIntegrableError", "SampledModular",
@@ -92,7 +92,7 @@ class SampledModular:
     def __init__(self, f: RealFunction, p: ExponentField, window: float,
                  panels_per_unit: float = 4.0):
         x, w = window_nodes(window, panels_per_unit, f.breakpoints)
-        samples = np.abs(f(x)).reshape(-1, x.size)
+        samples = np.abs(_finite_samples(x, f(x))).reshape(-1, x.size)
         self.s_max = np.max(samples, axis=1).tolist()
         pos = samples > 0.0
         self.p = [p.p_minus if p.is_constant else p(x[q]) for q in pos]

@@ -273,6 +273,14 @@ def sup_norm(f: RealFunction, window: float, refine: bool = True):
     return tops[0] if len(tops) == 1 else tuple(tops)
 
 
+def _finite_samples(x: np.ndarray, fx: np.ndarray) -> np.ndarray:
+    """fx = f(x), a row per output of f; raises naming an x where f is not finite."""
+    bad = ~np.isfinite(fx.reshape(-1, x.size)).all(axis=0)
+    if bad.any():
+        raise ValueError(f"f is not finite at x = {x[np.argmax(bad)]:.6g}")
+    return fx
+
+
 def _grid_maxima(f: RealFunction, window: float, refine: bool = True,
                  signed: bool = False) -> list[float]:
     """[max |f|], or [max f, max -f] when signed, over [-window, window], per
@@ -284,7 +292,7 @@ def _grid_maxima(f: RealFunction, window: float, refine: bool = True,
     extra = [b for b in f.breakpoints if abs(b) <= window]
     if extra:
         xs = np.unique(np.concatenate([xs, np.asarray(extra, dtype=float)]))
-    fx = f(xs)
+    fx = _finite_samples(xs, f(xs))
     tops = []
     for i, row in enumerate(fx.reshape(-1, xs.size)):
         groups = ([(row, np.ones_like(row)), (-row, -np.ones_like(row))] if signed

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from vexp.cli import main
@@ -50,7 +51,8 @@ class TestNormCommand:
 
     def test_nan_exponent_exit_code(self, capsys):
         # printed 1.01266867491 with c_decay=nan
-        assert main(["norm", "--f", "exp(-x^2)", "--p", "2+sin(x)/x"]) == 2
+        with np.errstate(invalid="ignore"):
+            assert main(["norm", "--f", "exp(-x^2)", "--p", "2+sin(x)/x"]) == 2
         assert "error: p(0) = nan" in capsys.readouterr().err
 
     @pytest.mark.parametrize("src", ["1", "gauss(0)", "sinc(0)"])
@@ -111,6 +113,18 @@ class TestModulusCommand:
         # these printed 42.25, 7.697 and inf
         assert main(["modulus", "--f", src, "--r", "1", "--delta", "1"]) == 2
         assert "cannot bound the frequency" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["modulus", "--f", "sin(x)/x", "--r", "1", "--delta", "0.1"],
+        ["approx", "--f", "sin(x)/x", "--sigma", "2"],
+        ["approx", "--f", "sin(x)/x", "--sigma", "2", "--norm", "vexp", "--p", "2"],
+    ])
+    def test_non_finite_samples_exit_code(self, capsys, argv):
+        # sin(x)/x is 0/0 at x = 0: the first two printed nan with exit code
+        # 0, the third a bare "math domain error"
+        with np.errstate(invalid="ignore"):
+            assert main(argv) == 2
+        assert "error: f is not finite at x = " in capsys.readouterr().err
 
     def test_vexp(self):
         code, out, _ = run_cli("modulus", "--f", "@gauss", "--p", "@p2",
