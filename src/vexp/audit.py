@@ -19,6 +19,7 @@ truncation data.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -34,11 +35,10 @@ from .corpus import CorpusMember, resolve_exponent, resolve_function
 from .fnexpr import ExponentField, differentiate
 from .functions import RealFunction, as_real_function, combine
 from .norms import NormSpec, luxemburg_norm, norm_of, window_nodes
-from .quad import panel_rule
 from .report import AuditRow, make_row
-from .smoothness import ModulusRequest, k_functional_upper, modulus
-from .steklov import (_grid_maxima, iterated_steklov, steklov_combination,
-                      steklov_derivative, sup_norm)
+from .smoothness import ModulusRequest, _k_functional, modulus
+from .steklov import (_grid_maxima, difference_terms, iterated_steklov,
+                      steklov_combination, steklov_derivative, sup_norm)
 
 __all__ = ["AuditCase", "AuditReport", "Context", "run_suite", "run_case",
            "THEOREM_RUNNERS", "write_reports"]
@@ -229,12 +229,13 @@ def run_holder(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
 def run_kfunc_equiv(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
                     norm: NormSpec) -> Iterator[AuditRow]:
     """Two-sided equivalence of the modulus with the K-functional bound:
-    K_hat <= upper * Omega_r(f, d) and Omega_r(f, d) <= lower * K_hat."""
+    K_hat <= upper * Omega_r(f, d) and Omega_r(f, d) <= lower * K_hat.  Omega
+    rides on K_hat's stack and stays out of the cache, whose `modulus` value
+    may differ in the last bits: rows would depend on the order of cases."""
     r = case.r
     up, low = fam.constant(case, norm.p)
     for d in case.deltas:
-        om = _omega(ctx, m, r, d, norm)
-        kh = k_functional_upper(m.rf, r, d, norm)
+        kh, (om,) = _k_functional(m.rf, r, d, norm, difference_terms(r))
         yield make_row(
             f"{case.theorem}_upper", _case_id(m, norm.p, r=r, delta=d),
             lhs=kh.value, rhs=up * om, constant_used=up,
@@ -307,29 +308,44 @@ def run_marchaud(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
                  norm: NormSpec) -> Iterator[AuditRow]:
     """Omega_r(f,t) <= c t^r int_t^1 Omega_{r+k}(f,u)/u^(r+1) du (no surrogates).
 
-    The u-integral is taken with each of the family's panel counts; the last
-    one is used, and its change from the one before is recorded.
+    The u-integral is taken in s = log u by the 17-point Clenshaw-Curtis rule
+    on each piece of [t, 1], and the 9-point rule on every other node gives
+    the recorded refinement estimate.  In L^p(.) the pieces end at the kinks
+    u = (b_i - b_j)/m, m <= r + k, where shifts of f's breakpoints meet; a
+    sup modulus has its kinks where the arg max jumps, so there is one piece.
     """
     r, k = case.r, case.k
     c = fam.constant(case, norm.p)
+    bps = m.rf.breakpoints if norm.kind == "vexp" else ()
+    kinks = sorted({(a - b) / j for a in bps for b in bps for j in range(1, r + k + 1)})
+    x, w17 = _clenshaw_curtis(16)
+    w9 = _clenshaw_curtis(8)[1]
     for t in case.t_grid:
-        *coarse, fine = [_marchaud_integral(ctx, m, norm, t, r, k, panels)
-                         for panels in fam.panels]
-        bounds = {"u_integral": fine}
-        if coarse:
-            bounds["u_quad_refinement"] = abs(fine - coarse[-1])
+        edges = [t, *(u for u in kinks if t < u < 1.0), 1.0]
+        fine = coarse = 0.0
+        for a, b in zip(edges, edges[1:]):
+            # int_a^b Omega(f, u) u^(-r-1) du = int Omega(f, e^s) e^(-rs) ds
+            half = 0.5 * math.log(b / a)
+            u = np.exp(0.5 * math.log(a * b) + half * x)
+            u[0], u[-1] = b, a  # exact ends, which the neighbouring pieces share
+            g = np.array([_omega(ctx, m, r + k, float(v), norm) for v in u]) / u ** r
+            fine += half * float(w17 @ g)
+            coarse += half * float(w9 @ g[::2])
         yield make_row(
             case.theorem, _case_id(m, norm.p, r=r, k=k, t=t),
-            lhs=_omega(ctx, m, r, t, norm), rhs=c * t ** r * fine,
-            constant_used=c, truncation_bounds=bounds)
+            lhs=_omega(ctx, m, r, t, norm), rhs=c * t ** r * fine, constant_used=c,
+            truncation_bounds={"u_integral": fine,
+                               "u_quad_refinement": abs(fine - coarse)})
 
 
-def _marchaud_integral(ctx: Context, m: CorpusMember, norm: NormSpec,
-                       t: float, r: int, k: int, panels: int) -> float:
-    edges = np.geomspace(t, 1.0, panels + 1)
-    nodes, wts = panel_rule(edges, 6)
-    vals = np.array([_omega(ctx, m, r + k, float(u), norm) for u in nodes])
-    return float(np.sum(wts * vals / nodes ** (r + 1)))
+@functools.cache
+def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes, from 1 down to -1, and weights of the (n + 1)-point Clenshaw-Curtis
+    rule on [-1, 1], n even (Trefethen, SIAM Review 50, 2008)."""
+    j, k = np.arange(n + 1), np.arange(1, n // 2 + 1)
+    w = 1.0 - np.cos(2.0 * np.pi / n * np.outer(j, k)) @ (
+        np.where(k < n // 2, 2.0, 1.0) / (4.0 * k * k - 1.0))
+    return np.sin(np.pi / (2 * n) * (n - 2 * j)), w * np.where(j % n, 2.0, 1.0) / n
 
 
 def run_one_step(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
@@ -631,16 +647,14 @@ class Family:
     "sup".  constant(case, p) is the statement's constant (p is None in the
     sup norm).  checks are its preconditions, pairs of holds(case, member, p)
     and what the statement needs, tested before any case runs.  sigma_scale
-    is where its series and integrals sample A_hat, and panels are the
-    u-quadrature panel counts of a Marchaud integral.
+    is where its series and integrals sample A_hat.
     """
 
     def __init__(self, run: Callable[..., Iterator[AuditRow]], kind: str,
                  reads: tuple[str, ...] = (), constant: Optional[Callable] = None,
-                 checks: tuple = (), sigma_scale: float = 1.0,
-                 panels: tuple[int, ...] = (), **needs: str):
+                 checks: tuple = (), sigma_scale: float = 1.0, **needs: str):
         self.run, self.kind, self.constant, self.checks = run, kind, constant, checks
-        self.sigma_scale, self.panels = sigma_scale, panels
+        self.sigma_scale = sigma_scale
         self.needs = {**needs, "p_src": "exponent"} if kind == "vexp" else needs
         p = ("p_src",) if kind != "sup" else ()
         self.accepts = {"theorem", "f_src", *self.needs, *reads, *p}
@@ -682,8 +696,7 @@ THEOREM_RUNNERS: dict[str, Family] = {
     "marchaud_vexp": Family(
         run_marchaud, "vexp", ("r", "k"), t_grid="steps in (0, 1/2)",
         constant=lambda case, p: C.c14_marchaud(case.r, case.k, p.p_plus, p.c3),
-        checks=((lambda case, m, p: case.t_grid[-1] < 0.5, "t in (0, 1/2)"),),
-        panels=(4, 8)),
+        checks=((lambda case, m, p: case.t_grid[-1] < 0.5, "t in (0, 1/2)"),)),
     "one_step_vexp": Family(
         run_one_step, "vexp", deltas="at least two steps",
         constant=lambda case, p: C.c8_transfer(72.0, p.p_plus, p.c3),
@@ -721,8 +734,7 @@ THEOREM_RUNNERS: dict[str, Family] = {
     "marchaud_sup": Family(
         run_marchaud, "sup", ("r", "k"), t_grid="steps in (0, 1/2]",
         constant=lambda case, p: C.c9(case.r, case.k),
-        checks=((lambda case, m, p: case.t_grid[-1] <= 0.5, "t in (0, 1/2]"),),
-        panels=(6,)),
+        checks=((lambda case, m, p: case.t_grid[-1] <= 0.5, "t in (0, 1/2]"),)),
     "series_deriv_sup": Family(
         run_series_deriv_sup, "sup", _SERIES,
         constant=lambda case, p: C.series_deriv_sup(case.k),

@@ -33,6 +33,7 @@ from .fnexpr import Decay
 from .functions import RealFunction, combine, outer_apply
 from .norms import NormSpec, norm_of
 from .quad import DEFAULT_SPEC, QuadSpec, panel_rule
+from .steklov import _finite_samples
 
 __all__ = ["vp_kernel", "vp_operator", "best_approx_surrogate",
            "BestApproxEstimate", "kernel_tail_bound"]
@@ -144,7 +145,7 @@ def _lattice_convolution(f: RealFunction, sigma: float, h: float, n_u: int,
     sum h * sum_k f(x - k h) sigma theta(sigma k h) over |k| <= n_u."""
     n_x = math.ceil(x_span / h) + _STENCIL
     n_f = n_x + n_u
-    samples = f(h * np.arange(-n_f, n_f + 1))
+    samples = _finite_samples(f, h * np.arange(-n_f, n_f + 1))
     kern = (h * sigma) * vp_kernel((sigma * h) * np.arange(-n_u, n_u + 1))
     # a circular convolution of at least the samples' length wraps only into
     # the first 2 n_u entries, which are dropped
@@ -187,7 +188,7 @@ def vp_operator(f: RealFunction, sigma: float, x_span: float,
     if decay.kind == "compact_support":
         edges = _zero_aligned_panels(sigma, decay.a, decay.b, extra=f.breakpoints)
         nodes, wts = panel_rule(edges, 12)
-        fvals = f(nodes) * wts
+        fvals = _finite_samples(f, nodes) * wts
         kernel = RealFunction(fn=lambda t: vp_kernel(sigma * t))
 
         def ev(x):

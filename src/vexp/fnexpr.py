@@ -927,7 +927,8 @@ def estimate_log_holder(p: FuncExpr, window: float, samples: int, p_infinity: fl
     ExponentRangeError if p drops below 1, or is NaN, anywhere on the grid.
     """
     xs = np.linspace(-window, window, samples)
-    vals = p(xs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = p(xs)
     i = int(np.argmin(vals))  # the first NaN, if there is one
     if not vals[i] >= 1.0 - 1e-12:
         raise ExponentRangeError(f"p({xs[i]:.6g}) = {vals[i]:.6g} is not >= 1")

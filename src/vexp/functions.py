@@ -31,6 +31,7 @@ class RealFunction:
     exact: Optional[object] = None  # exact Steklov engine, when available
     expr: Optional[FuncExpr] = None
     tail_bound: float = 0.0  # truncation bound of a convolution that built fn
+    rows: tuple[Callable, ...] = ()  # each output of a Steklov combination alone
 
     def __call__(self, x):
         scalar = np.isscalar(x)

@@ -92,7 +92,7 @@ class SampledModular:
     def __init__(self, f: RealFunction, p: ExponentField, window: float,
                  panels_per_unit: float = 4.0):
         x, w = window_nodes(window, panels_per_unit, f.breakpoints)
-        samples = np.abs(_finite_samples(x, f(x))).reshape(-1, x.size)
+        samples = np.abs(_finite_samples(f, x)).reshape(-1, x.size)
         self.s_max = np.max(samples, axis=1).tolist()
         pos = samples > 0.0
         self.p = [p.p_minus if p.is_constant else p(x[q]) for q in pos]

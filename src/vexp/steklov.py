@@ -59,9 +59,9 @@ from .functions import _SUB_CHUNK, RealFunction, outer_apply, zero_function
 from .quad import panel_rule
 
 __all__ = [
-    "steklov_combination", "iterated_steklov", "difference_power",
-    "derivative_terms", "steklov_derivative", "IndicatorSteklov",
-    "bspline_value", "sup_norm",
+    "steklov_combination", "iterated_steklov", "difference_power", "difference_terms",
+    "derivative_terms", "steklov_derivative", "IndicatorSteklov", "bspline_value",
+    "sup_norm",
 ]
 
 
@@ -165,7 +165,8 @@ def steklov_combination(f: RealFunction, delta: float,
                         *terms: dict[tuple[int, int], float]) -> RealFunction:
     """sum of c * T_d^k f(x + j*d) over terms {(k, j): c}, with j >= 0: term by
     term for engine-backed f, else on one weighted lattice (module docstring).
-    Several term maps give a stacked function, one row per map."""
+    Several term maps give a stacked function, one row per map; its `rows`
+    evaluate one map each, to the same bits."""
     keys = {key for t in terms for key in t}
     breakpoints = tuple(sorted({s - m * delta for s in f.breakpoints
                                 for k, j in keys for m in range(j, j + k + 1)}))
@@ -174,9 +175,9 @@ def steklov_combination(f: RealFunction, delta: float,
         parts = [[(c, j * delta, f.exact.iterated(delta, k)) for (k, j), c in t.items()]
                  for t in terms]
 
-        def ev(x):
+        def ev(x, maps):
             return np.stack([sum((c * term(x + shift) for c, shift, term in part),
-                                 np.zeros_like(x, dtype=float)) for part in parts])
+                                 np.zeros_like(x, dtype=float)) for part in parts[maps]])
     else:
         top = max((k + j for k, j in keys if k > 0), default=0)
         unit = np.linspace(0.0, float(top), top * _oscillation_subpanels(f, delta) + 1)
@@ -197,25 +198,28 @@ def steklov_combination(f: RealFunction, delta: float,
         breaks = np.asarray(f.breakpoints, dtype=float)
         step = max(1, _SUB_CHUNK // (offsets.size + 12 * breaks.size))
 
-        def ev(x):
+        def ev(x, maps):
             flat = np.asarray(x, dtype=float).ravel()
             cuts = (breaks - flat[:, None]) / delta
             near = np.any((cuts > 0.0) & (cuts < top), axis=1)
             if not near.any():
-                return outer_apply(f, x, offsets, weights)
-            out = np.empty((len(terms), flat.size))
-            out[:, ~near] = outer_apply(f, flat[~near], offsets, weights)
+                return outer_apply(f, x, offsets, weights[maps])
+            out = np.empty((len(weights[maps]), flat.size))
+            out[:, ~near] = outer_apply(f, flat[~near], offsets, weights[maps])
             rows = np.flatnonzero(near)
             for i in (rows[i0:i0 + step] for i0 in range(0, rows.size, step)):
                 # clipped and repeated cuts give zero-width panels, which weigh nothing
                 edges = np.concatenate([np.broadcast_to(unit, (i.size, unit.size)),
                                         np.clip(cuts[i], 0.0, top)], axis=1)
                 off, w = lattice(np.sort(edges, axis=1))
-                out[:, i] = np.sum(f.fn(flat[i, None] + off) * w, axis=-1)
-            return out.reshape(len(terms), *np.shape(x))
+                out[:, i] = np.sum(f.fn(flat[i, None] + off) * w[maps], axis=-1)
+            return out.reshape(len(out), *np.shape(x))
 
-    return RealFunction(fn=ev if len(terms) > 1 else lambda x: ev(x)[0],
-                        breakpoints=breakpoints, osc_wavelength=f.osc_wavelength)
+    # ev evaluates the maps in a slice of terms, one output row each
+    rows = tuple(lambda x, i=i: ev(x, slice(i, i + 1))[0] for i in range(len(terms)))
+    return RealFunction(fn=(lambda x: ev(x, slice(None))) if len(terms) > 1 else rows[0],
+                        breakpoints=breakpoints, osc_wavelength=f.osc_wavelength,
+                        rows=rows if len(terms) > 1 else ())
 
 
 def iterated_steklov(f: RealFunction, delta: float, k: int) -> RealFunction:
@@ -233,8 +237,12 @@ def difference_power(f: RealFunction, delta: float, r: int) -> RealFunction:
         raise ValueError("r must be >= 1")
     if delta == 0.0:
         return zero_function()
-    terms = {(j, 0): float((-1) ** j) * math.comb(r, j) for j in range(r + 1)}
-    return steklov_combination(f, delta, terms)
+    return steklov_combination(f, delta, difference_terms(r))
+
+
+def difference_terms(r: int) -> dict[tuple[int, int], float]:
+    """Terms of (I - T_d)^r f by the binomial theorem."""
+    return {(j, 0): float((-1) ** j) * math.comb(r, j) for j in range(r + 1)}
 
 
 def derivative_terms(delta: float, m: int, r: int) -> dict[tuple[int, int], float]:
@@ -273,8 +281,11 @@ def sup_norm(f: RealFunction, window: float, refine: bool = True):
     return tops[0] if len(tops) == 1 else tuple(tops)
 
 
-def _finite_samples(x: np.ndarray, fx: np.ndarray) -> np.ndarray:
-    """fx = f(x), a row per output of f; raises naming an x where f is not finite."""
+def _finite_samples(f: Callable, x: np.ndarray) -> np.ndarray:
+    """f(x), a row per output of f, without numpy's warnings; raises naming an
+    x where f is not finite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fx = f(x)
     bad = ~np.isfinite(fx.reshape(-1, x.size)).all(axis=0)
     if bad.any():
         raise ValueError(f"f is not finite at x = {x[np.argmax(bad)]:.6g}")
@@ -292,13 +303,12 @@ def _grid_maxima(f: RealFunction, window: float, refine: bool = True,
     extra = [b for b in f.breakpoints if abs(b) <= window]
     if extra:
         xs = np.unique(np.concatenate([xs, np.asarray(extra, dtype=float)]))
-    fx = _finite_samples(xs, f(xs))
+    fx = _finite_samples(f, xs)
     tops = []
     for i, row in enumerate(fx.reshape(-1, xs.size)):
         groups = ([(row, np.ones_like(row)), (-row, -np.ones_like(row))] if signed
                   else [(np.abs(row), np.where(row < 0.0, -1.0, 1.0))])
-        row_f = f if fx.ndim == 1 else lambda x, i=i: f(x)[i]
-        tops += (_refine_peaks(row_f, xs, groups) if refine
+        tops += (_refine_peaks(f.rows[i] if f.rows else f, xs, groups) if refine
                  else [float(np.max(v)) for v, _ in groups])
     return tops
 

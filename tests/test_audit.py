@@ -1,12 +1,16 @@
 import json
+import math
 import tomllib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from vexp.audit import (AuditCase, Context, THEOREM_RUNNERS, report_csv,
-                        run_case, run_suite)
+from vexp import audit
+from vexp.audit import (AuditCase, Context, THEOREM_RUNNERS, _case_from_dict,
+                        _clenshaw_curtis, report_csv, run_case, run_suite)
 from vexp.config import parse_config
+from vexp.defaults import default_config_text
 from vexp.fnexpr import ExponentRangeError
 from vexp.report import make_row
 
@@ -208,6 +212,22 @@ deltas = [0.5]
         row = make_row("t", "c", lhs=2.0, rhs=1.0, constant_used=1.0)
         assert row.passed is False
         assert row.ratio == 2.0
+
+    def test_reports_do_not_depend_on_case_order(self, tmp_path):
+        # kfunc_equiv_vexp takes Omega_1(box_smooth, 0.5) in p2 off K-hat's
+        # stack, one ulp below `modulus`, and keeps it out of the shared
+        # cache that one_step_vexp reads; in the cache, the one_step row
+        # would change with the order of the two cases
+        kfunc = ('[[case]]\ntheorem = "kfunc_equiv_vexp"\nf = "@box_smooth"\n'
+                 'p = "@p2"\nr = 1\ndeltas = [0.5]\n')
+        one_step = ('[[case]]\ntheorem = "one_step_vexp"\nf = "@box_smooth"\n'
+                    'p = "@p2"\ndeltas = [0.1, 0.5]\n')
+        outs = []
+        for sub, text in (("a", kfunc + one_step), ("b", one_step + kfunc)):
+            run_suite(text, out_dir=str(tmp_path / sub))
+            outs.append([(tmp_path / sub / name).read_bytes()
+                         for name in ("audit.csv", "audit.json")])
+        assert outs[0] == outs[1]
 
 
 class TestSurrogatePolicy:
@@ -421,3 +441,56 @@ class TestCaseValidation:
             "kfunc_equiv_sup_upper", "kfunc_equiv_sup_lower",
             "shift_modulus_sup_lower", "shift_modulus_sup_upper",
             "jackson_sup", "jackson_vexp"}
+
+
+class TestMarchaudQuadrature:
+    def test_clenshaw_curtis_rules_are_nested_and_exact(self):
+        x17, w17 = _clenshaw_curtis(16)
+        x9, w9 = _clenshaw_curtis(8)
+        assert np.allclose(x17[::2], x9, rtol=0.0, atol=1e-16)
+        assert x17[8] == 0.0 and x17[0] == 1.0 and x17[-1] == -1.0
+        for n, x, w in ((16, x17, w17), (8, x9, w9)):
+            for deg in range(n + 1):
+                exact = 2.0 / (deg + 1) if deg % 2 == 0 else 0.0
+                assert w @ x ** deg == pytest.approx(exact, abs=1e-14)
+
+    def test_box_integral_matches_a_denser_rule_split_at_the_kinks(self):
+        # u -> Omega_3(box, u) has kinks at u = 1/3 and 1/2, where shifts of
+        # the jumps meet; the 8-panel Gauss rule in u straddled them and was
+        # off by 1.7e-7
+        ctx = Context()
+        row = run_case(ctx, AuditCase(theorem="marchaud_vexp", f_src="@box",
+                                      p_src="@p2", r=1, k=2, t_grid=(0.1,)))[0]
+        m = ctx.member("@box")
+        norm = m.norm_spec(ctx.exponent("@p2"))
+        x, w = np.polynomial.legendre.leggauss(33)
+        ref = 0.0
+        for a, b in ((0.1, 1.0 / 3.0), (1.0 / 3.0, 0.5), (0.5, 1.0)):
+            half, mid = 0.5 * math.log(b / a), 0.5 * math.log(a * b)
+            u = np.exp(mid + half * x)
+            ref += half * sum(wi * audit.modulus(audit.ModulusRequest(m.rf, 3, ui, norm)) / ui
+                              for wi, ui in zip(w, u))
+        assert row.truncation_bounds["u_integral"] == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("case", [
+        AuditCase(theorem="marchaud_vexp", f_src="@gauss", p_src="@p2", r=1, k=1,
+                  t_grid=(0.25,)),
+        AuditCase(theorem="marchaud_sup", f_src="@gauss", r=1, k=1, t_grid=(0.25,)),
+    ], ids=["vexp", "sup"])
+    def test_both_families_record_the_refinement(self, case):
+        row = run_case(Context(), case)[0]
+        bounds = row.truncation_bounds
+        assert 0.0 < bounds["u_quad_refinement"] <= 1e-8 * bounds["u_integral"]
+
+    def test_bundled_marchaud_cases_take_at_most_210_moduli(self, monkeypatch):
+        # 650 with 6-point Gauss on 4 and 8 panels (vexp) and on 6 (sup)
+        calls = []
+        build = audit.modulus
+        monkeypatch.setattr(audit, "modulus", lambda req: calls.append(req) or build(req))
+        cfg = parse_config(default_config_text())
+        ctx = Context()
+        for d in cfg["case"]:
+            if d["theorem"].startswith("marchaud"):
+                run_case(ctx, _case_from_dict(d, cfg.get("defaults", {})))
+        assert len({(id(q.f), q.r, q.delta, q.norm) for q in calls}) == len(calls)
+        assert len(calls) <= 210

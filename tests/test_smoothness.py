@@ -192,6 +192,21 @@ class TestOneSamplePass:
         assert [est.f_minus_g_norm, est.g_deriv_norm] == \
             self.parts_alone(m.rf, 2, 0.1, m.norm_spec(p2))
 
+    @pytest.mark.parametrize("p", NORMS)
+    @pytest.mark.parametrize("src", ["@gauss", "@box", "@box_smooth", "@gauss_wide",
+                                     "abs(x)*exp(-x^2)"])
+    def test_modulus_on_the_stack(self, src, p):
+        # the audit's kfunc_equiv takes Omega_r as a third row of K-hat's
+        # stack: K-hat unchanged, Omega within a few ulps of `modulus`
+        m = resolve_function(src)
+        norm = m.norm_spec(None if p is None else exponent_field(p))
+        for r, delta in ((1, 0.5), (2, 0.1)):
+            kh, (om,) = smoothness._k_functional(m.rf, r, delta, norm,
+                                                 steklov.difference_terms(r))
+            assert kh == k_functional_upper(m.rf, r, delta, norm)
+            assert om == pytest.approx(modulus(ModulusRequest(m.rf, r, delta, norm)),
+                                       rel=1e-14)
+
     @pytest.mark.parametrize("p", [None, "p2"])
     def test_khat_takes_about_half_the_points(self, p):
         m = corpus_member("gauss_osc")

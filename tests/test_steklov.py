@@ -181,6 +181,19 @@ class TestCombination:
         # the case above puts several panels on each unit of the lattice
         assert _oscillation_subpanels(_member("gauss_osc"), 1.5) > 1
 
+    @pytest.mark.parametrize("src", ["@box", "@gauss_osc", "abs(x)*exp(-x^2)"],
+                             ids=["engine", "lattice", "split_lattice"])
+    def test_each_row_alone_gives_the_stacks_bits(self, src):
+        # a stacked sup norm refines each output through its row alone
+        f = resolve_function(src).rf
+        maps = (TERMS, steklov.derivative_terms(0.3, 3, 2), steklov.difference_terms(2))
+        stack = steklov_combination(f, 0.3, *maps)
+        xs = np.linspace(-2.5, 2.0, 37)
+        assert len(stack.rows) == 3
+        for row, want in zip(stack.rows, stack(xs)):
+            assert np.array_equal(row(xs), want)
+        assert steklov_combination(f, 0.3, TERMS).rows == ()
+
     def test_breakpoints_of_shifted_iterates(self):
         f = _member("box")
         comb = steklov_combination(f, 0.5, {(0, 1): 1.0, (2, 0): 1.0})
