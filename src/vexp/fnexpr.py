@@ -24,6 +24,7 @@ defined names, no piecewise syntax beyond `indicator`.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass
@@ -457,8 +458,8 @@ def _outer(node: Node):
     or None when that is its compiled closure on X."""
     if isinstance(node, SincD) and node.order == 0 and node.a != 0.0:
         return _trig("sinc", node.a, 0.0, _compile(node))
-    if (isinstance(node, Call) and node.name in ("sin", "cos") and _knots(node.arg) == set()
-            and len(p := _poly_at(node.arg, 0.0)) == 2 and p[1] != 0.0):
+    if (isinstance(node, Call) and node.name in ("sin", "cos") and (arg := _pieces(node.arg))
+            and not arg[0] and len(p := arg[1][0]) == 2 and p[1] != 0.0):
         return _trig(node.name, float(p[1]), float(p[0]), _compile(node))
     kids = [v for v in vars(node).values() if not isinstance(v, (int, float, str))]
     outers = [_outer(k) for k in kids]
@@ -726,51 +727,47 @@ def _insides(knots: list[float]) -> list[float]:
     return [knots[0] - 1.0, *((a + b) / 2.0 for a, b in zip(knots, knots[1:])), knots[-1] + 1.0]
 
 
-def _knots(node: Node) -> Optional[set[float]]:
-    """node's knots as a piecewise polynomial, None outside the subset."""
-    if isinstance(node, (Num, Var)):
-        return set()
-    if isinstance(node, Indicator):
-        return {node.a, node.b}
-    if isinstance(node, BinOp):
-        l, r = _knots(node.left), _knots(node.right)
-        if l is None or r is None or (node.op == "/" and not isinstance(_compile(node.right), float)):
-            return None
-        return l | r
-    if isinstance(node, Neg) or (isinstance(node, Pow) and 0 <= node.exponent <= 16):
-        return _knots(node.operand if isinstance(node, Neg) else node.base)
-    knots = _knots(node.arg) if isinstance(node, Call) and node.name == "abs" else None
-    if knots is None:
-        return set() if isinstance(_compile(node), float) else None
-    ends = [-math.inf, *sorted(knots), math.inf]
-    zeros = set()
-    for lo, hi, x in zip(ends, ends[1:], _insides(ends[1:-1])):
-        p = _poly_at(node.arg, x)
-        if len(p) > 2:
-            return None
-        if len(p) == 2 and lo < -p[0] / p[1] < hi:
-            zeros.add(float(-p[0] / p[1]) + 0.0)  # + 0.0: no -0.0
-    return knots | zeros
+def _refine(knots: list[float], polys: list, finer: list[float]) -> list:
+    """polys, one per interval of the sorted knots, on the intervals of finer,
+    a sorted superset of knots."""
+    return [polys[0], *(polys[bisect.bisect_right(knots, b)] for b in finer)]
 
 
-def _poly_at(node: Node, x: float) -> np.ndarray:
-    """The polynomial, coefficients lowest first, that node equals near x, a
-    point off the knots of node, which lies in the subset."""
+def _pieces(node: Node) -> Optional[tuple[list[float], list[np.ndarray]]]:
+    """node as a piecewise polynomial: its sorted knots, and the polynomial,
+    coefficients lowest first, that it equals on each interval they cut from
+    the line; None outside the subset."""
     if isinstance(node, Var):
-        return np.array([0.0, 1.0])
+        return [], [np.array([0.0, 1.0])]
     if isinstance(node, Indicator):
-        return np.array([float(node.a < x < node.b)])
+        knots = sorted({node.a, node.b})
+        return knots, [np.array([float(node.a < x < node.b)]) for x in _insides(knots)]
     if isinstance(node, BinOp):
-        return _POLY_OPS[node.op](_poly_at(node.left, x), _poly_at(node.right, x))
+        if node.op == "/" and not isinstance(_compile(node.right), float):
+            return None
+        l = _pieces(node.left)
+        if l is None or (r := _pieces(node.right)) is None:
+            return None
+        knots = sorted(set(l[0]) | set(r[0]))
+        return knots, list(map(_POLY_OPS[node.op], _refine(*l, knots), _refine(*r, knots)))
     if isinstance(node, Neg):
-        return -_poly_at(node.operand, x)
+        p = _pieces(node.operand)
+        return p and (p[0], [-q for q in p[1]])
     value = _compile(node)
     if isinstance(value, float):
-        return np.array([value])
-    if isinstance(node, Pow):
-        return P.polypow(_poly_at(node.base, x), node.exponent)
-    p = _poly_at(node.arg, x)
-    return -p if P.polyval(x, p) < 0.0 else p
+        return [], [np.array([value])]
+    if isinstance(node, Pow) and 0 <= node.exponent <= 16:
+        p = _pieces(node.base)
+        return p and (p[0], [P.polypow(q, node.exponent) for q in p[1]])
+    arg = _pieces(node.arg) if isinstance(node, Call) and node.name == "abs" else None
+    if arg is None or any(len(p) > 2 for p in arg[1]):
+        return None
+    ends = [-math.inf, *arg[0], math.inf]
+    zeros = {float(-p[0] / p[1]) + 0.0 for lo, hi, p in zip(ends, ends[1:], arg[1])
+             if len(p) == 2 and lo < -p[0] / p[1] < hi}  # + 0.0: no -0.0
+    knots = sorted(set(arg[0]) | zeros)
+    return knots, [-p if P.polyval(x, p) < 0.0 else p
+                   for x, p in zip(_insides(knots), _refine(*arg, knots))]
 
 
 def truncated_powers(node: Node) -> Optional[tuple[tuple[float, float, int], ...]]:
@@ -781,12 +778,8 @@ def truncated_powers(node: Node) -> Optional[tuple[tuple[float, float, int], ...
     either side.  A jump below the rounding error of evaluating the pieces
     at b, as the rounded zero of an abs argument leaves, is none.
     """
-    knots = _knots(node)
-    if not knots:
-        return None
-    knots = sorted(knots)
-    polys = [_poly_at(node, x) for x in _insides(knots)]
-    if polys[0].any() or polys[-1].any():
+    knots, polys = _pieces(node) or ([], [])
+    if not knots or polys[0].any() or polys[-1].any():
         return None
     terms = []
     for b, left, right in zip(knots, polys, polys[1:]):
@@ -811,26 +804,23 @@ def rough_spots(node: Node) -> tuple[tuple[float, ...], float]:
     oscillates, as in exp(sin(x)), whose spectra no such sum bounds."""
     if isinstance(node, SincD):
         return (), abs(node.a)
-    knots = _knots(node)
-    if knots is not None:
-        return tuple(sorted(knots)), 0.0
+    if (pieces := _pieces(node)) is not None:
+        return tuple(pieces[0]), 0.0
+    trig = isinstance(node, Call) and node.name in ("sin", "cos")
+    if trig and (arg := _pieces(node.arg)) and all(len(p) <= 2 for p in arg[1]):
+        return tuple(arg[0]), max((abs(float(p[1])) for p in arg[1] if len(p) == 2), default=0.0)
     if isinstance(node, Call) and node.name == "abs":
         raise ValueError(f"cannot locate the kinks of {to_source(node)}")
     parts = [rough_spots(v) for v in vars(node).values()
              if not isinstance(v, (int, float, str))]
     freqs = [w for _, w in parts]
-    # the last child is the exp argument, the divisor or the negative power's base
-    if freqs and freqs[-1] and ((isinstance(node, Call) and node.name == "exp")
-                                or (isinstance(node, BinOp) and node.op == "/")
-                                or (isinstance(node, Pow) and node.exponent < 0)):
+    # sin or cos of any other argument; the last child is the exp argument, the
+    # divisor or the negative power's base
+    if trig or (freqs and freqs[-1] and ((isinstance(node, Call) and node.name == "exp")
+                                         or (isinstance(node, BinOp) and node.op == "/")
+                                         or (isinstance(node, Pow) and node.exponent < 0))):
         raise ValueError(f"cannot bound the frequency of {to_source(node)}")
-    if isinstance(node, Call) and node.name in ("sin", "cos"):
-        knots = _knots(node.arg)
-        pieces = [] if knots is None else [_poly_at(node.arg, x) for x in _insides(sorted(knots))]
-        if knots is None or any(len(p) > 2 for p in pieces):
-            raise ValueError(f"cannot bound the frequency of {to_source(node)}")
-        freqs = [abs(float(p[1])) for p in pieces if len(p) == 2]
-    elif isinstance(node, BinOp) and node.op == "*":
+    if isinstance(node, BinOp) and node.op == "*":
         freqs = [sum(freqs)]
     elif isinstance(node, Pow) and node.exponent >= 1:
         freqs = [node.exponent * freqs[0]]
@@ -934,15 +924,11 @@ def estimate_log_holder(p: FuncExpr, window: float, samples: int, p_infinity: fl
         raise ExponentRangeError(f"p({xs[i]:.6g}) = {vals[i]:.6g} is not >= 1")
 
     c_local = 0.0
-    block = 512
-    for i0 in range(0, samples, block):
-        xi = xs[i0:i0 + block]
-        vi = vals[i0:i0 + block]
-        dx = np.abs(xi[:, None] - xs[None, :])
-        dv = np.abs(vi[:, None] - vals[None, :])
+    for i0 in range(0, samples, 512):  # every pair, 512 rows at a time
+        dx = np.abs(xs[i0:i0 + 512, None] - xs)
         mask = dx > 0.0
-        q = np.where(mask, dv * np.log(np.e + 1.0 / np.where(mask, dx, 1.0)), 0.0)
-        c_local = max(c_local, float(np.max(q)))
+        q = np.abs(vals[i0:i0 + 512, None] - vals) * np.log(np.e + 1.0 / np.where(mask, dx, 1.0))
+        c_local = max(c_local, float(np.max(np.where(mask, q, 0.0))))
     c_decay = float(np.max(np.abs(vals - p_infinity) * np.log(np.e + np.abs(xs))))
     return c_local, c_decay, float(np.min(vals)), float(np.max(vals))
 

@@ -163,8 +163,9 @@ def _oscillation_subpanels(f: RealFunction, delta: float) -> int:
 
 def steklov_combination(f: RealFunction, delta: float,
                         *terms: dict[tuple[int, int], float]) -> RealFunction:
-    """sum of c * T_d^k f(x + j*d) over terms {(k, j): c}, with j >= 0: term by
-    term for engine-backed f, else on one weighted lattice (module docstring).
+    """sum of c * T_d^k f(x + j*d) over terms {(k, j): c}, where a negative j
+    (or d) shifts back: term by term for engine-backed f, else on one
+    weighted lattice (module docstring).
     Several term maps give a stacked function, one row per map; its `rows`
     evaluate one map each, to the same bits."""
     keys = {key for t in terms for key in t}

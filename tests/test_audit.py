@@ -10,9 +10,11 @@ from vexp import audit
 from vexp.audit import (AuditCase, Context, THEOREM_RUNNERS, _case_from_dict,
                         _clenshaw_curtis, report_csv, run_case, run_suite)
 from vexp.config import parse_config
+from vexp.corpus import corpus_member
 from vexp.defaults import default_config_text
 from vexp.fnexpr import ExponentRangeError
 from vexp.report import make_row
+from vexp.steklov import steklov_combination, sup_norm
 
 # Where surrogate quantities may appear for the row to remain a valid
 # implication of the audited statement.  "rhs" means the surrogate only
@@ -494,3 +496,27 @@ class TestMarchaudQuadrature:
                 run_case(ctx, _case_from_dict(d, cfg.get("defaults", {})))
         assert len({(id(q.f), q.r, q.delta, q.norm) for q in calls}) == len(calls)
         assert len(calls) <= 210
+
+
+class TestShiftModulus:
+    def test_one_stack_per_step(self, monkeypatch):
+        # one Steklov build per shift was 64 builds and 64 sup grids
+        calls = []
+        build = audit.steklov_combination
+        monkeypatch.setattr(audit, "steklov_combination",
+                            lambda *args: calls.append(args) or build(*args))
+        m = corpus_member("gauss")
+        audit._shift_modulus(m, 2, 0.3, m.sup_window)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["gauss", "gauss_osc", "box", "box_smooth",
+                                      "cos_gauss", "lorentz"])
+    def test_matches_a_loop_over_the_shifts(self, name):
+        m = corpus_member(name)
+        for r in (1, 2):
+            terms = {(0, j): float((-1) ** j) * math.comb(r, j) for j in range(r + 1)}
+            for d in (0.3, 0.6):
+                want = max(sup_norm(steklov_combination(m.rf, h, terms), m.sup_window,
+                                    refine=False) for h in np.linspace(-d, d, 64))
+                got = audit._shift_modulus(m, r, d, m.sup_window)
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)

@@ -64,7 +64,7 @@ def test_every_import_is_read(path):
 
 # The line count is tracked next to speed: raise it only by a deliberate edit,
 # recorded in CHANGES.md with the reason, as for the pinned audit.csv hash.
-SOURCE_LINE_BUDGET = 3649
+SOURCE_LINE_BUDGET = 3634
 
 
 def test_source_line_budget():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
 from vexp import fnexpr
 from vexp.fnexpr import (Decay, ExponentField, ExponentRangeError,
@@ -48,6 +49,23 @@ ALL_NODES_AST = st.recursive(
         kids.map(lambda a: fnexpr.Call("abs", a)),
     ),
     max_leaves=12)
+
+# the subset `_pieces` reads: numbers, x and indicators under + - * /,
+# powers, negation and abs
+PIECEWISE_AST = st.recursive(
+    st.one_of(
+        st.floats(-3, 3).map(lambda v: fnexpr.Num(round(v, 2))),
+        st.just(fnexpr.Var()),
+        st.tuples(st.floats(-2, 1), st.floats(0.1, 2)).map(
+            lambda t: fnexpr.Indicator(round(t[0], 1), round(t[0] + t[1], 1))),
+    ),
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from("+-*/"), kids, kids).map(lambda t: fnexpr.BinOp(*t)),
+        st.tuples(kids, st.integers(0, 3)).map(lambda t: fnexpr.Pow(*t)),
+        kids.map(fnexpr.Neg),
+        kids.map(lambda a: fnexpr.Call("abs", a)),
+    ),
+    max_leaves=10)
 
 
 class TestParse:
@@ -189,6 +207,38 @@ class TestRoughSpots:
     def test_argument_not_piecewise_affine_refused(self, src):
         with pytest.raises(ValueError, match="cannot bound the frequency"):
             fnexpr.rough_spots(parse(src).ast)
+
+
+class TestPieces:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(PIECEWISE_AST, ALL_NODES_AST))
+    def test_each_piece_is_the_tree_on_its_interval(self, ast):
+        with np.errstate(all="ignore"):  # constant subtrees fold, 1/0 among them
+            pieces = fnexpr._pieces(ast)
+        if pieces is None:
+            return
+        knots, polys = pieces
+        assert knots == sorted(set(knots)) and len(polys) == len(knots) + 1
+        xs = np.array(fnexpr._insides(knots))
+        with np.errstate(all="ignore"):
+            want = fnexpr.evaluate(ast, xs)
+            got = np.array([P.polyval(x, p) for x, p in zip(xs, polys)])
+            scale = np.array([P.polyval(abs(x), np.abs(p)) for x, p in zip(xs, polys)])
+        if np.isfinite(want).all() and np.isfinite(scale).all():  # not 1/0
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_abs_zeros_become_knots(self):
+        knots, polys = fnexpr._pieces(parse("abs(2*x - 1)*indicator(-1, 2)").ast)
+        assert knots == [-1.0, 0.5, 2.0]
+        assert [p.tolist() for p in polys] == [[0.0], [1.0, -2.0], [-1.0, 2.0], [0.0]]
+
+    @pytest.mark.parametrize("src", ["sin(x)", "abs(x^2 - 1)", "x^-1", "x/(x - x + 2)"])
+    def test_outside_the_subset(self, src):
+        assert fnexpr._pieces(parse(src).ast) is None
+
+    @pytest.mark.parametrize("src, poly", [("x/2^3", [0.0, 0.125]), ("x*exp(1)", [0.0, math.e])])
+    def test_divisors_and_factors_without_x_fold(self, src, poly):
+        assert [p.tolist() for p in fnexpr._pieces(parse(src).ast)[1]] == [poly]
 
 
 class TestPrinterRoundTrip:
