@@ -37,8 +37,8 @@ from .functions import RealFunction, as_real_function, combine
 from .norms import NormSpec, luxemburg_norm, norm_of, window_nodes
 from .report import AuditRow, make_row
 from .smoothness import ModulusRequest, _k_functional, modulus
-from .steklov import (_grid_maxima, difference_terms, iterated_steklov,
-                      steklov_combination, steklov_derivative, sup_norm)
+from .steklov import (_grid_maxima, derivative_terms, difference_terms,
+                      iterated_steklov, steklov_combination, sup_norm)
 
 __all__ = ["AuditCase", "AuditReport", "Context", "run_suite", "run_case",
            "THEOREM_RUNNERS", "write_reports"]
@@ -67,8 +67,8 @@ class AuditCase:
     def __post_init__(self):
         for name in ("deltas", "sigmas", "t_grid", "lambdas"):
             grid = getattr(self, name)
-            if grid and (any(v <= 0 for v in grid) or list(grid) != sorted(grid)):
-                raise ValueError(f"{name} must be positive and sorted")
+            if grid and (any(not 0 < v < math.inf for v in grid) or list(grid) != sorted(grid)):
+                raise ValueError(f"{name} must be positive, finite and sorted")
         if self.r < 1 or self.k < 1:
             raise ValueError("r and k must be >= 1")
 
@@ -235,7 +235,7 @@ def run_kfunc_equiv(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
     r = case.r
     up, low = fam.constant(case, norm.p)
     for d in case.deltas:
-        kh, (om,) = _k_functional(m.rf, r, d, norm, difference_terms(r))
+        kh, (om,) = _k_functional(m.rf, r, d, norm, difference_terms(r, (1, 0)))
         yield make_row(
             f"{case.theorem}_upper", _case_id(m, norm.p, r=r, delta=d),
             lhs=kh.value, rhs=up * om, constant_used=up,
@@ -472,7 +472,7 @@ def run_sup_steklov(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
     nf = ctx.norm(m, norm)
     for d in case.deltas:
         # ||(T_d f)'|| = ||(f(.+d) - f)/d|| <= (2/d) ||f||
-        tder = steklov_derivative(m.rf, d, 1, 1)
+        tder = steklov_combination(m.rf, d, derivative_terms(d, 1, 1))
         yield make_row(
             "steklov_deriv_bound_sup", _case_id(m, delta=d),
             lhs=sup_norm(tder, W), rhs=(2.0 / d) * nf, constant_used=2.0 / d)
@@ -530,8 +530,7 @@ def _shift_modulus(m: CorpusMember, r: int, delta: float, window: float) -> floa
     """max over the 64 shifts h = (2i - 63) delta/63 in [-delta, delta] of
     ||(I - shift_h)^r f||_sup, as one stack on one grid (underestimates the
     sup; an odd multiple of delta/63 is never 0)."""
-    maps = [{(0, j * (2 * i - 63)): float((-1) ** j) * math.comb(r, j) for j in range(r + 1)}
-            for i in range(64)]
+    maps = [difference_terms(r, (0, 2 * i - 63)) for i in range(64)]
     return max(sup_norm(steklov_combination(m.rf, delta / 63.0, *maps), window, refine=False))
 
 

@@ -177,8 +177,8 @@ def vp_operator(f: RealFunction, sigma: float, x_span: float,
     and J can be evaluated for |x| up to the given x_span plus the stencil;
     further out it raises.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     if f.expr is None:
         raise ValueError("the convolution's window needs f's expression")
     if f.expr.constant is not None:
@@ -226,8 +226,6 @@ def best_approx_surrogate(f: RealFunction, sigma: float, norm: NormSpec,
     J(f, sigma/2) has exponential type sigma, so the distance to it can only
     exceed the true deviation from the type-sigma class.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
     j = vp_operator(f, sigma / 2.0, x_span=norm.window, tail_target=tail_target)
 
     d = combine([(1.0, f), (-1.0, j)])

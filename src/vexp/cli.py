@@ -127,7 +127,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError, OSError) as exc:  # every refusal of an input
+    except (ValueError, KeyError, OSError, OverflowError) as exc:  # every refusal of an input
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -804,13 +804,15 @@ def rough_spots(node: Node) -> tuple[tuple[float, ...], float]:
     oscillates, as in exp(sin(x)), whose spectra no such sum bounds."""
     if isinstance(node, SincD):
         return (), abs(node.a)
-    if (pieces := _pieces(node)) is not None:
-        return tuple(pieces[0]), 0.0
+    if isinstance(node, Indicator):
+        return tuple(sorted({node.a, node.b})), 0.0
     trig = isinstance(node, Call) and node.name in ("sin", "cos")
     if trig and (arg := _pieces(node.arg)) and all(len(p) <= 2 for p in arg[1]):
         return tuple(arg[0]), max((abs(float(p[1])) for p in arg[1] if len(p) == 2), default=0.0)
     if isinstance(node, Call) and node.name == "abs":
-        raise ValueError(f"cannot locate the kinks of {to_source(node)}")
+        if (pieces := _pieces(node)) is None:
+            raise ValueError(f"cannot locate the kinks of {to_source(node)}")
+        return tuple(pieces[0]), 0.0
     parts = [rough_spots(v) for v in vars(node).values()
              if not isinstance(v, (int, float, str))]
     freqs = [w for _, w in parts]

@@ -51,10 +51,6 @@ def as_real_function(expr: FuncExpr) -> RealFunction:
                         expr=expr)
 
 
-def zero_function() -> RealFunction:
-    return RealFunction(fn=lambda x: np.zeros_like(x, dtype=float))
-
-
 def combine(parts: list[tuple[float, RealFunction]]) -> RealFunction:
     """Pointwise linear combination sum(c_i * f_i)."""
     def ev(x):

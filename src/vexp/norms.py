@@ -57,8 +57,8 @@ class NormSpec:
     panels_per_unit: float = 4.0
 
     def __post_init__(self):
-        if not self.window > 0.0:
-            raise ValueError(f"window must be positive, got {self.window:g}")
+        if not 0.0 < self.window < math.inf:
+            raise ValueError(f"window must be positive and finite, got {self.window:g}")
 
     @property
     def kind(self) -> str:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .functions import RealFunction
 from .norms import NormSpec, norm_of
 from .quad import DEFAULT_SPEC, QuadSpec
-from .steklov import difference_power, derivative_terms, steklov_combination
+from .steklov import derivative_terms, difference_terms, steklov_combination
 
 __all__ = ["ModulusRequest", "KFunctionalEstimate", "modulus", "k_functional_upper"]
 
@@ -44,8 +44,8 @@ class ModulusRequest:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("r must be >= 1")
-        if self.delta < 0.0:
-            raise ValueError("delta must be >= 0")
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be >= 0 and finite, got {self.delta:g}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def modulus(req: ModulusRequest, spec: QuadSpec = DEFAULT_SPEC) -> float:
     """||(I - T_d)^r f|| in the requested norm; 0 at d = 0."""
     if req.delta == 0.0:
         return 0.0
-    h = difference_power(req.f, req.delta, req.r)
+    h = steklov_combination(req.f, req.delta, difference_terms(req.r, (1, 0)))
     return norm_of(h, req.norm, spec)
 
 
@@ -76,10 +76,9 @@ def _k_functional(f: RealFunction, r: int, delta: float, norm: NormSpec,
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     # f - g = (I - T_d^(2r))^r f, and g^(r) through difference identities
-    diff = {(2 * r * l, 0): float((-1) ** l) * math.comb(r, l) for l in range(r + 1)}
-    deriv = {key: float((-1) ** (l - 1)) * math.comb(r, l) * c
-             for l in range(1, r + 1)
-             for key, c in derivative_terms(delta, 2 * r * l, r).items()}
+    diff = difference_terms(r, (2 * r, 0))
+    deriv = {key: -cl * c for (k, _), cl in diff.items() if k > 0
+             for key, c in derivative_terms(delta, k, r).items()}
     fmg, gder, *rest = norm_of(steklov_combination(f, delta, diff, deriv, *extra),
                                norm, spec)
     return KFunctionalEstimate(fmg + delta ** r * gder, fmg, gder), rest

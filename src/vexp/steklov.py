@@ -55,13 +55,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .functions import _SUB_CHUNK, RealFunction, outer_apply, zero_function
+from .functions import _SUB_CHUNK, RealFunction, outer_apply
 from .quad import panel_rule
 
 __all__ = [
-    "steklov_combination", "iterated_steklov", "difference_power", "difference_terms",
-    "derivative_terms", "steklov_derivative", "IndicatorSteklov", "bspline_value",
-    "sup_norm",
+    "steklov_combination", "iterated_steklov", "difference_terms", "derivative_terms",
+    "IndicatorSteklov", "bspline_value", "sup_norm",
 ]
 
 
@@ -232,36 +231,24 @@ def iterated_steklov(f: RealFunction, delta: float, k: int) -> RealFunction:
     return steklov_combination(f, delta, {(k, 0): 1.0})
 
 
-def difference_power(f: RealFunction, delta: float, r: int) -> RealFunction:
-    """(I - T_d)^r f expanded by the binomial theorem; zero when d = 0."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if delta == 0.0:
-        return zero_function()
-    return steklov_combination(f, delta, difference_terms(r))
-
-
-def difference_terms(r: int) -> dict[tuple[int, int], float]:
-    """Terms of (I - T_d)^r f by the binomial theorem."""
-    return {(j, 0): float((-1) ** j) * math.comb(r, j) for j in range(r + 1)}
+def difference_terms(r: int, step: tuple[int, int]) -> dict[tuple[int, int], float]:
+    """Terms of (I - S)^r f by the binomial theorem, S f = T_d^a f(. + b*d)
+    for step (a, b)."""
+    a, b = step
+    return {(j * a, j * b): float((-1) ** j) * math.comb(r, j) for j in range(r + 1)}
 
 
 def derivative_terms(delta: float, m: int, r: int) -> dict[tuple[int, int], float]:
     """Terms of d^r/dx^r T_d^m f as forward differences of T_d^(m-r) f.
 
     Uses (d/dx) T_d g = (g(.+d) - g(.)) / d applied r times, so f itself is
-    never differentiated.  Requires 1 <= r <= m.
+    never differentiated: (-1/d)^r (I - E)^r T_d^(m-r) f, E g = g(. + d).
+    Requires 1 <= r <= m.
     """
     if not 1 <= r <= m:
         raise ValueError("need 1 <= r <= m")
-    scale = delta ** (-r)
-    return {(m - r, j): scale * float((-1) ** (r - j)) * math.comb(r, j)
-            for j in range(r + 1)}
-
-
-def steklov_derivative(f: RealFunction, delta: float, m: int, r: int) -> RealFunction:
-    """d^r/dx^r T_d^m f; see `derivative_terms`."""
-    return steklov_combination(f, delta, derivative_terms(delta, m, r))
+    scale = (-1) ** r * delta ** (-r)
+    return {(m - r, j): scale * c for (_, j), c in difference_terms(r, (0, 1)).items()}
 
 
 # ---------------------------------------------------------------------------

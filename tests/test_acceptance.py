@@ -30,7 +30,7 @@ from vexp.fnexpr import ExponentField, differentiate, parse
 from vexp.functions import as_real_function
 from vexp.norms import NormSpec, luxemburg_norm
 from vexp.smoothness import ModulusRequest, modulus
-from vexp.steklov import difference_power, iterated_steklov, sup_norm
+from vexp.steklov import difference_terms, iterated_steklov, steklov_combination, sup_norm
 
 from steklov_oracles import nested_steklov
 
@@ -80,7 +80,7 @@ def test_criterion_02_steklov_exactness():
         worst_affine = max(worst_affine, float(np.max(np.abs(t(GRID) - (GRID + d / 2.0)))))
     worst_annih = 0.0
     for src, r in (("1", 1), ("x", 2), ("2*x - 1", 2), ("x^2", 3)):
-        h = difference_power(as_real_function(parse(src)), 0.6, r)
+        h = steklov_combination(as_real_function(parse(src)), 0.6, difference_terms(r, (1, 0)))
         worst_annih = max(worst_annih, float(np.max(np.abs(h(GRID)))))
     ok = worst_affine <= 1e-12 and worst_annih <= 1e-10
     report(2, ok, f"affine error {worst_affine:.2g} (tol 1e-12), "

@@ -367,6 +367,14 @@ class TestCaseValidation:
             AuditCase(theorem="steklov_bound", f_src="@gauss",
                       deltas=(-1.0, 0.5))
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_grid_value_rejected(self, value):
+        # [inf] wrote a passing row with lhs 0; [nan] failed mid-run
+        cfg = parse_config(f'[[case]]\ntheorem = "steklov_bound"\nf = "@gauss"\n'
+                           f'p = "@p2"\ndeltas = [{value}]\n')
+        with pytest.raises(ValueError, match="deltas must be positive, finite and sorted"):
+            _case_from_dict(cfg["case"][0], {})
+
     def test_missing_requirements_reported(self):
         # one loop rather than a parametrization keeps this test's id; each
         # family must name every input it needs, before any work is done

@@ -85,6 +85,28 @@ class TestNormCommand:
         assert "error: the modular stays above 1" in capsys.readouterr().err
 
 
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("argv, message", [
+        # a ZeroDivisionError, two OverflowErrors and an errno 34 traceback
+        ("approx --f @gauss --sigma inf", "sigma must be positive and finite"),
+        ("norm --f @gauss --p 2 --window inf", "window must be positive and finite"),
+        ("approx --f @gauss --sigma 2 --window inf", "window must be positive and finite"),
+        ("constants --r 500", "Numerical result out of range"),
+        # read as "f is not finite at x = -8", where f is finite
+        ("modulus --f @gauss --r 1 --delta nan", "delta must be >= 0 and finite"),
+        ("modulus --f @gauss --r 1 --delta inf", "delta must be >= 0 and finite"),
+        # read as "cannot convert float NaN to integer"
+        ("approx --f @gauss --sigma nan", "sigma must be positive and finite"),
+        ("modulus --f @gauss --r 1 --delta 0.5 --window inf",
+         "window must be positive and finite"),
+    ])
+    def test_refused_with_exit_code_2(self, argv, message):
+        code, out, err = run_cli(*argv.split())
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+
 class TestModulusCommand:
     def test_affine_sup(self):
         code, out, _ = run_cli("modulus", "--f", "x", "--r", "1",

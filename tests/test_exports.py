@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from functools import cache
 from pathlib import Path
 
@@ -64,9 +65,18 @@ def test_every_import_is_read(path):
 
 # The line count is tracked next to speed: raise it only by a deliberate edit,
 # recorded in CHANGES.md with the reason, as for the pinned audit.csv hash.
-SOURCE_LINE_BUDGET = 3634
+SOURCE_LINE_BUDGET = 3615
 
 
 def test_source_line_budget():
     lines = sum(len(path.read_bytes().splitlines()) for path in SOURCES)
     assert lines <= SOURCE_LINE_BUDGET
+
+
+def test_readme_python_blocks_run():
+    # the library example had gone stale: it called luxemburg_norm without
+    # its window
+    blocks = re.findall(r"```python\n(.*?)```", (REPO / "README.md").read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

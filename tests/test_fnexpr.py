@@ -208,6 +208,24 @@ class TestRoughSpots:
         with pytest.raises(ValueError, match="cannot bound the frequency"):
             fnexpr.rough_spots(parse(src).ast)
 
+    def test_reads_the_pieces_only_at_abs_sin_and_cos(self, monkeypatch):
+        # each subtree is read once: _pieces used to run at every node
+        # outside the piecewise subset, once per ancestor
+        calls = []
+        pieces = fnexpr._pieces
+        monkeypatch.setattr(fnexpr, "_pieces", lambda node: calls.append(node) or pieces(node))
+        assert fnexpr.rough_spots(parse("exp(exp(exp(x)))*x^2").ast) == ((), 0.0)
+        assert calls == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(PIECEWISE_AST)
+    def test_breakpoints_of_a_piecewise_polynomial_are_its_knots(self, ast):
+        # the union over the children gives the knots of the one walk
+        with np.errstate(all="ignore"):  # constant subtrees fold, 1/0 among them
+            pieces = fnexpr._pieces(ast)
+            if pieces is not None:
+                assert fnexpr.rough_spots(ast) == (tuple(pieces[0]), 0.0)
+
 
 class TestPieces:
     @settings(max_examples=300, deadline=None)

@@ -202,7 +202,7 @@ class TestOneSamplePass:
         norm = m.norm_spec(None if p is None else exponent_field(p))
         for r, delta in ((1, 0.5), (2, 0.1)):
             kh, (om,) = smoothness._k_functional(m.rf, r, delta, norm,
-                                                 steklov.difference_terms(r))
+                                                 steklov.difference_terms(r, (1, 0)))
             assert kh == k_functional_upper(m.rf, r, delta, norm)
             assert om == pytest.approx(modulus(ModulusRequest(m.rf, r, delta, norm)),
                                        rel=1e-14)

@@ -11,8 +11,8 @@ from vexp.corpus import corpus_member, resolve_function
 from vexp.fnexpr import differentiate, parse
 from vexp.functions import as_real_function, combine
 from vexp.steklov import (_horner, _oscillation_subpanels, bspline_value,
-                          difference_power, iterated_steklov,
-                          steklov_combination, steklov_derivative, sup_norm)
+                          derivative_terms, difference_terms, iterated_steklov,
+                          steklov_combination, sup_norm)
 
 from steklov_oracles import (bspline_cox_de_boor, bspline_cumulative_quad,
                              nested_steklov, truncated_power_sum)
@@ -93,42 +93,38 @@ class TestIterated:
 
 class TestDifferencePower:
     def test_affine_r1(self):
-        d = difference_power(as_real_function(parse("x")), 0.3, 1)
+        d = steklov_combination(as_real_function(parse("x")), 0.3, difference_terms(1, (1, 0)))
         assert np.allclose(d(XS), -0.15, atol=1e-13)
 
     def test_polynomial_annihilation(self):
         # each application of I - T_d lowers the degree by one
         for src, r in (("1", 1), ("x", 2), ("x^2", 3), ("2*x - 1", 2)):
-            d = difference_power(as_real_function(parse(src)), 0.7, r)
+            d = steklov_combination(as_real_function(parse(src)), 0.7, difference_terms(r, (1, 0)))
             assert np.max(np.abs(d(XS))) < 1e-11
 
     def test_quadratic_r2_closed_form(self):
         # T_d x^2 = x^2 + d x + d^2/3, twice: (I-T)^2 x^2 = d^2/2
-        d = difference_power(as_real_function(parse("x^2")), 0.4, 2)
+        d = steklov_combination(as_real_function(parse("x^2")), 0.4, difference_terms(2, (1, 0)))
         assert np.allclose(d(XS), 0.08, atol=1e-12)
-
-    def test_delta_zero_collapses(self):
-        d = difference_power(as_real_function(parse("exp(-x^2)")), 0.0, 3)
-        assert np.all(d(XS) == 0.0)
 
 
 class TestSteklovDerivative:
     def test_first_order_identity(self):
         # (d/dx) T_d f = (f(x+d) - f(x))/d
         f = as_real_function(parse("exp(-x^2)"))
-        sd = steklov_derivative(f, 1.0, 1, 1)
+        sd = steklov_combination(f, 1.0, derivative_terms(1.0, 1, 1))
         assert sd(np.array([0.0]))[0] == pytest.approx(math.exp(-1.0) - 1.0,
                                                        abs=1e-14)
 
     def test_affine_slope(self):
-        sd = steklov_derivative(as_real_function(parse("x")), 0.5, 1, 1)
+        sd = steklov_combination(as_real_function(parse("x")), 0.5, derivative_terms(0.5, 1, 1))
         assert np.allclose(sd(XS), 1.0, atol=1e-12)
 
     def test_second_order_vs_symbolic_nested_oracle(self):
         # (T_d^2 f)'' = T_d^2 (f'') for smooth f; oracle: literal nesting of
         # the symbolically differentiated integrand
         f = parse("exp(-x^2)")
-        sd = steklov_derivative(as_real_function(f), 0.5, 2, 2)
+        sd = steklov_combination(as_real_function(f), 0.5, derivative_terms(0.5, 2, 2))
         oracle = nested_steklov(as_real_function(differentiate(f, 2)), 0.5, 2)
         pts = np.linspace(-2, 2, 9)
         assert np.max(np.abs(sd(pts) - oracle(pts))) < 1e-7
@@ -147,8 +143,75 @@ class TestSteklovDerivative:
         assert np.max(np.abs(stencil - s_of_deriv(XS))) < 1e-7
 
     def test_requires_r_at_most_m(self):
-        with pytest.raises(ValueError):
-            steklov_derivative(as_real_function(parse("x")), 0.5, 1, 2)
+        with pytest.raises(ValueError, match="need 1 <= r <= m"):
+            derivative_terms(0.5, 1, 2)
+
+
+def bits(terms):
+    """A term map's keys, in order, with the float.hex of each coefficient:
+    the order is the order of summation, so it fixes the bits too."""
+    return [(key, c.hex()) for key, c in terms.items()]
+
+
+# the expansions each call site once wrote out by hand, kept as references
+def omega_reference(r):
+    return {(j, 0): float((-1) ** j) * math.comb(r, j) for j in range(r + 1)}
+
+
+def khat_reference(r, delta):
+    diff = {(2 * r * l, 0): float((-1) ** l) * math.comb(r, l) for l in range(r + 1)}
+    deriv = {key: float((-1) ** (l - 1)) * math.comb(r, l) * c
+             for l in range(1, r + 1)
+             for key, c in derivative_reference(delta, 2 * r * l, r).items()}
+    return diff, deriv
+
+
+def shift_reference(r, i):
+    return {(0, j * (2 * i - 63)): float((-1) ** j) * math.comb(r, j) for j in range(r + 1)}
+
+
+def derivative_reference(delta, m, r):
+    return {(m - r, j): delta ** (-r) * float((-1) ** (r - j)) * math.comb(r, j)
+            for j in range(r + 1)}
+
+
+DELTAS = (1e-3, 0.01, 0.05, 0.1, 0.3, 1.0 / 3.0, 0.5, 0.7, 1.0, 1.5, 2.0)
+
+
+class TestTermMaps:
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_difference_terms_match_the_written_expansions(self, r):
+        assert bits(difference_terms(r, (1, 0))) == bits(omega_reference(r))
+        assert bits(difference_terms(r, (2 * r, 0))) == bits(khat_reference(r, 0.5)[0])
+        for i in range(64):
+            assert bits(difference_terms(r, (0, 2 * i - 63))) == bits(shift_reference(r, i))
+        forward = {(0, j): float((-1) ** j) * math.comb(r, j) for j in range(r + 1)}
+        assert bits(difference_terms(r, (0, 1))) == bits(forward)
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_derivative_terms_match_the_written_expansion(self, r):
+        for delta in DELTAS:
+            for m in range(r, 40):
+                assert bits(derivative_terms(delta, m, r)) == \
+                    bits(derivative_reference(delta, m, r))
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_khat_maps_match_the_written_expansion(self, r, monkeypatch):
+        from vexp import smoothness
+        from vexp.norms import NormSpec
+        class Built(Exception):
+            """The maps are all this test reads."""
+
+        def capture(f, delta, *terms):
+            raise Built(terms)
+        monkeypatch.setattr(smoothness, "steklov_combination", capture)
+        for delta in DELTAS:
+            with pytest.raises(Built) as built:
+                smoothness.k_functional_upper(box_member(), r, delta, NormSpec.sup(4.0))
+            diff, deriv = built.value.args[0]
+            want_diff, want_deriv = khat_reference(r, delta)
+            assert bits(diff) == bits(want_diff)
+            assert bits(deriv) == bits(want_deriv)
 
 
 def _member(name):
@@ -186,7 +249,7 @@ class TestCombination:
     def test_each_row_alone_gives_the_stacks_bits(self, src):
         # a stacked sup norm refines each output through its row alone
         f = resolve_function(src).rf
-        maps = (TERMS, steklov.derivative_terms(0.3, 3, 2), steklov.difference_terms(2))
+        maps = (TERMS, derivative_terms(0.3, 3, 2), difference_terms(2, (1, 0)))
         stack = steklov_combination(f, 0.3, *maps)
         xs = np.linspace(-2.5, 2.0, 37)
         assert len(stack.rows) == 3
@@ -312,7 +375,7 @@ class TestRawRoughSources:
         def counting(y):
             calls.append(np.size(y))
             return rf.fn(y)
-        op = difference_power(replace(rf, fn=counting), 0.3, 2)
+        op = steklov_combination(replace(rf, fn=counting), 0.3, difference_terms(2, (1, 0)))
         for xs in (np.linspace(-3.0, -2.0, 11), np.linspace(-0.5, -0.1, 11)):
             calls.clear()
             op(xs)
@@ -426,12 +489,12 @@ class TestSupNorm:
         (1.0, 1.5),          # the supremum is the limit at the jump 0-
     ])
     def test_box_modulus_to_the_kink(self, delta, exact):
-        f = difference_power(box_member(), delta, 2)
+        f = steklov_combination(box_member(), delta, difference_terms(2, (1, 0)))
         assert sup_norm(f, 6.0) == pytest.approx(exact, abs=1e-13)
 
     @pytest.mark.parametrize("build", [
         lambda: as_real_function(parse("x*exp(-x^2)")),
-        lambda: difference_power(box_member(), 0.6, 1),
+        lambda: steklov_combination(box_member(), 0.6, difference_terms(1, (1, 0))),
         lambda: combine([(1.0, corpus_member("gauss").rf),
                          (-1.0, vp_operator(corpus_member("gauss").rf, 1.0,
                                             x_span=8.0))]),
