@@ -29,13 +29,13 @@ from typing import Callable, Iterator, Optional, get_type_hints
 import numpy as np
 
 from . import constants as C
-from .bandlimited import best_approx_surrogate, vp_operator
+from .bandlimited import DEFAULT_TAIL_TARGET, best_approx_surrogate, vp_operator
 from .config import parse_config
 from .corpus import CorpusMember, resolve_exponent, resolve_function
 from .fnexpr import ExponentField, differentiate
 from .functions import RealFunction, as_real_function, combine
 from .norms import NormSpec, luxemburg_norm, norm_of, window_nodes
-from .report import AuditRow, make_row
+from .report import AUDIT_ABS_TOL, AUDIT_REL_TOL, AuditRow, make_row
 from .smoothness import ModulusRequest, _k_functional, modulus
 from .steklov import (_grid_maxima, derivative_terms, difference_terms,
                       iterated_steklov, steklov_combination, sup_norm)
@@ -69,6 +69,9 @@ class AuditCase:
             grid = getattr(self, name)
             if grid and (any(not 0 < v < math.inf for v in grid) or list(grid) != sorted(grid)):
                 raise ValueError(f"{name} must be positive, finite and sorted")
+        for name in _AHAT:
+            if (value := getattr(self, name)) is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.r < 1 or self.k < 1:
             raise ValueError("r and k must be >= 1")
 
@@ -131,7 +134,7 @@ class Context:
              lhs_window: Optional[float] = None,
              tail_target: Optional[float] = None) -> float:
         """Cached A_hat_sigma(f) = ||f - J(f, sigma/2)|| in the given norm."""
-        tail = tail_target if tail_target is not None else 1e-8
+        tail = tail_target if tail_target is not None else DEFAULT_TAIL_TARGET
         key = ("ahat", m.name, norm, round(sigma, 12), lhs_window, tail)
         norm_used = norm if lhs_window is None else replace(norm, window=lhs_window)
         return self.cached(key, lambda: best_approx_surrogate(
@@ -437,7 +440,7 @@ def run_modulus_props(ctx: Context, case: AuditCase, fam: Family, m: CorpusMembe
         constant_used=1.0,
         truncation_bounds={"delta_sequence": list(_VANISH_DELTAS),
                            "values": seq})
-    if not all(b <= a * (1.0 + 1e-6) + 1e-12 for a, b in zip(seq, seq[1:])):
+    if not all(b <= a * (1.0 + AUDIT_REL_TOL) + AUDIT_ABS_TOL for a, b in zip(seq, seq[1:])):
         row = replace(row, passed=False)
     yield row
 

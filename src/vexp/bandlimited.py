@@ -38,6 +38,7 @@ from .steklov import _finite_samples
 __all__ = ["vp_kernel", "vp_operator", "best_approx_surrogate",
            "BestApproxEstimate", "kernel_tail_bound"]
 
+DEFAULT_TAIL_TARGET = 1e-8  # the convolution tail target of A_hat
 _MAX_PANELS = 60_000
 _STENCIL = 20  # lattice points per interpolation stencil
 _BLOCK = 2048  # evaluation points per stencil block
@@ -168,7 +169,7 @@ def _lattice_convolution(f: RealFunction, sigma: float, h: float, n_u: int,
 
 
 def vp_operator(f: RealFunction, sigma: float, x_span: float,
-                tail_target: float = 1e-8) -> RealFunction:
+                tail_target: float = DEFAULT_TAIL_TARGET) -> RealFunction:
     """J(f, sigma)(x) = sigma * int f(x - u) theta(sigma u) du, truncated.
 
     For compactly supported f the convolution is written over the support,
@@ -220,7 +221,7 @@ def vp_operator(f: RealFunction, sigma: float, x_span: float,
 
 def best_approx_surrogate(f: RealFunction, sigma: float, norm: NormSpec,
                           spec: QuadSpec = DEFAULT_SPEC,
-                          tail_target: float = 1e-8) -> BestApproxEstimate:
+                          tail_target: float = DEFAULT_TAIL_TARGET) -> BestApproxEstimate:
     """A_hat_sigma(f) = ||f - J(f, sigma/2)||, an upper bound for A_sigma(f).
 
     J(f, sigma/2) has exponential type sigma, so the distance to it can only

@@ -164,6 +164,11 @@ class ConstantTable:
 
 def constant_table(r: int, k: int, p_plus: float, c3: float) -> ConstantTable:
     """Evaluate the full table, at m = 2 and c1 = 72 as the bounds use them."""
+    if r < 1 or k < 1:
+        raise ValueError("r must be >= 1" if r < 1 else "k must be >= 1")
+    for name, value, low in (("p_plus", p_plus, 1.0), ("c3", c3, 0.0)):
+        if not low <= value < math.inf:
+            raise ValueError(f"{name} must be >= {low:g} and finite")
     entries = []
     supplied = {"r": r, "k": k, "p_plus": p_plus, "c3": c3, "c1": 72.0, "m": 2.0}
     for name, (params, fn, formula) in _REGISTRY.items():

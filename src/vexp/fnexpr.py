@@ -11,12 +11,14 @@ Grammar (EBNF):
     NAME      = "exp" | "sin" | "cos" | "abs"
               | "gauss" | "sinc" | "sincd" | "indicator" ;
 
-`gauss(a)` means exp(-a*x^2) and `sinc(a)` means sin(a*x)/(a*x) with the
-value 1 at x = 0; both take constant arguments, as does `indicator(a, b)`
-(value 1 on [a, b] including the endpoints).  `sincd(a, n)` is the n-th
-derivative of sinc(a); it appears in differentiated expressions so that
-removable singularities stay evaluable and is accepted back by the parser
-for n >= 1.  In the tree sinc(a) is the node `SincD(a, 0)`.
+`sinc(a)` means sin(a*x)/(a*x) with the value 1 at x = 0, the tree node
+`SincD(a, 0)`; `sincd(a, n)` is its n-th derivative, which differentiated
+expressions use so that removable singularities stay evaluable (accepted
+back for n >= 1).  `indicator(a, b)` is 1 on [a, b], endpoints included.
+Their arguments and gauss's are constants.  The parser expands the
+abbreviations, so no tree walk knows them: `-u` is the product -1 * u (a
+literal takes the sign), `gauss(a)` is exp(-a*x*x), and gauss(0), sinc(0)
+and sincd(0, n) are the constants 1, 1 and 0.
 
 Exponents in `^` must be integer literals.  The grammar is closed: no user
 defined names, no piecewise syntax beyond `indicator`.
@@ -83,19 +85,9 @@ class Pow:
 
 
 @dataclass(frozen=True)
-class Neg:
-    operand: "Node"
-
-
-@dataclass(frozen=True)
 class Call:
     name: str  # exp | sin | cos | abs
     arg: "Node"
-
-
-@dataclass(frozen=True)
-class Gauss:
-    a: float
 
 
 @dataclass(frozen=True)
@@ -110,7 +102,9 @@ class Indicator:
     b: float
 
 
-Node = Union[Num, Var, BinOp, Pow, Neg, Call, Gauss, SincD, Indicator]
+Node = Union[Num, Var, BinOp, Pow, Call, SincD, Indicator]
+
+_ZERO, _ONE, _MINUS_ONE = Num(0.0), Num(1.0), Num(-1.0)
 
 _UNARY_CALLS = ("exp", "sin", "cos", "abs")
 
@@ -198,7 +192,7 @@ class _Parser:
             node = self._unary()
             if isinstance(node, Num):  # fold literal sign for canonical form
                 return Num(-node.value)
-            return Neg(node)
+            return BinOp("*", _MINUS_ONE, node)
         return self._power()
 
     def _power(self) -> Node:
@@ -240,7 +234,11 @@ class _Parser:
             if len(args) != 1:
                 raise ParseError(f"{name} takes one constant argument", name_tok.pos)
             a = _const_value(args[0], name_tok.pos)
-            return Gauss(a) if name == "gauss" else SincD(a, 0)
+            if a == 0.0:
+                return _ONE
+            if name == "sinc":
+                return SincD(a, 0)
+            return Call("exp", BinOp("*", BinOp("*", Num(-a), Var()), Var()))
         if name == "sincd":
             if len(args) != 2:
                 raise ParseError("sincd takes (a, order)", name_tok.pos)
@@ -248,7 +246,7 @@ class _Parser:
             order = _const_value(args[1], name_tok.pos)
             if order != int(order) or order < 1:
                 raise ParseError("sincd order must be a positive integer", name_tok.pos)
-            return SincD(a, int(order))
+            return SincD(a, int(order)) if a else _ZERO
         if name == "indicator":
             if len(args) != 2:
                 raise ParseError("indicator takes (a, b)", name_tok.pos)
@@ -360,13 +358,8 @@ def _compile(node: Node):
         return _binary(_BINARY[node.op], _compile(node.left), _compile(node.right))
     if isinstance(node, Pow):
         return _unary(_power(node.exponent), _compile(node.base))
-    if isinstance(node, Neg):
-        return _unary(np.negative, _compile(node.operand))
     if isinstance(node, Call):
         return _unary(_CALLS[node.name], _compile(node.arg))
-    if isinstance(node, Gauss):
-        neg_a = -node.a
-        return lambda x: np.exp(neg_a * x * x)
     if isinstance(node, SincD):
         a, order = node.a, node.order
         if order == 0:
@@ -456,7 +449,7 @@ def _on_sum(fn):
 def _outer(node: Node):
     """node's outer form, (x, t) -> ((rows, X) -> values at X = x[rows] + t),
     or None when that is its compiled closure on X."""
-    if isinstance(node, SincD) and node.order == 0 and node.a != 0.0:
+    if isinstance(node, SincD) and node.order == 0:
         return _trig("sinc", node.a, 0.0, _compile(node))
     if (isinstance(node, Call) and node.name in ("sin", "cos") and (arg := _pieces(node.arg))
             and not arg[0] and len(p := arg[1][0]) == 2 and p[1] != 0.0):
@@ -465,7 +458,7 @@ def _outer(node: Node):
     outers = [_outer(k) for k in kids]
     if all(o is None for o in outers):
         return None
-    op = (_BINARY[node.op] if isinstance(node, BinOp) else np.negative if isinstance(node, Neg)
+    op = (_BINARY[node.op] if isinstance(node, BinOp)
           else _CALLS[node.name] if isinstance(node, Call) else _power(node.exponent))
     parts = [o or _on_sum(_compile(k)) for k, o in zip(kids, outers)]
 
@@ -488,18 +481,16 @@ def to_source(node: Node) -> str:
     if isinstance(node, Var):
         return "x"
     if isinstance(node, BinOp):
+        if node.op == "*" and node.left == _MINUS_ONE:
+            return f"(-{to_source(node.right)})"
         return f"({to_source(node.left)} {node.op} {to_source(node.right)})"
     if isinstance(node, Pow):
         base = to_source(node.base)
         if isinstance(node.base, Num) and node.base.value < 0.0:
             base = f"({base})"  # -2^2 reads as -(2^2)
         return f"({base}^{node.exponent})"
-    if isinstance(node, Neg):
-        return f"(-{to_source(node.operand)})"
     if isinstance(node, Call):
         return f"{node.name}({to_source(node.arg)})"
-    if isinstance(node, Gauss):
-        return f"gauss({node.a:.17g})"
     if isinstance(node, SincD):
         if node.order == 0:
             return f"sinc({node.a:.17g})"
@@ -513,9 +504,6 @@ def to_source(node: Node) -> str:
 # Differentiation
 # ---------------------------------------------------------------------------
 
-_ZERO, _ONE = Num(0.0), Num(1.0)
-
-
 def _op(op: str, left: Node, right: Node) -> Node:
     """BinOp(op, left, right) without its terms 0 and factors 1."""
     if op == "*" and _ZERO in (left, right):
@@ -525,7 +513,7 @@ def _op(op: str, left: Node, right: Node) -> Node:
     if (op in "*/" and right == _ONE) or (op in "+-" and right == _ZERO):
         return left
     if op == "-" and left == _ZERO:
-        return Neg(right)
+        return BinOp("*", _MINUS_ONE, right)
     return BinOp(op, left, right)
 
 
@@ -548,8 +536,6 @@ def _diff(node: Node) -> Node:
         n = node.exponent - 1
         power = node.base if n == 1 else Pow(node.base, n)
         return _op("*", _op("*", Num(float(node.exponent)), power), _diff(node.base))
-    if isinstance(node, Neg):
-        return Neg(_diff(node.operand))
     if isinstance(node, Call):
         inner = _diff(node.arg)
         if node.name == "exp":
@@ -557,11 +543,8 @@ def _diff(node: Node) -> Node:
         if node.name == "sin":
             return _op("*", Call("cos", node.arg), inner)
         if node.name == "cos":
-            return Neg(_op("*", Call("sin", node.arg), inner))
+            return _op("-", _ZERO, _op("*", Call("sin", node.arg), inner))
         raise NonDifferentiableError("abs(.) has no classical derivative at 0")
-    if isinstance(node, Gauss):
-        # d/dx exp(-a x^2) = -2 a x exp(-a x^2)
-        return BinOp("*", BinOp("*", Num(-2.0 * node.a), Var()), Gauss(node.a))
     if isinstance(node, SincD):
         return SincD(node.a, node.order + 1)
     if isinstance(node, Indicator):
@@ -654,13 +637,8 @@ def _tail(node: Node) -> _Tail:
         return _Tail(1.0, np.float64(1.0), odd=True)
     if isinstance(node, Indicator):
         return _Tail(-math.inf, support=(node.a, node.b))
-    if isinstance(node, Gauss):  # gauss(0) is 1
-        return _Tail(math.copysign(math.inf, -node.a)) if node.a else _Tail(0.0, np.float64(1.0))
-    if isinstance(node, SincD):  # sinc(0) is 1, and its derivatives vanish
-        return _Tail(-1.0) if node.a else _Tail(0.0, np.float64(node.order == 0))
-    if isinstance(node, Neg):
-        t = _tail(node.operand)
-        return t._replace(coef=-t.coef)
+    if isinstance(node, SincD):
+        return _Tail(-1.0)
     if isinstance(node, Pow):
         return _power_tail(_tail(node.base), node.exponent)
     if isinstance(node, Call):
@@ -686,8 +664,8 @@ def _tail(node: Node) -> _Tail:
 def classify_decay(node: Node, terms: Optional[tuple]) -> Decay:
     """The decay class read off the tree: compact support from indicator
     factors or a compactly supported piecewise polynomial (node's
-    `truncated_powers` terms), Gaussian from gauss(a > 0) and exp(c x^2 + ...)
-    with 64c < -1, power decay from a negative growth bound, else none."""
+    `truncated_powers` terms), Gaussian from exp(c x^2 + ...) with 64c < -1,
+    as gauss(a) with a > 1/64, power decay from a negative growth bound, else none."""
     if terms:
         return Decay.compact(min(b for _, b, _ in terms), max(b for _, b, _ in terms))
     with np.errstate(all="ignore"):
@@ -750,9 +728,6 @@ def _pieces(node: Node) -> Optional[tuple[list[float], list[np.ndarray]]]:
             return None
         knots = sorted(set(l[0]) | set(r[0]))
         return knots, list(map(_POLY_OPS[node.op], _refine(*l, knots), _refine(*r, knots)))
-    if isinstance(node, Neg):
-        p = _pieces(node.operand)
-        return p and (p[0], [-q for q in p[1]])
     value = _compile(node)
     if isinstance(value, float):
         return [], [np.array([value])]

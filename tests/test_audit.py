@@ -393,6 +393,18 @@ class TestCaseValidation:
                 with pytest.raises(ValueError, match=attr):
                     run_case(ctx, case)
 
+    @pytest.mark.parametrize("case, message", [
+        # stopped the suite mid-run
+        ('theorem = "jackson_vexp"\nf = "@gauss"\np = "@p2"\nsigmas = [2.0]\n'
+         'lhs_window = -3.0\n', "lhs_window must be positive and finite"),
+        # wrote a passing row
+        ('theorem = "jackson_sup"\nf = "@gauss"\nsigmas = [2.0]\nvp_tail = -1.0\n',
+         "vp_tail must be positive and finite"),
+    ], ids=["lhs_window", "vp_tail"])
+    def test_ahat_override_rejected_before_any_case_runs(self, no_case_runs, case, message):
+        with pytest.raises(ValueError, match=message):
+            run_suite(GOOD_CASE + "[[case]]\n" + case)
+
     def test_missing_input_rejected_before_any_case_runs(self, no_case_runs):
         no_deltas = '[[case]]\ntheorem = "steklov_bound"\nf = "@box"\np = "@p2"\n'
         with pytest.raises(ValueError, match="deltas"):

@@ -99,6 +99,14 @@ class TestNonFiniteArguments:
         ("approx --f @gauss --sigma nan", "sigma must be positive and finite"),
         ("modulus --f @gauss --r 1 --delta 0.5 --window inf",
          "window must be positive and finite"),
+        # nan and inf tables with exit code 0, and p+ < 1 or c3 < 0 accepted;
+        # --k 0 named r
+        ("constants --pplus nan", "p_plus must be >= 1 and finite"),
+        ("constants --pplus 0.5", "p_plus must be >= 1 and finite"),
+        ("constants --c3 inf", "c3 must be >= 0 and finite"),
+        ("constants --c3 -1", "c3 must be >= 0 and finite"),
+        ("constants --k 0", "k must be >= 1"),
+        ("constants --r 0", "r must be >= 1"),
     ])
     def test_refused_with_exit_code_2(self, argv, message):
         code, out, err = run_cli(*argv.split())
@@ -187,6 +195,23 @@ class TestApproxCommand:
         assert code == 2
         assert out == ""
         assert "breakpoints [0.0, 1.0]" in err
+
+    @pytest.mark.parametrize("src", ["1", "gauss(0)", "sinc(0)"])
+    def test_constant_one_in_every_spelling(self, capsys, src):
+        # gauss(0) and sinc(0) were refused at the panel cap
+        assert main(["approx", "--f", src, "--sigma", "2"]) == 0
+        assert capsys.readouterr().out == "0\n"
+
+
+@pytest.mark.parametrize("argv", [["norm", "--p", "@p2"], ["approx", "--sigma", "2"],
+                                  ["approx", "--sigma", "2", "--norm", "vexp"]])
+def test_gauss_answers_as_its_exp_twin(capsys, argv):
+    # gauss(0.01) read 3.51108 in p2 (window 12), its twin 3.45874 (window 10)
+    outputs = []
+    for src in ("gauss(0.01)", "exp(-0.01*x*x)"):
+        code = main([*argv, "--f", src])
+        outputs.append((code, *capsys.readouterr()))
+    assert outputs[0] == outputs[1]
 
 
 class TestAuditCommand:

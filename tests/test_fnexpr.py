@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,16 +16,21 @@ from vexp.fnexpr import (Decay, ExponentField, ExponentRangeError,
 _LEAVES = st.one_of(
     st.floats(-5, 5).map(lambda v: fnexpr.Num(round(v, 3))),
     st.just(fnexpr.Var()),
-    st.floats(0.5, 4).map(lambda a: fnexpr.Gauss(round(a, 2))),
+    st.floats(0.5, 4).map(lambda a: parse(f"gauss({round(a, 2)})").ast),
     st.floats(0.5, 4).map(lambda a: fnexpr.SincD(round(a, 2), 0)),
 )
+
+
+def _negated(node):
+    """-u as the parser builds it."""
+    return fnexpr.BinOp("*", fnexpr.Num(-1.0), node)
 
 
 def _nodes(kids):
     return st.one_of(
         st.tuples(st.sampled_from("+*"), kids, kids).map(lambda t: fnexpr.BinOp(*t)),
         st.tuples(kids, st.integers(0, 3)).map(lambda t: fnexpr.Pow(*t)),
-        kids.map(fnexpr.Neg),
+        kids.map(_negated),
         kids.map(lambda a: fnexpr.Call("sin", a)),
         kids.map(lambda a: fnexpr.Call("exp", a)),
     )
@@ -62,7 +68,7 @@ PIECEWISE_AST = st.recursive(
     lambda kids: st.one_of(
         st.tuples(st.sampled_from("+-*/"), kids, kids).map(lambda t: fnexpr.BinOp(*t)),
         st.tuples(kids, st.integers(0, 3)).map(lambda t: fnexpr.Pow(*t)),
-        kids.map(fnexpr.Neg),
+        kids.map(_negated),
         kids.map(lambda a: fnexpr.Call("abs", a)),
     ),
     max_leaves=10)
@@ -112,7 +118,6 @@ class TestParse:
         f = parse("gauss(2)")
         assert f(1.0) == pytest.approx(math.exp(-2.0))
         assert f.decay_class.kind == "gaussian"
-
 
     def test_non_ascii_digits_rejected(self):
         with pytest.raises(ParseError) as err:
@@ -274,6 +279,37 @@ class TestPrinterRoundTrip:
         # trees are first pushed through one parse to reach canonical form
         canon = parse(fnexpr.to_source(ast)).ast
         assert parse(fnexpr.to_source(canon)).ast == canon
+
+
+class TestAbbreviations:
+    """The parser expands -u and gauss(a); no other node stands for them."""
+
+    @pytest.mark.parametrize("a", ["0.01", "0.5", "2"])
+    def test_gauss_is_its_exp_tree(self, a):
+        # gauss(0.01) was Gaussian with window 12, its exp twin has no class
+        assert parse(f"gauss({a})") == parse(f"exp(-{a}*x*x)")
+
+    def test_minus_is_a_product_by_minus_one(self):
+        assert parse("-sin(x)") == parse("-1*sin(x)")
+        assert parse("-1*sin(x)").src == "(-sin(x))"
+
+    @pytest.mark.parametrize("src, value", [("gauss(0)", 1.0), ("sinc(0)", 1.0),
+                                            ("sincd(0, 2)", 0.0)])
+    def test_zero_rates_are_constants(self, src, value):
+        assert parse(src).constant == value
+
+    def test_printed_sources_of_the_bundled_trees_are_unchanged(self):
+        # the 12 members and 3 exponents with their first and second
+        # derivatives, as they printed when -u and gauss(a) were nodes
+        from vexp.corpus import default_corpus, default_exponents
+        lines = []
+        for e in [m.expr for m in default_corpus()] + [p.expr for p in default_exponents()]:
+            lines.append(e.src)
+            if e.smooth:
+                lines += [differentiate(e, k).src for k in (1, 2)]
+        assert len(lines) == 41
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "561b5f5bbae99f810290329af37bbf0eba0b17ba626b98a006f73a70abc42536")
 
 
 class TestDifferentiate:
@@ -500,13 +536,9 @@ def reference_eval(node, x):
         if node.exponent >= 0:
             return base ** node.exponent
         return 1.0 / base ** (-node.exponent)
-    if isinstance(node, fnexpr.Neg):
-        return -ev(node.operand, x)
     if isinstance(node, fnexpr.Call):
         ufunc = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "abs": np.abs}
         return ufunc[node.name](ev(node.arg, x))
-    if isinstance(node, fnexpr.Gauss):
-        return np.exp(-node.a * x * x)
     if isinstance(node, fnexpr.SincD) and node.order == 0:
         return _ref_sinc(node.a, x)
     if isinstance(node, fnexpr.SincD):

@@ -85,12 +85,8 @@ def mp_value(node, x):
         return MP_OPS[node.op](mp_value(node.left, x), mp_value(node.right, x))
     if isinstance(node, fnexpr.Pow):
         return mp_value(node.base, x) ** node.exponent
-    if isinstance(node, fnexpr.Neg):
-        return -mp_value(node.operand, x)
     if isinstance(node, fnexpr.Call):
         return getattr(mpmath, node.name)(mp_value(node.arg, x))
-    if isinstance(node, fnexpr.Gauss):
-        return mpmath.exp(-node.a * x * x)
     assert isinstance(node, fnexpr.SincD) and node.order == 0
     y = node.a * x
     return mpmath.sin(y) / y if y else mpmath.mpf(1)
