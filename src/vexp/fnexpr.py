@@ -569,22 +569,6 @@ class Decay:
     b: float = 0.0
     alpha: float = 0.0
 
-    @staticmethod
-    def compact(a: float, b: float) -> "Decay":
-        return Decay("compact_support", a=a, b=b)
-
-    @staticmethod
-    def gaussian() -> "Decay":
-        return Decay("gaussian")
-
-    @staticmethod
-    def power(alpha: float) -> "Decay":
-        return Decay("power", alpha=alpha)
-
-    @staticmethod
-    def none_() -> "Decay":
-        return Decay("none")
-
 
 class _Tail(NamedTuple):
     """A subtree as |x| -> oo: |f| = O(|x|^growth), and f ~ coef * |x|^growth
@@ -667,14 +651,14 @@ def classify_decay(node: Node, terms: Optional[tuple]) -> Decay:
     `truncated_powers` terms), Gaussian from exp(c x^2 + ...) with 64c < -1,
     as gauss(a) with a > 1/64, power decay from a negative growth bound, else none."""
     if terms:
-        return Decay.compact(min(b for _, b, _ in terms), max(b for _, b, _ in terms))
+        return Decay("compact_support", min(b for _, b, _ in terms), max(b for _, b, _ in terms))
     with np.errstate(all="ignore"):
         t = _tail(node)
     if t.support:
-        return Decay.compact(*t.support)
+        return Decay("compact_support", *t.support)
     if t.growth == -math.inf:
-        return Decay.gaussian()
-    return Decay.power(-t.growth) if t.growth < 0 else Decay.none_()
+        return Decay("gaussian")
+    return Decay("power", alpha=-t.growth) if t.growth < 0 else Decay("none")
 
 
 def _is_smooth(node: Node) -> bool:
@@ -968,15 +952,17 @@ class ExponentField:
                    name=name or expr.src)
 
     def dual(self) -> "ExponentField":
-        """Pointwise conjugate exponent p/(p-1); requires p_minus > 1."""
+        """Pointwise conjugate exponent p/(p-1); requires p_minus > 1.  Its
+        constants are p's over (p- - 1)^2, as |p'(x) - p'(y)| is
+        |p(x) - p(y)| / ((p(x) - 1)(p(y) - 1))."""
         if self.p_minus <= 1.0:
             raise ExponentRangeError("dual exponent unbounded: p_minus must exceed 1")
-        ast = self.expr.ast
+        ast, scale = self.expr.ast, (self.p_minus - 1.0) ** -2
         return ExponentField(
             expr=FuncExpr(BinOp("/", ast, BinOp("-", ast, Num(1.0)))),
             p_minus=self.p_plus / (self.p_plus - 1.0),
             p_plus=self.p_minus / (self.p_minus - 1.0),
             p_infinity=self.p_infinity / (self.p_infinity - 1.0),
-            c_log_local=self.c_log_local, c_log_decay=self.c_log_decay,
+            c_log_local=scale * self.c_log_local, c_log_decay=scale * self.c_log_decay,
             name=f"dual({self.name})",
         )

@@ -4,8 +4,9 @@ Every integral over the real line in this package is reduced to a finite
 window [a, b]; call sites pick the window from the integrand's decay and
 account for the discarded tail separately.  Integrals are fixed composite
 Gauss-Legendre rules on panels the call site chooses (`panel_rule`).  Roots
-of monotone functions, such as the Luxemburg norm's modular, are found by
-Illinois regula falsi with a bisection fallback (`find_root_decreasing`).
+of decreasing convex functions, such as the log of the Luxemburg norm's
+modular in log scale, are found by Newton steps kept in a closed bracket,
+with bisection as the fallback (`find_root_decreasing`).
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-
-
-class BracketError(ValueError):
-    """Raised when a root bracket does not contain a sign change."""
 
 
 @dataclass(frozen=True)
@@ -66,41 +63,28 @@ def panel_rule(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return (edges[..., :-1, None] + width * x0).reshape(shape), (width * w0).reshape(shape)
 
 
-def find_root_decreasing(phi: Callable[[float], float], bracket: Bracket) -> float:
-    """The root of a decreasing function, by Illinois regula falsi.
+def find_root_decreasing(phi: Callable[[float], tuple], bracket: Bracket,
+                         start: float, at_start: tuple) -> tuple[float, tuple]:
+    """The root in the bracket of a decreasing convex function, and phi there,
+    by Newton steps from start.  phi(x) leads with the value and the slope at
+    x (the caller may append more), and at_start is phi(start).
 
-    Requires phi(lo) >= 0 >= phi(hi).  Each step is the secant through the
-    bracket ends, with the value of an end kept by two steps in a row halved
-    (Dowell & Jarratt, BIT 11, 1971); a bracket that three steps did not halve
-    is bisected.  It stops at a point whose value, over the shallower of its
-    chords to the two ends, puts it within bracket.tol of the root (an affine
-    phi takes one interior evaluation), or when the bracket is that narrow.
+    The ends are not evaluated: each evaluated point moves the end on its side
+    of the root, and a step that leaves the bracket bisects it instead.  On a
+    convex phi the first tangent lands at or left of the root, and the steps
+    rise to it from there.  It stops when the Newton step or the bracket is
+    within bracket.tol; a bracket that closes on one of its own ends holds no
+    sign change, and raises ValueError.
     """
     lo, hi = bracket.lo, bracket.hi
-    flo, fhi = phi(lo), phi(hi)
-    if flo < 0.0 or fhi > 0.0:
-        raise BracketError(f"no sign change: phi({lo:.6g})={flo:.6g}, "
-                           f"phi({hi:.6g})={fhi:.6g}")
-    if flo == 0.0 or fhi == 0.0:
-        return lo if flo == 0.0 else hi
-    wlo, whi, last = flo, fhi, 0.0  # secant weights; the last step's value
-    x, widths = hi - whi * (hi - lo) / (whi - wlo), [math.inf] * 3
-    while True:
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-            if not lo < x < hi:  # float resolution exhausted
-                return x
-        fx = phi(x)
-        slope = min((flo - fx) / (x - lo), (fx - fhi) / (hi - x))
-        if fx == 0.0 or abs(fx) <= bracket.tol * slope:
-            return x
-        widths = widths[1:] + [hi - lo]
-        if fx > 0.0:
-            lo, flo, wlo, whi = x, fx, fx, whi * (0.5 if last > 0.0 else 1.0)
-        else:
-            hi, fhi, whi, wlo = x, fx, fx, wlo * (0.5 if last < 0.0 else 1.0)
-        last = fx
+    x, at = start, at_start
+    while at[0] != 0.0 and abs(at[0]) > bracket.tol * -at[1]:
+        lo, hi = (max(lo, x), hi) if at[0] > 0.0 else (lo, min(hi, x))
         if hi - lo <= bracket.tol:
-            return x
-        # x = lo sends a bracket that three steps did not halve to bisection
-        x = lo if hi - lo > 0.5 * widths[0] else hi - whi * (hi - lo) / (whi - wlo)
+            if bracket.lo < lo and hi < bracket.hi:
+                return x, at
+            raise ValueError(f"no sign change in [{bracket.lo:.6g}, {bracket.hi:.6g}]")
+        step = x - at[0] / at[1] if at[1] < 0.0 else math.nan
+        x = step if lo < step < hi else 0.5 * (lo + hi)
+        at = phi(x)
+    return x, at

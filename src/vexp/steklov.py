@@ -17,10 +17,12 @@ top = max(k + j), subdivided where f oscillates, so the weights of all terms
 add up on one Gauss-Legendre lattice (k = 0 terms are point columns) and one
 outer product f(x_i + d*u_j) evaluates the whole sum (`outer_apply`, which
 samples an expression's sin, cos and sinc nodes by the addition theorem, at
-the exact x_i + d*u_j to about an ulp).  Sums with one top stack
-on one lattice: each keeps its own row of weights, and one pass over f serves
-them all.  A point whose window (x, x + top*d) holds a breakpoint b of f
-takes the same lattice with its panels split at (b - x)/d.
+the exact x_i + d*u_j to about an ulp).  The nodes, weights and B-spline
+columns of the last 32 unit lattices are kept; only the weights times c and
+the offsets times d are formed per call.  Sums with one top stack on one
+lattice: each keeps its own row of weights, and one pass over f serves them
+all.  A point whose window (x, x + top*d) holds a breakpoint b of f takes
+the same lattice with its panels split at (b - x)/d, built anew.
 
 Compactly supported piecewise polynomials, read off the expression tree as
 sums of truncated powers c (b - x)_+^n / n!, get an exact engine: T_d^k of
@@ -160,6 +162,19 @@ def _oscillation_subpanels(f: RealFunction, delta: float) -> int:
     return min(16, max(1, math.ceil(phase_per_unit / 6.0)))
 
 
+@functools.lru_cache(maxsize=32)  # the bundled audit builds 8 shapes, none above 9 kB
+def _kernel_nodes(edges, keys: frozenset) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Gauss-Legendre nodes and weights on the panels of edges (a rule per
+    row), and the column B_k(u - j) at the nodes for each key (k, j), all
+    read-only.  The unit panels' rule is cached, its edges given as a tuple;
+    split panels are built anew by `_kernel_nodes.__wrapped__`."""
+    nodes, wts = panel_rule(edges, 12)
+    rule = nodes, wts, {(k, j): bspline_value(k, nodes - j) for k, j in keys}
+    for a in (nodes, wts, *rule[2].values()):
+        a.flags.writeable = False
+    return rule
+
+
 def steklov_combination(f: RealFunction, delta: float,
                         *terms: dict[tuple[int, int], float]) -> RealFunction:
     """sum of c * T_d^k f(x + j*d) over terms {(k, j): c}, where a negative j
@@ -179,14 +194,13 @@ def steklov_combination(f: RealFunction, delta: float,
             return np.stack([sum((c * term(x + shift) for c, shift, term in part),
                                  np.zeros_like(x, dtype=float)) for part in parts[maps]])
     else:
-        top = max((k + j for k, j in keys if k > 0), default=0)
+        splined = frozenset((k, j) for k, j in keys if k > 0)
+        top = max((k + j for k, j in splined), default=0)
         unit = np.linspace(0.0, float(top), top * _oscillation_subpanels(f, delta) + 1)
         points = list(dict.fromkeys(j for t in terms for k, j in t if k == 0))
 
-        def lattice(edges):
-            # offsets, and one row of weights per map, for each row of edges
-            nodes, wts = panel_rule(edges, 12)
-            spline = {(k, j): bspline_value(k, nodes - j) for k, j in keys if k > 0}
+        def lattice(nodes, wts, spline):
+            # offsets, and one row of weights per map, for each row of nodes
             cols = (*nodes.shape[:-1], len(points))
             kern = [sum((c * wts * spline[k, j] for (k, j), c in t.items() if k > 0),
                         np.zeros_like(nodes)) for t in terms]
@@ -194,7 +208,7 @@ def steklov_combination(f: RealFunction, delta: float,
             return (delta * np.concatenate([nodes, np.broadcast_to(points, cols)], -1),
                     np.stack([np.concatenate(kp, -1) for kp in zip(kern, pts)]))
 
-        offsets, weights = lattice(unit)
+        offsets, weights = lattice(*_kernel_nodes(tuple(unit), splined))
         breaks = np.asarray(f.breakpoints, dtype=float)
         step = max(1, _SUB_CHUNK // (offsets.size + 12 * breaks.size))
 
@@ -211,7 +225,7 @@ def steklov_combination(f: RealFunction, delta: float,
                 # clipped and repeated cuts give zero-width panels, which weigh nothing
                 edges = np.concatenate([np.broadcast_to(unit, (i.size, unit.size)),
                                         np.clip(cuts[i], 0.0, top)], axis=1)
-                off, w = lattice(np.sort(edges, axis=1))
+                off, w = lattice(*_kernel_nodes.__wrapped__(np.sort(edges, axis=1), splined))
                 out[:, i] = np.sum(f.fn(flat[i, None] + off) * w[maps], axis=-1)
             return out.reshape(len(out), *np.shape(x))
 

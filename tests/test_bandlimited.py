@@ -185,7 +185,7 @@ class TestSurrogate:
 
     def test_raw_lorentzian_matches_bundled(self):
         raw, bundled = resolve_function("1/(1+x^2)"), resolve_function("@lorentz")
-        assert raw.expr.decay_class == bundled.expr.decay_class == Decay.power(2.0)
+        assert raw.expr.decay_class == bundled.expr.decay_class == Decay("power", alpha=2.0)
         got = best_approx_surrogate(raw.rf, 4.0, raw.norm_spec()).value
         assert got == best_approx_surrogate(bundled.rf, 4.0, bundled.norm_spec()).value
 

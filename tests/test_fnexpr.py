@@ -160,14 +160,14 @@ class TestDecay:
 
     def test_bundled_members_keep_their_class(self):
         from vexp.corpus import default_corpus
-        want = {"gauss": Decay.gaussian(), "gauss_osc": Decay.gaussian(),
-                "sinc1": Decay.power(1.0), "sinc4": Decay.power(1.0),
+        want = {"gauss": Decay("gaussian"), "gauss_osc": Decay("gaussian"),
+                "sinc1": Decay("power", alpha=1.0), "sinc4": Decay("power", alpha=1.0),
                 # the smoothed box starts at the rounded zero of (1.1 - 0.9)/2 + x
-                "box": Decay.compact(0.0, 1.0),
-                "box_smooth": Decay.compact((0.9 - 1.1) / 2, 1.0),
-                "xgauss": Decay.gaussian(), "cos_gauss": Decay.gaussian(),
-                "gauss_wide": Decay.gaussian(), "x2gauss": Decay.gaussian(),
-                "lorentz": Decay.power(2.0), "lorentz2": Decay.power(4.0)}
+                "box": Decay("compact_support", 0.0, 1.0),
+                "box_smooth": Decay("compact_support", (0.9 - 1.1) / 2, 1.0),
+                "xgauss": Decay("gaussian"), "cos_gauss": Decay("gaussian"),
+                "gauss_wide": Decay("gaussian"), "x2gauss": Decay("gaussian"),
+                "lorentz": Decay("power", alpha=2.0), "lorentz2": Decay("power", alpha=4.0)}
         assert {m.name: m.expr.decay_class for m in default_corpus()} == want
 
     def test_truncated_powers_read_once(self, monkeypatch):
@@ -180,7 +180,7 @@ class TestDecay:
             monkeypatch.setattr(module, "truncated_powers",
                                 lambda node: calls.append(node) or read(node), raising=False)
         f = functions.as_real_function(parse("indicator(0, 1)"))
-        assert f.expr.decay_class == Decay.compact(0.0, 1.0)
+        assert f.expr.decay_class == Decay("compact_support", 0.0, 1.0)
         assert len(calls) == 1
 
     def test_smooth_flag(self):
@@ -412,6 +412,14 @@ class TestLogHolder:
         assert np.allclose(q(xs), pv / (pv - 1.0))
         assert q.p_minus == pytest.approx(1.5)
         assert q.p_plus == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("src", ["1.5 + sin(x)^2/(1+x^2)", "2 + 1/(1+x^2)"])
+    def test_dual_constants_bound_the_duals_own_grid(self, src):
+        # the dual kept p's constants: for p_osc 0.4649 and 0.4844, where the
+        # dual's own grid reads 1.0888 and 1.1378
+        q = ExponentField.from_expr(src).dual()
+        c1, c2, _, _ = estimate_log_holder(q.expr, 50.0, 801, q.p_infinity)
+        assert q.c_log_local >= c1 and q.c_log_decay >= c2
 
     def test_dual_requires_pminus_above_one(self):
         with pytest.raises(ExponentRangeError):

@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from vexp.corpus import (corpus_member, default_corpus, exponent_field,
 from vexp.fnexpr import ExponentField, parse
 from vexp.functions import RealFunction, as_real_function, combine
 from vexp.norms import (NormSpec, NotIntegrableError, SampledModular,
-                        luxemburg_norm, norm_of)
+                        luxemburg_norm, norm_of, window_nodes)
 
 GAUSS = as_real_function(parse("exp(-x^2)"))
 
@@ -21,24 +22,38 @@ def box():
 
 
 class TestModular:
+    # value() is the modular and its slope d log(modular) / d log(lam)
     def test_zero_function(self, p2):
         zero = as_real_function(parse("0"))
-        assert SampledModular(zero, p2, 12.0).value(1.0) == 0.0
+        modular, slope = SampledModular(zero, p2, 12.0).value(1.0)
+        assert modular == 0.0 and math.isnan(slope)
 
     def test_box_mass(self, p2):
-        assert SampledModular(box(), p2, 12.0).value(1.0) == \
-            pytest.approx(1.0, abs=1e-12)
+        modular, slope = SampledModular(box(), p2, 12.0).value(1.0)
+        assert modular == pytest.approx(1.0, abs=1e-12)
+        assert slope == -2.0
 
     def test_gaussian_closed_form(self, p2):
-        assert SampledModular(GAUSS, p2, 12.0).value(1.0) == \
-            pytest.approx(math.sqrt(math.pi / 2.0), abs=1e-10)
+        modular, slope = SampledModular(GAUSS, p2, 12.0).value(1.0)
+        assert modular == pytest.approx(math.sqrt(math.pi / 2.0), abs=1e-10)
+        assert slope == pytest.approx(-2.0, rel=1e-15)
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.1, 4.0), st.floats(1.05, 3.0))
     def test_monotone_in_scale(self, lam, factor):
         p = ExponentField.from_expr("2 + 1/(1+x^2)")
         sm = SampledModular(GAUSS, p, 12.0)
-        assert sm.value(lam) >= sm.value(lam * factor) - 1e-12
+        (modular, slope), (scaled, _) = sm.value(lam), sm.value(lam * factor)
+        assert modular >= scaled - 1e-12
+        assert p.p_minus * (1 - 1e-15) <= -slope <= p.p_plus * (1 + 1e-15)
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 3.0])
+    def test_slope_is_the_log_log_derivative(self, p_bump, lam):
+        sm = SampledModular(GAUSS, p_bump, 12.0)
+        h = 1e-5
+        up, down = sm.value(lam * math.exp(h))[0], sm.value(lam * math.exp(-h))[0]
+        assert sm.value(lam)[1] == pytest.approx(
+            (math.log(up) - math.log(down)) / (2.0 * h), rel=1e-8)
 
 
 class TestLuxemburg:
@@ -118,9 +133,11 @@ class TestLuxemburg:
 
 
 @pytest.mark.parametrize("p, most", [
-    ("@p2", 6), ("1", 6), ("3", 6), ("@p_bump", 12), ("@p_osc", 12),
+    ("@p2", 2), ("1", 2), ("3", 2), ("@p_bump", 5), ("@p_osc", 5),
 ])
 def test_modular_evaluations_per_root(monkeypatch, p, most):
+    # one pass at t = 0 and one at the first tangent step, which is the root
+    # for constant p; variable p takes at most three Newton steps more
     calls = []
     value = SampledModular.value
 
@@ -135,6 +152,38 @@ def test_modular_evaluations_per_root(monkeypatch, p, most):
         luxemburg_norm(m.rf, field, window=spec.window,
                        panels_per_unit=spec.panels_per_unit)
     assert max(calls) <= most
+
+
+ROOT_EXPONENTS = ["@p2", "1", "3", "@p_bump", "@p_osc"]
+
+
+def corpus_norms(p: str):
+    """(member, its norm spec, its norm) in p over the corpus."""
+    field = resolve_exponent(p)
+    for m in default_corpus():
+        spec = m.norm_spec(field)
+        yield m, spec, luxemburg_norm(m.rf, field, window=spec.window,
+                                      panels_per_unit=spec.panels_per_unit)
+
+
+@pytest.mark.parametrize("p", ROOT_EXPONENTS)
+def test_modular_at_the_root_is_one(p):
+    # the benchmark's check: the root is within tol of the scale, and the
+    # modular's log-log slope there is at most p+
+    p_plus = resolve_exponent(p).p_plus
+    for m, _, res in corpus_norms(p):
+        allowed = 2.0 * p_plus * res.bracket_used.tol / res.value
+        assert abs(res.modular_at_value - 1.0) <= allowed, m.name
+
+
+@pytest.mark.parametrize("p", [q for q in ROOT_EXPONENTS if resolve_exponent(q).is_constant])
+def test_constant_exponent_root_is_the_power_mean(p):
+    # for constant p the first tangent step lands on (sum w s^p)^(1/p)
+    q = resolve_exponent(p).p_minus
+    for m, spec, res in corpus_norms(p):
+        x, w = window_nodes(spec.window, spec.panels_per_unit, m.rf.breakpoints)
+        direct = float(np.sum(w * np.abs(m.rf(x)) ** q)) ** (1.0 / q)
+        assert abs(res.value - direct) <= 2 * math.ulp(direct), m.name
 
 
 # The bundled members and exponents below are even, so the modular is twice

@@ -5,17 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vexp.quad import (Bracket, BracketError, QuadSpec, find_root_decreasing,
-                       gauss_rule, panel_rule)
+from vexp.quad import Bracket, QuadSpec, find_root_decreasing, gauss_rule, panel_rule
+
+
+def solve(phi, dphi, bracket, start):
+    """The root from start of phi with its slope dphi, and the points
+    evaluated after start; phi at the root must come back with the root."""
+    calls = []
+
+    def wrapped(e):
+        calls.append(e)
+        return phi(e), dphi(e)
+    root, at_root = find_root_decreasing(wrapped, bracket, start, (phi(start), dphi(start)))
+    assert at_root == (phi(root), dphi(root))
+    return root, calls
 
 
 def test_root_affine():
-    assert find_root_decreasing(lambda e: 1.0 - e, Bracket(0.0 + 1e-9, 2.0, 1e-12)) \
-        == pytest.approx(1.0, abs=1e-11)
+    root, _ = solve(lambda e: 1.0 - e, lambda e: -1.0, Bracket(1e-9, 2.0, 1e-12), 0.5)
+    assert root == pytest.approx(1.0, abs=1e-11)
 
 
 def test_root_inverse_square():
-    root = find_root_decreasing(lambda e: 1.0 / (e * e) - 1.0, Bracket(0.5, 2.0, 1e-12))
+    root, _ = solve(lambda e: 1.0 / (e * e) - 1.0, lambda e: -2.0 / e ** 3,
+                    Bracket(0.5, 2.0, 1e-12), 0.5)
     assert root == pytest.approx(1.0, abs=1e-11)
 
 
@@ -28,7 +41,10 @@ def test_root_of_variable_exponent_modular():
     def phi(eta):
         return float(np.sum(w * (2.0 / eta) ** (2.0 + x))) - 1.0
 
-    root = find_root_decreasing(phi, Bracket(1.0, 4.0, 1e-11))
+    def dphi(eta):
+        return -float(np.sum(w * (2.0 + x) * (2.0 / eta) ** (2.0 + x))) / eta
+
+    root, _ = solve(phi, dphi, Bracket(1.0, 4.0, 1e-11), 1.0)
     assert root == pytest.approx(2.0, abs=1e-9)
 
     xs = np.linspace(0.0, 1.0, 200001)
@@ -45,50 +61,58 @@ def test_root_of_variable_exponent_modular():
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.floats(0.01, 0.9), st.floats(1.2, 5.0))
-def test_root_independent_of_bracket(lo, hi):
-    phi = lambda e: 1.0 - e
-    r1 = find_root_decreasing(phi, Bracket(lo, hi, 1e-12))
-    r2 = find_root_decreasing(phi, Bracket(lo / 2.0, hi * 1.5, 1e-12))
+@given(st.floats(0.01, 0.9), st.floats(1.2, 5.0), st.floats(0.0, 1.0))
+def test_root_independent_of_bracket(lo, hi, at):
+    phi, dphi = (lambda e: 1.0 / e - 1.0), (lambda e: -1.0 / (e * e))
+    start = lo + at * (hi - lo)
+    r1, _ = solve(phi, dphi, Bracket(lo, hi, 1e-12), start)
+    r2, _ = solve(phi, dphi, Bracket(lo / 2.0, hi * 1.5, 1e-12), start)
     assert abs(r1 - r2) < 1e-10
 
 
 def test_no_sign_change_raises():
-    with pytest.raises(BracketError):
-        find_root_decreasing(lambda e: -1.0, Bracket(0.1, 1.0, 1e-10))
-
-
-def counted(phi):
-    """phi, and the list of points it has been called at."""
-    calls = []
-
-    def wrapped(e):
-        calls.append(e)
-        return phi(e)
-    return wrapped, calls
+    # the bracket's ends are never evaluated: the steps close on lo instead
+    for start in (0.1, 0.5):
+        with pytest.raises(ValueError, match="no sign change"):
+            solve(lambda e: -1.0, lambda e: -1.0, Bracket(0.1, 1.0, 1e-10), start)
+    with pytest.raises(ValueError, match="no sign change"):
+        solve(lambda e: 1.0, lambda e: 0.0, Bracket(0.1, 1.0, 1e-10), 0.5)
 
 
 def test_affine_root_takes_one_interior_evaluation():
-    phi, calls = counted(lambda e: 0.7 * (1.3 - e))
-    root = find_root_decreasing(phi, Bracket(0.1, 5.0, 1e-15))
-    assert len(calls) == 3  # the two ends and one secant step
+    # from a start off the bracket, one tangent step lands on the root
+    root, calls = solve(lambda e: 0.7 * (1.3 - e), lambda e: -0.7,
+                        Bracket(0.1, 5.0, 1e-15), 0.0)
+    assert len(calls) == 1
     assert abs(root - 1.3) <= 4 * math.ulp(1.3)
 
 
 def test_convex_root_on_a_wide_bracket():
-    # on a convex phi every secant lands right of the root, so plain regula
-    # falsi never moves lo; halving its value (and bisection) moves it
-    phi, calls = counted(lambda e: 1.0 / (e * e) - 1.0)
-    root = find_root_decreasing(phi, Bracket(0.01, 100.0, 1e-15))
+    # from right of the root the tangent of a convex phi lands left of it,
+    # here off the bracket, which bisection mends; the steps then rise to
+    # the root with the error about squared each time
+    root, calls = solve(lambda e: 1.0 / (e * e) - 1.0, lambda e: -2.0 / e ** 3,
+                        Bracket(0.01, 100.0, 1e-15), 50.0)
     assert abs(root - 1.0) <= 2 * math.ulp(1.0)
-    assert len(calls) < 40  # bisection alone needs about 57
+    assert len(calls) < 20  # bisection alone needs about 57
+
+
+def test_convex_root_from_the_left_rises_monotonically():
+    root, calls = solve(lambda e: math.exp(-e) - 0.5, lambda e: -math.exp(-e),
+                        Bracket(-1.0, 5.0, 1e-15), -1.0)
+    assert abs(root - math.log(2.0)) <= 4 * math.ulp(math.log(2.0))
+    # the last step may round an ulp past the root
+    assert calls == sorted(calls) and all(c < math.log(2.0) for c in calls[:-1])
+    assert len(calls) <= 7
 
 
 def test_flat_then_steep_root():
-    # phi is flat near lo and steep near hi, so each secant step barely moves
-    # lo: Illinois halving alone needs 72 evaluations, with bisection 23
-    phi, calls = counted(lambda e: 1.0 - math.exp(20.0 * (e - 1.3)))
-    root = find_root_decreasing(phi, Bracket(0.0, 3.0, 1e-15))
+    # phi is flat near lo and steep near hi; from the flat side the first
+    # tangent leaves the bracket, so bisection takes over until Newton's
+    # steps stay inside
+    root, calls = solve(lambda e: 1.0 - math.exp(20.0 * (e - 1.3)),
+                        lambda e: -20.0 * math.exp(20.0 * (e - 1.3)),
+                        Bracket(0.0, 3.0, 1e-15), 0.0)
     assert abs(root - 1.3) <= 2 * math.ulp(1.3)
     assert len(calls) <= 30
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vexp import smoothness, steklov
+from vexp import norms, smoothness, steklov
 from vexp.audit import AuditCase, Context, run_case
 from vexp.corpus import corpus_member, default_corpus, exponent_field, resolve_function
 from vexp.fnexpr import parse
@@ -222,6 +222,33 @@ class TestOneSamplePass:
         points.clear()
         self.parts_alone(counted(), 2, 0.25, norm)
         assert stacked <= 0.55 * sum(points)
+
+
+class TestCachedRules:
+    # window rules and Steklov unit lattices are built once per shape: a
+    # cached rule gives the bits a fresh one gives, and cannot be written to
+    @staticmethod
+    def answers():
+        m = corpus_member("gauss_osc")
+        norm = m.norm_spec(exponent_field("p_osc"))
+        return (k_functional_upper(m.rf, 2, 0.25, norm),
+                modulus(ModulusRequest(m.rf, 2, 0.25, norm)))
+
+    def test_cold_and_warm_caches_give_the_same_bits(self):
+        norms.window_nodes.cache_clear()
+        steklov._kernel_nodes.cache_clear()
+        cold = self.answers()
+        assert norms.window_nodes.cache_info().currsize > 0
+        assert steklov._kernel_nodes.cache_info().currsize > 0
+        assert self.answers() == cold
+
+    def test_cached_arrays_are_read_only(self):
+        m = corpus_member("gauss")
+        rule = norms.window_nodes(m.norm_window, m.panels_per_unit, m.rf.breakpoints)
+        nodes, wts, spline = steklov._kernel_nodes((0.0, 1.0, 2.0), frozenset({(1, 0), (2, 0)}))
+        for a in (*rule, nodes, wts, *spline.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
 
 
 def properties_rows(f: str, p=None, r: int = 1):
