@@ -34,9 +34,9 @@ from .config import parse_config
 from .corpus import CorpusMember, resolve_exponent, resolve_function
 from .fnexpr import ExponentField, differentiate
 from .functions import RealFunction, as_real_function, combine
-from .norms import NormSpec, luxemburg_norm, norm_of, window_nodes
+from .norms import NormSpec, norm_of, window_nodes
 from .report import AUDIT_ABS_TOL, AUDIT_REL_TOL, AuditRow, make_row
-from .smoothness import ModulusRequest, _k_functional, modulus
+from .smoothness import ModulusRequest, k_functional_upper, modulus
 from .steklov import (_grid_maxima, derivative_terms, difference_terms,
                       iterated_steklov, steklov_combination, sup_norm)
 
@@ -131,10 +131,11 @@ class Context:
                            lambda: as_real_function(differentiate(m.expr, order)))
 
     def ahat(self, m: CorpusMember, norm: NormSpec, sigma: float,
-             lhs_window: Optional[float] = None,
-             tail_target: Optional[float] = None) -> float:
-        """Cached A_hat_sigma(f) = ||f - J(f, sigma/2)|| in the given norm."""
-        tail = tail_target if tail_target is not None else DEFAULT_TAIL_TARGET
+             case: AuditCase) -> float:
+        """Cached A_hat_sigma(f) = ||f - J(f, sigma/2)|| in the given norm, on
+        the case's lhs_window and to its vp_tail when it sets them."""
+        lhs_window = case.lhs_window
+        tail = case.vp_tail if case.vp_tail is not None else DEFAULT_TAIL_TARGET
         key = ("ahat", m.name, norm, round(sigma, 12), lhs_window, tail)
         norm_used = norm if lhs_window is None else replace(norm, window=lhs_window)
         return self.cached(key, lambda: best_approx_surrogate(
@@ -191,28 +192,27 @@ def _checked(ctx: Context, case: AuditCase) -> tuple[Family, CorpusMember, NormS
 # ---------------------------------------------------------------------------
 # Theorem runners: variable-exponent families, and twins that serve both norms
 #
-# A runner takes the case with its family, and the member and norm that
-# run_case resolved (norm.p is the exponent, None in the sup norm); it yields
-# the case's rows.
+# A runner takes the case, the member and norm that run_case resolved (norm.p
+# is the exponent, None in the sup norm) and the family's constant for them;
+# it yields the case's rows.
 # ---------------------------------------------------------------------------
 
-def run_steklov_bound(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
-                      norm: NormSpec) -> Iterator[AuditRow]:
+def run_steklov_bound(ctx: Context, case: AuditCase, m: CorpusMember,
+                      norm: NormSpec, c) -> Iterator[AuditRow]:
     """||T_d f||_p <= c10 ||f||_p, uniformly in d."""
-    c10 = fam.constant(case, norm.p)
     nf = ctx.norm(m, norm)
     for d in case.deltas:
         tf = iterated_steklov(m.rf, d, 1)
         lhs = norm_of(tf, norm)
         yield make_row(
             "steklov_norm_bound", _case_id(m, norm.p, delta=d),
-            lhs=lhs, rhs=c10 * nf, constant_used=c10,
+            lhs=lhs, rhs=c * nf, constant_used=c,
             truncation_bounds={"window": norm.window,
                                "plain_ratio": lhs / nf if nf else 0.0})
 
 
-def run_holder(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
-               norm: NormSpec) -> Iterator[AuditRow]:
+def run_holder(ctx: Context, case: AuditCase, m: CorpusMember,
+               norm: NormSpec, c) -> Iterator[AuditRow]:
     """int |f g| <= 2 ||f||_p ||g||_p' on the wider window of the two."""
     g = ctx.member(case.g_src)
     win = max(m.norm_window, g.norm_window)
@@ -220,25 +220,24 @@ def run_holder(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
     x, w = window_nodes(win, ppu,
                         tuple(sorted({*m.rf.breakpoints, *g.rf.breakpoints})))
     lhs = float(np.sum(w * np.abs(m.rf(x)) * np.abs(g.rf(x))))
-    nf = luxemburg_norm(m.rf, norm.p, window=win, panels_per_unit=ppu).value
-    ng = luxemburg_norm(g.rf, norm.p.dual(), window=win, panels_per_unit=ppu).value
-    c = fam.constant(case, norm.p)
+    nf = norm_of(m.rf, NormSpec.vexp(norm.p, win, ppu))
+    ng = norm_of(g.rf, NormSpec.vexp(norm.p.dual(), win, ppu))
     yield make_row(
         "holder_upper_bound", f"f={m.name};g={g.name};p={norm.p.name}",
         lhs=lhs, rhs=c * nf * ng, constant_used=c,
         truncation_bounds={"window": win})
 
 
-def run_kfunc_equiv(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
-                    norm: NormSpec) -> Iterator[AuditRow]:
+def run_kfunc_equiv(ctx: Context, case: AuditCase, m: CorpusMember,
+                    norm: NormSpec, c) -> Iterator[AuditRow]:
     """Two-sided equivalence of the modulus with the K-functional bound:
     K_hat <= upper * Omega_r(f, d) and Omega_r(f, d) <= lower * K_hat.  Omega
     rides on K_hat's stack and stays out of the cache, whose `modulus` value
     may differ in the last bits: rows would depend on the order of cases."""
-    r = case.r
-    up, low = fam.constant(case, norm.p)
+    r, (up, low) = case.r, c
     for d in case.deltas:
-        kh, (om,) = _k_functional(m.rf, r, d, norm, difference_terms(r, (1, 0)))
+        kh = k_functional_upper(m.rf, r, d, norm, extra=(difference_terms(r, (1, 0)),))
+        (om,) = kh.extra
         yield make_row(
             f"{case.theorem}_upper", _case_id(m, norm.p, r=r, delta=d),
             lhs=kh.value, rhs=up * om, constant_used=up,
@@ -251,18 +250,16 @@ def run_kfunc_equiv(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
             flags=("K_surrogate",))
 
 
-def run_jackson_vexp(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
-                     norm: NormSpec) -> Iterator[AuditRow]:
+def run_jackson_vexp(ctx: Context, case: AuditCase, m: CorpusMember,
+                     norm: NormSpec, c) -> Iterator[AuditRow]:
     """||f - J(f, s)||_p <= c11 * Omega_r(f, 1/(2s))_p (the direct estimate)."""
     r = case.r
-    c11 = fam.constant(case, norm.p)
     for s in case.sigmas:
-        lhs = ctx.ahat(m, norm, 2.0 * s, lhs_window=case.lhs_window,
-                       tail_target=case.vp_tail)
+        lhs = ctx.ahat(m, norm, 2.0 * s, case)
         om = _omega(ctx, m, r, 1.0 / (2.0 * s), norm)
         yield make_row(
             "jackson_vexp", _case_id(m, norm.p, r=r, sigma=s),
-            lhs=lhs, rhs=c11 * om, constant_used=c11,
+            lhs=lhs, rhs=c * om, constant_used=c,
             truncation_bounds={"lhs_window": case.lhs_window or norm.window,
                                "rhs_window": norm.window})
 
@@ -282,24 +279,21 @@ def _ahat_integral(ctx: Context, case: AuditCase, m: CorpusMember, norm: NormSpe
     table = {}
     for i in range(n_seg):
         sig = sigma_of_u * us[i]
-        val = ctx.ahat(m, norm, sig, lhs_window=case.lhs_window,
-                       tail_target=case.vp_tail)
+        val = ctx.ahat(m, norm, sig, case)
         table[round(sig, 10)] = val
         total += val * (us[i + 1] ** r - us[i] ** r) / r
     return total, {"sigma_grid": sorted(table), "n_segments": n_seg}
 
 
-def run_inverse(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
-                norm: NormSpec) -> Iterator[AuditRow]:
+def run_inverse(ctx: Context, case: AuditCase, m: CorpusMember,
+                norm: NormSpec, c, scale: float = 1.0) -> Iterator[AuditRow]:
     """Omega_r(f,d) <= c d^r (A_0 + int_{1/2}^{1/d} u^(r-1) A_hat(s u) du),
-    with s the family's sigma_scale."""
+    with s the given scale."""
     r = case.r
-    c = fam.constant(case, norm.p)
     a0 = ctx.a0(m, norm)
     for d in case.deltas:
         om = _omega(ctx, m, r, d, norm)
-        integral, info = _ahat_integral(ctx, case, m, norm, 1.0 / d,
-                                        fam.sigma_scale)
+        integral, info = _ahat_integral(ctx, case, m, norm, 1.0 / d, scale)
         yield make_row(
             case.theorem, _case_id(m, norm.p, r=r, delta=d),
             lhs=om, rhs=c * d ** r * (a0 + integral), constant_used=c,
@@ -307,8 +301,8 @@ def run_inverse(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
             truncation_bounds={"a0": a0, **info})
 
 
-def run_marchaud(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
-                 norm: NormSpec) -> Iterator[AuditRow]:
+def run_marchaud(ctx: Context, case: AuditCase, m: CorpusMember,
+                 norm: NormSpec, c) -> Iterator[AuditRow]:
     """Omega_r(f,t) <= c t^r int_t^1 Omega_{r+k}(f,u)/u^(r+1) du (no surrogates).
 
     The u-integral is taken in s = log u by the 17-point Clenshaw-Curtis rule
@@ -318,7 +312,6 @@ def run_marchaud(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
     sup modulus has its kinks where the arg max jumps, so there is one piece.
     """
     r, k = case.r, case.k
-    c = fam.constant(case, norm.p)
     bps = m.rf.breakpoints if norm.kind == "vexp" else ()
     kinks = sorted({(a - b) / j for a in bps for b in bps for j in range(1, r + k + 1)})
     x, w17 = _clenshaw_curtis(16)
@@ -351,10 +344,9 @@ def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sin(np.pi / (2 * n) * (n - 2 * j)), w * np.where(j % n, 2.0, 1.0) / n
 
 
-def run_one_step(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
-                 norm: NormSpec) -> Iterator[AuditRow]:
+def run_one_step(ctx: Context, case: AuditCase, m: CorpusMember,
+                 norm: NormSpec, c) -> Iterator[AuditRow]:
     """Omega_1(f,h) <= c * Omega_1(f,d) for consecutive steps h <= d."""
-    c = fam.constant(case, norm.p)
     for h, d in zip(case.deltas, case.deltas[1:]):
         yield make_row(
             f"one_step_compare_{norm.kind}", _case_id(m, norm.p, h=h, delta=d),
@@ -362,12 +354,11 @@ def run_one_step(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
             constant_used=c)
 
 
-def run_scaling_vexp(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
-                     norm: NormSpec) -> Iterator[AuditRow]:
+def run_scaling_vexp(ctx: Context, case: AuditCase, m: CorpusMember,
+                     norm: NormSpec, c) -> Iterator[AuditRow]:
     """Omega_r(f, lam*d) <= scaling_compare * (1+floor(lam))^r * Omega_r(f,d);
     lam < 1 makes the factor (1+floor(lam))^r equal to 1."""
     r = case.r
-    c = fam.constant(case, norm.p)
     for d in case.deltas:
         for lam in case.lambdas:
             yield make_row(
@@ -376,11 +367,10 @@ def run_scaling_vexp(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember
                 rhs=c * _omega(ctx, m, r, d, norm), constant_used=c)
 
 
-def run_smooth_bound_vexp(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
-                          norm: NormSpec) -> Iterator[AuditRow]:
+def run_smooth_bound_vexp(ctx: Context, case: AuditCase, m: CorpusMember,
+                          norm: NormSpec, c) -> Iterator[AuditRow]:
     """Omega_r(f,d)_p <= (c10/2)^r d^r ||f^(r)||_p for r-smooth f."""
     r = case.r
-    c = fam.constant(case, norm.p)
     nd = norm_of(ctx.derivative(m, r), norm)
     for d in case.deltas:
         yield make_row(
@@ -393,8 +383,8 @@ def run_smooth_bound_vexp(ctx: Context, case: AuditCase, fam: Family, m: CorpusM
 _VANISH_DELTAS = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
-def run_modulus_props(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
-                      norm: NormSpec) -> Iterator[AuditRow]:
+def run_modulus_props(ctx: Context, case: AuditCase, m: CorpusMember,
+                      norm: NormSpec, c) -> Iterator[AuditRow]:
     """Structural modulus properties, in L^p(.) when p is given, else sup.
 
     (a) near-monotonicity in delta, (b) subadditivity in f, (c) the size
@@ -405,7 +395,6 @@ def run_modulus_props(ctx: Context, case: AuditCase, fam: Family, m: CorpusMembe
     gm = ctx.member(case.g_src)
     r = case.r
     d1, d2 = case.deltas
-    t_bound = fam.constant(case, norm.p)
     tag = "sup" if norm.p is None else f"p={norm.p.name}"
 
     om_f_d1 = _omega(ctx, m, r, d1, norm)
@@ -421,13 +410,13 @@ def run_modulus_props(ctx: Context, case: AuditCase, fam: Family, m: CorpusMembe
         "modulus_subadditive", f"f={m.name};g={gm.name};{tag};r={r};d={d2:g}",
         lhs=om_fg, rhs=om_f_d2 + om_g, constant_used=1.0)
 
-    size_c = (1.0 + t_bound) ** r
+    size_c = (1.0 + c) ** r
     yield make_row(
         "modulus_size_bound", f"f={m.name};{tag};r={r};d={d2:g}",
         lhs=om_f_d2, rhs=size_c * ctx.norm(m, norm), constant_used=size_c)
 
     if m.smooth:
-        smooth_c = t_bound ** r * 2.0 ** (-r) * d2 ** r
+        smooth_c = c ** r * 2.0 ** (-r) * d2 ** r
         nd = norm_of(ctx.derivative(m, r), norm)
         yield make_row(
             "modulus_smooth_bound", f"f={m.name};{tag};r={r};d={d2:g}",
@@ -445,10 +434,9 @@ def run_modulus_props(ctx: Context, case: AuditCase, fam: Family, m: CorpusMembe
     yield row
 
 
-def run_vp_norm_bound(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
-                      norm: NormSpec) -> Iterator[AuditRow]:
+def run_vp_norm_bound(ctx: Context, case: AuditCase, m: CorpusMember,
+                      norm: NormSpec, c) -> Iterator[AuditRow]:
     """||J(f,s)|| <= (3/2) ||f|| in the sup norm and for constant exponents."""
-    c = fam.constant(case, norm.p)
     norms = [("sup", m.norm_spec())]
     if norm.p is not None:
         norms.append((f"p={norm.p.name}", norm))
@@ -467,18 +455,17 @@ def run_vp_norm_bound(ctx: Context, case: AuditCase, fam: Family, m: CorpusMembe
 # Theorem runners: sup-norm suite
 # ---------------------------------------------------------------------------
 
-def run_sup_steklov(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
-                    norm: NormSpec) -> Iterator[AuditRow]:
+def run_sup_steklov(ctx: Context, case: AuditCase, m: CorpusMember,
+                    norm: NormSpec, c) -> Iterator[AuditRow]:
     """The uniform-norm estimates free of r: derivative bound, Taylor
     remainder and one-step comparison."""
-    W = norm.window
     nf = ctx.norm(m, norm)
     for d in case.deltas:
         # ||(T_d f)'|| = ||(f(.+d) - f)/d|| <= (2/d) ||f||
         tder = steklov_combination(m.rf, d, derivative_terms(d, 1, 1))
         yield make_row(
             "steklov_deriv_bound_sup", _case_id(m, delta=d),
-            lhs=sup_norm(tder, W), rhs=(2.0 / d) * nf, constant_used=2.0 / d)
+            lhs=norm_of(tder, norm), rhs=(2.0 / d) * nf, constant_used=2.0 / d)
 
         if m.smooth:
             g1 = ctx.derivative(m, 1)
@@ -487,46 +474,43 @@ def run_sup_steklov(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
             resid = combine([(1.0, m.rf), (-1.0, tg), (d / 2.0, g1)])
             yield make_row(
                 "taylor_remainder_sup", _case_id(m, delta=d),
-                lhs=sup_norm(resid, W), rhs=d * d / 6.0 * sup_norm(g2, W),
+                lhs=norm_of(resid, norm), rhs=d * d / 6.0 * norm_of(g2, norm),
                 constant_used=d * d / 6.0)
 
-    yield from run_one_step(ctx, case, fam, m, norm)
+    yield from run_one_step(ctx, case, m, norm, c)
 
 
-def run_sup_suite(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
-                  norm: NormSpec) -> Iterator[AuditRow]:
+def run_sup_suite(ctx: Context, case: AuditCase, m: CorpusMember,
+                  norm: NormSpec, c) -> Iterator[AuditRow]:
     """The uniform-norm estimates of order r: order comparison, the
     shift-modulus bracket and the comparison across steps."""
-    W = norm.window
-    r = case.r
+    r, (order_c, lower, upper) = case.r, c
     for d in case.deltas:
         om_r = _omega(ctx, m, r, d, norm)
         yield make_row(
             "order_compare_sup", _case_id(m, r=r, k=case.k, delta=d),
             lhs=_omega(ctx, m, r + case.k, d, norm),
-            rhs=2.0 ** case.k * om_r, constant_used=2.0 ** case.k)
+            rhs=order_c * om_r, constant_used=order_c)
 
-        sup_shift = _shift_modulus(m, r, d, W)
+        sup_shift = _shift_modulus(m, r, d, norm.window)
         if m.smooth:
             # the stated lower constant is refuted by jump functions (both
             # sides equal 1 for an indicator), so the one-sided check is
             # only asserted on the smooth members
             yield make_row(
                 "shift_modulus_sup_lower", _case_id(m, r=r, delta=d),
-                lhs=C.shift_compare_lower(r) * om_r, rhs=sup_shift,
-                constant_used=C.shift_compare_lower(r),
+                lhs=lower * om_r, rhs=sup_shift, constant_used=lower,
                 flags=("h_grid_sup", "one_sided"))
         yield make_row(
             "shift_modulus_sup_upper", _case_id(m, r=r, delta=d),
-            lhs=sup_shift, rhs=C.shift_compare_upper(r) * om_r,
-            constant_used=C.shift_compare_upper(r), flags=("h_grid_sup",))
+            lhs=sup_shift, rhs=upper * om_r, constant_used=upper,
+            flags=("h_grid_sup",))
 
     for h, d in zip(case.deltas, case.deltas[1:]):
         yield make_row(
             "delta_compare_sup", _case_id(m, r=r, d1=h, d2=d),
-            lhs=C.shift_compare_lower(r) * _omega(ctx, m, r, h, norm),
-            rhs=C.shift_compare_upper(r) * _omega(ctx, m, r, d, norm),
-            constant_used=C.shift_compare_upper(r) / C.shift_compare_lower(r))
+            lhs=lower * _omega(ctx, m, r, h, norm),
+            rhs=upper * _omega(ctx, m, r, d, norm), constant_used=upper / lower)
 
 
 def _shift_modulus(m: CorpusMember, r: int, delta: float, window: float) -> float:
@@ -537,8 +521,8 @@ def _shift_modulus(m: CorpusMember, r: int, delta: float, window: float) -> floa
     return max(sup_norm(steklov_combination(m.rf, delta / 63.0, *maps), window, refine=False))
 
 
-def run_jackson_sup(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
-                    norm: NormSpec) -> Iterator[AuditRow]:
+def run_jackson_sup(ctx: Context, case: AuditCase, m: CorpusMember,
+                    norm: NormSpec, c) -> Iterator[AuditRow]:
     """A_hat_s(f)_sup <= 5 pi 4^(r-1) c8_k(r) Omega_r(f, 1/s)_sup.
 
     The surrogate sits on the small side, so the row is one-sided: it checks
@@ -546,9 +530,8 @@ def run_jackson_sup(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
     approximation.
     """
     r = case.r
-    c = fam.constant(case, norm.p)
     for s in case.sigmas:
-        lhs = ctx.ahat(m, norm, s, tail_target=case.vp_tail)
+        lhs = ctx.ahat(m, norm, s, case)
         yield make_row(
             "jackson_sup", _case_id(m, r=r, sigma=s),
             lhs=lhs, rhs=c * _omega(ctx, m, r, 1.0 / s, norm), constant_used=c,
@@ -560,12 +543,10 @@ def run_jackson_sup(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
 # ---------------------------------------------------------------------------
 
 def _series_amplitudes(ctx: Context, m: CorpusMember, norm: NormSpec,
-                       case: AuditCase, sigma_scale: float) -> list[float]:
-    """[A_0, A_hat(sigma_scale * v) for v = 1..series_n]: the series terms' A."""
-    return [ctx.a0(m, norm)] + [
-        ctx.ahat(m, norm, nu * sigma_scale, lhs_window=case.lhs_window,
-                 tail_target=case.vp_tail)
-        for nu in range(1, case.series_n + 1)]
+                       case: AuditCase, scale: float = 1.0) -> list[float]:
+    """[A_0, A_hat(scale * v) for v = 1..series_n]: the series terms' A."""
+    return [ctx.a0(m, norm)] + [ctx.ahat(m, norm, nu * scale, case)
+                                for nu in range(1, case.series_n + 1)]
 
 
 def _series_tail(terms: list[float]) -> tuple[float, bool]:
@@ -599,24 +580,23 @@ def _series_row(case: AuditCase, case_id: str, lhs: float, c: float,
         truncation_bounds={"tail_estimate": tail}, inconclusive=not ok)
 
 
-def run_series_deriv_sup(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
-                         norm: NormSpec) -> Iterator[AuditRow]:
+def run_series_deriv_sup(ctx: Context, case: AuditCase, m: CorpusMember,
+                         norm: NormSpec, c) -> Iterator[AuditRow]:
     """||f^(k)||_sup <= series_deriv_sup(k) * sum (v+1)^(r-1) A_hat_v."""
     r, k = case.r, case.k
-    lhs = sup_norm(ctx.derivative(m, k), norm.window)
-    amps = _series_amplitudes(ctx, m, norm, case, fam.sigma_scale)
+    lhs = norm_of(ctx.derivative(m, k), norm)
+    amps = _series_amplitudes(ctx, m, norm, case)
     terms = [(nu + 1.0) ** (r - 1) * a for nu, a in enumerate(amps)]
     yield _series_row(case, _case_id(m, r=r, k=k, n=case.series_n),
-                      lhs, fam.constant(case, norm.p), sum(terms), terms)
+                      lhs, c, sum(terms), terms)
 
 
-def run_series_modulus(ctx: Context, case: AuditCase, fam: Family, m: CorpusMember,
-                       norm: NormSpec) -> Iterator[AuditRow]:
-    """Omega_r(f^(k), 1/s) <= c (s^-r sum_low + sum_high), A_hat at v * sigma_scale."""
+def run_series_modulus(ctx: Context, case: AuditCase, m: CorpusMember,
+                       norm: NormSpec, c, scale: float = 1.0) -> Iterator[AuditRow]:
+    """Omega_r(f^(k), 1/s) <= c (s^-r sum_low + sum_high), A_hat at v * scale."""
     r, k = case.r, case.k
     fk = ctx.derivative(m, k)
-    amps = _series_amplitudes(ctx, m, norm, case, fam.sigma_scale)
-    c = fam.constant(case, norm.p)
+    amps = _series_amplitudes(ctx, m, norm, case, scale)
     for s in case.sigmas:
         om = modulus(ModulusRequest(fk, r, 1.0 / s, norm))
         low, high, terms = 0.0, 0.0, []
@@ -645,16 +625,17 @@ class Family:
     field and the reason shown when it is missing; reads lists the optional
     fields.  Every family reads theorem and f, and p unless its kind is
     "sup".  constant(case, p) is the statement's constant (p is None in the
-    sup norm).  checks are its preconditions, pairs of holds(case, member, p)
-    and what the statement needs, tested before any case runs.  sigma_scale
-    is where its series and integrals sample A_hat.
+    sup norm), which run_case evaluates once and hands to the runner as
+    run(ctx, case, member, norm, constant).  checks are its preconditions,
+    pairs of holds(case, member, p) and what the statement needs, tested
+    before any case runs.  A family that samples A_hat off the unit scale
+    binds the scale into its runner.
     """
 
     def __init__(self, run: Callable[..., Iterator[AuditRow]], kind: str,
-                 reads: tuple[str, ...] = (), constant: Optional[Callable] = None,
-                 checks: tuple = (), sigma_scale: float = 1.0, **needs: str):
+                 reads: tuple[str, ...] = (), *, constant: Callable,
+                 checks: tuple = (), **needs: str):
         self.run, self.kind, self.constant, self.checks = run, kind, constant, checks
-        self.sigma_scale = sigma_scale
         self.needs = {**needs, "p_src": "exponent"} if kind == "vexp" else needs
         p = ("p_src",) if kind != "sup" else ()
         self.accepts = {"theorem", "f_src", *self.needs, *reads, *p}
@@ -690,9 +671,9 @@ THEOREM_RUNNERS: dict[str, Family] = {
         run_jackson_vexp, "vexp", ("r", *_AHAT), sigmas="type grid",
         constant=lambda case, p: C.c11(case.r, p.p_plus, p.c3)),
     "inverse_vexp": Family(
-        run_inverse, "vexp", ("r", *_AHAT), deltas="steps in (0,1)",
-        constant=lambda case, p: C.c12(case.r, p.p_plus, p.c3),
-        checks=(_STEPS_BELOW_1,), sigma_scale=0.5),
+        functools.partial(run_inverse, scale=0.5), "vexp", ("r", *_AHAT),
+        deltas="steps in (0,1)", checks=(_STEPS_BELOW_1,),
+        constant=lambda case, p: C.c12(case.r, p.p_plus, p.c3)),
     "marchaud_vexp": Family(
         run_marchaud, "vexp", ("r", "k"), t_grid="steps in (0, 1/2)",
         constant=lambda case, p: C.c14_marchaud(case.r, case.k, p.p_plus, p.c3),
@@ -723,7 +704,10 @@ THEOREM_RUNNERS: dict[str, Family] = {
                  "a constant exponent: the 3/2 bound is audited for those only"),)),
     "sup_steklov": Family(run_sup_steklov, "sup", deltas="steps",
                           constant=lambda case, p: 72.0),  # the one-step constant
-    "sup_suite": Family(run_sup_suite, "sup", ("r", "k"), deltas="steps"),
+    "sup_suite": Family(
+        run_sup_suite, "sup", ("r", "k"), deltas="steps",
+        constant=lambda case, p: (2.0 ** case.k, C.shift_compare_lower(case.r),
+                                  C.shift_compare_upper(case.r))),
     "jackson_sup": Family(
         run_jackson_sup, "sup", ("r", "vp_tail"), sigmas="type grid",
         constant=lambda case, p: C.jackson_sup(case.r)),
@@ -744,9 +728,9 @@ THEOREM_RUNNERS: dict[str, Family] = {
         constant=lambda case, p: C.series_deriv_modulus_sup(case.r, case.k),
         checks=(_SYMBOLIC, _CUTOFF)),
     "series_inverse_vexp": Family(
-        run_series_modulus, "vexp", _SERIES, sigmas="type grid",
-        constant=lambda case, p: C.c14_series(case.r, case.k, p.p_plus, p.c3),
-        checks=(_SYMBOLIC, _CUTOFF), sigma_scale=0.5),
+        functools.partial(run_series_modulus, scale=0.5), "vexp", _SERIES,
+        sigmas="type grid", checks=(_SYMBOLIC, _CUTOFF),
+        constant=lambda case, p: C.c14_series(case.r, case.k, p.p_plus, p.c3)),
 }
 
 # config key -> AuditCase field: the sources f, g and p are f_src, g_src, p_src
@@ -783,7 +767,7 @@ def _case_from_dict(d: dict, defaults: dict) -> AuditCase:
 
 def run_case(ctx: Context, case: AuditCase) -> list[AuditRow]:
     family, m, norm = _checked(ctx, case)
-    return list(family.run(ctx, case, family, m, norm))
+    return list(family.run(ctx, case, m, norm, family.constant(case, norm.p)))
 
 
 def validate_cases(ctx: Context, cases: list[AuditCase]) -> None:

@@ -81,9 +81,7 @@ def kernel_tail_bound(sigma: float, u_cut: float, f_sup_beyond: float) -> float:
 def _f_envelope_beyond(d: Decay, radius: float) -> float:
     if d.kind == "gaussian":
         return math.exp(-min(radius * radius, 700.0))
-    if d.kind == "power" and d.alpha > 0:
-        return radius ** (-d.alpha)
-    return 1.0
+    return radius ** (-d.alpha)
 
 
 def _u_window(decay: Decay, sigma: float, x_span: float,
@@ -174,9 +172,10 @@ def vp_operator(f: RealFunction, sigma: float, x_span: float,
 
     For compactly supported f the convolution is written over the support,
     which makes the truncation exact.  Otherwise the u-window comes from the
-    decay class and the recorded tail bound, f must be free of breakpoints,
-    and J can be evaluated for |x| up to the given x_span plus the stencil;
-    further out it raises.
+    Gaussian or power decay class (an f with neither raises) and the
+    recorded tail bound, f must be free of breakpoints, and J can be
+    evaluated for |x| up to the given x_span plus the stencil; further out
+    it raises.
     """
     if not 0.0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
@@ -186,6 +185,9 @@ def vp_operator(f: RealFunction, sigma: float, x_span: float,
         return f  # J reproduces constants exactly: the kernel has unit mass
 
     decay = f.expr.decay_class
+    if decay.kind == "none":
+        raise ValueError(f"{f.expr.src} has no decay class: A_hat's convolution "
+                         "needs Gaussian, power or compact decay")
     if decay.kind == "compact_support":
         edges = _zero_aligned_panels(sigma, decay.a, decay.b, extra=f.breakpoints)
         nodes, wts = panel_rule(edges, 12)

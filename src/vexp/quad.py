@@ -44,6 +44,7 @@ class Bracket:
 
 
 DEFAULT_SPEC = QuadSpec()
+_FLOOR_STEPS = 8.0  # a Newton step of up to this many tol may be rounding noise
 
 
 @lru_cache(maxsize=None)
@@ -73,8 +74,10 @@ def find_root_decreasing(phi: Callable[[float], tuple], bracket: Bracket,
     of the root, and a step that leaves the bracket bisects it instead.  On a
     convex phi the first tangent lands at or left of the root, and the steps
     rise to it from there.  It stops when the Newton step or the bracket is
-    within bracket.tol; a bracket that closes on one of its own ends holds no
-    sign change, and raises ValueError.
+    within bracket.tol, or at phi's rounding floor: when a step of at most
+    _FLOOR_STEPS tol fails to shrink |phi| or flips its sign, it returns the
+    better of the two points (the new one on a tie).  A bracket that closes
+    on one of its own ends holds no sign change, and raises ValueError.
     """
     lo, hi = bracket.lo, bracket.hi
     x, at = start, at_start
@@ -85,6 +88,12 @@ def find_root_decreasing(phi: Callable[[float], tuple], bracket: Bracket,
                 return x, at
             raise ValueError(f"no sign change in [{bracket.lo:.6g}, {bracket.hi:.6g}]")
         step = x - at[0] / at[1] if at[1] < 0.0 else math.nan
-        x = step if lo < step < hi else 0.5 * (lo + hi)
-        at = phi(x)
+        x_new = step if lo < step < hi else 0.5 * (lo + hi)
+        at_new = phi(x_new)
+        # the rounding floor: a step of a few tol that does not shrink |phi|,
+        # or that crosses the root
+        if abs(at[0]) <= _FLOOR_STEPS * bracket.tol * -at[1] and (
+                abs(at_new[0]) >= abs(at[0]) or (at_new[0] > 0.0) != (at[0] > 0.0)):
+            return (x, at) if abs(at[0]) < abs(at_new[0]) else (x_new, at_new)
+        x, at = x_new, at_new
     return x, at

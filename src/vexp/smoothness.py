@@ -16,9 +16,10 @@ for which f - g collapses to (I - T_d^(2r))^r f, and report
 
 with g^(r) obtained through forward differences of lower iterates (never by
 differentiating f).  Both sums reach T_d^(2r^2) on one Steklov lattice, so
-one sample pass over f serves both norms, and the modulus beside them (its
-terms reach only T_d^r).  K_hat upper-bounds the true K-functional, and the
-audit's equivalence constants hold for it both ways.
+one sample pass over f serves both norms and any extra term maps on the
+stack, such as the modulus's (its terms reach only T_d^r), whose norms come
+back in KFunctionalEstimate.extra.  K_hat upper-bounds the true
+K-functional, and the audit's equivalence constants hold for it both ways.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ class KFunctionalEstimate:
     value: float
     f_minus_g_norm: float
     g_deriv_norm: float
+    extra: tuple[float, ...] = ()  # the norms of the extra term maps
 
 
 def modulus(req: ModulusRequest, spec: QuadSpec = DEFAULT_SPEC) -> float:
@@ -64,15 +66,10 @@ def modulus(req: ModulusRequest, spec: QuadSpec = DEFAULT_SPEC) -> float:
 
 
 def k_functional_upper(f: RealFunction, r: int, delta: float, norm: NormSpec,
-                       spec: QuadSpec = DEFAULT_SPEC) -> KFunctionalEstimate:
-    """Upper bound for the order-r K-functional from the iterate candidate."""
-    return _k_functional(f, r, delta, norm, spec=spec)[0]
-
-
-def _k_functional(f: RealFunction, r: int, delta: float, norm: NormSpec,
-                  *extra: dict[tuple[int, int], float],
-                  spec: QuadSpec = DEFAULT_SPEC) -> tuple[KFunctionalEstimate, list]:
-    """K_hat, and the norms of the extra term maps on the stack of its two."""
+                       spec: QuadSpec = DEFAULT_SPEC, extra: tuple[dict, ...] = ()
+                       ) -> KFunctionalEstimate:
+    """Upper bound for the order-r K-functional from the iterate candidate,
+    with the norms of the extra term maps, sampled on its stack."""
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     # f - g = (I - T_d^(2r))^r f, and g^(r) through difference identities
@@ -81,4 +78,4 @@ def _k_functional(f: RealFunction, r: int, delta: float, norm: NormSpec,
              for key, c in derivative_terms(delta, k, r).items()}
     fmg, gder, *rest = norm_of(steklov_combination(f, delta, diff, deriv, *extra),
                                norm, spec)
-    return KFunctionalEstimate(fmg + delta ** r * gder, fmg, gder), rest
+    return KFunctionalEstimate(fmg + delta ** r * gder, fmg, gder, tuple(rest))

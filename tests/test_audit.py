@@ -345,17 +345,20 @@ class TestRowWiring:
         import vexp.constants as C
         from vexp.norms import NormSpec
         from vexp.smoothness import ModulusRequest, modulus
+        from vexp.bandlimited import best_approx_surrogate
         ctx = Context()
-        row = run_case(ctx, AuditCase(theorem="jackson_vexp", f_src="@gauss",
-                                      p_src="@p2", r=2, sigmas=(4.0,)))[0]
+        case = AuditCase(theorem="jackson_vexp", f_src="@gauss", p_src="@p2",
+                         r=2, sigmas=(4.0,))
+        row = run_case(ctx, case)[0]
         m = ctx.member("@gauss")
         p = ctx.exponent("@p2")
         norm = NormSpec.vexp(p, window=m.norm_window,
                              panels_per_unit=m.panels_per_unit)
         om = modulus(ModulusRequest(m.rf, 2, 1.0 / 8.0, norm))
         assert row.rhs == pytest.approx(C.c11(2, p.p_plus, p.c3) * om, rel=1e-12)
-        assert row.lhs == pytest.approx(
-            ctx.ahat(m, norm, 8.0), rel=1e-12)  # ||f - J(f, 4)||
+        assert row.lhs == ctx.ahat(m, norm, 8.0, case)  # ||f - J(f, 4)||
+        assert row.lhs == pytest.approx(best_approx_surrogate(m.rf, 8.0, norm).value,
+                                        rel=1e-12)
 
 
 class TestCaseValidation:
@@ -463,6 +466,41 @@ class TestCaseValidation:
             "kfunc_equiv_sup_upper", "kfunc_equiv_sup_lower",
             "shift_modulus_sup_lower", "shift_modulus_sup_upper",
             "jackson_sup", "jackson_vexp"}
+
+
+class TestRegistry:
+    def test_each_constant_evaluated_once_per_case(self, monkeypatch):
+        # run_case evaluates the family's constant and hands it to the runner;
+        # the first bundled case of every family runs once
+        cfg = parse_config(default_config_text())
+        first = {}
+        for d in cfg["case"]:
+            case = _case_from_dict(d, cfg.get("defaults", {}))
+            first.setdefault(case.theorem, case)
+        assert set(first) == set(THEOREM_RUNNERS)
+        calls = []
+        for name, family in THEOREM_RUNNERS.items():
+            assert callable(family.constant), name
+            monkeypatch.setattr(family, "constant", lambda case, p, c=family.constant:
+                                calls.append(case.theorem) or c(case, p))
+        ctx = Context()
+        for name, case in first.items():
+            calls.clear()
+            assert run_case(ctx, case), name
+            assert calls == [name]
+
+    def test_ahat_reads_the_case_overrides(self):
+        from vexp.bandlimited import best_approx_surrogate
+        ctx = Context()
+        m = ctx.member("@gauss")
+        norm = m.norm_spec(ctx.exponent("@p2"))
+        case = AuditCase(theorem="jackson_vexp", f_src="@gauss", p_src="@p2",
+                         sigmas=(4.0,), lhs_window=5.0, vp_tail=1e-6)
+        assert ctx.ahat(m, norm, 8.0, case) == best_approx_surrogate(
+            m.rf, 8.0, replace(norm, window=5.0), tail_target=1e-6).value
+        plain = replace(case, lhs_window=None, vp_tail=None)
+        assert ctx.ahat(m, norm, 8.0, plain) == best_approx_surrogate(
+            m.rf, 8.0, norm).value
 
 
 class TestMarchaudQuadrature:

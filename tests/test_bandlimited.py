@@ -190,12 +190,20 @@ class TestSurrogate:
         assert got == best_approx_surrogate(bundled.rf, 4.0, bundled.norm_spec()).value
 
     def test_panel_cap_raises_instead_of_coarsening(self):
-        # exp(-|x|) has no decay class, which puts the u-window at 1.2e7:
-        # 4.6e7 zero-aligned panels.  Panels widened to the cap gave 0.9995
-        # on the Lorentzian when it had no class, where 1/x^2 decay gives 0.0585
-        f = as_real_function(parse("exp(-abs(x))"))
-        with pytest.raises(ValueError, match="46143412 panels on the u-window"):
-            best_approx_surrogate(f, 4.0, NormSpec.sup(20.0))
+        # x/(1+x^2) decays like 1/|x|, which at type 64 puts the u-window at
+        # 2.4e3: 7.4e4 zero-aligned panels.  Panels widened to the cap gave
+        # 0.9995 on the Lorentzian when it had no class, where 1/x^2 decay
+        # gives 0.0585
+        f = as_real_function(parse("x/(1+x^2)"))
+        with pytest.raises(ValueError, match="74010 panels on the u-window"):
+            best_approx_surrogate(f, 64.0, NormSpec.sup(20.0))
+
+    @pytest.mark.parametrize("src", ["exp(-abs(x))", "sin(x)", "x"])
+    def test_no_decay_class_refused(self, src):
+        # the u-window grew 80 times before the panel cap refused these
+        f = as_real_function(parse(src))
+        with pytest.raises(ValueError, match="has no decay class"):
+            vp_operator(f, 2.0, x_span=10.0)
 
 
 def test_kernel_tail_bound_formula():

@@ -179,13 +179,23 @@ class TestApproxCommand:
         assert float(out.strip()) == pytest.approx(5.995e-2, rel=1e-2)
 
     def test_panel_cap_exits_with_error(self):
-        # exp(-|x|) has no decay class; its convolution window would need
-        # more panels than the cap allows
-        code, out, err = run_cli("approx", "--f", "exp(-abs(x))", "--sigma", "4",
+        # x/(1+x^2) decays like 1/|x|; at type 64 its convolution window
+        # needs more panels than the cap allows
+        code, out, err = run_cli("approx", "--f", "x/(1+x^2)", "--sigma", "64",
                                  "--window", "20")
         assert code == 2
         assert out == ""
         assert "panels on the u-window" in err
+
+    @pytest.mark.parametrize("src, shown", [
+        ("sin(x)", "sin(x)"), ("cos(x)*exp(-abs(x))", "(cos(x) * exp((-abs(x))))")])
+    def test_input_without_decay_class_refused_up_front(self, src, shown):
+        # these grew the u-window 80 times and then hit the panel cap
+        code, out, err = run_cli("approx", "--f", src, "--sigma", "2")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: {shown} has no decay class: A_hat's convolution "
+                       "needs Gaussian, power or compact decay\n")
 
     def test_decaying_input_with_breakpoints_exits_with_error(self):
         # Gaussian decay with jumps at 0 and 1: the lattice convolution

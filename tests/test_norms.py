@@ -154,6 +154,27 @@ def test_modular_evaluations_per_root(monkeypatch, p, most):
     assert max(calls) <= most
 
 
+@pytest.mark.parametrize("p, most", [("@p2", 3), ("@p_osc", 5)])
+def test_root_at_the_rounding_floor_stops(monkeypatch, p, most):
+    # ||gauss_wide - J(gauss_wide, 4)|| is about 1e-15: log(modular) rounds
+    # to about 5e-15 near the root, above the root's tolerance, and the
+    # Newton steps crept an ulp at a time until the bracket closed (6 and 7
+    # passes); they stop at the first step that fails to shrink |log
+    # modular| or crosses the root
+    from vexp.bandlimited import best_approx_surrogate
+    calls = []
+    value = SampledModular.value
+
+    def counted(self, *args):
+        calls.append(args)
+        return value(self, *args)
+    monkeypatch.setattr(SampledModular, "value", counted)
+    m = corpus_member("gauss_wide")
+    got = best_approx_surrogate(m.rf, 8.0, m.norm_spec(resolve_exponent(p))).value
+    assert len(calls) <= most
+    assert 0.0 < got < 2e-15
+
+
 ROOT_EXPONENTS = ["@p2", "1", "3", "@p_bump", "@p_osc"]
 
 

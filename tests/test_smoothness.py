@@ -196,14 +196,18 @@ class TestOneSamplePass:
     @pytest.mark.parametrize("src", ["@gauss", "@box", "@box_smooth", "@gauss_wide",
                                      "abs(x)*exp(-x^2)"])
     def test_modulus_on_the_stack(self, src, p):
-        # the audit's kfunc_equiv takes Omega_r as a third row of K-hat's
+        # the audit's kfunc_equiv takes Omega_r as an extra row of K-hat's
         # stack: K-hat unchanged, Omega within a few ulps of `modulus`
         m = resolve_function(src)
         norm = m.norm_spec(None if p is None else exponent_field(p))
         for r, delta in ((1, 0.5), (2, 0.1)):
-            kh, (om,) = smoothness._k_functional(m.rf, r, delta, norm,
-                                                 steklov.difference_terms(r, (1, 0)))
-            assert kh == k_functional_upper(m.rf, r, delta, norm)
+            kh = k_functional_upper(m.rf, r, delta, norm,
+                                    extra=(steklov.difference_terms(r, (1, 0)),))
+            alone = k_functional_upper(m.rf, r, delta, norm)
+            assert (kh.value, kh.f_minus_g_norm, kh.g_deriv_norm) == \
+                (alone.value, alone.f_minus_g_norm, alone.g_deriv_norm)
+            assert alone.extra == ()
+            (om,) = kh.extra
             assert om == pytest.approx(modulus(ModulusRequest(m.rf, r, delta, norm)),
                                        rel=1e-14)
 
