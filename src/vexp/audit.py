@@ -250,16 +250,18 @@ def run_kfunc_equiv(ctx: Context, case: AuditCase, m: CorpusMember,
             flags=("K_surrogate",))
 
 
-def run_jackson_vexp(ctx: Context, case: AuditCase, m: CorpusMember,
-                     norm: NormSpec, c) -> Iterator[AuditRow]:
-    """||f - J(f, s)||_p <= c11 * Omega_r(f, 1/(2s))_p (the direct estimate)."""
+def run_jackson(ctx: Context, case: AuditCase, m: CorpusMember,
+                norm: NormSpec, c, scale: float = 1.0) -> Iterator[AuditRow]:
+    """A_hat_v(f) <= c Omega_r(f, 1/v) at v = scale * s (the direct estimate).
+    A_hat >= A_v(f) is on the left: a failure does not contradict the statement."""
     r = case.r
     for s in case.sigmas:
-        lhs = ctx.ahat(m, norm, 2.0 * s, case)
-        om = _omega(ctx, m, r, 1.0 / (2.0 * s), norm)
+        v = scale * s
         yield make_row(
-            "jackson_vexp", _case_id(m, norm.p, r=r, sigma=s),
-            lhs=lhs, rhs=c * om, constant_used=c,
+            case.theorem, _case_id(m, norm.p, r=r, sigma=s),
+            lhs=ctx.ahat(m, norm, v, case),
+            rhs=c * _omega(ctx, m, r, 1.0 / v, norm), constant_used=c,
+            flags=("A_sigma_surrogate", "one_sided"),
             truncation_bounds={"lhs_window": case.lhs_window or norm.window,
                                "rhs_window": norm.window})
 
@@ -521,23 +523,6 @@ def _shift_modulus(m: CorpusMember, r: int, delta: float, window: float) -> floa
     return max(sup_norm(steklov_combination(m.rf, delta / 63.0, *maps), window, refine=False))
 
 
-def run_jackson_sup(ctx: Context, case: AuditCase, m: CorpusMember,
-                    norm: NormSpec, c) -> Iterator[AuditRow]:
-    """A_hat_s(f)_sup <= 5 pi 4^(r-1) c8_k(r) Omega_r(f, 1/s)_sup.
-
-    The surrogate sits on the small side, so the row is one-sided: it checks
-    the chain through the computable operator rather than the bare best
-    approximation.
-    """
-    r = case.r
-    for s in case.sigmas:
-        lhs = ctx.ahat(m, norm, s, case)
-        yield make_row(
-            "jackson_sup", _case_id(m, r=r, sigma=s),
-            lhs=lhs, rhs=c * _omega(ctx, m, r, 1.0 / s, norm), constant_used=c,
-            flags=("A_sigma_surrogate", "one_sided"))
-
-
 # ---------------------------------------------------------------------------
 # Truncated-series audits
 # ---------------------------------------------------------------------------
@@ -668,7 +653,7 @@ THEOREM_RUNNERS: dict[str, Family] = {
         run_kfunc_equiv, "sup", ("r",), deltas="steps",
         constant=lambda case, p: (C.c8_k(case.r), 2.0 ** case.r)),
     "jackson_vexp": Family(
-        run_jackson_vexp, "vexp", ("r", *_AHAT), sigmas="type grid",
+        functools.partial(run_jackson, scale=2.0), "vexp", ("r", *_AHAT), sigmas="type grid",
         constant=lambda case, p: C.c11(case.r, p.p_plus, p.c3)),
     "inverse_vexp": Family(
         functools.partial(run_inverse, scale=0.5), "vexp", ("r", *_AHAT),
@@ -709,7 +694,7 @@ THEOREM_RUNNERS: dict[str, Family] = {
         constant=lambda case, p: (2.0 ** case.k, C.shift_compare_lower(case.r),
                                   C.shift_compare_upper(case.r))),
     "jackson_sup": Family(
-        run_jackson_sup, "sup", ("r", "vp_tail"), sigmas="type grid",
+        run_jackson, "sup", ("r", "vp_tail"), sigmas="type grid",
         constant=lambda case, p: C.jackson_sup(case.r)),
     "inverse_sup": Family(
         run_inverse, "sup", ("r", *_AHAT), deltas="steps in (0,1)",

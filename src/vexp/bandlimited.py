@@ -32,7 +32,7 @@ import numpy as np
 from .fnexpr import Decay
 from .functions import RealFunction, combine, outer_apply
 from .norms import NormSpec, norm_of
-from .quad import DEFAULT_SPEC, QuadSpec, panel_rule
+from .quad import DEFAULT_SPEC, QuadSpec, panel_rule, split_at
 from .steklov import _finite_samples
 
 __all__ = ["vp_kernel", "vp_operator", "best_approx_surrogate",
@@ -117,11 +117,7 @@ def _zero_aligned_panels(sigma: float, lo: float, hi: float,
     extra: every zero of both sine factors lands on a panel edge."""
     w = 2.0 * math.pi / (3.0 * sigma)
     n_lo, n_hi = _panel_span(w, lo, hi)
-    edges = w * np.arange(n_lo, n_hi + 1)
-    inner = [b for b in extra if edges[0] < b < edges[-1]]
-    if inner:
-        edges = np.unique(np.concatenate([edges, np.asarray(inner, dtype=float)]))
-    return edges
+    return split_at(w * np.arange(n_lo, n_hi + 1), extra)
 
 
 def _stencil_values(values: np.ndarray, s: np.ndarray) -> np.ndarray:

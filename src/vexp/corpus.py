@@ -5,7 +5,7 @@ module fixes one: twelve functions spanning smooth/rough, bandlimited/
 non-bandlimited and fast/slow decay, plus three exponent fields (one
 constant, two variable with a limit at infinity).  A member is its name, its
 expression source, its windows and its panel density; everything else
-(decay, breakpoints, wavelength, the exact engine of the rough members) is
+(decay, breakpoints, wavelength, the truncated powers of the rough members) is
 read off the expression, as for a raw source.
 """
 
@@ -107,17 +107,19 @@ def exponent_field(name: str) -> ExponentField:
 
 def resolve_function(src: str) -> CorpusMember:
     """Resolve '@name' to a bundled member, else parse raw expression source
-    and take its windows from its decay class."""
+    and take its windows from its decay class: both cover a compact support,
+    and the sup window is otherwise at most 20."""
     if src.startswith("@"):
         return corpus_member(src[1:])
     e = parse(src)
     d = e.decay_class
-    if d.kind == "compact_support":
+    compact = d.kind == "compact_support"
+    if compact:
         w = max(12.0, abs(d.a) + 2.0, abs(d.b) + 2.0)
     else:
         w = {"gaussian": 12.0, "power": 200.0}.get(d.kind, 10.0)
     return CorpusMember(name=e.src, rf=as_real_function(e), norm_window=w,
-                        sup_window=min(w, 20.0), panels_per_unit=4.0)
+                        sup_window=w if compact else min(w, 20.0), panels_per_unit=4.0)
 
 
 def resolve_exponent(src: str) -> ExponentField:

@@ -661,14 +661,6 @@ def classify_decay(node: Node, terms: Optional[tuple]) -> Decay:
     return Decay("power", alpha=-t.growth) if t.growth < 0 else Decay("none")
 
 
-def _is_smooth(node: Node) -> bool:
-    """False exactly when an abs or indicator node occurs."""
-    if isinstance(node, Indicator) or (isinstance(node, Call) and node.name == "abs"):
-        return False
-    return all(_is_smooth(v) for v in vars(node).values()
-               if not isinstance(v, (int, float, str)))
-
-
 # ---------------------------------------------------------------------------
 # Piecewise polynomials, jumps and kinks
 # ---------------------------------------------------------------------------
@@ -818,8 +810,13 @@ class FuncExpr:
 
     @cached_property
     def smooth(self) -> bool:
-        """No abs or indicator: symbolic derivatives exist."""
-        return _is_smooth(self.ast)
+        """Symbolic derivatives exist: `_diff` meets no abs or indicator
+        outside a power 0."""
+        try:
+            _diff(self.ast)
+        except NonDifferentiableError:
+            return False
+        return True
 
     @cached_property
     def _compiled(self):
@@ -869,29 +866,35 @@ def differentiate(f: FuncExpr, order: int = 1) -> FuncExpr:
 # Exponent fields
 # ---------------------------------------------------------------------------
 
-def estimate_log_holder(p: FuncExpr, window: float, samples: int, p_infinity: float):
+_P_WINDOW, _P_SAMPLES = 50.0, 801  # the exponent grid: step 1/8, so k steps are exactly k/8
+
+
+def estimate_log_holder(p: FuncExpr, p_infinity: float):
     """Grid estimates of the two log-continuity constants of an exponent.
 
-    Returns (c_log_local, c_log_decay, p_minus, p_plus).  These are maxima
-    over sample pairs / samples, hence lower estimates of the true constants;
-    they never decrease when points are added to the grid.  Raises
-    ExponentRangeError if p drops below 1, or is NaN, anywhere on the grid.
+    Returns (c_log_local, c_log_decay, p_minus, p_plus), maxima over sample
+    pairs / samples of the grid, hence lower estimates of the true constants.
+    Pairs go by lag k, k steps apart; log(e + 1/(k step)) falls with k, so the
+    scan stops once p_plus - p_minus times it cannot beat the maximum so far.
+    Raises ExponentRangeError if p drops below 1, or is NaN, on the grid.
     """
-    xs = np.linspace(-window, window, samples)
+    xs = np.linspace(-_P_WINDOW, _P_WINDOW, _P_SAMPLES)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = p(xs)
     i = int(np.argmin(vals))  # the first NaN, if there is one
     if not vals[i] >= 1.0 - 1e-12:
         raise ExponentRangeError(f"p({xs[i]:.6g}) = {vals[i]:.6g} is not >= 1")
 
+    p_minus, p_plus = float(np.min(vals)), float(np.max(vals))
+    lags = np.arange(1, _P_SAMPLES)
+    factors = np.log(np.e + 1.0 / (lags * (xs[1] - xs[0])))
     c_local = 0.0
-    for i0 in range(0, samples, 512):  # every pair, 512 rows at a time
-        dx = np.abs(xs[i0:i0 + 512, None] - xs)
-        mask = dx > 0.0
-        q = np.abs(vals[i0:i0 + 512, None] - vals) * np.log(np.e + 1.0 / np.where(mask, dx, 1.0))
-        c_local = max(c_local, float(np.max(np.where(mask, q, 0.0))))
+    for k, factor in zip(lags.tolist(), factors.tolist()):
+        if (p_plus - p_minus) * factor <= c_local:
+            break
+        c_local = max(c_local, float(np.max(np.abs(vals[k:] - vals[:-k]))) * factor)
     c_decay = float(np.max(np.abs(vals - p_infinity) * np.log(np.e + np.abs(xs))))
-    return c_local, c_decay, float(np.min(vals)), float(np.max(vals))
+    return c_local, c_decay, p_minus, p_plus
 
 
 def _limit(node: Node) -> float:
@@ -945,7 +948,7 @@ class ExponentField:
         if const is not None:
             return cls(expr=expr, p_minus=const, p_plus=const, p_infinity=const,
                        c_log_local=0.0, c_log_decay=0.0, name=name or expr.src)
-        c1, c2, pmin, pmax = estimate_log_holder(expr, 50.0, 801, limit)
+        c1, c2, pmin, pmax = estimate_log_holder(expr, limit)
         # the essential range over R includes the limit
         return cls(expr=expr, p_minus=min(pmin, limit), p_plus=max(pmax, limit),
                    p_infinity=limit, c_log_local=c1, c_log_decay=c2,

@@ -2,10 +2,10 @@
 
 Operators consume and produce `RealFunction` values: a vectorized callable
 plus the metadata the numerics need (breakpoints for quadrature panel
-splitting, the shortest oscillation wavelength for panel density, and an
-optional exact-averaging engine for compactly supported piecewise
-polynomials).  `as_real_function` is the one place an expression becomes a
-RealFunction.
+splitting, the shortest oscillation wavelength for panel density, and the
+expression it evaluates, when it is one).  `as_real_function` is the one
+place an expression becomes a RealFunction; the Steklov layer builds its
+exact engine from the expression's terms where it uses one.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ class RealFunction:
     fn: Callable[[np.ndarray], np.ndarray]
     breakpoints: tuple[float, ...] = ()
     osc_wavelength: float = math.inf
-    exact: Optional[object] = None  # exact Steklov engine, when available
     expr: Optional[FuncExpr] = None
     tail_bound: float = 0.0  # truncation bound of a convolution that built fn
     rows: tuple[Callable, ...] = ()  # each output of a Steklov combination alone
@@ -40,14 +39,12 @@ class RealFunction:
 
 
 def as_real_function(expr: FuncExpr) -> RealFunction:
-    """expr as a RealFunction.  Its breakpoints, wavelength and exact engine
-    are read off its tree; ValueError when it has a kink that cannot be
-    located or a frequency that cannot be bounded."""
-    from .steklov import IndicatorSteklov  # steklov builds on this module
+    """expr as a RealFunction.  Its breakpoints and wavelength are read off
+    its tree; ValueError when it has a kink that cannot be located or a
+    frequency that cannot be bounded."""
     breakpoints, freq = rough_spots(expr.ast)
     return RealFunction(fn=expr, breakpoints=breakpoints,
                         osc_wavelength=2.0 * math.pi / freq if freq else math.inf,
-                        exact=IndicatorSteklov(expr, expr.terms) if expr.terms else None,
                         expr=expr)
 
 

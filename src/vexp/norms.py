@@ -23,7 +23,7 @@ import numpy as np
 
 from .fnexpr import ExponentField
 from .functions import RealFunction
-from .quad import DEFAULT_SPEC, Bracket, QuadSpec, find_root_decreasing, panel_rule
+from .quad import DEFAULT_SPEC, Bracket, QuadSpec, find_root_decreasing, panel_rule, split_at
 from .steklov import _finite_samples, sup_norm
 
 __all__ = [
@@ -83,10 +83,7 @@ def window_nodes(window: float, panels_per_unit: float,
     """Gauss-Legendre nodes and weights on [-window, window], split at
     breakpoints; read-only, as the rule of each shape is cached."""
     n_panels = max(16, int(math.ceil(2.0 * window * panels_per_unit)))
-    edges = np.linspace(-window, window, n_panels + 1)
-    inner = [b for b in breakpoints if -window < b < window]
-    edges = np.unique(np.concatenate([edges, np.asarray(inner, dtype=float)]))
-    rule = panel_rule(edges, 12)
+    rule = panel_rule(split_at(np.linspace(-window, window, n_panels + 1), breakpoints), 12)
     for a in rule:
         a.flags.writeable = False
     return rule

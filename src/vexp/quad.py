@@ -54,6 +54,13 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1.0) / 2.0, w / 2.0
 
 
+def split_at(grid: np.ndarray, points) -> np.ndarray:
+    """The sorted grid with every one of points strictly inside its ends
+    added, each value once."""
+    inner = [b for b in points if grid[0] < b < grid[-1]]
+    return np.unique(np.concatenate([grid, inner])) if inner else grid
+
+
 def panel_rule(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights for the panel edges along the
     last axis (one rule per row of stacked edges)."""

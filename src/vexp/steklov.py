@@ -25,12 +25,13 @@ all.  A point whose window (x, x + top*d) holds a breakpoint b of f takes
 the same lattice with its panels split at (b - x)/d, built anew.
 
 Compactly supported piecewise polynomials, read off the expression tree as
-sums of truncated powers c (b - x)_+^n / n!, get an exact engine: T_d^k of
-each term is c d^n times a polynomial on each unit piece of (b - x)/d (the
-pp form, de Boor, A Practical Guide to Splines, ch. IX), evaluated by Horner
-from coefficients computed once per order in integer arithmetic.  So the
-indicator and the smoothed box go through every operator at machine
-precision with no quadrature.
+sums of truncated powers c (b - x)_+^n / n!, get an exact engine, built from
+the expression's terms where `steklov_combination` forms an operator of the
+expression itself: T_d^k of each term is c d^n times a polynomial on each
+unit piece of (b - x)/d (the pp form, de Boor, A Practical Guide to Splines,
+ch. IX), evaluated by Horner from coefficients computed once per order in
+integer arithmetic.  So the indicator and the smoothed box go through every
+operator at machine precision with no quadrature.
 
 The sup norm samples f on a grid of step min(0.02, wavelength/48) plus the
 breakpoints, then refines every distinct local maximum of the samples whose
@@ -58,7 +59,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .functions import _SUB_CHUNK, RealFunction, outer_apply
-from .quad import panel_rule
+from .quad import panel_rule, split_at
 
 __all__ = [
     "steklov_combination", "iterated_steklov", "difference_terms", "derivative_terms",
@@ -178,16 +179,17 @@ def _kernel_nodes(edges, keys: frozenset) -> tuple[np.ndarray, np.ndarray, dict]
 def steklov_combination(f: RealFunction, delta: float,
                         *terms: dict[tuple[int, int], float]) -> RealFunction:
     """sum of c * T_d^k f(x + j*d) over terms {(k, j): c}, where a negative j
-    (or d) shifts back: term by term for engine-backed f, else on one
-    weighted lattice (module docstring).
+    (or d) shifts back: term by term for an expression with truncated powers
+    (the exact engine), else on one weighted lattice (module docstring).
     Several term maps give a stacked function, one row per map; its `rows`
     evaluate one map each, to the same bits."""
     keys = {key for t in terms for key in t}
     breakpoints = tuple(sorted({s - m * delta for s in f.breakpoints
                                 for k, j in keys for m in range(j, j + k + 1)}))
 
-    if f.exact is not None:
-        parts = [[(c, j * delta, f.exact.iterated(delta, k)) for (k, j), c in t.items()]
+    if f.fn is f.expr and f.expr.terms:
+        exact = IndicatorSteklov(f.expr, f.expr.terms)
+        parts = [[(c, j * delta, exact.iterated(delta, k)) for (k, j), c in t.items()]
                  for t in terms]
 
         def ev(x, maps):
@@ -301,10 +303,7 @@ def _grid_maxima(f: RealFunction, window: float, refine: bool = True,
     each refined on its own by `_refine_peaks` unless refine is False."""
     step = max(min(_GRID_STEP, f.osc_wavelength / 48.0), 2.0 * window / 400_000)
     n = max(64, int(round(2.0 * window / step)) + 1)
-    xs = np.linspace(-window, window, n)
-    extra = [b for b in f.breakpoints if abs(b) <= window]
-    if extra:
-        xs = np.unique(np.concatenate([xs, np.asarray(extra, dtype=float)]))
+    xs = split_at(np.linspace(-window, window, n), f.breakpoints)
     fx = _finite_samples(f, xs)
     tops = []
     for i, row in enumerate(fx.reshape(-1, xs.size)):

@@ -7,6 +7,9 @@
   quadrature of the Cox-de Boor values on the unit pieces.
 - `truncated_power_sum`: (1/n!) sum_i (-1)^i C(k,i) (t - i)_+^n in mpmath at
   30 digits; n = k is CB_k and n = k + 1 its integral, for every real t.
+
+`engine` gives the exact engine that `steklov_combination` builds for an
+expression-backed function, or None when it takes the lattice.
 """
 
 import math
@@ -16,6 +19,12 @@ import numpy as np
 
 from vexp.functions import RealFunction, outer_apply
 from vexp.quad import gauss_rule, panel_rule
+from vexp.steklov import IndicatorSteklov
+
+
+def engine(rf: RealFunction):
+    """The exact engine of an expression with truncated-power terms, else None."""
+    return IndicatorSteklov(rf.expr, rf.expr.terms) if rf.expr.terms else None
 
 
 def nested_steklov(f: RealFunction, delta: float, k: int) -> RealFunction:

@@ -22,7 +22,7 @@ from vexp.steklov import steklov_combination, sup_norm
 # left side uses a surrogate or grid supremum, which must carry "one_sided".
 SURROGATE_POLICY: dict[str, dict[str, str]] = {
     "jackson_sup": {"A_sigma_surrogate": "lhs_one_sided"},
-    "jackson_vexp": {},  # the audited chain bounds the operator error itself
+    "jackson_vexp": {"A_sigma_surrogate": "lhs_one_sided"},
     "inverse_vexp": {"A_sigma_surrogate": "rhs"},
     "inverse_sup": {"A_sigma_surrogate": "rhs"},
     "series_deriv_sup": {"A_sigma_surrogate": "rhs"},
@@ -259,6 +259,18 @@ class TestSurrogatePolicy:
                 else:
                     assert side == "rhs"
                     assert "one_sided" not in flags, row.theorem_id
+
+    def test_bundled_ahat_lhs_rows_are_one_sided(self):
+        # both direct estimates put A_hat on the left; the 83 jackson_vexp
+        # rows carried no flags while the 18 jackson_sup rows carried both
+        cfg = parse_config(default_config_text())
+        ctx = Context()
+        rows = [row for d in cfg["case"] if d["theorem"].startswith("jackson")
+                for row in run_case(ctx, _case_from_dict(d, cfg.get("defaults", {})))]
+        assert len(rows) == 101
+        for row in rows:
+            assert {"A_sigma_surrogate", "one_sided"} <= set(row.surrogate_flags), row.case_id
+            assert {"lhs_window", "rhs_window"} <= set(row.truncation_bounds), row.case_id
 
     def test_series_rows_carry_cutoff_flag(self):
         ctx = Context()

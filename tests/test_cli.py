@@ -224,6 +224,18 @@ def test_gauss_answers_as_its_exp_twin(capsys, argv):
     assert outputs[0] == outputs[1]
 
 
+def test_far_compact_support_lies_in_the_sup_window(capsys):
+    # indicator(25,30) has norm window 32; its sup window was min(32, 20),
+    # which misses the support: the modulus printed 0 and A_hat 0.00657
+    outs = []
+    for argv in (["modulus", "--r", "1", "--delta", "0.1"], ["approx", "--sigma", "2"]):
+        for window in ([], ["--window", "32"]):
+            assert main([*argv, "--f", "indicator(25,30)", *window]) == 0
+            outs.append(float(capsys.readouterr().out))
+    assert outs[0] == outs[1] == 1.0
+    assert outs[2] == outs[3] == pytest.approx(0.509, abs=1e-3)
+
+
 class TestAuditCommand:
     def test_small_config(self, tmp_path):
         cfg = tmp_path / "suite.cfg"

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vexp.quad import Bracket, QuadSpec, find_root_decreasing, gauss_rule, panel_rule
+from vexp.quad import (Bracket, QuadSpec, find_root_decreasing, gauss_rule, panel_rule,
+                       split_at)
 
 
 def solve(phi, dphi, bracket, start):
@@ -135,3 +136,13 @@ def test_gauss_rule_cached_and_normalized():
     x, w = gauss_rule(12)
     assert np.all((x > 0) & (x < 1))
     assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_split_at_adds_each_inner_point_once():
+    grid = np.linspace(-1.0, 1.0, 5)
+    # the ends, points outside and repeated points add nothing new
+    assert np.array_equal(split_at(grid, [-1.0, 1.0, -3.0, 2.0]), grid)
+    assert np.array_equal(split_at(grid, [0.3, 0.5, 0.3, -1.5, 0.3]),
+                          [-1.0, -0.5, 0.0, 0.3, 0.5, 1.0])
+    assert np.array_equal(split_at(grid, (0.7, -0.2)), [-1.0, -0.5, -0.2, 0.0, 0.5, 0.7, 1.0])
+    assert np.array_equal(split_at(grid, ()), grid)

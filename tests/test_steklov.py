@@ -14,7 +14,7 @@ from vexp.steklov import (_horner, _oscillation_subpanels, bspline_value,
                           derivative_terms, difference_terms, iterated_steklov,
                           steklov_combination, sup_norm)
 
-from steklov_oracles import (bspline_cox_de_boor, bspline_cumulative_quad,
+from steklov_oracles import (bspline_cox_de_boor, bspline_cumulative_quad, engine,
                              nested_steklov, truncated_power_sum)
 
 XS = np.linspace(-3.0, 3.0, 25)
@@ -267,7 +267,7 @@ class TestIndicatorEngine:
     def test_base_values(self):
         f = corpus_member("box_smooth").rf
         xs = np.array([-0.2, -0.05, 0.5, 0.95, 1.0, 1.2])
-        assert np.allclose(f.exact(xs), [0.0, 0.5, 1.0, 0.5, 0.0, 0.0], atol=1e-14)
+        assert np.allclose(engine(f)(xs), [0.0, 0.5, 1.0, 0.5, 0.0, 0.0], atol=1e-14)
 
     def test_matches_textual_abs_form(self):
         # the grammar form of the once-averaged box is T_0.1 of the box
@@ -278,7 +278,7 @@ class TestIndicatorEngine:
 
     def test_smoothed_box_terms(self):
         # T_0.1 1_[0,1] = 10 ((-0.1 - x)_+ - (0 - x)_+ - (0.9 - x)_+ + (1 - x)_+)
-        terms = corpus_member("box_smooth").rf.exact.terms
+        terms = engine(corpus_member("box_smooth").rf).terms
         want = [(10.0, -0.1, 1), (-10.0, 0.0, 1), (-10.0, 0.9, 1), (10.0, 1.0, 1)]
         assert [n for *_, n in terms] == [n for *_, n in want]
         assert np.allclose([t[:2] for t in terms], [t[:2] for t in want],
@@ -294,7 +294,7 @@ class TestIndicatorEngine:
 
     @pytest.mark.parametrize("name", ["box", "box_smooth"])
     def test_iterates_vanish_off_the_support(self, name):
-        eng = corpus_member(name).rf.exact
+        eng = engine(corpus_member(name).rf)
         lo, hi = min(b for _, b, _ in eng.terms), max(b for _, b, _ in eng.terms)
         d, k = 0.3, 5
         xs = np.concatenate([np.linspace(lo - k * d - 40.0, lo - k * d, 50),
@@ -303,7 +303,7 @@ class TestIndicatorEngine:
 
     def test_zeroth_iterate_is_the_expression(self):
         # the closed interval: the box is 1 at both ends
-        eng = box_member().exact
+        eng = engine(box_member())
         assert np.array_equal(eng.iterated(0.5, 0)(np.array([0.0, 1.0])), [1.0, 1.0])
 
     def test_mass_preserved(self):
@@ -369,7 +369,7 @@ class TestRawRoughSources:
         # all terms share one lattice, near the jumps and away from them;
         # one call per term made three
         rf = resolve_function("indicator(0,1)+x*exp(-x^2)").rf
-        assert rf.exact is None and rf.breakpoints
+        assert engine(rf) is None and rf.breakpoints
         calls = []
 
         def counting(y):
@@ -447,7 +447,7 @@ class TestPiecewisePolynomialEngine:
         d = 0.35
         xs = np.linspace(-3.5, 1.5, 41)
         for name in ("box", "box_smooth"):
-            eng = corpus_member(name).rf.exact
+            eng = engine(corpus_member(name).rf)
             got = eng.iterated(d, k)(xs)
             with mpmath.workdps(30):
                 md = mpmath.mpf(d)
