@@ -217,7 +217,7 @@ def run_holder(ctx: Context, case: AuditCase, m: CorpusMember,
     g = ctx.member(case.g_src)
     win = max(m.norm_window, g.norm_window)
     ppu = max(m.panels_per_unit, g.panels_per_unit)
-    x, w = window_nodes(win, ppu,
+    x, w, _ = window_nodes(win, ppu,
                         tuple(sorted({*m.rf.breakpoints, *g.rf.breakpoints})))
     lhs = float(np.sum(w * np.abs(m.rf(x)) * np.abs(g.rf(x))))
     nf = norm_of(m.rf, NormSpec.vexp(norm.p, win, ppu))

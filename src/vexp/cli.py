@@ -13,12 +13,15 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .audit import run_suite
 from .constants import constant_table
 from .corpus import resolve_exponent, resolve_function
 from .defaults import default_config_text
 from .norms import norm_of
 from .smoothness import ModulusRequest, modulus
+from .steklov import _finite_samples
 from .bandlimited import best_approx_surrogate
 
 
@@ -70,6 +73,21 @@ def _exponent(args):
     return p
 
 
+def _spec(m, p, window):
+    """m's norm spec; for a decaying f, ValueError when |f| at an end of the
+    window lies above every sample inside it: f's mass leaves the window."""
+    spec = m.norm_spec(p, window)
+    if m.expr.decay_class.kind != "none":
+        w = spec.window
+        a = np.abs(_finite_samples(m.rf, np.linspace(-w, w, 4001)))
+        for end, v in ((-w, a[0]), (w, a[-1])):
+            if v > np.max(a[1:-1]):
+                raise ValueError(f"|f| at the window's end x = {end:g} lies above every "
+                                 f"sample inside [-{w:g}, {w:g}]: f's mass leaves the "
+                                 "window; set --window")
+    return spec
+
+
 def _cmd_audit(args) -> int:
     if args.config:
         with open(args.config) as fh:
@@ -89,15 +107,14 @@ def _cmd_audit(args) -> int:
 def _cmd_norm(args) -> int:
     m = resolve_function(args.f)
     p = _exponent(args)
-    print(f"{norm_of(m.rf, m.norm_spec(p, args.window)):.12g}")
+    print(f"{norm_of(m.rf, _spec(m, p, args.window)):.12g}")
     return 0
 
 
 def _cmd_modulus(args) -> int:
     m = resolve_function(args.f)
     p = None if args.p is None else _exponent(args)
-    val = modulus(ModulusRequest(m.rf, args.r, args.delta,
-                                 m.norm_spec(p, args.window)))
+    val = modulus(ModulusRequest(m.rf, args.r, args.delta, _spec(m, p, args.window)))
     print(f"{val:.12g}")
     return 0
 
@@ -105,7 +122,7 @@ def _cmd_modulus(args) -> int:
 def _cmd_approx(args) -> int:
     m = resolve_function(args.f)
     p = None if args.norm == "sup" else _exponent(args)
-    est = best_approx_surrogate(m.rf, args.sigma, m.norm_spec(p, args.window))
+    est = best_approx_surrogate(m.rf, args.sigma, _spec(m, p, args.window))
     print(f"{est.value:.12g}")
     if est.tail_bound:
         print(f"note: convolution tail bound {est.tail_bound:.3g}",

@@ -3,13 +3,23 @@
 The modular of f at scale lam is int |f(y)/lam|^p(y) dy over a truncation
 window; the Luxemburg norm is the scale eta at which it equals 1.  Every
 norm is given its window: the corpus chooses one per input.  The
-integrand is sampled once on a composite Gauss-Legendre grid (panel edges
-split at its known breakpoints; the last 32 grids are kept).  In log-log
-scale the modular is affine for constant p and convex with slope in
-[-p+, -p-] otherwise, and one exp pass over the samples gives it with its
-slope.  So the Newton step from the scale max |f| lands on the root for
-constant p, and inside the closed bracket [g0/p+, g0/p-] otherwise, from
-where about three more passes reach float resolution.
+integrand is sampled once on a composite 12-point Gauss-Legendre grid whose
+edges are a subset of the uniform edges 1/panels_per_unit apart: a panel
+starting at |x| is max(1/panels_per_unit, |x|/4) wide, rounded down to whole
+uniform panels and capped at 6 radians of phase (f's at a constant even
+integer p, p's own otherwise), then split at f's breakpoints (the last 64
+grids are kept).  Geometric meshes for smooth tails: Schwab, p- and hp-Finite
+Element Methods (Oxford, 1998), ch. 4.  Each output of f then takes the
+uniform panels back on every wide panel where it changes sign, unless p is a
+constant even integer (|f|^p has a kink at each zero of f), and where the
+Legendre tail of its samples shows a feature the grading did not allow for.
+An oscillating f at any other p, and a p whose frequency `rough_spots`
+cannot bound, keep the uniform grid.  In log-log scale the modular is affine
+for constant p and convex with slope in [-p+, -p-] otherwise, and one exp
+pass over the samples gives it with its slope.  So the Newton step from the
+scale max |f| lands on the root for constant p, and inside the closed
+bracket [g0/p+, g0/p-] otherwise, from where about three more passes reach
+float resolution.
 """
 
 from __future__ import annotations
@@ -21,9 +31,10 @@ from typing import Optional
 
 import numpy as np
 
-from .fnexpr import ExponentField
+from .fnexpr import ExponentField, rough_spots
 from .functions import RealFunction
-from .quad import DEFAULT_SPEC, Bracket, QuadSpec, find_root_decreasing, panel_rule, split_at
+from .quad import (DEFAULT_SPEC, Bracket, QuadSpec, find_root_decreasing, gauss_rule,
+                   panel_rule, split_at)
 from .steklov import _finite_samples, sup_norm
 
 __all__ = [
@@ -34,6 +45,12 @@ __all__ = [
 _ETA_CAP = 1e12
 _T_TOL = 2.0 ** -50  # the root's tolerance in log(eta): 4 ulps of 1
 _T_PAD = 2.0 ** -44  # the bracket's pad, far above the rounding of log(modular)
+_GRADE = 0.25  # a graded panel at |x| is up to this fraction of |x| wide
+_MAX_PHASE = 6.0  # radians a 12-point panel takes at machine accuracy
+_TAIL = 1e-7  # a wide panel's resolved Legendre tail, relative to max |f|
+_WAVE_TAIL = 7.5e-5  # 21 j_10(3): the degree-10 Legendre coefficient of exp(3it)
+_LEGENDRE_TAIL = (np.polynomial.legendre.legvander(2.0 * gauss_rule(12)[0] - 1.0, 11)[:, 10:]
+                  * np.outer(gauss_rule(12)[1], [21.0, 23.0]))  # samples to c_10, c_11
 
 
 class NotIntegrableError(ValueError):
@@ -77,32 +94,117 @@ class NormSpec:
         return NormSpec(p=p, window=window, panels_per_unit=panels_per_unit)
 
 
-@lru_cache(maxsize=32)  # at most 0.4 MB a rule on the bundled corpus
-def window_nodes(window: float, panels_per_unit: float,
-                 breakpoints: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-window, window], split at
-    breakpoints; read-only, as the rule of each shape is cached."""
-    n_panels = max(16, int(math.ceil(2.0 * window * panels_per_unit)))
-    rule = panel_rule(split_at(np.linspace(-window, window, n_panels + 1), breakpoints), 12)
+@lru_cache(maxsize=64)  # a graded rule is a few kB, a uniform one at most 0.4 MB
+def window_nodes(window: float, panels_per_unit: float, breakpoints: tuple[float, ...],
+                 widest: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on panels of [-window, window] split at
+    breakpoints, and per edge its index among the uniform edges split alike
+    (panel k holds the uniform panels first[k] to first[k + 1] - 1).  The
+    uniform panels are 1/panels_per_unit wide or a little less; from the
+    middle edge outward, a panel starting at |x| spans as many of them as fit
+    in max(1/panels_per_unit, _GRADE |x|) and in widest, at least one.
+    Read-only, as the rule of each shape is cached."""
+    u = np.linspace(-window, window, max(16, int(math.ceil(2.0 * window * panels_per_unit))) + 1)
+    h, n = u[1] - u[0], u.size - 1
+    top = max(1.0, widest / h)
+    idx = [n // 2]
+    for sign in (1, -1):
+        i = n // 2
+        while 0 < i < n:
+            span = int(min(top, max(1.0 / panels_per_unit, _GRADE * abs(u[i])) / h)) or 1
+            i = min(n, max(0, i + sign * span))
+            idx.append(i)
+    edges = split_at(u[np.unique(idx)], breakpoints)
+    rule = (*panel_rule(edges, 12), np.searchsorted(split_at(u, breakpoints), edges))
     for a in rule:
         a.flags.writeable = False
     return rule
 
 
+@lru_cache(maxsize=8)
+def _frequency(p: ExponentField) -> float:
+    """The frequency bound of p's tree, nan when `rough_spots` refuses one."""
+    try:
+        return rough_spots(p.expr.ast)[1]
+    except ValueError:
+        return math.nan
+
+
+def _widest_panel(f: RealFunction, p: ExponentField, even: bool) -> float:
+    """The widest graded panel for |f|^p: _MAX_PHASE radians of f's phase at
+    a constant even p, else of p's (f is refilled at its zeros); 0, the
+    uniform grid, when f oscillates at any other p or p's frequency has no
+    bound."""
+    omega = _frequency(p) + 2.0 * math.pi / f.osc_wavelength
+    if math.isnan(omega) or not (even or math.isinf(f.osc_wavelength)):
+        return 0.0
+    return _MAX_PHASE / omega if omega else math.inf
+
+
+def _refilled(row: np.ndarray, w: np.ndarray, first: np.ndarray, even: bool,
+              omega: float) -> np.ndarray:
+    """Which panels take the uniform nodes, for row's samples on the rule (w,
+    first): each wide panel (of more than one uniform panel) whose Legendre
+    coefficients of degrees 10 and 11 exceed _TAIL of max |row|, where f has
+    a feature the grading did not allow for, such as a bump far from 0 (f of
+    frequency omega may add the tail of its own oscillation, a (phase / 6)^10
+    share of _WAVE_TAIL of the panel's largest sample); and unless p is a
+    constant even integer, each that holds a sign change of row or one end of
+    a change across its edge (zero samples are passed over)."""
+    wide = np.diff(first) > 1
+    if not wide.any():  # the uniform grid
+        return wide
+    panels = row.reshape(-1, 12)
+    bar = _TAIL * np.abs(row).max()
+    if omega:
+        phase = np.minimum(omega / _MAX_PHASE * w.reshape(-1, 12).sum(axis=1), 1.0)
+        bar = bar + _WAVE_TAIL * phase ** 10 * np.abs(panels).max(axis=1)
+    bad = np.abs(panels @ _LEGENDRE_TAIL).max(axis=1) > bar
+    if not even:
+        nz = np.flatnonzero(row)
+        flip = np.flatnonzero(np.diff(row[nz] > 0.0))
+        bad[nz[flip] // 12] = bad[nz[flip + 1] // 12] = True
+    return bad & wide
+
+
+def _row_samples(f: RealFunction, p: ExponentField, window: float,
+                 panels_per_unit: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(nodes, weights, samples) of each output of f: one f call on the graded
+    panels (`window_nodes`), then per output, through its own row of a
+    stacked f, the uniform nodes of the panels `_refilled` names."""
+    even = p.is_constant and p.p_minus % 2.0 == 0.0
+    x, w, first = window_nodes(window, panels_per_unit, f.breakpoints, _widest_panel(f, p, even))
+    out = []
+    for i, s in enumerate(_finite_samples(f, x).reshape(-1, x.size)):
+        refill = _refilled(s, w, first, even, 2.0 * math.pi / f.osc_wavelength)
+        if not refill.any():
+            out.append((x, w, s))
+            continue
+        ux, uw, _ = window_nodes(window, panels_per_unit, f.breakpoints)
+        keep, fill = np.repeat(~refill, 12), np.repeat(np.repeat(refill, np.diff(first)), 12)
+        out.append((np.append(x[keep], ux[fill]), np.append(w[keep], uw[fill]),
+                    np.append(s[keep], _finite_samples(f.rows[i] if f.rows else f, ux[fill]))))
+    return out
+
+
 class SampledModular:
-    """log(w_i |f_i|^p_i) at the positive samples of |f| (zero samples add
-    nothing for p >= 1), so the modular at any scale is one exp pass.  A
-    stacked f is sampled in one pass, and `row` picks one output's modular."""
+    """The weights w_i and log |f_i| at the positive samples of |f| (zero
+    samples add nothing for p >= 1), so the modular at any scale is one exp
+    pass: exp(p_i (log |f_i| - log lam)) rounds alike at every node, where a
+    log(w_i |f_i|^p_i) would carry the rounding of log w_i, one value for
+    each panel width, into every node of that width.  A stacked f is sampled
+    in one pass (`_row_samples`), and `row` picks one output's modular."""
 
     def __init__(self, f: RealFunction, p: ExponentField, window: float,
                  panels_per_unit: float = 4.0):
-        x, w = window_nodes(window, panels_per_unit, f.breakpoints)
-        samples = np.abs(_finite_samples(f, x)).reshape(-1, x.size)
-        self.s_max = np.max(samples, axis=1).tolist()
-        pos = samples > 0.0
-        self.p = [p.p_minus if p.is_constant else p(x[q]) for q in pos]
-        self.log_terms = [np.log(w[q]) + pq * np.log(s[q])
-                          for s, q, pq in zip(samples, pos, self.p)]
+        self.s_max, self.p, self.w, self.log_s = [], [], [], []
+        for x, w, s in _row_samples(f, p, window, panels_per_unit):
+            s = np.abs(s)
+            q = s > 0.0
+            self.s_max.append(float(np.max(s)))
+            self.p.append(p.p_minus if p.is_constant else p(x[q]))
+            self.w.append(w[q])
+            self.log_s.append(np.log(s[q]))
 
     def value(self, lam: float, row: int = 0) -> tuple[float, float]:
         """The modular at lam and its log-log slope -sum p e / sum e (nan at 0)."""
@@ -110,7 +212,7 @@ class SampledModular:
             raise ValueError("lam must be positive")
         p = self.p[row]
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            e = np.exp(self.log_terms[row] - p * math.log(lam))
+            e = self.w[row] * np.exp(p * (self.log_s[row] - math.log(lam)))
             total = np.sum(e)
             return float(total), float(-np.sum(p * e) / total)
 

@@ -80,15 +80,18 @@ def find_root_decreasing(phi: Callable[[float], tuple], bracket: Bracket,
     The ends are not evaluated: each evaluated point moves the end on its side
     of the root, and a step that leaves the bracket bisects it instead.  On a
     convex phi the first tangent lands at or left of the root, and the steps
-    rise to it from there.  It stops when the Newton step or the bracket is
-    within bracket.tol, or at phi's rounding floor: when a step of at most
-    _FLOOR_STEPS tol fails to shrink |phi| or flips its sign, it returns the
-    better of the two points (the new one on a tie).  A bracket that closes
+    rise to it from there.  It takes the first Newton step whatever its size
+    (so an affine phi ends on its root from any start), then stops when the
+    Newton step or the bracket is within bracket.tol, or at phi's rounding
+    floor: when a step of at most _FLOOR_STEPS tol fails to shrink |phi| or
+    flips its sign, it returns the better of the two points (the new one on a
+    tie).  A bracket that closes
     on one of its own ends holds no sign change, and raises ValueError.
     """
     lo, hi = bracket.lo, bracket.hi
-    x, at = start, at_start
-    while at[0] != 0.0 and abs(at[0]) > bracket.tol * -at[1]:
+    x, at, first = start, at_start, True
+    while at[0] != 0.0 and (first or abs(at[0]) > bracket.tol * -at[1]):
+        first = False
         lo, hi = (max(lo, x), hi) if at[0] > 0.0 else (lo, min(hi, x))
         if hi - lo <= bracket.tol:
             if bracket.lo < lo and hi < bracket.hi:

@@ -43,10 +43,13 @@ neighbour, against its width w: it shrinks like w^2 at a smooth peak (which
 stops once the parabola's height is at the rounding error), like w at a kink,
 and not at all at a jump (the rise over the higher neighbour is used there)
 or at the rounding floor (where the samples stop rising to the best one, and
-the bracket stops).  At most 16 calls and 388 points per norm (Brent,
-Algorithms for Minimization without Derivatives, 1973, for safeguarded local
-search; Battles & Trefethen, SIAM J. Sci. Comput. 25, 2004, for the maximum
-of a piecewise-smooth function through its local pieces).
+the bracket stops).  A bracket whose best sample is still a breakpoint of f
+after the first round spends one call, shared by all such brackets, on the
+samples an ulp either side of it, and stops there if neither is higher.  At
+most 16 rounds and 388 points per norm, and that call (Brent, Algorithms
+for Minimization without Derivatives, 1973, for safeguarded local search;
+Battles & Trefethen, SIAM J. Sci. Comput. 25, 2004, for the maximum of a
+piecewise-smooth function through its local pieces).
 """
 
 from __future__ import annotations
@@ -309,7 +312,7 @@ def _grid_maxima(f: RealFunction, window: float, refine: bool = True,
     for i, row in enumerate(fx.reshape(-1, xs.size)):
         groups = ([(row, np.ones_like(row)), (-row, -np.ones_like(row))] if signed
                   else [(np.abs(row), np.where(row < 0.0, -1.0, 1.0))])
-        tops += (_refine_peaks(f.rows[i] if f.rows else f, xs, groups) if refine
+        tops += (_refine_peaks(f.rows[i] if f.rows else f, xs, groups, f.breakpoints) if refine
                  else [float(np.max(v)) for v, _ in groups])
     return tops
 
@@ -404,12 +407,16 @@ class _Bracket:
                 or (stalled and noisy) or width <= 4.0 * _EPS * max(1.0, abs(xb)))
 
 
-def _refine_peaks(f: RealFunction, xs: np.ndarray, groups) -> list[float]:
+def _refine_peaks(f: RealFunction, xs: np.ndarray, groups,
+                  breakpoints: tuple[float, ...] = ()) -> list[float]:
     """The largest value of s * f on [xs[0], xs[-1]] for each group (vals, s)
     of samples vals = s * f(xs): the grid's peaks refined in batched rounds,
     one f call per round (see the module docstring).  A bracket also stops at
     the resolution of x, or when its upper value falls below its group's
     best; when the point budget runs short, the highest upper values go first.
+    A bracket whose best sample is still one of breakpoints after the first
+    round takes one sample an ulp either side of it (one f call for all), and
+    stops when neither beats it by more than the rounding its own stop allows.
     """
     top = [float(np.max(vals)) for vals, _ in groups]
     brackets = []
@@ -418,6 +425,7 @@ def _refine_peaks(f: RealFunction, xs: np.ndarray, groups) -> list[float]:
         for i3 in np.stack([lo, best, hi], axis=1):
             brackets.append(_Bracket(xs[i3].tolist(), vals[i3].tolist(),
                                      float(sign[i3[1]]), g))
+    breaks = set(breakpoints)
     per = _LOCAL + 1
     rounds = points = 0
     while rounds < _MAX_ROUNDS:
@@ -434,4 +442,11 @@ def _refine_peaks(f: RealFunction, xs: np.ndarray, groups) -> list[float]:
             if b.update(pts[new], [b.sign * v for v in vals[new]]):
                 brackets.remove(b)
             top[b.group] = max(top[b.group], b.v[1])
+        at = [b for b in brackets if b.x[1] in breaks] if rounds == 1 else []
+        if at:  # one sample an ulp either side of each, in one f call
+            probe = [np.nextafter(b.x[1], side) for b in at for side in (-np.inf, np.inf)]
+            vals = f(np.array(probe)).tolist()
+            for b, lo, hi in zip(at, vals[::2], vals[1::2]):
+                if max(b.sign * lo, b.sign * hi) <= b.v[1] + 2.0 * _EPS * abs(b.v[1]):
+                    brackets.remove(b)
     return top

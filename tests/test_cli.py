@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from vexp.cli import main
+from vexp.cli import _spec, main
+from vexp.corpus import corpus_member, default_corpus, exponent_field
 
 
 def run_cli(*args):
@@ -278,3 +279,31 @@ def test_main_entrypoint_in_process(capsys):
     assert main(["constants", "--r", "1"]) == 0
     out = capsys.readouterr().out
     assert "c8_k,36" in out
+
+
+class TestMassOutsideTheWindow:
+    # a raw window is centred at 0: these printed 3.516396228e-05,
+    # 0.00108757858372 and an A_hat of the cut-off tail, each with exit code 0
+    @pytest.mark.parametrize("argv, end", [
+        (["norm", "--f", "exp(-(x-15)^2)", "--p", "2"], "12"),
+        (["modulus", "--f", "1/(1+(x-30)^2)", "--r", "1", "--delta", "1"], "20"),
+        (["approx", "--f", "exp(-(x-15)^2)", "--sigma", "2"], "12")])
+    def test_refused(self, capsys, argv, end):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert f"window's end x = {end} lies above every sample inside" in err
+        assert "--window" in err
+
+    def test_a_window_that_holds_the_mass_answers(self, capsys):
+        assert main(["norm", "--f", "exp(-(x-15)^2)", "--p", "2", "--window", "40"]) == 0
+        assert capsys.readouterr().out == "1.11951513492\n"  # (pi/2)^(1/4)
+        assert main(["modulus", "--f", "1/(1+(x-30)^2)", "--r", "1", "--delta", "1",
+                     "--window", "60"]) == 0
+        assert capsys.readouterr().out == "0.294455336395\n"
+
+    @pytest.mark.parametrize("name", [m.name for m in default_corpus()])
+    def test_no_bundled_member_refused(self, name):
+        m = corpus_member(name)
+        for p in (None, exponent_field("p2")):
+            assert _spec(m, p, None) == m.norm_spec(p)

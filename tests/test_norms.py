@@ -11,8 +11,12 @@ from vexp.corpus import (corpus_member, default_corpus, exponent_field,
                          resolve_exponent)
 from vexp.fnexpr import ExponentField, parse
 from vexp.functions import RealFunction, as_real_function, combine
-from vexp.norms import (NormSpec, NotIntegrableError, SampledModular,
+from vexp import norms
+from vexp.norms import (NormSpec, NotIntegrableError, SampledModular, _row_samples,
                         luxemburg_norm, norm_of, window_nodes)
+from vexp.quad import panel_rule, split_at
+from vexp.smoothness import k_functional_upper
+from vexp.steklov import difference_terms, steklov_combination
 
 GAUSS = as_real_function(parse("exp(-x^2)"))
 
@@ -200,9 +204,10 @@ def test_modular_at_the_root_is_one(p):
 @pytest.mark.parametrize("p", [q for q in ROOT_EXPONENTS if resolve_exponent(q).is_constant])
 def test_constant_exponent_root_is_the_power_mean(p):
     # for constant p the first tangent step lands on (sum w s^p)^(1/p)
-    q = resolve_exponent(p).p_minus
+    field = resolve_exponent(p)
+    q = field.p_minus
     for m, spec, res in corpus_norms(p):
-        x, w = window_nodes(spec.window, spec.panels_per_unit, m.rf.breakpoints)
+        ((x, w, _),) = _row_samples(m.rf, field, spec.window, spec.panels_per_unit)
         direct = float(np.sum(w * np.abs(m.rf(x)) ** q)) ** (1.0 / q)
         assert abs(res.value - direct) <= 2 * math.ulp(direct), m.name
 
@@ -287,3 +292,121 @@ class TestNormSpec:
     def test_sup_dispatch(self):
         val = norm_of(GAUSS, NormSpec.sup(6.0))
         assert val == pytest.approx(1.0, abs=1e-12)
+
+
+class TestGradedGrid:
+    # norms sample on panels that widen with |x| where |f|^p is smooth, and
+    # take the uniform panels back where an output changes sign (p not an
+    # even integer) or shows a feature the grading did not allow for
+    @staticmethod
+    def uniform(monkeypatch, spec, factor=1.0):
+        """spec on the uniform grid, at factor times its panel density."""
+        monkeypatch.setattr(norms, "_widest_panel", lambda f, p, even: 0.0)
+        return NormSpec.vexp(spec.p, spec.window, factor * spec.panels_per_unit)
+
+    @staticmethod
+    def values(m, spec):
+        """The member's norm and K-hat (r = 2) with its parts at d = 0.1, 1."""
+        out = [norm_of(m.rf, spec)]
+        for d in (0.1, 1.0):
+            k = k_functional_upper(m.rf, 2, d, spec)
+            out += [k.value, k.f_minus_g_norm, k.g_deriv_norm]
+        return out
+
+    @pytest.mark.parametrize("p", ["p2", "p_bump", "p_osc"])
+    @pytest.mark.parametrize("name", ["lorentz", "lorentz2", "gauss_wide", "x2gauss",
+                                      "box_smooth"])
+    def test_as_close_to_a_dense_reference_as_the_uniform_grid(self, monkeypatch, name, p):
+        m = corpus_member(name)
+        spec = m.norm_spec(exponent_field(p))
+        graded = self.values(m, spec)
+        with monkeypatch.context() as mp:
+            today = self.values(m, self.uniform(mp, spec))
+            ref = self.values(m, self.uniform(mp, spec, 8.0))
+        for g, t, r in zip(graded, today, ref):
+            assert abs(g - r) <= 2.0 * max(abs(t - r), 1e-13 * r)
+
+    def test_sinc_in_p2_as_close_as_the_uniform_grid(self, monkeypatch):
+        m = corpus_member("sinc1")
+        spec = m.norm_spec(exponent_field("p2"))
+        # 6 radians of sinc's phase a panel: under a quarter of the uniform nodes
+        assert _row_samples(m.rf, spec.p, spec.window, spec.panels_per_unit)[0][0].size \
+            < 0.25 * window_nodes(spec.window, spec.panels_per_unit, ())[0].size
+        graded = norm_of(m.rf, spec)
+        today = norm_of(m.rf, self.uniform(monkeypatch, spec))
+        ref = norm_of(m.rf, self.uniform(monkeypatch, spec, 8.0))
+        assert abs(graded - ref) <= 2.0 * max(abs(today - ref), 1e-13 * ref)
+
+    @pytest.mark.parametrize("window, ppu, breakpoints, widest", [
+        (14.0, 4.0, (), math.inf), (250.0, 2.0, (), 3.0), (12.0, 4.0, (0.0, 1.0), math.inf),
+        (10.1, 4.0, (-0.15, 0.3, 7.77), 1.2), (60.0, 2.0, (), 0.0), (1.0, 4.0, (), math.inf)])
+    def test_graded_edges_are_uniform_edges(self, window, ppu, breakpoints, widest):
+        # the graded rule is the 12-point rule on a subset of the uniform
+        # edges (split at the breakpoints), and `first` names that subset
+        x, w, first = window_nodes(window, ppu, breakpoints, widest)
+        n = max(16, math.ceil(2.0 * window * ppu))
+        edges = split_at(np.linspace(-window, window, n + 1), breakpoints)
+        assert first[0] == 0 and first[-1] == edges.size - 1
+        assert np.all(np.diff(first) >= 1)
+        gx, gw = panel_rule(edges[first], 12)
+        assert np.array_equal(gx, x) and np.array_equal(gw, w)
+        if widest == 0.0:
+            assert np.array_equal(first, np.arange(edges.size))
+        else:
+            assert x.size < window_nodes(window, ppu, breakpoints)[0].size
+
+    @staticmethod
+    def sign_changing():
+        """(I - T_d)^2 of gauss_wide at d = 0.5 and its grid's arguments."""
+        m = corpus_member("gauss_wide")
+        g = steklov_combination(m.rf, 0.5, difference_terms(2, (1, 0)))
+        return g, m.norm_window, m.panels_per_unit
+
+    def test_refilled_panels_are_the_uniform_panels(self):
+        g, window, ppu = self.sign_changing()
+        p = exponent_field("p_osc")
+        ((x, w, s),) = _row_samples(g, p, window, ppu)
+        gx, _, first = window_nodes(window, ppu, g.breakpoints, norms._widest_panel(g, p, False))
+        ux, uw, _ = window_nodes(window, ppu, g.breakpoints)
+        fill = ~np.isin(x, gx)
+        assert fill.any()  # a zero of g lies in a wide panel
+        # bit for bit the uniform nodes and weights of whole uniform panels
+        at = np.flatnonzero(np.isin(ux, x[fill]))
+        assert at.size == fill.sum() and at.size % 12 == 0
+        assert np.array_equal(np.sort(x[fill]), ux[at]) and np.all(at[::12] % 12 == 0)
+        assert np.array_equal(w[fill][np.argsort(x[fill])], uw[at])
+        assert np.array_equal(s[fill][np.argsort(x[fill])], g(ux[at]))
+        # every sign change of the samples now lies between uniform nodes
+        order = np.argsort(x)
+        flips = np.flatnonzero(np.diff(np.sign(s[order])) != 0)
+        assert np.all(np.isin(x[order][flips], ux) & np.isin(x[order][flips + 1], ux))
+
+    @pytest.mark.parametrize("c", [-3.0, 0.5])
+    def test_homogeneous_on_a_sign_changing_output(self, c):
+        # c g changes sign in the same panels, so it is refilled alike; each
+        # root is within its tolerance, 4 ulps, of its modular's root (the
+        # uniform grid of the parent read up to 6 ulps on such outputs)
+        g, window, ppu = self.sign_changing()
+        p = exponent_field("p_osc")
+        cg = RealFunction(fn=lambda x: c * g.fn(x), breakpoints=g.breakpoints,
+                          osc_wavelength=g.osc_wavelength)
+        base = luxemburg_norm(g, p, window=window, panels_per_unit=ppu).value
+        val = luxemburg_norm(cg, p, window=window, panels_per_unit=ppu).value
+        assert abs(val - abs(c) * base) <= 8.0 * math.ulp(abs(c) * base)
+
+    @pytest.mark.parametrize("src, window, exact", [
+        ("exp(-(x-15)^2)", 40.0, (math.pi / 2.0) ** 0.25),
+        ("1/(1+(x-30)^2)", 60.0, None), ("exp(-4*(x-5)^2)", 12.0, None)])
+    def test_a_bump_far_from_the_origin_is_refilled(self, monkeypatch, src, window, exact):
+        # the grading assumes f's features widen with |x|; the Legendre tail
+        # of the samples finds a bump it did not allow for (1/(1+(x-30)^2)
+        # was 1.1e-6 off in p2 without it)
+        f = as_real_function(parse(src))
+        for p in ("p2", "p_bump"):
+            spec = NormSpec.vexp(exponent_field(p), window)
+            graded = norm_of(f, spec)
+            ref = norm_of(f, self.uniform(monkeypatch, spec, 8.0))
+            monkeypatch.undo()
+            assert abs(graded - ref) <= 1e-14 * ref
+            if exact is not None and p == "p2":
+                assert graded == pytest.approx(exact, rel=1e-14)

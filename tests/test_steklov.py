@@ -506,6 +506,17 @@ class TestSupNorm:
         assert 1 <= len(refinement) <= 16
         assert sum(refinement) <= 388
 
+    @pytest.mark.parametrize("delta", [0.1, 0.5, 1.0])
+    def test_a_peak_at_a_breakpoint_stops_after_one_round(self, delta):
+        # d/dx T_d^2 of the box is (T_d box(x + d) - T_d box(x)) / d, largest,
+        # 1/d, at its breakpoint -d: one round of local points and one sample
+        # an ulp either side of the breakpoint find nothing higher, so the
+        # bracket stops (it ran 12 or 13 rounds toward the breakpoint before)
+        f, sizes = counted(steklov_combination(box_member(), delta,
+                                               derivative_terms(delta, 2, 1)))
+        assert sup_norm(f, 6.0) == pytest.approx(1.0 / delta, rel=1e-15)
+        assert len(sizes) == 3 and sizes[2] == 4  # the grid, a round, the probes
+
     def test_grid_refinement_stability(self, monkeypatch):
         f = as_real_function(parse("cos(3*x)*exp(-x^2/4)"))
         v1 = sup_norm(f, 6.0)
