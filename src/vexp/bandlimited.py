@@ -11,7 +11,8 @@ is a computable upper bound for the distance from f to the type-sigma class,
 with J sampled on the norm's window: every convolution is given its window.
 
 For compactly supported f the convolution runs over the support on
-Gauss-Legendre panels aligned with the sine zeros (width 2*pi/(3*sigma)).
+Gauss-Legendre panels aligned with the sine zeros: 2*pi/(3*sigma) wide, cut
+by `quad.phase_panels` for the kernel's frequency 2*sigma plus f's.
 For decaying f it is a trapezoid sum: f and the kernel are sampled once on
 one uniform lattice, the kernel is cut at a double zero of theta, the two
 are convolved by one zero-padded FFT, and J is read off the lattice with a
@@ -30,10 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fnexpr import Decay
-from .functions import RealFunction, combine, outer_apply
+from .functions import RealFunction, _finite_samples, combine, outer_apply
 from .norms import NormSpec, norm_of
-from .quad import DEFAULT_SPEC, QuadSpec, panel_rule, split_at
-from .steklov import _finite_samples
+from .quad import DEFAULT_SPEC, QuadSpec, panel_rule, phase_panels, split_at
 
 __all__ = ["vp_kernel", "vp_operator", "best_approx_surrogate",
            "BestApproxEstimate", "kernel_tail_bound"]
@@ -111,15 +111,6 @@ def _panel_span(w: float, lo: float, hi: float) -> tuple[int, int]:
     return n_lo, n_hi
 
 
-def _zero_aligned_panels(sigma: float, lo: float, hi: float,
-                         extra: tuple[float, ...] = ()) -> np.ndarray:
-    """Panel edges at multiples of 2*pi/(3*sigma) covering [lo, hi], split at
-    extra: every zero of both sine factors lands on a panel edge."""
-    w = 2.0 * math.pi / (3.0 * sigma)
-    n_lo, n_hi = _panel_span(w, lo, hi)
-    return split_at(w * np.arange(n_lo, n_hi + 1), extra)
-
-
 def _stencil_values(values: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The barycentric Lagrange interpolant of values[i] at the lattice
     coordinates s, each from the _STENCIL samples around it."""
@@ -184,23 +175,20 @@ def vp_operator(f: RealFunction, sigma: float, x_span: float,
     if decay.kind == "none":
         raise ValueError(f"{f.expr.src} has no decay class: A_hat's convolution "
                          "needs Gaussian, power or compact decay")
+    w = 2.0 * math.pi / (3.0 * sigma)  # the sine zeros' spacing
     if decay.kind == "compact_support":
-        edges = _zero_aligned_panels(sigma, decay.a, decay.b, extra=f.breakpoints)
-        nodes, wts = panel_rule(edges, 12)
+        w /= phase_panels(w, 2.0 * sigma + f.frequency)  # an integer part: zeros stay on edges
+        n_lo, n_hi = _panel_span(w, decay.a, decay.b)
+        nodes, wts = panel_rule(split_at(w * np.arange(n_lo, n_hi + 1), f.breakpoints), 12)
         fvals = _finite_samples(f, nodes) * wts
         kernel = RealFunction(fn=lambda t: vp_kernel(sigma * t))
-
-        def ev(x):
-            return sigma * outer_apply(kernel, x, -nodes, fvals)
-
-        return RealFunction(fn=ev, osc_wavelength=2.0 * math.pi / (3.0 * sigma))
+        return RealFunction(fn=lambda x: sigma * outer_apply(kernel, x, -nodes, fvals),
+                            frequency=3.0 * sigma)
 
     u_cut = _u_window(decay, sigma, x_span, tail_target)
-    # the lattice must also resolve f's own variation (oscillation scale, or
-    # ~1 for smooth non-oscillatory decay); an integer subdivision of the
-    # zero-aligned panel keeps the sine zeros on the lattice
-    cap = f.osc_wavelength / 2.0 if math.isfinite(f.osc_wavelength) else 1.0
-    w = 2.0 * math.pi / (3.0 * sigma)
+    # the lattice resolves f too: half its wavelength, or 1 where it does not
+    # oscillate; an integer part of w keeps the sine zeros on the lattice
+    cap = math.pi / f.frequency if f.frequency else 1.0
     sub = math.ceil(w / cap) if w > cap else 1
     _panel_span(w / sub, -u_cut, u_cut)  # the panel cap, before any allocation
     if f.breakpoints:
@@ -213,8 +201,7 @@ def vp_operator(f: RealFunction, sigma: float, x_span: float,
     tail = kernel_tail_bound(sigma, n_u * h,
                              _f_envelope_beyond(decay, max(n_u * h - x_span, 1.0)))
     return RealFunction(fn=_lattice_convolution(f, sigma, h, n_u, x_span),
-                        osc_wavelength=min(f.osc_wavelength, 2.0 * math.pi / (3.0 * sigma)),
-                        tail_bound=tail)
+                        frequency=max(f.frequency, 3.0 * sigma), tail_bound=tail)
 
 
 def best_approx_surrogate(f: RealFunction, sigma: float, norm: NormSpec,

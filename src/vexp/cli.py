@@ -19,9 +19,9 @@ from .audit import run_suite
 from .constants import constant_table
 from .corpus import resolve_exponent, resolve_function
 from .defaults import default_config_text
+from .functions import _finite_samples
 from .norms import norm_of
 from .smoothness import ModulusRequest, modulus
-from .steklov import _finite_samples
 from .bandlimited import best_approx_surrogate
 
 
@@ -141,7 +141,10 @@ _COMMANDS = {"audit": _cmd_audit, "norm": _cmd_norm, "modulus": _cmd_modulus,
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help (0), or a usage error (2), as --f -x^2 is
+        return exc.code
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, KeyError, OSError, OverflowError) as exc:  # every refusal of an input

@@ -21,7 +21,9 @@ literal takes the sign), `gauss(a)` is exp(-a*x*x), and gauss(0), sinc(0)
 and sincd(0, n) are the constants 1, 1 and 0.
 
 Exponents in `^` must be integer literals.  The grammar is closed: no user
-defined names, no piecewise syntax beyond `indicator`.
+defined names, no piecewise syntax beyond `indicator`.  The parser and the
+tree walks recurse, so more than 50 open parentheses or signs in a row, or a
+tree more than 200 levels deep, raise a ParseError.
 """
 
 from __future__ import annotations
@@ -127,14 +129,35 @@ _TOKEN = re.compile(r"(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
                     re.DOTALL)
 
 
+_MAX_NEST = 50  # open parentheses or signs in a row; the parser recurses ~8 frames each
+_MAX_DEPTH = 200  # levels of a tree, parsed or differentiated; a walk takes ~2 frames each
+
+
 def _tokenize(src: str) -> list[_Tok]:
-    toks = []
+    toks, nest, signs = [], 0, 0
     for m in _TOKEN.finditer(src):
         if m.lastgroup is None:
             raise ParseError(f"unexpected character {m.group()!r}", m.start())
         if m.lastgroup != "space":
             toks.append(_Tok(m.lastgroup, m.group(), m.start()))
+            nest += (m.group() == "(") - (m.group() == ")")
+            signs = signs + 1 if m.group() == "-" else 0
+            if max(nest, signs) > _MAX_NEST:
+                raise ParseError(f"more than {_MAX_NEST} open parentheses or signs", m.start())
     return toks
+
+
+def _depth(node: Node, memo: dict) -> int:
+    """The levels of node's tree, without recursion; memo: id -> (depth, subtree)."""
+    stack = [node]
+    while stack:
+        kids = [v for v in vars(stack[-1]).values() if isinstance(v, (BinOp, Pow, Call))]
+        if todo := [k for k in kids if id(k) not in memo]:
+            stack += todo
+        else:
+            top = stack.pop()
+            memo[id(top)] = 1 + max((memo[id(k)][0] for k in kids), default=0), top
+    return memo[id(node)][0]
 
 
 class _Parser:
@@ -142,6 +165,7 @@ class _Parser:
         self.src = src
         self.toks = _tokenize(src)
         self.i = 0
+        self.depths: dict[int, tuple[int, Node]] = {}  # `_depth`'s; holding nodes keeps ids unique
 
     def _peek(self) -> Optional[_Tok]:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -167,6 +191,12 @@ class _Parser:
         if tok.kind != "op" or tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.pos)
 
+    def _node(self, node: Node, tok: _Tok) -> Node:
+        """node, built at tok; ParseError when its tree is deeper than _MAX_DEPTH."""
+        if _depth(node, self.depths) > _MAX_DEPTH:
+            raise ParseError(f"the expression is deeper than {_MAX_DEPTH} levels", tok.pos)
+        return node
+
     def parse(self) -> Node:
         node = self._expr()
         tok = self._peek()
@@ -178,7 +208,7 @@ class _Parser:
         """Left-associative operand { op operand } for single-character ops."""
         node = operand()
         while (tok := self._accept(ops)) is not None:
-            node = BinOp(tok.text, node, operand())
+            node = self._node(BinOp(tok.text, node, operand()), tok)
         return node
 
     def _expr(self) -> Node:
@@ -188,22 +218,22 @@ class _Parser:
         return self._chain("*/", self._unary)
 
     def _unary(self) -> Node:
-        if self._accept("-"):
+        if tok := self._accept("-"):
             node = self._unary()
             if isinstance(node, Num):  # fold literal sign for canonical form
                 return Num(-node.value)
-            return BinOp("*", _MINUS_ONE, node)
+            return self._node(BinOp("*", _MINUS_ONE, node), tok)
         return self._power()
 
     def _power(self) -> Node:
         base = self._atom()
-        if not self._accept("^"):
+        if not (caret := self._accept("^")):
             return base
         sign = -1 if self._accept("-") else 1
         tok = self._next()
         if tok.kind != "num" or any(c in tok.text for c in ".eE"):
             raise ParseError("exponent after '^' must be an integer literal", tok.pos)
-        return Pow(base, sign * int(tok.text))
+        return self._node(Pow(base, sign * int(tok.text)), caret)
 
     def _atom(self) -> Node:
         tok = self._next()
@@ -229,7 +259,7 @@ class _Parser:
         if name in _UNARY_CALLS:
             if len(args) != 1:
                 raise ParseError(f"{name} takes one argument", name_tok.pos)
-            return Call(name, args[0])
+            return self._node(Call(name, args[0]), name_tok)
         if name in ("gauss", "sinc"):
             if len(args) != 1:
                 raise ParseError(f"{name} takes one constant argument", name_tok.pos)
@@ -853,12 +883,15 @@ def parse(src: str) -> FuncExpr:
 
 
 def differentiate(f: FuncExpr, order: int = 1) -> FuncExpr:
-    """Exact symbolic derivative of the given order (order >= 1)."""
+    """Exact symbolic derivative of the given order (order >= 1); ValueError
+    when a derivative's tree is deeper than _MAX_DEPTH levels."""
     if order < 1:
         raise ValueError("order must be >= 1")
     node = f.ast
-    for _ in range(order):
+    for k in range(1, order + 1):
         node = _diff(node)
+        if _depth(node, {}) > _MAX_DEPTH:
+            raise ValueError(f"the derivative of order {k} is deeper than {_MAX_DEPTH} levels")
     return FuncExpr(node)
 
 

@@ -2,7 +2,7 @@
 
 Operators consume and produce `RealFunction` values: a vectorized callable
 plus the metadata the numerics need (breakpoints for quadrature panel
-splitting, the shortest oscillation wavelength for panel density, and the
+splitting, a bound on its frequencies for panel density, and the
 expression it evaluates, when it is one).  `as_real_function` is the one
 place an expression becomes a RealFunction; the Steklov layer builds its
 exact engine from the expression's terms where it uses one.
@@ -10,7 +10,6 @@ exact engine from the expression's terms where it uses one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -27,7 +26,7 @@ class RealFunction:
 
     fn: Callable[[np.ndarray], np.ndarray]
     breakpoints: tuple[float, ...] = ()
-    osc_wavelength: float = math.inf
+    frequency: float = 0.0  # a bound on f's frequencies, 0 when it does not oscillate
     expr: Optional[FuncExpr] = None
     tail_bound: float = 0.0  # truncation bound of a convolution that built fn
     rows: tuple[Callable, ...] = ()  # each output of a Steklov combination alone
@@ -39,13 +38,11 @@ class RealFunction:
 
 
 def as_real_function(expr: FuncExpr) -> RealFunction:
-    """expr as a RealFunction.  Its breakpoints and wavelength are read off
+    """expr as a RealFunction.  Its breakpoints and frequency are read off
     its tree; ValueError when it has a kink that cannot be located or a
     frequency that cannot be bounded."""
-    breakpoints, freq = rough_spots(expr.ast)
-    return RealFunction(fn=expr, breakpoints=breakpoints,
-                        osc_wavelength=2.0 * math.pi / freq if freq else math.inf,
-                        expr=expr)
+    breakpoints, frequency = rough_spots(expr.ast)
+    return RealFunction(fn=expr, breakpoints=breakpoints, frequency=frequency, expr=expr)
 
 
 def combine(parts: list[tuple[float, RealFunction]]) -> RealFunction:
@@ -54,8 +51,19 @@ def combine(parts: list[tuple[float, RealFunction]]) -> RealFunction:
         return sum((c * f.fn(x) for c, f in parts), np.zeros_like(x, dtype=float))
 
     breakpoints = tuple(sorted({b for _, f in parts for b in f.breakpoints}))
-    osc = min((f.osc_wavelength for _, f in parts), default=math.inf)
-    return RealFunction(fn=ev, breakpoints=breakpoints, osc_wavelength=osc)
+    frequency = max((f.frequency for _, f in parts), default=0.0)
+    return RealFunction(fn=ev, breakpoints=breakpoints, frequency=frequency)
+
+
+def _finite_samples(f: Callable, x: np.ndarray) -> np.ndarray:
+    """f(x), a row per output of f, without numpy's warnings; raises naming an
+    x where f is not finite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fx = f(x)
+    bad = ~np.isfinite(fx.reshape(-1, x.size)).all(axis=0)
+    if bad.any():
+        raise ValueError(f"f is not finite at x = {x[np.argmax(bad)]:.6g}")
+    return fx
 
 
 def outer_apply(f: RealFunction, x: np.ndarray, offsets: np.ndarray,

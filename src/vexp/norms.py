@@ -2,24 +2,25 @@
 
 The modular of f at scale lam is int |f(y)/lam|^p(y) dy over a truncation
 window; the Luxemburg norm is the scale eta at which it equals 1.  Every
-norm is given its window: the corpus chooses one per input.  The
-integrand is sampled once on a composite 12-point Gauss-Legendre grid whose
-edges are a subset of the uniform edges 1/panels_per_unit apart: a panel
-starting at |x| is max(1/panels_per_unit, |x|/4) wide, rounded down to whole
-uniform panels and capped at 6 radians of phase (f's at a constant even
-integer p, p's own otherwise), then split at f's breakpoints (the last 64
-grids are kept).  Geometric meshes for smooth tails: Schwab, p- and hp-Finite
-Element Methods (Oxford, 1998), ch. 4.  Each output of f then takes the
-uniform panels back on every wide panel where it changes sign, unless p is a
-constant even integer (|f|^p has a kink at each zero of f), and where the
-Legendre tail of its samples shows a feature the grading did not allow for.
-An oscillating f at any other p, and a p whose frequency `rough_spots`
-cannot bound, keep the uniform grid.  In log-log scale the modular is affine
-for constant p and convex with slope in [-p+, -p-] otherwise, and one exp
-pass over the samples gives it with its slope.  So the Newton step from the
-scale max |f| lands on the root for constant p, and inside the closed
-bracket [g0/p+, g0/p-] otherwise, from where about three more passes reach
-float resolution.
+norm is given its window: the corpus chooses one per input.  The integrand
+is sampled once on a composite 12-point Gauss-Legendre grid whose edges are
+a subset of the uniform edges 1/panels_per_unit apart: a panel starting at
+|x| is max(1/panels_per_unit, |x|/4) wide, rounded down to whole uniform
+panels and capped at `quad.MAX_PHASE` radians of phase (f's at a constant
+even integer p, p's own otherwise), then split at f's breakpoints (the last
+64 grids are kept).  Geometric meshes for smooth tails: Schwab, p- and
+hp-Finite Element Methods (Oxford, 1998), ch. 4.  Each output of f then
+takes the uniform panels back on every wide panel where it changes sign,
+unless p is a constant even integer (|f|^p has a kink at each zero of f),
+and where the Legendre tail of its samples shows a feature the grading did
+not allow for.  An oscillating f at any other p, and a p whose frequency
+`rough_spots` cannot bound, keep the uniform grid, whose density is the
+caller's whatever f's frequency.  In log-log scale the modular is affine for
+constant p and convex with slope in [-p+, -p-] otherwise, and one exp pass
+over the samples gives it with its slope.  So the Newton step from the scale
+max |f| lands on the root for constant p, and inside the closed bracket
+[g0/p+, g0/p-] otherwise, from where about three more passes reach float
+resolution.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from typing import Optional
 import numpy as np
 
 from .fnexpr import ExponentField, rough_spots
-from .functions import RealFunction
-from .quad import (DEFAULT_SPEC, Bracket, QuadSpec, find_root_decreasing, gauss_rule,
-                   panel_rule, split_at)
-from .steklov import _finite_samples, sup_norm
+from .functions import RealFunction, _finite_samples
+from .quad import (DEFAULT_SPEC, MAX_PHASE, Bracket, QuadSpec, find_root_decreasing,
+                   gauss_rule, panel_rule, split_at)
+from .steklov import sup_norm
 
 __all__ = [
     "VexpNorm", "NormSpec", "NotIntegrableError", "SampledModular",
@@ -46,7 +47,6 @@ _ETA_CAP = 1e12
 _T_TOL = 2.0 ** -50  # the root's tolerance in log(eta): 4 ulps of 1
 _T_PAD = 2.0 ** -44  # the bracket's pad, far above the rounding of log(modular)
 _GRADE = 0.25  # a graded panel at |x| is up to this fraction of |x| wide
-_MAX_PHASE = 6.0  # radians a 12-point panel takes at machine accuracy
 _TAIL = 1e-7  # a wide panel's resolved Legendre tail, relative to max |f|
 _WAVE_TAIL = 7.5e-5  # 21 j_10(3): the degree-10 Legendre coefficient of exp(3it)
 _LEGENDRE_TAIL = (np.polynomial.legendre.legvander(2.0 * gauss_rule(12)[0] - 1.0, 11)[:, 10:]
@@ -131,14 +131,14 @@ def _frequency(p: ExponentField) -> float:
 
 
 def _widest_panel(f: RealFunction, p: ExponentField, even: bool) -> float:
-    """The widest graded panel for |f|^p: _MAX_PHASE radians of f's phase at
+    """The widest graded panel for |f|^p: MAX_PHASE radians of f's phase at
     a constant even p, else of p's (f is refilled at its zeros); 0, the
     uniform grid, when f oscillates at any other p or p's frequency has no
     bound."""
-    omega = _frequency(p) + 2.0 * math.pi / f.osc_wavelength
-    if math.isnan(omega) or not (even or math.isinf(f.osc_wavelength)):
+    omega = _frequency(p) + f.frequency
+    if math.isnan(omega) or (f.frequency and not even):
         return 0.0
-    return _MAX_PHASE / omega if omega else math.inf
+    return MAX_PHASE / omega if omega else math.inf
 
 
 def _refilled(row: np.ndarray, w: np.ndarray, first: np.ndarray, even: bool,
@@ -147,17 +147,17 @@ def _refilled(row: np.ndarray, w: np.ndarray, first: np.ndarray, even: bool,
     first): each wide panel (of more than one uniform panel) whose Legendre
     coefficients of degrees 10 and 11 exceed _TAIL of max |row|, where f has
     a feature the grading did not allow for, such as a bump far from 0 (f of
-    frequency omega may add the tail of its own oscillation, a (phase / 6)^10
-    share of _WAVE_TAIL of the panel's largest sample); and unless p is a
-    constant even integer, each that holds a sign change of row or one end of
-    a change across its edge (zero samples are passed over)."""
+    frequency omega may add the tail of its own oscillation, a (phase /
+    MAX_PHASE)^10 share of _WAVE_TAIL of the panel's largest sample); and
+    unless p is a constant even integer, each that holds a sign change of row
+    or one end of a change across its edge (zero samples are passed over)."""
     wide = np.diff(first) > 1
     if not wide.any():  # the uniform grid
         return wide
     panels = row.reshape(-1, 12)
     bar = _TAIL * np.abs(row).max()
     if omega:
-        phase = np.minimum(omega / _MAX_PHASE * w.reshape(-1, 12).sum(axis=1), 1.0)
+        phase = np.minimum(omega / MAX_PHASE * w.reshape(-1, 12).sum(axis=1), 1.0)
         bar = bar + _WAVE_TAIL * phase ** 10 * np.abs(panels).max(axis=1)
     bad = np.abs(panels @ _LEGENDRE_TAIL).max(axis=1) > bar
     if not even:
@@ -176,7 +176,7 @@ def _row_samples(f: RealFunction, p: ExponentField, window: float,
     x, w, first = window_nodes(window, panels_per_unit, f.breakpoints, _widest_panel(f, p, even))
     out = []
     for i, s in enumerate(_finite_samples(f, x).reshape(-1, x.size)):
-        refill = _refilled(s, w, first, even, 2.0 * math.pi / f.osc_wavelength)
+        refill = _refilled(s, w, first, even, f.frequency)
         if not refill.any():
             out.append((x, w, s))
             continue

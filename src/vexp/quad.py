@@ -3,10 +3,11 @@
 Every integral over the real line in this package is reduced to a finite
 window [a, b]; call sites pick the window from the integrand's decay and
 account for the discarded tail separately.  Integrals are fixed composite
-Gauss-Legendre rules on panels the call site chooses (`panel_rule`).  Roots
-of decreasing convex functions, such as the log of the Luxemburg norm's
-modular in log scale, are found by Newton steps kept in a closed bracket,
-with bisection as the fallback (`find_root_decreasing`).
+Gauss-Legendre rules on panels the call site chooses (`panel_rule`), cut by
+the one rule `phase_panels` where f oscillates.  Roots of decreasing convex
+functions, such as the log of the Luxemburg norm's modular in log scale, are
+found by Newton steps kept in a closed bracket, with bisection as the
+fallback (`find_root_decreasing`).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ class Bracket:
 
 
 DEFAULT_SPEC = QuadSpec()
+MAX_PHASE = 6.0  # radians of oscillation a 12-point panel takes at machine accuracy
 _FLOOR_STEPS = 8.0  # a Newton step of up to this many tol may be rounding noise
 
 
@@ -59,6 +61,11 @@ def split_at(grid: np.ndarray, points) -> np.ndarray:
     added, each value once."""
     inner = [b for b in points if grid[0] < b < grid[-1]]
     return np.unique(np.concatenate([grid, inner])) if inner else grid
+
+
+def phase_panels(width: float, frequency: float) -> int:
+    """The equal pieces a panel of width needs for at most MAX_PHASE radians of frequency each."""
+    return max(1, math.ceil(width * frequency / MAX_PHASE))
 
 
 def panel_rule(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

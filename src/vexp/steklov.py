@@ -11,18 +11,19 @@ quadratures).  Derivatives of iterates never differentiate f: the identity
 differences of T_d^(m-r) f.
 
 Every operator here is a combination sum c * T_d^k f(. + j*d) of shifted
-iterates, and `steklov_combination` is the one place such a sum is
-evaluated.  Each term is the kernel B_k(u - j) on the unit panels of [0, top],
-top = max(k + j), subdivided where f oscillates, so the weights of all terms
-add up on one Gauss-Legendre lattice (k = 0 terms are point columns) and one
-outer product f(x_i + d*u_j) evaluates the whole sum (`outer_apply`, which
-samples an expression's sin, cos and sinc nodes by the addition theorem, at
-the exact x_i + d*u_j to about an ulp).  The nodes, weights and B-spline
-columns of the last 32 unit lattices are kept; only the weights times c and
-the offsets times d are formed per call.  Sums with one top stack on one
-lattice: each keeps its own row of weights, and one pass over f serves them
-all.  A point whose window (x, x + top*d) holds a breakpoint b of f takes
-the same lattice with its panels split at (b - x)/d, built anew.
+iterates, and `steklov_combination` is the one place such a sum is evaluated.
+Each term is the kernel B_k(u - j) on the unit panels of [0, top], top =
+max(k + j), each cut into `quad.phase_panels(d, f.frequency)` (more than
+_MAX_PANELS in all raise ValueError), so the weights of all terms add up on
+one Gauss-Legendre lattice (k = 0 terms are point columns) and one outer
+product f(x_i + d*u_j) evaluates the whole sum (`outer_apply`, which samples
+an expression's sin, cos and sinc nodes by the addition theorem, at the
+exact x_i + d*u_j to about an ulp).  The nodes, weights and B-spline columns
+of the last 32 unit lattices are kept; only the weights times c and the
+offsets times d are formed per call.  Sums with one top stack on one lattice:
+each keeps its own row of weights, and one pass over f serves them all.  A
+point whose window (x, x + top*d) holds a breakpoint b of f takes the same
+lattice with its panels split at (b - x)/d, built anew.
 
 Compactly supported piecewise polynomials, read off the expression tree as
 sums of truncated powers c (b - x)_+^n / n!, get an exact engine, built from
@@ -61,8 +62,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .functions import _SUB_CHUNK, RealFunction, outer_apply
-from .quad import panel_rule, split_at
+from .functions import _SUB_CHUNK, RealFunction, _finite_samples, outer_apply
+from .quad import panel_rule, phase_panels, split_at
 
 __all__ = [
     "steklov_combination", "iterated_steklov", "difference_terms", "derivative_terms",
@@ -158,12 +159,7 @@ class IndicatorSteklov:
 # Operators
 # ---------------------------------------------------------------------------
 
-def _oscillation_subpanels(f: RealFunction, delta: float) -> int:
-    # 12-point panels stay at machine accuracy up to ~6 radians of phase
-    if not math.isfinite(f.osc_wavelength):
-        return 1
-    phase_per_unit = 2.0 * math.pi * delta / f.osc_wavelength
-    return min(16, max(1, math.ceil(phase_per_unit / 6.0)))
+_MAX_PANELS = 256  # a sup modulus on 256 panels, 400,000 points, took 5-6 s (2-core x86)
 
 
 @functools.lru_cache(maxsize=32)  # the bundled audit builds 8 shapes, none above 9 kB
@@ -201,7 +197,11 @@ def steklov_combination(f: RealFunction, delta: float,
     else:
         splined = frozenset((k, j) for k, j in keys if k > 0)
         top = max((k + j for k, j in splined), default=0)
-        unit = np.linspace(0.0, float(top), top * _oscillation_subpanels(f, delta) + 1)
+        panels = top * phase_panels(delta, f.frequency)
+        if panels > _MAX_PANELS:
+            raise ValueError(f"the Steklov lattice needs {panels} panels for frequency "
+                             f"{f.frequency:.6g} at step {delta:.6g}, above {_MAX_PANELS}")
+        unit = np.linspace(0.0, float(top), panels + 1)
         points = list(dict.fromkeys(j for t in terms for k, j in t if k == 0))
 
         def lattice(nodes, wts, spline):
@@ -237,7 +237,7 @@ def steklov_combination(f: RealFunction, delta: float,
     # ev evaluates the maps in a slice of terms, one output row each
     rows = tuple(lambda x, i=i: ev(x, slice(i, i + 1))[0] for i in range(len(terms)))
     return RealFunction(fn=(lambda x: ev(x, slice(None))) if len(terms) > 1 else rows[0],
-                        breakpoints=breakpoints, osc_wavelength=f.osc_wavelength,
+                        breakpoints=breakpoints, frequency=f.frequency,
                         rows=rows if len(terms) > 1 else ())
 
 
@@ -288,23 +288,13 @@ def sup_norm(f: RealFunction, window: float, refine: bool = True):
     return tops[0] if len(tops) == 1 else tuple(tops)
 
 
-def _finite_samples(f: Callable, x: np.ndarray) -> np.ndarray:
-    """f(x), a row per output of f, without numpy's warnings; raises naming an
-    x where f is not finite."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fx = f(x)
-    bad = ~np.isfinite(fx.reshape(-1, x.size)).all(axis=0)
-    if bad.any():
-        raise ValueError(f"f is not finite at x = {x[np.argmax(bad)]:.6g}")
-    return fx
-
-
 def _grid_maxima(f: RealFunction, window: float, refine: bool = True,
                  signed: bool = False) -> list[float]:
     """[max |f|], or [max f, max -f] when signed, over [-window, window], per
     output of f: the grid values (one f call for all outputs of a stacked f),
     each refined on its own by `_refine_peaks` unless refine is False."""
-    step = max(min(_GRID_STEP, f.osc_wavelength / 48.0), 2.0 * window / 400_000)
+    wavelength = 2.0 * math.pi / f.frequency if f.frequency else math.inf
+    step = max(min(_GRID_STEP, wavelength / 48.0), 2.0 * window / 400_000)
     n = max(64, int(round(2.0 * window / step)) + 1)
     xs = split_at(np.linspace(-window, window, n), f.breakpoints)
     fx = _finite_samples(f, xs)

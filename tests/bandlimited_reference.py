@@ -53,7 +53,7 @@ def vp_operator_direct(f: RealFunction, sigma: float, x_span: float,
     u_cut = _u_window(decay, sigma, x_span, tail_target)
     # panels must also resolve f's own variation (oscillation scale, or ~1
     # for smooth non-oscillatory decay)
-    cap = f.osc_wavelength / 2.0 if math.isfinite(f.osc_wavelength) else 1.0
+    cap = math.pi / f.frequency if f.frequency else 1.0
     edges = _zero_aligned_panels(sigma, -u_cut, u_cut, max_width=cap)
     nodes, wts = panel_rule(edges, 10)
     kern = sigma * vp_kernel(sigma * nodes) * wts
@@ -62,8 +62,7 @@ def vp_operator_direct(f: RealFunction, sigma: float, x_span: float,
     def ev(x):
         return outer_apply(f, x, -nodes, kern)
 
-    return RealFunction(fn=ev, osc_wavelength=min(f.osc_wavelength, 2.0 * math.pi / (3.0 * sigma)),
-                        tail_bound=tail)
+    return RealFunction(fn=ev, frequency=max(f.frequency, 3.0 * sigma), tail_bound=tail)
 
 
 # f_hat(xi) = int f(x) exp(-i x xi) dx for xi >= 0

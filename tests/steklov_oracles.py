@@ -48,7 +48,7 @@ def _single_nested(g: RealFunction, delta: float) -> RealFunction:
     def ev(x):
         return outer_apply(g, x, delta * x0, w0)
 
-    return RealFunction(fn=ev, osc_wavelength=g.osc_wavelength)
+    return RealFunction(fn=ev, frequency=g.frequency)
 
 
 def _split_average(g: RealFunction, delta: float, x) -> np.ndarray:

@@ -12,7 +12,7 @@ from vexp.audit import (AuditCase, Context, THEOREM_RUNNERS, _case_from_dict,
 from vexp.config import parse_config
 from vexp.corpus import corpus_member
 from vexp.defaults import default_config_text
-from vexp.fnexpr import ExponentRangeError
+from vexp.fnexpr import ExponentRangeError, ParseError
 from vexp.report import make_row
 from vexp.steklov import steklov_combination, sup_norm
 
@@ -419,6 +419,14 @@ class TestCaseValidation:
     def test_ahat_override_rejected_before_any_case_runs(self, no_case_runs, case, message):
         with pytest.raises(ValueError, match=message):
             run_suite(GOOD_CASE + "[[case]]\n" + case)
+
+    @pytest.mark.parametrize("src", ["(" * 140 + "exp(-x^2)" + ")" * 140,
+                                     "exp(-x^2)" + "*1" * 599], ids=["parentheses", "factors"])
+    def test_deep_source_refused(self, src):
+        # validate_cases died with a RecursionError on these
+        case = AuditCase(theorem="steklov_bound", f_src=src, p_src="@p2", deltas=(0.5,))
+        with pytest.raises(ParseError, match="at column"):
+            audit.validate_cases(Context(), [case])
 
     def test_missing_input_rejected_before_any_case_runs(self, no_case_runs):
         no_deltas = '[[case]]\ntheorem = "steklov_bound"\nf = "@box"\np = "@p2"\n'

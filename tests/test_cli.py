@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vexp.cli import _spec, main
 from vexp.corpus import corpus_member, default_corpus, exponent_field
@@ -307,3 +309,58 @@ class TestMassOutsideTheWindow:
         m = corpus_member(name)
         for p in (None, exponent_field("p2")):
             assert _spec(m, p, None) == m.norm_spec(p)
+
+
+class TestDeepSources:
+    # the parser and the tree walks recurse: these raised RecursionError,
+    # printed a traceback and exited 1
+    @pytest.mark.parametrize("src", ["(" * 140 + "exp(-x^2)" + ")" * 140,
+                                     "exp(-x^2)" + "*1" * 599],
+                             ids=["parentheses", "factors"])
+    def test_norm_refused_naming_a_column(self, capsys, src):
+        assert main(["norm", "--f", src, "--p", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "(at column " in err
+
+
+# sources drawn from the grammar's tokens: well-formed nests of its atoms,
+# calls and operators, with runs of '(' and long operator chains, and soups of
+# its tokens
+_ATOMS = ["x", "0", "1", "2.5", "1e300", "exp(-x^2)", "sin(3*x)", "gauss(2)", "sinc(4)",
+          "sincd(2, 1)", "indicator(0, 1)", "abs(x - 1)"]
+_TOKENS = [*_ATOMS, "-", "+", "*", "/", "^", "(", ")", ",", " ", "exp", "sincd", "indicator"]
+_SOURCES = st.one_of(
+    st.recursive(st.sampled_from(_ATOMS), lambda kids: st.one_of(
+        st.tuples(kids, st.sampled_from("+-*/"), kids).map("".join),
+        st.tuples(st.sampled_from(["(", "exp(", "sin(", "cos(", "abs(", "-("]), kids).map(
+            lambda t: f"{t[0]}{t[1]})"),
+        st.tuples(kids, st.integers(-3, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(kids, st.integers(1, 160)).map(lambda t: "(" * t[1] + t[0] + ")" * t[1]),
+        st.tuples(kids, st.sampled_from(["*1", "+x", "*x", "-1", "/2", "*-"]),
+                  st.integers(1, 600)).map(lambda t: t[0] + t[1] * t[2] + "1")),
+        max_leaves=6),
+    st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SOURCES)
+def test_norm_answers_or_refuses_any_source(src):
+    # in process: any source is answered (0) or refused (2), never raised
+    assert main(["norm", "--f", src, "--p", "2"]) in (0, 2)
+
+
+class TestSteklovLatticeCap:
+    def test_fast_oscillation_answers(self, capsys):
+        # the lattice was capped at 16 panels per unit and printed 1.0850,
+        # above ||f|| + ||T_4 f|| <= 1.0008
+        assert main(["modulus", "--f", "sin(200*x)*exp(-x^2)", "--r", "1",
+                     "--delta", "4"]) == 0
+        assert capsys.readouterr().out == "0.999939297332\n"
+
+    def test_too_many_panels_refused(self):
+        # with 16 panels per unit this printed 0.998088335714
+        code, out, err = run_cli("modulus", "--f", "sin(1e6*x)*exp(-x^2)", "--r", "1",
+                                 "--delta", "1")
+        assert code == 2 and out == ""
+        assert err == ("error: the Steklov lattice needs 166667 panels for frequency "
+                       "1e+06 at step 1, above 256\n")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -191,8 +192,8 @@ class TestDecay:
 
 
 class TestRoughSpots:
-    # one row per rule of the frequency bound; the wavelength used to come
-    # from single sin, cos and sinc nodes
+    # one row per rule of the frequency bound, which a RealFunction carries as
+    # read; the wavelength used to come from single sin, cos and sinc nodes
     @pytest.mark.parametrize("src, breakpoints, freq", [
         ("sin(3*x)*cos(4*x)", (), 7.0),  # a product sums its factors
         ("sin(2*x)^3", (), 6.0),  # a power n multiplies its base's by n
@@ -202,7 +203,7 @@ class TestRoughSpots:
     def test_frequency_rule(self, src, breakpoints, freq):
         from vexp.functions import as_real_function
         f = as_real_function(parse(src))
-        assert (f.breakpoints, f.osc_wavelength) == (breakpoints, 2.0 * math.pi / freq)
+        assert (f.breakpoints, f.frequency) == (breakpoints, freq)
 
     # sin or cos of a non-affine argument, and exp, a quotient or a negative
     # power of an oscillating tree: the last four read the largest child's
@@ -279,6 +280,96 @@ class TestPrinterRoundTrip:
         # trees are first pushed through one parse to reach canonical form
         canon = parse(fnexpr.to_source(ast)).ast
         assert parse(fnexpr.to_source(canon)).ast == canon
+
+
+def _literal_sources():
+    """Every string of the README and every string constant of the test files
+    and the corpus that parses once the depth caps are lifted (monkeypatched by
+    the caller)."""
+    import ast as pyast
+    import pathlib
+    root = pathlib.Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    texts = set(re.findall(r"`([^`\n]+)`", readme)) | set(re.findall(r"'([^'\n]+)'", readme))
+    texts |= set(re.findall(r'"([^"\n]+)"', readme))
+    for path in [*sorted((root / "tests").glob("*.py")), root / "src" / "vexp" / "corpus.py"]:
+        texts |= {n.value for n in pyast.walk(pyast.parse(path.read_text()))
+                  if isinstance(n, pyast.Constant) and isinstance(n.value, str)}
+    for text in sorted(texts):
+        try:
+            parse(text)
+        except (ValueError, RecursionError):
+            continue
+        yield text
+
+
+class TestDepthCaps:
+    # the parser and the tree walks recurse: 140 nested parentheses and a
+    # 600-factor chain raised RecursionError, and printed a traceback
+    NEST, DEPTH = fnexpr._MAX_NEST, fnexpr._MAX_DEPTH
+    HEAD = "exp(-x^2)"  # 3 levels: exp, the product with -1, the power
+
+    def test_nesting_cap(self):
+        parse("(" * self.NEST + "x" + ")" * self.NEST)
+        parse("-" * self.NEST + "x")
+        for src in ("(" * (self.NEST + 1) + "x" + ")" * (self.NEST + 1),
+                    "(" * 140 + "x" + ")" * 140, "-" * (self.NEST + 1) + "x"):
+            with pytest.raises(ParseError, match=rf"more than {self.NEST} open parentheses "
+                               rf"or signs \(at column {self.NEST + 1}\)"):
+                parse(src)
+
+    def test_tree_depth_cap(self):
+        parse(self.HEAD + "*1" * (self.DEPTH - 3))
+        for src in (self.HEAD + "*1" * (self.DEPTH - 2), self.HEAD + "*1" * 599):
+            column = len(self.HEAD) + 2 * (self.DEPTH - 3) + 1  # the refused factor's '*'
+            with pytest.raises(ParseError, match=rf"deeper than {self.DEPTH} levels "
+                               rf"\(at column {column}\)"):
+                parse(src)
+
+    def test_exponent_refused(self):
+        with pytest.raises(ParseError, match="column"):
+            ExponentField.from_expr("2 + " + "(" * 140 + "x^2" + ")" * 140)
+        with pytest.raises(ParseError, match="column"):
+            ExponentField.from_expr("2" + "+0" * 600)
+
+    def test_bundled_readme_and_test_sources_parse(self, monkeypatch):
+        from vexp.config import parse_config
+        from vexp.defaults import default_config_text
+        for case in parse_config(default_config_text())["case"]:
+            for key in ("f", "g", "p"):
+                if not case.get(key, "@").startswith("@"):
+                    parse(case[key])
+        monkeypatch.setattr(fnexpr, "_MAX_NEST", math.inf)
+        monkeypatch.setattr(fnexpr, "_MAX_DEPTH", math.inf)
+        sources = list(_literal_sources())
+        monkeypatch.undo()
+        assert len(sources) > 100
+        for src in sources:
+            parse(src)
+
+    @pytest.mark.parametrize("src, answered", [
+        (HEAD + "*1" * (DEPTH - 3), 4), ("-" * NEST + HEAD, 4),
+        ("(" * (NEST - 1) + HEAD + ")" * (NEST - 1), 4),
+        ("(" * (NEST - 1) + HEAD + "*1" * (DEPTH - 3) + ")" * (NEST - 1), 4),
+        (HEAD + "+x" * (DEPTH - 3), 0),  # d/dx exp(-x^2) is one level deeper
+    ], ids=["product_chain", "signs", "parentheses", "both", "sum_chain"])
+    def test_derivatives_of_a_source_at_the_cap(self, src, answered):
+        # every order up to 4 answers or is refused; none exhausts the stack
+        f = parse(src)
+        for order in range(1, 5):
+            if order > answered:
+                with pytest.raises(ValueError, match=f"deeper than {self.DEPTH} levels"):
+                    differentiate(f, order)
+                continue
+            g = differentiate(f, order)
+            assert np.all(np.isfinite(g(np.linspace(-1.0, 1.0, 5))))
+            assert g.src and g.smooth
+
+    def test_too_deep_derivative_refused(self):
+        # the derivative of a product of n factors is about 2n levels deep
+        f = parse(self.HEAD + "*x" * (self.DEPTH - 3))
+        with pytest.raises(ValueError, match=f"order 1 is deeper than {self.DEPTH} levels"):
+            differentiate(f)
 
 
 class TestAbbreviations:

@@ -389,7 +389,7 @@ class TestGradedGrid:
         g, window, ppu = self.sign_changing()
         p = exponent_field("p_osc")
         cg = RealFunction(fn=lambda x: c * g.fn(x), breakpoints=g.breakpoints,
-                          osc_wavelength=g.osc_wavelength)
+                          frequency=g.frequency)
         base = luxemburg_norm(g, p, window=window, panels_per_unit=ppu).value
         val = luxemburg_norm(cg, p, window=window, panels_per_unit=ppu).value
         assert abs(val - abs(c) * base) <= 8.0 * math.ulp(abs(c) * base)

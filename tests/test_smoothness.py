@@ -220,7 +220,7 @@ class TestOneSamplePass:
         def counted():
             return RealFunction(fn=lambda x: points.append(x.size) or m.rf.fn(x),
                                 breakpoints=m.rf.breakpoints,
-                                osc_wavelength=m.rf.osc_wavelength)
+                                frequency=m.rf.frequency)
         k_functional_upper(counted(), 2, 0.25, norm)
         stacked = sum(points)
         points.clear()

@@ -10,9 +10,9 @@ from vexp.bandlimited import vp_operator
 from vexp.corpus import corpus_member, resolve_function
 from vexp.fnexpr import differentiate, parse
 from vexp.functions import as_real_function, combine
-from vexp.steklov import (_horner, _oscillation_subpanels, bspline_value,
-                          derivative_terms, difference_terms, iterated_steklov,
-                          steklov_combination, sup_norm)
+from vexp.quad import phase_panels
+from vexp.steklov import (_horner, bspline_value, derivative_terms, difference_terms,
+                          iterated_steklov, steklov_combination, sup_norm)
 
 from steklov_oracles import (bspline_cox_de_boor, bspline_cumulative_quad, engine,
                              nested_steklov, truncated_power_sum)
@@ -242,7 +242,7 @@ class TestCombination:
 
     def test_smooth_lattice_has_subpanels(self):
         # the case above puts several panels on each unit of the lattice
-        assert _oscillation_subpanels(_member("gauss_osc"), 1.5) > 1
+        assert phase_panels(1.5, _member("gauss_osc").frequency) > 1
 
     @pytest.mark.parametrize("src", ["@box", "@gauss_osc", "abs(x)*exp(-x^2)"],
                              ids=["engine", "lattice", "split_lattice"])
