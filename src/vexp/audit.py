@@ -37,7 +37,7 @@ from .functions import RealFunction, as_real_function, combine
 from .norms import NormSpec, norm_of, window_nodes
 from .report import AUDIT_ABS_TOL, AUDIT_REL_TOL, AuditRow, make_row
 from .smoothness import ModulusRequest, k_functional_upper, modulus
-from .steklov import (_grid_maxima, derivative_terms, difference_terms,
+from .steklov import (_panel_maxima, derivative_terms, difference_terms,
                       iterated_steklov, steklov_combination, sup_norm)
 
 __all__ = ["AuditCase", "AuditReport", "Context", "run_suite", "run_case",
@@ -146,12 +146,12 @@ class Context:
 
         In the Luxemburg norm on R no nonzero constant lies in the space, so
         the deviation equals ||f||; in the sup norm the best constant is the
-        midrange, giving (max f - min f) / 2, from the sup norm's grid and
-        refinement.
+        midrange, giving (max f - min f) / 2, from the sup norm's panels and
+        interpolant maxima of f and -f, confirmed by one f call.
         """
         if norm.kind == "vexp":
             return self.norm(m, norm)
-        top, bottom = _grid_maxima(m.rf, norm.window, signed=True)
+        top, bottom = _panel_maxima(m.rf, norm.window, signed=True)
         return 0.5 * (top + bottom)
 
 
@@ -517,8 +517,9 @@ def run_sup_suite(ctx: Context, case: AuditCase, m: CorpusMember,
 
 def _shift_modulus(m: CorpusMember, r: int, delta: float, window: float) -> float:
     """max over the 64 shifts h = (2i - 63) delta/63 in [-delta, delta] of
-    ||(I - shift_h)^r f||_sup, as one stack on one grid (underestimates the
-    sup; an odd multiple of delta/63 is never 0)."""
+    ||(I - shift_h)^r f||_sup, as one stack on one set of sup panels, read
+    off their interpolants unconfirmed (the shifts underestimate the sup over
+    |h| <= delta; an odd multiple of delta/63 is never 0)."""
     maps = [difference_terms(r, (0, 2 * i - 63)) for i in range(64)]
     return max(sup_norm(steklov_combination(m.rf, delta / 63.0, *maps), window, refine=False))
 

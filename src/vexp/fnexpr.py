@@ -23,7 +23,8 @@ and sincd(0, n) are the constants 1, 1 and 0.
 Exponents in `^` must be integer literals.  The grammar is closed: no user
 defined names, no piecewise syntax beyond `indicator`.  The parser and the
 tree walks recurse, so more than 50 open parentheses or signs in a row, or a
-tree more than 200 levels deep, raise a ParseError.
+tree more than 200 levels deep, raise a ParseError, as does a constant that
+is no finite float, such as exp(1e300) or 0/0 (folded quietly, then refused).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import bisect
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple, Optional, Union
 
@@ -166,6 +167,7 @@ class _Parser:
         self.toks = _tokenize(src)
         self.i = 0
         self.depths: dict[int, tuple[int, Node]] = {}  # `_depth`'s; holding nodes keeps ids unique
+        self.consts: dict[int, float] = {}  # id -> value of each node built without x
 
     def _peek(self) -> Optional[_Tok]:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -192,9 +194,16 @@ class _Parser:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.pos)
 
     def _node(self, node: Node, tok: _Tok) -> Node:
-        """node, built at tok; ParseError when its tree is deeper than _MAX_DEPTH."""
+        """node, built at tok; ParseError when its tree is deeper than _MAX_DEPTH
+        or when it has no x and its value is not finite."""
         if _depth(node, self.depths) > _MAX_DEPTH:
             raise ParseError(f"the expression is deeper than {_MAX_DEPTH} levels", tok.pos)
+        kids = {k: v.value if isinstance(v, Num) else self.consts.get(id(v))
+                for k, v in vars(node).items() if not isinstance(v, (str, int))}
+        if None not in kids.values():  # fold it from its children's values
+            value = self.consts[id(node)] = _compile(replace(node, **{
+                k: Num(v) for k, v in kids.items()}))
+            _finite(value, tok)
         return node
 
     def parse(self) -> Node:
@@ -238,7 +247,7 @@ class _Parser:
     def _atom(self) -> Node:
         tok = self._next()
         if tok.kind == "num":
-            return Num(float(tok.text))
+            return Num(_finite(float(tok.text), tok))
         if tok.kind == "name":
             if tok.text == "x":
                 return Var()
@@ -286,6 +295,12 @@ class _Parser:
                 raise ParseError("indicator needs a < b", name_tok.pos)
             return Indicator(a, b)
         raise ParseError(f"unknown identifier {name!r}", name_tok.pos)
+
+
+def _finite(value: float, tok: _Tok) -> float:
+    if not math.isfinite(value):
+        raise ParseError(f"this constant is {value!r}, not a finite float", tok.pos)
+    return value
 
 
 def _const_value(node: Node, pos: int) -> float:
@@ -347,7 +362,8 @@ def _sincd(a: float, order: int, x: np.ndarray) -> np.ndarray:
 
 
 def _fold(op, *values: float) -> float:
-    return float(op(*(np.full(1, v) for v in values))[0])
+    with np.errstate(all="ignore"):  # the parser refuses a constant that is not finite
+        return float(op(*(np.full(1, v) for v in values))[0])
 
 
 def _binary(op, left, right):
@@ -733,13 +749,15 @@ def _pieces(node: Node) -> Optional[tuple[list[float], list[np.ndarray]]]:
         if l is None or (r := _pieces(node.right)) is None:
             return None
         knots = sorted(set(l[0]) | set(r[0]))
-        return knots, list(map(_POLY_OPS[node.op], _refine(*l, knots), _refine(*r, knots)))
+        with np.errstate(all="ignore"):  # coefficients overflow to inf, as (1e200*x)^2's do
+            return knots, list(map(_POLY_OPS[node.op], _refine(*l, knots), _refine(*r, knots)))
     value = _compile(node)
     if isinstance(value, float):
         return [], [np.array([value])]
     if isinstance(node, Pow) and 0 <= node.exponent <= 16:
         p = _pieces(node.base)
-        return p and (p[0], [P.polypow(q, node.exponent) for q in p[1]])
+        with np.errstate(all="ignore"):
+            return p and (p[0], [P.polypow(q, node.exponent) for q in p[1]])
     arg = _pieces(node.arg) if isinstance(node, Call) and node.name == "abs" else None
     if arg is None or any(len(p) > 2 for p in arg[1]):
         return None

@@ -58,7 +58,7 @@ def combine(parts: list[tuple[float, RealFunction]]) -> RealFunction:
 def _finite_samples(f: Callable, x: np.ndarray) -> np.ndarray:
     """f(x), a row per output of f, without numpy's warnings; raises naming an
     x where f is not finite."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         fx = f(x)
     bad = ~np.isfinite(fx.reshape(-1, x.size)).all(axis=0)
     if bad.any():

@@ -34,36 +34,28 @@ ch. IX), evaluated by Horner from coefficients computed once per order in
 integer arithmetic.  So the indicator and the smoothed box go through every
 operator at machine precision with no quadrature.
 
-The sup norm samples f on a grid of step min(0.02, wavelength/48) plus the
-breakpoints, then refines every distinct local maximum of the samples whose
-sample plus its rise over its lower neighbour reaches the largest one.  Each
-round makes one f call: 12 equispaced points inside every active bracket and
-the vertex of the parabola through its best sample and neighbours.  Each
-bracket stops on its own estimate, the rise of its best sample over its lower
-neighbour, against its width w: it shrinks like w^2 at a smooth peak (which
-stops once the parabola's height is at the rounding error), like w at a kink,
-and not at all at a jump (the rise over the higher neighbour is used there)
-or at the rounding floor (where the samples stop rising to the best one, and
-the bracket stops).  A bracket whose best sample is still a breakpoint of f
-after the first round spends one call, shared by all such brackets, on the
-samples an ulp either side of it, and stops there if neither is higher.  At
-most 16 rounds and 388 points per norm, and that call (Brent, Algorithms
-for Minimization without Derivatives, 1973, for safeguarded local search;
-Battles & Trefethen, SIAM J. Sci. Comput. 25, 2004, for the maximum of a
-piecewise-smooth function through its local pieces).
+The sup norm samples every output of f once on `quad.window_nodes`'s graded
+panels; a wide panel `quad.unresolved` names takes its uniform panels, then
+a candidate panel it names is cut in _SPLIT, one f call each.  Sum |c_n| of
+a panel's Legendre coefficients bounds its interpolant; the candidates, whose
+bound beats the best sample, are resampled and polished by Newton steps, and
+one f call at the points found (an ulp inside a panel's end: a jump's
+one-sided limit) gives the norm (Battles & Trefethen, SIAM J. Sci. Comput.
+25, 2004).  With refine=False the interpolants' values stand.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .functions import _SUB_CHUNK, RealFunction, _finite_samples, outer_apply
-from .quad import panel_rule, phase_panels, split_at
+from .quad import (LEGENDRE, MAX_PHASE, panel_rule, phase_panels, unresolved, window_edges,
+                   window_nodes)
 
 __all__ = [
     "steklov_combination", "iterated_steklov", "difference_terms", "derivative_terms",
@@ -159,7 +151,7 @@ class IndicatorSteklov:
 # Operators
 # ---------------------------------------------------------------------------
 
-_MAX_PANELS = 256  # a sup modulus on 256 panels, 400,000 points, took 5-6 s (2-core x86)
+_MAX_PANELS = 256  # a sup modulus on 256 and 32,000 sup panels took 5.3 s (2-core x86)
 
 
 @functools.lru_cache(maxsize=32)  # the bundled audit builds 8 shapes, none above 9 kB
@@ -188,12 +180,24 @@ def steklov_combination(f: RealFunction, delta: float,
 
     if f.fn is f.expr and f.expr.terms:
         exact = IndicatorSteklov(f.expr, f.expr.terms)
-        parts = [[(c, j * delta, exact.iterated(delta, k)) for (k, j), c in t.items()]
-                 for t in terms]
+        iterates = {k: exact.iterated(delta, k) for k, _ in keys}
+        parts = [list(t.items()) for t in terms]
 
         def ev(x, maps):
-            return np.stack([sum((c * term(x + shift) for c, shift, term in part),
-                                 np.zeros_like(x, dtype=float)) for part in parts[maps]])
+            # each row adds its terms in its own order, a term shared in one
+            # place (the shift 0 of every difference) evaluated once for all
+            rows = parts[maps]
+            out = np.zeros((len(rows), *np.shape(x)))
+            for n in range(max(map(len, rows), default=0)):
+                adds: dict[tuple[int, int], list] = {}
+                for i, row in enumerate(rows):
+                    if n < len(row):
+                        adds.setdefault(row[n][0], []).append((i, row[n][1]))
+                for (k, j), to in adds.items():
+                    value = iterates[k](x + j * delta)
+                    for i, c in to:
+                        out[i] += c * value
+            return out
     else:
         splined = frozenset((k, j) for k, j in keys if k > 0)
         top = max((k + j for k, j in splined), default=0)
@@ -274,169 +278,123 @@ def derivative_terms(delta: float, m: int, r: int) -> dict[tuple[int, int], floa
 # Sup norm on a window
 # ---------------------------------------------------------------------------
 
-_GRID_STEP = 0.02  # the sup grid's step where f does not oscillate faster
-_LOCAL = 12  # local grid points per bracket and round; even, so none sits on the centre
-_MAX_ROUNDS = 16
-_MAX_POINTS = 388
+_PER_UNIT = 4.0  # sup panels per unit near 0, where f's frequency asks for no more
+_SUP_PANELS = 1 << 15  # uniform sup panels per window: 393,216 samples
+_FINE = np.linspace(-1.0, 1.0, 65)  # where each candidate's interpolant is resampled
+_FINE_VANDER = np.polynomial.legendre.legvander(_FINE, 11).T
+_DEGREES = np.arange(12)
+_HIGHER = (_DEGREES > 0).astype(float)  # sums |c_n| over n >= 1
+_POWERS = np.array([np.pad(c, (0, 12 - c.size))  # row n: P_n's power coefficients
+                    for c in map(np.polynomial.legendre.leg2poly, np.eye(12))])
+_TAYLOR = np.hstack([np.pad(np.polynomial.polynomial.polyder(_POWERS, m, axis=1),
+                            ((0, 0), (0, m))) for m in range(3)])  # to p, p', p'' in powers
+_NEWTON = 2  # Newton steps on each candidate's interpolant
+_SPLIT = 8  # equal pieces of a candidate panel whose interpolant is unresolved
+_ROWS = 8  # rows of a stack whose panel bounds are formed at a time
 _EPS = float(np.finfo(float).eps)
 
 
 def sup_norm(f: RealFunction, window: float, refine: bool = True):
-    """max |f| over [-window, window] on a grid, refined at its peaks; for a
-    stacked f, the tuple of its outputs' maxima from one grid pass."""
-    tops = _grid_maxima(f, window, refine)
+    """max |f| over [-window, window] from f's samples on graded panels and
+    their interpolants' maxima, confirmed by f unless refine is False; for a
+    stacked f, the tuple of its outputs' maxima from one pass."""
+    tops = _panel_maxima(f, window, refine)
     return tops[0] if len(tops) == 1 else tuple(tops)
 
 
-def _grid_maxima(f: RealFunction, window: float, refine: bool = True,
-                 signed: bool = False) -> list[float]:
-    """[max |f|], or [max f, max -f] when signed, over [-window, window], per
-    output of f: the grid values (one f call for all outputs of a stacked f),
-    each refined on its own by `_refine_peaks` unless refine is False."""
-    wavelength = 2.0 * math.pi / f.frequency if f.frequency else math.inf
-    step = max(min(_GRID_STEP, wavelength / 48.0), 2.0 * window / 400_000)
-    n = max(64, int(round(2.0 * window / step)) + 1)
-    xs = split_at(np.linspace(-window, window, n), f.breakpoints)
-    fx = _finite_samples(f, xs)
-    tops = []
-    for i, row in enumerate(fx.reshape(-1, xs.size)):
-        groups = ([(row, np.ones_like(row)), (-row, -np.ones_like(row))] if signed
-                  else [(np.abs(row), np.where(row < 0.0, -1.0, 1.0))])
-        tops += (_refine_peaks(f.rows[i] if f.rows else f, xs, groups, f.breakpoints) if refine
-                 else [float(np.max(v)) for v, _ in groups])
-    return tops
+def _panel_maxima(f: RealFunction, window: float, confirm: bool = True,
+                  signed: bool = False) -> list[float]:
+    """[max |f|] per output of f, or [max f, max -f] when signed (module
+    docstring): the samples on the graded panels, with the uniform panels of
+    each wide panel the tail test names, then _SPLIT pieces of each candidate
+    panel it names, and the candidates' interpolant maxima."""
+    if signed:  # the outputs f and -f
+        f = replace(f, fn=lambda x, fn=f.fn: np.stack([v := fn(x), -v]), rows=())
+    ppu = max(_PER_UNIT, f.frequency / MAX_PHASE)
+    if 2.0 * window * ppu > _SUP_PANELS:
+        raise ValueError(f"the sup norm needs {2.0 * window * ppu:.0f} panels for frequency "
+                         f"{f.frequency:.6g} on [-{window:g}, {window:g}], above {_SUP_PANELS}")
+    widest = MAX_PHASE / f.frequency if f.frequency else math.inf
+    edges, first = window_edges(window, ppu, f.breakpoints, widest)
+    lo, hi = edges[:-1], edges[1:]
+    samples = _finite_samples(f, window_nodes(window, ppu, f.breakpoints, widest)[0])
+    samples = samples.reshape(-1, lo.size, 12)
+    flags, best, row, panel = _candidates(samples, hi - lo, f.frequency, signed)
+    named = (np.diff(first) > 1) & flags.any(axis=0)
+    if named.any():
+        ue = window_edges(window, ppu, f.breakpoints)[0]
+        fill = np.repeat(named, np.diff(first))
+        lo, hi, samples = _resampled(f, lo, hi, samples, named, ue[:-1][fill], ue[1:][fill])
+        flags, best, row, panel = _candidates(samples, hi - lo, f.frequency, signed)
+    named = np.zeros(lo.size, dtype=bool)
+    named[panel[flags[row, panel]]] = True
+    if named.any():  # a feature narrower than its panel
+        cuts = np.linspace(lo[named], hi[named], _SPLIT + 1)
+        lo, hi, samples = _resampled(f, lo, hi, samples, named,
+                                     cuts[:-1].T.ravel(), cuts[1:].T.ravel())
+        flags, best, row, panel = _candidates(samples, hi - lo, f.frequency, signed)
+    coef = samples[row, panel] @ LEGENDRE
+    t = _interpolant_maxima(coef, signed)
+    if confirm:  # one call; a panel's end is taken an ulp inside it
+        a, b = lo[panel], hi[panel]
+        at = np.clip(a + 0.5 * (t + 1.0) * (b - a), np.nextafter(a, b), np.nextafter(b, a))
+        top = _finite_samples(f, at).reshape(len(samples), -1)[row, np.arange(at.size)]
+    else:  # where the tail test still names a panel, its samples stand alone
+        top = np.polynomial.legendre.legval(t, coef.T, tensor=False)
+        top[flags[row, panel]] = np.nan
+    np.maximum.at(best, row, np.fmax(top if signed else np.abs(top), -np.inf))
+    return best.tolist()
 
 
-def _peaks(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample indices (lo, best, hi) of the distinct local maxima of vals, a
-    run of equal samples counting once, whose sample plus its rise over its
-    lower neighbour reaches max(vals)."""
-    n = vals.size
-    change = np.flatnonzero(vals[1:] != vals[:-1])
-    start = np.concatenate([[0], change + 1])
-    end = np.concatenate([change, [n - 1]])
-    run = vals[start]
-    left = np.concatenate([[np.nan], run[:-1]])
-    right = np.concatenate([run[1:], [np.nan]])
-    peak = ~(run <= left) & ~(run <= right)  # a missing neighbour (NaN) is lower
-    keep = peak & (2.0 * run - np.fmin(left, right) >= np.max(vals))
-    s, e = start[keep], end[keep]
-    return np.maximum(s - 1, 0), (s + e) // 2, np.minimum(e + 1, n - 1)
+def _resampled(f: RealFunction, lo: np.ndarray, hi: np.ndarray, samples: np.ndarray,
+               drop: np.ndarray, new_lo: np.ndarray, new_hi: np.ndarray):
+    """The panels (lo, hi) and their samples with those in drop replaced by
+    the panels (new_lo, new_hi), which one f call samples."""
+    x = panel_rule(np.stack([new_lo, new_hi], axis=1), 12)[0]
+    new = _finite_samples(f, x.ravel()).reshape(len(samples), -1, 12)
+    return (np.append(lo[~drop], new_lo), np.append(hi[~drop], new_hi),
+            np.concatenate([samples[:, ~drop], new], axis=1))
 
 
-def _vertex(x3: list[float], v3: list[float]) -> Optional[tuple[float, float]]:
-    """Vertex of the parabola through the points (x3[i], v3[i]) and its height
-    over the middle one; None when it is no maximum strictly between the
-    outer points."""
-    u0, u2 = x3[0] - x3[1], x3[2] - x3[1]
-    if not u0 < 0.0 < u2:
-        return None
-    s0, s2 = (v3[0] - v3[1]) / u0, (v3[2] - v3[1]) / u2
-    c2 = (s2 - s0) / (u2 - u0)
-    if not c2 < 0.0:
-        return None
-    c1 = s2 - c2 * u2
-    shift = -c1 / (2.0 * c2)
-    if not u0 < shift < u2:
-        return None
-    return x3[1] + shift, 0.5 * c1 * shift
+def _candidates(samples: np.ndarray, widths: np.ndarray, omega: float, signed: bool):
+    """For samples (rows, panels, 12): the panels `quad.unresolved` names,
+    each row's largest |sample| (sample, when signed), and the (row, panel)
+    pairs whose interpolant may beat it: the best sample's panel and each
+    whose sum |c_n| (|P_n| <= 1) tops it by more than rounding.  _ROWS rows
+    go at a time, so a tall stack's temporaries stay small."""
+    flags = np.empty(samples.shape[:2], dtype=bool)
+    peaks, bound = np.empty((2, *samples.shape[:2]))
+    for i in range(0, len(samples), _ROWS):
+        s, at = samples[i:i + _ROWS], slice(i, i + _ROWS)
+        by_node = np.ascontiguousarray(s.swapaxes(1, 2))  # short axes reduce slowly
+        top, peak = by_node.max(axis=1), np.abs(by_node).max(axis=1)
+        c = s @ LEGENDRE
+        flags[at] = unresolved(c[..., 10:], peak, widths, omega)
+        peaks[at] = top if signed else peak
+        bound[at] = np.abs(c) @ _HIGHER + (c[..., 0] if signed else np.abs(c[..., 0]))
+    best = peaks.max(axis=1)
+    keep = bound > (best + 256.0 * _EPS * np.abs(best))[:, None]
+    keep[np.arange(len(best)), peaks.argmax(axis=1)] = True
+    row, panel = np.nonzero(keep)
+    return flags, best, row, panel
 
 
-class _Bracket:
-    """A peak of s * f: its best sample and the nearest samples either side.
-
-    `est` is the rise of the best sample over its lower neighbour, or over
-    the higher one at a jump; `upper` is the best sample plus `est`.
-    """
-
-    __slots__ = ("x", "v", "sign", "group", "est", "width", "upper")
-
-    def __init__(self, x: list[float], v: list[float], sign: float, group: int):
-        self.x, self.v, self.sign, self.group = x, v, sign, group
-        self.est = v[1] - min(v[0], v[2])
-        self.width = x[2] - x[0]
-        self.upper = v[1] + self.est
-
-    def points(self) -> list[float]:
-        """_LOCAL equispaced points inside, and the parabola's vertex (or,
-        without one, the midpoint towards the higher neighbour)."""
-        lo, best, hi = self.x
-        step = (hi - lo) / (_LOCAL + 1)
-        vertex = _vertex(self.x, self.v)
-        if vertex is None:
-            vertex = (0.5 * (best + (lo if self.v[0] > self.v[2] else hi)),)
-        return [lo + k * step for k in range(1, _LOCAL + 1)] + [vertex[0]]
-
-    def update(self, xs: list[float], vs: list[float]) -> bool:
-        """Move to the best of the old and new samples; True when done."""
-        pairs = sorted(zip(self.x + xs, self.v + vs))
-        vals = [v for _, v in pairs]
-        j = vals.index(max(vals))
-        xb, vb = pairs[j]
-        lo, hi = j, j  # nearest distinct samples either side
-        while lo > 0 and pairs[lo][0] == xb:
-            lo -= 1
-        while hi < len(pairs) - 1 and pairs[hi][0] == xb:
-            hi += 1
-        x3 = [pairs[lo][0], xb, pairs[hi][0]]
-        v3 = [pairs[lo][1], vb, pairs[hi][1]]
-        # noise breaks the rise to the best sample on both sides; a jump's
-        # low side may rise away from it
-        noisy = (any(a > b for a, b in zip(vals[:j], vals[1:j + 1]))
-                 and any(a < b for a, b in zip(vals[j:], vals[j + 1:])))
-        rise = vb - min(v3[0], v3[2])
-        width = x3[2] - x3[0]
-        ratio = width / self.width
-        smooth = rise <= ratio ** 1.5 * self.est
-        stalled = rise > math.sqrt(ratio) * self.est
-        err = vb - max(v3[0], v3[2]) if stalled and not noisy else rise
-        tol = 2.0 * _EPS * abs(vb)
-        vertex = _vertex(x3, v3)
-        self.x, self.v, self.est, self.width, self.upper = x3, v3, rise, width, vb + err
-        return (err <= tol or (smooth and vertex is not None and vertex[1] <= tol)
-                or (stalled and noisy) or width <= 4.0 * _EPS * max(1.0, abs(xb)))
-
-
-def _refine_peaks(f: RealFunction, xs: np.ndarray, groups,
-                  breakpoints: tuple[float, ...] = ()) -> list[float]:
-    """The largest value of s * f on [xs[0], xs[-1]] for each group (vals, s)
-    of samples vals = s * f(xs): the grid's peaks refined in batched rounds,
-    one f call per round (see the module docstring).  A bracket also stops at
-    the resolution of x, or when its upper value falls below its group's
-    best; when the point budget runs short, the highest upper values go first.
-    A bracket whose best sample is still one of breakpoints after the first
-    round takes one sample an ulp either side of it (one f call for all), and
-    stops when neither beats it by more than the rounding its own stop allows.
-    """
-    top = [float(np.max(vals)) for vals, _ in groups]
-    brackets = []
-    for g, (vals, sign) in enumerate(groups):
-        lo, best, hi = _peaks(vals)
-        for i3 in np.stack([lo, best, hi], axis=1):
-            brackets.append(_Bracket(xs[i3].tolist(), vals[i3].tolist(),
-                                     float(sign[i3[1]]), g))
-    breaks = set(breakpoints)
-    per = _LOCAL + 1
-    rounds = points = 0
-    while rounds < _MAX_ROUNDS:
-        brackets = [b for b in brackets if b.upper >= top[b.group]]
-        batch = sorted(brackets, key=lambda b: -b.upper)[:(_MAX_POINTS - points) // per]
-        if not batch:
-            break
-        pts = [x for b in batch for x in b.points()]
-        vals = f(np.array(pts)).tolist()
-        rounds += 1
-        points += len(pts)
-        for i, b in enumerate(batch):
-            new = slice(i * per, (i + 1) * per)
-            if b.update(pts[new], [b.sign * v for v in vals[new]]):
-                brackets.remove(b)
-            top[b.group] = max(top[b.group], b.v[1])
-        at = [b for b in brackets if b.x[1] in breaks] if rounds == 1 else []
-        if at:  # one sample an ulp either side of each, in one f call
-            probe = [np.nextafter(b.x[1], side) for b in at for side in (-np.inf, np.inf)]
-            vals = f(np.array(probe)).tolist()
-            for b, lo, hi in zip(at, vals[::2], vals[1::2]):
-                if max(b.sign * lo, b.sign * hi) <= b.v[1] + 2.0 * _EPS * abs(b.v[1]):
-                    brackets.remove(b)
-    return top
+def _interpolant_maxima(coef: np.ndarray, signed: bool) -> np.ndarray:
+    """Where on [-1, 1] each row's Legendre series p is largest (|p| unless
+    signed): the best of _FINE, polished by _NEWTON Newton steps on p' (in
+    the power basis, clipped to [-1, 1], taken where p is concave), kept
+    where they raise the value; so an end stays where the series rises to it."""
+    vals = coef @ _FINE_VANDER
+    k = np.argmax(vals if signed else np.abs(vals), axis=1)
+    start, top = _FINE[k], vals[np.arange(len(k)), k]
+    if not signed:
+        coef, top = coef * np.where(top < 0.0, -1.0, 1.0)[:, None], np.abs(top)
+    taylor = (coef @ _TAYLOR).reshape(-1, 3, 12)  # p, p' and p'' in powers of t
+    t = start
+    for _ in range(_NEWTON):
+        p = (taylor @ (t[:, None] ** _DEGREES)[..., None])[..., 0]
+        concave = p[:, 2] < 0.0
+        step = np.minimum(np.maximum(t - p[:, 1] / np.where(concave, p[:, 2], -1.0), -1.0), 1.0)
+        t = np.where(concave, step, t)
+    end = np.einsum("nk,nk->n", t[:, None] ** _DEGREES, taylor[:, 0])
+    return np.where(end > top, t, start)

@@ -342,11 +342,25 @@ _SOURCES = st.one_of(
     st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(_SOURCES)
 def test_norm_answers_or_refuses_any_source(src):
-    # in process: any source is answered (0) or refused (2), never raised
+    # in process: any source is answered (0) or refused (2), never raised,
+    # and no numpy warning gets out
     assert main(["norm", "--f", src, "--p", "2"]) in (0, 2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("src, column", [("exp(1e300)", 1), ("2^2000*exp(-x^2)", 2),
+                                         ("exp(-x^2)+1e999", 11)])
+def test_non_finite_constant_refused_naming_its_column(capsys, src, column):
+    # exp(1e300) let out numpy's overflow warning while it was folded, and was
+    # then refused as "f is not finite at x = -9.98387", naming an x
+    assert main(["norm", "--f", src, "--p", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: this constant is inf, not a finite float (at column {column})\n"
 
 
 class TestSteklovLatticeCap:
@@ -364,3 +378,12 @@ class TestSteklovLatticeCap:
         assert code == 2 and out == ""
         assert err == ("error: the Steklov lattice needs 166667 panels for frequency "
                        "1e+06 at step 1, above 256\n")
+
+    def test_too_many_sup_panels_refused(self):
+        # the sup grid was capped at 400,000 points, aliasing the wave, and
+        # printed 0.0499849427582, off the dense 0.0499861 by 2.4e-5
+        code, out, err = run_cli("modulus", "--f", "sin(1e5*x)*exp(-x^2)", "--r", "1",
+                                 "--delta", "1e-6")
+        assert code == 2 and out == ""
+        assert err == ("error: the sup norm needs 400000 panels for frequency 100000 "
+                       "on [-12, 12], above 32768\n")

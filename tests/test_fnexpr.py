@@ -372,6 +372,31 @@ class TestDepthCaps:
             differentiate(f)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNonFiniteConstants:
+    # constants are folded when the tree is compiled: exp(1e300) let out
+    # numpy's overflow warning there, and its inf surfaced as a non-finite
+    # sample at some x
+    @pytest.mark.parametrize("src, value, column", [
+        ("exp(1e300)", "inf", 1), ("1e999", "inf", 1), ("x + 2^2000", "inf", 6),
+        ("0/0 + x", "nan", 2), ("gauss(1e999)", "inf", 7), ("sin(x)*(1e300*1e300)", "inf", 14),
+    ])
+    def test_refused_naming_the_column(self, src, value, column):
+        with pytest.raises(ParseError, match=rf"this constant is {value}, not a finite float "
+                           rf"\(at column {column}\)"):
+            parse(src)
+
+    def test_finite_folds_pass_quietly(self):
+        assert parse("exp(-1e300)").constant == 0.0
+        assert parse("exp(700)*exp(-x^2)")(0.0) == math.exp(700.0)
+
+    def test_overflowing_pieces_are_quiet(self):
+        # the coefficients of (1e200*x)^2 overflow in the piecewise form
+        e = parse("(1e200*x)^2 + indicator(0, 1)")
+        assert e.terms is None
+        fnexpr.rough_spots(e.ast)
+
+
 class TestAbbreviations:
     """The parser expands -u and gauss(a); no other node stands for them."""
 
@@ -422,7 +447,11 @@ class TestSmoothMeansDifferentiable:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(RANDOM_AST, ALL_NODES_AST, PIECEWISE_AST))
     def test_drawn_trees(self, ast):
-        e = parse(fnexpr.FuncExpr(ast).src)
+        try:
+            e = parse(fnexpr.FuncExpr(ast).src)
+        except ParseError as err:  # a drawn constant that is not finite, such as 0/0
+            assert "not a finite float" in str(err)
+            e = fnexpr.FuncExpr(ast)
         assert e.smooth == _differentiable(e), e.src
 
 

@@ -247,7 +247,7 @@ class TestCombination:
     @pytest.mark.parametrize("src", ["@box", "@gauss_osc", "abs(x)*exp(-x^2)"],
                              ids=["engine", "lattice", "split_lattice"])
     def test_each_row_alone_gives_the_stacks_bits(self, src):
-        # a stacked sup norm refines each output through its row alone
+        # a stacked Luxemburg norm refills each output through its row alone
         f = resolve_function(src).rf
         maps = (TERMS, derivative_terms(0.3, 3, 2), difference_terms(2, (1, 0)))
         stack = steklov_combination(f, 0.3, *maps)
@@ -256,6 +256,17 @@ class TestCombination:
         for row, want in zip(stack.rows, stack(xs)):
             assert np.array_equal(row(xs), want)
         assert steklov_combination(f, 0.3, TERMS).rows == ()
+
+    @pytest.mark.parametrize("src", ["@box", "@gauss_osc"], ids=["engine", "lattice"])
+    def test_a_scalar_gives_the_arrays_value(self, src):
+        # the sup norm's one-sided samples are scalars; the exact engine once
+        # summed a stack's terms into copies of its rows' scalars and gave 0
+        f = resolve_function(src).rf
+        for maps in ((TERMS,), (TERMS, difference_terms(2, (1, 0)))):
+            comb = steklov_combination(f, 0.3, *maps)
+            for x in (-0.6, np.nextafter(0.0, -1.0), 0.45):
+                at = x if len(maps) == 1 else np.asarray(x)  # a stack takes a 0-d array
+                assert np.array_equal(comb(at), comb(np.array([x]))[..., 0])
 
     def test_breakpoints_of_shifted_iterates(self):
         f = _member("box")
@@ -498,41 +509,75 @@ class TestSupNorm:
         lambda: combine([(1.0, corpus_member("gauss").rf),
                          (-1.0, vp_operator(corpus_member("gauss").rf, 1.0,
                                             x_span=8.0))]),
-    ], ids=["xgauss", "box_difference", "gauss_minus_J"])
+        lambda: as_real_function(parse("exp(-(x-6)^2*16)")),
+    ], ids=["xgauss", "box_difference", "gauss_minus_J", "far_bump"])
     def test_refinement_budget(self, build):
+        # the samples, the uniform panels of the panels the tail test names
+        # (the bump at 6 sits on a wide panel), and the confirming call
         f, sizes = counted(build())
         sup_norm(f, 8.0)
-        refinement = sizes[1:]  # sizes[0] is the grid
-        assert 1 <= len(refinement) <= 16
-        assert sum(refinement) <= 388
+        assert 2 <= len(sizes) <= 3
+
+    @pytest.mark.parametrize("r, delta", [(1, 0.1), (1, 1.0), (2, 0.3), (2, 1.0), (2, 1e-4)])
+    def test_box_moduli_take_two_calls(self, r, delta):
+        # the exact engine's pieces are polynomials of degree < 12, so no
+        # panel is refilled: the samples and one confirming call (Omega_2(box,
+        # 1) took 17 calls while a bracket closed in on its jump)
+        f, sizes = counted(steklov_combination(box_member(), delta,
+                                               difference_terms(r, (1, 0))))
+        sup_norm(f, 6.0)
+        assert len(sizes) == 2
 
     @pytest.mark.parametrize("delta", [0.1, 0.5, 1.0])
     def test_a_peak_at_a_breakpoint_stops_after_one_round(self, delta):
         # d/dx T_d^2 of the box is (T_d box(x + d) - T_d box(x)) / d, largest,
-        # 1/d, at its breakpoint -d: one round of local points and one sample
-        # an ulp either side of the breakpoint find nothing higher, so the
-        # bracket stops (it ran 12 or 13 rounds toward the breakpoint before)
+        # 1/d, at its breakpoint -d: a panel's end, read an ulp inside it by
+        # the one call after the samples
         f, sizes = counted(steklov_combination(box_member(), delta,
                                                derivative_terms(delta, 2, 1)))
         assert sup_norm(f, 6.0) == pytest.approx(1.0 / delta, rel=1e-15)
-        assert len(sizes) == 3 and sizes[2] == 4  # the grid, a round, the probes
+        assert len(sizes) == 2
+
+    @pytest.mark.parametrize("src", ["1/(1+1000*(x-0.1)^2)", "exp(-400*(x-0.3)^2)",
+                                     "exp(-400*(x-5.3)^2)"])
+    def test_a_feature_narrower_than_its_panel(self, src):
+        # the interpolant of a bump 0.03 to 0.05 wide on a panel of 1/4 put
+        # its maximum off the peak (0.99609 and 0.99999 read); the tail test
+        # names that candidate, and its eighths resolve it
+        f, sizes = counted(as_real_function(parse(src)))
+        assert sup_norm(f, 8.0) == pytest.approx(1.0, rel=1e-12)
+        assert len(sizes) <= 4
+
+    @staticmethod
+    def halved(monkeypatch, sups):
+        """sups() on panels half as wide near 0, in the grading and under the
+        phase cap."""
+        from vexp import quad
+        monkeypatch.setattr(steklov, "_PER_UNIT", 2.0 * steklov._PER_UNIT)
+        monkeypatch.setattr(steklov, "MAX_PHASE", 0.5 * steklov.MAX_PHASE)
+        monkeypatch.setattr(quad, "_GRADE", 0.5 * quad._GRADE)
+        quad.window_edges.cache_clear()
+        quad.window_nodes.cache_clear()
+        try:
+            return sups()
+        finally:
+            quad.window_edges.cache_clear()
+            quad.window_nodes.cache_clear()
 
     def test_grid_refinement_stability(self, monkeypatch):
         f = as_real_function(parse("cos(3*x)*exp(-x^2/4)"))
         v1 = sup_norm(f, 6.0)
-        monkeypatch.setattr(steklov, "_GRID_STEP", 0.01)
-        v2 = sup_norm(f, 6.0)
-        assert abs(v1 - v2) < 1e-8
+        v2 = self.halved(monkeypatch, lambda: sup_norm(f, 6.0))
+        assert abs(v1 - v2) <= 1e-12 * v1
 
     def test_grid_refinement_stability_corpus(self, monkeypatch):
-        # grid adequacy is validated, not assumed: halving the step moves
-        # the reported maximum by < 1e-8 on every bundled member (each
-        # wavelength / 48 exceeds 0.02, so both grids take the base step)
+        # panel adequacy is validated, not assumed: halving the panels moves
+        # no bundled member's sup, nor that of its (I - T_0.3)^2, by 1e-12
         from vexp.corpus import default_corpus
-        for m in default_corpus():
-            v1 = sup_norm(m.rf, m.sup_window)
-            with monkeypatch.context() as mp:
-                mp.setattr(steklov, "_GRID_STEP", 0.01)
-                v2 = sup_norm(m.rf, m.sup_window)
-            assert abs(v1 - v2) < 1e-8, m.name
+        cases = [(m.name, f, m.sup_window) for m in default_corpus()
+                 for f in (m.rf, steklov_combination(m.rf, 0.3, difference_terms(2, (1, 0))))]
+        before = [sup_norm(f, w) for _, f, w in cases]
+        after = self.halved(monkeypatch, lambda: [sup_norm(f, w) for _, f, w in cases])
+        for (name, _, _), v1, v2 in zip(cases, before, after):
+            assert abs(v1 - v2) <= 1e-12 * v1, name
 
