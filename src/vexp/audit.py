@@ -147,7 +147,7 @@ class Context:
         In the Luxemburg norm on R no nonzero constant lies in the space, so
         the deviation equals ||f||; in the sup norm the best constant is the
         midrange, giving (max f - min f) / 2, from the sup norm's panels and
-        interpolant maxima of f and -f, confirmed by one f call.
+        interpolant maxima of f and -f, confirmed by f.
         """
         if norm.kind == "vexp":
             return self.norm(m, norm)
@@ -517,9 +517,10 @@ def run_sup_suite(ctx: Context, case: AuditCase, m: CorpusMember,
 
 def _shift_modulus(m: CorpusMember, r: int, delta: float, window: float) -> float:
     """max over the 64 shifts h = (2i - 63) delta/63 in [-delta, delta] of
-    ||(I - shift_h)^r f||_sup, as one stack on one set of sup panels, read
-    off their interpolants unconfirmed (the shifts underestimate the sup over
-    |h| <= delta; an odd multiple of delta/63 is never 0)."""
+    ||(I - shift_h)^r f||_sup, as one stack, each row on the sup panels split
+    at its own breakpoints, read off their interpolants unconfirmed (the
+    shifts underestimate the sup over |h| <= delta; an odd multiple of
+    delta/63 is never 0)."""
     maps = [difference_terms(r, (0, 2 * i - 63)) for i in range(64)]
     return max(sup_norm(steklov_combination(m.rf, delta / 63.0, *maps), window, refine=False))
 

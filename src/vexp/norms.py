@@ -7,17 +7,16 @@ is sampled once on a composite 12-point Gauss-Legendre grid whose edges are
 a subset of the uniform edges 1/panels_per_unit apart: a panel starting at
 |x| is max(1/panels_per_unit, |x|/4) wide, rounded down to whole uniform
 panels and capped at `quad.MAX_PHASE` radians of phase (f's at a constant
-even integer p, p's own otherwise), then split at f's breakpoints
-(`quad.window_nodes`, which keeps the last 64 grids and serves the sup norm
-too).  Geometric meshes for smooth tails: Schwab, p- and
+even integer p, p's own otherwise), then split at f's breakpoints (the last
+64 grids are kept).  Geometric meshes for smooth tails: Schwab, p- and
 hp-Finite Element Methods (Oxford, 1998), ch. 4.  Each output of f then
 takes the uniform panels back on every wide panel where it changes sign,
 unless p is a constant even integer (|f|^p has a kink at each zero of f),
 and where the Legendre tail of its samples shows a feature the grading did
 not allow for (`quad.unresolved`).  An oscillating f at any other p, and a p
 whose frequency `rough_spots` cannot bound, keep the uniform grid, whose
-density is the caller's whatever f's frequency.  In log-log scale the modular is affine for
-constant p and convex with slope in [-p+, -p-] otherwise, and one exp pass
+density is the caller's whatever f's frequency.  In log-log scale the
+modular is affine for constant p and convex with slope in [-p+, -p-] otherwise, and one exp pass
 over the samples gives it with its slope.  So the Newton step from the scale
 max |f| lands on the root for constant p, and inside the closed bracket
 [g0/p+, g0/p-] otherwise, from where about three more passes reach float
@@ -36,7 +35,7 @@ import numpy as np
 from .fnexpr import ExponentField, rough_spots
 from .functions import RealFunction, _finite_samples
 from .quad import (DEFAULT_SPEC, LEGENDRE, MAX_PHASE, Bracket, QuadSpec,
-                   find_root_decreasing, unresolved, window_nodes)
+                   find_root_decreasing, panel_rule, split_at, unresolved)
 from .steklov import sup_norm
 
 __all__ = [
@@ -47,6 +46,7 @@ __all__ = [
 _ETA_CAP = 1e12
 _T_TOL = 2.0 ** -50  # the root's tolerance in log(eta): 4 ulps of 1
 _T_PAD = 2.0 ** -44  # the bracket's pad, far above the rounding of log(modular)
+_GRADE = 0.25  # a graded panel at |x| is up to this fraction of |x| wide
 
 
 class NotIntegrableError(ValueError):
@@ -90,6 +90,33 @@ class NormSpec:
         return NormSpec(p=p, window=window, panels_per_unit=panels_per_unit)
 
 
+@lru_cache(maxsize=64)  # a graded rule is a few kB, a uniform one at most 0.4 MB
+def window_nodes(window: float, panels_per_unit: float, breakpoints: tuple[float, ...],
+                 widest: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on panels of [-window, window] split at
+    breakpoints, and per edge its index among the uniform edges split alike
+    (panel k holds the uniform panels first[k] to first[k + 1] - 1).  The
+    uniform panels are 1/panels_per_unit wide or a little less; from the
+    middle edge outward, a panel starting at |x| spans as many of them as fit
+    in max(1/panels_per_unit, _GRADE |x|) and in widest, at least one.
+    Read-only, as the rule of each shape is cached."""
+    u = np.linspace(-window, window, max(16, int(math.ceil(2.0 * window * panels_per_unit))) + 1)
+    h, n = u[1] - u[0], u.size - 1
+    top = max(1.0, widest / h)
+    idx = [n // 2]
+    for sign in (1, -1):
+        i = n // 2
+        while 0 < i < n:
+            span = int(min(top, max(1.0 / panels_per_unit, _GRADE * abs(u[i])) / h)) or 1
+            i = min(n, max(0, i + sign * span))
+            idx.append(i)
+    edges = split_at(u[np.unique(idx)], breakpoints)
+    rule = (*panel_rule(edges, 12), np.searchsorted(split_at(u, breakpoints), edges))
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 @lru_cache(maxsize=8)
 def _frequency(p: ExponentField) -> float:
     """The frequency bound of p's tree, nan when `rough_spots` refuses one."""
@@ -121,7 +148,7 @@ def _refilled(row: np.ndarray, w: np.ndarray, first: np.ndarray, even: bool,
     if not wide.any():  # the uniform grid
         return wide
     panels = row.reshape(-1, 12)
-    bad = unresolved(panels @ LEGENDRE[:, 10:], np.abs(panels).max(axis=1),
+    bad = unresolved(panels @ LEGENDRE[:, 10:], np.abs(panels).max(axis=1), np.abs(row).max(),
                      w.reshape(-1, 12).sum(axis=1), omega)
     if not even:
         nz = np.flatnonzero(row)

@@ -5,10 +5,10 @@ window [a, b]; call sites pick the window from the integrand's decay and
 account for the discarded tail separately.  Integrals are fixed composite
 Gauss-Legendre rules on panels the call site chooses (`panel_rule`), cut by
 the one rule `phase_panels` where f oscillates; the Luxemburg and sup norms
-share the graded `window_nodes` and the tail test `unresolved`.  Roots of
-decreasing convex functions, such as the log of the Luxemburg norm's modular
-in log scale, are found by Newton steps kept in a closed bracket, with
-bisection as the fallback (`find_root_decreasing`).
+share the Legendre tail test `unresolved`.  Roots of decreasing convex
+functions, such as the log of the Luxemburg norm's modular in log scale, are
+found by Newton steps kept in a closed bracket, with bisection as the
+fallback (`find_root_decreasing`).
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class Bracket:
 DEFAULT_SPEC = QuadSpec()
 MAX_PHASE = 6.0  # radians of oscillation a 12-point panel takes at machine accuracy
 _FLOOR_STEPS = 8.0  # a Newton step of up to this many tol may be rounding noise
-_GRADE = 0.25  # a graded panel at |x| is up to this fraction of |x| wide
 _TAIL = 1e-7  # a wide panel's resolved Legendre tail, relative to max |f|
 _WAVE_TAIL = 7.5e-5  # 21 j_10(3): the degree-10 Legendre coefficient of exp(3it)
 
@@ -78,50 +77,15 @@ def phase_panels(width: float, frequency: float) -> int:
     return max(1, math.ceil(width * frequency / MAX_PHASE))
 
 
-@lru_cache(maxsize=64)
-def window_edges(window: float, panels_per_unit: float, breakpoints: tuple[float, ...],
-                 widest: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Panel edges of [-window, window] split at breakpoints, and per edge its
-    index among the uniform edges split alike (panel k holds the uniform
-    panels first[k] to first[k + 1] - 1).  The uniform panels are
-    1/panels_per_unit wide or a little less; from the middle edge outward, a
-    panel starting at |x| spans as many of them as fit in
-    max(1/panels_per_unit, _GRADE |x|) and in widest, at least one."""
-    u = np.linspace(-window, window, max(16, int(math.ceil(2.0 * window * panels_per_unit))) + 1)
-    h, n = u[1] - u[0], u.size - 1
-    top = max(1.0, widest / h)
-    idx = [n // 2]
-    for sign in (1, -1):
-        i = n // 2
-        while 0 < i < n:
-            span = int(min(top, max(1.0 / panels_per_unit, _GRADE * abs(u[i])) / h)) or 1
-            i = min(n, max(0, i + sign * span))
-            idx.append(i)
-    edges = split_at(u[np.unique(idx)], breakpoints)
-    first = np.searchsorted(split_at(u, breakpoints), edges)
-    edges.flags.writeable = first.flags.writeable = False  # cached, so shared
-    return edges, first
-
-
-@lru_cache(maxsize=64)  # a graded rule is a few kB, a uniform one at most 0.4 MB
-def window_nodes(window: float, panels_per_unit: float, breakpoints: tuple[float, ...],
-                 widest: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on the panels of `window_edges`, and its first."""
-    edges, first = window_edges(window, panels_per_unit, breakpoints, widest)
-    x, w = panel_rule(edges, 12)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w, first
-
-
-def unresolved(tail: np.ndarray, peak: np.ndarray, widths: np.ndarray,
+def unresolved(tail: np.ndarray, peak: np.ndarray, top, widths: np.ndarray,
                omega: float) -> np.ndarray:
     """Which panels of widths show a feature they were not cut for, such as a
     bump far from 0: their Legendre coefficients of degrees 10 and 11 (tail,
-    (..., panels, 2)) exceed _TAIL of the stack's largest |sample| (peak is
-    each panel's, (..., panels)).  Where f has frequency omega, a panel may
-    add the tail of its own oscillation, a (phase / MAX_PHASE)^10 share of
-    _WAVE_TAIL of its peak."""
-    bar = _TAIL * peak.max(axis=-1, keepdims=True)
+    (panels, 2)) exceed _TAIL of top, the largest |f| of their function
+    (peak is each panel's).  Where f has frequency omega, a panel may add the
+    tail of its own oscillation, a (phase / MAX_PHASE)^10 share of _WAVE_TAIL
+    of its peak."""
+    bar = _TAIL * top
     if omega:
         bar = bar + _WAVE_TAIL * np.minimum(omega / MAX_PHASE * widths, 1.0) ** 10 * peak
     return np.maximum(np.abs(tail[..., 0]), np.abs(tail[..., 1])) > bar

@@ -34,28 +34,29 @@ ch. IX), evaluated by Horner from coefficients computed once per order in
 integer arithmetic.  So the indicator and the smoothed box go through every
 operator at machine precision with no quadrature.
 
-The sup norm samples every output of f once on `quad.window_nodes`'s graded
-panels; a wide panel `quad.unresolved` names takes its uniform panels, then
-a candidate panel it names is cut in _SPLIT, one f call each.  Sum |c_n| of
-a panel's Legendre coefficients bounds its interpolant; the candidates, whose
-bound beats the best sample, are resampled and polished by Newton steps, and
-one f call at the points found (an ulp inside a panel's end: a jump's
-one-sided limit) gives the norm (Battles & Trefethen, SIAM J. Sci. Comput.
-25, 2004).  With refine=False the interpolants' values stand.
+The sup norm samples each output of f on the uniform panels of 1/4 (or
+`quad.MAX_PHASE` radians of f's frequency), split at its own breakpoints,
+12 nodes a panel.  Sum |c_n| of a panel's Legendre coefficients bounds its
+interpolant.  The candidates are the panels whose bound reaches the best
+sample and those `quad.unresolved` names, whose interpolant bounds nothing;
+a named candidate is cut in _SPLIT (up to _CUTS rounds, one f call each).
+Each candidate's interpolant is resampled and polished by Newton steps, and
+one f call per output at the points found (an ulp inside a panel's end: a
+jump's one-sided limit) gives the norm (Battles & Trefethen, SIAM J. Sci.
+Comput. 25, 2004).  With refine=False the interpolants' values stand.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .functions import _SUB_CHUNK, RealFunction, _finite_samples, outer_apply
-from .quad import (LEGENDRE, MAX_PHASE, panel_rule, phase_panels, unresolved, window_edges,
-                   window_nodes)
+from .quad import LEGENDRE, MAX_PHASE, panel_rule, phase_panels, split_at, unresolved
 
 __all__ = [
     "steklov_combination", "iterated_steklov", "difference_terms", "derivative_terms",
@@ -175,29 +176,19 @@ def steklov_combination(f: RealFunction, delta: float,
     Several term maps give a stacked function, one row per map; its `rows`
     evaluate one map each, to the same bits."""
     keys = {key for t in terms for key in t}
-    breakpoints = tuple(sorted({s - m * delta for s in f.breakpoints
-                                for k, j in keys for m in range(j, j + k + 1)}))
+
+    def breakpoints(keys):
+        return tuple(sorted({s - m * delta for s in f.breakpoints
+                             for k, j in keys for m in range(j, j + k + 1)}))
 
     if f.fn is f.expr and f.expr.terms:
         exact = IndicatorSteklov(f.expr, f.expr.terms)
-        iterates = {k: exact.iterated(delta, k) for k, _ in keys}
-        parts = [list(t.items()) for t in terms]
+        parts = [[(c, j * delta, exact.iterated(delta, k)) for (k, j), c in t.items()]
+                 for t in terms]
 
         def ev(x, maps):
-            # each row adds its terms in its own order, a term shared in one
-            # place (the shift 0 of every difference) evaluated once for all
-            rows = parts[maps]
-            out = np.zeros((len(rows), *np.shape(x)))
-            for n in range(max(map(len, rows), default=0)):
-                adds: dict[tuple[int, int], list] = {}
-                for i, row in enumerate(rows):
-                    if n < len(row):
-                        adds.setdefault(row[n][0], []).append((i, row[n][1]))
-                for (k, j), to in adds.items():
-                    value = iterates[k](x + j * delta)
-                    for i, c in to:
-                        out[i] += c * value
-            return out
+            return np.stack([sum((c * term(x + shift) for c, shift, term in part),
+                                 np.zeros_like(x, dtype=float)) for part in parts[maps]])
     else:
         splined = frozenset((k, j) for k, j in keys if k > 0)
         top = max((k + j for k, j in splined), default=0)
@@ -238,11 +229,15 @@ def steklov_combination(f: RealFunction, delta: float,
                 out[:, i] = np.sum(f.fn(flat[i, None] + off) * w[maps], axis=-1)
             return out.reshape(len(out), *np.shape(x))
 
-    # ev evaluates the maps in a slice of terms, one output row each
-    rows = tuple(lambda x, i=i: ev(x, slice(i, i + 1))[0] for i in range(len(terms)))
-    return RealFunction(fn=(lambda x: ev(x, slice(None))) if len(terms) > 1 else rows[0],
-                        breakpoints=breakpoints, frequency=f.frequency,
-                        rows=rows if len(terms) > 1 else ())
+    # ev evaluates the maps in a slice of terms, one output row each; a row
+    # has the breakpoints of its own terms
+    rows = tuple(RealFunction(fn=lambda x, i=i: ev(x, slice(i, i + 1))[0],
+                              breakpoints=breakpoints(t), frequency=f.frequency)
+                 for i, t in enumerate(terms))
+    if len(terms) == 1:
+        return rows[0]
+    return RealFunction(fn=lambda x: ev(x, slice(None)), breakpoints=breakpoints(keys),
+                        frequency=f.frequency, rows=rows)
 
 
 def iterated_steklov(f: RealFunction, delta: float, k: int) -> RealFunction:
@@ -278,8 +273,8 @@ def derivative_terms(delta: float, m: int, r: int) -> dict[tuple[int, int], floa
 # Sup norm on a window
 # ---------------------------------------------------------------------------
 
-_PER_UNIT = 4.0  # sup panels per unit near 0, where f's frequency asks for no more
-_SUP_PANELS = 1 << 15  # uniform sup panels per window: 393,216 samples
+_PER_UNIT = 4.0  # sup panels per unit, where f's frequency asks for no more
+_SUP_PANELS = 1 << 15  # sup panels per window: 393,216 samples
 _FINE = np.linspace(-1.0, 1.0, 65)  # where each candidate's interpolant is resampled
 _FINE_VANDER = np.polynomial.legendre.legvander(_FINE, 11).T
 _DEGREES = np.arange(12)
@@ -290,111 +285,124 @@ _TAYLOR = np.hstack([np.pad(np.polynomial.polynomial.polyder(_POWERS, m, axis=1)
                             ((0, 0), (0, m))) for m in range(3)])  # to p, p', p'' in powers
 _NEWTON = 2  # Newton steps on each candidate's interpolant
 _SPLIT = 8  # equal pieces of a candidate panel whose interpolant is unresolved
-_ROWS = 8  # rows of a stack whose panel bounds are formed at a time
+_CUTS = 2  # rounds of such cuts, one f call each
+_BLOCK = 1536  # panels per matrix product: 1536 * 12 * 12 < 2^18 keeps BLAS on one thread
 _EPS = float(np.finfo(float).eps)
 
 
 def sup_norm(f: RealFunction, window: float, refine: bool = True):
-    """max |f| over [-window, window] from f's samples on graded panels and
+    """max |f| over [-window, window] from f's samples on uniform panels and
     their interpolants' maxima, confirmed by f unless refine is False; for a
-    stacked f, the tuple of its outputs' maxima from one pass."""
+    stacked f, the tuple of its outputs' maxima from one sample pass."""
     tops = _panel_maxima(f, window, refine)
     return tops[0] if len(tops) == 1 else tuple(tops)
+
+
+@functools.lru_cache(maxsize=64)  # one output's rule: a few kB on the bundled windows
+def _sup_rule(window: float, n: int, breakpoints: tuple[float, ...]):
+    """Nodes of the n uniform panels of [-window, window] split at
+    breakpoints, and the panels' ends lo and hi, read-only."""
+    edges = split_at(np.linspace(-window, window, n + 1), breakpoints)
+    rule = panel_rule(edges, 12)[0], edges[:-1], edges[1:]
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _panel_maxima(f: RealFunction, window: float, confirm: bool = True,
                   signed: bool = False) -> list[float]:
     """[max |f|] per output of f, or [max f, max -f] when signed (module
-    docstring): the samples on the graded panels, with the uniform panels of
-    each wide panel the tail test names, then _SPLIT pieces of each candidate
-    panel it names, and the candidates' interpolant maxima."""
+    docstring).  Each output takes the uniform panels split at its own
+    breakpoints; one f call samples them all where the outputs share their
+    breakpoints, and every later call serves one output, so each output's
+    maximum has the bits it has alone.  The panels of all outputs are kept
+    as one list of (output, lo, hi, samples)."""
+    n = max(16, math.ceil(2.0 * window * max(_PER_UNIT, f.frequency / MAX_PHASE)))
+    if n > _SUP_PANELS:
+        raise ValueError(f"the sup norm needs {n} panels for frequency {f.frequency:.6g} "
+                         f"on [-{window:g}, {window:g}], above {_SUP_PANELS}")
+    outs = f.rows or (f,)
+    rules = [_sup_rule(window, n, g.breakpoints) for g in outs]
+    if len({g.breakpoints for g in outs}) == 1:
+        s = _finite_samples(f, rules[0][0]).reshape(-1, 12)
+    else:
+        s = np.concatenate([_finite_samples(g, x).reshape(-1, 12)
+                            for g, (x, _, _) in zip(outs, rules)])
     if signed:  # the outputs f and -f
-        f = replace(f, fn=lambda x, fn=f.fn: np.stack([v := fn(x), -v]), rows=())
-    ppu = max(_PER_UNIT, f.frequency / MAX_PHASE)
-    if 2.0 * window * ppu > _SUP_PANELS:
-        raise ValueError(f"the sup norm needs {2.0 * window * ppu:.0f} panels for frequency "
-                         f"{f.frequency:.6g} on [-{window:g}, {window:g}], above {_SUP_PANELS}")
-    widest = MAX_PHASE / f.frequency if f.frequency else math.inf
-    edges, first = window_edges(window, ppu, f.breakpoints, widest)
-    lo, hi = edges[:-1], edges[1:]
-    samples = _finite_samples(f, window_nodes(window, ppu, f.breakpoints, widest)[0])
-    samples = samples.reshape(-1, lo.size, 12)
-    flags, best, row, panel = _candidates(samples, hi - lo, f.frequency, signed)
-    named = (np.diff(first) > 1) & flags.any(axis=0)
-    if named.any():
-        ue = window_edges(window, ppu, f.breakpoints)[0]
-        fill = np.repeat(named, np.diff(first))
-        lo, hi, samples = _resampled(f, lo, hi, samples, named, ue[:-1][fill], ue[1:][fill])
-        flags, best, row, panel = _candidates(samples, hi - lo, f.frequency, signed)
-    named = np.zeros(lo.size, dtype=bool)
-    named[panel[flags[row, panel]]] = True
-    if named.any():  # a feature narrower than its panel
-        cuts = np.linspace(lo[named], hi[named], _SPLIT + 1)
-        lo, hi, samples = _resampled(f, lo, hi, samples, named,
-                                     cuts[:-1].T.ravel(), cuts[1:].T.ravel())
-        flags, best, row, panel = _candidates(samples, hi - lo, f.frequency, signed)
-    coef = samples[row, panel] @ LEGENDRE
-    t = _interpolant_maxima(coef, signed)
-    if confirm:  # one call; a panel's end is taken an ulp inside it
-        a, b = lo[panel], hi[panel]
-        at = np.clip(a + 0.5 * (t + 1.0) * (b - a), np.nextafter(a, b), np.nextafter(b, a))
-        top = _finite_samples(f, at).reshape(len(samples), -1)[row, np.arange(at.size)]
+        outs, rules, s = (f, lambda t: -f(t)), rules * 2, np.vstack([s, -s])
+    row = np.repeat(np.arange(len(outs)), [r[1].size for r in rules])
+    lo, hi = (np.concatenate([r[i] for r in rules]) for i in (1, 2))
+    start = 12 * np.searchsorted(row, np.arange(len(outs)))  # each output's first sample
+    scale = np.maximum.reduceat(np.abs(s).ravel(), start)  # each output's largest |sample|
+    best = np.maximum.reduceat(s.ravel(), start) if signed else scale.copy()
+    for cuts in range(_CUTS + 1):
+        row, lo, hi, s, coef, bad = map(np.concatenate, zip(*(
+            _candidates(*(a[i:i + _BLOCK] for a in (row, lo, hi, s)), best, scale,
+                        f.frequency, signed) for i in range(0, len(s), _BLOCK))))
+        if cuts == _CUTS or not bad.any():
+            break
+        # a feature narrower than its panel: the _SPLIT equal pieces of each
+        # named panel, at most _SPLIT per output (the largest tails first)
+        named = np.flatnonzero(bad)
+        named = named[np.lexsort((-np.abs(coef[named, 10:]).max(axis=1), row[named]))]
+        rank = np.arange(named.size) - np.searchsorted(row[named], row[named])
+        cut = np.zeros_like(bad)
+        cut[named[rank < _SPLIT]] = True
+        ends = np.linspace(lo[cut], hi[cut], _SPLIT + 1)
+        new = np.repeat(row[cut], _SPLIT), ends[:-1].T.ravel(), ends[1:].T.ravel()
+        pieces = _output_samples(outs, new[0], panel_rule(np.stack(new[1:], axis=1), 12)[0])
+        np.maximum.at(best, new[0], pieces.max(axis=1) if signed else np.abs(pieces).max(axis=1))
+        row, lo, hi = (np.append(a[~cut], b) for a, b in zip((row, lo, hi), new))
+        s = np.vstack([s[~cut], pieces])
+    t, top = _interpolant_maxima(coef, signed)
+    if confirm:  # one call per output; a panel's end is taken an ulp inside it
+        top = _output_samples(outs, row, np.clip(lo + 0.5 * (t + 1.0) * (hi - lo),
+                                                 np.nextafter(lo, hi), np.nextafter(hi, lo)))
     else:  # where the tail test still names a panel, its samples stand alone
-        top = np.polynomial.legendre.legval(t, coef.T, tensor=False)
-        top[flags[row, panel]] = np.nan
+        top[bad] = np.nan
     np.maximum.at(best, row, np.fmax(top if signed else np.abs(top), -np.inf))
     return best.tolist()
 
 
-def _resampled(f: RealFunction, lo: np.ndarray, hi: np.ndarray, samples: np.ndarray,
-               drop: np.ndarray, new_lo: np.ndarray, new_hi: np.ndarray):
-    """The panels (lo, hi) and their samples with those in drop replaced by
-    the panels (new_lo, new_hi), which one f call samples."""
-    x = panel_rule(np.stack([new_lo, new_hi], axis=1), 12)[0]
-    new = _finite_samples(f, x.ravel()).reshape(len(samples), -1, 12)
-    return (np.append(lo[~drop], new_lo), np.append(hi[~drop], new_hi),
-            np.concatenate([samples[:, ~drop], new], axis=1))
+def _candidates(row, lo, hi, s, best, scale, omega: float, signed: bool):
+    """The (row, lo, hi, s) of the panels that may hold an output's maximum,
+    with their Legendre coefficients and whether the tail test names them:
+    each panel whose sum |c_n| (|P_n| <= 1) reaches its output's best sample
+    (the best sample's panel among them), or whose interpolant the tail test
+    names, as that bounds nothing."""
+    coef = s @ LEGENDRE
+    bound = np.abs(coef) @ _HIGHER + (coef[:, 0] if signed else np.abs(coef[:, 0]))
+    bad = unresolved(coef[:, 10:], bound, scale[row], hi - lo, omega)
+    at = best[row]
+    keep = (bound >= at - 256.0 * _EPS * np.abs(at)) | bad
+    return row[keep], lo[keep], hi[keep], s[keep], coef[keep], bad[keep]
 
 
-def _candidates(samples: np.ndarray, widths: np.ndarray, omega: float, signed: bool):
-    """For samples (rows, panels, 12): the panels `quad.unresolved` names,
-    each row's largest |sample| (sample, when signed), and the (row, panel)
-    pairs whose interpolant may beat it: the best sample's panel and each
-    whose sum |c_n| (|P_n| <= 1) tops it by more than rounding.  _ROWS rows
-    go at a time, so a tall stack's temporaries stay small."""
-    flags = np.empty(samples.shape[:2], dtype=bool)
-    peaks, bound = np.empty((2, *samples.shape[:2]))
-    for i in range(0, len(samples), _ROWS):
-        s, at = samples[i:i + _ROWS], slice(i, i + _ROWS)
-        by_node = np.ascontiguousarray(s.swapaxes(1, 2))  # short axes reduce slowly
-        top, peak = by_node.max(axis=1), np.abs(by_node).max(axis=1)
-        c = s @ LEGENDRE
-        flags[at] = unresolved(c[..., 10:], peak, widths, omega)
-        peaks[at] = top if signed else peak
-        bound[at] = np.abs(c) @ _HIGHER + (c[..., 0] if signed else np.abs(c[..., 0]))
-    best = peaks.max(axis=1)
-    keep = bound > (best + 256.0 * _EPS * np.abs(best))[:, None]
-    keep[np.arange(len(best)), peaks.argmax(axis=1)] = True
-    row, panel = np.nonzero(keep)
-    return flags, best, row, panel
+def _output_samples(outs, row: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """outs[row[i]] at x[i], by one f call per output."""
+    if len(outs) == 1:
+        return _finite_samples(outs[0], x.ravel()).reshape(x.shape)
+    out = np.empty_like(x)
+    for i in np.unique(row):
+        at = row == i
+        out[at] = _finite_samples(outs[i], x[at].ravel()).reshape(x[at].shape)
+    return out
 
 
-def _interpolant_maxima(coef: np.ndarray, signed: bool) -> np.ndarray:
+def _interpolant_maxima(coef: np.ndarray, signed: bool) -> tuple[np.ndarray, np.ndarray]:
     """Where on [-1, 1] each row's Legendre series p is largest (|p| unless
-    signed): the best of _FINE, polished by _NEWTON Newton steps on p' (in
-    the power basis, clipped to [-1, 1], taken where p is concave), kept
-    where they raise the value; so an end stays where the series rises to it."""
+    signed), and p there: the best of _FINE, polished by _NEWTON Newton steps
+    on p' (in the power basis, clipped to [-1, 1]), kept where they raise the
+    value; so an end stays where the series rises to it."""
     vals = coef @ _FINE_VANDER
     k = np.argmax(vals if signed else np.abs(vals), axis=1)
     start, top = _FINE[k], vals[np.arange(len(k)), k]
-    if not signed:
-        coef, top = coef * np.where(top < 0.0, -1.0, 1.0)[:, None], np.abs(top)
     taylor = (coef @ _TAYLOR).reshape(-1, 3, 12)  # p, p' and p'' in powers of t
     t = start
-    for _ in range(_NEWTON):
-        p = (taylor @ (t[:, None] ** _DEGREES)[..., None])[..., 0]
-        concave = p[:, 2] < 0.0
-        step = np.minimum(np.maximum(t - p[:, 1] / np.where(concave, p[:, 2], -1.0), -1.0), 1.0)
-        t = np.where(concave, step, t)
-    end = np.einsum("nk,nk->n", t[:, None] ** _DEGREES, taylor[:, 0])
-    return np.where(end > top, t, start)
+    with np.errstate(divide="ignore", invalid="ignore"):  # p'' = 0: a nan step, not kept
+        for _ in range(_NEWTON):
+            p = np.einsum("nmk,nk->nm", taylor[:, 1:], t[:, None] ** _DEGREES)
+            t = np.minimum(np.maximum(t - p[:, 0] / p[:, 1], -1.0), 1.0)
+    end = np.einsum("nk,nk->n", taylor[:, 0], t[:, None] ** _DEGREES)
+    better = end > top if signed else np.abs(end) > np.abs(top)
+    return np.where(better, t, start), np.where(better, end, top)

@@ -182,14 +182,6 @@ class TestOneSamplePass:
         for delta in (0.1, 0.5):
             est = k_functional_upper(m.rf, r, delta, norm)
             fmg, gder = self.parts_alone(m.rf, r, delta, norm)
-            if p is None:
-                # a sup norm is f at the maximum of a panel interpolant, whose
-                # place moves with the rounding of the candidate panels' sums
-                # (and a stack shares its panels): f - g and g^(r) agree to
-                # the rounding of their cancellation, 3.6e-14 at worst
-                assert est.f_minus_g_norm == pytest.approx(fmg, rel=1e-13, abs=0.0)
-                assert est.g_deriv_norm == pytest.approx(gder, rel=1e-13, abs=0.0)
-                continue
             assert est.f_minus_g_norm == fmg
             # the derivative's lattice gains f - g's point column, with weight 0
             assert abs(est.g_deriv_norm - gder) <= 4.0 * np.spacing(gder)

@@ -512,8 +512,8 @@ class TestSupNorm:
         lambda: as_real_function(parse("exp(-(x-6)^2*16)")),
     ], ids=["xgauss", "box_difference", "gauss_minus_J", "far_bump"])
     def test_refinement_budget(self, build):
-        # the samples, the uniform panels of the panels the tail test names
-        # (the bump at 6 sits on a wide panel), and the confirming call
+        # the samples, the eighths of a candidate the tail test names, and
+        # the confirming call
         f, sizes = counted(build())
         sup_norm(f, 8.0)
         assert 2 <= len(sizes) <= 3
@@ -538,31 +538,33 @@ class TestSupNorm:
         assert sup_norm(f, 6.0) == pytest.approx(1.0 / delta, rel=1e-15)
         assert len(sizes) == 2
 
-    @pytest.mark.parametrize("src", ["1/(1+1000*(x-0.1)^2)", "exp(-400*(x-0.3)^2)",
-                                     "exp(-400*(x-5.3)^2)"])
-    def test_a_feature_narrower_than_its_panel(self, src):
-        # the interpolant of a bump 0.03 to 0.05 wide on a panel of 1/4 put
+    @pytest.mark.parametrize("src, top", [
+        ("1/(1+1000*(x-0.1)^2)", 1.0), ("exp(-400*(x-0.3)^2)", 1.0), ("exp(-400*(x-5.3)^2)", 1.0),
+        # a bump 0.014 wide far from 0, beside a larger smooth hill
+        ("0.5*exp(-x^2)+exp(-10000*(x-5.12325)^2)", 1.0 + 0.5 * math.exp(-5.12325 ** 2)),
+    ])
+    def test_a_feature_narrower_than_its_panel(self, src, top):
+        # the interpolant of a bump 0.014 to 0.05 wide on a panel of 1/4 puts
         # its maximum off the peak (0.99609 and 0.99999 read); the tail test
-        # names that candidate, and its eighths resolve it
+        # names that candidate, and its eighths (and theirs) resolve it
         f, sizes = counted(as_real_function(parse(src)))
-        assert sup_norm(f, 8.0) == pytest.approx(1.0, rel=1e-12)
+        assert sup_norm(f, 8.0) == pytest.approx(top, rel=1e-12)
         assert len(sizes) <= 4
+
+    def test_a_narrow_bump_is_found_anywhere(self):
+        # a bump 0.01 wide beside a larger smooth hill, at 41 places across
+        # two panels: its samples, the tail test and two rounds of eighths
+        # find it at each
+        for c in map(float, np.linspace(4.0, 4.5, 41)):
+            f = as_real_function(parse(f"0.5*exp(-x^2)+exp(-20000*(x-{c!r})^2)"))
+            assert sup_norm(f, 8.0) == pytest.approx(1.0 + 0.5 * math.exp(-c * c), rel=1e-12), c
 
     @staticmethod
     def halved(monkeypatch, sups):
-        """sups() on panels half as wide near 0, in the grading and under the
-        phase cap."""
-        from vexp import quad
+        """sups() on sup panels half as wide, at any frequency."""
         monkeypatch.setattr(steklov, "_PER_UNIT", 2.0 * steklov._PER_UNIT)
         monkeypatch.setattr(steklov, "MAX_PHASE", 0.5 * steklov.MAX_PHASE)
-        monkeypatch.setattr(quad, "_GRADE", 0.5 * quad._GRADE)
-        quad.window_edges.cache_clear()
-        quad.window_nodes.cache_clear()
-        try:
-            return sups()
-        finally:
-            quad.window_edges.cache_clear()
-            quad.window_nodes.cache_clear()
+        return sups()
 
     def test_grid_refinement_stability(self, monkeypatch):
         f = as_real_function(parse("cos(3*x)*exp(-x^2/4)"))
