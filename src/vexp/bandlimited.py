@@ -16,15 +16,17 @@ by `quad.phase_panels` for the kernel's frequency 2*sigma plus f's.
 For decaying f it is a trapezoid sum: f and the kernel are sampled once on
 one uniform lattice, the kernel is cut at a double zero of theta, the two
 are convolved by one zero-padded FFT, and J is read off the lattice with a
-local barycentric Lagrange stencil.  The trapezoid rule converges
-exponentially for analytic, decaying integrands (Trefethen & Weideman, SIAM
-Review 56, 2014).  The kernel decays only like 1/x^2, so the cut is the
-dominant error source; its bound is recorded next to every value rather
-than silently absorbed.
+local barycentric Lagrange stencil.  The kernel's spectrum depends on sigma,
+the step, the cut and the FFT size alone, so the last 32 are kept,
+read-only.  The trapezoid rule converges exponentially for analytic,
+decaying integrands (Trefethen & Weideman, SIAM Review 56, 2014).  The
+kernel decays only like 1/x^2, so the cut is the dominant error source; its
+bound is recorded next to every value rather than silently absorbed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -125,6 +127,14 @@ def _stencil_values(values: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=32)  # the bundled audit needs 83 spectra, none above 256 kB
+def _kernel_spectrum(sigma: float, h: float, n_u: int, size: int) -> np.ndarray:
+    """The rfft to size of the weights h sigma theta(sigma k h), |k| <= n_u; read-only."""
+    spectrum = np.fft.rfft((h * sigma) * vp_kernel((sigma * h) * np.arange(-n_u, n_u + 1)), size)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def _lattice_convolution(f: RealFunction, sigma: float, h: float, n_u: int,
                          x_span: float):
     """x -> J(x) for |x| up to x_span plus the stencil, from the trapezoid
@@ -132,11 +142,10 @@ def _lattice_convolution(f: RealFunction, sigma: float, h: float, n_u: int,
     n_x = math.ceil(x_span / h) + _STENCIL
     n_f = n_x + n_u
     samples = _finite_samples(f, h * np.arange(-n_f, n_f + 1))
-    kern = (h * sigma) * vp_kernel((sigma * h) * np.arange(-n_u, n_u + 1))
     # a circular convolution of at least the samples' length wraps only into
     # the first 2 n_u entries, which are dropped
     size = 1 << (samples.size - 1).bit_length()
-    conv = np.fft.irfft(np.fft.rfft(samples, size) * np.fft.rfft(kern, size), size)
+    conv = np.fft.irfft(np.fft.rfft(samples, size) * _kernel_spectrum(sigma, h, n_u, size), size)
     values = conv[2 * n_u:2 * n_f + 1].copy()  # J at j h, |j| <= n_x
     reach = (n_x - _STENCIL // 2) * h
 

@@ -13,14 +13,16 @@ differences of T_d^(m-r) f.
 Every operator here is a combination sum c * T_d^k f(. + j*d) of shifted
 iterates, and `steklov_combination` is the one place such a sum is evaluated.
 Each term is the kernel B_k(u - j) on the unit panels of [0, top], top =
-max(k + j), each cut into `quad.phase_panels(d, f.frequency)` (more than
-_MAX_PANELS in all raise ValueError), so the weights of all terms add up on
+max(k + j), each cut into `quad.phase_panels(|d|, f.frequency)` pieces and at
+least ceil(|d| / 2), so that a piece spans at most 2 units of x (more than
+_MAX_PANELS in all raise ValueError).  So the weights of all terms add up on
 one Gauss-Legendre lattice (k = 0 terms are point columns) and one outer
 product f(x_i + d*u_j) evaluates the whole sum (`outer_apply`, which samples
 an expression's sin, cos and sinc nodes by the addition theorem, at the
-exact x_i + d*u_j to about an ulp).  The nodes, weights and B-spline columns
-of the last 32 unit lattices are kept; only the weights times c and the
-offsets times d are formed per call.  Sums with one top stack on one lattice:
+exact x_i + d*u_j to about an ulp).  The offsets and weights of the last 64
+unit lattices are kept, read-only, keyed by d, the panel count and the term
+maps' items in dict order, the order their weights are summed in; a call
+with a kept key builds nothing.  Sums with one top stack on one lattice:
 each keeps its own row of weights, and one pass over f serves them all.  A
 point whose window (x, x + top*d) holds a breakpoint b of f takes the same
 lattice with its panels split at (b - x)/d, built anew.
@@ -155,15 +157,27 @@ class IndicatorSteklov:
 _MAX_PANELS = 256  # a sup modulus on 256 and 32,000 sup panels took 5.3 s (2-core x86)
 
 
-@functools.lru_cache(maxsize=32)  # the bundled audit builds 8 shapes, none above 9 kB
-def _kernel_nodes(edges, keys: frozenset) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Gauss-Legendre nodes and weights on the panels of edges (a rule per
-    row), and the column B_k(u - j) at the nodes for each key (k, j), all
-    read-only.  The unit panels' rule is cached, its edges given as a tuple;
-    split panels are built anew by `_kernel_nodes.__wrapped__`."""
+def _lattice(delta: float, items: tuple, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets delta * u and one row of weights per term map (its items,
+    summed in their order) for the Gauss-Legendre rule on each row of edges;
+    k = 0 terms are point columns."""
     nodes, wts = panel_rule(edges, 12)
-    rule = nodes, wts, {(k, j): bspline_value(k, nodes - j) for k, j in keys}
-    for a in (nodes, wts, *rule[2].values()):
+    spline = {(k, j): bspline_value(k, nodes - j)
+              for k, j in {key for t in items for key, _ in t} if k > 0}
+    points = list(dict.fromkeys(j for t in items for (k, j), _ in t if k == 0))
+    cols = (*nodes.shape[:-1], len(points))
+    kern = [sum((c * wts * spline[k, j] for (k, j), c in t if k > 0), np.zeros_like(nodes))
+            for t in items]
+    pts = [np.broadcast_to([t.get((0, j), 0.0) for j in points], cols) for t in map(dict, items)]
+    return (delta * np.concatenate([nodes, np.broadcast_to(points, cols)], -1),
+            np.stack([np.concatenate(kp, -1) for kp in zip(kern, pts)]))
+
+
+@functools.lru_cache(maxsize=64)  # the bundled audit needs 113 shapes, none above 66 kB
+def _unit_lattice(delta: float, top: int, panels: int, items: tuple):
+    """`_lattice` on the equal panels of [0, top], read-only."""
+    rule = _lattice(delta, items, np.linspace(0.0, float(top), panels + 1))
+    for a in rule:
         a.flags.writeable = False
     return rule
 
@@ -190,25 +204,14 @@ def steklov_combination(f: RealFunction, delta: float,
             return np.stack([sum((c * term(x + shift) for c, shift, term in part),
                                  np.zeros_like(x, dtype=float)) for part in parts[maps]])
     else:
-        splined = frozenset((k, j) for k, j in keys if k > 0)
-        top = max((k + j for k, j in splined), default=0)
-        panels = top * phase_panels(delta, f.frequency)
+        top = max((k + j for k, j in keys if k > 0), default=0)
+        panels = top * max(phase_panels(abs(delta), f.frequency), math.ceil(abs(delta) / 2.0))
         if panels > _MAX_PANELS:
             raise ValueError(f"the Steklov lattice needs {panels} panels for frequency "
                              f"{f.frequency:.6g} at step {delta:.6g}, above {_MAX_PANELS}")
+        items = tuple(tuple(t.items()) for t in terms)  # in dict order: the weights' sums
+        offsets, weights = _unit_lattice(delta, top, panels, items)
         unit = np.linspace(0.0, float(top), panels + 1)
-        points = list(dict.fromkeys(j for t in terms for k, j in t if k == 0))
-
-        def lattice(nodes, wts, spline):
-            # offsets, and one row of weights per map, for each row of nodes
-            cols = (*nodes.shape[:-1], len(points))
-            kern = [sum((c * wts * spline[k, j] for (k, j), c in t.items() if k > 0),
-                        np.zeros_like(nodes)) for t in terms]
-            pts = [np.broadcast_to([t.get((0, j), 0.0) for j in points], cols) for t in terms]
-            return (delta * np.concatenate([nodes, np.broadcast_to(points, cols)], -1),
-                    np.stack([np.concatenate(kp, -1) for kp in zip(kern, pts)]))
-
-        offsets, weights = lattice(*_kernel_nodes(tuple(unit), splined))
         breaks = np.asarray(f.breakpoints, dtype=float)
         step = max(1, _SUB_CHUNK // (offsets.size + 12 * breaks.size))
 
@@ -225,7 +228,7 @@ def steklov_combination(f: RealFunction, delta: float,
                 # clipped and repeated cuts give zero-width panels, which weigh nothing
                 edges = np.concatenate([np.broadcast_to(unit, (i.size, unit.size)),
                                         np.clip(cuts[i], 0.0, top)], axis=1)
-                off, w = lattice(*_kernel_nodes.__wrapped__(np.sort(edges, axis=1), splined))
+                off, w = _lattice(delta, items, np.sort(edges, axis=1))
                 out[:, i] = np.sum(f.fn(flat[i, None] + off) * w[maps], axis=-1)
             return out.reshape(len(out), *np.shape(x))
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vexp import bandlimited
 from vexp.bandlimited import (best_approx_surrogate, kernel_tail_bound,
                               vp_kernel, vp_operator)
 from vexp.corpus import corpus_member, default_corpus, resolve_function
@@ -132,6 +133,38 @@ def test_lattice_matches_fourier_oracle(name, sigma):
     # J of gauss is untruncated to float precision (tail bounds below 1e-90)
     tol = 2e-15 if name == "gauss" else j.tail_bound
     assert np.max(np.abs(j(xs) - exact)) <= tol
+
+
+class TestKernelSpectrumCache:
+    # the kernel's spectrum is built once per (sigma, step, cut, FFT size):
+    # a cached one gives the bits a fresh one gives, and cannot be written to
+    def test_cold_and_warm_caches_give_the_same_bits(self):
+        m = corpus_member("lorentz")
+        norm = m.norm_spec()
+        bandlimited._kernel_spectrum.cache_clear()
+        cold = [best_approx_surrogate(m.rf, s, norm).value for s in (2.0, 8.0)]
+        assert bandlimited._kernel_spectrum.cache_info().currsize == 2
+        assert [best_approx_surrogate(m.rf, s, norm).value for s in (2.0, 8.0)] == cold
+        assert bandlimited._kernel_spectrum.cache_info().hits == 2
+
+    def test_cached_spectrum_is_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            bandlimited._kernel_spectrum(2.0, 0.1, 24, 64)[0] = 0.0
+
+    def test_cached_and_fresh_kernels_give_the_same_j(self, monkeypatch):
+        cases = [(corpus_member(name), sigma) for name in DECAYING for sigma in (2.0, 8.0)]
+
+        def js():
+            return [[v.hex() for v in vp_operator(m.rf, sigma, x_span=m.norm_window)(
+                np.linspace(-m.norm_window, m.norm_window, 401)).tolist()]
+                for m, sigma in cases]
+        bandlimited._kernel_spectrum.cache_clear()
+        cold, warm = js(), js()
+        with monkeypatch.context() as mp:
+            mp.setattr(bandlimited, "_kernel_spectrum", bandlimited._kernel_spectrum.__wrapped__)
+            fresh = js()
+        assert bandlimited._kernel_spectrum.cache_info().hits >= len(cases)
+        assert cold == warm == fresh
 
 
 class TestSurrogate:

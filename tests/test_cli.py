@@ -379,6 +379,17 @@ class TestSteklovLatticeCap:
         assert err == ("error: the Steklov lattice needs 166667 panels for frequency "
                        "1e+06 at step 1, above 256\n")
 
+    @pytest.mark.parametrize("r,widest,refused,panels", [
+        (1, "512", "513", 257), (2, "256", "257", 258), (4, "128", "129", 260)])
+    def test_wide_steps_refused(self, r, widest, refused, panels):
+        # a unit panel takes ceil(delta/2) pieces, r per unit panel here; at
+        # delta = 256 the uncut lattice's Omega_2 was 1.3e-2 off pointwise
+        assert main(["modulus", "--f", "@gauss", "--r", str(r), "--delta", widest]) == 0
+        code, out, err = run_cli("modulus", "--f", "@gauss", "--r", str(r), "--delta", refused)
+        assert code == 2 and out == ""
+        assert err == (f"error: the Steklov lattice needs {panels} panels for frequency "
+                       f"0 at step {refused}, above 256\n")
+
     def test_too_many_sup_panels_refused(self):
         # the sup grid was capped at 400,000 points, aliasing the wave, and
         # printed 0.0499849427582, off the dense 0.0499861 by 2.4e-5

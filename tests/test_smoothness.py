@@ -229,8 +229,9 @@ class TestOneSamplePass:
 
 
 class TestCachedRules:
-    # window rules and Steklov unit lattices are built once per shape: a
-    # cached rule gives the bits a fresh one gives, and cannot be written to
+    # window rules and Steklov unit lattices (offsets and weights) are built
+    # once per shape: a cached rule gives the bits a fresh one gives, and
+    # cannot be written to
     @staticmethod
     def answers():
         m = corpus_member("gauss_osc")
@@ -240,17 +241,19 @@ class TestCachedRules:
 
     def test_cold_and_warm_caches_give_the_same_bits(self):
         norms.window_nodes.cache_clear()
-        steklov._kernel_nodes.cache_clear()
+        steklov._unit_lattice.cache_clear()
         cold = self.answers()
         assert norms.window_nodes.cache_info().currsize > 0
-        assert steklov._kernel_nodes.cache_info().currsize > 0
+        assert steklov._unit_lattice.cache_info().currsize > 0
         assert self.answers() == cold
+        assert steklov._unit_lattice.cache_info().hits > 0
 
     def test_cached_arrays_are_read_only(self):
         m = corpus_member("gauss")
         rule = norms.window_nodes(m.norm_window, m.panels_per_unit, m.rf.breakpoints)
-        nodes, wts, spline = steklov._kernel_nodes((0.0, 1.0, 2.0), frozenset({(1, 0), (2, 0)}))
-        for a in (*rule, nodes, wts, *spline.values()):
+        lattice = steklov._unit_lattice(0.5, 2, 4, ((((1, 0), 1.0), ((0, 0), -1.0)),
+                                                    (((2, 0), 1.0),)))
+        for a in (*rule, *lattice):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
 

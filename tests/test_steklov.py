@@ -38,6 +38,25 @@ class TestForward:
         oracle = math.sqrt(math.pi) / 2.0 * math.erf(1.0)
         assert t(np.array([0.0]))[0] == pytest.approx(oracle, abs=1e-12)
 
+    @pytest.mark.parametrize("delta", [1.0, 2.0, 4.0, 8.0, 16.0, -8.0])
+    def test_gaussian_against_erf_at_wide_steps(self, delta):
+        # one 12-node piece of the unit lattice spans |delta| units of x
+        # unless the panel is cut: at delta = 16 the uncut lattice was 1.9e-2 off
+        x = np.linspace(-14.0, 6.0, 801)
+        t = iterated_steklov(as_real_function(parse("exp(-x^2)")), delta, 1)
+        oracle = [math.sqrt(math.pi) / (2.0 * delta) * (math.erf(v + delta) - math.erf(v))
+                  for v in x]
+        assert np.max(np.abs(t(x) - oracle)) < 1e-14
+
+    @pytest.mark.parametrize("delta", [1.0, -1.0])
+    def test_cosine_against_closed_form_at_either_sign(self, delta):
+        # a negative step cuts the panels for f's frequency as a positive one
+        # does; uncut, T_-1 of cos(20x) was 5.6e-8 off
+        x = np.linspace(-6.0, 6.0, 241)
+        t = iterated_steklov(as_real_function(parse("cos(20*x)")), delta, 1)
+        oracle = (np.sin(20.0 * (x + delta)) - np.sin(20.0 * x)) / (20.0 * delta)
+        assert np.max(np.abs(t(x) - oracle)) < 1e-13
+
     def test_delta_zero_is_identity(self):
         f = as_real_function(parse("exp(-x^2)"))
         assert iterated_steklov(f, 0.0, 1) is f
