@@ -12,16 +12,25 @@ with J sampled on the norm's window: every convolution is given its window.
 
 For compactly supported f the convolution runs over the support on
 Gauss-Legendre panels aligned with the sine zeros: 2*pi/(3*sigma) wide, cut
-by `quad.phase_panels` for the kernel's frequency 2*sigma plus f's.
+by `quad.phase_panels` for the kernel's frequency 2*sigma plus f's.  There
+theta(u) = (cos u - cos 2u) / (pi u^2) at u = sigma (x - y), both cosines
+by the addition theorem from residual-corrected sines and cosines of sigma x
+and 2 sigma x (per call) and of sigma y and 2 sigma y (per J): one rank-4
+matrix product and one division per pair, where the product of sines takes
+two sines.  Where |u| < 1 the difference cancels (an ulp of cos u is
+1e-16 / u^2 of theta), so there vp_kernel's product of sines serves.
+
 For decaying f it is a trapezoid sum: f and the kernel are sampled once on
 one uniform lattice, the kernel is cut at a double zero of theta, the two
 are convolved by one zero-padded FFT, and J is read off the lattice with a
-local barycentric Lagrange stencil.  The kernel's spectrum depends on sigma,
-the step, the cut and the FFT size alone, so the last 32 are kept,
-read-only.  The trapezoid rule converges exponentially for analytic,
-decaying integrands (Trefethen & Weideman, SIAM Review 56, 2014).  The
-kernel decays only like 1/x^2, so the cut is the dominant error source; its
-bound is recorded next to every value rather than silently absorbed.
+local barycentric Lagrange stencil.  Its samples come from a sliding window
+over the lattice and its distances from the exact fraction s - floor(s):
+the doubles an index array would give, bit for bit.  The kernel's spectrum
+depends on sigma, the step, the cut and the FFT size alone, so the last 32
+are kept, read-only.  The trapezoid rule converges exponentially for
+analytic, decaying integrands (Trefethen & Weideman, SIAM Review 56, 2014).
+The kernel decays only like 1/x^2, so the cut is the dominant error source;
+its bound is recorded next to every value rather than silently absorbed.
 """
 
 from __future__ import annotations
@@ -31,8 +40,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .fnexpr import Decay
+from .fnexpr import Decay, _sin_cos
 from .functions import RealFunction, _finite_samples, combine, outer_apply
 from .norms import NormSpec, norm_of
 from .quad import DEFAULT_SPEC, QuadSpec, panel_rule, phase_panels, split_at
@@ -43,8 +53,8 @@ __all__ = ["vp_kernel", "vp_operator", "best_approx_surrogate",
 DEFAULT_TAIL_TARGET = 1e-8  # the convolution tail target of A_hat
 _MAX_PANELS = 60_000
 _STENCIL = 20  # lattice points per interpolation stencil
-_BLOCK = 2048  # evaluation points per stencil block
-_OFFSETS = np.arange(_STENCIL)
+_BLOCK = 1024  # points per stencil block: 160 kB arrays page-fault less than 320 kB ones
+_SHIFTS = (_STENCIL // 2 - 1) - np.arange(_STENCIL, dtype=float)
 # barycentric weights of equispaced nodes: (-1)^j binom(n - 1, j)
 _BARY = np.array([(-1.0) ** j * math.comb(_STENCIL - 1, j) for j in range(_STENCIL)])
 
@@ -69,6 +79,43 @@ def vp_kernel(x):
         out[small] = (3.0 / (2.0 * math.pi)) * (1.0 - (5.0 / 12.0) * xs * xs)
     out = out.reshape(x.shape)
     return float(out) if scalar else out
+
+
+class _ShiftedKernel:
+    """t -> theta(sigma t), with the outer form (as `FuncExpr.outer`) of the
+    module docstring: rank 4 by the addition theorem, vp_kernel where
+    |u| < 1, and the factors of the offsets t of its J built once."""
+
+    def __init__(self, sigma: float, t: np.ndarray):
+        self.sigma, self.t = sigma, t
+        self.right = self._factors(t)
+
+    def _factors(self, x):
+        """Rows cos, sin of sigma x and of 2 sigma x, residual-corrected."""
+        (s1, c1), (s2, c2) = _sin_cos(self.sigma, 0.0, x), _sin_cos(2.0 * self.sigma, 0.0, x)
+        return np.stack([c1, s1, c2, s2])
+
+    def __call__(self, t):
+        return vp_kernel(self.sigma * t)
+
+    def outer(self, x: np.ndarray, t: np.ndarray):
+        # cos u - cos 2u = c1 c1' - s1 s1' - c2 c2' + s2 s2'
+        left = self._factors(x).T * np.array([1.0, -1.0, -1.0, 1.0])
+        right = self.right if t is self.t else self._factors(t)
+
+        def ev(rows):
+            u = x[rows, None] + t
+            u *= self.sigma
+            out = left[rows] @ right
+            q = u * u
+            small = q < 1.0
+            q *= math.pi
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out /= q  # at u = 0, replaced below
+            if small.any():
+                out[small] = vp_kernel(u[small])
+            return out
+        return ev
 
 
 def kernel_tail_bound(sigma: float, u_cut: float, f_sup_beyond: float) -> float:
@@ -116,14 +163,15 @@ def _panel_span(w: float, lo: float, hi: float) -> tuple[int, int]:
 def _stencil_values(values: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The barycentric Lagrange interpolant of values[i] at the lattice
     coordinates s, each from the _STENCIL samples around it."""
-    idx = (np.floor(s).astype(np.intp) - (_STENCIL // 2 - 1))[:, None] + _OFFSETS
-    d = s[:, None] - idx
-    v = values[idx]
+    lo = np.floor(s)
+    frac = s - lo  # exact, so frac + (9 - j) rounds to the double of s - (lo - 9 + j)
+    d = frac[:, None] + _SHIFTS
+    v = sliding_window_view(values, _STENCIL)[lo.astype(np.intp) - (_STENCIL // 2 - 1)]
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam = _BARY / d
+        lam = np.divide(_BARY, d, out=d)
         out = np.einsum("ij,ij->i", lam, v) / lam.sum(axis=1)
-    hit = d == 0.0
-    out[hit.any(axis=1)] = v[hit]
+    hit = frac == 0.0
+    out[hit] = v[hit, _STENCIL // 2 - 1]
     return out
 
 
@@ -190,8 +238,8 @@ def vp_operator(f: RealFunction, sigma: float, x_span: float,
         n_lo, n_hi = _panel_span(w, decay.a, decay.b)
         nodes, wts = panel_rule(split_at(w * np.arange(n_lo, n_hi + 1), f.breakpoints), 12)
         fvals = _finite_samples(f, nodes) * wts
-        kernel = RealFunction(fn=lambda t: vp_kernel(sigma * t))
-        return RealFunction(fn=lambda x: sigma * outer_apply(kernel, x, -nodes, fvals),
+        kernel = RealFunction(fn=_ShiftedKernel(sigma, -nodes))
+        return RealFunction(fn=lambda x: sigma * outer_apply(kernel, x, kernel.fn.t, fvals),
                             frequency=3.0 * sigma)
 
     u_cut = _u_window(decay, sigma, x_span, tail_target)

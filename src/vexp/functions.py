@@ -70,11 +70,11 @@ def outer_apply(f: RealFunction, x: np.ndarray, offsets: np.ndarray,
                 weights: np.ndarray) -> np.ndarray:
     """Compute sum_j w_j f(x_i + t_j) for all i, once per row w of weights.
 
-    An expression-backed f is sampled by its outer form (`FuncExpr.outer`),
-    which takes sin, cos and sinc by the addition theorem; any other f is
-    called on the outer sum x_i + t_j.  Rows go in blocks of _SUB_CHUNK // m
-    (at least one): each block is one evaluation, whose temporaries stay in
-    L2, and one gemv per row of weights written straight into the result.
+    An f whose fn has an outer form is sampled by it (`FuncExpr.outer` and
+    the de la Vallee Poussin kernel's take sines and cosines by the addition
+    theorem); any other f is called on the outer sum x_i + t_j.  Rows go in
+    blocks of _SUB_CHUNK // m (at least one): each block is one evaluation,
+    whose temporaries stay in L2, and one gemv per row of weights into the result.
     gemv results depend on the row count of a call, so they can differ in
     the last bit from one product over all.
     """
@@ -85,7 +85,7 @@ def outer_apply(f: RealFunction, x: np.ndarray, offsets: np.ndarray,
     rows = weights.reshape(-1, weights.shape[-1])
     out = np.empty((rows.shape[0], flat_x.size))
     step = max(1, _SUB_CHUNK // max(offsets.size, 1))
-    ev = (f.expr.outer(flat_x, offsets) if f.fn is f.expr
+    ev = (f.fn.outer(flat_x, offsets) if hasattr(f.fn, "outer")
           else lambda s: f.fn(flat_x[s, None] + offsets[None, :]))
     for i0 in range(0, flat_x.size, step):
         vals = ev(slice(i0, i0 + step))

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from vexp.bandlimited import (best_approx_surrogate, kernel_tail_bound,
                               vp_kernel, vp_operator)
 from vexp.corpus import corpus_member, default_corpus, resolve_function
 from vexp.fnexpr import Decay, differentiate, parse
-from vexp.functions import RealFunction, as_real_function
+from vexp.functions import RealFunction, as_real_function, outer_apply
 from vexp.norms import NormSpec, window_nodes
 from vexp.quad import panel_rule
 from vexp.steklov import sup_norm
@@ -242,3 +243,122 @@ class TestSurrogate:
 def test_kernel_tail_bound_formula():
     assert kernel_tail_bound(2.0, 100.0, 1.0) == \
         pytest.approx((4.0 / math.pi) / 200.0)
+
+
+def _mp_theta(u):
+    """theta(u) at the working precision of mpmath."""
+    if u == 0:
+        return 3 / (2 * mpmath.pi)
+    return (mpmath.cos(u) - mpmath.cos(2 * u)) / (mpmath.pi * u * u)
+
+
+def _compact_rule(monkeypatch, j, x):
+    """J(x) and the offsets and weights the compact convolution sums over."""
+    seen = []
+
+    def spy(kernel, x, offsets, weights):
+        seen.append((offsets, weights))
+        return outer_apply(kernel, x, offsets, weights)
+    with monkeypatch.context() as mp:
+        mp.setattr(bandlimited, "outer_apply", spy)
+        got = j(x)
+    assert len(seen) == 1
+    return (got, *seen[0])
+
+
+class TestCompactConvolution:
+    # the compact J takes theta's cosines by the addition theorem, and
+    # vp_kernel's product of sines where |u| < 1, whose difference cancels
+
+    @pytest.mark.parametrize("sigma", [1.0, 4.0, 16.0])
+    @pytest.mark.parametrize("name", ["box", "box_smooth"])
+    def test_matches_mpmath_kernel(self, monkeypatch, name, sigma):
+        # the quadrature sum sigma sum_j w_j f(y_j) theta(sigma (x - y_j)),
+        # each theta at 30 digits: inside |u| < 1 of a node, on |u| = 1 and
+        # out to the sup window.  The kernel may be off by 4e-16 of sigma
+        # sum |w_j f(y_j)|, the sum by gamma_m sigma sum |w_j f(y_j) theta_j|
+        # (Higham, ch. 3): 1e-9 / sigma from a node at sigma = 1, where the
+        # product of sines serves, the sum alone is 7.2e-16 off
+        m = corpus_member(name)
+        j = vp_operator(m.rf, sigma, x_span=m.sup_window)
+        y = -_compact_rule(monkeypatch, j, np.zeros(1))[1]
+        near = y[[0, y.size // 3, y.size // 2, -1]]
+        xs = np.concatenate([near, *(near + d / sigma for d in (1e-9, -0.3, 0.7, 1.0, -1.0)),
+                             np.linspace(-m.sup_window, m.sup_window, 13)])
+        got, offsets, weights = _compact_rule(monkeypatch, j, xs)
+        with mpmath.workdps(30):
+            terms = [[float(w) * _mp_theta(sigma * (mpmath.mpf(x) + float(t)))
+                      for t, w in zip(offsets, weights)] for x in xs]
+            want = np.array([float(sigma * mpmath.fsum(row)) for row in terms])
+            floor = np.array([float(sigma * mpmath.fsum(map(abs, row))) for row in terms])
+        gamma = offsets.size * 2.0 ** -53 / (1.0 - offsets.size * 2.0 ** -53)
+        tol = 4e-16 * sigma * np.sum(np.abs(weights)) + gamma * floor
+        assert np.all(np.abs(got - want) <= tol)
+
+    def test_mirror_symmetry(self):
+        # theta is even, so J of the mirrored indicator is the mirrored J
+        right = vp_operator(as_real_function(parse("indicator(0, 1)")), 4.0, x_span=6.0)
+        left = vp_operator(as_real_function(parse("indicator(-1, 0)")), 4.0, x_span=6.0)
+        xs = np.concatenate([np.linspace(-6.0, 6.0, 241), np.linspace(-0.3, 1.3, 97)])
+        assert np.max(np.abs(left(-xs) - right(xs))) <= 1e-15
+
+    def test_few_pairs_take_the_product_of_sines(self, monkeypatch, p2):
+        # the rank-4 form serves all but the pairs with |u| < 1: a change
+        # that sent every pair back through two sines would fail here
+        counts = {"kernel": 0, "pairs": 0}
+        kernel, apply = bandlimited.vp_kernel, bandlimited.outer_apply
+
+        def counted_kernel(u):
+            counts["kernel"] += np.size(u)
+            return kernel(u)
+
+        def counted_apply(f, x, offsets, weights):
+            counts["pairs"] += np.size(x) * np.size(offsets)
+            return apply(f, x, offsets, weights)
+        monkeypatch.setattr(bandlimited, "vp_kernel", counted_kernel)
+        monkeypatch.setattr(bandlimited, "outer_apply", counted_apply)
+        m = corpus_member("box_smooth")
+        best_approx_surrogate(m.rf, 8.0, m.norm_spec(p2))
+        assert counts["pairs"] > 0
+        assert counts["kernel"] < 0.05 * counts["pairs"]
+
+
+def _parent_stencil_values(values, s):
+    """The stencil as an N x 20 index gather, the reference whose bits
+    bandlimited._stencil_values must give."""
+    idx = (np.floor(s).astype(np.intp) - 9)[:, None] + np.arange(20)
+    d = s[:, None] - idx
+    v = values[idx]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = bandlimited._BARY / d
+        out = np.einsum("ij,ij->i", lam, v) / lam.sum(axis=1)
+    hit = d == 0.0
+    out[hit.any(axis=1)] = v[hit]
+    return out
+
+
+class TestStencilBits:
+    def test_random_lattice_coordinates(self):
+        # the reach of a lattice with 2 n + 1 values is [10, 2 n - 10]
+        rng = np.random.default_rng(33)
+        n = 200
+        values = rng.normal(size=2 * n + 1)
+        lo, hi = 10.0, 2.0 * n - 10.0
+        s = np.concatenate([rng.uniform(lo, hi, 5000), np.arange(lo, hi + 1.0),
+                            np.arange(lo, hi) + 0.5, [lo, hi, np.nextafter(lo, hi),
+                                                      np.nextafter(hi, lo), lo + 1e-13]])
+        got = bandlimited._stencil_values(values, s)
+        want = _parent_stencil_values(values, s)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("sigma", [2.0, 8.0])
+    def test_j_of_every_decaying_member(self, monkeypatch, sigma):
+        for name in DECAYING:
+            m = corpus_member(name)
+            j = vp_operator(m.rf, sigma, x_span=m.norm_window)
+            xs = np.linspace(-m.norm_window, m.norm_window, 2501)  # several stencil blocks
+            got = j(xs)
+            with monkeypatch.context() as mp:
+                mp.setattr(bandlimited, "_stencil_values", _parent_stencil_values)
+                want = j(xs)
+            assert [v.hex() for v in got] == [v.hex() for v in want], name
