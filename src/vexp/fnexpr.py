@@ -14,17 +14,18 @@ Grammar (EBNF):
 `sinc(a)` means sin(a*x)/(a*x) with the value 1 at x = 0, the tree node
 `SincD(a, 0)`; `sincd(a, n)` is its n-th derivative, which differentiated
 expressions use so that removable singularities stay evaluable (accepted
-back for n >= 1).  `indicator(a, b)` is 1 on [a, b], endpoints included.
-Their arguments and gauss's are constants.  The parser expands the
-abbreviations, so no tree walk knows them: `-u` is the product -1 * u (a
-literal takes the sign), `gauss(a)` is exp(-a*x*x), and gauss(0), sinc(0)
-and sincd(0, n) are the constants 1, 1 and 0.
+back for 1 <= n <= 16).  `indicator(a, b)` is 1 on [a, b], endpoints
+included.  Their arguments and gauss's are constants.  The parser expands
+the abbreviations, so no tree walk knows them: `-u` is the product -1 * u
+(a literal takes the sign), `gauss(a)` is exp(-a*x*x), and gauss(0),
+sinc(0) and sincd(0, n) are the constants 1, 1 and 0.
 
 Exponents in `^` must be integer literals.  The grammar is closed: no user
-defined names, no piecewise syntax beyond `indicator`.  The parser and the
-tree walks recurse, so more than 50 open parentheses or signs in a row, or a
-tree more than 200 levels deep, raise a ParseError, as does a constant that
-is no finite float, such as exp(1e300) or 0/0 (folded quietly, then refused).
+defined names, no piecewise syntax beyond `indicator`.  The parser recurses,
+so more than 50 open parentheses or signs in a row raise a ParseError, as
+do more than 10,000 distinct nodes and a constant that is no finite float,
+such as exp(1e300) or 0/0 (folded quietly, then refused).  Trees are DAGs,
+and each walk visits their distinct nodes once (`_walk`).
 """
 
 from __future__ import annotations
@@ -32,9 +33,11 @@ from __future__ import annotations
 import bisect
 import math
 import re
-from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import NamedTuple, Optional, Union
+import struct
+import weakref
+from dataclasses import dataclass
+from functools import cached_property, partial
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -61,67 +64,174 @@ class ExponentRangeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# AST
+# Numeric kernels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+def _sinc(a: float, x: np.ndarray) -> np.ndarray:
+    y = a * x
+    small = np.abs(y) < 1e-6
+    if not small.any():
+        return np.sin(y) / y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.sin(y) / y
+    ys = y[small]
+    y2 = ys * ys
+    out[small] = 1.0 - y2 / 6.0 * (1.0 - y2 / 20.0)
+    return out
 
 
-@dataclass(frozen=True)
-class Var:
-    pass
+def _sincd_coef(n: int, m: int) -> float:  # coefficient of y^(2m-n) in d^n/dy^n (sin y / y)
+    return (-1.0) ** m * math.factorial(2 * m) / (
+        math.factorial(2 * m - n) * math.factorial(2 * m + 1))
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # + | - | * | /
-    left: "Node"
-    right: "Node"
+def _sincd_plan(n: int, tol: float = 1e-14) -> Optional[tuple[float, int]]:
+    """(switch, terms): sincd of order n sums that many terms of its Taylor
+    series where |y| < switch, else its closed form; orders 1 to 4 keep 0.5
+    and 12.  Above, the closed form's terms, n!/(j! |y|^(n+1-j)) in size,
+    cancel to at most 1/(n+1): the switch is the first multiple of 1/8 where
+    eps times their sum is within tol, and the series runs until its terms
+    fall below eps there; None when eps times those sums past tol."""
+    if n <= 4:
+        return 0.5, 12
+    f, eps, y, m, terms = math.factorial, np.finfo(float).eps, 0.5, (n + 1) // 2, []
+    while eps * sum(f(n) / (f(j) * y ** (n + 1 - j)) for j in range(n + 1)) > tol:
+        y += 0.125
+    while not terms or terms[-1] >= eps:
+        k = m + len(terms)
+        terms.append(abs(_sincd_coef(n, k)) * y ** (2 * k - n))
+    return (y, len(terms)) if eps * sum(terms) <= tol else None
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
+_SINCD: dict[int, tuple[float, int]] = {}  # order -> its plan, while the rule holds
+while plan := _sincd_plan(len(_SINCD) + 1):
+    _SINCD[len(_SINCD) + 1] = plan
+_SINCD_MAX = len(_SINCD)
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str  # exp | sin | cos | abs
-    arg: "Node"
+def _sincd(a: float, n: int, x: np.ndarray) -> np.ndarray:
+    """n-th derivative of sin(ax)/(ax): a^n * d^n/dy^n [sin(y)/y] at y = ax."""
+    switch, terms = _SINCD[n]
+    y = a * x
+    small = np.abs(y) < switch
+    # closed form: d^n/dy^n (sin y / y) = sum_j C(n,j) sin(y + j pi/2) *
+    #   (-1)^(n-j) (n-j)! / y^(n-j+1)
+    closed = np.zeros_like(y, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(n + 1):
+            coeff = math.comb(n, j) * (-1.0) ** (n - j) * math.factorial(n - j)
+            closed += coeff * np.sin(y + j * math.pi / 2.0) / y ** (n - j + 1)
+    if small.any():
+        # Taylor: sin(y)/y = sum_m (-1)^m y^(2m) / (2m+1)!
+        ys = y[small]
+        series = np.zeros_like(ys)
+        for m in range((n + 1) // 2, (n + 1) // 2 + terms):
+            series += _sincd_coef(n, m) * ys ** (2 * m - n)
+        closed[small] = series
+    return a ** n * closed
 
 
-@dataclass(frozen=True)
-class SincD:
-    a: float
-    order: int
+_CALLS = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "abs": np.abs}
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 
-@dataclass(frozen=True)
-class Indicator:
-    a: float
-    b: float
+# ---------------------------------------------------------------------------
+# Nodes and walks
+# ---------------------------------------------------------------------------
+
+_NODES: dict[tuple, weakref.ref] = {}  # key -> the live node; a node's death drops its key
+_BITS = struct.Struct("<d").pack
 
 
-Node = Union[Num, Var, BinOp, Pow, Call, SincD, Indicator]
+class Node:
+    """An expression node, interned and never changed: a constructor returns
+    the one live node of its class with the same children (by identity) and
+    constants (by their bits: 0.0 and -0.0 are two), so equality is identity.
+    kids are the child nodes, const the value of a node without x (else None)
+    and walk `_order`'s list, once read."""
 
-_ZERO, _ONE, _MINUS_ONE = Num(0.0), Num(1.0), Num(-1.0)
+    __slots__ = ("kids", "const", "walk", "__weakref__")
 
-_UNARY_CALLS = ("exp", "sin", "cos", "abs")
+    def __new__(cls, *fields):
+        if len(fields) != len(cls.__slots__):
+            raise TypeError(f"{cls.__name__} takes the fields {cls.__slots__}")
+        if cls in (BinOp, Pow, Call):
+            key, kids = (cls, *fields), fields[:1] if cls is Pow else fields[1:]
+        else:  # a leaf
+            fields = (float(fields[0]),) if cls is Num else fields
+            key, kids = (cls, *[_BITS(v) if isinstance(v, float) else v for v in fields]), ()
+        if (ref := _NODES.get(key)) is not None and (node := ref()) is not None:
+            return node
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            setattr(node, name, value)
+        node.kids, node.const, node.walk = kids, fields[0] if cls is Num else None, None
+        if kids and None not in (consts := [k.const for k in kids]):
+            with np.errstate(all="ignore"):  # the parser refuses a constant that is not finite
+                node.const = float(_FN[cls](node)(*[np.full(1, v) for v in consts])[0])
+        _NODES[key] = weakref.ref(node, lambda _, key=key, nodes=_NODES: nodes.pop(key, None))
+        return node
+
+    def __repr__(self) -> str:
+        fields = ", ".join(repr(getattr(self, f)) for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+# the node classes by their fields: Num's value is a float, BinOp's op + - * or
+# /, Call's name exp, sin, cos or abs, and SincD(a, n) is the n-th derivative
+# of sinc(a)
+Num, Var, BinOp, Pow, Call, SincD, Indicator = (
+    type(name, (Node,), {"__slots__": tuple(fields.split())}) for name, fields in [
+        ("Num", "value"), ("Var", ""), ("BinOp", "op left right"), ("Pow", "base exponent"),
+        ("Call", "name arg"), ("SincD", "a order"), ("Indicator", "a b")])
+_ZERO, _ONE, _MINUS_ONE, _X = Num(0.0), Num(1.0), Num(-1.0), Var()
+
+# the numpy operation of a node with x, on its kids' values or on x
+_FN = {
+    BinOp: lambda n: _BINARY[n.op],
+    Pow: lambda n: ((lambda b: b ** n.exponent) if n.exponent >= 0
+                    else lambda b: 1.0 / b ** (-n.exponent)),
+    Call: lambda n: _CALLS[n.name],
+    SincD: lambda n: partial(_sincd, n.a, n.order) if n.order else partial(_sinc, n.a),
+    Indicator: lambda n: lambda x: ((x >= n.a) & (x <= n.b)).astype(float),
+}
+
+
+def _order(root: Node) -> list[Node]:
+    """The distinct nodes under root, each after its kids, left to right."""
+    if root.walk is None:
+        order, done, stack = [], set(), [(root, 0)]
+        while stack:
+            node, i = stack.pop()
+            if i < len(node.kids):
+                stack.append((node, i + 1))
+                if node.kids[i] not in done:
+                    stack.append((node.kids[i], 0))
+            else:
+                done.add(node)
+                order.append(node)
+        root.walk = order
+    return root.walk
+
+
+def _walk(root: Node, rule, memo: Optional[dict] = None):
+    """root's value: rule(node, *its kids' values) over the distinct nodes
+    under root, kids first, kept in memo.  rule may be a table {class: rule}.
+    A value may be an exception, which rules pass on; the root's is raised."""
+    table = rule if isinstance(rule, dict) else None
+    memo = {} if memo is None else memo
+    for node in _order(root):
+        memo[node] = (table[type(node)] if table else rule)(node, *map(memo.get, node.kids))
+    if isinstance(memo[root], Exception):
+        raise memo[root]
+    return memo[root]
 
 
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # num | name | op
-    text: str
-    pos: int
-
+_Tok = NamedTuple("_Tok", [("kind", str), ("text", str), ("pos", int)])  # kind: num | name | op
 
 # ASCII numbers, names and operators; a character that starts none of them is
 # an error.  `\s` keeps str.isspace's whitespace.
@@ -129,9 +239,8 @@ _TOKEN = re.compile(r"(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
                     r"|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^(),])|(?P<space>\s+)|.",
                     re.DOTALL)
 
-
 _MAX_NEST = 50  # open parentheses or signs in a row; the parser recurses ~8 frames each
-_MAX_DEPTH = 200  # levels of a tree, parsed or differentiated; a walk takes ~2 frames each
+_MAX_NODES = 10_000  # distinct nodes of a source or a derivative: steps of its program
 
 
 def _tokenize(src: str) -> list[_Tok]:
@@ -148,68 +257,48 @@ def _tokenize(src: str) -> list[_Tok]:
     return toks
 
 
-def _depth(node: Node, memo: dict) -> int:
-    """The levels of node's tree, without recursion; memo: id -> (depth, subtree)."""
-    stack = [node]
-    while stack:
-        kids = [v for v in vars(stack[-1]).values() if isinstance(v, (BinOp, Pow, Call))]
-        if todo := [k for k in kids if id(k) not in memo]:
-            stack += todo
-        else:
-            top = stack.pop()
-            memo[id(top)] = 1 + max((memo[id(k)][0] for k in kids), default=0), top
-    return memo[id(node)][0]
-
-
 class _Parser:
     def __init__(self, src: str):
-        self.src = src
-        self.toks = _tokenize(src)
-        self.i = 0
-        self.depths: dict[int, tuple[int, Node]] = {}  # `_depth`'s; holding nodes keeps ids unique
-        self.consts: dict[int, float] = {}  # id -> value of each node built without x
+        # the tokens, the next one's index, and every node built so far with its subtree
+        self.src, self.toks, self.i, self.nodes = src, _tokenize(src), 0, set()
 
     def _peek(self) -> Optional[_Tok]:
         return self.toks[self.i] if self.i < len(self.toks) else None
 
     def _next(self) -> _Tok:
-        tok = self._peek()
-        if tok is None:
+        if (tok := self._peek()) is None:
             raise ParseError("unexpected end of input", len(self.src))
         self.i += 1
         return tok
 
     def _accept(self, ops: str) -> Optional[_Tok]:
-        """Consume and return the next token if it is one of the
-        single-character ops; None otherwise."""
-        tok = self._peek()
-        if tok is None or tok.kind != "op" or tok.text not in ops:
+        """The next token, consumed, if it is one of the single-character ops."""
+        if (tok := self._peek()) is None or tok.kind != "op" or tok.text not in ops:
             return None
         self.i += 1
         return tok
 
     def _expect(self, text: str):
-        tok = self._next()
-        if tok.kind != "op" or tok.text != text:
+        if (tok := self._next()).kind != "op" or tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.pos)
 
     def _node(self, node: Node, tok: _Tok) -> Node:
-        """node, built at tok; ParseError when its tree is deeper than _MAX_DEPTH
-        or when it has no x and its value is not finite."""
-        if _depth(node, self.depths) > _MAX_DEPTH:
-            raise ParseError(f"the expression is deeper than {_MAX_DEPTH} levels", tok.pos)
-        kids = {k: v.value if isinstance(v, Num) else self.consts.get(id(v))
-                for k, v in vars(node).items() if not isinstance(v, (str, int))}
-        if None not in kids.values():  # fold it from its children's values
-            value = self.consts[id(node)] = _compile(replace(node, **{
-                k: Num(v) for k, v in kids.items()}))
-            _finite(value, tok)
+        """node, built at tok; ParseError when the source has built more than
+        _MAX_NODES distinct nodes, or node is a constant that is not finite."""
+        todo = [node]
+        while todo:
+            if (n := todo.pop()) not in self.nodes:
+                self.nodes.add(n)
+                todo += n.kids
+        if len(self.nodes) > _MAX_NODES:
+            raise ParseError(f"the expression has more than {_MAX_NODES} distinct nodes", tok.pos)
+        if node.const is not None and not math.isfinite(node.const):
+            raise ParseError(f"this constant is {node.const!r}, not a finite float", tok.pos)
         return node
 
     def parse(self) -> Node:
         node = self._expr()
-        tok = self._peek()
-        if tok is not None:
+        if (tok := self._peek()) is not None:
             raise ParseError(f"trailing input {tok.text!r}", tok.pos)
         return node
 
@@ -221,10 +310,7 @@ class _Parser:
         return node
 
     def _expr(self) -> Node:
-        return self._chain("+-", self._term)
-
-    def _term(self) -> Node:
-        return self._chain("*/", self._unary)
+        return self._chain("+-", lambda: self._chain("*/", self._unary))
 
     def _unary(self) -> Node:
         if tok := self._accept("-"):
@@ -247,11 +333,9 @@ class _Parser:
     def _atom(self) -> Node:
         tok = self._next()
         if tok.kind == "num":
-            return Num(_finite(float(tok.text), tok))
+            return self._node(Num(float(tok.text)), tok)
         if tok.kind == "name":
-            if tok.text == "x":
-                return Var()
-            return self._call(tok)
+            return _X if tok.text == "x" else self._node(self._call(tok), tok)
         if tok.kind == "op" and tok.text == "(":
             node = self._expr()
             self._expect(")")
@@ -259,181 +343,102 @@ class _Parser:
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
 
     def _call(self, name_tok: _Tok) -> Node:
-        name = name_tok.text
+        name, pos = name_tok.text, name_tok.pos
         self._expect("(")
         args = [self._expr()]
         while self._accept(","):
             args.append(self._expr())
         self._expect(")")
-        if name in _UNARY_CALLS:
-            if len(args) != 1:
-                raise ParseError(f"{name} takes one argument", name_tok.pos)
-            return self._node(Call(name, args[0]), name_tok)
-        if name in ("gauss", "sinc"):
-            if len(args) != 1:
-                raise ParseError(f"{name} takes one constant argument", name_tok.pos)
-            a = _const_value(args[0], name_tok.pos)
-            if a == 0.0:
-                return _ONE
-            if name == "sinc":
-                return SincD(a, 0)
-            return Call("exp", BinOp("*", BinOp("*", Num(-a), Var()), Var()))
-        if name == "sincd":
-            if len(args) != 2:
-                raise ParseError("sincd takes (a, order)", name_tok.pos)
-            a = _const_value(args[0], name_tok.pos)
-            order = _const_value(args[1], name_tok.pos)
-            if order != int(order) or order < 1:
-                raise ParseError("sincd order must be a positive integer", name_tok.pos)
-            return SincD(a, int(order)) if a else _ZERO
+        if name not in _PARAMS:
+            raise ParseError(f"unknown identifier {name!r}", pos)
+        if len(args) != len(_PARAMS[name].split(",")):
+            raise ParseError(f"{name} takes ({_PARAMS[name]})", pos)
+        if name in _CALLS:
+            return Call(name, args[0])
+        a, *b = consts = [arg.const for arg in args]
+        if None in consts:
+            raise ParseError("argument must be a constant expression", pos)
         if name == "indicator":
-            if len(args) != 2:
-                raise ParseError("indicator takes (a, b)", name_tok.pos)
-            a = _const_value(args[0], name_tok.pos)
-            b = _const_value(args[1], name_tok.pos)
-            if not a < b:
-                raise ParseError("indicator needs a < b", name_tok.pos)
-            return Indicator(a, b)
-        raise ParseError(f"unknown identifier {name!r}", name_tok.pos)
+            if not a < b[0]:
+                raise ParseError("indicator needs a < b", pos)
+            return Indicator(a, b[0])
+        if name == "sincd" and (b[0] != int(b[0]) or not 1 <= b[0] <= _SINCD_MAX):
+            raise ParseError(f"sincd order must be an integer from 1 to {_SINCD_MAX}", pos)
+        if a == 0.0:  # gauss(0) and sinc(0) are 1, sincd(0, n) is 0
+            return _ZERO if b else _ONE
+        if name == "gauss":
+            return Call("exp", BinOp("*", BinOp("*", Num(-a), _X), _X))
+        return SincD(a, int(b[0]) if b else 0)
 
 
-def _finite(value: float, tok: _Tok) -> float:
-    if not math.isfinite(value):
-        raise ParseError(f"this constant is {value!r}, not a finite float", tok.pos)
-    return value
-
-
-def _const_value(node: Node, pos: int) -> float:
-    value = _compile(node)  # a float exactly when node has no x
-    if not isinstance(value, float):
-        raise ParseError("argument must be a constant expression", pos)
-    return value
+# the parameters of each call; all but those of exp, sin, cos and abs are constants
+_PARAMS = {**dict.fromkeys(_CALLS, "u"), "gauss": "a", "sinc": "a", "sincd": "a, order",
+           "indicator": "a, b"}
 
 
 # ---------------------------------------------------------------------------
 # Compilation
 # ---------------------------------------------------------------------------
 #
-# An AST compiles once into a tree of closures that runs the ufunc sequence
-# of a direct tree walk: every float operation is the same, so this plain form
-# matches the walk bit for bit (the outer form below does not).  Subtrees
-# without x fold to Python floats, computed by the same numpy operation on a
-# one-element array; an array combined with a float then gives, element by
-# element, what it gives combined with an array of that float.  Compiled
-# closures take arrays of at least one dimension.
+# A tree compiles once into a straight-line program, one step per distinct
+# node with x, children first: the numpy operation a direct walk of the
+# expanded tree makes, so the plain form matches that walk bit for bit (the
+# outer form below does not).  Subtrees without x are folded when built, by
+# the same operation on one-element arrays, as a float gives what an array
+# of it gives.  A slot is reused after its last reader.
 
-def _sinc(a: float, x: np.ndarray) -> np.ndarray:
-    y = a * x
-    small = np.abs(y) < 1e-6
-    if not small.any():
-        return np.sin(y) / y
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.sin(y) / y
-    ys = y[small]
-    y2 = ys * ys
-    out[small] = 1.0 - y2 / 6.0 * (1.0 - y2 / 20.0)
-    return out
+_ROWS = object()  # the rows argument of an outer form's steps, in slot 1 (x is in slot 0)
+_BLOCK = 1 << 14  # points of a long 1-D x per run of a program
 
 
-def _sincd(a: float, order: int, x: np.ndarray) -> np.ndarray:
-    """n-th derivative of sin(ax)/(ax): a^n * d^n/dy^n [sin(y)/y] at y = ax."""
-    y = a * x
-    small = np.abs(y) < 0.5
-    # closed form: d^n/dy^n (sin y / y) = sum_j C(n,j) sin(y + j pi/2) *
-    #   (-1)^(n-j) (n-j)! / y^(n-j+1)
-    closed = np.zeros_like(y, dtype=float)
-    n = order
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(n + 1):
-            coeff = math.comb(n, j) * (-1.0) ** (n - j) * math.factorial(n - j)
-            closed += coeff * np.sin(y + j * math.pi / 2.0) / y ** (n - j + 1)
-    if small.any():
-        # Taylor: sin(y)/y = sum_m (-1)^m y^(2m) / (2m+1)!
-        ys = y[small]
-        series = np.zeros_like(ys)
-        for m in range((n + 1) // 2, (n + 1) // 2 + 12):
-            if 2 * m < n:
-                continue
-            c = (-1.0) ** m * math.factorial(2 * m) / (
-                math.factorial(2 * m - n) * math.factorial(2 * m + 1))
-            series += c * ys ** (2 * m - n)
-        closed[small] = series
-    return a ** n * closed
+def _program(root: Node, special: dict):
+    """root's program (steps, slots, out): a step (fn, a, b, o) sets slot o to
+    fn(slot a), or fn(slot a, slot b) when b is not None; slots holds the
+    constants.  special maps a node to its (fn, args) in place of _FN's."""
+    order, need = _order(root), {root}
+    for node in reversed(order):
+        if node in need and node.const is None:
+            need.update(special[node][1] if node in special else node.kids)
+    ops = [(n, special.get(n) or (_FN[type(n)](n), n.kids or (_X,))) for n in order
+           if n in need and n.const is None and n is not _X]
+    last = {a: i for i, (_, (_, args)) in enumerate(ops) for a in args}
+    last[root] = len(ops)
+    slot, slots, free, steps = {_X: 0, _ROWS: 1}, [None, None], [], []
+    for i, (node, (fn, args)) in enumerate(ops):
+        for a in args:
+            if a not in slot:  # a constant
+                slot[a] = len(slots)
+                slots.append(a.const)
+        ins = [slot[a] for a in args]
+        free += [slot[a] for a in dict.fromkeys(args) if last[a] == i and slots[slot[a]] is None]
+        out = slot[node] = free.pop() if free else len(slots)
+        if out == len(slots):
+            slots.append(None)
+        steps.append((fn, ins[0], ins[1] if len(ins) > 1 else None, out))
+    return steps, slots, slot[root]
 
 
-def _fold(op, *values: float) -> float:
-    with np.errstate(all="ignore"):  # the parser refuses a constant that is not finite
-        return float(op(*(np.full(1, v) for v in values))[0])
-
-
-def _binary(op, left, right):
-    """Combine two compiled operands; a float stands for a constant."""
-    lc, rc = isinstance(left, float), isinstance(right, float)
-    if lc and rc:
-        return _fold(op, left, right)
-    if lc:
-        return lambda x: op(left, right(x))
-    if rc:
-        return lambda x: op(left(x), right)
-    return lambda x: op(left(x), right(x))
-
-
-def _unary(op, operand):
-    if isinstance(operand, float):
-        return _fold(op, operand)
-    return lambda x: op(operand(x))
-
-
-def _power(exponent: int):
-    if exponent >= 0:
-        return lambda b: b ** exponent
-    return lambda b: 1.0 / b ** (-exponent)
-
-
-_CALLS = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "abs": np.abs}
-_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
-
-
-def _compile(node: Node):
-    """A closure x -> values for node, or a float when node has no x."""
-    if isinstance(node, Num):
-        return float(node.value)
-    if isinstance(node, Var):
-        return lambda x: x
-    if isinstance(node, BinOp):
-        return _binary(_BINARY[node.op], _compile(node.left), _compile(node.right))
-    if isinstance(node, Pow):
-        return _unary(_power(node.exponent), _compile(node.base))
-    if isinstance(node, Call):
-        return _unary(_CALLS[node.name], _compile(node.arg))
-    if isinstance(node, SincD):
-        a, order = node.a, node.order
-        if order == 0:
-            return lambda x: _sinc(a, x)
-        return lambda x: _sincd(a, order, x)
-    if isinstance(node, Indicator):
-        a, b = node.a, node.b
-        return lambda x: ((x >= a) & (x <= b)).astype(float)
-    raise TypeError(node)
+def _run(steps, slots, out, x, rows=None):
+    if x.ndim == 1 and x.size > 2 * _BLOCK:  # block by block, its temporaries in cache
+        return np.concatenate([_run(steps, slots, out, x[i:i + _BLOCK])
+                               for i in range(0, x.size, _BLOCK)])
+    s = slots.copy()
+    s[0], s[1] = x, rows
+    for fn, a, b, o in steps:
+        s[o] = fn(s[a]) if b is None else fn(s[a], s[b])
+    return s[out]
 
 
 def compile_expr(node: Node):
-    """Compile node into a function of a float array of at least 1 dimension."""
-    fn = _compile(node)
-    if isinstance(fn, float):
-        value = fn
-        return lambda x: np.full_like(x, value, dtype=float)
-    return fn
-
-
-def _apply(fn, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return fn(x.reshape(1)).reshape(()) if x.ndim == 0 else fn(x)
+    """node's program, a function of float arrays of at least 1 dimension."""
+    if node.const is not None:
+        return partial(np.full_like, fill_value=node.const, dtype=float)
+    return partial(_run, *_program(node, {}))
 
 
 def evaluate(node: Node, x) -> np.ndarray:
     """Compile node and evaluate it once at x."""
-    return _apply(compile_expr(node), x)
+    return np.asarray(FuncExpr(node)(x))
 
 
 # The outer form samples a tree at every x_i + t_j.  sin and cos of c*x + b
@@ -444,9 +449,8 @@ def evaluate(node: Node, x) -> np.ndarray:
 # factors to first order, sin(u + e) = sin u + e cos u, so the values are
 # those at the exact x_i + t_j to about an ulp, where the plain form, which
 # rounds x_i + t_j and c*(x_i + t_j), is off by about eps*|c*X|.  sinc(a) is
-# that sine over a*X.  Where |c*X| < 4 the plain form is as accurate (for
-# sinc, more), and the node keeps its compiled closure; so does every other
-# subtree, on X = x_i + t_j.
+# that sine over a*X.  Where |c*X| < 4 the node's own program is as accurate
+# (for sinc, more); every other step runs on X = x_i + t_j.
 
 def _split(a):
     h = a * 134217729.0  # 2^27 + 1: Veltkamp's split into two 26-bit halves
@@ -467,7 +471,7 @@ def _sin_cos(c: float, b: float, x: np.ndarray):
 
 def _trig(kind: str, c: float, b: float, plain):
     """The outer form of sin or cos of c*x + b, or of sinc(c) (b = 0), whose
-    compiled closure is plain."""
+    compiled program is plain."""
     def prep(x, t):
         (su, cu), (sv, cv) = _sin_cos(c, b, x), _sin_cos(c, 0.0, t)
         left, right = np.stack([cu, -su] if kind == "cos" else [su, cu], 1), np.stack([cv, sv])
@@ -487,30 +491,27 @@ def _trig(kind: str, c: float, b: float, plain):
     return prep
 
 
-def _on_sum(fn):
-    """A compiled closure, or float, as an outer form: fn on X."""
-    return fn if isinstance(fn, float) else lambda x, t: lambda rows, X: fn(X)
-
-
-def _outer(node: Node):
-    """node's outer form, (x, t) -> ((rows, X) -> values at X = x[rows] + t),
-    or None when that is its compiled closure on X."""
-    if isinstance(node, SincD) and node.order == 0:
-        return _trig("sinc", node.a, 0.0, _compile(node))
-    if (isinstance(node, Call) and node.name in ("sin", "cos") and (arg := _pieces(node.arg))
-            and not arg[0] and len(p := arg[1][0]) == 2 and p[1] != 0.0):
-        return _trig(node.name, float(p[1]), float(p[0]), _compile(node))
-    kids = [v for v in vars(node).values() if not isinstance(v, (int, float, str))]
-    outers = [_outer(k) for k in kids]
-    if all(o is None for o in outers):
-        return None
-    op = (_BINARY[node.op] if isinstance(node, BinOp)
-          else _CALLS[node.name] if isinstance(node, Call) else _power(node.exponent))
-    parts = [o or _on_sum(_compile(k)) for k, o in zip(kids, outers)]
+def _outer(root: Node):
+    """root's outer form, (x, t) -> (rows -> values at x[rows] + t): its
+    program with `_trig` steps for sinc(a) and sin and cos of c*x + b."""
+    if root.const is not None:
+        plain = compile_expr(root)
+        return lambda x, t: lambda rows: plain(x[rows, None] + t)
+    pieces, special = {}, {}
+    _pieces(root, pieces)
+    for n in pieces:
+        if type(n) is SincD and n.order == 0:
+            special[n] = _trig("sinc", n.a, 0.0, compile_expr(n)), (_ROWS, _X)
+        elif (type(n) is Call and n.name in ("sin", "cos") and (arg := pieces[n.arg])
+              and not arg[0] and len(p := arg[1][0]) == 2 and p[1] != 0.0):
+            special[n] = _trig(n.name, float(p[1]), float(p[0]), compile_expr(n)), (_ROWS, _X)
+    steps, slots, out = _program(root, special)
+    preps = {fn for fn, _ in special.values()}
 
     def prep(x, t):
-        evs = [p if isinstance(p, float) else p(x, t) for p in parts]
-        return lambda rows, X: op(*(e if isinstance(e, float) else e(rows, X) for e in evs))
+        run = partial(_run, [(fn(x, t), *rest) if fn in preps else (fn, *rest)
+                             for fn, *rest in steps], slots, out)
+        return lambda rows: run(x[rows, None] + t, rows)
     return prep
 
 
@@ -518,32 +519,22 @@ def _outer(node: Node):
 # Canonical printer
 # ---------------------------------------------------------------------------
 
+_SOURCE = {
+    Num: lambda n: "0" if n.value == 0.0 else f"{n.value:.17g}",
+    Var: lambda n: "x",
+    BinOp: lambda n, l, r: f"(-{r})" if n.left is _MINUS_ONE else f"({l} {n.op} {r})",
+    # -2^2 reads as -(2^2)
+    Pow: lambda n, b: f"({f'({b})' if type(n.base) is Num and n.base.value < 0.0 else b}"
+                      f"^{n.exponent})",
+    Call: lambda n, a: f"{n.name}({a})",
+    SincD: lambda n: f"sincd({n.a:.17g}, {n.order})" if n.order else f"sinc({n.a:.17g})",
+    Indicator: lambda n: f"indicator({n.a:.17g}, {n.b:.17g})",
+}
+
+
 def to_source(node: Node) -> str:
     """ASCII form with explicit parentheses around every binary operation."""
-    if isinstance(node, Num):
-        if node.value == 0.0:
-            return "0"
-        return f"{node.value:.17g}"
-    if isinstance(node, Var):
-        return "x"
-    if isinstance(node, BinOp):
-        if node.op == "*" and node.left == _MINUS_ONE:
-            return f"(-{to_source(node.right)})"
-        return f"({to_source(node.left)} {node.op} {to_source(node.right)})"
-    if isinstance(node, Pow):
-        base = to_source(node.base)
-        if isinstance(node.base, Num) and node.base.value < 0.0:
-            base = f"({base})"  # -2^2 reads as -(2^2)
-        return f"({base}^{node.exponent})"
-    if isinstance(node, Call):
-        return f"{node.name}({to_source(node.arg)})"
-    if isinstance(node, SincD):
-        if node.order == 0:
-            return f"sinc({node.a:.17g})"
-        return f"sincd({node.a:.17g}, {node.order})"
-    if isinstance(node, Indicator):
-        return f"indicator({node.a:.17g}, {node.b:.17g})"
-    raise TypeError(node)
+    return _walk(node, _SOURCE)
 
 
 # ---------------------------------------------------------------------------
@@ -552,50 +543,50 @@ def to_source(node: Node) -> str:
 
 def _op(op: str, left: Node, right: Node) -> Node:
     """BinOp(op, left, right) without its terms 0 and factors 1."""
-    if op == "*" and _ZERO in (left, right):
+    zl, zr = type(left) is Num and left.value == 0.0, type(right) is Num and right.value == 0.0
+    if op == "*" and (zl or zr):
         return _ZERO
-    if (op == "*" and left == _ONE) or (op == "+" and left == _ZERO):
+    if (op == "*" and left is _ONE) or (op == "+" and zl):
         return right
-    if (op in "*/" and right == _ONE) or (op in "+-" and right == _ZERO):
+    if (op in "*/" and right is _ONE) or (op in "+-" and zr):
         return left
-    if op == "-" and left == _ZERO:
+    if op == "-" and zl:
         return BinOp("*", _MINUS_ONE, right)
     return BinOp(op, left, right)
 
 
-def _diff(node: Node) -> Node:
-    if isinstance(node, Num):
-        return _ZERO
-    if isinstance(node, Var):
-        return _ONE
+def _derivative(node: Node, *ds):
+    """node's derivative from its kids' ds, so a shared subtree is
+    differentiated once and its derivative is shared; a kid's exception, or
+    NonDifferentiableError for abs and indicator outside a power 0."""
+    if isinstance(node, Pow) and node.exponent == 0:
+        return _ZERO  # whatever the base, rough or not
+    if error := next((d for d in ds if isinstance(d, Exception)), None):
+        return error
+    if isinstance(node, (Num, Var)):
+        return _ONE if node is _X else _ZERO
     if isinstance(node, BinOp):
-        dl, dr = _diff(node.left), _diff(node.right)
         if node.op in "+-":
-            return _op(node.op, dl, dr)
-        terms = _op("*", dl, node.right), _op("*", node.left, dr)
+            return _op(node.op, *ds)
+        terms = _op("*", ds[0], node.right), _op("*", node.left, ds[1])
         if node.op == "*":
             return _op("+", *terms)
         return _op("/", _op("-", *terms), Pow(node.right, 2))
     if isinstance(node, Pow):
-        if node.exponent == 0:
-            return _ZERO
         n = node.exponent - 1
         power = node.base if n == 1 else Pow(node.base, n)
-        return _op("*", _op("*", Num(float(node.exponent)), power), _diff(node.base))
+        return _op("*", _op("*", Num(float(node.exponent)), power), ds[0])
     if isinstance(node, Call):
-        inner = _diff(node.arg)
         if node.name == "exp":
-            return _op("*", Call("exp", node.arg), inner)
+            return _op("*", node, ds[0])
         if node.name == "sin":
-            return _op("*", Call("cos", node.arg), inner)
+            return _op("*", Call("cos", node.arg), ds[0])
         if node.name == "cos":
-            return _op("-", _ZERO, _op("*", Call("sin", node.arg), inner))
-        raise NonDifferentiableError("abs(.) has no classical derivative at 0")
+            return _op("-", _ZERO, _op("*", Call("sin", node.arg), ds[0]))
+        return NonDifferentiableError("abs(.) has no classical derivative at 0")
     if isinstance(node, SincD):
         return SincD(node.a, node.order + 1)
-    if isinstance(node, Indicator):
-        raise NonDifferentiableError("indicator(.,.) has no classical derivative")
-    raise TypeError(node)
+    return NonDifferentiableError("indicator(.,.) has no classical derivative")
 
 
 # ---------------------------------------------------------------------------
@@ -659,36 +650,37 @@ def _power_tail(t: _Tail, n: int) -> _Tail:
                  t.odd and n % 2 == 1)
 
 
+def _call_tail(n: Call, u: _Tail) -> _Tail:
+    if n.const is not None:
+        return _Tail(0.0, np.float64(n.const))
+    if n.name == "abs":
+        return u._replace(coef=abs(u.coef), odd=False)
+    if n.name != "exp":
+        return _Tail(0.0)
+    if u.growth > 0 and u.coef < 0 and not u.odd:  # u -> -oo on both sides
+        if u.growth == 2 and 64.0 * u.coef < -1.0:
+            return _Tail(-math.inf)  # exp(c x^2) with c < -1/64
+        return _Tail(0.0, np.float64(0.0))
+    return _Tail(0.0 if u.growth <= 0 else math.inf)
+
+
+# coefficients are numpy scalars, which overflow to inf instead of raising
+_TAIL = {
+    Num: lambda n: _Tail(0.0, np.float64(n.value)),
+    Var: lambda n: _Tail(1.0, np.float64(1.0), odd=True),
+    Indicator: lambda n: _Tail(-math.inf, support=(n.a, n.b)),
+    SincD: lambda n: _Tail(-1.0),
+    Pow: lambda n, b: _power_tail(b, n.exponent),
+    Call: _call_tail,
+    BinOp: lambda n, l, r: (_sum(l, r if n.op == "+" else r._replace(coef=-r.coef))
+                            if n.op in "+-" else
+                            _product(l, r if n.op == "*" else _power_tail(r, -1))),
+}
+
+
 def _tail(node: Node) -> _Tail:
-    # coefficients are numpy scalars, which overflow to inf instead of raising
-    if isinstance(node, Num):
-        return _Tail(0.0, np.float64(node.value))
-    if isinstance(node, Var):
-        return _Tail(1.0, np.float64(1.0), odd=True)
-    if isinstance(node, Indicator):
-        return _Tail(-math.inf, support=(node.a, node.b))
-    if isinstance(node, SincD):
-        return _Tail(-1.0)
-    if isinstance(node, Pow):
-        return _power_tail(_tail(node.base), node.exponent)
-    if isinstance(node, Call):
-        value = _compile(node)
-        if isinstance(value, float):
-            return _Tail(0.0, np.float64(value))
-        u = _tail(node.arg)
-        if node.name == "abs":
-            return u._replace(coef=abs(u.coef), odd=False)
-        if node.name != "exp":
-            return _Tail(0.0)
-        if u.growth > 0 and u.coef < 0 and not u.odd:  # u -> -oo on both sides
-            if u.growth == 2 and 64.0 * u.coef < -1.0:
-                return _Tail(-math.inf)  # exp(c x^2) with c < -1/64
-            return _Tail(0.0, np.float64(0.0))
-        return _Tail(0.0 if u.growth <= 0 else math.inf)
-    l, r = _tail(node.left), _tail(node.right)
-    if node.op in "+-":
-        return _sum(l, r if node.op == "+" else r._replace(coef=-r.coef))
-    return _product(l, r if node.op == "*" else _power_tail(r, -1))
+    with np.errstate(all="ignore"):
+        return _walk(node, _TAIL)
 
 
 def classify_decay(node: Node, terms: Optional[tuple]) -> Decay:
@@ -698,8 +690,7 @@ def classify_decay(node: Node, terms: Optional[tuple]) -> Decay:
     as gauss(a) with a > 1/64, power decay from a negative growth bound, else none."""
     if terms:
         return Decay("compact_support", min(b for _, b, _ in terms), max(b for _, b, _ in terms))
-    with np.errstate(all="ignore"):
-        t = _tail(node)
+    t = _tail(node)
     if t.support:
         return Decay("compact_support", *t.support)
     if t.growth == -math.inf:
@@ -733,32 +724,24 @@ def _refine(knots: list[float], polys: list, finer: list[float]) -> list:
     return [polys[0], *(polys[bisect.bisect_right(knots, b)] for b in finer)]
 
 
-def _pieces(node: Node) -> Optional[tuple[list[float], list[np.ndarray]]]:
-    """node as a piecewise polynomial: its sorted knots, and the polynomial,
-    coefficients lowest first, that it equals on each interval they cut from
-    the line; None outside the subset."""
+def _piece(node: Node, *kids):
+    """node's pieces from its kids' (see `_pieces`)."""
     if isinstance(node, Var):
         return [], [np.array([0.0, 1.0])]
     if isinstance(node, Indicator):
         knots = sorted({node.a, node.b})
         return knots, [np.array([float(node.a < x < node.b)]) for x in _insides(knots)]
     if isinstance(node, BinOp):
-        if node.op == "/" and not isinstance(_compile(node.right), float):
-            return None
-        l = _pieces(node.left)
-        if l is None or (r := _pieces(node.right)) is None:
+        l, r = kids
+        if (node.op == "/" and node.right.const is None) or l is None or r is None:
             return None
         knots = sorted(set(l[0]) | set(r[0]))
-        with np.errstate(all="ignore"):  # coefficients overflow to inf, as (1e200*x)^2's do
-            return knots, list(map(_POLY_OPS[node.op], _refine(*l, knots), _refine(*r, knots)))
-    value = _compile(node)
-    if isinstance(value, float):
-        return [], [np.array([value])]
+        return knots, list(map(_POLY_OPS[node.op], _refine(*l, knots), _refine(*r, knots)))
+    if node.const is not None:
+        return [], [np.array([node.const])]
     if isinstance(node, Pow) and 0 <= node.exponent <= 16:
-        p = _pieces(node.base)
-        with np.errstate(all="ignore"):
-            return p and (p[0], [P.polypow(q, node.exponent) for q in p[1]])
-    arg = _pieces(node.arg) if isinstance(node, Call) and node.name == "abs" else None
+        return kids[0] and (kids[0][0], [P.polypow(q, node.exponent) for q in kids[0][1]])
+    arg = kids[0] if isinstance(node, Call) and node.name == "abs" else None
     if arg is None or any(len(p) > 2 for p in arg[1]):
         return None
     ends = [-math.inf, *arg[0], math.inf]
@@ -767,6 +750,14 @@ def _pieces(node: Node) -> Optional[tuple[list[float], list[np.ndarray]]]:
     knots = sorted(set(arg[0]) | zeros)
     return knots, [-p if P.polyval(x, p) < 0.0 else p
                    for x, p in zip(_insides(knots), _refine(*arg, knots))]
+
+
+def _pieces(root: Node, memo: Optional[dict] = None):
+    """root as a piecewise polynomial: its sorted knots, and the polynomial,
+    coefficients lowest first, that it equals on each interval they cut from
+    the line; None outside the subset.  memo takes every node's."""
+    with np.errstate(all="ignore"):  # coefficients overflow to inf, as (1e200*x)^2's do
+        return _walk(root, _piece, memo)
 
 
 def truncated_powers(node: Node) -> Optional[tuple[tuple[float, float, int], ...]]:
@@ -801,31 +792,38 @@ def rough_spots(node: Node) -> tuple[tuple[float, ...], float]:
     cos of an argument that is not piecewise affine, as in sin(x^2), and for
     a divisor, an exp argument or the base of a negative power that
     oscillates, as in exp(sin(x)), whose spectra no such sum bounds."""
-    if isinstance(node, SincD):
-        return (), abs(node.a)
-    if isinstance(node, Indicator):
-        return tuple(sorted({node.a, node.b})), 0.0
-    trig = isinstance(node, Call) and node.name in ("sin", "cos")
-    if trig and (arg := _pieces(node.arg)) and all(len(p) <= 2 for p in arg[1]):
-        return tuple(arg[0]), max((abs(float(p[1])) for p in arg[1] if len(p) == 2), default=0.0)
-    if isinstance(node, Call) and node.name == "abs":
-        if (pieces := _pieces(node)) is None:
-            raise ValueError(f"cannot locate the kinks of {to_source(node)}")
-        return tuple(pieces[0]), 0.0
-    parts = [rough_spots(v) for v in vars(node).values()
-             if not isinstance(v, (int, float, str))]
-    freqs = [w for _, w in parts]
-    # sin or cos of any other argument; the last child is the exp argument, the
-    # divisor or the negative power's base
-    if trig or (freqs and freqs[-1] and ((isinstance(node, Call) and node.name == "exp")
-                                         or (isinstance(node, BinOp) and node.op == "/")
-                                         or (isinstance(node, Pow) and node.exponent < 0))):
-        raise ValueError(f"cannot bound the frequency of {to_source(node)}")
-    if isinstance(node, BinOp) and node.op == "*":
-        freqs = [sum(freqs)]
-    elif isinstance(node, Pow) and node.exponent >= 1:
-        freqs = [node.exponent * freqs[0]]
-    return tuple(sorted({b for p, _ in parts for b in p})), max(freqs, default=0.0)
+    pieces = {}
+    if any(type(n) is Call and n.name != "exp" for n in _order(node)):  # abs, sin or cos
+        _pieces(node, pieces)
+
+    def rule(n, *parts):
+        if isinstance(n, SincD):
+            return (), abs(n.a)
+        if isinstance(n, Indicator):
+            return tuple(sorted({n.a, n.b})), 0.0
+        trig = isinstance(n, Call) and n.name in ("sin", "cos")
+        if trig and (arg := pieces[n.arg]) and all(len(p) <= 2 for p in arg[1]):
+            return tuple(arg[0]), max((abs(float(p[1])) for p in arg[1] if len(p) == 2),
+                                      default=0.0)
+        if isinstance(n, Call) and n.name == "abs":
+            if pieces[n] is None:
+                return ValueError(f"cannot locate the kinks of {to_source(n)}")
+            return tuple(pieces[n][0]), 0.0
+        if error := next((p for p in parts if isinstance(p, Exception)), None):
+            return error
+        freqs = [w for _, w in parts]
+        # sin or cos of any other argument; the last child is the exp argument,
+        # the divisor or the negative power's base
+        if trig or (freqs and freqs[-1] and ((isinstance(n, Call) and n.name == "exp")
+                                             or (isinstance(n, BinOp) and n.op == "/")
+                                             or (isinstance(n, Pow) and n.exponent < 0))):
+            return ValueError(f"cannot bound the frequency of {to_source(n)}")
+        if isinstance(n, BinOp) and n.op == "*":
+            freqs = [sum(freqs)]
+        elif isinstance(n, Pow) and n.exponent >= 1:
+            freqs = [n.exponent * freqs[0]]
+        return tuple(sorted({b for p, _ in parts for b in p})), max(freqs, default=0.0)
+    return _walk(node, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -858,10 +856,9 @@ class FuncExpr:
 
     @cached_property
     def smooth(self) -> bool:
-        """Symbolic derivatives exist: `_diff` meets no abs or indicator
-        outside a power 0."""
+        """Symbolic derivatives exist: no abs or indicator outside a power 0."""
         try:
-            _diff(self.ast)
+            _walk(self.ast, _derivative)
         except NonDifferentiableError:
             return False
         return True
@@ -870,26 +867,21 @@ class FuncExpr:
     def _compiled(self):
         return compile_expr(self.ast)
 
-    @cached_property
+    @property
     def constant(self) -> Optional[float]:
         """The value of an expression without x; None when x occurs."""
-        value = _compile(self.ast)
-        return value if isinstance(value, float) else None
+        return self.ast.const
 
     @cached_property
-    def _outer_form(self):
-        return _outer(self.ast) or _on_sum(self._compiled)
-
-    def outer(self, x: np.ndarray, t: np.ndarray):
-        """rows -> the values at every x_i + t_j, i in the slice rows, for 1-D
-        x and t: the outer form (see `_outer`)."""
-        ev = self._outer_form(x, t)
-        return lambda rows: ev(rows, x[rows, None] + t)
+    def outer(self):
+        """The outer form (see `_outer`): (x, t) -> (rows -> the values at
+        every x_i + t_j, i in the slice rows), for 1-D x and t."""
+        return _outer(self.ast)
 
     def __call__(self, x):
-        scalar = np.isscalar(x)
-        out = _apply(self._compiled, x)
-        return float(out) if scalar else out
+        a = np.asarray(x, dtype=float)
+        out = self._compiled(a.reshape(1)).reshape(()) if a.ndim == 0 else self._compiled(a)
+        return float(out) if np.isscalar(x) else out
 
     def __str__(self) -> str:
         return self.src
@@ -902,14 +894,18 @@ def parse(src: str) -> FuncExpr:
 
 def differentiate(f: FuncExpr, order: int = 1) -> FuncExpr:
     """Exact symbolic derivative of the given order (order >= 1); ValueError
-    when a derivative's tree is deeper than _MAX_DEPTH levels."""
+    when a derivative has more than _MAX_NODES distinct nodes or a sincd
+    above order _SINCD_MAX."""
     if order < 1:
         raise ValueError("order must be >= 1")
     node = f.ast
     for k in range(1, order + 1):
-        node = _diff(node)
-        if _depth(node, {}) > _MAX_DEPTH:
-            raise ValueError(f"the derivative of order {k} is deeper than {_MAX_DEPTH} levels")
+        nodes = _order(node := _walk(node, _derivative))
+        if len(nodes) > _MAX_NODES:
+            raise ValueError(f"the derivative of order {k} has more than {_MAX_NODES} "
+                             "distinct nodes")
+        if any(type(n) is SincD and n.order > _SINCD_MAX for n in nodes):
+            raise ValueError(f"the derivative of order {k} holds sincd above order {_SINCD_MAX}")
     return FuncExpr(node)
 
 
@@ -950,8 +946,7 @@ def estimate_log_holder(p: FuncExpr, p_infinity: float):
 
 def _limit(node: Node) -> float:
     """The limit of node's value as |x| -> oo, read off its tail."""
-    with np.errstate(all="ignore"):
-        t = _tail(node)
+    t = _tail(node)
     if t.growth < 0:
         return 0.0
     if t.growth == 0 and math.isfinite(t.coef) and not (t.odd and t.coef):

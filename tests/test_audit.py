@@ -421,9 +421,10 @@ class TestCaseValidation:
             run_suite(GOOD_CASE + "[[case]]\n" + case)
 
     @pytest.mark.parametrize("src", ["(" * 140 + "exp(-x^2)" + ")" * 140,
-                                     "exp(-x^2)" + "*1" * 599], ids=["parentheses", "factors"])
+                                     "exp(-x^2)" + "*1" * 10_000], ids=["parentheses", "factors"])
     def test_deep_source_refused(self, src):
-        # validate_cases died with a RecursionError on these
+        # validate_cases died with a RecursionError on these (599 factors did;
+        # since no tree walk recurses, only a source above the node cap is refused)
         case = AuditCase(theorem="steklov_bound", f_src=src, p_src="@p2", deltas=(0.5,))
         with pytest.raises(ParseError, match="at column"):
             audit.validate_cases(Context(), [case])

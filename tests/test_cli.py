@@ -312,10 +312,11 @@ class TestMassOutsideTheWindow:
 
 
 class TestDeepSources:
-    # the parser and the tree walks recurse: these raised RecursionError,
-    # printed a traceback and exited 1
+    # these raised RecursionError, printed a traceback and exited 1 (599
+    # factors did; since no tree walk recurses, only a source above the node
+    # cap is refused)
     @pytest.mark.parametrize("src", ["(" * 140 + "exp(-x^2)" + ")" * 140,
-                                     "exp(-x^2)" + "*1" * 599],
+                                     "exp(-x^2)" + "*1" * 10_000],
                              ids=["parentheses", "factors"])
     def test_norm_refused_naming_a_column(self, capsys, src):
         assert main(["norm", "--f", src, "--p", "2"]) == 2

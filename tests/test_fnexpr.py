@@ -304,10 +304,12 @@ def _literal_sources():
 
 
 class TestDepthCaps:
-    # the parser and the tree walks recurse: 140 nested parentheses and a
-    # 600-factor chain raised RecursionError, and printed a traceback
-    NEST, DEPTH = fnexpr._MAX_NEST, fnexpr._MAX_DEPTH
-    HEAD = "exp(-x^2)"  # 3 levels: exp, the product with -1, the power
+    # the parser recurses: 140 nested parentheses raised RecursionError and
+    # printed a traceback.  No tree walk recurses any more; one cap on
+    # distinct nodes bounds a source and each derivative
+    NEST, NODES = fnexpr._MAX_NEST, fnexpr._MAX_NODES
+    HEAD = "exp(-x^2)"  # 5 nodes: exp, the product with -1, -1, the power, x
+    CHAIN = NODES - 6  # factors 1 that bring HEAD*1*...*1 to the cap: one node each, and the 1
 
     def test_nesting_cap(self):
         parse("(" * self.NEST + "x" + ")" * self.NEST)
@@ -318,11 +320,11 @@ class TestDepthCaps:
                                rf"or signs \(at column {self.NEST + 1}\)"):
                 parse(src)
 
-    def test_tree_depth_cap(self):
-        parse(self.HEAD + "*1" * (self.DEPTH - 3))
-        for src in (self.HEAD + "*1" * (self.DEPTH - 2), self.HEAD + "*1" * 599):
-            column = len(self.HEAD) + 2 * (self.DEPTH - 3) + 1  # the refused factor's '*'
-            with pytest.raises(ParseError, match=rf"deeper than {self.DEPTH} levels "
+    def test_node_cap(self):
+        parse(self.HEAD + "*1" * self.CHAIN)
+        for src in (self.HEAD + "*1" * (self.CHAIN + 1), self.HEAD + "*1" * (2 * self.NODES)):
+            column = len(self.HEAD) + 2 * self.CHAIN + 1  # the refused factor's '*'
+            with pytest.raises(ParseError, match=rf"more than {self.NODES} distinct nodes "
                                rf"\(at column {column}\)"):
                 parse(src)
 
@@ -330,7 +332,7 @@ class TestDepthCaps:
         with pytest.raises(ParseError, match="column"):
             ExponentField.from_expr("2 + " + "(" * 140 + "x^2" + ")" * 140)
         with pytest.raises(ParseError, match="column"):
-            ExponentField.from_expr("2" + "+0" * 600)
+            ExponentField.from_expr("2" + "+0" * self.NODES)
 
     def test_bundled_readme_and_test_sources_parse(self, monkeypatch):
         from vexp.config import parse_config
@@ -340,7 +342,7 @@ class TestDepthCaps:
                 if not case.get(key, "@").startswith("@"):
                     parse(case[key])
         monkeypatch.setattr(fnexpr, "_MAX_NEST", math.inf)
-        monkeypatch.setattr(fnexpr, "_MAX_DEPTH", math.inf)
+        monkeypatch.setattr(fnexpr, "_MAX_NODES", math.inf)
         sources = list(_literal_sources())
         monkeypatch.undo()
         assert len(sources) > 100
@@ -348,28 +350,91 @@ class TestDepthCaps:
             parse(src)
 
     @pytest.mark.parametrize("src, answered", [
-        (HEAD + "*1" * (DEPTH - 3), 4), ("-" * NEST + HEAD, 4),
+        (HEAD + "*1" * CHAIN, 4), ("-" * NEST + HEAD, 4),
         ("(" * (NEST - 1) + HEAD + ")" * (NEST - 1), 4),
-        ("(" * (NEST - 1) + HEAD + "*1" * (DEPTH - 3) + ")" * (NEST - 1), 4),
-        (HEAD + "+x" * (DEPTH - 3), 0),  # d/dx exp(-x^2) is one level deeper
+        ("(" * (NEST - 1) + HEAD + "*1" * CHAIN + ")" * (NEST - 1), 4),
+        (HEAD + "+x" * (NODES - 5), 0),  # d/dx exp(-x^2) has more nodes than it
     ], ids=["product_chain", "signs", "parentheses", "both", "sum_chain"])
     def test_derivatives_of_a_source_at_the_cap(self, src, answered):
         # every order up to 4 answers or is refused; none exhausts the stack
         f = parse(src)
         for order in range(1, 5):
             if order > answered:
-                with pytest.raises(ValueError, match=f"deeper than {self.DEPTH} levels"):
+                with pytest.raises(ValueError, match=f"more than {self.NODES} distinct nodes"):
                     differentiate(f, order)
                 continue
             g = differentiate(f, order)
             assert np.all(np.isfinite(g(np.linspace(-1.0, 1.0, 5))))
             assert g.src and g.smooth
 
-    def test_too_deep_derivative_refused(self):
-        # the derivative of a product of n factors is about 2n levels deep
-        f = parse(self.HEAD + "*x" * (self.DEPTH - 3))
-        with pytest.raises(ValueError, match=f"order 1 is deeper than {self.DEPTH} levels"):
+    def test_too_large_derivative_refused(self):
+        # the derivative of a product of n factors x has about 2n nodes
+        f = parse(self.HEAD + "*x" * (self.NODES - 5))
+        with pytest.raises(ValueError, match=f"order 1 has more than {self.NODES} distinct nodes"):
             differentiate(f)
+
+
+def _objects(node) -> int:
+    """The distinct node objects under node, counted by identity."""
+    seen, stack = {}, [node]
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen[id(n)] = n
+            stack += [getattr(n, f) for f in ("left", "right", "base", "arg") if hasattr(n, f)]
+    return len(seen)
+
+
+class TestSharing:
+    # derivatives copied the subtrees they share: the order-4 derivative of
+    # cos_gauss held 494 node objects, lorentz2's 328, and the third of 16
+    # nested exps 5,409; at 48 levels, orders 1-4 ran 184 s
+    NESTED = "exp(" * 15 + "exp(-x^2)" + ")" * 15
+
+    @pytest.mark.parametrize("src, order, most", [
+        ("cos(3*x)*exp(-x^2/4)", 4, 73), ("1/(1+x^2)^2", 4, 83), (NESTED, 3, 182)])
+    def test_a_derivative_is_one_object_per_distinct_subtree(self, src, order, most):
+        assert _objects(differentiate(parse(src), order).ast) <= most
+
+    def test_48_nested_calls_answer_or_are_refused(self):
+        f = parse("exp(" * 47 + "exp(-x^2)" + ")" * 47)
+        for order in range(1, 5):
+            try:
+                g = differentiate(f, order)
+            except ValueError as err:
+                assert f"more than {fnexpr._MAX_NODES} distinct nodes" in str(err)
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert g(np.array([-0.5, 0.0, 0.5])).shape == (3,)
+
+    def test_equal_subtrees_are_one_object(self):
+        assert parse("sin(x)*exp(-x^2) + sin(x)").ast.right is parse("sin(x)").ast
+        assert fnexpr.BinOp("+", fnexpr.Var(), fnexpr.Num(1)) is parse("x + 1").ast
+        assert fnexpr.Num(0.0) is not fnexpr.Num(-0.0)  # keyed by their bits
+
+
+class TestSincdOrders:
+    # the closed form cancels about eps n!/|y|^(n+1) where it takes over from
+    # the series, which was |y| = 0.5 at every order: order 8 was off by
+    # 1.6e-9 and order 16 by 67, and sincd(1, 200) raised OverflowError
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_against_the_integral(self, order):
+        import mpmath as mp
+        ys = np.concatenate([np.linspace(-6.0, 6.0, 41), [-0.5, 0.5]])
+        with mp.workdps(30):  # d^n/dy^n sin(y)/y = int_0^1 t^n cos(t y + n pi/2) dt
+            want = [float(mp.quad(lambda t: t ** order * mp.cos(t * y + order * mp.pi / 2),
+                                  [0, 1], method="gauss-legendre")) for y in ys]
+        assert np.max(np.abs(parse(f"sincd(1, {order})")(ys) - want)) <= 1e-13
+
+    def test_orders_above_the_rule_refused(self):
+        top = fnexpr._SINCD_MAX
+        assert top == 16
+        for src in (f"sincd(1, {top + 1})", "sincd(1, 200)"):
+            with pytest.raises(ParseError, match=rf"from 1 to {top} \(at column 1\)"):
+                parse(src)
+        assert differentiate(parse("sinc(2)"), top).src == f"sincd(2, {top})"
+        with pytest.raises(ValueError, match=f"sincd above order {top}"):
+            differentiate(parse(f"x + sincd(2, {top})"))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -415,17 +480,18 @@ class TestAbbreviations:
         assert parse(src).constant == value
 
     def test_printed_sources_of_the_bundled_trees_are_unchanged(self):
-        # the 12 members and 3 exponents with their first and second
-        # derivatives, as they printed when -u and gauss(a) were nodes
+        # the 12 members and 3 exponents with their derivatives of orders 1
+        # to 4, as they printed when -u and gauss(a) were nodes (orders 1 and
+        # 2) and when derivatives were trees, not DAGs (orders 3 and 4)
         from vexp.corpus import default_corpus, default_exponents
         lines = []
         for e in [m.expr for m in default_corpus()] + [p.expr for p in default_exponents()]:
             lines.append(e.src)
             if e.smooth:
-                lines += [differentiate(e, k).src for k in (1, 2)]
-        assert len(lines) == 41
+                lines += [differentiate(e, k).src for k in (1, 2, 3, 4)]
+        assert len(lines) == 67
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-            "561b5f5bbae99f810290329af37bbf0eba0b17ba626b98a006f73a70abc42536")
+            "bf62efd972fdc0170ac12e5d79a44fd97abd50b992475652c72973a754a5bcb6")
 
 
 def _differentiable(e) -> bool:
@@ -761,7 +827,7 @@ class TestCompiler:
                 continue
             assert_bit_identical(member.expr.ast)
             if member.smooth:
-                for order in (1, 2):
+                for order in (1, 2, 3, 4):
                     assert_bit_identical(differentiate(member.expr, order).ast)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
