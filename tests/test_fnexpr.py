@@ -173,7 +173,7 @@ class TestDecay:
 
     def test_truncated_powers_read_once(self, monkeypatch):
         # the exact engine and the decay class share the expression's terms;
-        # each walk of the tree recompiles its subtrees
+        # each read walks the whole tree
         from vexp import functions
         calls = []
         read = fnexpr.truncated_powers
