@@ -85,22 +85,25 @@ def _sincd_coef(n: int, m: int) -> float:  # coefficient of y^(2m-n) in d^n/dy^n
         math.factorial(2 * m - n) * math.factorial(2 * m + 1))
 
 
-def _sincd_plan(n: int, tol: float = 1e-14) -> Optional[tuple[float, int]]:
+_SINCD_TOL = 1e-14  # eps times the terms a sincd rule sums, at most
+
+
+def _sincd_plan(n: int) -> Optional[tuple[float, int]]:
     """(switch, terms): sincd of order n sums that many terms of its Taylor
     series where |y| < switch, else its closed form; orders 1 to 4 keep 0.5
     and 12.  Above, the closed form's terms, n!/(j! |y|^(n+1-j)) in size,
     cancel to at most 1/(n+1): the switch is the first multiple of 1/8 where
-    eps times their sum is within tol, and the series runs until its terms
-    fall below eps there; None when eps times those sums past tol."""
+    eps times their sum is within _SINCD_TOL, and the series runs until its
+    terms fall below eps there; None when eps times those sums past it."""
     if n <= 4:
         return 0.5, 12
     f, eps, y, m, terms = math.factorial, np.finfo(float).eps, 0.5, (n + 1) // 2, []
-    while eps * sum(f(n) / (f(j) * y ** (n + 1 - j)) for j in range(n + 1)) > tol:
+    while eps * sum(f(n) / (f(j) * y ** (n + 1 - j)) for j in range(n + 1)) > _SINCD_TOL:
         y += 0.125
     while not terms or terms[-1] >= eps:
         k = m + len(terms)
         terms.append(abs(_sincd_coef(n, k)) * y ** (2 * k - n))
-    return (y, len(terms)) if eps * sum(terms) <= tol else None
+    return (y, len(terms)) if eps * sum(terms) <= _SINCD_TOL else None
 
 
 _SINCD: dict[int, tuple[float, int]] = {}  # order -> its plan, while the rule holds
@@ -216,12 +219,11 @@ def _order(root: Node) -> list[Node]:
 
 def _walk(root: Node, rule, memo: Optional[dict] = None):
     """root's value: rule(node, *its kids' values) over the distinct nodes
-    under root, kids first, kept in memo.  rule may be a table {class: rule}.
-    A value may be an exception, which rules pass on; the root's is raised."""
-    table = rule if isinstance(rule, dict) else None
+    under root, kids first, kept in memo.  A value may be an exception,
+    which rules pass on; the root's is raised."""
     memo = {} if memo is None else memo
     for node in _order(root):
-        memo[node] = (table[type(node)] if table else rule)(node, *map(memo.get, node.kids))
+        memo[node] = rule(node, *map(memo.get, node.kids))
     if isinstance(memo[root], Exception):
         raise memo[root]
     return memo[root]
@@ -388,7 +390,6 @@ _PARAMS = {**dict.fromkeys(_CALLS, "u"), "gauss": "a", "sinc": "a", "sincd": "a,
 # of it gives.  A slot is reused after its last reader.
 
 _ROWS = object()  # the rows argument of an outer form's steps, in slot 1 (x is in slot 0)
-_BLOCK = 1 << 14  # points of a long 1-D x per run of a program
 
 
 def _program(root: Node, special: dict):
@@ -419,9 +420,6 @@ def _program(root: Node, special: dict):
 
 
 def _run(steps, slots, out, x, rows=None):
-    if x.ndim == 1 and x.size > 2 * _BLOCK:  # block by block, its temporaries in cache
-        return np.concatenate([_run(steps, slots, out, x[i:i + _BLOCK])
-                               for i in range(0, x.size, _BLOCK)])
     s = slots.copy()
     s[0], s[1] = x, rows
     for fn, a, b, o in steps:
@@ -522,7 +520,8 @@ def _outer(root: Node):
 _SOURCE = {
     Num: lambda n: "0" if n.value == 0.0 else f"{n.value:.17g}",
     Var: lambda n: "x",
-    BinOp: lambda n, l, r: f"(-{r})" if n.left is _MINUS_ONE else f"({l} {n.op} {r})",
+    BinOp: lambda n, l, r: f"(-{r})" if n.op == "*" and n.left is _MINUS_ONE
+                           else f"({l} {n.op} {r})",
     # -2^2 reads as -(2^2)
     Pow: lambda n, b: f"({f'({b})' if type(n.base) is Num and n.base.value < 0.0 else b}"
                       f"^{n.exponent})",
@@ -534,7 +533,7 @@ _SOURCE = {
 
 def to_source(node: Node) -> str:
     """ASCII form with explicit parentheses around every binary operation."""
-    return _walk(node, _SOURCE)
+    return _walk(node, lambda n, *k: _SOURCE[type(n)](n, *k))
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +679,7 @@ _TAIL = {
 
 def _tail(node: Node) -> _Tail:
     with np.errstate(all="ignore"):
-        return _walk(node, _TAIL)
+        return _walk(node, lambda n, *k: _TAIL[type(n)](n, *k))
 
 
 def classify_decay(node: Node, terms: Optional[tuple]) -> Decay:
