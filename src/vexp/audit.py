@@ -34,7 +34,8 @@ from .config import parse_config
 from .corpus import CorpusMember, resolve_exponent, resolve_function
 from .fnexpr import ExponentField, differentiate
 from .functions import RealFunction, as_real_function, combine
-from .norms import NormSpec, norm_of, window_nodes
+from .norms import NormSpec, norm_of
+from .quad import window_nodes
 from .report import AUDIT_ABS_TOL, AUDIT_REL_TOL, AuditRow, make_row
 from .smoothness import ModulusRequest, k_functional_upper, modulus
 from .steklov import (_panel_maxima, derivative_terms, difference_terms,
@@ -149,7 +150,7 @@ class Context:
         midrange, giving (max f - min f) / 2, from the sup norm's panels and
         interpolant maxima of f and -f, confirmed by f.
         """
-        if norm.kind == "vexp":
+        if norm.p is not None:
             return self.norm(m, norm)
         top, bottom = _panel_maxima(m.rf, norm.window, signed=True)
         return 0.5 * (top + bottom)
@@ -217,8 +218,7 @@ def run_holder(ctx: Context, case: AuditCase, m: CorpusMember,
     g = ctx.member(case.g_src)
     win = max(m.norm_window, g.norm_window)
     ppu = max(m.panels_per_unit, g.panels_per_unit)
-    x, w, _ = window_nodes(win, ppu,
-                        tuple(sorted({*m.rf.breakpoints, *g.rf.breakpoints})))
+    x, w, _, _ = window_nodes(win, ppu, tuple(sorted({*m.rf.breakpoints, *g.rf.breakpoints})))
     lhs = float(np.sum(w * np.abs(m.rf(x)) * np.abs(g.rf(x))))
     nf = norm_of(m.rf, NormSpec.vexp(norm.p, win, ppu))
     ng = norm_of(g.rf, NormSpec.vexp(norm.p.dual(), win, ppu))
@@ -314,7 +314,7 @@ def run_marchaud(ctx: Context, case: AuditCase, m: CorpusMember,
     sup modulus has its kinks where the arg max jumps, so there is one piece.
     """
     r, k = case.r, case.k
-    bps = m.rf.breakpoints if norm.kind == "vexp" else ()
+    bps = m.rf.breakpoints if norm.p is not None else ()
     kinks = sorted({(a - b) / j for a in bps for b in bps for j in range(1, r + k + 1)})
     x, w17 = _clenshaw_curtis(16)
     w9 = _clenshaw_curtis(8)[1]
@@ -349,9 +349,10 @@ def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
 def run_one_step(ctx: Context, case: AuditCase, m: CorpusMember,
                  norm: NormSpec, c) -> Iterator[AuditRow]:
     """Omega_1(f,h) <= c * Omega_1(f,d) for consecutive steps h <= d."""
+    kind = "sup" if norm.p is None else "vexp"
     for h, d in zip(case.deltas, case.deltas[1:]):
         yield make_row(
-            f"one_step_compare_{norm.kind}", _case_id(m, norm.p, h=h, delta=d),
+            f"one_step_compare_{kind}", _case_id(m, norm.p, h=h, delta=d),
             lhs=_omega(ctx, m, 1, h, norm), rhs=c * _omega(ctx, m, 1, d, norm),
             constant_used=c)
 

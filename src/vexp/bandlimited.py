@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fnexpr import Decay, _sin_cos
+from .fnexpr import Decay, _brief, _sin_cos
 from .functions import RealFunction, _finite_samples, combine, outer_apply
 from .norms import NormSpec, norm_of
 from .quad import DEFAULT_SPEC, QuadSpec, panel_rule, phase_panels, split_at
@@ -230,7 +230,7 @@ def vp_operator(f: RealFunction, sigma: float, x_span: float,
 
     decay = f.expr.decay_class
     if decay.kind == "none":
-        raise ValueError(f"{f.expr.src} has no decay class: A_hat's convolution "
+        raise ValueError(f"{_brief(f.expr.ast)} has no decay class: A_hat's convolution "
                          "needs Gaussian, power or compact decay")
     w = 2.0 * math.pi / (3.0 * sigma)  # the sine zeros' spacing
     if decay.kind == "compact_support":
@@ -249,7 +249,7 @@ def vp_operator(f: RealFunction, sigma: float, x_span: float,
     sub = math.ceil(w / cap) if w > cap else 1
     _panel_span(w / sub, -u_cut, u_cut)  # the panel cap, before any allocation
     if f.breakpoints:
-        raise ValueError(f"{f.expr.src} has breakpoints {list(f.breakpoints)} but no "
+        raise ValueError(f"{_brief(f.expr.ast)} has breakpoints {list(f.breakpoints)} but no "
                          "compact support: the lattice convolution needs a smooth f")
     # cut the kernel at the first multiple of 2*pi/sigma, a double zero of
     # theta, at or beyond u_cut: 24 * sub lattice steps per multiple

@@ -2,7 +2,7 @@
 
 Subcommands:
   audit      run an audit configuration and write CSV/JSON reports
-  norm       Luxemburg norm of an expression
+  norm       norm of an expression
   modulus    smoothness modulus of an expression
   approx     bandlimited-approximation error (the computable upper bound)
   constants  dump the constant table as CSV
@@ -36,24 +36,20 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="configuration file (default: bundled suite)")
     p_audit.add_argument("--out", default="reports", help="report directory")
 
-    p_norm = sub.add_parser("norm", help="Luxemburg norm of an expression")
-    p_norm.add_argument("--f", required=True, help="function expression or @member")
-    p_norm.add_argument("--p", required=True, help="exponent expression or @name")
-    p_norm.add_argument("--window", type=float, default=None)
+    measured = argparse.ArgumentParser(add_help=False)  # the input and its norm
+    measured.add_argument("--f", required=True, help="function expression or @member")
+    measured.add_argument("--p", default=None, help="exponent or @name; omit for the sup norm")
+    measured.add_argument("--window", type=float, default=None)
 
-    p_mod = sub.add_parser("modulus", help="smoothness modulus")
-    p_mod.add_argument("--f", required=True)
-    p_mod.add_argument("--p", default=None, help="exponent (omit for sup norm)")
+    sub.add_parser("norm", parents=[measured], help="norm of an expression")
+
+    p_mod = sub.add_parser("modulus", parents=[measured], help="smoothness modulus")
     p_mod.add_argument("--r", type=int, required=True)
     p_mod.add_argument("--delta", type=float, required=True)
-    p_mod.add_argument("--window", type=float, default=None)
 
-    p_ap = sub.add_parser("approx", help="bandlimited approximation error")
-    p_ap.add_argument("--f", required=True)
+    p_ap = sub.add_parser("approx", parents=[measured],
+                          help="bandlimited approximation error")
     p_ap.add_argument("--sigma", type=float, required=True)
-    p_ap.add_argument("--norm", choices=("sup", "vexp"), default="sup")
-    p_ap.add_argument("--p", default="2", help="exponent for --norm vexp")
-    p_ap.add_argument("--window", type=float, default=None)
 
     p_const = sub.add_parser("constants", help="dump the constant table as CSV")
     p_const.add_argument("--r", type=int, default=1)
@@ -64,7 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _exponent(args):
-    """The --p exponent; warns when its log-continuity constants are estimates."""
+    """The --p exponent or None; warns when its log-continuity constants are estimates."""
+    if args.p is None:
+        return None
     p = resolve_exponent(args.p)
     if not p.is_constant:
         print("note: log-continuity constants are grid estimates "
@@ -106,27 +104,24 @@ def _cmd_audit(args) -> int:
 
 def _cmd_norm(args) -> int:
     m = resolve_function(args.f)
-    p = _exponent(args)
-    print(f"{norm_of(m.rf, _spec(m, p, args.window)):.12g}")
+    print(f"{norm_of(m.rf, _spec(m, _exponent(args), args.window)):.12g}")
     return 0
 
 
 def _cmd_modulus(args) -> int:
     m = resolve_function(args.f)
-    p = None if args.p is None else _exponent(args)
-    val = modulus(ModulusRequest(m.rf, args.r, args.delta, _spec(m, p, args.window)))
+    val = modulus(ModulusRequest(m.rf, args.r, args.delta,
+                                 _spec(m, _exponent(args), args.window)))
     print(f"{val:.12g}")
     return 0
 
 
 def _cmd_approx(args) -> int:
     m = resolve_function(args.f)
-    p = None if args.norm == "sup" else _exponent(args)
-    est = best_approx_surrogate(m.rf, args.sigma, _spec(m, p, args.window))
+    est = best_approx_surrogate(m.rf, args.sigma, _spec(m, _exponent(args), args.window))
     print(f"{est.value:.12g}")
     if est.tail_bound:
-        print(f"note: convolution tail bound {est.tail_bound:.3g}",
-              file=sys.stderr)
+        print(f"note: convolution tail bound {est.tail_bound:.3g}", file=sys.stderr)
     return 0
 
 

@@ -243,6 +243,7 @@ _TOKEN = re.compile(r"(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
 
 _MAX_NEST = 50  # open parentheses or signs in a row; the parser recurses ~8 frames each
 _MAX_NODES = 10_000  # distinct nodes of a source or a derivative: steps of its program
+_BRIEF = 400  # characters of source a message prints
 
 
 def _tokenize(src: str) -> list[_Tok]:
@@ -536,6 +537,16 @@ def to_source(node: Node) -> str:
     return _walk(node, lambda n, *k: _SOURCE[type(n)](n, *k))
 
 
+def _brief(node: Node) -> str:
+    """node's source for a message if at most _BRIEF characters long, else its
+    distinct-node count; the length is summed per node, a mark for each kid."""
+    def length(n, *kids):
+        text = _SOURCE[type(n)](n, *map(chr, range(len(kids))))
+        return len(text) + sum(k - 1 for i, k in enumerate(kids) if chr(i) in text)
+    return (to_source(node) if _walk(node, length) <= _BRIEF
+            else f"an expression of {len(_order(node))} distinct nodes")
+
+
 # ---------------------------------------------------------------------------
 # Differentiation
 # ---------------------------------------------------------------------------
@@ -806,7 +817,7 @@ def rough_spots(node: Node) -> tuple[tuple[float, ...], float]:
                                       default=0.0)
         if isinstance(n, Call) and n.name == "abs":
             if pieces[n] is None:
-                return ValueError(f"cannot locate the kinks of {to_source(n)}")
+                return ValueError(f"cannot locate the kinks of {_brief(n)}")
             return tuple(pieces[n][0]), 0.0
         if error := next((p for p in parts if isinstance(p, Exception)), None):
             return error
@@ -816,7 +827,7 @@ def rough_spots(node: Node) -> tuple[tuple[float, ...], float]:
         if trig or (freqs and freqs[-1] and ((isinstance(n, Call) and n.name == "exp")
                                              or (isinstance(n, BinOp) and n.op == "/")
                                              or (isinstance(n, Pow) and n.exponent < 0))):
-            return ValueError(f"cannot bound the frequency of {to_source(n)}")
+            return ValueError(f"cannot bound the frequency of {_brief(n)}")
         if isinstance(n, BinOp) and n.op == "*":
             freqs = [sum(freqs)]
         elif isinstance(n, Pow) and n.exponent >= 1:
@@ -950,7 +961,7 @@ def _limit(node: Node) -> float:
         return 0.0
     if t.growth == 0 and math.isfinite(t.coef) and not (t.odd and t.coef):
         return float(t.coef)
-    raise ExponentRangeError(f"{to_source(node)} has no limit at infinity")
+    raise ExponentRangeError(f"{_brief(node)} has no limit at infinity")
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,26 @@
 """The modular and the Luxemburg norm.
 
 The modular of f at scale lam is int |f(y)/lam|^p(y) dy over a truncation
-window; the Luxemburg norm is the scale eta at which it equals 1.  Every
-norm is given its window: the corpus chooses one per input.  The integrand
-is sampled once on a composite 12-point Gauss-Legendre grid whose edges are
-a subset of the uniform edges 1/panels_per_unit apart: a panel starting at
-|x| is max(1/panels_per_unit, |x|/4) wide, rounded down to whole uniform
-panels and capped at `quad.MAX_PHASE` radians of phase (f's at a constant
-even integer p, p's own otherwise), then split at f's breakpoints (the last
-64 grids are kept).  Geometric meshes for smooth tails: Schwab, p- and
-hp-Finite Element Methods (Oxford, 1998), ch. 4.  Each output of f then
-takes the uniform panels back on every wide panel where it changes sign,
-unless p is a constant even integer (|f|^p has a kink at each zero of f),
-and where the Legendre tail of its samples shows a feature the grading did
+window; the Luxemburg norm is the scale eta at which it equals 1.  Every norm
+is given its window: the corpus chooses one per input.  The integrand is
+sampled once on a composite 12-point Gauss-Legendre grid (`quad.window_nodes`,
+as for the sup norm) whose edges are a subset of the uniform edges
+1/panels_per_unit apart: a panel starting at |x| is max(1/panels_per_unit,
+|x|/4) wide, rounded down to whole uniform panels and capped at
+`quad.MAX_PHASE` radians of phase (f's at a constant even integer p, p's own
+otherwise), then split at f's breakpoints.  Geometric meshes for smooth tails:
+Schwab, p- and hp-Finite Element Methods (Oxford, 1998), ch. 4.  Each output
+of f then takes the uniform panels back on every wide panel where it changes
+sign, unless p is a constant even integer (|f|^p has a kink at each zero of
+f), and where the Legendre tail of its samples shows a feature the grading did
 not allow for (`quad.unresolved`).  An oscillating f at any other p, and a p
 whose frequency `rough_spots` cannot bound, keep the uniform grid, whose
-density is the caller's whatever f's frequency.  In log-log scale the
-modular is affine for constant p and convex with slope in [-p+, -p-] otherwise, and one exp pass
-over the samples gives it with its slope.  So the Newton step from the scale
-max |f| lands on the root for constant p, and inside the closed bracket
-[g0/p+, g0/p-] otherwise, from where about three more passes reach float
-resolution.
+density is the caller's whatever f's frequency.  In log-log scale the modular
+is affine for constant p and convex with slope in [-p+, -p-] otherwise, and
+one exp pass over the samples gives it with its slope.  So the Newton step
+from the scale max |f| lands on the root for constant p, and inside the closed
+bracket [g0/p+, g0/p-] otherwise, from where about three more passes reach
+float resolution.
 """
 
 from __future__ import annotations
@@ -35,18 +35,17 @@ import numpy as np
 from .fnexpr import ExponentField, rough_spots
 from .functions import RealFunction, _finite_samples
 from .quad import (DEFAULT_SPEC, LEGENDRE, MAX_PHASE, Bracket, QuadSpec,
-                   find_root_decreasing, panel_rule, split_at, unresolved)
+                   find_root_decreasing, unresolved, window_nodes)
 from .steklov import sup_norm
 
 __all__ = [
     "VexpNorm", "NormSpec", "NotIntegrableError", "SampledModular",
-    "luxemburg_norm", "norm_of", "window_nodes",
+    "luxemburg_norm", "norm_of",
 ]
 
 _ETA_CAP = 1e12
 _T_TOL = 2.0 ** -50  # the root's tolerance in log(eta): 4 ulps of 1
 _T_PAD = 2.0 ** -44  # the bracket's pad, far above the rounding of log(modular)
-_GRADE = 0.25  # a graded panel at |x| is up to this fraction of |x| wide
 
 
 class NotIntegrableError(ValueError):
@@ -73,12 +72,9 @@ class NormSpec:
     panels_per_unit: float = 4.0
 
     def __post_init__(self):
-        if not 0.0 < self.window < math.inf:
-            raise ValueError(f"window must be positive and finite, got {self.window:g}")
-
-    @property
-    def kind(self) -> str:
-        return "sup" if self.p is None else "vexp"
+        for name, value in (("window", self.window), ("panels_per_unit", self.panels_per_unit)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value:g}")
 
     @staticmethod
     def sup(window: float) -> "NormSpec":
@@ -88,33 +84,6 @@ class NormSpec:
     def vexp(p: ExponentField, window: float,
              panels_per_unit: float = 4.0) -> "NormSpec":
         return NormSpec(p=p, window=window, panels_per_unit=panels_per_unit)
-
-
-@lru_cache(maxsize=64)  # a graded rule is a few kB, a uniform one at most 0.4 MB
-def window_nodes(window: float, panels_per_unit: float, breakpoints: tuple[float, ...],
-                 widest: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on panels of [-window, window] split at
-    breakpoints, and per edge its index among the uniform edges split alike
-    (panel k holds the uniform panels first[k] to first[k + 1] - 1).  The
-    uniform panels are 1/panels_per_unit wide or a little less; from the
-    middle edge outward, a panel starting at |x| spans as many of them as fit
-    in max(1/panels_per_unit, _GRADE |x|) and in widest, at least one.
-    Read-only, as the rule of each shape is cached."""
-    u = np.linspace(-window, window, max(16, int(math.ceil(2.0 * window * panels_per_unit))) + 1)
-    h, n = u[1] - u[0], u.size - 1
-    top = max(1.0, widest / h)
-    idx = [n // 2]
-    for sign in (1, -1):
-        i = n // 2
-        while 0 < i < n:
-            span = int(min(top, max(1.0 / panels_per_unit, _GRADE * abs(u[i])) / h)) or 1
-            i = min(n, max(0, i + sign * span))
-            idx.append(i)
-    edges = split_at(u[np.unique(idx)], breakpoints)
-    rule = (*panel_rule(edges, 12), np.searchsorted(split_at(u, breakpoints), edges))
-    for a in rule:
-        a.flags.writeable = False
-    return rule
 
 
 @lru_cache(maxsize=8)
@@ -163,14 +132,15 @@ def _row_samples(f: RealFunction, p: ExponentField, window: float,
     panels (`window_nodes`), then per output, through its own row of a
     stacked f, the uniform nodes of the panels `_refilled` names."""
     even = p.is_constant and p.p_minus % 2.0 == 0.0
-    x, w, first = window_nodes(window, panels_per_unit, f.breakpoints, _widest_panel(f, p, even))
+    x, w, first, _ = window_nodes(window, panels_per_unit, f.breakpoints,
+                                  _widest_panel(f, p, even))
     out = []
     for i, s in enumerate(_finite_samples(f, x).reshape(-1, x.size)):
         refill = _refilled(s, w, first, even, f.frequency)
         if not refill.any():
             out.append((x, w, s))
             continue
-        ux, uw, _ = window_nodes(window, panels_per_unit, f.breakpoints)
+        ux, uw, _, _ = window_nodes(window, panels_per_unit, f.breakpoints)
         keep, fill = np.repeat(~refill, 12), np.repeat(np.repeat(refill, np.diff(first)), 12)
         out.append((np.append(x[keep], ux[fill]), np.append(w[keep], uw[fill]),
                     np.append(s[keep], _finite_samples(f.rows[i] if f.rows else f, ux[fill]))))
@@ -238,7 +208,7 @@ def luxemburg_norm(f: RealFunction, p: ExponentField, spec: QuadSpec = DEFAULT_S
 
 def norm_of(f: RealFunction, norm: NormSpec, spec: QuadSpec = DEFAULT_SPEC):
     """The norm of f, or the tuple of a stacked f's, from one sample pass."""
-    if norm.kind == "sup":
+    if norm.p is None:
         return sup_norm(f, norm.window)
     sm = SampledModular(f, norm.p, norm.window, norm.panels_per_unit)
     values = tuple(sm.luxemburg(spec.rel_tol, i).value for i in range(len(sm.s_max)))

@@ -5,10 +5,10 @@ window [a, b]; call sites pick the window from the integrand's decay and
 account for the discarded tail separately.  Integrals are fixed composite
 Gauss-Legendre rules on panels the call site chooses (`panel_rule`), cut by
 the one rule `phase_panels` where f oscillates; the Luxemburg and sup norms
-share the Legendre tail test `unresolved`.  Roots of decreasing convex
-functions, such as the log of the Luxemburg norm's modular in log scale, are
-found by Newton steps kept in a closed bracket, with bisection as the
-fallback (`find_root_decreasing`).
+share the window rule `window_nodes` and the Legendre tail test `unresolved`.
+Roots of decreasing convex functions, such as the log of the Luxemburg norm's
+modular in log scale, are found by Newton steps kept in a closed bracket, with
+bisection as the fallback (`find_root_decreasing`).
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ MAX_PHASE = 6.0  # radians of oscillation a 12-point panel takes at machine accu
 _FLOOR_STEPS = 8.0  # a Newton step of up to this many tol may be rounding noise
 _TAIL = 1e-7  # a wide panel's resolved Legendre tail, relative to max |f|
 _WAVE_TAIL = 7.5e-5  # 21 j_10(3): the degree-10 Legendre coefficient of exp(3it)
+_GRADE = 0.25  # a graded window panel at |x| is up to this fraction of |x| wide
+_WINDOW_PANELS = 1 << 15  # uniform panels per window: 393,216 nodes
 
 
 @lru_cache(maxsize=None)
@@ -99,6 +101,40 @@ def panel_rule(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     width = np.diff(edges)[..., None]
     shape = (*edges.shape[:-1], -1)
     return (edges[..., :-1, None] + width * x0).reshape(shape), (width * w0).reshape(shape)
+
+
+@lru_cache(maxsize=64)  # a graded rule is a few kB, a uniform one at most 6.8 MB
+def window_nodes(window: float, panels_per_unit: float, breakpoints: tuple[float, ...],
+                 widest: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on panels of [-window, window] split at
+    breakpoints, per edge its index among the uniform edges split alike
+    (panel k holds the uniform panels first[k] to first[k + 1] - 1), and the
+    edges.  The uniform panels, 16 to _WINDOW_PANELS (more raise ValueError),
+    are 1/panels_per_unit wide or a little less; from the middle edge out, a
+    panel at |x| spans as many as fit in max(1/panels_per_unit, _GRADE |x|)
+    and in widest, at least one.  Read-only: each shape's rule is cached."""
+    n = max(16, math.ceil(2.0 * window * panels_per_unit))
+    if n > _WINDOW_PANELS:
+        raise ValueError(f"the window [-{window:g}, {window:g}] needs {n} panels at "
+                         f"{panels_per_unit:.6g} per unit, above {_WINDOW_PANELS}")
+    u = np.linspace(-window, window, n + 1)
+    uniform, h = split_at(u, breakpoints), u[1] - u[0]
+    if widest / h < 2.0:  # every span is one uniform panel
+        edges, first = uniform, np.arange(uniform.size)
+    else:
+        idx = [n // 2]
+        for sign in (1, -1):
+            i = n // 2
+            while 0 < i < n:
+                span = int(min(widest / h, max(1.0 / panels_per_unit, _GRADE * abs(u[i])) / h))
+                i = min(n, max(0, i + sign * (span or 1)))
+                idx.append(i)
+        edges = split_at(u[np.unique(idx)], breakpoints)
+        first = np.searchsorted(uniform, edges)
+    rule = (*panel_rule(edges, 12), first, edges)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def find_root_decreasing(phi: Callable[[float], tuple], bracket: Bracket,

@@ -36,16 +36,16 @@ ch. IX), evaluated by Horner from coefficients computed once per order in
 integer arithmetic.  So the indicator and the smoothed box go through every
 operator at machine precision with no quadrature.
 
-The sup norm samples each output of f on the uniform panels of 1/4 (or
-`quad.MAX_PHASE` radians of f's frequency), split at its own breakpoints,
-12 nodes a panel.  Sum |c_n| of a panel's Legendre coefficients bounds its
-interpolant.  The candidates are the panels whose bound reaches the best
-sample and those `quad.unresolved` names, whose interpolant bounds nothing;
-a named candidate is cut in _SPLIT (up to _CUTS rounds, one f call each).
-Each candidate's interpolant is resampled and polished by Newton steps, and
-one f call per output at the points found (an ulp inside a panel's end: a
-jump's one-sided limit) gives the norm (Battles & Trefethen, SIAM J. Sci.
-Comput. 25, 2004).  With refine=False the interpolants' values stand.
+The sup norm samples each output of f on `quad.window_nodes`' uniform panels
+of 1/4 (or `quad.MAX_PHASE` radians of f's frequency), split at its own
+breakpoints, 12 nodes a panel.  Sum |c_n| of a panel's Legendre coefficients
+bounds its interpolant.  The candidates are the panels whose bound reaches the
+best sample and those `quad.unresolved` names, whose interpolant bounds
+nothing; a named candidate is cut in _SPLIT (up to _CUTS rounds, one f call
+each).  Each candidate's interpolant is resampled and polished by Newton
+steps, and one f call per output at the points found (an ulp inside a panel's
+end: a jump's one-sided limit) gives the norm (Battles & Trefethen, SIAM J.
+Sci. Comput. 25, 2004).  With refine=False the interpolants' values stand.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from typing import Callable
 import numpy as np
 
 from .functions import _SUB_CHUNK, RealFunction, _finite_samples, outer_apply
-from .quad import LEGENDRE, MAX_PHASE, panel_rule, phase_panels, split_at, unresolved
+from .quad import LEGENDRE, MAX_PHASE, panel_rule, phase_panels, unresolved, window_nodes
 
 __all__ = [
     "steklov_combination", "iterated_steklov", "difference_terms", "derivative_terms",
@@ -277,7 +277,6 @@ def derivative_terms(delta: float, m: int, r: int) -> dict[tuple[int, int], floa
 # ---------------------------------------------------------------------------
 
 _PER_UNIT = 4.0  # sup panels per unit, where f's frequency asks for no more
-_SUP_PANELS = 1 << 15  # sup panels per window: 393,216 samples
 _FINE = np.linspace(-1.0, 1.0, 65)  # where each candidate's interpolant is resampled
 _FINE_VANDER = np.polynomial.legendre.legvander(_FINE, 11).T
 _DEGREES = np.arange(12)
@@ -301,17 +300,6 @@ def sup_norm(f: RealFunction, window: float, refine: bool = True):
     return tops[0] if len(tops) == 1 else tuple(tops)
 
 
-@functools.lru_cache(maxsize=64)  # one output's rule: a few kB on the bundled windows
-def _sup_rule(window: float, n: int, breakpoints: tuple[float, ...]):
-    """Nodes of the n uniform panels of [-window, window] split at
-    breakpoints, and the panels' ends lo and hi, read-only."""
-    edges = split_at(np.linspace(-window, window, n + 1), breakpoints)
-    rule = panel_rule(edges, 12)[0], edges[:-1], edges[1:]
-    for a in rule:
-        a.flags.writeable = False
-    return rule
-
-
 def _panel_maxima(f: RealFunction, window: float, confirm: bool = True,
                   signed: bool = False) -> list[float]:
     """[max |f|] per output of f, or [max f, max -f] when signed (module
@@ -320,21 +308,19 @@ def _panel_maxima(f: RealFunction, window: float, confirm: bool = True,
     breakpoints, and every later call serves one output, so each output's
     maximum has the bits it has alone.  The panels of all outputs are kept
     as one list of (output, lo, hi, samples)."""
-    n = max(16, math.ceil(2.0 * window * max(_PER_UNIT, f.frequency / MAX_PHASE)))
-    if n > _SUP_PANELS:
-        raise ValueError(f"the sup norm needs {n} panels for frequency {f.frequency:.6g} "
-                         f"on [-{window:g}, {window:g}], above {_SUP_PANELS}")
     outs = f.rows or (f,)
-    rules = [_sup_rule(window, n, g.breakpoints) for g in outs]
+    density = max(_PER_UNIT, f.frequency / MAX_PHASE)
+    rules = [window_nodes(window, density, g.breakpoints)[::3] for g in outs]  # nodes, edges
     if len({g.breakpoints for g in outs}) == 1:
         s = _finite_samples(f, rules[0][0]).reshape(-1, 12)
     else:
         s = np.concatenate([_finite_samples(g, x).reshape(-1, 12)
-                            for g, (x, _, _) in zip(outs, rules)])
+                            for g, (x, _) in zip(outs, rules)])
     if signed:  # the outputs f and -f
         outs, rules, s = (f, lambda t: -f(t)), rules * 2, np.vstack([s, -s])
-    row = np.repeat(np.arange(len(outs)), [r[1].size for r in rules])
-    lo, hi = (np.concatenate([r[i] for r in rules]) for i in (1, 2))
+    row = np.repeat(np.arange(len(outs)), [e.size - 1 for _, e in rules])
+    lo, hi = (np.concatenate([e[:-1] for _, e in rules]),
+              np.concatenate([e[1:] for _, e in rules]))
     start = 12 * np.searchsorted(row, np.arange(len(outs)))  # each output's first sample
     scale = np.maximum.reduceat(np.abs(s).ravel(), start)  # each output's largest |sample|
     best = np.maximum.reduceat(s.ravel(), start) if signed else scale.copy()

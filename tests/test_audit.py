@@ -11,7 +11,7 @@ from vexp.audit import (AuditCase, Context, THEOREM_RUNNERS, _case_from_dict,
                         _clenshaw_curtis, report_csv, run_case, run_suite)
 from vexp.config import parse_config
 from vexp.corpus import corpus_member
-from vexp.defaults import default_config_text
+from vexp.defaults import _case, default_config_text
 from vexp.fnexpr import ExponentRangeError, ParseError
 from vexp.report import make_row
 from vexp.steklov import steklov_combination, sup_norm
@@ -229,6 +229,27 @@ deltas = [0.5]
             run_suite(text, out_dir=str(tmp_path / sub))
             outs.append([(tmp_path / sub / name).read_bytes()
                          for name in ("audit.csv", "audit.json")])
+        assert outs[0] == outs[1]
+
+    def test_shared_members_give_the_same_reports_in_either_order(self, tmp_path):
+        # the cases of a member share Context's norms, moduli and A-hats
+        # (here Omega_1 at 0.25 and 0.5 in p2, in the sup norm Omega_1 and
+        # Omega_2) and the process-wide rule caches; forward and reversed,
+        # the reports match
+        cases = [_case(theorem, f, **kv) for f in ("gauss", "box") for theorem, kv in (
+            ("jackson_vexp", dict(p="@p2", r=1, sigmas=[2.0, 4.0])),
+            ("inverse_vexp", dict(p="@p2", r=1, deltas=[0.25, 0.5])),
+            ("kfunc_equiv_vexp", dict(p="@p2", r=1, deltas=[0.25, 0.5])),
+            ("kfunc_equiv_vexp", dict(p="@p_bump", r=2, deltas=[0.5])),
+            ("modulus_props", dict(g="@xgauss", p="@p2", r=1, deltas=[0.25, 0.5])),
+            ("sup_suite", dict(r=1, k=1, deltas=[0.25, 0.5])),
+            ("sup_suite", dict(r=2, k=1, deltas=[0.5])))]
+        outs = []
+        for sub, order in (("a", cases), ("b", cases[::-1])):
+            run_suite("\n".join(order), out_dir=str(tmp_path / sub))
+            outs.append([(tmp_path / sub / name).read_bytes()
+                         for name in ("audit.csv", "audit.json")])
+        assert outs[0][0].count(b"\n") > 30
         assert outs[0] == outs[1]
 
 

@@ -12,8 +12,8 @@ from vexp.bandlimited import (best_approx_surrogate, kernel_tail_bound,
 from vexp.corpus import corpus_member, default_corpus, resolve_function
 from vexp.fnexpr import Decay, differentiate, parse
 from vexp.functions import RealFunction, as_real_function, outer_apply
-from vexp.norms import NormSpec, window_nodes
-from vexp.quad import panel_rule
+from vexp.norms import NormSpec
+from vexp.quad import panel_rule, window_nodes
 from vexp.steklov import sup_norm
 
 from bandlimited_reference import vp_fourier, vp_operator_direct

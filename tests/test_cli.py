@@ -150,7 +150,7 @@ class TestModulusCommand:
     @pytest.mark.parametrize("argv", [
         ["modulus", "--f", "sin(x)/x", "--r", "1", "--delta", "0.1"],
         ["approx", "--f", "sin(x)/x", "--sigma", "2"],
-        ["approx", "--f", "sin(x)/x", "--sigma", "2", "--norm", "vexp", "--p", "2"],
+        ["approx", "--f", "sin(x)/x", "--sigma", "2", "--p", "2"],
     ])
     def test_non_finite_samples_exit_code(self, argv):
         # sin(x)/x is 0/0 at x = 0: the first two printed nan with exit code
@@ -170,14 +170,12 @@ class TestModulusCommand:
 
 class TestApproxCommand:
     def test_sup_norm_surrogate(self):
-        code, out, _ = run_cli("approx", "--f", "@gauss", "--sigma", "32",
-                               "--norm", "sup")
+        code, out, _ = run_cli("approx", "--f", "@gauss", "--sigma", "32")
         assert code == 0
         assert 0.0 <= float(out.strip()) < 1e-6
 
     def test_vexp_norm(self):
-        code, out, _ = run_cli("approx", "--f", "@gauss", "--sigma", "4",
-                               "--norm", "vexp", "--p", "@p2")
+        code, out, _ = run_cli("approx", "--f", "@gauss", "--sigma", "4", "--p", "@p2")
         assert code == 0
         assert float(out.strip()) == pytest.approx(5.995e-2, rel=1e-2)
 
@@ -217,7 +215,7 @@ class TestApproxCommand:
 
 
 @pytest.mark.parametrize("argv", [["norm", "--p", "@p2"], ["approx", "--sigma", "2"],
-                                  ["approx", "--sigma", "2", "--norm", "vexp"]])
+                                  ["approx", "--sigma", "2", "--p", "2"], ["norm"]])
 def test_gauss_answers_as_its_exp_twin(capsys, argv):
     # gauss(0.01) read 3.51108 in p2 (window 12), its twin 3.45874 (window 10)
     outputs = []
@@ -225,6 +223,23 @@ def test_gauss_answers_as_its_exp_twin(capsys, argv):
         code = main([*argv, "--f", src])
         outputs.append((code, *capsys.readouterr()))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv, printed", [
+    (["norm", "--f", "@gauss"], "1"),
+    (["norm", "--f", "@gauss", "--p", "@p_osc"], "1.19143985981"),
+    (["modulus", "--f", "@gauss", "--r", "1", "--delta", "0.5"], "0.2088055646"),
+    (["modulus", "--f", "@gauss", "--r", "1", "--delta", "0.5", "--p", "@p_osc"],
+     "0.29615572097"),
+    (["approx", "--f", "@gauss", "--sigma", "2"], "0.298773373428"),
+    (["approx", "--f", "@gauss", "--sigma", "2", "--p", "@p_osc"], "0.42552890002"),
+])
+def test_p_alone_picks_the_norm(capsys, argv, printed):
+    # --p selects L^p(.) and its absence the sup norm, in every subcommand:
+    # approx read the norm from --norm, so that with --p @p_osc alone it
+    # printed the sup value, and norm had no sup norm
+    assert main(argv) == 0
+    assert capsys.readouterr().out == printed + "\n"
 
 
 def test_far_compact_support_lies_in_the_sup_window(capsys):
@@ -397,5 +412,15 @@ class TestSteklovLatticeCap:
         code, out, err = run_cli("modulus", "--f", "sin(1e5*x)*exp(-x^2)", "--r", "1",
                                  "--delta", "1e-6")
         assert code == 2 and out == ""
-        assert err == ("error: the sup norm needs 400000 panels for frequency 100000 "
-                       "on [-12, 12], above 32768\n")
+        assert err == ("error: the window [-12, 12] needs 400000 panels at 16666.7 per unit, "
+                       "above 32768\n")
+
+    @pytest.mark.parametrize("p", [["--p", "2"], []])
+    def test_too_many_norm_panels_refused(self, p):
+        # both norms take their panels from one rule, which caps them before
+        # anything is allocated; the Luxemburg norm asked numpy for 8e8 + 1
+        # uniform edges
+        code, out, err = run_cli("norm", "--f", "@gauss", *p, "--window", "1e8")
+        assert code == 2 and out == ""
+        assert err == ("error: the window [-1e+08, 1e+08] needs 800000000 panels at 4 per unit, "
+                       "above 32768\n")

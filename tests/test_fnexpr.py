@@ -12,6 +12,7 @@ from vexp import fnexpr
 from vexp.fnexpr import (Decay, ExponentField, ExponentRangeError,
                          NonDifferentiableError, ParseError, differentiate,
                          estimate_log_holder, parse)
+from vexp.functions import as_real_function
 
 
 _LEAVES = st.one_of(
@@ -415,6 +416,36 @@ class TestSharing:
         assert parse("sin(x)*exp(-x^2) + sin(x)").ast.right is parse("sin(x)").ast
         assert fnexpr.BinOp("+", fnexpr.Var(), fnexpr.Num(1)) is parse("x + 1").ast
         assert fnexpr.Num(0.0) is not fnexpr.Num(-0.0)  # keyed by their bits
+
+
+class TestBriefMessages:
+    # a refusal printed a node's expanded source: as_real_function of the
+    # third derivative of 24 nested exps over 2 + sin(x), 318 distinct nodes,
+    # raised a 968,409-character message
+    def test_a_long_source_is_named_by_its_node_count(self):
+        f = differentiate(parse("exp(" * 24 + "-x^2" + ")" * 24 + "/(2 + sin(x))"), 3)
+        with pytest.raises(ValueError) as err:
+            as_real_function(f)
+        assert str(err.value) == ("cannot bound the frequency of an expression of 318 "
+                                  "distinct nodes")
+        src = "2 + sin(x) + " + " + ".join(f"{k}/(x^2+{k})" for k in range(1, 40))
+        with pytest.raises(ExponentRangeError, match="^an expression of 160 distinct nodes has"):
+            ExponentField.from_expr(src)
+
+    def test_length_is_counted_without_the_source(self):
+        # the counted length is the printed one, so a source of up to 400
+        # characters is printed whole
+        from vexp.corpus import default_corpus
+        for m in default_corpus():
+            for order in range(4 if m.smooth else 1):
+                node = differentiate(m.expr, order).ast if order else m.expr.ast
+                src = fnexpr.to_source(node)
+                assert (fnexpr._brief(node) == src) == (len(src) <= fnexpr._BRIEF)
+        for terms, printed in ((67, 397), (68, 403)):  # x + x + ..., each sum in parentheses
+            node = parse(" + ".join(["x"] * terms)).ast
+            assert len(fnexpr.to_source(node)) == printed
+            assert (fnexpr._brief(node) == fnexpr.to_source(node)) == (printed <= 400)
+        assert fnexpr._brief(node) == "an expression of 68 distinct nodes"
 
 
 class TestSincdOrders:

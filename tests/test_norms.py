@@ -13,8 +13,8 @@ from vexp.fnexpr import ExponentField, parse
 from vexp.functions import RealFunction, as_real_function, combine
 from vexp import norms
 from vexp.norms import (NormSpec, NotIntegrableError, SampledModular, _row_samples,
-                        luxemburg_norm, norm_of, window_nodes)
-from vexp.quad import panel_rule, split_at
+                        luxemburg_norm, norm_of)
+from vexp.quad import panel_rule, split_at, window_nodes
 from vexp.smoothness import k_functional_upper
 from vexp.steklov import difference_terms, steklov_combination
 
@@ -289,6 +289,24 @@ class TestNormSpec:
             with pytest.raises(ValueError, match="window must be positive"):
                 make()
 
+    @pytest.mark.parametrize("ppu", [0.0, -1.0, math.nan, math.inf])
+    def test_panel_density_must_be_positive_and_finite(self, p2, ppu):
+        # 0 raised ZeroDivisionError in the window rule, -1 gave 16 panels
+        # (gauss in p_bump read 1.02852647654), nan and inf numpy errors
+        for make in (lambda: NormSpec.vexp(p2, 10.0, ppu),
+                     lambda: NormSpec(window=10.0, panels_per_unit=ppu)):
+            with pytest.raises(ValueError, match="panels_per_unit must be positive and finite"):
+                make()
+
+    def test_both_norms_refuse_a_window_of_too_many_panels(self, p2):
+        # one window rule caps both norms, before anything is allocated
+        for make in (NormSpec.sup, lambda w: NormSpec.vexp(p2, w)):
+            with pytest.raises(ValueError, match="needs 800000000 panels at 4 per unit"):
+                norm_of(GAUSS, make(1e8))
+            with pytest.raises(ValueError, match="needs 32769 panels"):
+                norm_of(GAUSS, make(4096.125))
+            assert norm_of(GAUSS, make(4096.0)) == pytest.approx(norm_of(GAUSS, make(12.0)))
+
     def test_sup_dispatch(self):
         val = norm_of(GAUSS, NormSpec.sup(6.0))
         assert val == pytest.approx(1.0, abs=1e-12)
@@ -343,11 +361,12 @@ class TestGradedGrid:
     def test_graded_edges_are_uniform_edges(self, window, ppu, breakpoints, widest):
         # the graded rule is the 12-point rule on a subset of the uniform
         # edges (split at the breakpoints), and `first` names that subset
-        x, w, first = window_nodes(window, ppu, breakpoints, widest)
+        x, w, first, graded = window_nodes(window, ppu, breakpoints, widest)
         n = max(16, math.ceil(2.0 * window * ppu))
         edges = split_at(np.linspace(-window, window, n + 1), breakpoints)
         assert first[0] == 0 and first[-1] == edges.size - 1
         assert np.all(np.diff(first) >= 1)
+        assert np.array_equal(graded, edges[first])
         gx, gw = panel_rule(edges[first], 12)
         assert np.array_equal(gx, x) and np.array_equal(gw, w)
         if widest == 0.0:
@@ -366,8 +385,9 @@ class TestGradedGrid:
         g, window, ppu = self.sign_changing()
         p = exponent_field("p_osc")
         ((x, w, s),) = _row_samples(g, p, window, ppu)
-        gx, _, first = window_nodes(window, ppu, g.breakpoints, norms._widest_panel(g, p, False))
-        ux, uw, _ = window_nodes(window, ppu, g.breakpoints)
+        gx, _, first, _ = window_nodes(window, ppu, g.breakpoints,
+                                       norms._widest_panel(g, p, False))
+        ux, uw, _, _ = window_nodes(window, ppu, g.breakpoints)
         fill = ~np.isin(x, gx)
         assert fill.any()  # a zero of g lies in a wide panel
         # bit for bit the uniform nodes and weights of whole uniform panels

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vexp import norms, smoothness, steklov
+from vexp import quad, smoothness, steklov
 from vexp.audit import AuditCase, Context, run_case
 from vexp.corpus import corpus_member, default_corpus, exponent_field, resolve_function
 from vexp.fnexpr import parse
@@ -240,17 +240,17 @@ class TestCachedRules:
                 modulus(ModulusRequest(m.rf, 2, 0.25, norm)))
 
     def test_cold_and_warm_caches_give_the_same_bits(self):
-        norms.window_nodes.cache_clear()
+        quad.window_nodes.cache_clear()
         steklov._unit_lattice.cache_clear()
         cold = self.answers()
-        assert norms.window_nodes.cache_info().currsize > 0
+        assert quad.window_nodes.cache_info().currsize > 0
         assert steklov._unit_lattice.cache_info().currsize > 0
         assert self.answers() == cold
         assert steklov._unit_lattice.cache_info().hits > 0
 
     def test_cached_arrays_are_read_only(self):
         m = corpus_member("gauss")
-        rule = norms.window_nodes(m.norm_window, m.panels_per_unit, m.rf.breakpoints)
+        rule = quad.window_nodes(m.norm_window, m.panels_per_unit, m.rf.breakpoints)
         lattice = steklov._unit_lattice(0.5, 2, 4, ((((1, 0), 1.0), ((0, 0), -1.0)),
                                                     (((2, 0), 1.0),)))
         for a in (*rule, *lattice):
