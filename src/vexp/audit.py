@@ -38,8 +38,8 @@ from .norms import NormSpec, norm_of
 from .quad import window_nodes
 from .report import AUDIT_ABS_TOL, AUDIT_REL_TOL, AuditRow, make_row
 from .smoothness import ModulusRequest, k_functional_upper, modulus
-from .steklov import (_panel_maxima, derivative_terms, difference_terms,
-                      iterated_steklov, steklov_combination, sup_norm)
+from .steklov import (derivative_terms, difference_terms, iterated_steklov,
+                      steklov_combination, sup_norm)
 
 __all__ = ["AuditCase", "AuditReport", "Context", "run_suite", "run_case",
            "THEOREM_RUNNERS", "write_reports"]
@@ -152,7 +152,7 @@ class Context:
         """
         if norm.p is not None:
             return self.norm(m, norm)
-        top, bottom = _panel_maxima(m.rf, norm.window, signed=True)
+        top, bottom = sup_norm(m.rf, norm, signed=True)
         return 0.5 * (top + bottom)
 
 
@@ -495,7 +495,7 @@ def run_sup_suite(ctx: Context, case: AuditCase, m: CorpusMember,
             lhs=_omega(ctx, m, r + case.k, d, norm),
             rhs=order_c * om_r, constant_used=order_c)
 
-        sup_shift = _shift_modulus(m, r, d, norm.window)
+        sup_shift = _shift_modulus(m, r, d, norm)
         if m.smooth:
             # the stated lower constant is refuted by jump functions (both
             # sides equal 1 for an indicator), so the one-sided check is
@@ -516,14 +516,14 @@ def run_sup_suite(ctx: Context, case: AuditCase, m: CorpusMember,
             rhs=upper * _omega(ctx, m, r, d, norm), constant_used=upper / lower)
 
 
-def _shift_modulus(m: CorpusMember, r: int, delta: float, window: float) -> float:
+def _shift_modulus(m: CorpusMember, r: int, delta: float, norm: NormSpec) -> float:
     """max over the 64 shifts h = (2i - 63) delta/63 in [-delta, delta] of
     ||(I - shift_h)^r f||_sup, as one stack, each row on the sup panels split
     at its own breakpoints, read off their interpolants unconfirmed (the
     shifts underestimate the sup over |h| <= delta; an odd multiple of
     delta/63 is never 0)."""
     maps = [difference_terms(r, (0, 2 * i - 63)) for i in range(64)]
-    return max(sup_norm(steklov_combination(m.rf, delta / 63.0, *maps), window, refine=False))
+    return max(sup_norm(steklov_combination(m.rf, delta / 63.0, *maps), norm, confirm=False))
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,7 @@ def vp_operator(f: RealFunction, sigma: float, x_span: float,
         return f  # J reproduces constants exactly: the kernel has unit mass
 
     decay = f.expr.decay_class
-    if decay.kind == "none":
+    if decay.kind in ("none", "nonvanishing"):
         raise ValueError(f"{_brief(f.expr.ast)} has no decay class: A_hat's convolution "
                          "needs Gaussian, power or compact decay")
     w = 2.0 * math.pi / (3.0 * sigma)  # the sine zeros' spacing

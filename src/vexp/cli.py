@@ -75,7 +75,7 @@ def _spec(m, p, window):
     """m's norm spec; for a decaying f, ValueError when |f| at an end of the
     window lies above every sample inside it: f's mass leaves the window."""
     spec = m.norm_spec(p, window)
-    if m.expr.decay_class.kind != "none":
+    if m.expr.decay_class.kind not in ("none", "nonvanishing"):
         w = spec.window
         a = np.abs(_finite_samples(m.rf, np.linspace(-w, w, 4001)))
         for end, v in ((-w, a[0]), (w, a[-1])):
@@ -103,8 +103,11 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    m = resolve_function(args.f)
-    print(f"{norm_of(m.rf, _spec(m, _exponent(args), args.window)):.12g}")
+    m, p = resolve_function(args.f), _exponent(args)
+    if (d := m.expr.decay_class).kind == "nonvanishing" and (p is not None or d.alpha < 0.0):
+        raise ValueError(f"|f| ~ c*|x|^{-d.alpha:g} with c != 0 as |x| -> oo: its "
+                         f"{'sup' if p is None else 'L^p(.)'} norm on R is infinite")
+    print(f"{norm_of(m.rf, _spec(m, p, args.window)):.12g}")
     return 0
 
 

@@ -607,8 +607,9 @@ def _derivative(node: Node, *ds):
 class Decay:
     """Coarse tail behaviour used to pick integration windows.
 
-    kind is one of "compact_support", "gaussian", "power", "none";
-    (a, b) bound the support when compact, alpha is the power-decay rate.
+    kind is one of "compact_support", "gaussian", "power", "nonvanishing"
+    (|f| ~ c |x|^-alpha, c != 0, alpha <= 0), "none"; (a, b) bound the support
+    when compact, alpha is the power-decay rate.
     """
 
     kind: str
@@ -697,7 +698,8 @@ def classify_decay(node: Node, terms: Optional[tuple]) -> Decay:
     """The decay class read off the tree: compact support from indicator
     factors or a compactly supported piecewise polynomial (node's
     `truncated_powers` terms), Gaussian from exp(c x^2 + ...) with 64c < -1,
-    as gauss(a) with a > 1/64, power decay from a negative growth bound, else none."""
+    as gauss(a) with a > 1/64, power decay from a negative growth bound,
+    nonvanishing from a finite nonzero leading term c |x|^g, else none."""
     if terms:
         return Decay("compact_support", min(b for _, b, _ in terms), max(b for _, b, _ in terms))
     t = _tail(node)
@@ -705,7 +707,9 @@ def classify_decay(node: Node, terms: Optional[tuple]) -> Decay:
         return Decay("compact_support", *t.support)
     if t.growth == -math.inf:
         return Decay("gaussian")
-    return Decay("power", alpha=-t.growth) if t.growth < 0 else Decay("none")
+    if t.growth < 0 or (math.isfinite(t.coef) and t.coef != 0.0):
+        return Decay("power" if t.growth < 0 else "nonvanishing", alpha=-t.growth)
+    return Decay("none")
 
 
 # ---------------------------------------------------------------------------
@@ -990,6 +994,14 @@ class ExponentField:
     @property
     def is_constant(self) -> bool:
         return self.p_minus == self.p_plus and self.c_log_local == 0.0
+
+    @cached_property
+    def frequency(self) -> float:
+        """The frequency bound of p's tree (`rough_spots`), nan where it has none."""
+        try:
+            return rough_spots(self.expr.ast)[1]
+        except ValueError:
+            return math.nan
 
     def __call__(self, x):
         return self.expr(x)

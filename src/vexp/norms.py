@@ -1,38 +1,37 @@
 """The modular and the Luxemburg norm.
 
 The modular of f at scale lam is int |f(y)/lam|^p(y) dy over a truncation
-window; the Luxemburg norm is the scale eta at which it equals 1.  Every norm
-is given its window: the corpus chooses one per input.  The integrand is
-sampled once on a composite 12-point Gauss-Legendre grid (`quad.window_nodes`,
-as for the sup norm) whose edges are a subset of the uniform edges
-1/panels_per_unit apart: a panel starting at |x| is max(1/panels_per_unit,
-|x|/4) wide, rounded down to whole uniform panels and capped at
-`quad.MAX_PHASE` radians of phase (f's at a constant even integer p, p's own
-otherwise), then split at f's breakpoints.  Geometric meshes for smooth tails:
-Schwab, p- and hp-Finite Element Methods (Oxford, 1998), ch. 4.  Each output
-of f then takes the uniform panels back on every wide panel where it changes
-sign, unless p is a constant even integer (|f|^p has a kink at each zero of
-f), and where the Legendre tail of its samples shows a feature the grading did
-not allow for (`quad.unresolved`).  An oscillating f at any other p, and a p
-whose frequency `rough_spots` cannot bound, keep the uniform grid, whose
-density is the caller's whatever f's frequency.  In log-log scale the modular
-is affine for constant p and convex with slope in [-p+, -p-] otherwise, and
-one exp pass over the samples gives it with its slope.  So the Newton step
-from the scale max |f| lands on the root for constant p, and inside the closed
-bracket [g0/p+, g0/p-] otherwise, from where about three more passes reach
-float resolution.
+window; the Luxemburg norm is the scale eta at which it equals 1.  Every norm,
+the sup norm too, reads its window and panel density from a `NormSpec`, which
+refuses either unless positive and finite.  The integrand is sampled once on a
+composite 12-point Gauss-Legendre grid (`quad.window_nodes`, as for the sup
+norm) whose edges are a subset of the uniform edges 1/panels_per_unit apart: a
+panel starting at |x| is max(1/panels_per_unit, |x|/4) wide, rounded down to
+whole uniform panels and capped at `quad.MAX_PHASE` radians of phase (f's at a
+constant even integer p, p's own otherwise), then split at f's breakpoints.
+Geometric meshes for smooth tails: Schwab, p- and hp-Finite Element Methods
+(Oxford, 1998), ch. 4.  Each output of f then takes the uniform panels back on
+every wide panel where it changes sign, unless p is a constant even integer
+(|f|^p has a kink at each zero of f), and where the Legendre tail of its
+samples shows a feature the grading did not allow for (`quad.unresolved`).  An
+oscillating f at any other p, and a p whose `ExponentField.frequency` is nan,
+keep the uniform grid, whose density is the spec's whatever f's frequency.  In
+log-log scale the modular is affine for constant p and convex with slope in
+[-p+, -p-] otherwise, and one exp pass over the samples gives it with its
+slope.  So the Newton step from the scale max |f| lands on the root for
+constant p, and inside the closed bracket [g0/p+, g0/p-] otherwise, from where
+about three more passes reach float resolution.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .fnexpr import ExponentField, rough_spots
+from .fnexpr import ExponentField
 from .functions import RealFunction, _finite_samples
 from .quad import (DEFAULT_SPEC, LEGENDRE, MAX_PHASE, Bracket, QuadSpec,
                    find_root_decreasing, unresolved, window_nodes)
@@ -86,21 +85,12 @@ class NormSpec:
         return NormSpec(p=p, window=window, panels_per_unit=panels_per_unit)
 
 
-@lru_cache(maxsize=8)
-def _frequency(p: ExponentField) -> float:
-    """The frequency bound of p's tree, nan when `rough_spots` refuses one."""
-    try:
-        return rough_spots(p.expr.ast)[1]
-    except ValueError:
-        return math.nan
-
-
 def _widest_panel(f: RealFunction, p: ExponentField, even: bool) -> float:
     """The widest graded panel for |f|^p: MAX_PHASE radians of f's phase at
     a constant even p, else of p's (f is refilled at its zeros); 0, the
     uniform grid, when f oscillates at any other p or p's frequency has no
     bound."""
-    omega = _frequency(p) + f.frequency
+    omega = p.frequency + f.frequency
     if math.isnan(omega) or (f.frequency and not even):
         return 0.0
     return MAX_PHASE / omega if omega else math.inf
@@ -126,21 +116,21 @@ def _refilled(row: np.ndarray, w: np.ndarray, first: np.ndarray, even: bool,
     return bad & wide
 
 
-def _row_samples(f: RealFunction, p: ExponentField, window: float,
-                 panels_per_unit: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(nodes, weights, samples) of each output of f: one f call on the graded
-    panels (`window_nodes`), then per output, through its own row of a
+def _row_samples(f: RealFunction,
+                 norm: NormSpec) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(nodes, weights, samples) of each output of f: one f call on the norm's
+    graded panels (`window_nodes`), then per output, through its own row of a
     stacked f, the uniform nodes of the panels `_refilled` names."""
-    even = p.is_constant and p.p_minus % 2.0 == 0.0
-    x, w, first, _ = window_nodes(window, panels_per_unit, f.breakpoints,
-                                  _widest_panel(f, p, even))
+    even = norm.p.is_constant and norm.p.p_minus % 2.0 == 0.0
+    x, w, first, _ = window_nodes(norm.window, norm.panels_per_unit, f.breakpoints,
+                                  _widest_panel(f, norm.p, even))
     out = []
     for i, s in enumerate(_finite_samples(f, x).reshape(-1, x.size)):
         refill = _refilled(s, w, first, even, f.frequency)
         if not refill.any():
             out.append((x, w, s))
             continue
-        ux, uw, _, _ = window_nodes(window, panels_per_unit, f.breakpoints)
+        ux, uw, _, _ = window_nodes(norm.window, norm.panels_per_unit, f.breakpoints)
         keep, fill = np.repeat(~refill, 12), np.repeat(np.repeat(refill, np.diff(first)), 12)
         out.append((np.append(x[keep], ux[fill]), np.append(w[keep], uw[fill]),
                     np.append(s[keep], _finite_samples(f.rows[i] if f.rows else f, ux[fill]))))
@@ -155,10 +145,10 @@ class SampledModular:
     each panel width, into every node of that width.  A stacked f is sampled
     in one pass (`_row_samples`), and `row` picks one output's modular."""
 
-    def __init__(self, f: RealFunction, p: ExponentField, window: float,
-                 panels_per_unit: float = 4.0):
+    def __init__(self, f: RealFunction, norm: NormSpec):
+        p = norm.p
         self.s_max, self.p, self.w, self.log_s = [], [], [], []
-        for x, w, s in _row_samples(f, p, window, panels_per_unit):
+        for x, w, s in _row_samples(f, norm):
             s = np.abs(s)
             q = s > 0.0
             self.s_max.append(float(np.max(s)))
@@ -201,15 +191,15 @@ class SampledModular:
 
 def luxemburg_norm(f: RealFunction, p: ExponentField, spec: QuadSpec = DEFAULT_SPEC,
                    *, window: float, panels_per_unit: float = 4.0) -> VexpNorm:
-    """The Luxemburg norm on [-window, window]: the scale at which the
-    modular crosses 1."""
-    return SampledModular(f, p, window, panels_per_unit).luxemburg(spec.rel_tol)
+    """The Luxemburg norm of `NormSpec.vexp(p, window, panels_per_unit)`: the
+    scale at which the modular crosses 1."""
+    return SampledModular(f, NormSpec.vexp(p, window, panels_per_unit)).luxemburg(spec.rel_tol)
 
 
 def norm_of(f: RealFunction, norm: NormSpec, spec: QuadSpec = DEFAULT_SPEC):
     """The norm of f, or the tuple of a stacked f's, from one sample pass."""
     if norm.p is None:
-        return sup_norm(f, norm.window)
-    sm = SampledModular(f, norm.p, norm.window, norm.panels_per_unit)
+        return sup_norm(f, norm)
+    sm = SampledModular(f, norm)
     values = tuple(sm.luxemburg(spec.rel_tol, i).value for i in range(len(sm.s_max)))
     return values[0] if len(values) == 1 else values

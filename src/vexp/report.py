@@ -44,7 +44,7 @@ def make_row(theorem_id: str, case_id: str, lhs: float, rhs: float,
         passed = True
     else:
         ratio = lhs / rhs if rhs != 0.0 else float("inf")
-        passed = lhs <= rhs * (1.0 + AUDIT_REL_TOL) + AUDIT_ABS_TOL
+        passed = bool(lhs <= rhs * (1.0 + AUDIT_REL_TOL) + AUDIT_ABS_TOL)  # not np.bool_
     return AuditRow(
         theorem_id=theorem_id, case_id=case_id, lhs=lhs, rhs=rhs,
         constant_used=constant_used, ratio=ratio,

@@ -37,15 +37,15 @@ integer arithmetic.  So the indicator and the smoothed box go through every
 operator at machine precision with no quadrature.
 
 The sup norm samples each output of f on `quad.window_nodes`' uniform panels
-of 1/4 (or `quad.MAX_PHASE` radians of f's frequency), split at its own
-breakpoints, 12 nodes a panel.  Sum |c_n| of a panel's Legendre coefficients
+of its `NormSpec` (or `quad.MAX_PHASE` radians of f's frequency), split at its
+own breakpoints, 12 nodes a panel.  Sum |c_n| of a panel's Legendre coefficients
 bounds its interpolant.  The candidates are the panels whose bound reaches the
 best sample and those `quad.unresolved` names, whose interpolant bounds
 nothing; a named candidate is cut in _SPLIT (up to _CUTS rounds, one f call
 each).  Each candidate's interpolant is resampled and polished by Newton
 steps, and one f call per output at the points found (an ulp inside a panel's
 end: a jump's one-sided limit) gives the norm (Battles & Trefethen, SIAM J.
-Sci. Comput. 25, 2004).  With refine=False the interpolants' values stand.
+Sci. Comput. 25, 2004).  With confirm=False the interpolants' values stand.
 """
 
 from __future__ import annotations
@@ -53,12 +53,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .functions import _SUB_CHUNK, RealFunction, _finite_samples, outer_apply
 from .quad import LEGENDRE, MAX_PHASE, panel_rule, phase_panels, unresolved, window_nodes
+
+if TYPE_CHECKING:
+    from .norms import NormSpec
 
 __all__ = [
     "steklov_combination", "iterated_steklov", "difference_terms", "derivative_terms",
@@ -276,7 +279,6 @@ def derivative_terms(delta: float, m: int, r: int) -> dict[tuple[int, int], floa
 # Sup norm on a window
 # ---------------------------------------------------------------------------
 
-_PER_UNIT = 4.0  # sup panels per unit, where f's frequency asks for no more
 _FINE = np.linspace(-1.0, 1.0, 65)  # where each candidate's interpolant is resampled
 _FINE_VANDER = np.polynomial.legendre.legvander(_FINE, 11).T
 _DEGREES = np.arange(12)
@@ -292,25 +294,16 @@ _BLOCK = 1536  # panels per matrix product: 1536 * 12 * 12 < 2^18 keeps BLAS on 
 _EPS = float(np.finfo(float).eps)
 
 
-def sup_norm(f: RealFunction, window: float, refine: bool = True):
-    """max |f| over [-window, window] from f's samples on uniform panels and
-    their interpolants' maxima, confirmed by f unless refine is False; for a
-    stacked f, the tuple of its outputs' maxima from one sample pass."""
-    tops = _panel_maxima(f, window, refine)
-    return tops[0] if len(tops) == 1 else tuple(tops)
-
-
-def _panel_maxima(f: RealFunction, window: float, confirm: bool = True,
-                  signed: bool = False) -> list[float]:
-    """[max |f|] per output of f, or [max f, max -f] when signed (module
-    docstring).  Each output takes the uniform panels split at its own
-    breakpoints; one f call samples them all where the outputs share their
-    breakpoints, and every later call serves one output, so each output's
-    maximum has the bits it has alone.  The panels of all outputs are kept
-    as one list of (output, lo, hi, samples)."""
+def sup_norm(f: RealFunction, norm: NormSpec, confirm: bool = True, signed: bool = False):
+    """max |f| on the norm's window (module docstring), or (max f, max -f)
+    when signed; for a stacked f, the tuple of its outputs' maxima from one
+    sample pass: one f call samples every output's panels where they share
+    their breakpoints, and every later call serves one output, so each
+    output's maximum has the bits it has alone.  The panels of all outputs
+    are kept as one list of (output, lo, hi, samples)."""
     outs = f.rows or (f,)
-    density = max(_PER_UNIT, f.frequency / MAX_PHASE)
-    rules = [window_nodes(window, density, g.breakpoints)[::3] for g in outs]  # nodes, edges
+    density = max(norm.panels_per_unit, f.frequency / MAX_PHASE)
+    rules = [window_nodes(norm.window, density, g.breakpoints)[::3] for g in outs]  # nodes, edges
     if len({g.breakpoints for g in outs}) == 1:
         s = _finite_samples(f, rules[0][0]).reshape(-1, 12)
     else:
@@ -350,7 +343,8 @@ def _panel_maxima(f: RealFunction, window: float, confirm: bool = True,
     else:  # where the tail test still names a panel, its samples stand alone
         top[bad] = np.nan
     np.maximum.at(best, row, np.fmax(top if signed else np.abs(top), -np.inf))
-    return best.tolist()
+    tops = best.tolist()  # Python floats: rows built from them hold bools
+    return tops[0] if len(tops) == 1 else tuple(tops)
 
 
 def _candidates(row, lo, hi, s, best, scale, omega: float, signed: bool):

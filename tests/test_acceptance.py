@@ -238,11 +238,11 @@ def test_criterion_08_vp_properties():
     # norm bound in the sup norm on every member
     worst_excess = -math.inf
     for m in CORPUS:
-        nf = sup_norm(m.rf, m.sup_window)
+        nf = sup_norm(m.rf, m.norm_spec())
         for s in (2.0, 8.0):
             j = vp_operator(m.rf, s, x_span=m.sup_window, tail_target=1e-5)
             worst_excess = max(worst_excess,
-                               sup_norm(j, m.sup_window) - 1.5 * nf)
+                               sup_norm(j, m.norm_spec()) - 1.5 * nf)
     bound_ok = worst_excess <= 1e-8
 
     # derivative commutation on the smooth members

@@ -215,6 +215,17 @@ deltas = [0.5]
         assert row.passed is False
         assert row.ratio == 2.0
 
+    def test_failing_row_with_numpy_sides_fails_the_suite(self, monkeypatch):
+        # np.float64 sides made the flag np.False_, which n_fail (passed is
+        # False) did not count: the suite exited 0 with fail=0
+        def fail(ctx, case):
+            return [make_row("t", "c", lhs=np.float64(2.0), rhs=np.float64(1.0),
+                             constant_used=1.0)]
+        monkeypatch.setattr("vexp.audit.run_case", fail)
+        report, code = run_suite(GOOD_CASE)
+        assert type(report.rows[0].passed) is bool
+        assert (report.n_pass, report.n_fail, code) == (0, 1, 1)
+
     def test_reports_do_not_depend_on_case_order(self, tmp_path):
         # kfunc_equiv_vexp takes Omega_1(box_smooth, 0.5) in p2 off K-hat's
         # stack, one ulp below `modulus`, and keeps it out of the shared
@@ -606,7 +617,7 @@ class TestShiftModulus:
         monkeypatch.setattr(audit, "steklov_combination",
                             lambda *args: calls.append(args) or build(*args))
         m = corpus_member("gauss")
-        audit._shift_modulus(m, 2, 0.3, m.sup_window)
+        audit._shift_modulus(m, 2, 0.3, m.norm_spec())
         assert len(calls) == 1
 
     @pytest.mark.parametrize("name", ["gauss", "gauss_osc", "box", "box_smooth",
@@ -616,7 +627,7 @@ class TestShiftModulus:
         for r in (1, 2):
             terms = {(0, j): float((-1) ** j) * math.comb(r, j) for j in range(r + 1)}
             for d in (0.3, 0.6):
-                want = max(sup_norm(steklov_combination(m.rf, h, terms), m.sup_window,
-                                    refine=False) for h in np.linspace(-d, d, 64))
-                got = audit._shift_modulus(m, r, d, m.sup_window)
+                want = max(sup_norm(steklov_combination(m.rf, h, terms), m.norm_spec(),
+                                    confirm=False) for h in np.linspace(-d, d, 64))
+                got = audit._shift_modulus(m, r, d, m.norm_spec())
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0)

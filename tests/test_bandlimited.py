@@ -60,7 +60,7 @@ class TestOperator:
     def test_sup_norm_bound(self):
         for sigma in (2.0, 8.0):
             j = vp_operator(GAUSS, sigma, x_span=12.0)
-            assert sup_norm(j, 8.0) <= 1.5 * 1.0 + 1e-8
+            assert sup_norm(j, NormSpec.sup(8.0)) <= 1.5 * 1.0 + 1e-8
 
     def test_derivative_commutation(self):
         # (J f)' via a five-point stencil vs J(f') via the symbolic derivative
@@ -76,7 +76,7 @@ class TestOperator:
     def test_compact_support_convolution_form(self):
         f = as_real_function(parse("indicator(0, 1)"))
         j = vp_operator(f, 4.0, x_span=12.0)
-        assert sup_norm(j, 6.0) <= 1.5 + 1e-8
+        assert sup_norm(j, NormSpec.sup(6.0)) <= 1.5 + 1e-8
         # away from the support the output decays like the kernel
         assert abs(j(np.array([30.0]))[0]) < 1e-2
 

@@ -60,10 +60,32 @@ class TestNormCommand:
 
     @pytest.mark.parametrize("src", ["1", "gauss(0)", "sinc(0)"])
     def test_constant_one_in_every_spelling(self, src):
-        # sinc(0) read as power decay took window 200 and printed 20
-        code, out, _ = run_cli("norm", "--f", src, "--p", "2")
-        assert code == 0
-        assert out.strip() == "4.472135955"
+        # sinc(0) read as power decay took window 200 and printed 20; then
+        # all three printed sqrt(20), the norm of 1 on [-10, 10]
+        code, out, err = run_cli("norm", "--f", src, "--p", "2")
+        assert (code, out) == (2, "")
+        assert err == ("error: |f| ~ c*|x|^0 with c != 0 as |x| -> oo: "
+                       "its L^p(.) norm on R is infinite\n")
+
+    @pytest.mark.parametrize("argv, g", [
+        (["--f", "x", "--p", "2"], 1), (["--f", "x^2", "--p", "2"], 2),
+        (["--f", "x", "--p", "@p_bump"], 1), (["--f", "x"], 1)])
+    def test_growing_input_refused(self, capsys, argv, g):
+        # these printed the norm on the default window: 25.8198889747, 200,
+        # and 10 for the sup norm of x
+        assert main(["norm", *argv]) == 2
+        _, err = capsys.readouterr()
+        assert f"|f| ~ c*|x|^{g} with c != 0" in err
+        assert ("sup" if "--p" not in argv else "L^p(.)") + " norm on R is infinite" in err
+
+    @pytest.mark.parametrize("argv, printed", [
+        (["--f", "1"], "1"),  # a constant's sup norm is finite
+        (["--f", "exp(-abs(x))", "--p", "2"], "0.999999998969"),
+        # the tail walk cannot settle these: leading coefficient 0
+        (["--f", "x*exp(-abs(x))", "--p", "2"], "0.707106620138")])
+    def test_inputs_the_tail_walk_does_not_refuse(self, capsys, argv, printed):
+        assert main(["norm", *argv]) == 0
+        assert capsys.readouterr().out == printed + "\n"
 
     @pytest.mark.parametrize("window", ["0", "-5"])
     def test_nonpositive_window_exit_code(self, window):

@@ -151,6 +151,12 @@ class TestDecay:
         ("exp(-x^2)/(1+exp(-abs(x)))", "gaussian", 0.0),  # the divisor tends to 1
         ("abs(x)*indicator(-1, 2) - abs(x - 1)*indicator(3, 4)", "compact_support", 0.0),
         ("(1e200*x)^2", "none", 0.0),  # coefficients overflow without raising
+        # a finite nonzero leading term c |x|^g, g >= 0: no L^p(.) norm on R
+        ("1", "nonvanishing", 0.0), ("gauss(0)", "nonvanishing", 0.0),
+        ("x", "nonvanishing", -1.0), ("2 - x^2", "nonvanishing", -2.0),
+        ("x/(1+abs(x))", "nonvanishing", 0.0),
+        ("x*exp(-abs(x))", "none", 0.0),  # the leading coefficient is 0
+        ("2 + sin(x)", "none", 0.0),  # the leading coefficient is unknown
     ])
     def test_raw_sources(self, src, kind, alpha):
         d = parse(src).decay_class
@@ -702,6 +708,13 @@ class TestLogHolder:
     def test_dual_requires_pminus_above_one(self):
         with pytest.raises(ExponentRangeError):
             ExponentField.from_expr("1").dual()
+
+    def test_frequency_is_the_trees_bound(self):
+        # the Luxemburg grid caps its panels at MAX_PHASE radians of it; the
+        # dual of p_osc divides by an oscillating p - 1, which no sum bounds
+        from vexp.corpus import exponent_field
+        assert [exponent_field(n).frequency for n in ("p2", "p_bump", "p_osc")] == [0.0, 0.0, 2.0]
+        assert math.isnan(exponent_field("p_osc").dual().frequency)
 
     def test_nan_exponent_rejected(self, monkeypatch):
         # sin(x)/x is 0/0 at the grid point 0, and a NaN passed `min < 1`

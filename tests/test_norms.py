@@ -29,16 +29,16 @@ class TestModular:
     # value() is the modular and its slope d log(modular) / d log(lam)
     def test_zero_function(self, p2):
         zero = as_real_function(parse("0"))
-        modular, slope = SampledModular(zero, p2, 12.0).value(1.0)
+        modular, slope = SampledModular(zero, NormSpec.vexp(p2, 12.0)).value(1.0)
         assert modular == 0.0 and math.isnan(slope)
 
     def test_box_mass(self, p2):
-        modular, slope = SampledModular(box(), p2, 12.0).value(1.0)
+        modular, slope = SampledModular(box(), NormSpec.vexp(p2, 12.0)).value(1.0)
         assert modular == pytest.approx(1.0, abs=1e-12)
         assert slope == -2.0
 
     def test_gaussian_closed_form(self, p2):
-        modular, slope = SampledModular(GAUSS, p2, 12.0).value(1.0)
+        modular, slope = SampledModular(GAUSS, NormSpec.vexp(p2, 12.0)).value(1.0)
         assert modular == pytest.approx(math.sqrt(math.pi / 2.0), abs=1e-10)
         assert slope == pytest.approx(-2.0, rel=1e-15)
 
@@ -46,14 +46,14 @@ class TestModular:
     @given(st.floats(0.1, 4.0), st.floats(1.05, 3.0))
     def test_monotone_in_scale(self, lam, factor):
         p = ExponentField.from_expr("2 + 1/(1+x^2)")
-        sm = SampledModular(GAUSS, p, 12.0)
+        sm = SampledModular(GAUSS, NormSpec.vexp(p, 12.0))
         (modular, slope), (scaled, _) = sm.value(lam), sm.value(lam * factor)
         assert modular >= scaled - 1e-12
         assert p.p_minus * (1 - 1e-15) <= -slope <= p.p_plus * (1 + 1e-15)
 
     @pytest.mark.parametrize("lam", [0.3, 1.0, 3.0])
     def test_slope_is_the_log_log_derivative(self, p_bump, lam):
-        sm = SampledModular(GAUSS, p_bump, 12.0)
+        sm = SampledModular(GAUSS, NormSpec.vexp(p_bump, 12.0))
         h = 1e-5
         up, down = sm.value(lam * math.exp(h))[0], sm.value(lam * math.exp(-h))[0]
         assert sm.value(lam)[1] == pytest.approx(
@@ -207,7 +207,7 @@ def test_constant_exponent_root_is_the_power_mean(p):
     field = resolve_exponent(p)
     q = field.p_minus
     for m, spec, res in corpus_norms(p):
-        ((x, w, _),) = _row_samples(m.rf, field, spec.window, spec.panels_per_unit)
+        ((x, w, _),) = _row_samples(m.rf, spec)
         direct = float(np.sum(w * np.abs(m.rf(x)) ** q)) ** (1.0 / q)
         assert abs(res.value - direct) <= 2 * math.ulp(direct), m.name
 
@@ -298,6 +298,20 @@ class TestNormSpec:
             with pytest.raises(ValueError, match="panels_per_unit must be positive and finite"):
                 make()
 
+    @pytest.mark.parametrize("name, window, ppu", [
+        ("panels_per_unit", 14.0, -1.0), ("panels_per_unit", 14.0, 0.0),
+        ("panels_per_unit", 14.0, math.nan), ("window", -14.0, 4.0)])
+    def test_every_entry_point_meets_the_spec_check(self, name, window, ppu):
+        # luxemburg_norm took both loose: at -1 per unit it read
+        # 1.028526476541672 off 16 panels, and window -14 raised "math
+        # domain error"; the samplers take only a NormSpec
+        p_bump = exponent_field("p_bump")
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            luxemburg_norm(GAUSS, p_bump, window=window, panels_per_unit=ppu)
+        for entry in (SampledModular, norm_of):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                entry(GAUSS, NormSpec.vexp(p_bump, window, ppu))
+
     def test_both_norms_refuse_a_window_of_too_many_panels(self, p2):
         # one window rule caps both norms, before anything is allocated
         for make in (NormSpec.sup, lambda w: NormSpec.vexp(p2, w)):
@@ -348,7 +362,7 @@ class TestGradedGrid:
         m = corpus_member("sinc1")
         spec = m.norm_spec(exponent_field("p2"))
         # 6 radians of sinc's phase a panel: under a quarter of the uniform nodes
-        assert _row_samples(m.rf, spec.p, spec.window, spec.panels_per_unit)[0][0].size \
+        assert _row_samples(m.rf, spec)[0][0].size \
             < 0.25 * window_nodes(spec.window, spec.panels_per_unit, ())[0].size
         graded = norm_of(m.rf, spec)
         today = norm_of(m.rf, self.uniform(monkeypatch, spec))
@@ -384,7 +398,7 @@ class TestGradedGrid:
     def test_refilled_panels_are_the_uniform_panels(self):
         g, window, ppu = self.sign_changing()
         p = exponent_field("p_osc")
-        ((x, w, s),) = _row_samples(g, p, window, ppu)
+        ((x, w, s),) = _row_samples(g, NormSpec.vexp(p, window, ppu))
         gx, _, first, _ = window_nodes(window, ppu, g.breakpoints,
                                        norms._widest_panel(g, p, False))
         ux, uw, _, _ = window_nodes(window, ppu, g.breakpoints)

@@ -54,7 +54,7 @@ class TestModulus:
             return acc
 
         oracle_fn = RealFunction(fn=h)
-        sm = SampledModular(oracle_fn, p2, 12.0, panels_per_unit=6.0)
+        sm = SampledModular(oracle_fn, NormSpec.vexp(p2, 12.0, 6.0))
         oracle = sm.luxemburg().value
         assert val == pytest.approx(oracle, abs=1e-7)
 

@@ -10,6 +10,7 @@ from vexp.bandlimited import vp_operator
 from vexp.corpus import corpus_member, resolve_function
 from vexp.fnexpr import differentiate, parse
 from vexp.functions import as_real_function, combine
+from vexp.norms import NormSpec
 from vexp.quad import phase_panels
 from vexp.steklov import (_horner, bspline_value, derivative_terms, difference_terms,
                           iterated_steklov, steklov_combination, sup_norm)
@@ -217,7 +218,6 @@ class TestTermMaps:
     @pytest.mark.parametrize("r", range(1, 7))
     def test_khat_maps_match_the_written_expansion(self, r, monkeypatch):
         from vexp import smoothness
-        from vexp.norms import NormSpec
         class Built(Exception):
             """The maps are all this test reads."""
 
@@ -413,7 +413,6 @@ class TestRawRoughSources:
 
     def test_smoothed_box_source_is_the_bundled_member(self):
         # the raw source's sup-norm modulus read 0.138813 against 0.138071
-        from vexp.norms import NormSpec
         from vexp.smoothness import ModulusRequest, modulus
         raw = resolve_function(corpus_member("box_smooth").expr.src).rf
         bundled = corpus_member("box_smooth").rf
@@ -501,7 +500,7 @@ class TestSupNorm:
     def test_refines_to_true_max(self):
         # max of x*exp(-x^2) is at x = 1/sqrt(2)
         f = as_real_function(parse("x*exp(-x^2)"))
-        val = sup_norm(f, 4.0)
+        val = sup_norm(f, NormSpec.sup(4.0))
         oracle = math.sqrt(0.5) * math.exp(-0.5)
         assert val == pytest.approx(oracle, abs=1e-13)
 
@@ -512,7 +511,7 @@ class TestSupNorm:
         a = 6.544984694978736
         f = as_real_function(parse(
             f"cos({a}*x)*(1-indicator(2,4)) + 1.001*cos({a}*(x-0.01))*indicator(2,4)"))
-        assert sup_norm(f, 4.0) == pytest.approx(1.001, abs=1e-12)
+        assert sup_norm(f, NormSpec.sup(4.0)) == pytest.approx(1.001, abs=1e-12)
 
     @pytest.mark.parametrize("delta, exact", [
         (0.6, 19.0 / 18.0),  # order_compare_sup's lhs, r = 1, k = 1
@@ -520,7 +519,7 @@ class TestSupNorm:
     ])
     def test_box_modulus_to_the_kink(self, delta, exact):
         f = steklov_combination(box_member(), delta, difference_terms(2, (1, 0)))
-        assert sup_norm(f, 6.0) == pytest.approx(exact, abs=1e-13)
+        assert sup_norm(f, NormSpec.sup(6.0)) == pytest.approx(exact, abs=1e-13)
 
     @pytest.mark.parametrize("build", [
         lambda: as_real_function(parse("x*exp(-x^2)")),
@@ -534,7 +533,7 @@ class TestSupNorm:
         # the samples, the eighths of a candidate the tail test names, and
         # the confirming call
         f, sizes = counted(build())
-        sup_norm(f, 8.0)
+        sup_norm(f, NormSpec.sup(8.0))
         assert 2 <= len(sizes) <= 3
 
     @pytest.mark.parametrize("r, delta", [(1, 0.1), (1, 1.0), (2, 0.3), (2, 1.0), (2, 1e-4)])
@@ -544,7 +543,7 @@ class TestSupNorm:
         # 1) took 17 calls while a bracket closed in on its jump)
         f, sizes = counted(steklov_combination(box_member(), delta,
                                                difference_terms(r, (1, 0))))
-        sup_norm(f, 6.0)
+        sup_norm(f, NormSpec.sup(6.0))
         assert len(sizes) == 2
 
     @pytest.mark.parametrize("delta", [0.1, 0.5, 1.0])
@@ -554,7 +553,7 @@ class TestSupNorm:
         # the one call after the samples
         f, sizes = counted(steklov_combination(box_member(), delta,
                                                derivative_terms(delta, 2, 1)))
-        assert sup_norm(f, 6.0) == pytest.approx(1.0 / delta, rel=1e-15)
+        assert sup_norm(f, NormSpec.sup(6.0)) == pytest.approx(1.0 / delta, rel=1e-15)
         assert len(sizes) == 2
 
     @pytest.mark.parametrize("src, top", [
@@ -567,7 +566,7 @@ class TestSupNorm:
         # its maximum off the peak (0.99609 and 0.99999 read); the tail test
         # names that candidate, and its eighths (and theirs) resolve it
         f, sizes = counted(as_real_function(parse(src)))
-        assert sup_norm(f, 8.0) == pytest.approx(top, rel=1e-12)
+        assert sup_norm(f, NormSpec.sup(8.0)) == pytest.approx(top, rel=1e-12)
         assert len(sizes) <= 4
 
     def test_a_narrow_bump_is_found_anywhere(self):
@@ -576,19 +575,32 @@ class TestSupNorm:
         # find it at each
         for c in map(float, np.linspace(4.0, 4.5, 41)):
             f = as_real_function(parse(f"0.5*exp(-x^2)+exp(-20000*(x-{c!r})^2)"))
-            assert sup_norm(f, 8.0) == pytest.approx(1.0 + 0.5 * math.exp(-c * c), rel=1e-12), c
+            want = 1.0 + 0.5 * math.exp(-c * c)
+            assert sup_norm(f, NormSpec.sup(8.0)) == pytest.approx(want, rel=1e-12), c
+
+    @pytest.mark.parametrize("name, want", [
+        ("cos_gauss", ("0x1.0000000000000p+0", "0x1.8adcb0bf0d596p-1")),
+        ("box", ("0x1.0000000000000p+0", "-0x0.0p+0"))])
+    def test_signed_maxima(self, name, want):
+        # (max f, max -f) on the member's sup window, as Context.a0 reads
+        # them, to the bits the signed panel maxima had before sup_norm took
+        # them in; Python floats, as audit rows compare them
+        m = corpus_member(name)
+        got = sup_norm(m.rf, m.norm_spec(), signed=True)
+        assert all(type(v) is float for v in got)
+        assert tuple(map(float.hex, got)) == want
 
     @staticmethod
     def halved(monkeypatch, sups):
-        """sups() on sup panels half as wide, at any frequency."""
-        monkeypatch.setattr(steklov, "_PER_UNIT", 2.0 * steklov._PER_UNIT)
+        """sups(spec) on sup panels half as wide, at any frequency; spec(w) is
+        the sup norm on [-w, w] at twice NormSpec.sup's 4 panels per unit."""
         monkeypatch.setattr(steklov, "MAX_PHASE", 0.5 * steklov.MAX_PHASE)
-        return sups()
+        return sups(lambda w: NormSpec(window=w, panels_per_unit=8.0))
 
     def test_grid_refinement_stability(self, monkeypatch):
         f = as_real_function(parse("cos(3*x)*exp(-x^2/4)"))
-        v1 = sup_norm(f, 6.0)
-        v2 = self.halved(monkeypatch, lambda: sup_norm(f, 6.0))
+        v1 = sup_norm(f, NormSpec.sup(6.0))
+        v2 = self.halved(monkeypatch, lambda spec: sup_norm(f, spec(6.0)))
         assert abs(v1 - v2) <= 1e-12 * v1
 
     def test_grid_refinement_stability_corpus(self, monkeypatch):
@@ -597,8 +609,8 @@ class TestSupNorm:
         from vexp.corpus import default_corpus
         cases = [(m.name, f, m.sup_window) for m in default_corpus()
                  for f in (m.rf, steklov_combination(m.rf, 0.3, difference_terms(2, (1, 0))))]
-        before = [sup_norm(f, w) for _, f, w in cases]
-        after = self.halved(monkeypatch, lambda: [sup_norm(f, w) for _, f, w in cases])
+        before = [sup_norm(f, NormSpec.sup(w)) for _, f, w in cases]
+        after = self.halved(monkeypatch, lambda spec: [sup_norm(f, spec(w)) for _, f, w in cases])
         for (name, _, _), v1, v2 in zip(cases, before, after):
             assert abs(v1 - v2) <= 1e-12 * v1, name
 

@@ -57,7 +57,7 @@ def test_members_and_their_differences(name):
     cases = [(None, m.rf)] + [((r, d), steklov_combination(m.rf, d, difference_terms(r, (1, 0))))
                               for r, d in DIFFERENCES]
     for rd, f in cases:
-        want, got = dense_sup(f, m.sup_window), sup_norm(f, m.sup_window)
+        want, got = dense_sup(f, m.sup_window), sup_norm(f, m.norm_spec())
         if rd == (2, 1e-4):
             assert want == pytest.approx(FLOOR[name], rel=0.0, abs=1e-14)
             assert got == pytest.approx(want, rel=0.0, abs=1e-14), rd
