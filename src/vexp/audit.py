@@ -20,6 +20,7 @@ truncation data.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -38,7 +39,7 @@ from .norms import NormSpec, norm_of
 from .quad import window_nodes
 from .report import AUDIT_ABS_TOL, AUDIT_REL_TOL, AuditRow, make_row
 from .smoothness import ModulusRequest, k_functional_upper, modulus
-from .steklov import (derivative_terms, difference_terms, iterated_steklov,
+from .steklov import (SAMPLE_MEMO, derivative_terms, difference_terms, iterated_steklov,
                       steklov_combination, sup_norm)
 
 __all__ = ["AuditCase", "AuditReport", "Context", "run_suite", "run_case",
@@ -776,9 +777,11 @@ def run_suite(config_text: str, out_dir: Optional[str] = None,
     """Run every case in the configuration; returns (report, exit_code).
 
     exit_code is 0 when no row fails (inconclusive rows do not fail).
-    Reports are written to out_dir when given.  Cases run serially; `jobs`
-    is accepted for compatibility and has no effect (threads gave no
-    speedup: the work is Python dispatch under the interpreter lock).
+    Reports are written to out_dir when given.  Cases run serially, sorted
+    (stably) by member and theorem; the cases of one member share one
+    `steklov.SAMPLE_MEMO`, which is None again when the run ends.  `jobs` is
+    accepted for compatibility and has no effect (threads gave no speedup:
+    the work is Python dispatch under the interpreter lock).
     """
     cfg = parse_config(config_text)
     defaults = cfg.get("defaults", {})
@@ -786,7 +789,15 @@ def run_suite(config_text: str, out_dir: Optional[str] = None,
     cases = [_case_from_dict(d, defaults) for d in case_dicts]
     ctx = Context()
     validate_cases(ctx, cases)
-    rows = [row for c in cases for row in run_case(ctx, c)]
+    cases.sort(key=lambda c: (c.f_src, c.theorem))
+    rows = []
+    token = SAMPLE_MEMO.set(None)
+    try:
+        for _, group in itertools.groupby(cases, key=lambda c: c.f_src):
+            SAMPLE_MEMO.set({})
+            rows += [row for c in group for row in run_case(ctx, c)]
+    finally:
+        SAMPLE_MEMO.reset(token)
     rows.sort(key=lambda r: (r.theorem_id, r.case_id))
     for a, b in zip(rows, rows[1:]):
         if (a.theorem_id, a.case_id) == (b.theorem_id, b.case_id):

@@ -147,6 +147,8 @@ class SampledModular:
 
     def __init__(self, f: RealFunction, norm: NormSpec):
         p = norm.p
+        if p is None:
+            raise ValueError("SampledModular takes a Luxemburg norm; norm_of takes the sup norm")
         self.s_max, self.p, self.w, self.log_s = [], [], [], []
         for x, w, s in _row_samples(f, norm):
             s = np.abs(s)

@@ -19,13 +19,19 @@ _MAX_PANELS in all raise ValueError).  So the weights of all terms add up on
 one Gauss-Legendre lattice (k = 0 terms are point columns) and one outer
 product f(x_i + d*u_j) evaluates the whole sum (`outer_apply`, which samples
 an expression's sin, cos and sinc nodes by the addition theorem, at the
-exact x_i + d*u_j to about an ulp).  The offsets and weights of the last 64
+exact x_i + d*u_j to about an ulp).  The offsets and weights of the last 128
 unit lattices are kept, read-only, keyed by d, the panel count and the term
 maps' items in dict order, the order their weights are summed in; a call
 with a kept key builds nothing.  Sums with one top stack on one lattice:
 each keeps its own row of weights, and one pass over f serves them all.  A
 point whose window (x, x + top*d) holds a breakpoint b of f takes the same
 lattice with its panels split at (b - x)/d, built anew.
+
+While `SAMPLE_MEMO` holds a dict (`audit.run_suite` keeps one per member, for
+that member's cases), a combination's samples are kept there, read-only,
+keyed by all the call reads: f's fn, expression, breakpoints and frequency,
+d, the term maps' items, the rows asked for, and x's shape and bytes.  A
+repeated call returns the kept samples; outside it (None) every call samples.
 
 Compactly supported piecewise polynomials, read off the expression tree as
 sums of truncated powers c (b - x)_+^n / n!, get an exact engine, built from
@@ -50,10 +56,11 @@ Sci. Comput. 25, 2004).  With confirm=False the interpolants' values stand.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -176,13 +183,17 @@ def _lattice(delta: float, items: tuple, edges) -> tuple[np.ndarray, np.ndarray]
             np.stack([np.concatenate(kp, -1) for kp in zip(kern, pts)]))
 
 
-@functools.lru_cache(maxsize=64)  # the bundled audit needs 113 shapes, none above 66 kB
+@functools.lru_cache(maxsize=128)  # the bundled audit needs 113 shapes, 0.26 MB in all
 def _unit_lattice(delta: float, top: int, panels: int, items: tuple):
     """`_lattice` on the equal panels of [0, top], read-only."""
     rule = _lattice(delta, items, np.linspace(0.0, float(top), panels + 1))
     for a in rule:
         a.flags.writeable = False
     return rule
+
+
+SAMPLE_MEMO: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
+    "SAMPLE_MEMO", default=None)
 
 
 def steklov_combination(f: RealFunction, delta: float,
@@ -193,6 +204,7 @@ def steklov_combination(f: RealFunction, delta: float,
     Several term maps give a stacked function, one row per map; its `rows`
     evaluate one map each, to the same bits."""
     keys = {key for t in terms for key in t}
+    items = tuple(tuple(t.items()) for t in terms)  # in dict order: the weights' sums
 
     def breakpoints(keys):
         return tuple(sorted({s - m * delta for s in f.breakpoints
@@ -203,7 +215,7 @@ def steklov_combination(f: RealFunction, delta: float,
         parts = [[(c, j * delta, exact.iterated(delta, k)) for (k, j), c in t.items()]
                  for t in terms]
 
-        def ev(x, maps):
+        def sample(x, maps):
             return np.stack([sum((c * term(x + shift) for c, shift, term in part),
                                  np.zeros_like(x, dtype=float)) for part in parts[maps]])
     else:
@@ -212,13 +224,12 @@ def steklov_combination(f: RealFunction, delta: float,
         if panels > _MAX_PANELS:
             raise ValueError(f"the Steklov lattice needs {panels} panels for frequency "
                              f"{f.frequency:.6g} at step {delta:.6g}, above {_MAX_PANELS}")
-        items = tuple(tuple(t.items()) for t in terms)  # in dict order: the weights' sums
         offsets, weights = _unit_lattice(delta, top, panels, items)
         unit = np.linspace(0.0, float(top), panels + 1)
         breaks = np.asarray(f.breakpoints, dtype=float)
         step = max(1, _SUB_CHUNK // (offsets.size + 12 * breaks.size))
 
-        def ev(x, maps):
+        def sample(x, maps):
             flat = np.asarray(x, dtype=float).ravel()
             cuts = (breaks - flat[:, None]) / delta
             near = np.any((cuts > 0.0) & (cuts < top), axis=1)
@@ -234,6 +245,18 @@ def steklov_combination(f: RealFunction, delta: float,
                 off, w = _lattice(delta, items, np.sort(edges, axis=1))
                 out[:, i] = np.sum(f.fn(flat[i, None] + off) * w[maps], axis=-1)
             return out.reshape(len(out), *np.shape(x))
+
+    reads = (f.fn, f.expr, f.breakpoints, f.frequency, delta, items)
+
+    def ev(x, maps):
+        if (memo := SAMPLE_MEMO.get()) is None:
+            return sample(x, maps)
+        x = np.asarray(x, dtype=float)
+        key = (reads, maps.start, maps.stop, x.shape, x.tobytes())
+        if (out := memo.get(key)) is None:
+            out = memo[key] = sample(x, maps)
+            out.flags.writeable = False
+        return out
 
     # ev evaluates the maps in a slice of terms, one output row each; a row
     # has the breakpoints of its own terms
@@ -301,6 +324,8 @@ def sup_norm(f: RealFunction, norm: NormSpec, confirm: bool = True, signed: bool
     their breakpoints, and every later call serves one output, so each
     output's maximum has the bits it has alone.  The panels of all outputs
     are kept as one list of (output, lo, hi, samples)."""
+    if signed and f.rows:
+        raise ValueError(f"signed maxima need a single-output f, not a stack of {len(f.rows)}")
     outs = f.rows or (f,)
     density = max(norm.panels_per_unit, f.frequency / MAX_PHASE)
     rules = [window_nodes(norm.window, density, g.breakpoints)[::3] for g in outs]  # nodes, edges

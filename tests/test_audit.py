@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vexp import audit
+from vexp import audit, steklov
 from vexp.audit import (AuditCase, Context, THEOREM_RUNNERS, _case_from_dict,
                         _clenshaw_curtis, report_csv, run_case, run_suite)
 from vexp.config import parse_config
@@ -241,27 +241,72 @@ deltas = [0.5]
             outs.append([(tmp_path / sub / name).read_bytes()
                          for name in ("audit.csv", "audit.json")])
         assert outs[0] == outs[1]
+        # run_suite runs a member's cases sorted by theorem, so both texts
+        # ran kfunc first; on one Context, either order gives the same rows
+        runs = []
+        for text in (kfunc + one_step, one_step + kfunc):
+            ctx = Context()
+            rows = [row for d in parse_config(text)["case"]
+                    for row in run_case(ctx, _case_from_dict(d, {}))]
+            runs.append(sorted(rows, key=lambda r: (r.theorem_id, r.case_id)))
+        assert runs[0] == runs[1]
 
     def test_shared_members_give_the_same_reports_in_either_order(self, tmp_path):
         # the cases of a member share Context's norms, moduli and A-hats
         # (here Omega_1 at 0.25 and 0.5 in p2, in the sup norm Omega_1 and
-        # Omega_2) and the process-wide rule caches; forward and reversed,
-        # the reports match
+        # Omega_2), its Steklov sample memo (the K-hat stacks of p_bump and
+        # p_osc) and the process-wide rule caches; forward, reversed and
+        # shuffled, the reports match
         cases = [_case(theorem, f, **kv) for f in ("gauss", "box") for theorem, kv in (
             ("jackson_vexp", dict(p="@p2", r=1, sigmas=[2.0, 4.0])),
             ("inverse_vexp", dict(p="@p2", r=1, deltas=[0.25, 0.5])),
             ("kfunc_equiv_vexp", dict(p="@p2", r=1, deltas=[0.25, 0.5])),
             ("kfunc_equiv_vexp", dict(p="@p_bump", r=2, deltas=[0.5])),
+            ("kfunc_equiv_vexp", dict(p="@p_osc", r=2, deltas=[0.5])),
             ("modulus_props", dict(g="@xgauss", p="@p2", r=1, deltas=[0.25, 0.5])),
             ("sup_suite", dict(r=1, k=1, deltas=[0.25, 0.5])),
             ("sup_suite", dict(r=2, k=1, deltas=[0.5])))]
+        shuffled = [cases[i] for i in np.random.default_rng(38).permutation(len(cases))]
         outs = []
-        for sub, order in (("a", cases), ("b", cases[::-1])):
+        for sub, order in (("a", cases), ("b", cases[::-1]), ("c", shuffled)):
             run_suite("\n".join(order), out_dir=str(tmp_path / sub))
             outs.append([(tmp_path / sub / name).read_bytes()
                          for name in ("audit.csv", "audit.json")])
         assert outs[0][0].count(b"\n") > 30
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_each_member_runs_its_cases_together_on_one_memo(self, monkeypatch):
+        # a fresh memo per member, set while its cases run and cleared after
+        seen = []
+
+        def recording(ctx, case):
+            seen.append((case.f_src, case.theorem, case.p_src, steklov.SAMPLE_MEMO.get()))
+            return run_case(ctx, case)
+        monkeypatch.setattr(audit, "run_case", recording)
+        # sorted stably by member and theorem: p_bump's K-hat case stays first
+        run_suite("\n".join(_case(theorem, f, p=p, r=1, deltas=[0.5])
+                            for theorem, p in (("kfunc_equiv_vexp", "@p_bump"),
+                                               ("inverse_vexp", "@p2"),
+                                               ("kfunc_equiv_vexp", "@p_osc"))
+                            for f in ("gauss", "box")))
+        assert [s[:3] for s in seen] == [
+            (f"@{f}", t, p) for f in ("box", "gauss") for t, p in (
+                ("inverse_vexp", "@p2"), ("kfunc_equiv_vexp", "@p_bump"),
+                ("kfunc_equiv_vexp", "@p_osc"))]
+        memos = [s[3] for s in seen]
+        assert all(type(m) is dict for m in memos)
+        assert memos[0] is memos[1] is memos[2] and memos[3] is memos[4] is memos[5]
+        assert memos[0] is not memos[3] and len(memos[0]) > 0
+        assert steklov.SAMPLE_MEMO.get() is None
+
+    def test_no_memo_outlives_a_case_that_raises(self, monkeypatch):
+        def failing(ctx, case):
+            assert steklov.SAMPLE_MEMO.get() == {}
+            raise RuntimeError("case failed")
+        monkeypatch.setattr(audit, "run_case", failing)
+        with pytest.raises(RuntimeError, match="case failed"):
+            run_suite(GOOD_CASE)
+        assert steklov.SAMPLE_MEMO.get() is None
 
 
 class TestSurrogatePolicy:

@@ -312,6 +312,12 @@ class TestNormSpec:
             with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
                 entry(GAUSS, NormSpec.vexp(p_bump, window, ppu))
 
+    def test_the_modular_refuses_a_sup_spec(self):
+        # a sup spec has no exponent: _row_samples failed on
+        # "'NoneType' object has no attribute 'is_constant'"
+        with pytest.raises(ValueError, match="norm_of takes the sup norm"):
+            SampledModular(GAUSS, NormSpec.sup(8.0))
+
     def test_both_norms_refuse_a_window_of_too_many_panels(self, p2):
         # one window rule caps both norms, before anything is allocated
         for make in (NormSpec.sup, lambda w: NormSpec.vexp(p2, w)):

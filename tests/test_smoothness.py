@@ -128,6 +128,20 @@ class TestOneSamplingPath:
         modulus(ModulusRequest(m.rf, 2, 0.5, m.norm_spec(p2)))
         assert len(outer_calls) == 1
 
+    def test_two_moduli_outside_the_audit_sample_twice(self, outer_calls, p2):
+        # outside audit.run_suite there is no sample memo: every call
+        # samples, and its samples are the caller's to write
+        m = corpus_member("gauss")
+        req = ModulusRequest(m.rf, 2, 0.5, m.norm_spec(p2))
+        assert steklov.SAMPLE_MEMO.get() is None
+        assert modulus(req) == modulus(req)
+        assert len(outer_calls) == 2
+        h = steklov.steklov_combination(m.rf, 0.5, steklov.difference_terms(2, (1, 0)))
+        xs = np.linspace(-3.0, 3.0, 7)
+        a, b = h(xs), h(xs)
+        assert a is not b and a.flags.writeable and b.flags.writeable
+        assert len(outer_calls) == 4
+
     def test_khat_is_one_outer_product(self, outer_calls, p2):
         # both halves of K-hat share the lattice and the norm's nodes
         m = corpus_member("gauss")

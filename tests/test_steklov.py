@@ -293,6 +293,48 @@ class TestCombination:
         assert comb.breakpoints == (-1.0, -0.5, 0.0, 0.5, 1.0)
 
 
+@pytest.fixture
+def memo():
+    """A sample memo, as audit.run_suite holds one for a member's cases."""
+    kept = {}
+    token = steklov.SAMPLE_MEMO.set(kept)
+    yield kept
+    steklov.SAMPLE_MEMO.reset(token)
+
+
+class TestSampleMemo:
+    @pytest.mark.parametrize("src", ["@box", "@gauss_osc", "abs(x)*exp(-x^2)"],
+                             ids=["engine", "lattice", "split_lattice"])
+    def test_a_hit_has_a_fresh_evaluations_bits_and_is_read_only(self, src, memo):
+        f = resolve_function(src).rf
+        maps = (TERMS, difference_terms(2, (1, 0)))
+        xs = np.linspace(-2.5, 2.0, 37)
+        token = steklov.SAMPLE_MEMO.set(None)
+        fresh = steklov_combination(f, 0.3, *maps)(xs)
+        steklov.SAMPLE_MEMO.reset(token)
+        # a combination built anew, as a later case builds it, hits
+        first = steklov_combination(f, 0.3, *maps)(xs)
+        again = steklov_combination(f, 0.3, *maps)(xs)
+        assert again is first and len(memo) == 1
+        assert first.tobytes() == fresh.tobytes()
+        assert not first.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 0.0
+        # a row alone and other points are calls of their own
+        steklov_combination(f, 0.3, *maps).rows[0](xs)
+        steklov_combination(f, 0.3, *maps)(xs[1:])
+        assert len(memo) == 3
+
+    def test_other_breakpoints_do_not_hit(self, memo):
+        # the same expression split at 0 takes the split lattice near 0
+        f = corpus_member("gauss").rf
+        g = replace(f, breakpoints=(0.0,))
+        xs = np.linspace(-2.0, 2.0, 9)
+        a = steklov_combination(f, 0.5, difference_terms(1, (1, 0)))(xs)
+        b = steklov_combination(g, 0.5, difference_terms(1, (1, 0)))(xs)
+        assert len(memo) == 2 and a is not b
+
+
 class TestIndicatorEngine:
     def test_base_values(self):
         f = corpus_member("box_smooth").rf
@@ -589,6 +631,14 @@ class TestSupNorm:
         got = sup_norm(m.rf, m.norm_spec(), signed=True)
         assert all(type(v) is float for v in got)
         assert tuple(map(float.hex, got)) == want
+
+    def test_signed_maxima_refuse_a_stack(self):
+        # the signed branch paired the stack's outputs with f and -f of the
+        # whole stack, and numpy failed to broadcast shape (2,) with (4,)
+        f = steklov_combination(corpus_member("gauss").rf, 0.5, difference_terms(1, (1, 0)),
+                                difference_terms(2, (1, 0)))
+        with pytest.raises(ValueError, match="signed maxima need a single-output f"):
+            sup_norm(f, NormSpec.sup(8.0), signed=True)
 
     @staticmethod
     def halved(monkeypatch, sups):
