@@ -150,11 +150,14 @@ class SampledModular:
         if p is None:
             raise ValueError("SampledModular takes a Luxemburg norm; norm_of takes the sup norm")
         self.s_max, self.p, self.w, self.log_s = [], [], [], []
+        px = {}  # p on each grid, once for the outputs that share it (p is pointwise)
         for x, w, s in _row_samples(f, norm):
             s = np.abs(s)
             q = s > 0.0
             self.s_max.append(float(np.max(s)))
-            self.p.append(p.p_minus if p.is_constant else p(x[q]))
+            if not p.is_constant and id(x) not in px:
+                px[id(x)] = p(x)
+            self.p.append(p.p_minus if p.is_constant else px[id(x)][q])
             self.w.append(w[q])
             self.log_s.append(np.log(s[q]))
 

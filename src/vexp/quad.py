@@ -52,6 +52,7 @@ _TAIL = 1e-7  # a wide panel's resolved Legendre tail, relative to max |f|
 _WAVE_TAIL = 7.5e-5  # 21 j_10(3): the degree-10 Legendre coefficient of exp(3it)
 _GRADE = 0.25  # a graded window panel at |x| is up to this fraction of |x| wide
 _WINDOW_PANELS = 1 << 15  # uniform panels per window: 393,216 nodes
+_CACHED_PANELS = 1 << 11  # 0.43 MB a rule; the bundled audit's largest has 2,000 panels
 
 
 @lru_cache(maxsize=None)
@@ -103,7 +104,6 @@ def panel_rule(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return (edges[..., :-1, None] + width * x0).reshape(shape), (width * w0).reshape(shape)
 
 
-@lru_cache(maxsize=64)  # a graded rule is a few kB, a uniform one at most 6.8 MB
 def window_nodes(window: float, panels_per_unit: float, breakpoints: tuple[float, ...],
                  widest: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on panels of [-window, window] split at
@@ -112,7 +112,16 @@ def window_nodes(window: float, panels_per_unit: float, breakpoints: tuple[float
     edges.  The uniform panels, 16 to _WINDOW_PANELS (more raise ValueError),
     are 1/panels_per_unit wide or a little less; from the middle edge out, a
     panel at |x| spans as many as fit in max(1/panels_per_unit, _GRADE |x|)
-    and in widest, at least one.  Read-only: each shape's rule is cached."""
+    and in widest, at least one.  Read-only: each shape's rule of at most
+    _CACHED_PANELS uniform panels is cached, a larger one built anew."""
+    small = 2.0 * window * panels_per_unit <= _CACHED_PANELS
+    return (_window_rule if small else _window_rule.__wrapped__)(
+        window, panels_per_unit, breakpoints, widest)
+
+
+@lru_cache(maxsize=64)
+def _window_rule(window: float, panels_per_unit: float, breakpoints: tuple[float, ...],
+                 widest: float):
     n = max(16, math.ceil(2.0 * window * panels_per_unit))
     if n > _WINDOW_PANELS:
         raise ValueError(f"the window [-{window:g}, {window:g}] needs {n} panels at "

@@ -27,6 +27,16 @@ each keeps its own row of weights, and one pass over f serves them all.  A
 point whose window (x, x + top*d) holds a breakpoint b of f takes the same
 lattice with its panels split at (b - x)/d, built anew.
 
+A call of _MIN_CALL or more such points on a lattice with top >= 4 (K-hat's)
+takes, where it holds, the product rule of the fewest K of _ORDERS (at most
+3/4 of the Gauss offsets) whose coefficients of degree K - 2 and up pass the
+tail test at _PROBE of its points: u -> f(x + d*u) is interpolated at K
+first-kind Chebyshev points on [0, top], and each map's weights are its
+kernel's exact moments against the Lagrange basis, in long double (Piessens &
+Branders, BIT 23, 1983).  Three more rows give each point's c_0, c_{K-2} and
+c_{K-1}; a point whose last two exceed _TAIL_BAR of the call's largest |c_0|
+takes the Gauss lattice, as does a call where no K passes.
+
 While `SAMPLE_MEMO` holds a dict (`audit.run_suite` keeps one per member, for
 that member's cases), a combination's samples are kept there, read-only,
 keyed by all the call reads: f's fn, expression, breakpoints and frequency,
@@ -167,11 +177,11 @@ class IndicatorSteklov:
 _MAX_PANELS = 256  # a sup modulus on 256 and 32,000 sup panels took 5.3 s (2-core x86)
 
 
-def _lattice(delta: float, items: tuple, edges) -> tuple[np.ndarray, np.ndarray]:
+def _lattice(delta: float, items: tuple, edges, n: int = 12) -> tuple[np.ndarray, np.ndarray]:
     """Offsets delta * u and one row of weights per term map (its items,
-    summed in their order) for the Gauss-Legendre rule on each row of edges;
-    k = 0 terms are point columns."""
-    nodes, wts = panel_rule(edges, 12)
+    summed in their order) for the n-point Gauss-Legendre rule on each row of
+    edges; k = 0 terms are point columns, after the nodes."""
+    nodes, wts = panel_rule(edges, n)
     spline = {(k, j): bspline_value(k, nodes - j)
               for k, j in {key for t in items for key, _ in t} if k > 0}
     points = list(dict.fromkeys(j for t in items for (k, j), _ in t if k == 0))
@@ -190,6 +200,52 @@ def _unit_lattice(delta: float, top: int, panels: int, items: tuple):
     for a in rule:
         a.flags.writeable = False
     return rule
+
+
+_ORDERS = (12, 16, 20, 24, 32, 40, 48, 64)  # the point counts of the product rules
+_PROBE, _MIN_CALL = 16, 64  # points a call's rule is chosen on; smaller calls take Gauss
+_TAIL_BAR = 3e-14  # a point's last two Chebyshev coefficients, relative to max |c_0|
+
+
+@functools.cache
+def _chebyshev(K: int):
+    """The K first-kind Chebyshev points on [0, 1], and the matrix taking
+    samples there to Chebyshev coefficients, in double and in long double."""
+    theta = (2 * np.arange(K, dtype=np.longdouble) + 1) * np.arccos(np.longdouble(-1)) / (2 * K)
+    coef = 2.0 / K * np.cos(np.outer(np.arange(K), theta))
+    coef[0] /= 2.0
+    return (0.5 * (1.0 + np.cos(theta))).astype(float), coef.astype(float), coef
+
+
+@functools.lru_cache(maxsize=32)  # the bundled audit needs 13 shapes
+def _product_rule(delta: float, top: int, K: int, items: tuple):
+    """Offsets; a row of weights per map, one product each (a product over all
+    maps gives a map other bits than it has alone); then the rows of c_0,
+    c_{K-2} and c_{K-1}.  Read-only."""
+    points, coef, exact = _chebyshev(K)
+    n = math.ceil((top + K - 1) / 2)  # Gauss nodes a unit panel: exact to degree top + K - 2
+    offsets, weights = _lattice(1.0, items, np.arange(top + 1.0), n)
+    m = top * n
+    interp = np.polynomial.chebyshev.chebvander(
+        2.0 / top * offsets[:m].astype(np.longdouble) - 1.0, K - 1) @ exact
+    rule = (delta * np.concatenate([top * points, offsets[m:]]),
+            np.stack([np.concatenate([(w[:m] @ interp).astype(float), w[m:]]) for w in weights]),
+            np.pad(coef[[0, K - 2, K - 1]], ((0, 0), (0, offsets.size - m))))
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def _order(f: RealFunction, delta: float, top: int, x: np.ndarray, gauss: int) -> int:
+    """The product rule's K for the points x (module docstring), or 0."""
+    if top < 4 or x.size < _MIN_CALL or 4 * _ORDERS[0] > 3 * gauss:
+        return 0
+    kmax = max(K for K in _ORDERS if 4 * K <= 3 * gauss)
+    points, coef, _ = _chebyshev(kmax)
+    probe = x[np.linspace(0, x.size - 1, _PROBE).astype(int)]
+    a = np.abs(coef @ f.fn(probe[:, None] + delta * top * points).T)
+    tail = np.maximum.accumulate(a[::-1], axis=0)[::-1] <= _TAIL_BAR * a[0].max()
+    return next((K for K in _ORDERS if K <= kmax and tail[K - 2].all()), 0)
 
 
 SAMPLE_MEMO: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
@@ -229,14 +285,24 @@ def steklov_combination(f: RealFunction, delta: float,
         breaks = np.asarray(f.breakpoints, dtype=float)
         step = max(1, _SUB_CHUNK // (offsets.size + 12 * breaks.size))
 
+        def lattice(x, maps):  # a flat x whose windows hold no breakpoint
+            if not (K := _order(f, delta, top, x, offsets.size)):
+                return outer_apply(f, x, offsets, weights[maps])
+            off, w, coef = _product_rule(delta, top, K, items)
+            s = outer_apply(f, x, off, np.vstack([w[maps], coef]))
+            bad = np.abs(s[-2:]).max(axis=0) > _TAIL_BAR * np.abs(s[-3]).max()
+            if bad.any():
+                s[:-3, bad] = outer_apply(f, x[bad], offsets, weights[maps])
+            return s[:-3]
+
         def sample(x, maps):
             flat = np.asarray(x, dtype=float).ravel()
             cuts = (breaks - flat[:, None]) / delta
             near = np.any((cuts > 0.0) & (cuts < top), axis=1)
             if not near.any():
-                return outer_apply(f, x, offsets, weights[maps])
+                return lattice(flat, maps).reshape(-1, *np.shape(x))
             out = np.empty((len(weights[maps]), flat.size))
-            out[:, ~near] = outer_apply(f, flat[~near], offsets, weights[maps])
+            out[:, ~near] = lattice(flat[~near], maps)
             rows = np.flatnonzero(near)
             for i in (rows[i0:i0 + step] for i0 in range(0, rows.size, step)):
                 # clipped and repeated cuts give zero-width panels, which weigh nothing

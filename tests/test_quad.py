@@ -146,3 +146,24 @@ def test_split_at_adds_each_inner_point_once():
                           [-1.0, -0.5, 0.0, 0.3, 0.5, 1.0])
     assert np.array_equal(split_at(grid, (0.7, -0.2)), [-1.0, -0.5, -0.2, 0.0, 0.5, 0.7, 1.0])
     assert np.array_equal(split_at(grid, ()), grid)
+
+
+def test_large_window_rules_are_built_per_call():
+    # a uniform rule near the 32,768-panel cap holds about 6.8 MB: only rules
+    # of at most 2,048 panels are cached, so 64 wide sup windows pin no memory
+    from vexp import quad
+    from vexp.functions import as_real_function
+    from vexp.fnexpr import parse
+    from vexp.norms import NormSpec, norm_of
+    f = as_real_function(parse("exp(-x^2)"))
+    quad._window_rule.cache_clear()
+    norm_of(f, NormSpec.sup(8.0))
+    kept = quad._window_rule.cache_info()
+    assert kept.currsize == 1
+    for window in range(4000, 4008):
+        assert norm_of(f, NormSpec.sup(float(window))).hex() == "0x1.0000000000000p+0"
+    assert quad._window_rule.cache_info().currsize == kept.currsize
+    norm_of(f, NormSpec.sup(8.0))
+    assert quad._window_rule.cache_info().hits > kept.hits
+    big = quad.window_nodes(4000.0, 4.0, ())
+    assert not big[0].flags.writeable and big[0] is not quad.window_nodes(4000.0, 4.0, ())[0]

@@ -254,10 +254,10 @@ class TestCachedRules:
                 modulus(ModulusRequest(m.rf, 2, 0.25, norm)))
 
     def test_cold_and_warm_caches_give_the_same_bits(self):
-        quad.window_nodes.cache_clear()
+        quad._window_rule.cache_clear()
         steklov._unit_lattice.cache_clear()
         cold = self.answers()
-        assert quad.window_nodes.cache_info().currsize > 0
+        assert quad._window_rule.cache_info().currsize > 0
         assert steklov._unit_lattice.cache_info().currsize > 0
         assert self.answers() == cold
         assert steklov._unit_lattice.cache_info().hits > 0

@@ -5,9 +5,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from vexp import steklov
+from vexp import smoothness, steklov
 from vexp.bandlimited import vp_operator
-from vexp.corpus import corpus_member, resolve_function
+from vexp.corpus import corpus_member, default_corpus, resolve_function
 from vexp.fnexpr import differentiate, parse
 from vexp.functions import as_real_function, combine
 from vexp.norms import NormSpec
@@ -333,6 +333,126 @@ class TestSampleMemo:
         a = steklov_combination(f, 0.5, difference_terms(1, (1, 0)))(xs)
         b = steklov_combination(g, 0.5, difference_terms(1, (1, 0)))(xs)
         assert len(memo) == 2 and a is not b
+
+
+def khat_maps(r: int, delta: float):
+    """The term maps of K-hat's f - g and g^(r), as `k_functional_upper` stacks them."""
+    diff = difference_terms(r, (2 * r, 0))
+    deriv = {key: -cl * c for (k, _), cl in diff.items() if k > 0
+             for key, c in derivative_terms(delta, k, r).items()}
+    return diff, deriv
+
+
+@pytest.fixture
+def orders(monkeypatch):
+    """The product-rule order each lattice call of steklov took (0: Gauss)."""
+    taken, real = [], steklov._order
+    monkeypatch.setattr(steklov, "_order", lambda *a: taken.append(real(*a)) or taken[-1])
+    return taken
+
+
+def gauss_lattice_only(monkeypatch):
+    """Every lattice call takes the Gauss lattice: no call is large enough to probe."""
+    monkeypatch.setattr(steklov, "_MIN_CALL", math.inf)
+
+
+class TestProductRule:
+    # a lattice reaching top >= 4 (K-hat's stacks) samples each call's points
+    # whose tail test passes at K Chebyshev points, the others on the Gauss
+    # lattice
+    XS = np.linspace(-6.0, 6.0, 97)
+
+    @pytest.mark.parametrize("src", ["@" + m.name for m in default_corpus()]
+                             + ["abs(x)*exp(-x^2)"])
+    def test_matches_the_gauss_lattice(self, src, monkeypatch, orders):
+        f = resolve_function(src).rf
+        f_max = np.max(np.abs(f(np.linspace(-10.0, 10.0, 20001))))
+        got = {(r, d): steklov_combination(f, d, *khat_maps(r, d))(self.XS)
+               for r in (2, 3) for d in (0.1, 0.5, 1.0, 2.0)}
+        gauss_lattice_only(monkeypatch)
+        for (r, d), values in got.items():
+            maps = khat_maps(r, d)
+            want = steklov_combination(f, d, *maps)(self.XS)
+            for m, a, b in zip(maps, values, want):
+                assert np.max(np.abs(a - b)) <= 1e-13 * sum(map(abs, m.values())) * f_max
+        if engine(f) is None and src not in ("@lorentz", "@lorentz2"):
+            assert any(orders)  # the product rule served
+
+    @pytest.mark.parametrize("src, d, xs", [
+        ("@lorentz", 1.0, XS), ("exp(-100*(x-1)^2)", 0.5, XS),
+        ("@lorentz", 0.5, np.linspace(-40.0, 40.0, 161)),
+        ("exp(-100*(x-1)^2)", 0.1, np.linspace(-20.0, 20.0, 401))])
+    def test_points_that_fail_the_tail_test_keep_the_gauss_bits(self, src, d, xs, monkeypatch):
+        # lorentz's tail is 4e-7 at 64 points at d = 1, and the bump is far
+        # narrower than the span 8d: every point fails.  On the wide grids the
+        # probe passes away from lorentz's poles and from the bump, and the
+        # points whose windows come near them fail
+        f = resolve_function(src).rf
+        calls, real = [], steklov.outer_apply
+        monkeypatch.setattr(steklov, "outer_apply",
+                            lambda f, x, t, w: calls.append((x, t.size)) or real(f, x, t, w))
+        stack = steklov_combination(f, d, *khat_maps(2, d))
+        got = stack(xs)
+        fallback, size = calls[-1]  # the points that failed, on the Gauss lattice
+        gauss_lattice_only(monkeypatch)
+        at = np.isin(xs, fallback)
+        assert np.array_equal(got[:, at], stack(fallback)) and calls[-1][1] == size
+        if len(calls) == 2:  # one call, all on the Gauss lattice
+            assert at.all() and xs is self.XS
+        else:
+            assert 0 < at.sum() < at.size / 10 and xs is not self.XS
+            want = stack(xs)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_each_row_alone_and_a_scalar_give_the_stacks_bits(self, orders):
+        f = corpus_member("gauss_osc").rf
+        maps = (*khat_maps(2, 0.3), difference_terms(2, (1, 0)))
+        stack = steklov_combination(f, 0.3, *maps)
+        values = stack(self.XS)
+        assert orders and all(orders)
+        for row, want in zip(stack.rows, values):
+            assert np.array_equal(row(self.XS), want)
+        for x in (-0.6, 0.45):
+            assert np.array_equal(stack(np.asarray(x)), stack(np.array([x]))[:, 0])
+
+    @pytest.mark.parametrize("d", [0.1, 0.5, 1.0])
+    def test_eighth_iterate_of_a_gaussian_against_mpmath(self, d, orders):
+        # T_d^8 f(x) = int_0^8 B_8(u) f(x + d u) du at 30 digits, on every
+        # sixth point of a call the product rule serves
+        xs = np.linspace(-4.0, 3.0, 71)
+        got = iterated_steklov(as_real_function(parse("exp(-x^2)")), d, 8)(xs)
+        assert orders and all(orders)
+
+        def b8(t):
+            return sum((-1) ** i * math.comb(8, i) * (t - i) ** 7
+                       for i in range(int(t) + 1)) / mpmath.factorial(7)
+        with mpmath.workdps(30):
+            for x, value in zip(xs[::6], got[::6]):
+                x, dm = mpmath.mpf(float(x)), mpmath.mpf(d)
+                exact = mpmath.quad(lambda u: b8(u) * mpmath.exp(-(x + dm * u) ** 2),
+                                    list(range(9)), method="gauss-legendre")
+                assert abs(value - float(exact)) <= 1e-15
+
+    def test_second_modulus_of_a_gaussian_at_its_rounding_floor(self):
+        # (I - T_d)^2 reaches top 2 and keeps the Gauss lattice: Omega_2(gauss,
+        # 1e-4) in sup is within 2e-17 of its 40-digit value (the Gauss lattice
+        # reads 1.4e-17 off it; a product rule on top-2 lattices read 2.4e-16 off)
+        m = corpus_member("gauss")
+        erf = lambda s: mpmath.sqrt(mpmath.pi) / 2 * mpmath.erf(s)  # int e^(-s^2)
+        ser = lambda s: -mpmath.exp(-s * s) / 2                  # int s e^(-s^2)
+
+        def second_difference(x):  # f - 2 T f + T^2 f, T^2 through B_2's two pieces
+            t1 = (erf(x + d) - erf(x)) / d
+            t2 = (ser(x + d) - x * erf(x + d) - ser(x) + x * erf(x)
+                  + (2 * d + x) * (erf(x + 2 * d) - erf(x + d)) - ser(x + 2 * d) + ser(x + d))
+            return mpmath.exp(-x * x) - 2 * t1 + t2 / d ** 2
+        with mpmath.workdps(40):
+            d = mpmath.mpf("1e-4")
+            top = mpmath.findroot(lambda x: mpmath.diff(second_difference, x), -d)
+            exact = float(abs(second_difference(top)))
+        got = smoothness.modulus(smoothness.ModulusRequest(m.rf, 2, 1e-4, m.norm_spec()))
+        assert exact == pytest.approx(4.99999998333e-9, rel=1e-11)
+        assert abs(got - exact) <= 2e-17
 
 
 class TestIndicatorEngine:
