@@ -544,14 +544,8 @@ def _series_tail(terms: list[float]) -> tuple[float, bool]:
     Terms at the numerical noise floor of the norm computation (1e-8 of the
     partial sum) are treated as zero rather than extrapolated.
     """
-    partial = sum(terms)
-    if partial <= 0.0:
-        return 0.0, True
-    if max(terms[-5:]) <= 1e-8 * partial:
-        return 0.0, True
-    t_last = terms[-1]
-    t_prev = terms[-5]  # a cutoff of at least 8 gives at least 9 terms
-    if t_prev <= 0.0 or t_last <= 0.0:
+    partial, t_prev, t_last = sum(terms), terms[-5], terms[-1]  # a cutoff >= 8: 9 terms or more
+    if partial <= 0.0 or t_prev <= 0.0 or t_last <= 0.0 or max(terms[-5:]) <= 1e-8 * partial:
         return 0.0, True
     rho = (t_last / t_prev) ** 0.25
     if rho >= 0.95:

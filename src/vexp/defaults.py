@@ -21,8 +21,7 @@ def _case(theorem: str, f: str, **kv) -> str:
         elif isinstance(val, (list, tuple)):
             lines.append(f"{key} = [{', '.join(f'{v:g}' for v in val)}]")
         else:
-            lines.append(f"{key} = {val:g}" if isinstance(val, float)
-                         else f"{key} = {val}")
+            lines.append(f"{key} = {val:g}")
     return "\n".join(lines) + "\n"
 
 

@@ -150,14 +150,11 @@ class SampledModular:
         if p is None:
             raise ValueError("SampledModular takes a Luxemburg norm; norm_of takes the sup norm")
         self.s_max, self.p, self.w, self.log_s = [], [], [], []
-        px = {}  # p on each grid, once for the outputs that share it (p is pointwise)
         for x, w, s in _row_samples(f, norm):
             s = np.abs(s)
             q = s > 0.0
             self.s_max.append(float(np.max(s)))
-            if not p.is_constant and id(x) not in px:
-                px[id(x)] = p(x)
-            self.p.append(p.p_minus if p.is_constant else px[id(x)][q])
+            self.p.append(p.p_minus if p.is_constant else p(x[q]))
             self.w.append(w[q])
             self.log_s.append(np.log(s[q]))
 
@@ -189,8 +186,7 @@ class SampledModular:
                                      "the function is numerically outside the space")
         t, (_, _, modular) = find_root_decreasing(g, Bracket(lo, hi, _T_TOL), 0.0, at_0)
         root = s_max * math.exp(t)
-        bracket = Bracket(lo=s_max * math.exp(lo),
-                          hi=s_max * math.exp(hi), tol=rel_tol * root)
+        bracket = Bracket(lo=s_max * math.exp(lo), hi=s_max * math.exp(hi), tol=rel_tol * root)
         return VexpNorm(value=root, bracket_used=bracket, modular_at_value=modular)
 
 

@@ -52,7 +52,7 @@ _TAIL = 1e-7  # a wide panel's resolved Legendre tail, relative to max |f|
 _WAVE_TAIL = 7.5e-5  # 21 j_10(3): the degree-10 Legendre coefficient of exp(3it)
 _GRADE = 0.25  # a graded window panel at |x| is up to this fraction of |x| wide
 _WINDOW_PANELS = 1 << 15  # uniform panels per window: 393,216 nodes
-_CACHED_PANELS = 1 << 11  # 0.43 MB a rule; the bundled audit's largest has 2,000 panels
+_CACHED_PANELS = 1 << 12  # 0.85 MB a uniform rule; the bundled audit's largest has 2,000
 
 
 @lru_cache(maxsize=None)
@@ -94,6 +94,13 @@ def unresolved(tail: np.ndarray, peak: np.ndarray, top, widths: np.ndarray,
     return np.maximum(np.abs(tail[..., 0]), np.abs(tail[..., 1])) > bar
 
 
+def frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only (a cached rule's), as a tuple."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def panel_rule(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights for the panel edges along the
     last axis (one rule per row of stacked edges)."""
@@ -112,10 +119,10 @@ def window_nodes(window: float, panels_per_unit: float, breakpoints: tuple[float
     edges.  The uniform panels, 16 to _WINDOW_PANELS (more raise ValueError),
     are 1/panels_per_unit wide or a little less; from the middle edge out, a
     panel at |x| spans as many as fit in max(1/panels_per_unit, _GRADE |x|)
-    and in widest, at least one.  Read-only: each shape's rule of at most
-    _CACHED_PANELS uniform panels is cached, a larger one built anew."""
-    small = 2.0 * window * panels_per_unit <= _CACHED_PANELS
-    return (_window_rule if small else _window_rule.__wrapped__)(
+    and in widest, at least one.  Read-only: each shape's rule is cached but
+    a uniform one (widest below 2 panels) of more than _CACHED_PANELS panels."""
+    big = widest * panels_per_unit < 2.0 and 2.0 * window * panels_per_unit > _CACHED_PANELS
+    return (_window_rule.__wrapped__ if big else _window_rule)(
         window, panels_per_unit, breakpoints, widest)
 
 
@@ -140,10 +147,7 @@ def _window_rule(window: float, panels_per_unit: float, breakpoints: tuple[float
                 idx.append(i)
         edges = split_at(u[np.unique(idx)], breakpoints)
         first = np.searchsorted(uniform, edges)
-    rule = (*panel_rule(edges, 12), first, edges)
-    for a in rule:
-        a.flags.writeable = False
-    return rule
+    return frozen(*panel_rule(edges, 12), first, edges)
 
 
 def find_root_decreasing(phi: Callable[[float], tuple], bracket: Bracket,

@@ -25,17 +25,9 @@ maps' items in dict order, the order their weights are summed in; a call
 with a kept key builds nothing.  Sums with one top stack on one lattice:
 each keeps its own row of weights, and one pass over f serves them all.  A
 point whose window (x, x + top*d) holds a breakpoint b of f takes the same
-lattice with its panels split at (b - x)/d, built anew.
-
-A call of _MIN_CALL or more such points on a lattice with top >= 4 (K-hat's)
-takes, where it holds, the product rule of the fewest K of _ORDERS (at most
-3/4 of the Gauss offsets) whose coefficients of degree K - 2 and up pass the
-tail test at _PROBE of its points: u -> f(x + d*u) is interpolated at K
-first-kind Chebyshev points on [0, top], and each map's weights are its
-kernel's exact moments against the Lagrange basis, in long double (Piessens &
-Branders, BIT 23, 1983).  Three more rows give each point's c_0, c_{K-2} and
-c_{K-1}; a point whose last two exceed _TAIL_BAR of the call's largest |c_0|
-takes the Gauss lattice, as does a call where no K passes.
+lattice with its panels split at (b - x)/d, built anew.  On a lattice with
+top >= 4 (K-hat's) a call's points take K Chebyshev points instead where
+`_order`'s tail test holds (`_product_rule`; README).
 
 While `SAMPLE_MEMO` holds a dict (`audit.run_suite` keeps one per member, for
 that member's cases), a combination's samples are kept there, read-only,
@@ -75,7 +67,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .functions import _SUB_CHUNK, RealFunction, _finite_samples, outer_apply
-from .quad import LEGENDRE, MAX_PHASE, panel_rule, phase_panels, unresolved, window_nodes
+from .quad import LEGENDRE, MAX_PHASE, frozen, panel_rule, phase_panels, unresolved, window_nodes
 
 if TYPE_CHECKING:
     from .norms import NormSpec
@@ -196,21 +188,18 @@ def _lattice(delta: float, items: tuple, edges, n: int = 12) -> tuple[np.ndarray
 @functools.lru_cache(maxsize=128)  # the bundled audit needs 113 shapes, 0.26 MB in all
 def _unit_lattice(delta: float, top: int, panels: int, items: tuple):
     """`_lattice` on the equal panels of [0, top], read-only."""
-    rule = _lattice(delta, items, np.linspace(0.0, float(top), panels + 1))
-    for a in rule:
-        a.flags.writeable = False
-    return rule
+    return frozen(*_lattice(delta, items, np.linspace(0.0, float(top), panels + 1)))
 
 
 _ORDERS = (12, 16, 20, 24, 32, 40, 48, 64)  # the point counts of the product rules
 _PROBE, _MIN_CALL = 16, 64  # points a call's rule is chosen on; smaller calls take Gauss
 _TAIL_BAR = 3e-14  # a point's last two Chebyshev coefficients, relative to max |c_0|
+_LONG_DOUBLE = np.finfo(np.longdouble).precision > np.finfo(float).precision  # exact moments
 
 
 @functools.cache
 def _chebyshev(K: int):
-    """The K first-kind Chebyshev points on [0, 1], and the matrix taking
-    samples there to Chebyshev coefficients, in double and in long double."""
+    """K first-kind Chebyshev points on [0, 1]; samples to coefficients in double, long double."""
     theta = (2 * np.arange(K, dtype=np.longdouble) + 1) * np.arccos(np.longdouble(-1)) / (2 * K)
     coef = 2.0 / K * np.cos(np.outer(np.arange(K), theta))
     coef[0] /= 2.0
@@ -228,17 +217,18 @@ def _product_rule(delta: float, top: int, K: int, items: tuple):
     m = top * n
     interp = np.polynomial.chebyshev.chebvander(
         2.0 / top * offsets[:m].astype(np.longdouble) - 1.0, K - 1) @ exact
-    rule = (delta * np.concatenate([top * points, offsets[m:]]),
-            np.stack([np.concatenate([(w[:m] @ interp).astype(float), w[m:]]) for w in weights]),
-            np.pad(coef[[0, K - 2, K - 1]], ((0, 0), (0, offsets.size - m))))
-    for a in rule:
-        a.flags.writeable = False
-    return rule
+    return frozen(
+        delta * np.concatenate([top * points, offsets[m:]]),
+        np.stack([np.concatenate([(w[:m] @ interp).astype(float), w[m:]]) for w in weights]),
+        np.pad(coef[[0, K - 2, K - 1]], ((0, 0), (0, offsets.size - m))))
 
 
 def _order(f: RealFunction, delta: float, top: int, x: np.ndarray, gauss: int) -> int:
-    """The product rule's K for the points x (module docstring), or 0."""
-    if top < 4 or x.size < _MIN_CALL or 4 * _ORDERS[0] > 3 * gauss:
+    """The fewest K of _ORDERS, at most 3/4 of the gauss offsets, whose Chebyshev
+    coefficients of degree K - 2 and up at _PROBE of the points x are at most
+    _TAIL_BAR of their largest |c_0|; 0, the Gauss lattice, if none, for top < 4,
+    for fewer than _MIN_CALL points, or where long double is double."""
+    if top < 4 or x.size < _MIN_CALL or 4 * _ORDERS[0] > 3 * gauss or not _LONG_DOUBLE:
         return 0
     kmax = max(K for K in _ORDERS if 4 * K <= 3 * gauss)
     points, coef, _ = _chebyshev(kmax)
@@ -320,8 +310,7 @@ def steklov_combination(f: RealFunction, delta: float,
         x = np.asarray(x, dtype=float)
         key = (reads, maps.start, maps.stop, x.shape, x.tobytes())
         if (out := memo.get(key)) is None:
-            out = memo[key] = sample(x, maps)
-            out.flags.writeable = False
+            out = memo[key] = frozen(sample(x, maps))[0]
         return out
 
     # ev evaluates the maps in a slice of terms, one output row each; a row

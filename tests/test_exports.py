@@ -65,7 +65,7 @@ def test_every_import_is_read(path):
 
 # The line count is tracked next to speed: raise it only by a deliberate edit,
 # recorded in CHANGES.md with the reason, as for the pinned audit.csv hash.
-SOURCE_LINE_BUDGET = 3907
+SOURCE_LINE_BUDGET = 3889
 
 
 def test_source_line_budget():

@@ -149,8 +149,9 @@ def test_split_at_adds_each_inner_point_once():
 
 
 def test_large_window_rules_are_built_per_call():
-    # a uniform rule near the 32,768-panel cap holds about 6.8 MB: only rules
-    # of at most 2,048 panels are cached, so 64 wide sup windows pin no memory
+    # a uniform rule near the 32,768-panel cap holds about 6.8 MB: only uniform
+    # rules of at most 4,096 panels are cached, so 64 wide sup windows pin no
+    # memory, while a graded rule of a wide window (a few kB) stays cached
     from vexp import quad
     from vexp.functions import as_real_function
     from vexp.fnexpr import parse
@@ -167,3 +168,6 @@ def test_large_window_rules_are_built_per_call():
     assert quad._window_rule.cache_info().hits > kept.hits
     big = quad.window_nodes(4000.0, 4.0, ())
     assert not big[0].flags.writeable and big[0] is not quad.window_nodes(4000.0, 4.0, ())[0]
+    graded = quad.window_nodes(4000.0, 4.0, (), math.inf)[0]
+    assert graded.size < 12 * 200 and graded is quad.window_nodes(4000.0, 4.0, (), math.inf)[0]
+    assert quad._window_rule.cache_info().currsize == kept.currsize + 1

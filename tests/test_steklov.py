@@ -433,6 +433,17 @@ class TestProductRule:
                                     list(range(9)), method="gauss-legendre")
                 assert abs(value - float(exact)) <= 1e-15
 
+    def test_a_long_double_of_double_precision_keeps_the_gauss_bits(self, monkeypatch, orders):
+        # the exact moments need long double: where numpy's is double (MSVC,
+        # macOS on arm64) every call takes the Gauss lattice, bit for bit
+        stack = steklov_combination(corpus_member("gauss").rf, 0.5, *khat_maps(2, 0.5))
+        served = stack(self.XS)
+        monkeypatch.setattr(steklov, "_LONG_DOUBLE", False)
+        got = stack(self.XS)
+        assert orders == [orders[0], 0] and orders[0]
+        gauss_lattice_only(monkeypatch)
+        assert np.array_equal(got, stack(self.XS)) and not np.array_equal(got, served)
+
     def test_second_modulus_of_a_gaussian_at_its_rounding_floor(self):
         # (I - T_d)^2 reaches top 2 and keeps the Gauss lattice: Omega_2(gauss,
         # 1e-4) in sup is within 2e-17 of its 40-digit value (the Gauss lattice
