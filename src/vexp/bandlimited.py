@@ -45,13 +45,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .fnexpr import Decay, _brief, _sin_cos
 from .functions import RealFunction, _finite_samples, combine, outer_apply
 from .norms import NormSpec, norm_of
-from .quad import DEFAULT_SPEC, QuadSpec, panel_rule, phase_panels, split_at
+from .quad import DEFAULT_SPEC, QuadSpec, kept, panel_rule, phase_panels, split_at
 
 __all__ = ["vp_kernel", "vp_operator", "best_approx_surrogate",
            "BestApproxEstimate", "kernel_tail_bound"]
 
 DEFAULT_TAIL_TARGET = 1e-8  # the convolution tail target of A_hat
 _MAX_PANELS = 60_000
+_MAX_LATTICE = 1 << 21  # samples of f a lattice convolution takes; the bundled ones, 25,787
 _STENCIL = 20  # lattice points per interpolation stencil
 _BLOCK = 1024  # points per stencil block: 160 kB arrays page-fault less than 320 kB ones
 _SHIFTS = (_STENCIL // 2 - 1) - np.arange(_STENCIL, dtype=float)
@@ -84,16 +85,15 @@ def vp_kernel(x):
 class _ShiftedKernel:
     """t -> theta(sigma t), with the outer form (as `FuncExpr.outer`) of the
     module docstring: rank 4 by the addition theorem, vp_kernel where
-    |u| < 1, and the factors of the offsets t of its J built once."""
+    |u| < 1, and the factors of x and of the offsets t kept per grid."""
 
     def __init__(self, sigma: float, t: np.ndarray):
         self.sigma, self.t = sigma, t
-        self.right = self._factors(t)
 
     def _factors(self, x):
-        """Rows cos, sin of sigma x and of 2 sigma x, residual-corrected."""
-        (s1, c1), (s2, c2) = _sin_cos(self.sigma, 0.0, x), _sin_cos(2.0 * self.sigma, 0.0, x)
-        return np.stack([c1, s1, c2, s2])
+        """Rows cos, sin of sigma x and of 2 sigma x, residual-corrected; kept per grid."""
+        return kept(("vp", self.sigma), x, lambda x: np.stack(
+            [*_sin_cos(self.sigma, 0.0, x)[::-1], *_sin_cos(2.0 * self.sigma, 0.0, x)[::-1]]))
 
     def __call__(self, t):
         return vp_kernel(self.sigma * t)
@@ -101,7 +101,7 @@ class _ShiftedKernel:
     def outer(self, x: np.ndarray, t: np.ndarray):
         # cos u - cos 2u = c1 c1' - s1 s1' - c2 c2' + s2 s2'
         left = self._factors(x).T * np.array([1.0, -1.0, -1.0, 1.0])
-        right = self.right if t is self.t else self._factors(t)
+        right = self._factors(t)
 
         def ev(rows):
             u = x[rows, None] + t
@@ -183,11 +183,9 @@ def _kernel_spectrum(sigma: float, h: float, n_u: int, size: int) -> np.ndarray:
     return spectrum
 
 
-def _lattice_convolution(f: RealFunction, sigma: float, h: float, n_u: int,
-                         x_span: float):
-    """x -> J(x) for |x| up to x_span plus the stencil, from the trapezoid
+def _lattice_convolution(f: RealFunction, sigma: float, h: float, n_u: int, n_x: int):
+    """x -> J(x) for |x| up to (n_x - _STENCIL / 2) h, from the trapezoid
     sum h * sum_k f(x - k h) sigma theta(sigma k h) over |k| <= n_u."""
-    n_x = math.ceil(x_span / h) + _STENCIL
     n_f = n_x + n_u
     samples = _finite_samples(f, h * np.arange(-n_f, n_f + 1))
     # a circular convolution of at least the samples' length wraps only into
@@ -255,9 +253,13 @@ def vp_operator(f: RealFunction, sigma: float, x_span: float,
     # theta, at or beyond u_cut: 24 * sub lattice steps per multiple
     n_u = 24 * sub * math.ceil(u_cut * sigma / (2.0 * math.pi))
     h = w / sub / 8.0
+    n_x = math.ceil(x_span / h) + _STENCIL  # J's lattice reaches x_span plus the stencil
+    if (points := 2 * (n_x + n_u) + 1) > _MAX_LATTICE:  # before any allocation
+        raise ValueError(f"the lattice convolution of J(f, {sigma:.6g}) needs {points} "
+                         f"samples of f, more than the cap of {_MAX_LATTICE}")
     tail = kernel_tail_bound(sigma, n_u * h,
                              _f_envelope_beyond(decay, max(n_u * h - x_span, 1.0)))
-    return RealFunction(fn=_lattice_convolution(f, sigma, h, n_u, x_span),
+    return RealFunction(fn=_lattice_convolution(f, sigma, h, n_u, n_x),
                         frequency=max(f.frequency, 3.0 * sigma), tail_bound=tail)
 
 

@@ -102,19 +102,26 @@ def _cmd_audit(args) -> int:
     return code
 
 
-def _cmd_norm(args) -> int:
-    m, p = resolve_function(args.f), _exponent(args)
-    if (d := m.expr.decay_class).kind == "nonvanishing" and (p is not None or d.alpha < 0.0):
+def _refuse_infinite(m, p, growing: bool):
+    """ValueError when |f| ~ c |x|^g, c != 0: f lies in no L^p(.) on R, and
+    with growing set, a g > 0 gives no sup norm either."""
+    d = m.expr.decay_class
+    if d.kind == "nonvanishing" and (p is not None or growing and d.alpha < 0.0):
         raise ValueError(f"|f| ~ c*|x|^{-d.alpha:g} with c != 0 as |x| -> oo: its "
                          f"{'sup' if p is None else 'L^p(.)'} norm on R is infinite")
+
+
+def _cmd_norm(args) -> int:
+    m, p = resolve_function(args.f), _exponent(args)
+    _refuse_infinite(m, p, growing=True)
     print(f"{norm_of(m.rf, _spec(m, p, args.window)):.12g}")
     return 0
 
 
 def _cmd_modulus(args) -> int:
-    m = resolve_function(args.f)
-    val = modulus(ModulusRequest(m.rf, args.r, args.delta,
-                                 _spec(m, _exponent(args), args.window)))
+    m, p = resolve_function(args.f), _exponent(args)
+    _refuse_infinite(m, p, growing=False)  # a sup modulus of x is finite
+    val = modulus(ModulusRequest(m.rf, args.r, args.delta, _spec(m, p, args.window)))
     print(f"{val:.12g}")
     return 0
 

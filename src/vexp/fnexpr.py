@@ -42,6 +42,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.polynomial import polynomial as P
 
+from .quad import kept
+
 __all__ = [
     "FuncExpr", "ExponentField", "ParseError", "NonDifferentiableError",
     "ExponentRangeError", "parse", "differentiate", "estimate_log_holder",
@@ -470,21 +472,28 @@ def _sin_cos(c: float, b: float, x: np.ndarray):
 
 def _trig(kind: str, c: float, b: float, plain):
     """The outer form of sin or cos of c*x + b, or of sinc(c) (b = 0), whose
-    compiled program is plain."""
+    compiled program is plain.  The factors of x and of t are kept per grid in
+    `quad.kept` (by the grid's bytes and c's and b's bits, 1.5 MiB in all;
+    sinc shares sin's)."""
+    def left_of(x):
+        s, co = _sin_cos(c, b, x)
+        return np.stack([co, -s] if kind == "cos" else [s, co], 1)
+
     def prep(x, t):
-        (su, cu), (sv, cv) = _sin_cos(c, b, x), _sin_cos(c, 0.0, t)
-        left, right = np.stack([cu, -su] if kind == "cos" else [su, cu], 1), np.stack([cv, sv])
-        reach = 8.0 / abs(c)  # rows beyond it hold no |c*X| < 4
+        left = kept((kind == "cos", _BITS(c), _BITS(b)), x, left_of)
+        right = kept(_BITS(c), t, lambda t: np.stack(_sin_cos(c, 0.0, t)[::-1]))
+        reach = 4.5 / abs(c)  # a row whose |x + t| stays beyond it holds no |c*X| < 4
         near = (x + t.max(initial=-np.inf) > -reach) & (x + t.min(initial=np.inf) < reach)
 
         def ev(rows, X):
             out = left[rows] @ right
             if kind == "sinc":
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    np.divide(out, np.multiply(c, X), out=out)
-            if near[rows].any():
-                small = np.abs(np.multiply(c, X)) < 4.0
-                out[small] = plain(X[small])
+                    np.divide(out, X if c == 1.0 else np.multiply(c, X), out=out)
+            if (band := np.flatnonzero(near[rows])).size:  # from the first near row to the last
+                run = slice(band[0], band[-1] + 1)
+                small = np.abs(X[run] if c == 1.0 else np.multiply(c, X[run])) < 4.0
+                out[run][small] = plain(X[run][small])
             return out
         return ev
     return prep

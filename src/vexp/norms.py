@@ -34,7 +34,7 @@ import numpy as np
 from .fnexpr import ExponentField
 from .functions import RealFunction, _finite_samples
 from .quad import (DEFAULT_SPEC, LEGENDRE, MAX_PHASE, Bracket, QuadSpec,
-                   find_root_decreasing, unresolved, window_nodes)
+                   find_root_decreasing, kept, unresolved, window_nodes)
 from .steklov import sup_norm
 
 __all__ = [
@@ -143,7 +143,9 @@ class SampledModular:
     pass: exp(p_i (log |f_i| - log lam)) rounds alike at every node, where a
     log(w_i |f_i|^p_i) would carry the rounding of log w_i, one value for
     each panel width, into every node of that width.  A stacked f is sampled
-    in one pass (`_row_samples`), and `row` picks one output's modular."""
+    in one pass (`_row_samples`), and `row` picks one output's modular.  p
+    is evaluated once per grid, kept in `quad.kept` (keyed by p's tree and
+    the grid's bytes, 1.5 MiB in all) and indexed per output."""
 
     def __init__(self, f: RealFunction, norm: NormSpec):
         p = norm.p
@@ -154,7 +156,7 @@ class SampledModular:
             s = np.abs(s)
             q = s > 0.0
             self.s_max.append(float(np.max(s)))
-            self.p.append(p.p_minus if p.is_constant else p(x[q]))
+            self.p.append(p.p_minus if p.is_constant else kept(p.expr.ast, x, p)[q])
             self.w.append(w[q])
             self.log_s.append(np.log(s[q]))
 

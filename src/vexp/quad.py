@@ -14,6 +14,7 @@ bisection as the fallback (`find_root_decreasing`).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -99,6 +100,44 @@ def frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.flags.writeable = False
     return arrays
+
+
+_KEPT_BYTES = 3 << 19  # 1.5 MiB: what 12 members in 4 norms reuse between calls
+_ENTRY_BYTES = 1024  # charged per grid and per array for their Python objects
+
+
+class GridMemo:
+    """Read-only arrays that depend on a grid alone (sines of a norm's nodes,
+    p at them) by the key of the function applied and the grid's dtype, shape
+    and bytes, held once for all its arrays.  The least recently used grids go
+    first: the charge of those kept (bytes, _ENTRY_BYTES each) stays within _KEPT_BYTES."""
+
+    def __init__(self):
+        self.grids: dict = {}  # grid -> [charge, {name: array}], least recently used first
+        self.held, self._lock = 0, threading.Lock()
+
+    def __call__(self, name, x: np.ndarray, build: Callable[[np.ndarray], np.ndarray]):
+        """build(x), read-only, kept under name and x's dtype, shape and bytes."""
+        grid = (x.dtype.str, x.shape, x.tobytes())
+        with self._lock:
+            if (entry := self.grids.pop(grid, None)) is None:
+                entry = [_ENTRY_BYTES + len(grid[2]), {}]
+                self.held += entry[0]
+            self.grids[grid] = entry  # now the most recently used
+            if (value := entry[1].get(name)) is not None:
+                return value
+        value = frozen(build(x))[0]
+        with self._lock:
+            if self.grids.get(grid) is entry and name not in entry[1]:
+                entry[1][name] = value
+                entry[0] += _ENTRY_BYTES + value.nbytes
+                self.held += _ENTRY_BYTES + value.nbytes
+            while self.held > _KEPT_BYTES:
+                self.held -= self.grids.pop(next(iter(self.grids)))[0]
+        return value
+
+
+kept = GridMemo()  # the one memo of grid invariants
 
 
 def panel_rule(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -19,15 +19,18 @@ _MAX_PANELS in all raise ValueError).  So the weights of all terms add up on
 one Gauss-Legendre lattice (k = 0 terms are point columns) and one outer
 product f(x_i + d*u_j) evaluates the whole sum (`outer_apply`, which samples
 an expression's sin, cos and sinc nodes by the addition theorem, at the
-exact x_i + d*u_j to about an ulp).  The offsets and weights of the last 128
-unit lattices are kept, read-only, keyed by d, the panel count and the term
-maps' items in dict order, the order their weights are summed in; a call
-with a kept key builds nothing.  Sums with one top stack on one lattice:
-each keeps its own row of weights, and one pass over f serves them all.  A
-point whose window (x, x + top*d) holds a breakpoint b of f takes the same
-lattice with its panels split at (b - x)/d, built anew.  On a lattice with
-top >= 4 (K-hat's) a call's points take K Chebyshev points instead where
-`_order`'s tail test holds (`_product_rule`; README).
+exact x_i + d*u_j to about an ulp, from sines of x and of the offsets that
+`quad.kept` holds per grid: keyed by the grid's bytes and the node's c and b,
+1.5 MiB in all, so every d and r on a norm's nodes shares them).  The
+offsets and weights of the last 128 unit lattices are kept, read-only,
+keyed by d, the panel count and the term maps' items in dict order, the
+order their weights are summed in; a call with a kept key builds nothing.
+Sums with one top stack on one lattice: each keeps its own row of weights,
+and one pass over f serves them all.  A point whose window (x, x + top*d)
+holds a breakpoint b of f takes the same lattice with its panels split at
+(b - x)/d, built anew.  On a lattice with top >= 4 (K-hat's) a call's points
+take K Chebyshev points instead where `_order`'s tail test holds
+(`_product_rule`; README).
 
 While `SAMPLE_MEMO` holds a dict (`audit.run_suite` keeps one per member, for
 that member's cases), a combination's samples are kept there, read-only,

@@ -136,6 +136,46 @@ def test_lattice_matches_fourier_oracle(name, sigma):
     assert np.max(np.abs(j(xs) - exact)) <= tol
 
 
+class TestLatticeCap:
+    # the kernel's cut at a multiple of 2 pi / sigma was not capped: at
+    # sigma 1e-9 the lattice asked numpy for 1.46 TiB
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The sample counts of the lattices vp_operator goes on to build, none built."""
+        sizes = []
+        monkeypatch.setattr(bandlimited, "_lattice_convolution", lambda f, sigma, h, n_u, n_x:
+                            sizes.append(2 * (n_x + n_u) + 1) or GAUSS.fn)
+        return sizes
+
+    def test_tiny_sigma_refused_before_any_allocation(self, built):
+        m = corpus_member("gauss")
+        with pytest.raises(ValueError, match="needs 201061930011 samples of f, more than "
+                                             "the cap of 2097152"):
+            best_approx_surrogate(m.rf, 1e-9, m.norm_spec())
+        assert built == []
+
+    def test_refused_from_where_the_samples_pass_the_cap(self, built):
+        m, refused = corpus_member("gauss"), []
+        for sigma in np.geomspace(1e-5, 1e-4, 200):  # the count falls about 2.3% a step
+            try:
+                vp_operator(m.rf, sigma, x_span=m.norm_window)
+            except ValueError as exc:
+                refused.append(int(str(exc).split(" needs ")[1].split()[0]))
+            else:
+                break
+        assert refused and built
+        assert built[0] <= bandlimited._MAX_LATTICE < refused[-1] < 1.05 * bandlimited._MAX_LATTICE
+
+    def test_cli_lattices_lie_far_below_the_cap(self, built):
+        # the bundled audit's largest has 25,787 samples; the CLI's default tail
+        # target takes sinc4 at sigma 1 to 473,495
+        for name in DECAYING:
+            m = corpus_member(name)
+            for sigma in (1.0, 2.0, 4.0, 8.0, 16.0):
+                vp_operator(m.rf, sigma / 2.0, x_span=m.norm_window)
+        assert max(built) == 473_495 < bandlimited._MAX_LATTICE / 4
+
+
 class TestKernelSpectrumCache:
     # the kernel's spectrum is built once per (sigma, step, cut, FFT size):
     # a cached one gives the bits a fresh one gives, and cannot be written to

@@ -141,6 +141,19 @@ class TestNonFiniteArguments:
 
 
 class TestModulusCommand:
+    @pytest.mark.parametrize("argv, g", [
+        (["--f", "x", "--p", "2"], 1), (["--f", "x", "--p", "2", "--window", "40"], 1),
+        (["--f", "1", "--p", "@p_bump"], 0), (["--f", "x^2", "--p", "2", "--r", "3"], 2)])
+    def test_input_outside_every_lp_space_refused(self, capsys, argv, g):
+        # x printed 2.2360679775, the L^2 norm of -1/2 on the default window,
+        # and 4.472135955 on window 40; as vexp norm --p does, it refuses
+        argv = [*argv, "--r", "1"] if "--r" not in argv else argv
+        assert main(["modulus", *argv, "--delta", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: |f| ~ c*|x|^{g} with c != 0 as |x| -> oo: "
+                            "its L^p(.) norm on R is infinite\n")
+
     def test_affine_sup(self):
         code, out, _ = run_cli("modulus", "--f", "x", "--r", "1",
                                "--delta", "0.2", "--window", "5")
@@ -219,6 +232,13 @@ class TestApproxCommand:
         assert out == ""
         assert err == (f"error: {shown} has no decay class: A_hat's convolution "
                        "needs Gaussian, power or compact decay\n")
+
+    def test_lattice_cap_exits_with_error(self):
+        # at sigma 1e-9 numpy refused a 1.46 TiB array: exit code 1 and a traceback
+        code, out, err = run_cli("approx", "--f", "@gauss", "--sigma", "1e-9")
+        assert code == 2 and out == ""
+        assert err == ("error: the lattice convolution of J(f, 5e-10) needs 201061930011 "
+                       "samples of f, more than the cap of 2097152\n")
 
     def test_decaying_input_with_breakpoints_exits_with_error(self):
         # Gaussian decay with jumps at 0 and 1: the lattice convolution

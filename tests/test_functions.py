@@ -10,6 +10,7 @@ from vexp import fnexpr, functions
 from vexp.corpus import default_corpus, resolve_function
 from vexp.fnexpr import FuncExpr, parse
 from vexp.functions import as_real_function, outer_apply
+from vexp.quad import kept
 
 
 def naive_outer(f, x, offsets, weights):
@@ -118,6 +119,58 @@ def test_outer_form_matches_an_oracle(src):
     assert outer <= plain
     # at most 3.9e-16 here; the plain form reaches 3.5e-15 on cos(0.5 - 3*x)
     assert outer <= 4.0 * np.finfo(float).eps * max(scale, 1.0)
+
+
+TRIG_OFFSETS = np.linspace(0.0, 2.0, 9)
+TRIG_GRIDS = {  # for |c| = 1 to 3: the rows that can hold |c*X| < 4 are those with |x| < 7
+    "unsorted": np.random.default_rng(8).permutation(np.concatenate([  # some |c*X| just below 4
+        np.linspace(-30.0, 30.0, 61), -TRIG_OFFSETS, 0.5 - TRIG_OFFSETS,
+        np.random.default_rng(7).uniform(-8.0, 8.0, 400)])),
+    "no near rows": np.concatenate([np.linspace(-40.0, -10.0, 31), np.linspace(10.0, 40.0, 31)]),
+    "near rows at both ends": np.concatenate([-TRIG_OFFSETS[:4], np.linspace(8.0, 60.0, 53),
+                                              np.linspace(-60.0, -8.0, 53), -TRIG_OFFSETS[4:]]),
+}
+
+
+@pytest.mark.parametrize("src, c", [("sinc(1)", 1.0), ("sinc(-3)", -3.0), ("sin(1 - 2*x)", -2.0),
+                                    ("cos(0.5 - 3*x)", -3.0), ("sin(x)", 1.0)])
+@pytest.mark.parametrize("grid", [*TRIG_GRIDS, "edge rows"])
+def test_trig_outer_form_takes_its_near_rows(monkeypatch, src, c, grid):
+    # every |c*X| < 4 takes the plain program, which only the run of rows from
+    # the first that can hold one to the last evaluates; here in blocks of 7
+    # rows, so that some blocks hold no near row, some one at each end, and
+    # the edge rows' one |c*X| < 4, at t = 0 or t = 2, ends a block
+    monkeypatch.setattr(functions, "_SUB_CHUNK", 64)
+    edge, far = 4.0 / abs(c) * (1.0 - 1e-12), np.linspace(10.0, 60.0, 20) / abs(c)
+    x = (TRIG_GRIDS[grid] if grid in TRIG_GRIDS
+         else np.concatenate([far, [edge], -far - 2.0, [-edge - 2.0], far + 1.0]))
+    f = as_real_function(parse(src))
+    weights = np.random.default_rng(9).uniform(-1.0, 1.0, TRIG_OFFSETS.size)
+    got = outer_apply(f, x, TRIG_OFFSETS, weights)
+    assert np.array_equal(got, naive_outer(f, x, TRIG_OFFSETS, weights))
+    ref, scale = plain_sum(f, x, TRIG_OFFSETS, weights)
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+    outer, _, top = errors(f.expr, x, TRIG_OFFSETS)
+    assert outer <= 4.0 * np.finfo(float).eps * max(top, 1.0)
+    X = x[:, None] + TRIG_OFFSETS
+    small = np.abs(c * X) < 4.0
+    assert small.any() == (grid != "no near rows")
+    vals = f.expr.outer(x, TRIG_OFFSETS)(slice(None))
+    assert np.array_equal(vals[small], f.expr(X[small]))
+    if grid in ("unsorted", "near rows at both ends") and src.startswith("sinc"):  # 0/0 at X = 0
+        assert np.count_nonzero(X == 0.0) > 1 and np.all(vals[X == 0.0] == 1.0)
+
+
+def test_sin_and_cos_of_one_argument_keep_their_own_factors():
+    x = np.linspace(-20.0, 20.0, 401)
+    forms = [as_real_function(parse(src)) for src in ("sin(2*x + 1)", "cos(2*x + 1)",
+                                                      "sinc(2)", "sin(2*x)")]
+    cold = []
+    for f in forms:
+        kept.__init__()  # a cold memo
+        cold.append(outer_apply(f, x, TRIG_OFFSETS, np.ones(TRIG_OFFSETS.size)))
+    for f, want in zip(forms, cold):
+        assert np.array_equal(outer_apply(f, x, TRIG_OFFSETS, np.ones(TRIG_OFFSETS.size)), want)
 
 
 def test_sinc_lattice_sends_rows_and_offsets_to_sin_and_cos(monkeypatch):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vexp.quad import (Bracket, QuadSpec, find_root_decreasing, gauss_rule, panel_rule,
-                       split_at)
+from vexp import quad
+from vexp.quad import (Bracket, GridMemo, QuadSpec, find_root_decreasing, gauss_rule, kept,
+                       panel_rule, split_at)
 
 
 def solve(phi, dphi, bracket, start):
@@ -171,3 +172,71 @@ def test_large_window_rules_are_built_per_call():
     graded = quad.window_nodes(4000.0, 4.0, (), math.inf)[0]
     assert graded.size < 12 * 200 and graded is quad.window_nodes(4000.0, 4.0, (), math.inf)[0]
     assert quad._window_rule.cache_info().currsize == kept.currsize + 1
+
+
+class TestGridMemo:
+    # quad.kept keeps arrays that depend on a grid alone, by the grid's bytes
+    def test_held_bytes_stay_under_the_cap(self):
+        memo = GridMemo()
+        for i in range(64):  # 64 distinct 9,600-node grids, two arrays each
+            x = np.linspace(-200.0, 200.0, 9600) + i
+            memo("sin", x, np.sin)
+            memo("p", x, lambda x: 2.0 + np.cos(x))
+            assert memo.held <= quad._KEPT_BYTES
+        assert 0 < len(memo.grids) < 64
+        charges = [quad._ENTRY_BYTES + len(grid[2]) + sum(quad._ENTRY_BYTES + a.nbytes
+                                                         for a in kept.values())
+                   for grid, (_, kept) in memo.grids.items()]
+        assert memo.held == sum(charges) == sum(c for c, _ in memo.grids.values())
+
+    def test_arrays_are_read_only_and_kept_by_bytes(self):
+        memo, x = GridMemo(), np.linspace(0.0, 1.0, 100)
+        a = memo("sin", x, np.sin)
+        assert np.array_equal(a, np.sin(x))
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+        assert memo("sin", x.copy(), np.sin) is a  # the bytes, not the object
+        assert memo("cos", x, np.cos) is not a
+        for other in (x.reshape(10, 10), x.astype(np.float32), x + 1e-16):
+            assert memo("sin", other, np.sin) is not a
+        # 0.0 and -0.0 are two grids: their sines differ in sign
+        assert np.signbit(memo("sin", np.array([-0.0]), np.sin)[0])
+        assert not np.signbit(memo("sin", np.array([0.0]), np.sin)[0])
+
+    def test_least_recently_used_grids_go_first(self, monkeypatch):
+        memo, grids = GridMemo(), [np.full(1000, float(i)) for i in range(4)]
+        monkeypatch.setattr(quad, "_KEPT_BYTES", 3 * (2 * quad._ENTRY_BYTES + 16_000))
+        first = [memo("f", g, np.sin) for g in grids[:3]]
+        assert memo("f", grids[0], np.sin) is first[0]  # now the most recent
+        memo("f", grids[3], np.sin)
+        assert memo("f", grids[0], np.sin) is first[0]
+        assert memo("f", grids[1], np.sin) is not first[1]
+
+    def test_threads_keep_the_charge_consistent(self, monkeypatch):
+        # FuncExpr values may be shared across threads: lookups, inserts and
+        # evictions of one memo from 4 threads keep held equal to the charges
+        import sys
+        import threading
+        memo, grids = GridMemo(), [np.linspace(0.0, 1.0, 500) + i for i in range(12)]
+        monkeypatch.setattr(quad, "_KEPT_BYTES", 5 * (2 * quad._ENTRY_BYTES + 8000))
+        wrong = []
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            for i in rng.integers(0, len(grids), 300):
+                name = ("sin", "cos")[i % 2]
+                if not np.array_equal(memo(name, grids[i], getattr(np, name)),
+                                      getattr(np, name)(grids[i])):
+                    wrong.append(i)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and wrong == []
+        assert memo.held == sum(c for c, _ in memo.grids.values()) <= quad._KEPT_BYTES

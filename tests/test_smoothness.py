@@ -262,6 +262,29 @@ class TestCachedRules:
         assert self.answers() == cold
         assert steklov._unit_lattice.cache_info().hits > 0
 
+    def test_grid_memo_cold_and_warm_give_the_same_bits(self):
+        # the sines of a grid and p on it are kept per grid (quad.kept): every
+        # modulus and K-hat has the bits it has with the memo cleared first
+        def answers(cold):
+            out = []
+            for m in default_corpus():
+                for p in (None, "p2", "p_bump", "p_osc"):
+                    norm = m.norm_spec(p and exponent_field(p))
+                    for r in (1, 2):
+                        if cold:
+                            quad.kept.__init__()  # a cold memo
+                        out.append(modulus(ModulusRequest(m.rf, r, 0.5, norm)).hex())
+                        if cold:
+                            quad.kept.__init__()  # a cold memo
+                        k = k_functional_upper(m.rf, r, 0.5, norm)
+                        out.append([v.hex() for v in (k.value, k.f_minus_g_norm,
+                                                      k.g_deriv_norm)])
+            return out
+        cold = answers(cold=True)
+        answers(cold=False)
+        assert quad.kept.held > 0
+        assert answers(cold=False) == cold
+
     def test_cached_arrays_are_read_only(self):
         m = corpus_member("gauss")
         rule = quad.window_nodes(m.norm_window, m.panels_per_unit, m.rf.breakpoints)
