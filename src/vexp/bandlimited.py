@@ -26,16 +26,15 @@ are convolved by one zero-padded FFT, and J is read off the lattice with a
 local barycentric Lagrange stencil.  Its samples come from a sliding window
 over the lattice and its distances from the exact fraction s - floor(s):
 the doubles an index array would give, bit for bit.  The kernel's spectrum
-depends on sigma, the step, the cut and the FFT size alone, so the last 32
-are kept, read-only.  The trapezoid rule converges exponentially for
-analytic, decaying integrands (Trefethen & Weideman, SIAM Review 56, 2014).
+depends on sigma, the step, the cut and the FFT size alone, so `quad.kept`
+holds it.  The trapezoid rule converges exponentially for analytic,
+decaying integrands (Trefethen & Weideman, SIAM Review 56, 2014).
 The kernel decays only like 1/x^2, so the cut is the dominant error source;
 its bound is recorded next to every value rather than silently absorbed.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -175,12 +174,10 @@ def _stencil_values(values: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=32)  # the bundled audit needs 83 spectra, none above 256 kB
+@kept.rule
 def _kernel_spectrum(sigma: float, h: float, n_u: int, size: int) -> np.ndarray:
-    """The rfft to size of the weights h sigma theta(sigma k h), |k| <= n_u; read-only."""
-    spectrum = np.fft.rfft((h * sigma) * vp_kernel((sigma * h) * np.arange(-n_u, n_u + 1)), size)
-    spectrum.flags.writeable = False
-    return spectrum
+    """The rfft to size of the weights h sigma theta(sigma k h), |k| <= n_u."""
+    return np.fft.rfft((h * sigma) * vp_kernel((sigma * h) * np.arange(-n_u, n_u + 1)), size)
 
 
 def _lattice_convolution(f: RealFunction, sigma: float, h: float, n_u: int, n_x: int):

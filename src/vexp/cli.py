@@ -71,11 +71,18 @@ def _exponent(args):
     return p
 
 
-def _spec(m, p, window):
-    """m's norm spec; for a decaying f, ValueError when |f| at an end of the
-    window lies above every sample inside it: f's mass leaves the window."""
-    spec = m.norm_spec(p, window)
-    if m.expr.decay_class.kind not in ("none", "nonvanishing"):
+def _spec(args, growing: bool):
+    """The --f member and its norm spec.  ValueError when |f| ~ c |x|^g, c != 0:
+    f lies in no L^p(.) on R, and with growing set, a g > 0 gives no sup norm
+    either; and for a decaying f, when |f| at an end of the window lies above
+    every sample inside it: f's mass leaves the window."""
+    m, p = resolve_function(args.f), _exponent(args)
+    d = m.expr.decay_class
+    if d.kind == "nonvanishing" and (p is not None or growing and d.alpha < 0.0):
+        raise ValueError(f"|f| ~ c*|x|^{-d.alpha:g} with c != 0 as |x| -> oo: its "
+                         f"{'sup' if p is None else 'L^p(.)'} norm on R is infinite")
+    spec = m.norm_spec(p, args.window)
+    if d.kind not in ("none", "nonvanishing"):
         w = spec.window
         a = np.abs(_finite_samples(m.rf, np.linspace(-w, w, 4001)))
         for end, v in ((-w, a[0]), (w, a[-1])):
@@ -83,7 +90,7 @@ def _spec(m, p, window):
                 raise ValueError(f"|f| at the window's end x = {end:g} lies above every "
                                  f"sample inside [-{w:g}, {w:g}]: f's mass leaves the "
                                  "window; set --window")
-    return spec
+    return m, spec
 
 
 def _cmd_audit(args) -> int:
@@ -102,33 +109,21 @@ def _cmd_audit(args) -> int:
     return code
 
 
-def _refuse_infinite(m, p, growing: bool):
-    """ValueError when |f| ~ c |x|^g, c != 0: f lies in no L^p(.) on R, and
-    with growing set, a g > 0 gives no sup norm either."""
-    d = m.expr.decay_class
-    if d.kind == "nonvanishing" and (p is not None or growing and d.alpha < 0.0):
-        raise ValueError(f"|f| ~ c*|x|^{-d.alpha:g} with c != 0 as |x| -> oo: its "
-                         f"{'sup' if p is None else 'L^p(.)'} norm on R is infinite")
-
-
 def _cmd_norm(args) -> int:
-    m, p = resolve_function(args.f), _exponent(args)
-    _refuse_infinite(m, p, growing=True)
-    print(f"{norm_of(m.rf, _spec(m, p, args.window)):.12g}")
+    m, spec = _spec(args, growing=True)
+    print(f"{norm_of(m.rf, spec):.12g}")
     return 0
 
 
 def _cmd_modulus(args) -> int:
-    m, p = resolve_function(args.f), _exponent(args)
-    _refuse_infinite(m, p, growing=False)  # a sup modulus of x is finite
-    val = modulus(ModulusRequest(m.rf, args.r, args.delta, _spec(m, p, args.window)))
-    print(f"{val:.12g}")
+    m, spec = _spec(args, growing=False)  # a sup modulus of x is finite
+    print(f"{modulus(ModulusRequest(m.rf, args.r, args.delta, spec)):.12g}")
     return 0
 
 
 def _cmd_approx(args) -> int:
-    m = resolve_function(args.f)
-    est = best_approx_surrogate(m.rf, args.sigma, _spec(m, _exponent(args), args.window))
+    m, spec = _spec(args, growing=False)  # a constant's sup distance is 0
+    est = best_approx_surrogate(m.rf, args.sigma, spec)
     print(f"{est.value:.12g}")
     if est.tail_bound:
         print(f"note: convolution tail bound {est.tail_bound:.3g}", file=sys.stderr)

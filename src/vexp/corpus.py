@@ -12,7 +12,7 @@ read off the expression, as for a raw source.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Optional
 
 from .fnexpr import ExponentField, FuncExpr, parse
@@ -64,7 +64,7 @@ _BOX_SMOOTH_SRC = ("((1.1 - abs(x - 0.9) - abs(x))/2"
                    " + abs((1.1 - abs(x - 0.9) - abs(x))/2)) / 0.2")
 
 
-@lru_cache(maxsize=1)
+@cache
 def default_corpus() -> tuple[CorpusMember, ...]:
     return (
         _member("gauss", "exp(-x^2)", 14.0, 8.0),
@@ -82,7 +82,7 @@ def default_corpus() -> tuple[CorpusMember, ...]:
     )
 
 
-@lru_cache(maxsize=1)
+@cache
 def default_exponents() -> tuple[ExponentField, ...]:
     return (
         ExponentField.from_expr("2", name="p2"),

@@ -473,8 +473,7 @@ def _sin_cos(c: float, b: float, x: np.ndarray):
 def _trig(kind: str, c: float, b: float, plain):
     """The outer form of sin or cos of c*x + b, or of sinc(c) (b = 0), whose
     compiled program is plain.  The factors of x and of t are kept per grid in
-    `quad.kept` (by the grid's bytes and c's and b's bits, 1.5 MiB in all;
-    sinc shares sin's)."""
+    `quad.kept` (by the grid's bytes and c's and b's bits; sinc shares sin's)."""
     def left_of(x):
         s, co = _sin_cos(c, b, x)
         return np.stack([co, -s] if kind == "cos" else [s, co], 1)

@@ -145,7 +145,7 @@ class SampledModular:
     each panel width, into every node of that width.  A stacked f is sampled
     in one pass (`_row_samples`), and `row` picks one output's modular.  p
     is evaluated once per grid, kept in `quad.kept` (keyed by p's tree and
-    the grid's bytes, 1.5 MiB in all) and indexed per output."""
+    the grid's bytes) and indexed per output."""
 
     def __init__(self, f: RealFunction, norm: NormSpec):
         p = norm.p

@@ -13,10 +13,10 @@ bisection as the fallback (`find_root_decreasing`).
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -53,10 +53,9 @@ _TAIL = 1e-7  # a wide panel's resolved Legendre tail, relative to max |f|
 _WAVE_TAIL = 7.5e-5  # 21 j_10(3): the degree-10 Legendre coefficient of exp(3it)
 _GRADE = 0.25  # a graded window panel at |x| is up to this fraction of |x| wide
 _WINDOW_PANELS = 1 << 15  # uniform panels per window: 393,216 nodes
-_CACHED_PANELS = 1 << 12  # 0.85 MB a uniform rule; the bundled audit's largest has 2,000
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [0, 1], cached per order."""
     x, w = np.polynomial.legendre.leggauss(n)
@@ -102,42 +101,55 @@ def frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-_KEPT_BYTES = 3 << 19  # 1.5 MiB: what 12 members in 4 norms reuse between calls
-_ENTRY_BYTES = 1024  # charged per grid and per array for their Python objects
+_KEPT_BYTES = 1 << 22  # 4 MiB: the rules and grids 12 members reuse in 4 norms, 3.7 MiB
+_ENTRY_BYTES = 1024  # charged per key and per value for their Python objects
 
 
-class GridMemo:
-    """Read-only arrays that depend on a grid alone (sines of a norm's nodes,
-    p at them) by the key of the function applied and the grid's dtype, shape
-    and bytes, held once for all its arrays.  The least recently used grids go
-    first: the charge of those kept (bytes, _ENTRY_BYTES each) stays within _KEPT_BYTES."""
+class Memo:
+    """Read-only values, each a pure function of its key: what the builders
+    wrapped by `rule` return, by their arguments, and arrays that depend on a
+    grid alone (sines of a norm's nodes, p at them), by a name and the grid's
+    dtype, shape and bytes, held once per grid.  The least recently used go
+    first, so that the charge (bytes, _ENTRY_BYTES a key and a value) stays
+    within _KEPT_BYTES; a value that would take its key's charge past it goes unkept."""
 
     def __init__(self):
-        self.grids: dict = {}  # grid -> [charge, {name: array}], least recently used first
+        self.entries: dict = {}  # key -> [charge, {name: value}], least recently used first
         self.held, self._lock = 0, threading.Lock()
 
     def __call__(self, name, x: np.ndarray, build: Callable[[np.ndarray], np.ndarray]):
         """build(x), read-only, kept under name and x's dtype, shape and bytes."""
         grid = (x.dtype.str, x.shape, x.tobytes())
+        return self._get(grid, len(grid[2]), name, build, x)
+
+    def rule(self, build: Callable):
+        """build, its arrays or tuples of arrays kept by its (hashable) arguments."""
+        return functools.wraps(build)(
+            lambda *args: self._get((build, args), 0, None, build, *args))
+
+    def _get(self, key, size: int, name, build: Callable, *args):
         with self._lock:
-            if (entry := self.grids.pop(grid, None)) is None:
-                entry = [_ENTRY_BYTES + len(grid[2]), {}]
-                self.held += entry[0]
-            self.grids[grid] = entry  # now the most recently used
-            if (value := entry[1].get(name)) is not None:
-                return value
-        value = frozen(build(x))[0]
+            if (entry := self.entries.pop(key, None)) is not None:
+                self.entries[key] = entry  # now the most recently used
+                if name in entry[1]:
+                    return entry[1][name]
+        value = build(*args)
+        arrays = frozen(*value) if isinstance(value, tuple) else frozen(value)
+        charge = _ENTRY_BYTES + sum(a.nbytes for a in arrays)
         with self._lock:
-            if self.grids.get(grid) is entry and name not in entry[1]:
+            entry = self.entries.pop(key, None) or [_ENTRY_BYTES + size, {}]
+            if name not in entry[1] and entry[0] + charge <= _KEPT_BYTES:
+                self.held += charge + (0 if entry[1] else entry[0])
+                entry[0] += charge
                 entry[1][name] = value
-                entry[0] += _ENTRY_BYTES + value.nbytes
-                self.held += _ENTRY_BYTES + value.nbytes
+            if entry[1]:
+                self.entries[key] = entry
             while self.held > _KEPT_BYTES:
-                self.held -= self.grids.pop(next(iter(self.grids)))[0]
+                self.held -= self.entries.pop(next(iter(self.entries)))[0]
         return value
 
 
-kept = GridMemo()  # the one memo of grid invariants
+kept = Memo()  # the one bounded cache: operator rules and grid invariants
 
 
 def panel_rule(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -158,14 +170,11 @@ def window_nodes(window: float, panels_per_unit: float, breakpoints: tuple[float
     edges.  The uniform panels, 16 to _WINDOW_PANELS (more raise ValueError),
     are 1/panels_per_unit wide or a little less; from the middle edge out, a
     panel at |x| spans as many as fit in max(1/panels_per_unit, _GRADE |x|)
-    and in widest, at least one.  Read-only: each shape's rule is cached but
-    a uniform one (widest below 2 panels) of more than _CACHED_PANELS panels."""
-    big = widest * panels_per_unit < 2.0 and 2.0 * window * panels_per_unit > _CACHED_PANELS
-    return (_window_rule.__wrapped__ if big else _window_rule)(
-        window, panels_per_unit, breakpoints, widest)
+    and in widest, at least one.  Read-only, kept in `kept` by all four arguments."""
+    return _window_rule(window, panels_per_unit, breakpoints, widest)
 
 
-@lru_cache(maxsize=64)
+@kept.rule
 def _window_rule(window: float, panels_per_unit: float, breakpoints: tuple[float, ...],
                  widest: float):
     n = max(16, math.ceil(2.0 * window * panels_per_unit))
@@ -186,7 +195,7 @@ def _window_rule(window: float, panels_per_unit: float, breakpoints: tuple[float
                 idx.append(i)
         edges = split_at(u[np.unique(idx)], breakpoints)
         first = np.searchsorted(uniform, edges)
-    return frozen(*panel_rule(edges, 12), first, edges)
+    return (*panel_rule(edges, 12), first, edges)
 
 
 def find_root_decreasing(phi: Callable[[float], tuple], bracket: Bracket,

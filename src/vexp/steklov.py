@@ -20,11 +20,10 @@ one Gauss-Legendre lattice (k = 0 terms are point columns) and one outer
 product f(x_i + d*u_j) evaluates the whole sum (`outer_apply`, which samples
 an expression's sin, cos and sinc nodes by the addition theorem, at the
 exact x_i + d*u_j to about an ulp, from sines of x and of the offsets that
-`quad.kept` holds per grid: keyed by the grid's bytes and the node's c and b,
-1.5 MiB in all, so every d and r on a norm's nodes shares them).  The
-offsets and weights of the last 128 unit lattices are kept, read-only,
-keyed by d, the panel count and the term maps' items in dict order, the
-order their weights are summed in; a call with a kept key builds nothing.
+`quad.kept` holds per grid, keyed by the grid's bytes and the node's c and b,
+so every d and r on a norm's nodes shares them).  `quad.kept` also holds
+the unit lattices' offsets and weights, keyed by d, the panel count and the
+term maps' items in dict order, the order their weights are summed in.
 Sums with one top stack on one lattice: each keeps its own row of weights,
 and one pass over f serves them all.  A point whose window (x, x + top*d)
 holds a breakpoint b of f takes the same lattice with its panels split at
@@ -70,7 +69,8 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .functions import _SUB_CHUNK, RealFunction, _finite_samples, outer_apply
-from .quad import LEGENDRE, MAX_PHASE, frozen, panel_rule, phase_panels, unresolved, window_nodes
+from .quad import (LEGENDRE, MAX_PHASE, frozen, kept, panel_rule, phase_panels, unresolved,
+                   window_nodes)
 
 if TYPE_CHECKING:
     from .norms import NormSpec
@@ -188,10 +188,10 @@ def _lattice(delta: float, items: tuple, edges, n: int = 12) -> tuple[np.ndarray
             np.stack([np.concatenate(kp, -1) for kp in zip(kern, pts)]))
 
 
-@functools.lru_cache(maxsize=128)  # the bundled audit needs 113 shapes, 0.26 MB in all
+@kept.rule
 def _unit_lattice(delta: float, top: int, panels: int, items: tuple):
-    """`_lattice` on the equal panels of [0, top], read-only."""
-    return frozen(*_lattice(delta, items, np.linspace(0.0, float(top), panels + 1)))
+    """`_lattice` on the equal panels of [0, top]."""
+    return _lattice(delta, items, np.linspace(0.0, float(top), panels + 1))
 
 
 _ORDERS = (12, 16, 20, 24, 32, 40, 48, 64)  # the point counts of the product rules
@@ -209,21 +209,20 @@ def _chebyshev(K: int):
     return (0.5 * (1.0 + np.cos(theta))).astype(float), coef.astype(float), coef
 
 
-@functools.lru_cache(maxsize=32)  # the bundled audit needs 13 shapes
+@kept.rule
 def _product_rule(delta: float, top: int, K: int, items: tuple):
     """Offsets; a row of weights per map, one product each (a product over all
     maps gives a map other bits than it has alone); then the rows of c_0,
-    c_{K-2} and c_{K-1}.  Read-only."""
+    c_{K-2} and c_{K-1}."""
     points, coef, exact = _chebyshev(K)
     n = math.ceil((top + K - 1) / 2)  # Gauss nodes a unit panel: exact to degree top + K - 2
     offsets, weights = _lattice(1.0, items, np.arange(top + 1.0), n)
     m = top * n
     interp = np.polynomial.chebyshev.chebvander(
         2.0 / top * offsets[:m].astype(np.longdouble) - 1.0, K - 1) @ exact
-    return frozen(
-        delta * np.concatenate([top * points, offsets[m:]]),
-        np.stack([np.concatenate([(w[:m] @ interp).astype(float), w[m:]]) for w in weights]),
-        np.pad(coef[[0, K - 2, K - 1]], ((0, 0), (0, offsets.size - m))))
+    return (delta * np.concatenate([top * points, offsets[m:]]),
+            np.stack([np.concatenate([(w[:m] @ interp).astype(float), w[m:]]) for w in weights]),
+            np.pad(coef[[0, K - 2, K - 1]], ((0, 0), (0, offsets.size - m))))
 
 
 def _order(f: RealFunction, delta: float, top: int, x: np.ndarray, gauss: int) -> int:

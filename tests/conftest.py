@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from vexp import quad
 from vexp.fnexpr import ExponentField, parse
 from vexp.functions import as_real_function
 
@@ -33,3 +34,12 @@ def gauss():
 
 def grid(lo, hi, n):
     return np.linspace(lo, hi, n)
+
+
+@pytest.fixture
+def kept_rules():
+    """quad.kept emptied; called with a builder's name, the values the memo
+    then holds for that builder, by key."""
+    quad.kept.__init__()
+    return lambda name: {key: entry[1][None] for key, entry in quad.kept.entries.items()
+                         if getattr(key[0], "__name__", None) == name}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vexp import bandlimited
+from vexp import bandlimited, quad
 from vexp.bandlimited import (best_approx_surrogate, kernel_tail_bound,
                               vp_kernel, vp_operator)
 from vexp.corpus import corpus_member, default_corpus, resolve_function
@@ -179,32 +179,38 @@ class TestLatticeCap:
 class TestKernelSpectrumCache:
     # the kernel's spectrum is built once per (sigma, step, cut, FFT size):
     # a cached one gives the bits a fresh one gives, and cannot be written to
-    def test_cold_and_warm_caches_give_the_same_bits(self):
+    def test_cold_and_warm_caches_give_the_same_bits(self, kept_rules):
         m = corpus_member("lorentz")
         norm = m.norm_spec()
-        bandlimited._kernel_spectrum.cache_clear()
         cold = [best_approx_surrogate(m.rf, s, norm).value for s in (2.0, 8.0)]
-        assert bandlimited._kernel_spectrum.cache_info().currsize == 2
+        spectra = kept_rules("_kernel_spectrum")
+        assert len(spectra) == 2
         assert [best_approx_surrogate(m.rf, s, norm).value for s in (2.0, 8.0)] == cold
-        assert bandlimited._kernel_spectrum.cache_info().hits == 2
+        now = kept_rules("_kernel_spectrum")  # the same arrays: none rebuilt
+        assert now.keys() == spectra.keys()
+        assert all(now[key] is spectrum for key, spectrum in spectra.items())
 
     def test_cached_spectrum_is_read_only(self):
         with pytest.raises(ValueError, match="read-only"):
             bandlimited._kernel_spectrum(2.0, 0.1, 24, 64)[0] = 0.0
 
-    def test_cached_and_fresh_kernels_give_the_same_j(self, monkeypatch):
+    def test_cached_and_fresh_kernels_give_the_same_j(self, monkeypatch, kept_rules):
         cases = [(corpus_member(name), sigma) for name in DECAYING for sigma in (2.0, 8.0)]
 
         def js():
             return [[v.hex() for v in vp_operator(m.rf, sigma, x_span=m.norm_window)(
                 np.linspace(-m.norm_window, m.norm_window, 401)).tolist()]
                 for m, sigma in cases]
-        bandlimited._kernel_spectrum.cache_clear()
-        cold, warm = js(), js()
+        cold = js()
+        spectra = kept_rules("_kernel_spectrum")
+        warm = js()
+        now = kept_rules("_kernel_spectrum")  # the warm pass rebuilt none of them
+        assert spectra and now.keys() == spectra.keys()
+        assert all(now[key] is spectrum for key, spectrum in spectra.items())
         with monkeypatch.context() as mp:
-            mp.setattr(bandlimited, "_kernel_spectrum", bandlimited._kernel_spectrum.__wrapped__)
+            mp.setattr(quad, "_KEPT_BYTES", 0)  # every value built per call, none kept
             fresh = js()
-        assert bandlimited._kernel_spectrum.cache_info().hits >= len(cases)
+            assert kept_rules("_kernel_spectrum") == {}
         assert cold == warm == fresh
 
 

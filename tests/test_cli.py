@@ -1,3 +1,4 @@
+import argparse
 import math
 import subprocess
 import sys
@@ -255,6 +256,16 @@ class TestApproxCommand:
         assert main(["approx", "--f", src, "--sigma", "2"]) == 0
         assert capsys.readouterr().out == "0\n"
 
+    @pytest.mark.parametrize("p", ["2", "@p_bump"])
+    def test_constant_outside_every_lp_space_refused(self, capsys, p):
+        # printed 0, though vexp norm and vexp modulus refuse 1 in L^p(.); its
+        # sup distance to the type-2 class is 0, as above
+        assert main(["approx", "--f", "1", "--p", p, "--sigma", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("error: |f| ~ c*|x|^0 with c != 0 as |x| -> oo: "
+                            "its L^p(.) norm on R is infinite\n")
+
 
 @pytest.mark.parametrize("argv", [["norm", "--p", "@p2"], ["approx", "--sigma", "2"],
                                   ["approx", "--sigma", "2", "--p", "2"], ["norm"]])
@@ -364,8 +375,9 @@ class TestMassOutsideTheWindow:
     @pytest.mark.parametrize("name", [m.name for m in default_corpus()])
     def test_no_bundled_member_refused(self, name):
         m = corpus_member(name)
-        for p in (None, exponent_field("p2")):
-            assert _spec(m, p, None) == m.norm_spec(p)
+        for p in (None, "@p2"):
+            args = argparse.Namespace(f="@" + name, p=p, window=None)
+            assert _spec(args, growing=True)[1] == m.norm_spec(p and exponent_field("p2"))
 
 
 class TestDeepSources:

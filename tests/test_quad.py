@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vexp import quad
-from vexp.quad import (Bracket, GridMemo, QuadSpec, find_root_decreasing, gauss_rule, kept,
+from vexp.quad import (Bracket, Memo, QuadSpec, find_root_decreasing, gauss_rule, kept,
                        panel_rule, split_at)
 
 
@@ -149,48 +149,49 @@ def test_split_at_adds_each_inner_point_once():
     assert np.array_equal(split_at(grid, ()), grid)
 
 
-def test_large_window_rules_are_built_per_call():
-    # a uniform rule near the 32,768-panel cap holds about 6.8 MB: only uniform
-    # rules of at most 4,096 panels are cached, so 64 wide sup windows pin no
-    # memory, while a graded rule of a wide window (a few kB) stays cached
-    from vexp import quad
+def test_large_window_rules_are_built_per_call(kept_rules):
+    # a uniform rule near the 32,768-panel cap holds about 6.7 MB, more than
+    # the memo's budget: it is built per call and returned unkept, evicting
+    # nothing, so wide sup windows pin no memory; a graded rule of a wide
+    # window, a few kB, is kept
     from vexp.functions import as_real_function
     from vexp.fnexpr import parse
     from vexp.norms import NormSpec, norm_of
     f = as_real_function(parse("exp(-x^2)"))
-    quad._window_rule.cache_clear()
     norm_of(f, NormSpec.sup(8.0))
-    kept = quad._window_rule.cache_info()
-    assert kept.currsize == 1
+    before, held = dict(kept.entries), kept.held
+    assert len(before) == len(kept_rules("_window_rule")) == 1
     for window in range(4000, 4008):
         assert norm_of(f, NormSpec.sup(float(window))).hex() == "0x1.0000000000000p+0"
-    assert quad._window_rule.cache_info().currsize == kept.currsize
-    norm_of(f, NormSpec.sup(8.0))
-    assert quad._window_rule.cache_info().hits > kept.hits
+        assert kept.entries.keys() == before.keys() and kept.held == held
+    norm_of(f, NormSpec.sup(8.0))  # served by the kept rule
+    assert all(kept.entries[key] is entry for key, entry in before.items())
     big = quad.window_nodes(4000.0, 4.0, ())
+    assert sum(a.nbytes for a in big) > quad._KEPT_BYTES
     assert not big[0].flags.writeable and big[0] is not quad.window_nodes(4000.0, 4.0, ())[0]
     graded = quad.window_nodes(4000.0, 4.0, (), math.inf)[0]
     assert graded.size < 12 * 200 and graded is quad.window_nodes(4000.0, 4.0, (), math.inf)[0]
-    assert quad._window_rule.cache_info().currsize == kept.currsize + 1
+    assert len(kept.entries) == len(before) + 1
 
 
 class TestGridMemo:
-    # quad.kept keeps arrays that depend on a grid alone, by the grid's bytes
+    # quad.kept keeps arrays that depend on a grid alone, by the grid's bytes,
+    # and the rules of the builders it wraps, by their arguments
     def test_held_bytes_stay_under_the_cap(self):
-        memo = GridMemo()
+        memo = Memo()
         for i in range(64):  # 64 distinct 9,600-node grids, two arrays each
             x = np.linspace(-200.0, 200.0, 9600) + i
             memo("sin", x, np.sin)
             memo("p", x, lambda x: 2.0 + np.cos(x))
             assert memo.held <= quad._KEPT_BYTES
-        assert 0 < len(memo.grids) < 64
+        assert 0 < len(memo.entries) < 64
         charges = [quad._ENTRY_BYTES + len(grid[2]) + sum(quad._ENTRY_BYTES + a.nbytes
                                                          for a in kept.values())
-                   for grid, (_, kept) in memo.grids.items()]
-        assert memo.held == sum(charges) == sum(c for c, _ in memo.grids.values())
+                   for grid, (_, kept) in memo.entries.items()]
+        assert memo.held == sum(charges) == sum(c for c, _ in memo.entries.values())
 
     def test_arrays_are_read_only_and_kept_by_bytes(self):
-        memo, x = GridMemo(), np.linspace(0.0, 1.0, 100)
+        memo, x = Memo(), np.linspace(0.0, 1.0, 100)
         a = memo("sin", x, np.sin)
         assert np.array_equal(a, np.sin(x))
         with pytest.raises(ValueError, match="read-only"):
@@ -203,8 +204,36 @@ class TestGridMemo:
         assert np.signbit(memo("sin", np.array([-0.0]), np.sin)[0])
         assert not np.signbit(memo("sin", np.array([0.0]), np.sin)[0])
 
+    def test_a_value_above_the_budget_is_returned_unkept(self):
+        # one grid of _KEPT_BYTES / 8 nodes emptied the memo and was not kept either
+        memo = Memo()
+        for i in range(5):
+            memo("sin", np.linspace(0.0, 1.0, 1000) + i, np.sin)
+        before, held = dict(memo.entries), memo.held
+        big = np.linspace(0.0, 1.0, quad._KEPT_BYTES // 8)
+        s = memo("sin", big, np.sin)
+        assert np.array_equal(s, np.sin(big)) and not s.flags.writeable
+        assert memo("sin", big, np.sin) is not s
+        assert memo.entries.keys() == before.keys() and memo.held == held
+        assert all(memo.entries[key] is entry for key, entry in before.items())
+
+    def test_rules_are_built_once_per_key(self):
+        memo, built = Memo(), []
+
+        @memo.rule
+        def rule(n, scale):
+            built.append((n, scale))
+            return np.arange(n) * scale, np.ones(n)
+        a = rule(10, 2.0)
+        assert rule(10, 2.0) is a and built == [(10, 2.0)]
+        assert np.array_equal(a[0], np.arange(10) * 2.0) and not any(v.flags.writeable for v in a)
+        assert rule(10, 3.0) is not a and len(built) == 2
+        big = rule(quad._KEPT_BYTES // 8, 1.0)  # its charge alone passes the budget
+        assert not big[0].flags.writeable and rule(quad._KEPT_BYTES // 8, 1.0) is not big
+        assert rule(10, 2.0) is a and len(built) == 4
+
     def test_least_recently_used_grids_go_first(self, monkeypatch):
-        memo, grids = GridMemo(), [np.full(1000, float(i)) for i in range(4)]
+        memo, grids = Memo(), [np.full(1000, float(i)) for i in range(4)]
         monkeypatch.setattr(quad, "_KEPT_BYTES", 3 * (2 * quad._ENTRY_BYTES + 16_000))
         first = [memo("f", g, np.sin) for g in grids[:3]]
         assert memo("f", grids[0], np.sin) is first[0]  # now the most recent
@@ -217,7 +246,7 @@ class TestGridMemo:
         # evictions of one memo from 4 threads keep held equal to the charges
         import sys
         import threading
-        memo, grids = GridMemo(), [np.linspace(0.0, 1.0, 500) + i for i in range(12)]
+        memo, grids = Memo(), [np.linspace(0.0, 1.0, 500) + i for i in range(12)]
         monkeypatch.setattr(quad, "_KEPT_BYTES", 5 * (2 * quad._ENTRY_BYTES + 8000))
         wrong = []
 
@@ -239,4 +268,4 @@ class TestGridMemo:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and wrong == []
-        assert memo.held == sum(c for c, _ in memo.grids.values()) <= quad._KEPT_BYTES
+        assert memo.held == sum(c for c, _ in memo.entries.values()) <= quad._KEPT_BYTES

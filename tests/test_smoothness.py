@@ -253,14 +253,15 @@ class TestCachedRules:
         return (k_functional_upper(m.rf, 2, 0.25, norm),
                 modulus(ModulusRequest(m.rf, 2, 0.25, norm)))
 
-    def test_cold_and_warm_caches_give_the_same_bits(self):
-        quad._window_rule.cache_clear()
-        steklov._unit_lattice.cache_clear()
+    def test_cold_and_warm_caches_give_the_same_bits(self, kept_rules):
         cold = self.answers()
-        assert quad._window_rule.cache_info().currsize > 0
-        assert steklov._unit_lattice.cache_info().currsize > 0
+        built = {name: kept_rules(name) for name in ("_window_rule", "_unit_lattice")}
+        assert all(built.values())
         assert self.answers() == cold
-        assert steklov._unit_lattice.cache_info().hits > 0
+        for name, rules in built.items():  # the warm answers rebuilt none of them
+            now = kept_rules(name)
+            assert now.keys() == rules.keys()
+            assert all(now[key] is value for key, value in rules.items())
 
     def test_grid_memo_cold_and_warm_give_the_same_bits(self):
         # the sines of a grid and p on it are kept per grid (quad.kept): every
